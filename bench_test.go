@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"vedrfolnir/internal/collective"
+	"vedrfolnir/internal/diagnose"
 	"vedrfolnir/internal/experiments"
 	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/hostmon"
@@ -389,6 +390,39 @@ func BenchmarkProvenanceRating(b *testing.B) {
 		}
 	}
 }
+
+// benchAnalyzeCensus times diagnose.Analyze on one contention case's
+// records and reports (per-step provenance on, as the daemon runs it) with
+// the collective-flow census padded to n flows that no record or report
+// mentions. The analyzer's cost should follow the evidence, not the
+// census: B/op and allocs/op stay flat from 1k to 16k, and ns/op grows
+// only by the one pass over the census that collects the collective
+// sources when there are PFC edges to explain (~20 ns a flow).
+func benchAnalyzeCensus(b *testing.B, n int) {
+	cfg := benchConfig()
+	res := benchRun(b, benchCase(b, scenario.Contention, 0, cfg), scenario.Vedrfolnir, cfg, scenario.DefaultRunOptions(cfg))
+	cfs := make(map[fabric.FlowKey]bool, n)
+	for f := range res.CFs {
+		cfs[f] = true
+	}
+	for i := 0; len(cfs) < n; i++ {
+		cfs[fabric.FlowKey{Src: topo.NodeID(1000 + i%128), Dst: topo.NodeID(2000 + i/128),
+			SrcPort: uint16(i), DstPort: uint16(i >> 16), Proto: 17}] = true
+	}
+	in := diagnose.Input{Records: res.Records, Reports: res.Reports, CFs: cfs,
+		StepOf: diagnose.StepOfRecords(res.Records)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := diagnose.Analyze(in); len(d.Findings) == 0 {
+			b.Fatal("diagnosis lost its findings")
+		}
+	}
+}
+
+func BenchmarkAnalyzeCensus1k(b *testing.B)  { benchAnalyzeCensus(b, 1<<10) }
+func BenchmarkAnalyzeCensus4k(b *testing.B)  { benchAnalyzeCensus(b, 1<<12) }
+func BenchmarkAnalyzeCensus16k(b *testing.B) { benchAnalyzeCensus(b, 1<<14) }
 
 // --- Ablation benches for DESIGN.md's called-out design choices ---
 

@@ -45,7 +45,6 @@ import (
 	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/telemetry"
-	"vedrfolnir/internal/waitgraph"
 	"vedrfolnir/internal/wire"
 )
 
@@ -327,9 +326,6 @@ type Server struct {
 	records []collective.StepRecord // guarded by mu
 	reports []*telemetry.Report     // guarded by mu
 	cfs     map[fabric.FlowKey]bool // guarded by mu
-	// stepIndex maps a collective flow to its (host, step), learned from
-	// the step records themselves.
-	stepIndex map[fabric.FlowKey]waitgraph.StepRef // guarded by mu
 	// clients holds the per-client ack windows, token buckets, and idle
 	// state; entries for disconnected clients are evicted after AckTTL.
 	clients  map[string]*clientState // guarded by mu
@@ -395,7 +391,6 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 		log:         cfg.Log,
 		now:         cfg.Now,
 		cfs:         make(map[fabric.FlowKey]bool),
-		stepIndex:   make(map[fabric.FlowKey]waitgraph.StepRef),
 		clients:     make(map[string]*clientState),
 		conns:       make(map[net.Conn]struct{}),
 		queue:       make(chan ingestItem, cfg.MaxQueue),
@@ -490,7 +485,6 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 	for _, r := range rec.Snapshot.Records {
 		recInt := r.Record()
 		s.records = append(s.records, recInt)
-		s.stepIndex[recInt.Flow] = waitgraph.StepRef{Host: recInt.Host, Step: recInt.Step}
 	}
 	for _, r := range rec.Snapshot.Reports {
 		s.reports = append(s.reports, r.Telemetry())
@@ -1210,7 +1204,6 @@ func (s *Server) ingest(msg *Message) error {
 		}
 		rec := msg.Step.Record()
 		s.records = append(s.records, rec)
-		s.stepIndex[rec.Flow] = waitgraph.StepRef{Host: rec.Host, Step: rec.Step}
 	case TypeReport:
 		if msg.Report == nil {
 			return errors.New("report message without payload")
@@ -1249,20 +1242,13 @@ func (s *Server) Diagnose() *diagnose.Diagnosis {
 	for k := range s.cfs {
 		cfs[k] = true
 	}
-	index := make(map[fabric.FlowKey]waitgraph.StepRef, len(s.stepIndex))
-	for k, v := range s.stepIndex {
-		index[k] = v
-	}
 	s.mu.Unlock()
 
 	return diagnose.Analyze(diagnose.Input{
 		Records: records,
 		Reports: reports,
 		CFs:     cfs,
-		StepOf: func(f fabric.FlowKey) (waitgraph.StepRef, bool) {
-			ref, ok := index[f]
-			return ref, ok
-		},
+		StepOf:  diagnose.StepOfRecords(records),
 	})
 }
 

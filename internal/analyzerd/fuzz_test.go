@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vedrfolnir/internal/fabric"
-	"vedrfolnir/internal/waitgraph"
 )
 
 // FuzzParseMessage hammers the single entry point for untrusted input. The
@@ -66,9 +65,8 @@ func FuzzParseMessage(f *testing.F) {
 		// A validated message must ingest without error: the server relies
 		// on ParseMessage as the only gate for untrusted input.
 		s := &Server{
-			cfs:       make(map[fabric.FlowKey]bool),
-			stepIndex: make(map[fabric.FlowKey]waitgraph.StepRef),
-			clients:   make(map[string]*clientState),
+			cfs:     make(map[fabric.FlowKey]bool),
+			clients: make(map[string]*clientState),
 		}
 		if err := s.ingest(msg); err != nil {
 			t.Fatalf("validated message rejected by ingest: %v", err)

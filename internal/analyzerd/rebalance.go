@@ -6,7 +6,6 @@ import (
 	"net"
 
 	"vedrfolnir/internal/fabric"
-	"vedrfolnir/internal/waitgraph"
 	"vedrfolnir/internal/wire"
 )
 
@@ -120,7 +119,6 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 	}
 	s.records, s.reports, s.sourced = nil, nil, nil
 	s.cfs = make(map[fabric.FlowKey]bool)
-	s.stepIndex = make(map[fabric.FlowKey]waitgraph.StepRef)
 	for _, sm := range kept {
 		if err := s.ingest(messageFromSourced(sm)); err != nil {
 			// Every retained message was ingested once already; failing

@@ -164,10 +164,13 @@ type Input struct {
 	Records []collective.StepRecord
 	// Reports are the retained telemetry reports.
 	Reports []*telemetry.Report
-	// CFs marks the collective flows (every step's 5-tuple).
+	// CFs marks the collective flows (every step's 5-tuple). Every
+	// provenance graph of the analysis shares this map: Analyze only reads
+	// it, and the caller must not write it while the Diagnosis is in use.
 	CFs map[fabric.FlowKey]bool
 	// StepOf maps a collective flow to its (host, step); nil disables
-	// per-step provenance graphs (everything lands in one graph).
+	// per-step provenance graphs (everything lands in one graph). A caller
+	// that has only the records derives it with StepOfRecords.
 	StepOf func(fabric.FlowKey) (waitgraph.StepRef, bool)
 	// Expected returns a step's expected execution time for the Eq. 3
 	// weights. When nil, the minimum observed execution time of the same
@@ -196,6 +199,20 @@ type Input struct {
 	Stages *obs.Stages
 }
 
+// StepOfRecords returns the Input.StepOf resolver a record set implies:
+// each record's flow maps to its (host, step), a later record of the same
+// flow replacing an earlier one.
+func StepOfRecords(records []collective.StepRecord) func(fabric.FlowKey) (waitgraph.StepRef, bool) {
+	index := make(map[fabric.FlowKey]waitgraph.StepRef, len(records))
+	for _, rec := range records {
+		index[rec.Flow] = waitgraph.StepRef{Host: rec.Host, Step: rec.Step}
+	}
+	return func(f fabric.FlowKey) (waitgraph.StepRef, bool) {
+		ref, ok := index[f]
+		return ref, ok
+	}
+}
+
 // Analyze runs the full §III-D pipeline.
 func Analyze(in Input) *Diagnosis {
 	d := &Diagnosis{PerCF: map[fabric.FlowKey]map[fabric.FlowKey]float64{}}
@@ -220,34 +237,11 @@ func Analyze(in Input) *Diagnosis {
 		obs.I("records", int64(len(in.Records))),
 		obs.I("critical_steps", int64(len(d.CriticalPath))))
 
-	// 2. Provenance graphs → signature findings. Reports are grouped by
-	// triggering step and one graph is built per group (plus one for
-	// reports no step claims); the aggregate graph is their Merge. Every
-	// Graph aggregate is commutative, so the merged graph is
-	// content-equal to building one graph over the full report set —
-	// this is the same merge a sharded fleet applies across shard dumps
-	// — and the per-step graphs are reused by the rating phase below.
+	// 2. Provenance graph → signature findings. The aggregate graph is one
+	// build over every report; the per-step graphs of §III-D1 are built in
+	// the rating phase, for the critical-path steps that read them.
 	tRate0 := tRate.Begin()
-	byStep, ungrouped := groupReports(in)
-	refs := make([]waitgraph.StepRef, 0, len(byStep))
-	for ref := range byStep {
-		refs = append(refs, ref)
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Host != refs[j].Host {
-			return refs[i].Host < refs[j].Host
-		}
-		return refs[i].Step < refs[j].Step
-	})
-	stepGraphs := make(map[waitgraph.StepRef]*provenance.Graph, len(byStep))
-	parts := make([]*provenance.Graph, 0, len(byStep)+1)
-	for _, ref := range refs {
-		g := provenance.Build(byStep[ref], in.CFs)
-		stepGraphs[ref] = g
-		parts = append(parts, g)
-	}
-	parts = append(parts, provenance.Build(ungrouped, in.CFs))
-	d.Graph = provenance.Merge(parts...)
+	d.Graph = provenance.Build(in.Reports, in.CFs)
 	d.Findings = findAnomalies(d.Graph, in)
 	var provEdges, provPorts int64
 	if in.Obs.Enabled() {
@@ -261,7 +255,7 @@ func Analyze(in Input) *Diagnosis {
 		obs.I("findings", int64(len(d.Findings))))
 
 	// 3. Contributor rating (Eqs. 2 and 3).
-	d.rate(in, stepGraphs)
+	d.rate(in)
 	tRate.End(tRate0)
 	tr.Instant(obs.PidAnalyzer, 0, "phase", "rate", in.ObsAt,
 		obs.I("ratings", int64(len(d.Ratings))))
@@ -365,23 +359,27 @@ func findAnomalies(g *provenance.Graph, in Input) []Finding {
 	// PFC backpressure / storm: ∃p: e(cf,p) ∧ ∃p_j: e(p,p_j); follow the
 	// spreading path to the root. A collective flow "waits at" p when it
 	// queued there, or when p is its own source NIC held by a pause (a
-	// storm on a host uplink leaves no switch telemetry at p).
+	// storm on a host uplink leaves no switch telemetry at p). Collecting
+	// those sources is the analysis's one pass over the census, made only
+	// when there are pause edges to explain.
+	upstreams := g.PFCUpstreams()
 	cfSources := map[topo.NodeID]bool{}
-	for _, cf := range g.CFs() {
-		cfSources[cf.Src] = true
+	if len(upstreams) > 0 {
+		for cf := range in.CFs {
+			cfSources[cf.Src] = true
+		}
 	}
 	seenRoot := map[topo.PortID]bool{}
-	for _, p := range g.PFCUpstreams() {
-		hasCF := cfSources[p.Node]
-		if !hasCF {
-			for _, f := range g.FlowsAt(p) {
-				if g.IsCF(f) && g.HasFlowPortEdge(f, p) {
-					hasCF = true
-					break
-				}
+	for _, p := range upstreams {
+		// Every flow with e(f, p) was observed at p, so FlowsAt(p) holds
+		// all the collective flows waiting there, already in flow order.
+		var waiting []fabric.FlowKey
+		for _, f := range g.FlowsAt(p) {
+			if g.IsCF(f) && g.HasFlowPortEdge(f, p) {
+				waiting = append(waiting, f)
 			}
 		}
-		if !hasCF || len(g.PFCOut(p)) == 0 {
+		if (len(waiting) == 0 && !cfSources[p.Node]) || len(g.PFCOut(p)) == 0 {
 			continue
 		}
 		chain, root := tracePFC(g, p)
@@ -395,14 +393,10 @@ func findAnomalies(g *provenance.Graph, in Input) []Finding {
 			RootPort: root,
 			Chain:    chain,
 			Injected: g.InjectedCause(root),
+			Affected: waiting,
 		}
 		if f.Injected {
 			f.Type = PFCStorm
-		}
-		for _, cf := range g.CFs() {
-			if g.HasFlowPortEdge(cf, p) {
-				f.Affected = append(f.Affected, cf)
-			}
 		}
 		// Flows feeding the root port are the candidate culprits.
 		for _, fl := range g.FlowsAt(root) {
@@ -507,31 +501,29 @@ func findPFCCycle(g *provenance.Graph) []topo.PortID {
 	return nil
 }
 
-// rate computes Eq. 2 per (contender, cf) on per-step graphs and folds them
-// into the Eq. 3 overall score, weighting each critical step by its share
-// of the total slowdown.
-// groupReports splits reports into per-step groups (per StepOf) and the
-// remainder that no step claims.
-func groupReports(in Input) (map[waitgraph.StepRef][]*telemetry.Report, []*telemetry.Report) {
+// groupReports splits reports by the step whose flow triggered them (per
+// StepOf); reports no step claims are in no group.
+func groupReports(in Input) map[waitgraph.StepRef][]*telemetry.Report {
 	byStep := map[waitgraph.StepRef][]*telemetry.Report{}
-	var rest []*telemetry.Report
-	for _, rep := range in.Reports {
-		if in.StepOf != nil {
-			if ref, ok := in.StepOf(rep.TriggeredBy); ok {
-				byStep[ref] = append(byStep[ref], rep)
-				continue
-			}
-		}
-		rest = append(rest, rep)
+	if in.StepOf == nil {
+		return byStep
 	}
-	return byStep, rest
+	for _, rep := range in.Reports {
+		if ref, ok := in.StepOf(rep.TriggeredBy); ok {
+			byStep[ref] = append(byStep[ref], rep)
+		}
+	}
+	return byStep
 }
 
-// rate scores contributors per Eqs. 2 and 3. stepGraphs are the per-step
-// provenance graphs built during phase 2; steps without their own
-// reports fall back to the merged aggregate graph (it still witnesses
-// the anomaly even when another host's monitor collected it).
-func (d *Diagnosis) rate(in Input, stepGraphs map[waitgraph.StepRef]*provenance.Graph) {
+// rate scores contributors: Eq. 2 per (contender, cf) on each critical
+// step's own provenance graph, folded into the Eq. 3 overall score by
+// weighting each step with its share of the total slowdown. Only
+// critical-path steps with positive slowdown are rated, so only they get a
+// per-step graph, built from the reports their flow triggered; a step
+// without reports of its own falls back to the aggregate graph (it still
+// witnesses the anomaly even when another host's monitor collected it).
+func (d *Diagnosis) rate(in Input) {
 	expected := in.Expected
 	if expected == nil {
 		expected = minExecExpectation(in.Records)
@@ -544,6 +536,7 @@ func (d *Diagnosis) rate(in Input, stepGraphs map[waitgraph.StepRef]*provenance.
 		slow  simtime.Duration
 		graph *provenance.Graph
 	}
+	byStep := groupReports(in)
 	var steps []stepCtx
 	var totalSlow simtime.Duration
 	for _, ref := range d.CriticalPath {
@@ -555,12 +548,11 @@ func (d *Diagnosis) rate(in Input, stepGraphs map[waitgraph.StepRef]*provenance.
 		if slow <= 0 {
 			continue
 		}
-		g := stepGraphs[ref]
-		if g == nil {
-			if len(in.Reports) == 0 {
-				continue
-			}
-			g = d.Graph
+		g := d.Graph
+		if group := byStep[ref]; len(group) > 0 {
+			g = provenance.Build(group, in.CFs)
+		} else if len(in.Reports) == 0 {
+			continue
 		}
 		steps = append(steps, stepCtx{
 			ref:   ref,

@@ -28,8 +28,9 @@ type DiagnoseConfig struct {
 // RunDiagnose measures the full §III-D pipeline's latency: it runs one
 // contention case to collect a realistic input (step records, telemetry
 // reports, collective-flow census), then repeatedly calls
-// diagnose.Analyze over that fixed input, reporting wall-latency
-// percentiles and the allocation footprint per call.
+// diagnose.Analyze over that fixed input the way the daemon does (per-step
+// provenance on, the step index derived from the records), reporting
+// wall-latency percentiles and the allocation footprint per call.
 func RunDiagnose(cfg scenario.Config, opts scenario.RunOptions, dc DiagnoseConfig) (*DiagnoseRow, error) {
 	iters := dc.Iters
 	if iters <= 0 {
@@ -55,6 +56,7 @@ func RunDiagnose(cfg scenario.Config, opts scenario.RunOptions, dc DiagnoseConfi
 		Records: res.Records,
 		Reports: res.Reports,
 		CFs:     res.CFs,
+		StepOf:  diagnose.StepOfRecords(res.Records),
 		Stages:  stages,
 	}
 

@@ -25,7 +25,10 @@ import (
 
 // Graph is the built provenance graph for one diagnosis window (typically
 // one collective step, §III-D1: "For each step of the collective
-// communication, it constructs provenance graphs").
+// communication, it constructs provenance graphs"). A Graph is immutable
+// once Build returns: every accessor is a read, so one graph may be read
+// from several goroutines, and slices an accessor returns are the graph's
+// own and must not be modified.
 type Graph struct {
 	// flowsAtPort: per port, per flow, the aggregated telemetry.
 	flowPkts  map[topo.PortID]map[fabric.FlowKey]int64
@@ -33,15 +36,26 @@ type Graph struct {
 	pairWait  map[topo.PortID]map[fabric.FlowKey]map[fabric.FlowKey]int64
 	qdepth    map[topo.PortID]int64
 	meterIn   map[topo.PortID]map[topo.PortID]int64
-	pfcOut    map[topo.PortID]map[topo.PortID]bool // e(p_i, p_j)
 	paused    map[topo.PortID]bool
 	injected  map[topo.PortID]bool // p_j ports whose pause edges were storm-injected
 
+	// cf is the caller's collective-flow set, shared by every graph of an
+	// analysis and never written here.
 	cf map[fabric.FlowKey]bool
+
+	// Views derived from the maps above, computed once by Build.
+	ports      []topo.PortID                    // every port vertex, sorted
+	portBytes  map[topo.PortID]int64            // Σ_f bytes(f) at p
+	meterTotal map[topo.PortID]int64            // Σ_k meter(p_k, p)
+	pfcUp      []topo.PortID                    // halted upstreams p_i, sorted
+	pfcOut     map[topo.PortID][]topo.PortID    // e(p_i, p_j): causes of p_i, sorted
+	waitsAt    map[fabric.FlowKey][]topo.PortID // P_f: ports with e(f, p), sorted
 }
 
 // Build aggregates telemetry reports into a provenance graph. cfs marks the
-// collective-communication flows (the CF subset of F).
+// collective-communication flows (the CF subset of F); the graph keeps a
+// reference to it rather than a copy, so the caller must not modify the map
+// while the graph is in use.
 func Build(reports []*telemetry.Report, cfs map[fabric.FlowKey]bool) *Graph {
 	g := &Graph{
 		flowPkts:  map[topo.PortID]map[fabric.FlowKey]int64{},
@@ -49,14 +63,11 @@ func Build(reports []*telemetry.Report, cfs map[fabric.FlowKey]bool) *Graph {
 		pairWait:  map[topo.PortID]map[fabric.FlowKey]map[fabric.FlowKey]int64{},
 		qdepth:    map[topo.PortID]int64{},
 		meterIn:   map[topo.PortID]map[topo.PortID]int64{},
-		pfcOut:    map[topo.PortID]map[topo.PortID]bool{},
 		paused:    map[topo.PortID]bool{},
 		injected:  map[topo.PortID]bool{},
-		cf:        map[fabric.FlowKey]bool{},
+		cf:        cfs,
 	}
-	for f := range cfs {
-		g.cf[f] = true
-	}
+	pfc := map[topo.PortID]map[topo.PortID]bool{}
 	for _, rep := range reports {
 		for _, fr := range rep.Flows {
 			p := topo.PortID{Node: fr.Switch, Port: fr.Port}
@@ -91,22 +102,17 @@ func Build(reports []*telemetry.Report, cfs map[fabric.FlowKey]bool) *Graph {
 				g.paused[p] = true
 			}
 			for up, b := range pr.MeterIn {
-				mi := g.meterIn[p]
-				if mi == nil {
-					mi = map[topo.PortID]int64{}
-					g.meterIn[p] = mi
-				}
-				mi[up] += b
+				add2(g.meterIn, p, up, b)
 			}
 			for _, ev := range pr.PFCEvents {
 				if !ev.Pause {
 					continue
 				}
 				pj := topo.PortID{Node: ev.Downstream, Port: ev.CauseEgress}
-				out := g.pfcOut[ev.Upstream]
+				out := pfc[ev.Upstream]
 				if out == nil {
 					out = map[topo.PortID]bool{}
-					g.pfcOut[ev.Upstream] = out
+					pfc[ev.Upstream] = out
 				}
 				out[pj] = true
 				if ev.Injected {
@@ -115,7 +121,72 @@ func Build(reports []*telemetry.Report, cfs map[fabric.FlowKey]bool) *Graph {
 			}
 		}
 	}
+	g.derive(pfc)
 	return g
+}
+
+// derive computes the graph's read-only views from its aggregated maps and
+// the PFC edge set Build collected.
+func (g *Graph) derive(pfc map[topo.PortID]map[topo.PortID]bool) {
+	seen := make(map[topo.PortID]bool, len(g.flowPkts)+len(g.qdepth))
+	for p := range g.flowPkts {
+		seen[p] = true
+	}
+	for p := range g.meterIn {
+		seen[p] = true
+	}
+	for p := range g.qdepth {
+		seen[p] = true
+	}
+	g.ports = sortedPorts(seen)
+
+	g.portBytes = innerSums(g.flowBytes)
+	g.meterTotal = innerSums(g.meterIn)
+
+	g.pfcOut = make(map[topo.PortID][]topo.PortID, len(pfc))
+	for pi, out := range pfc {
+		g.pfcOut[pi] = sortedPorts(out)
+	}
+	g.pfcUp = sortedPorts(pfc)
+
+	// Visiting ports in sorted order leaves every P_f sorted.
+	g.waitsAt = map[fabric.FlowKey][]topo.PortID{}
+	for _, p := range g.ports {
+		for f := range g.flowPkts[p] {
+			if g.HasFlowPortEdge(f, p) {
+				//lint:ignore mapiterorder each flow's list gains p once per port; the sorted outer loop orders it, not this map
+				g.waitsAt[f] = append(g.waitsAt[f], p)
+			}
+		}
+	}
+}
+
+// sortedPorts returns a port-keyed map's keys in (node, port) order.
+func sortedPorts[V any](set map[topo.PortID]V) []topo.PortID {
+	out := make([]topo.PortID, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Node != out[j].Node {
+			return out[i].Node < out[j].Node
+		}
+		return out[i].Port < out[j].Port
+	})
+	return out
+}
+
+// innerSums returns, per outer key, the sum over the inner map.
+func innerSums[K1, K2 comparable](m map[K1]map[K2]int64) map[K1]int64 {
+	out := make(map[K1]int64, len(m))
+	for k, inner := range m {
+		var total int64
+		for _, v := range inner {
+			total += v
+		}
+		out[k] = total
+	}
+	return out
 }
 
 func add2[K1, K2 comparable](m map[K1]map[K2]int64, k1 K1, k2 K2, v int64) {
@@ -127,33 +198,15 @@ func add2[K1, K2 comparable](m map[K1]map[K2]int64, k1 K1, k2 K2, v int64) {
 	inner[k2] += v
 }
 
-// IsCF reports whether f is a collective-communication flow.
-func (g *Graph) IsCF(f fabric.FlowKey) bool { return g.cf[f] }
+// IsCF reports whether f is a collective-communication flow: a key of the
+// set Build was given.
+func (g *Graph) IsCF(f fabric.FlowKey) bool {
+	_, ok := g.cf[f]
+	return ok
+}
 
 // Ports returns every port vertex, deterministically ordered.
-func (g *Graph) Ports() []topo.PortID {
-	seen := map[topo.PortID]bool{}
-	for p := range g.flowPkts {
-		seen[p] = true
-	}
-	for p := range g.meterIn {
-		seen[p] = true
-	}
-	for p := range g.qdepth {
-		seen[p] = true
-	}
-	out := make([]topo.PortID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out
-}
+func (g *Graph) Ports() []topo.PortID { return g.ports }
 
 // FlowsAt returns the flows observed at a port, deterministically ordered.
 func (g *Graph) FlowsAt(p topo.PortID) []fabric.FlowKey {
@@ -196,10 +249,7 @@ func (g *Graph) PairWait(p topo.PortID, fi, fj fabric.FlowKey) int64 {
 // WPortFlow returns w(p, f) = bytes(f)/bytes(p) × qdepth(p): f's
 // contribution to p's congestion.
 func (g *Graph) WPortFlow(p topo.PortID, f fabric.FlowKey) float64 {
-	var total int64
-	for _, b := range g.flowBytes[p] {
-		total += b
-	}
+	total := g.portBytes[p]
 	if total == 0 {
 		return 0
 	}
@@ -209,47 +259,19 @@ func (g *Graph) WPortFlow(p topo.PortID, f fabric.FlowKey) float64 {
 // PFCUpstreams returns every port that appears as the halted upstream p_i
 // of a pause edge, deterministically ordered. Host uplinks can appear here
 // (a storm pausing a NIC) even though they carry no switch telemetry.
-func (g *Graph) PFCUpstreams() []topo.PortID {
-	out := make([]topo.PortID, 0, len(g.pfcOut))
-	for p := range g.pfcOut {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out
-}
+func (g *Graph) PFCUpstreams() []topo.PortID { return g.pfcUp }
 
 // PFCOut returns the downstream cause ports p_j with e(p, p_j) ∈ E,
 // deterministically ordered.
-func (g *Graph) PFCOut(p topo.PortID) []topo.PortID {
-	out := make([]topo.PortID, 0, len(g.pfcOut[p]))
-	for pj := range g.pfcOut[p] {
-		out = append(out, pj)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
-		}
-		return out[i].Port < out[j].Port
-	})
-	return out
-}
+func (g *Graph) PFCOut(p topo.PortID) []topo.PortID { return g.pfcOut[p] }
 
 // WPortPort returns w(p_i, p_j): p_i's share of traffic entering p_j.
 func (g *Graph) WPortPort(pi, pj topo.PortID) float64 {
-	mi := g.meterIn[pj]
-	var total int64
-	for _, b := range mi {
-		total += b
-	}
+	total := g.meterTotal[pj]
 	if total == 0 {
 		return 0
 	}
-	return float64(mi[pi]) / float64(total)
+	return float64(g.meterIn[pj][pi]) / float64(total)
 }
 
 // InjectedCause reports whether p_j's pause edges were storm-injected
@@ -261,15 +283,7 @@ func (g *Graph) Paused(p topo.PortID) bool { return g.paused[p] }
 
 // PortsWaitedBy returns P_f: the ports flow f waits at (its e(f, p)
 // neighbours), deterministically ordered.
-func (g *Graph) PortsWaitedBy(f fabric.FlowKey) []topo.PortID {
-	var out []topo.PortID
-	for _, p := range g.Ports() {
-		if g.HasFlowPortEdge(f, p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (g *Graph) PortsWaitedBy(f fabric.FlowKey) []topo.PortID { return g.waitsAt[f] }
 
 // RateFlowPort computes Eq. 1: R(f_i, p_j) = w(p_j, f_i) +
 // Σ_{p_k: e(p_j,p_k)} R(f_i, p_k) × w(p_j, p_k), the impact of f_i on port
@@ -350,7 +364,7 @@ func (g *Graph) Contenders() []fabric.FlowKey {
 	var out []fabric.FlowKey
 	for p := range reach {
 		for f := range g.flowPkts[p] {
-			if !g.cf[f] && !seen[f] && f.Proto != 0 {
+			if !g.IsCF(f) && !seen[f] && f.Proto != 0 {
 				seen[f] = true
 				out = append(out, f)
 			}
@@ -363,21 +377,11 @@ func (g *Graph) Contenders() []fabric.FlowKey {
 // hasCFAt reports whether any collective flow was observed at p.
 func (g *Graph) hasCFAt(p topo.PortID) bool {
 	for f := range g.flowPkts[p] {
-		if g.cf[f] {
+		if g.IsCF(f) {
 			return true
 		}
 	}
 	return false
-}
-
-// CFs returns the collective flows, deterministically ordered.
-func (g *Graph) CFs() []fabric.FlowKey {
-	out := make([]fabric.FlowKey, 0, len(g.cf))
-	for f := range g.cf {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return flowLess(out[i], out[j]) })
-	return out
 }
 
 func flowLess(a, b fabric.FlowKey) bool {

@@ -182,11 +182,28 @@ func TestAggregationAcrossReports(t *testing.T) {
 	if w := g.WPortFlow(p1, cfKey); !approx(w, 6000) {
 		t.Fatalf("aggregated w(p1,cf) = %v, want 6000", w)
 	}
+
+	// Queue depths take the max across reports and pause flags OR.
+	shallow := &telemetry.Report{Ports: []telemetry.PortRecord{
+		{Switch: p1.Node, Port: p1.Port, AvgQueuedBytes: 100},
+	}}
+	deep := &telemetry.Report{Ports: []telemetry.PortRecord{
+		{Switch: p1.Node, Port: p1.Port, AvgQueuedBytes: 900, Paused: true},
+	}}
+	for _, order := range [][]*telemetry.Report{{shallow, deep}, {deep, shallow}} {
+		g := Build(order, nil)
+		if g.qdepth[p1] != 900 {
+			t.Errorf("qdepth = %d, want max 900", g.qdepth[p1])
+		}
+		if !g.Paused(p1) {
+			t.Error("graph lost the Paused flag")
+		}
+	}
 }
 
 func TestEmptyGraph(t *testing.T) {
 	g := Build(nil, nil)
-	if len(g.Ports()) != 0 || len(g.Contenders()) != 0 || len(g.CFs()) != 0 {
+	if len(g.Ports()) != 0 || len(g.Contenders()) != 0 {
 		t.Fatalf("empty graph not empty")
 	}
 	if r := g.RateFlowPort(bfKey, p1); !approx(r, 0) {
@@ -208,10 +225,9 @@ func TestInjectedCauseFlag(t *testing.T) {
 }
 
 func TestDeterministicOrdering(t *testing.T) {
-	g := Build([]*telemetry.Report{pfcReport(), contentionReport()},
-		map[fabric.FlowKey]bool{cfKey: true})
-	a := g.Ports()
-	b := g.Ports()
+	cfs := map[fabric.FlowKey]bool{cfKey: true}
+	a := Build([]*telemetry.Report{pfcReport(), contentionReport()}, cfs).Ports()
+	b := Build([]*telemetry.Report{contentionReport(), pfcReport()}, cfs).Ports()
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic port count")
 	}

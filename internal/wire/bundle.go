@@ -9,7 +9,6 @@ import (
 	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/telemetry"
-	"vedrfolnir/internal/waitgraph"
 )
 
 // Bundle is a complete diagnosis input set in exchange form: everything the
@@ -38,7 +37,7 @@ func NewBundle(records []collective.StepRecord, reports []*telemetry.Report, cfs
 	for f := range cfs {
 		b.CFs = append(b.CFs, FromFlow(f))
 	}
-	sortSlice(b.CFs, flowLess)
+	SortFlows(b.CFs)
 	return b
 }
 
@@ -82,18 +81,15 @@ func (b *Bundle) AnalyzeDegraded(scope *obs.Scope, missedRecords, missedReports 
 }
 
 func (b *Bundle) analyze(scope *obs.Scope, missedRecords, missedReports int) *diagnose.Diagnosis {
-	var records []collective.StepRecord
-	index := map[fabric.FlowKey]waitgraph.StepRef{}
+	records := make([]collective.StepRecord, 0, len(b.Records))
 	for _, r := range b.Records {
-		rec := r.Record()
-		records = append(records, rec)
-		index[rec.Flow] = waitgraph.StepRef{Host: rec.Host, Step: rec.Step}
+		records = append(records, r.Record())
 	}
-	var reports []*telemetry.Report
+	reports := make([]*telemetry.Report, 0, len(b.Reports))
 	for _, r := range b.Reports {
 		reports = append(reports, r.Telemetry())
 	}
-	cfs := map[fabric.FlowKey]bool{}
+	cfs := make(map[fabric.FlowKey]bool, len(b.CFs))
 	for _, f := range b.CFs {
 		cfs[f.Key()] = true
 	}
@@ -101,11 +97,8 @@ func (b *Bundle) analyze(scope *obs.Scope, missedRecords, missedReports int) *di
 		Records: records,
 		Reports: reports,
 		CFs:     cfs,
-		StepOf: func(f fabric.FlowKey) (waitgraph.StepRef, bool) {
-			ref, ok := index[f]
-			return ref, ok
-		},
-		Obs: scope,
+		StepOf:  diagnose.StepOfRecords(records),
+		Obs:     scope,
 	}
 	if missedRecords > 0 {
 		in.RecordsExpected = len(records) + missedRecords

@@ -6,6 +6,8 @@
 package wire
 
 import (
+	"slices"
+
 	"vedrfolnir/internal/collective"
 	"vedrfolnir/internal/diagnose"
 	"vedrfolnir/internal/fabric"
@@ -404,12 +406,16 @@ func flowLess(a, b Flow) bool {
 	return a.Proto < b.Proto
 }
 
-// sortSlice is a tiny insertion sort to keep DTO output deterministic
-// without importing sort for each element type.
+// sortSlice sorts a DTO list into its canonical order. The sort is stable,
+// so elements less does not distinguish keep their input order.
 func sortSlice[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+	slices.SortStableFunc(s, func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
 		}
-	}
+		return 0
+	})
 }

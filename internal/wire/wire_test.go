@@ -230,3 +230,46 @@ func TestBundleRoundTripAndAnalyze(t *testing.T) {
 		t.Fatalf("offline analysis missed the contention: %+v", diag.Findings)
 	}
 }
+
+// insertionSort is the sort helper the DTO lists used before they grew to
+// a collective-flow census: the order (and, being stable, the placement of
+// ties) sortSlice must keep reproducing.
+func insertionSort[T any](s []T, less func(a, b T) bool) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// TestSortSliceMatchesInsertionSort: a shuffled 16k-flow census sorts to the
+// sequence the insertion sort produced, and a list with equal keys keeps
+// its ties in input order the way the insertion sort did.
+func TestSortSliceMatchesInsertionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	flows := make([]Flow, 0, 16256)
+	for src := 0; src < 128; src++ {
+		for step := 0; step < 127; step++ {
+			flows = append(flows, Flow{Src: int32(src), Dst: int32((src + 1) % 128),
+				SrcPort: uint16(5000 + step), DstPort: uint16(5000 + step), Proto: 17})
+		}
+	}
+	rng.Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
+	want := append([]Flow(nil), flows...)
+	insertionSort(want, flowLess)
+	SortFlows(flows)
+	if !reflect.DeepEqual(flows, want) {
+		t.Fatal("SortFlows orders a shuffled 16k-flow census differently from the insertion sort")
+	}
+
+	acks := make([]ClientAck, 2000)
+	for i := range acks {
+		acks[i] = ClientAck{Client: string(rune('a' + rng.Intn(8))), Seq: int64(i)}
+	}
+	wantAcks := append([]ClientAck(nil), acks...)
+	insertionSort(wantAcks, func(a, b ClientAck) bool { return a.Client < b.Client })
+	SortClientAcks(acks)
+	if !reflect.DeepEqual(acks, wantAcks) {
+		t.Fatal("SortClientAcks places equal clients differently from the insertion sort")
+	}
+}

@@ -3,39 +3,41 @@
 // were scheduled (FIFO tie-break), which keeps simulations deterministic.
 package eventq
 
-import (
-	"container/heap"
-
-	"vedrfolnir/internal/simtime"
-)
+import "vedrfolnir/internal/simtime"
 
 // Event is a callback scheduled at an absolute simulation time.
 type Event struct {
 	At  simtime.Time
 	Fn  func()
 	seq uint64
-	idx int // heap index, -1 when not queued
 }
 
-// Canceled reports whether the event has been removed from its queue (or was
-// never scheduled).
-func (e *Event) Canceled() bool { return e.idx < 0 }
+// less orders events by (At, insertion order).
+func (e *Event) less(o *Event) bool {
+	if e.At != o.At {
+		return e.At < o.At
+	}
+	return e.seq < o.seq
+}
 
-// Stats counts a queue's lifetime traffic: total pushes, pops, and
-// cancels, plus the depth high-water mark. Plain values — the queue does
-// not depend on any metrics machinery; callers export them if they care.
+// Stats counts a queue's lifetime traffic: total pushes and pops, plus the
+// depth high-water mark. Plain values — the queue does not depend on any
+// metrics machinery; callers export them if they care.
 type Stats struct {
-	Pushes  uint64
-	Pops    uint64
-	Cancels uint64
-	MaxLen  int
+	Pushes uint64
+	Pops   uint64
+	MaxLen int
 }
 
-// Queue is a min-heap of events keyed by (At, insertion order).
-// The zero Queue is ready to use.
+// arity is the heap's branching factor: 4 halves a binary heap's depth and
+// keeps a node's children within two cache lines for Pop's sift-down.
+const arity = 4
+
+// Queue is a 4-ary min-heap of events keyed by (At, insertion order). Events
+// are stored by value, so Push and Pop allocate nothing once the backing
+// array has grown to the run's depth. The zero Queue is ready to use.
 type Queue struct {
-	h     eventHeap
-	seq   uint64
+	h     []Event
 	stats Stats
 }
 
@@ -45,75 +47,76 @@ func (q *Queue) Len() int { return len(q.h) }
 // Stats returns the queue's lifetime traffic counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// Push schedules fn at time at and returns a handle that can cancel it.
-func (q *Queue) Push(at simtime.Time, fn func()) *Event {
-	q.seq++
-	e := &Event{At: at, Fn: fn, seq: q.seq}
-	heap.Push(&q.h, e)
-	q.stats.Pushes++
-	if n := len(q.h); n > q.stats.MaxLen {
+// Push schedules fn at time at.
+func (q *Queue) Push(at simtime.Time, fn func()) {
+	q.stats.Pushes++ // doubles as the insertion sequence number
+	e := Event{At: at, Fn: fn, seq: q.stats.Pushes}
+	h := append(q.h, e)
+	q.h = h
+	// Sift up: move the hole toward the root while its parent is later.
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / arity
+		if !e.less(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	if n := len(h); n > q.stats.MaxLen {
 		q.stats.MaxLen = n
 	}
-	return e
 }
 
-// Pop removes and returns the earliest event, or nil if the queue is empty.
-func (q *Queue) Pop() *Event {
-	if len(q.h) == 0 {
-		return nil
+// Pop removes and returns the earliest event, or the zero Event when the
+// queue is empty (check Len first where that can happen).
+func (q *Queue) Pop() Event {
+	h := q.h
+	n := len(h) - 1
+	if n < 0 {
+		return Event{}
 	}
-	e := heap.Pop(&q.h).(*Event)
+	e, last := h[0], h[n]
+	h[n] = Event{} // drop the callback reference
+	h = h[:n]
+	q.h = h
 	q.stats.Pops++
+	// Sift down: move the hole from the root toward the leaves, pulling up
+	// the earliest child, until last fits.
+	i := 0
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		end := c + arity
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if h[j].less(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].less(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	if n > 0 {
+		h[i] = last
+	}
 	return e
 }
 
-// Peek returns the earliest event without removing it, or nil when empty.
-func (q *Queue) Peek() *Event {
+// Peek returns the earliest event without removing it; ok is false when the
+// queue is empty.
+func (q *Queue) Peek() (e Event, ok bool) {
 	if len(q.h) == 0 {
-		return nil
+		return Event{}, false
 	}
-	return q.h[0]
-}
-
-// Cancel removes e from the queue if it is still pending. Canceling an
-// already-fired or already-canceled event is a no-op.
-func (q *Queue) Cancel(e *Event) {
-	if e == nil || e.idx < 0 || e.idx >= len(q.h) || q.h[e.idx] != e {
-		return
-	}
-	heap.Remove(&q.h, e.idx)
-	q.stats.Cancels++
-}
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	return q.h[0], true
 }

@@ -2,7 +2,6 @@ package eventq
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -40,80 +39,36 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	e := q.Push(5, func() { fired = true })
-	q.Cancel(e)
-	if !e.Canceled() {
-		t.Fatalf("event not marked canceled")
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue should be empty after cancel, len=%d", q.Len())
-	}
-	if q.Pop() != nil {
-		t.Fatalf("Pop on empty queue should be nil")
-	}
-	if fired {
-		t.Fatalf("canceled event fired")
-	}
-	// Double-cancel is a no-op.
-	q.Cancel(e)
-	q.Cancel(nil)
-}
-
-func TestCancelMiddle(t *testing.T) {
-	var q Queue
-	var es []*Event
-	for i := 0; i < 20; i++ {
-		es = append(es, q.Push(simtime.Time(i), nil))
-	}
-	q.Cancel(es[7])
-	q.Cancel(es[13])
-	var times []simtime.Time
-	for q.Len() > 0 {
-		times = append(times, q.Pop().At)
-	}
-	if len(times) != 18 {
-		t.Fatalf("len = %d, want 18", len(times))
-	}
-	for _, at := range times {
-		if at == 7 || at == 13 {
-			t.Fatalf("canceled event %v still dequeued", at)
-		}
-	}
-	if !sort.SliceIsSorted(times, func(i, j int) bool { return times[i] < times[j] }) {
-		t.Fatalf("times not sorted: %v", times)
-	}
-}
-
 func TestPeek(t *testing.T) {
 	var q Queue
-	if q.Peek() != nil {
-		t.Fatalf("Peek on empty should be nil")
+	if _, ok := q.Peek(); ok {
+		t.Fatalf("Peek on empty should report !ok")
 	}
 	q.Push(9, nil)
 	q.Push(4, nil)
-	if got := q.Peek().At; got != 4 {
-		t.Fatalf("Peek.At = %v, want 4", got)
+	if e, ok := q.Peek(); !ok || e.At != 4 {
+		t.Fatalf("Peek = %v, %v, want At 4", e.At, ok)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Peek must not remove; len=%d", q.Len())
 	}
 }
 
+func TestPopEmpty(t *testing.T) {
+	var q Queue
+	if e := q.Pop(); e.Fn != nil || e.At != 0 || q.Stats().Pops != 0 {
+		t.Fatalf("Pop on empty = %+v, stats %+v; want zero event, no pop counted", e, q.Stats())
+	}
+}
+
 // Property: popping a randomly-filled queue always yields non-decreasing
-// timestamps, even with interleaved cancels.
+// timestamps.
 func TestHeapInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
-		var handles []*Event
 		for i := 0; i < 200; i++ {
-			handles = append(handles, q.Push(simtime.Time(rng.Intn(50)), nil))
-		}
-		for i := 0; i < 50; i++ {
-			q.Cancel(handles[rng.Intn(len(handles))])
+			q.Push(simtime.Time(rng.Intn(50)), nil)
 		}
 		last := simtime.Time(-1)
 		for q.Len() > 0 {
@@ -135,24 +90,83 @@ func TestStats(t *testing.T) {
 	if got := q.Stats(); got != (Stats{}) {
 		t.Fatalf("fresh queue stats = %+v, want zero", got)
 	}
-	e1 := q.Push(3, nil)
+	q.Push(3, nil)
 	q.Push(1, nil)
 	q.Push(2, nil)
 	if got := q.Stats(); got.Pushes != 3 || got.MaxLen != 3 {
 		t.Errorf("after pushes: %+v, want Pushes=3 MaxLen=3", got)
 	}
-	q.Cancel(e1)
-	q.Cancel(e1) // double cancel must not double count
-	if got := q.Stats(); got.Cancels != 1 {
-		t.Errorf("cancels = %d, want 1", got.Cancels)
-	}
-	for q.Pop() != nil {
+	for q.Len() > 0 {
+		q.Pop()
 	}
 	got := q.Stats()
-	if got.Pops != 2 {
-		t.Errorf("pops = %d, want 2 (canceled event never pops)", got.Pops)
+	if got.Pops != 3 {
+		t.Errorf("pops = %d, want 3", got.Pops)
 	}
 	if got.MaxLen != 3 {
 		t.Errorf("MaxLen = %d, want high-water mark 3 after drain", got.MaxLen)
+	}
+}
+
+// TestMatchesReference drives Queue and the container/heap refQueue with
+// the same seeded push/pop interleavings — few distinct timestamps, so most
+// pushes tie — and requires identical (At, insertion) pop order and Stats.
+func TestMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var ref refQueue
+		order := func() (got, want uint64) { return q.Pop().seq, ref.Pop().seq }
+		spread := 1 + rng.Intn(40)
+		base := simtime.Time(0)
+		for op := 0; op < 4000; op++ {
+			if q.Len() != ref.Len() {
+				t.Fatalf("seed %d op %d: len %d, reference %d", seed, op, q.Len(), ref.Len())
+			}
+			// Bursts of pushes and pops so the depth wanders between 0
+			// and a few hundred.
+			if q.Len() == 0 || rng.Intn(100) < 55 {
+				at := base + simtime.Time(rng.Intn(spread))
+				q.Push(at, nil)
+				ref.Push(at)
+				continue
+			}
+			head, _ := q.Peek()
+			if got, want := order(); got != want {
+				t.Fatalf("seed %d op %d: popped insertion #%d, reference #%d", seed, op, got, want)
+			}
+			// Like a simulation, never schedule before the last pop.
+			base = head.At
+		}
+		for ref.Len() > 0 {
+			if got, want := order(); got != want {
+				t.Fatalf("seed %d drain: popped insertion #%d, reference #%d", seed, got, want)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("seed %d: %d events left after the reference drained", seed, q.Len())
+		}
+		if q.Stats() != ref.stats {
+			t.Fatalf("seed %d: stats %+v, reference %+v", seed, q.Stats(), ref.stats)
+		}
+	}
+}
+
+// TestPushPopAllocFree is the floor the value-typed heap exists for: at a
+// steady depth, a pop followed by a push allocates nothing.
+func TestPushPopAllocFree(t *testing.T) {
+	const depth = 1024
+	rng := rand.New(rand.NewSource(1))
+	var q Queue
+	fn := func() {}
+	for i := 0; i < depth; i++ {
+		q.Push(simtime.Time(rng.Intn(1_000_000)), fn)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e := q.Pop()
+		q.Push(e.At+simtime.Time(1+rng.Intn(1_000_000)), fn)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Pop+Push at depth %d allocates %v objects per pair, want 0", depth, allocs)
 	}
 }

@@ -17,6 +17,7 @@ func (n *Network) InjectPFCStorm(sw topo.NodeID, port int, start simtime.Time, d
 	if s == nil {
 		return fmt.Errorf("fabric: PFC storm injection point %d is not a switch", sw)
 	}
+	//lint:ignore hotalloc fault injection: scheduled once per scenario
 	n.K.At(start, func() {
 		s.stormPorts[port] = true
 		if !s.pausedUpstream[port] {
@@ -24,6 +25,7 @@ func (n *Network) InjectPFCStorm(sw topo.NodeID, port int, start simtime.Time, d
 			n.sendPFC(sw, port, true, s.busiestEgressFor(port), true)
 		}
 	})
+	//lint:ignore hotalloc fault injection: scheduled once per scenario
 	n.K.At(start.Add(duration), func() {
 		s.stormPorts[port] = false
 		if s.pausedUpstream[port] && s.ingressBytes[port] <= n.Cfg.PFCResumeThreshold {

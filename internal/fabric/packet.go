@@ -115,6 +115,10 @@ type Packet struct {
 	SentAt int64
 	// Payload carries control information (e.g. notification contents).
 	Payload any
+
+	// pathHash caches Flow.PathHash() for the ECMP choice at every hop;
+	// Inject fills it, 0 means not yet computed.
+	pathHash uint64
 }
 
 // DefaultTTL bounds forwarding hops; loops exhaust it and drop.

@@ -12,16 +12,65 @@ type queued struct {
 	ingress int
 }
 
-// egressPort is one output queue of a node (switch or host NIC).
+// fifo is a head-indexed FIFO: pop advances an index instead of re-slicing,
+// so a queue that cycles reuses its backing array instead of re-growing it.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// items returns the queued elements, oldest first; valid until the next push.
+func (f *fifo[T]) items() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	// When full and at least half the array is popped prefix, reclaim it
+	// rather than let append copy the dead entries into a bigger array.
+	if len(f.buf) == cap(f.buf) && f.head > 0 && f.head >= len(f.buf)/2 {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
+// egressPort is one output queue of a node (switch or host NIC), plus the
+// link it feeds.
 type egressPort struct {
 	node topo.NodeID
 	port int
+	peer topo.PortID // far end of the link
 
 	bw    simtime.Rate
 	delay simtime.Duration
 
-	q          []queued // data packets
-	cq         []queued // control packets (ACK/CNP): strict priority
+	q  fifo[queued] // data packets
+	cq fifo[queued] // control packets (ACK/CNP): strict priority
+
+	// A port serialises one packet at a time: sending is that packet
+	// while busy. Packets whose serialisation finished are on the wire
+	// until the link delay elapses; the delay is constant per link, so
+	// they land in the order they left.
+	sending queued
+	wire    fifo[*Packet]
+
+	// txDone and land are the port's two event callbacks, bound once in
+	// NewNetwork so scheduling a hop allocates no closure.
+	txDone func()
+	land   func()
+
 	bytes      int64
 	pktsByFlow map[FlowKey]int
 	busy       bool
@@ -34,8 +83,21 @@ type egressPort struct {
 	PausedTotal simtime.Duration
 }
 
-func newEgressPort(node topo.NodeID, port int, bw simtime.Rate, delay simtime.Duration) *egressPort {
-	return &egressPort{node: node, port: port, bw: bw, delay: delay, pktsByFlow: make(map[FlowKey]int)}
+// newEgressPort builds the egress state of port id of n's topology and
+// binds its event callbacks.
+func newEgressPort(n *Network, id topo.PortID) *egressPort {
+	link := n.Topo.LinkAt(id)
+	ep := &egressPort{
+		node:       id.Node,
+		port:       id.Port,
+		peer:       n.Topo.PeerOf(id),
+		bw:         link.Bandwidth,
+		delay:      link.Delay,
+		pktsByFlow: make(map[FlowKey]int),
+	}
+	ep.txDone = func() { n.txDone(ep) }
+	ep.land = func() { n.arrive(ep.peer.Node, ep.peer.Port, ep.wire.pop()) }
+	return ep
 }
 
 // control reports whether a packet rides the strict-priority control queue
@@ -47,34 +109,23 @@ func control(k Kind) bool { return k == KindAck || k == KindCNP }
 // data nor count as packets "in front" for the w(f_i, f_j) matrix.
 func (e *egressPort) push(pkt *Packet, ingress int) {
 	if control(pkt.Kind) {
-		e.cq = append(e.cq, queued{pkt: pkt, ingress: ingress})
+		e.cq.push(queued{pkt: pkt, ingress: ingress})
 	} else {
-		e.q = append(e.q, queued{pkt: pkt, ingress: ingress})
+		e.q.push(queued{pkt: pkt, ingress: ingress})
 		e.pktsByFlow[pkt.Flow]++
 	}
 	e.bytes += int64(pkt.Size)
 }
 
-func (e *egressPort) empty() bool { return len(e.q) == 0 && len(e.cq) == 0 }
+func (e *egressPort) empty() bool { return e.q.len() == 0 && e.cq.len() == 0 }
 
-// head returns the next packet to serialize: control first.
-func (e *egressPort) head() queued {
-	if len(e.cq) > 0 {
-		return e.cq[0]
-	}
-	return e.q[0]
-}
-
+// pop dequeues the next packet to serialize: control first.
 func (e *egressPort) pop() queued {
 	var item queued
-	if len(e.cq) > 0 {
-		item = e.cq[0]
-		e.cq[0] = queued{}
-		e.cq = e.cq[1:]
+	if e.cq.len() > 0 {
+		item = e.cq.pop()
 	} else {
-		item = e.q[0]
-		e.q[0] = queued{}
-		e.q = e.q[1:]
+		item = e.q.pop()
 	}
 	e.bytes -= int64(item.pkt.Size)
 	if !control(item.pkt.Kind) {
@@ -157,7 +208,6 @@ func (s *Switch) forward(pkt *Packet, ingress int) {
 	if pkt.TTL <= 0 {
 		s.TTLDrops++
 		s.net.Drops[s.ID]++
-		s.creditIngressless(ingress, pkt)
 		return
 	}
 	ports := s.net.Topo.NextHops(s.ID, pkt.To)
@@ -165,13 +215,12 @@ func (s *Switch) forward(pkt *Packet, ingress int) {
 		s.net.Drops[s.ID]++
 		return
 	}
-	out := ports[pkt.Flow.PathHash()%uint64(len(ports))]
+	if pkt.pathHash == 0 {
+		pkt.pathHash = pkt.Flow.PathHash()
+	}
+	out := ports[pkt.pathHash%uint64(len(ports))]
 	s.net.enqueue(s.ID, out, ingress, pkt)
 }
-
-// creditIngressless is a no-op hook kept for symmetry: dropped packets were
-// never enqueued, so no ingress credit is outstanding.
-func (s *Switch) creditIngressless(int, *Packet) {}
 
 // noteEnqueue updates telemetry counters and PFC attribution when pkt joins
 // egress queue ep having arrived on ingress.
@@ -237,12 +286,12 @@ func (s *Switch) busiestEgressFor(ingress int) int {
 	best, bestBytes := -1, int64(-1)
 	for pi, ep := range s.net.egress[s.ID] {
 		var b int64
-		for _, it := range ep.q {
+		for _, it := range ep.q.items() {
 			if it.ingress == ingress {
 				b += int64(it.pkt.Size)
 			}
 		}
-		for _, it := range ep.cq {
+		for _, it := range ep.cq.items() {
 			if it.ingress == ingress {
 				b += int64(it.pkt.Size)
 			}

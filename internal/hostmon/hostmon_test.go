@@ -30,13 +30,22 @@ func TestMonitorOverheadIsModest(t *testing.T) {
 	}
 	// Fig 11's claim is "practically negligible"; in-process we only
 	// assert the monitor does not blow up the memory budget (wall time is
-	// too noisy for CI-grade assertions).
+	// too noisy for CI-grade assertions). The budget is set against the
+	// bytes the collective moves, not against the unmonitored run's
+	// allocations: those are the simulator's own garbage, which shrinks
+	// whenever the event loop gets thriftier while the monitor's cost
+	// stays what it was.
 	if without.AllocBytes == 0 {
 		t.Fatal("baseline allocated nothing")
 	}
-	ratio := float64(with.AllocBytes) / float64(without.AllocBytes)
-	if ratio > 2.0 {
-		t.Fatalf("monitor allocation ratio %.2f exceeds 2x", ratio)
+	if with.AllocBytes < without.AllocBytes {
+		t.Fatalf("monitored run allocated less (%d B) than the unmonitored one (%d B)",
+			with.AllocBytes, without.AllocBytes)
+	}
+	added := with.AllocBytes - without.AllocBytes
+	if budget := uint64(cfg.Bytes) / 50; added > budget {
+		t.Fatalf("monitor added %d B of allocation to an AllGather of %d B; budget is 2%% (%d B)",
+			added, cfg.Bytes, budget)
 	}
 }
 

@@ -23,6 +23,14 @@ func TestErrDrop(t *testing.T)      { linttest.Run(t, lint.ErrDrop, td("errdrop"
 func TestGoroLeak(t *testing.T)     { linttest.Run(t, lint.GoroLeak, td("goroleak", "a")) }
 func TestHotAlloc(t *testing.T)     { linttest.Run(t, lint.HotAlloc, td("hotalloc", "a")) }
 
+// TestHotAllocScheduledClosure covers hotalloc's per-event check, which
+// needs the callee to be the module's own sim.Kernel: a fixture module
+// with a stub internal/sim and a hot package scheduling on it.
+func TestHotAllocScheduledClosure(t *testing.T) {
+	linttest.RunModule(t, []*lint.Analyzer{lint.HotAlloc},
+		filepath.Join("testdata", "mod", "hotalloc"))
+}
+
 // TestFactPropagation drives the cross-package fact store over a
 // self-contained fixture module: an unsanctioned wall-clock read taints
 // importers (directly and through two call hops), a suppressed read sets
@@ -71,6 +79,7 @@ func TestSuiteScoping(t *testing.T) {
 		{"goroleak", mod + "/internal/hostmon", true},
 		{"hotalloc", mod + "/internal/eventq", true},
 		{"hotalloc", mod + "/internal/fabric", true},
+		{"hotalloc", mod + "/internal/rdma", true},
 		{"hotalloc", mod + "/internal/sim", true},
 		{"hotalloc", mod + "/internal/sweep", true},
 		{"hotalloc", mod + "/internal/diagnose", false}, // not a declared hot path

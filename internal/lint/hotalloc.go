@@ -7,8 +7,8 @@ import (
 )
 
 // HotAlloc makes per-iteration allocation visible in the declared hot-path
-// packages (the simulator's event queue, fabric, kernel and the sweep
-// engine — see the suite scoping): inside a loop it flags fmt
+// packages (the simulator's event queue, fabric, kernel, RDMA hosts and the
+// sweep engine — see the suite scoping): inside a loop it flags fmt
 // formatting calls, map construction, new/&T{} heap allocations, and
 // values boxed into interfaces (explicit conversions and variadic ...any
 // arguments). Each of these is a malloc (or a whole format machine) per
@@ -20,10 +20,18 @@ import (
 // `return fmt.Errorf(...)` stays legal. Function literals defined inside
 // a loop are not descended into (their execution count is unknowable
 // here), and test files are skipped.
+//
+// Anywhere in those packages, loop or not, it also flags a function
+// literal that captures a variable when it is passed to the simulation
+// kernel's At/After: the event loop is the loop, so that is one heap
+// closure per scheduled event. The hot path binds its callbacks once
+// (per port, per send) and passes the func value; sites that schedule
+// once per run or per rare transition say so with //lint:ignore.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "flag per-iteration allocations in hot-path loops: fmt formatting, map construction, " +
-		"new/&T{} and interface boxing; hoist them out of the loop or reuse buffers",
+		"new/&T{} and interface boxing; hoist them out of the loop or reuse buffers. " +
+		"Also flag capturing function literals scheduled on sim.Kernel.At/After: bind the callback once",
 	Run: runHotAlloc,
 }
 
@@ -47,6 +55,9 @@ func runHotAlloc(pass *Pass) error {
 				return true
 			}
 			stack = append(stack, n)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkScheduledClosure(pass, call)
+			}
 			if _, ok := n.(*ast.FuncLit); ok && inLoopBody(stack) {
 				return false
 			}
@@ -58,6 +69,49 @@ func runHotAlloc(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkScheduledClosure flags a capturing function literal passed to the
+// module's (*sim.Kernel).At or After.
+func checkScheduledClosure(pass *Pass, call *ast.CallExpr) {
+	fn := calleeFunc(call, pass.TypesInfo)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pass.ModulePath+"/internal/sim" ||
+		(fn.Name() != "At" && fn.Name() != "After") || shortFuncName(fn) != "Kernel."+fn.Name() {
+		return
+	}
+	for _, arg := range call.Args {
+		lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		if v := capturedVar(pass, lit); v != nil {
+			pass.Reportf(lit.Pos(),
+				"function literal passed to sim.Kernel.%s captures %s: one heap closure per scheduled event; bind the callback once and pass the func value",
+				fn.Name(), v.Name())
+		}
+	}
+}
+
+// capturedVar returns the first variable lit uses that is declared outside
+// it in an enclosing function (locals, parameters, receivers), or nil when
+// the literal is a plain function the compiler allocates statically.
+func capturedVar(pass *Pass, lit *ast.FuncLit) *types.Var {
+	var captured *types.Var
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || captured != nil {
+			return captured == nil
+		}
+		v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+		if !ok || v.IsField() || v.Parent() == pass.Pkg.Scope() || v.Parent() == types.Universe {
+			return true
+		}
+		if v.Pos() < lit.Pos() || v.Pos() >= lit.End() {
+			captured = v
+		}
+		return true
+	})
+	return captured
 }
 
 // inLoopBody reports whether the innermost node sits inside the body of a

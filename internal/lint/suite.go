@@ -30,9 +30,9 @@ type SuiteEntry struct {
 //   - guardedfield, errdrop, goroleak: everywhere — the annotation (and
 //     the error/goroutine conventions) are opt-in per site, so broad scope
 //     costs nothing and concurrency discipline is global.
-//   - hotalloc: the declared hot-path packages only (eventq, fabric, sim,
-//     sweep) — per-iteration allocation is a defect there and merely a
-//     style choice elsewhere.
+//   - hotalloc: the declared hot-path packages only (eventq, fabric, rdma,
+//     sim, sweep) — per-iteration (and per-event) allocation is a defect
+//     there and merely a style choice elsewhere.
 func Suite(modulePath string) []SuiteEntry {
 	internal := func(path string) (string, bool) {
 		rel := strings.TrimPrefix(path, modulePath+"/internal/")
@@ -77,7 +77,7 @@ func Suite(modulePath string) []SuiteEntry {
 		{HotAlloc, func(path string) bool {
 			sub, ok := internal(path)
 			switch sub {
-			case "eventq", "fabric", "sim", "sweep":
+			case "eventq", "fabric", "rdma", "sim", "sweep":
 				return ok
 			}
 			return false

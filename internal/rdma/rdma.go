@@ -138,6 +138,10 @@ type sendState struct {
 	nextSendAt simtime.Time
 	timerSet   bool
 	done       bool
+
+	// pace is the pacing-timer callback, bound once in Send so a rate
+	// stall in pump schedules it without allocating a closure.
+	pace func()
 }
 
 type recvState struct {
@@ -205,6 +209,10 @@ func (h *Host) Send(flow fabric.FlowKey, size int64) error {
 		targetRate: h.lineRate,
 		nextSendAt: h.K.Now(),
 	}
+	st.pace = func() {
+		st.timerSet = false
+		h.pump(st)
+	}
 	h.sends[flow] = st
 	h.pump(st)
 	return nil
@@ -225,10 +233,7 @@ func (h *Host) pump(st *sendState) {
 		if now < st.nextSendAt {
 			if !st.timerSet {
 				st.timerSet = true
-				h.K.At(st.nextSendAt, func() {
-					st.timerSet = false
-					h.pump(st)
-				})
+				h.K.At(st.nextSendAt, st.pace)
 			}
 			return
 		}
@@ -236,6 +241,7 @@ func (h *Host) pump(st *sendState) {
 		if st.nextSeq == st.totalCells-1 {
 			size = st.lastCell
 		}
+		//lint:ignore hotalloc the cell is the one object a data packet needs; onData reuses it as the ACK
 		pkt := &fabric.Packet{
 			Kind:   fabric.KindData,
 			Flow:   st.flow,
@@ -279,11 +285,15 @@ func (h *Host) Receive(pkt *fabric.Packet, port int) {
 	}
 }
 
+// onData consumes a delivered data cell. The receiver owns the packet from
+// here (the fabric keeps no reference once it has landed, and observers
+// copy values), so the cell is turned into its ACK in place.
 func (h *Host) onData(pkt *fabric.Packet) {
-	rs := h.recvs[pkt.Flow]
+	flow, ecn := pkt.Flow, pkt.ECN
+	rs := h.recvs[flow]
 	if rs == nil {
-		rs = &recvState{flow: pkt.Flow, lastCNP: -1 << 62}
-		h.recvs[pkt.Flow] = rs
+		rs = &recvState{flow: flow, lastCNP: -1 << 62}
+		h.recvs[flow] = rs
 	}
 	if pkt.Seq == 0 {
 		if total, ok := pkt.Payload.(int64); ok {
@@ -294,26 +304,26 @@ func (h *Host) onData(pkt *fabric.Packet) {
 	rs.bytes += int64(pkt.Size)
 
 	// Echo an ACK carrying the sender's timestamp (RTT source).
-	ack := &fabric.Packet{
+	*pkt = fabric.Packet{
 		Kind:   fabric.KindAck,
-		Flow:   pkt.Flow,
-		To:     pkt.Flow.Src,
+		Flow:   flow,
+		To:     flow.Src,
 		Size:   fabric.AckSize,
 		Seq:    pkt.Seq,
 		SentAt: pkt.SentAt,
 	}
-	h.Net.Inject(h.ID, ack)
+	h.Net.Inject(h.ID, pkt)
 	h.AcksSent++
 
 	// Congestion-experienced → CNP, rate limited per flow.
-	if pkt.ECN {
+	if ecn {
 		now := h.K.Now()
 		if now.Sub(rs.lastCNP) >= h.Cfg.CNPInterval {
 			rs.lastCNP = now
 			cnp := &fabric.Packet{
 				Kind: fabric.KindCNP,
-				Flow: pkt.Flow,
-				To:   pkt.Flow.Src,
+				Flow: flow,
+				To:   flow.Src,
 				Size: fabric.CNPSize,
 			}
 			h.Net.Inject(h.ID, cnp)
@@ -322,9 +332,9 @@ func (h *Host) onData(pkt *fabric.Packet) {
 	}
 
 	if rs.total > 0 && rs.bytes >= rs.total {
-		delete(h.recvs, pkt.Flow)
+		delete(h.recvs, flow)
 		if h.OnRecvComplete != nil {
-			h.OnRecvComplete(pkt.Flow, rs.bytes)
+			h.OnRecvComplete(flow, rs.bytes)
 		}
 	}
 }
@@ -409,6 +419,7 @@ func (h *Host) onCNP(pkt *fabric.Packet) {
 }
 
 func (h *Host) armRecovery(st *sendState) {
+	//lint:ignore hotalloc one recovery timer per RateIncTimer per congested flow, not per packet
 	h.K.After(h.Cfg.RateIncTimer, func() {
 		if st.done {
 			return

@@ -65,27 +65,23 @@ func (k *Kernel) QueueStats() eventq.Stats { return k.q.Stats() }
 
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics, since it would silently reorder causality.
-func (k *Kernel) At(at simtime.Time, fn func()) *eventq.Event {
+func (k *Kernel) At(at simtime.Time, fn func()) {
 	if at < k.now {
 		//lint:ignore nopanic causality invariant: a past-dated event would silently reorder the run; documented API contract
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, k.now))
 	}
 	t0 := k.tPush.Begin()
-	e := k.q.Push(at, fn)
+	k.q.Push(at, fn)
 	k.tPush.End(t0)
-	return e
 }
 
 // After schedules fn to run d after the current time.
-func (k *Kernel) After(d simtime.Duration, fn func()) *eventq.Event {
+func (k *Kernel) After(d simtime.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now.Add(d), fn)
+	k.At(k.now.Add(d), fn)
 }
-
-// Cancel removes a pending event.
-func (k *Kernel) Cancel(e *eventq.Event) { k.q.Cancel(e) }
 
 // Stop makes Run return after the current event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -97,8 +93,8 @@ func (k *Kernel) Run(until simtime.Time) simtime.Time {
 	k.stopped = false
 	for !k.stopped {
 		t0 := k.tPop.Begin()
-		e := k.q.Peek()
-		if e == nil || e.At > until {
+		e, ok := k.q.Peek()
+		if !ok || e.At > until {
 			k.tPop.End(t0)
 			break
 		}

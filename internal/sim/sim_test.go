@@ -129,14 +129,3 @@ func TestEventLimit(t *testing.T) {
 	}()
 	k.Run(simtime.Never)
 }
-
-func TestCancelEvent(t *testing.T) {
-	k := New(1)
-	fired := false
-	e := k.After(time.Microsecond, func() { fired = true })
-	k.Cancel(e)
-	k.Run(simtime.Never)
-	if fired {
-		t.Fatalf("canceled event fired")
-	}
-}

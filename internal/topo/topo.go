@@ -76,18 +76,16 @@ type Topology struct {
 	hosts    []NodeID
 	switches []NodeID
 
-	// nextHops[switch][host] = candidate egress ports on shortest paths.
-	nextHops map[NodeID]map[NodeID][]int
+	// nextHops[node][host] = candidate egress ports on shortest paths,
+	// dense in both NodeIDs; a row is nil until the node has a route.
+	nextHops [][][]int
 	// hostPort[host] = the single port a host uses (hosts are single-homed).
 	dist map[NodeID]map[NodeID]int
 }
 
 // New returns an empty topology.
 func New() *Topology {
-	return &Topology{
-		nextHops: make(map[NodeID]map[NodeID][]int),
-		dist:     make(map[NodeID]map[NodeID]int),
-	}
+	return &Topology{dist: make(map[NodeID]map[NodeID]int)}
 }
 
 // AddNode appends a node and returns its ID.
@@ -163,12 +161,7 @@ func (t *Topology) ComputeRoutes() {
 					ports = append(ports, pi)
 				}
 			}
-			m := t.nextHops[n.ID]
-			if m == nil {
-				m = make(map[NodeID][]int)
-				t.nextHops[n.ID] = m
-			}
-			m[h] = ports
+			t.setNextHops(n.ID, h, ports)
 		}
 	}
 }
@@ -193,18 +186,32 @@ func (t *Topology) bfsFrom(src NodeID) map[NodeID]int {
 // NextHops returns the ECMP candidate egress ports at node `at` toward host
 // dst. The returned slice is shared; callers must not mutate it.
 func (t *Topology) NextHops(at, dst NodeID) []int {
-	return t.nextHops[at][dst]
+	if uint(at) >= uint(len(t.nextHops)) {
+		return nil
+	}
+	row := t.nextHops[at]
+	if uint(dst) >= uint(len(row)) {
+		return nil
+	}
+	return row[dst]
 }
 
 // OverrideNextHops replaces the next-hop set at node `at` toward dst.
 // Used to inject routing anomalies (loops, load imbalance).
 func (t *Topology) OverrideNextHops(at, dst NodeID, ports []int) {
-	m := t.nextHops[at]
-	if m == nil {
-		m = make(map[NodeID][]int)
-		t.nextHops[at] = m
+	t.setNextHops(at, dst, ports)
+}
+
+// setNextHops stores one routing entry, growing the dense table to the
+// current node count first.
+func (t *Topology) setNextHops(at, dst NodeID, ports []int) {
+	if len(t.nextHops) < len(t.Nodes) {
+		t.nextHops = append(t.nextHops, make([][][]int, len(t.Nodes)-len(t.nextHops))...)
 	}
-	m[dst] = ports
+	if len(t.nextHops[at]) < len(t.Nodes) {
+		t.nextHops[at] = append(t.nextHops[at], make([][]int, len(t.Nodes)-len(t.nextHops[at]))...)
+	}
+	t.nextHops[at][dst] = ports
 }
 
 // HopCount returns the number of links on a shortest path from src to dst,

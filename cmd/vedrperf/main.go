@@ -7,7 +7,7 @@
 //	                  [-stages] [-cpuprofile f] [-memprofile f]
 //	vedrperf analyzerd [-bin vedranalyzerd] [-shards 1,2,4] [-latency-msgs N]
 //	                  [-throughput-msgs N] [-iters N] [-out BENCH_analyzerd.json]
-//	                  [-stages] [-cpuprofile f] [-memprofile f]
+//	                  [-before parent.json] [-stages] [-cpuprofile f] [-memprofile f]
 //	vedrperf gate     [-baseline perf/baseline.json] [-workers 1] [-seeds N]
 //	                  [-update-baseline] [-canary-extra-allocs N]
 //
@@ -15,7 +15,10 @@
 // each worker-pool size and writes the BENCH_sweep.json trajectory rows.
 // analyzerd measures the analyzer: fleet ingest throughput and ack latency
 // at each shard count (needs -bin, a built cmd/vedranalyzerd), plus
-// repeated full-pipeline diagnose latency. gate re-measures the sweep
+// repeated full-pipeline diagnose latency; it prints the router's own
+// link metrics (forward→reply latency, lines per shard write, inflight)
+// beside msgs/s, and -before records the parent commit's ingest rows next
+// to the fresh ones. gate re-measures the sweep
 // workload and fails (exit 1) if allocs/case, ns/case, or cases/s regress
 // past the baseline's tolerance; -update-baseline rewrites the baseline
 // from the fresh measurement instead. -canary-extra-allocs burns N heap
@@ -189,6 +192,7 @@ func runAnalyzerd(args []string) {
 	iters := fs.Int("iters", 50, "timed diagnose.Analyze calls")
 	seed := fs.Int64("seed", 0, "case seed for both workloads")
 	out := fs.String("out", "BENCH_analyzerd.json", "output path")
+	before := fs.String("before", "", "a BENCH_analyzerd.json measured on the parent commit; its ingest rows are recorded as ingest_before")
 	stages := fs.Bool("stages", false, "print the analyzer stage timing breakdown on stderr")
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile to this file")
@@ -201,6 +205,17 @@ func runAnalyzerd(args []string) {
 	cfg := perf.BenchConfig()
 	reg := obs.NewRegistry()
 	var doc perf.AnalyzerdBench
+	if *before != "" {
+		var parent perf.AnalyzerdBench
+		b, err := os.ReadFile(*before)
+		if err == nil {
+			err = json.Unmarshal(b, &parent)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("-before: %w", err))
+		}
+		doc.IngestBefore = parent.Ingest
+	}
 	err = profiled(*cpuProf, *memProf, func() error {
 		if *bin != "" {
 			rows, err := perf.RunIngest(cfg, perf.BenchRunOptions(cfg), perf.IngestConfig{

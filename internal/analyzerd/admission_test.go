@@ -169,9 +169,9 @@ func TestSeqBaselineForFreshClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendLine(t, conn1, `{"type":"cf","cf":{"src":1,"dst":2},"seq":41,"client":"h1"}`)
-	expectReply(t, conn1, `{"ack":41}`)
+	expectReply(t, conn1, `{"ack":41,"client":"h1"}`)
 	sendLine(t, conn1, `{"type":"cf","cf":{"src":1,"dst":3},"seq":42,"client":"h1"}`)
-	expectReply(t, conn1, `{"ack":42}`)
+	expectReply(t, conn1, `{"ack":42,"client":"h1"}`)
 	conn1.Close()
 	waitConns(t, srv, 0)
 
@@ -183,7 +183,7 @@ func TestSeqBaselineForFreshClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendLine(t, conn2, `{"type":"cf","cf":{"src":2,"dst":3},"seq":1,"client":"h2"}`)
-	expectReply(t, conn2, `{"ack":1}`)
+	expectReply(t, conn2, `{"ack":1,"client":"h2"}`)
 	conn2.Close()
 	waitConns(t, srv, 0)
 	if ev := srv.Stats().AckEvictions; ev != 1 {
@@ -198,9 +198,9 @@ func TestSeqBaselineForFreshClient(t *testing.T) {
 	}
 	defer conn3.Close()
 	sendLine(t, conn3, `{"type":"cf","cf":{"src":1,"dst":4},"seq":57,"client":"h1"}`)
-	expectReply(t, conn3, `{"ack":57}`)
+	expectReply(t, conn3, `{"ack":57,"client":"h1"}`)
 	sendLine(t, conn3, `{"type":"cf","cf":{"src":1,"dst":5},"seq":58,"client":"h1"}`)
-	expectReply(t, conn3, `{"ack":58}`)
+	expectReply(t, conn3, `{"ack":58,"client":"h1"}`)
 	sendLine(t, conn3, `{"type":"cf","cf":{"src":1,"dst":6},"seq":60,"client":"h1"}`)
 	br := bufio.NewReader(conn3)
 	if rep := readReplies(t, br, conn3, 1)[0]; rep.Nak != 60 || !rep.Retry {
@@ -282,7 +282,7 @@ func TestAckWindowEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendLine(t, conn1, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
-	expectReply(t, conn1, `{"ack":1}`)
+	expectReply(t, conn1, `{"ack":1,"client":"h1"}`)
 	conn1.Close()
 	waitConns(t, srv, 0)
 
@@ -294,7 +294,7 @@ func TestAckWindowEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendLine(t, conn2, `{"type":"cf","cf":{"src":2,"dst":3},"seq":1,"client":"h2"}`)
-	expectReply(t, conn2, `{"ack":1}`)
+	expectReply(t, conn2, `{"ack":1,"client":"h2"}`)
 	conn2.Close()
 	waitConns(t, srv, 0)
 
@@ -308,7 +308,7 @@ func TestAckWindowEviction(t *testing.T) {
 	}
 	defer conn3.Close()
 	sendLine(t, conn3, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
-	expectReply(t, conn3, `{"ack":1}`)
+	expectReply(t, conn3, `{"ack":1,"client":"h1"}`)
 	if d := srv.Stats().Duplicates; d != 0 {
 		t.Fatalf("Duplicates = %d after eviction, want 0", d)
 	}

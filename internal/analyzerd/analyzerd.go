@@ -749,7 +749,7 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			s.count(func(st *ServerStats) { st.Malformed++ })
 			s.log.Warn("malformed line", "peer", peer, "err", err.Error())
-			s.replyf(conn, `{"error":%q}`+"\n", err.Error())
+			s.replyError(conn, err.Error())
 			continue
 		}
 		if msg.Type == TypeDump {
@@ -778,7 +778,7 @@ func (s *Server) handle(conn net.Conn) {
 		if msg.Seq > 0 && s.alreadyAcked(msg.Client, msg.Seq) {
 			s.count(func(st *ServerStats) { st.Duplicates++ })
 			s.log.Debug("duplicate suppressed", "peer", peer, "client", msg.Client, "seq", msg.Seq)
-			s.replyf(conn, `{"ack":%d}`+"\n", msg.Seq)
+			s.reply(conn, AckLine(msg.Seq, msg.Client))
 			continue
 		}
 		if !s.admit(key) {
@@ -801,8 +801,7 @@ func (s *Server) handle(conn net.Conn) {
 	case errors.Is(err, bufio.ErrTooLong):
 		s.count(func(st *ServerStats) { st.Oversized++ })
 		s.log.Warn("oversized line, dropping connection", "peer", peer, "limit", s.cfg.MaxLineBytes)
-		s.replyf(conn, `{"error":%q}`+"\n",
-			fmt.Sprintf("line exceeds %d bytes", s.cfg.MaxLineBytes))
+		s.replyError(conn, fmt.Sprintf("line exceeds %d bytes", s.cfg.MaxLineBytes))
 	default:
 		var nerr net.Error
 		if errors.As(err, &nerr) && nerr.Timeout() {
@@ -818,11 +817,7 @@ func (s *Server) handle(conn net.Conn) {
 // ack window past the hole (see apply).
 func (s *Server) nackRetry(conn net.Conn, client string, seq int64, reason string) {
 	s.noteRetryNack(client, seq)
-	if seq > 0 {
-		s.replyf(conn, `{"nak":%d,"error":%q,"retry":true}`+"\n", seq, reason)
-	} else {
-		s.replyf(conn, `{"error":%q,"retry":true}`+"\n", reason)
-	}
+	s.reply(conn, NakLine(seq, client, reason, true))
 }
 
 // noteRetryNack remembers the lowest seq load-shed from a client with a
@@ -844,12 +839,27 @@ func (s *Server) noteRetryNack(client string, seq int64) {
 	}
 }
 
-// replyf writes one reply line under the write deadline, closing the
+// replyf formats one reply line and writes it with reply.
+func (s *Server) replyf(conn net.Conn, format string, args ...any) {
+	s.reply(conn, fmt.Appendf(nil, format, args...))
+}
+
+// replyError answers an unsequenced line with a permanent {"error":…};
+// replyRetry marks the refusal transient.
+func (s *Server) replyError(conn net.Conn, reason string) {
+	s.reply(conn, NakLine(0, "", reason, false))
+}
+
+func (s *Server) replyRetry(conn net.Conn, reason string) {
+	s.reply(conn, NakLine(0, "", reason, true))
+}
+
+// reply writes one reply line under the write deadline, closing the
 // connection on failure: acks flow through the single applier goroutine,
 // so a peer that stops reading its replies must not head-of-line block
 // every other client — it is cut off and re-syncs by resubmitting on
 // reconnect.
-func (s *Server) replyf(conn net.Conn, format string, args ...any) {
+func (s *Server) reply(conn net.Conn, line []byte) {
 	if s.cfg.WriteTimeout > 0 {
 		//lint:ignore nosystime write deadline on a real TCP connection; wall clock never reaches simulation state
 		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
@@ -862,7 +872,7 @@ func (s *Server) replyf(conn net.Conn, format string, args ...any) {
 			return
 		}
 	}
-	if _, err := fmt.Fprintf(conn, format, args...); err != nil {
+	if _, err := conn.Write(line); err != nil {
 		s.log.Warn("reply write failed, dropping connection",
 			"peer", conn.RemoteAddr().String(), "err", err.Error())
 		_ = conn.Close() // the write error is already reported above
@@ -904,7 +914,7 @@ func (s *Server) apply(item ingestItem) {
 		case msg.Seq <= acked:
 			// A resubmission raced its original through the queue.
 			s.count(func(st *ServerStats) { st.Duplicates++ })
-			s.replyf(item.conn, `{"ack":%d}`+"\n", msg.Seq)
+			s.reply(item.conn, AckLine(msg.Seq, msg.Client))
 			return
 		case acked == 0 && (retryLow == 0 || msg.Seq <= retryLow):
 			// No live highwater for this client: first contact, an ack
@@ -945,17 +955,15 @@ func (s *Server) apply(item ingestItem) {
 			s.mu.Lock()
 			s.markAcked(msg.Client, msg.Seq)
 			s.mu.Unlock()
-			s.replyf(item.conn, `{"nak":%d,"error":%q}`+"\n", msg.Seq, err.Error())
-		} else {
-			s.replyf(item.conn, `{"error":%q}`+"\n", err.Error())
 		}
+		s.reply(item.conn, NakLine(msg.Seq, msg.Client, err.Error(), false))
 		return
 	}
 	if msg.Seq > 0 {
 		s.mu.Lock()
 		s.markAcked(msg.Client, msg.Seq)
 		s.mu.Unlock()
-		s.replyf(item.conn, `{"ack":%d}`+"\n", msg.Seq)
+		s.reply(item.conn, AckLine(msg.Seq, msg.Client))
 	}
 	s.maybeSnapshot()
 }

@@ -55,7 +55,7 @@ func (s *Server) applyRemap(item ingestItem) {
 	case next.Epoch < cur.Epoch:
 		s.count(func(st *ServerStats) { st.StaleEpochs++ })
 		s.log.Warn("stale remap rejected", "epoch", next.Epoch, "current", cur.Epoch)
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("stale shard map epoch %d (shard at epoch %d)", next.Epoch, cur.Epoch))
 		return
 	case next.Epoch == cur.Epoch:
@@ -63,20 +63,20 @@ func (s *Server) applyRemap(item ingestItem) {
 			// Retried delivery of the map already installed.
 			s.replyf(item.conn, `{"remapped":true,"epoch":%d,"reassigned":0}`+"\n", cur.Epoch)
 		} else {
-			s.replyf(item.conn, `{"error":%q}`+"\n",
+			s.replyError(item.conn,
 				fmt.Sprintf("conflicting shard map at epoch %d", cur.Epoch))
 		}
 		return
 	}
 	ring, err := wire.NewHashRing(next)
 	if err != nil {
-		s.replyf(item.conn, `{"error":%q}`+"\n", err.Error())
+		s.replyError(item.conn, err.Error())
 		return
 	}
 	if s.cfg.Shard.Index >= next.Shards {
 		// A shrink stops removed shards; it never remaps them — a shard
 		// must not install a map that disowns everything it holds.
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("map of %d shards removes shard %d", next.Shards, s.cfg.Shard.Index))
 		return
 	}
@@ -149,24 +149,24 @@ func (s *Server) applyAdopt(item ingestItem) {
 	index := s.cfg.Shard.Index
 	switch {
 	case h.Format != wire.HandoffFormat:
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("unsupported handoff format %d", h.Format))
 		return
 	case h.To != index:
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("handoff targets shard %d, this is shard %d", h.To, index))
 		return
 	case h.Map.Epoch < cur.Epoch:
 		s.count(func(st *ServerStats) { st.StaleEpochs++ })
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("stale handoff epoch %d (shard at epoch %d)", h.Map.Epoch, cur.Epoch))
 		return
 	case h.Map.Epoch > cur.Epoch:
-		s.replyf(item.conn, `{"error":%q,"retry":true}`+"\n",
+		s.replyRetry(item.conn,
 			fmt.Sprintf("handoff epoch %d ahead of shard epoch %d", h.Map.Epoch, cur.Epoch))
 		return
 	case h.Map != cur:
-		s.replyf(item.conn, `{"error":%q}`+"\n",
+		s.replyError(item.conn,
 			fmt.Sprintf("conflicting shard map at epoch %d", cur.Epoch))
 		return
 	}
@@ -187,14 +187,14 @@ func (s *Server) applyAdopt(item ingestItem) {
 	}
 	for _, sm := range h.Messages {
 		if sm.Client == "" || ring(sm.Client) != index {
-			s.replyf(item.conn, `{"error":%q}`+"\n",
+			s.replyError(item.conn,
 				fmt.Sprintf("handoff carries client %q this shard does not own", sm.Client))
 			return
 		}
 	}
 	for _, hc := range h.Clients {
 		if hc.Client == "" || ring(hc.Client) != index {
-			s.replyf(item.conn, `{"error":%q}`+"\n",
+			s.replyError(item.conn,
 				fmt.Sprintf("handoff carries client %q this shard does not own", hc.Client))
 			return
 		}
@@ -216,7 +216,7 @@ func (s *Server) applyAdopt(item ingestItem) {
 			if err != nil {
 				s.count(func(st *ServerStats) { st.WALErrors++ })
 				s.log.Warn("adopt WAL append failed", "err", err.Error())
-				s.replyf(item.conn, `{"error":%q,"retry":true}`+"\n", err.Error())
+				s.replyRetry(item.conn, err.Error())
 				return
 			}
 		}
@@ -251,7 +251,7 @@ func (s *Server) applyAdopt(item ingestItem) {
 		// router retries and the dedup above keeps it exactly-once.
 		if err := s.snapshotNow(); err != nil {
 			s.log.Warn("post-adopt snapshot failed", "err", err.Error())
-			s.replyf(item.conn, `{"error":%q,"retry":true}`+"\n", err.Error())
+			s.replyRetry(item.conn, err.Error())
 			return
 		}
 		s.sinceSnap = 0

@@ -201,7 +201,7 @@ func TestRecoverSuppressesResubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
-	expectReply(t, conn, `{"ack":1}`)
+	expectReply(t, conn, `{"ack":1,"client":"h1"}`)
 	conn.Close()
 	srv1.crashForTest()
 
@@ -216,7 +216,7 @@ func TestRecoverSuppressesResubmission(t *testing.T) {
 	}
 	defer conn2.Close()
 	sendLine(t, conn2, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
-	expectReply(t, conn2, `{"ack":1}`)
+	expectReply(t, conn2, `{"ack":1,"client":"h1"}`)
 	if _, _, cfs := srv2.Counts(); cfs != 1 {
 		t.Fatalf("resubmission re-ingested: %d cfs", cfs)
 	}

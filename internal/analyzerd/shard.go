@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 
 	"vedrfolnir/internal/wire"
 )
@@ -61,12 +62,14 @@ func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) 
 	if err != nil {
 		m = []byte("{}") // a flat int struct cannot fail to marshal
 	}
-	if seq > 0 {
-		s.replyf(conn, `{"nak":%d,"moved":true,"owner":%d,"map":%s,"error":%q,"retry":true}`+"\n",
-			seq, owner, m, reason)
-	} else {
-		s.replyf(conn, `{"moved":true,"owner":%d,"map":%s,"error":%q,"retry":true}`+"\n", owner, m, reason)
-	}
+	b := appendNakHead(make([]byte, 0, 192), seq, client)
+	b = append(b, `"moved":true,"owner":`...)
+	b = strconv.AppendInt(b, int64(owner), 10)
+	b = append(b, `,"map":`...)
+	b = append(b, m...)
+	b = append(b, `,"error":`...)
+	b = appendJSONString(b, reason)
+	s.reply(conn, append(b, `,"retry":true}`+"\n"...))
 }
 
 // replyDump answers the "dump" verb with this shard's full sourced
@@ -81,11 +84,10 @@ func (s *Server) replyDump(conn net.Conn) {
 	state := s.ShardState()
 	b, err := json.Marshal(state)
 	if err != nil {
-		s.replyf(conn, `{"error":%q}`+"\n", err.Error())
+		s.replyError(conn, err.Error())
 		return
 	}
-	b = append(b, '\n')
-	s.replyf(conn, "%s", b)
+	s.reply(conn, append(b, '\n'))
 }
 
 // ShardState returns the shard's accepted messages (ingest order) and

@@ -77,6 +77,38 @@ func (w *WALFaults) ShardKills(shards, msgs int) []ShardKill {
 	return plan
 }
 
+// BatchShardKills draws the kill schedule for a pipelined run, where the
+// harness flushes batch i of sizes[i] messages bound for shard owners[i],
+// one batch after the other: every shard that is sent a batch of at least
+// two messages dies exactly once, strictly inside one of its batches (a
+// seeded choice of batch and offset), so the kill finds the head of the
+// batch acknowledged and the rest still in flight on the shard's link.
+// AfterAcked counts acknowledgements across the whole run; the plan comes
+// back sorted by it.
+func (w *WALFaults) BatchShardKills(sizes, owners []int) []ShardKill {
+	type span struct{ start, size int }
+	byShard := map[int][]span{}
+	start := 0
+	for i, size := range sizes {
+		if i < len(owners) && size >= 2 {
+			byShard[owners[i]] = append(byShard[owners[i]], span{start, size})
+		}
+		start += size
+	}
+	shards := make([]int, 0, len(byShard))
+	for s := range byShard {
+		shards = append(shards, s)
+	}
+	sort.Ints(shards)
+	plan := make([]ShardKill, 0, len(shards))
+	for _, s := range shards {
+		b := byShard[s][w.rng.Intn(len(byShard[s]))]
+		plan = append(plan, ShardKill{AfterAcked: b.start + 1 + w.rng.Intn(b.size-1), Shard: s})
+	}
+	sort.Slice(plan, func(i, j int) bool { return plan[i].AfterAcked < plan[j].AfterAcked })
+	return plan
+}
+
 // Rebalance cut points: the phases of a live fleet resize at which a
 // chaos harness SIGKILLs a shard. The strings match the fleet router's
 // OnPhase announcements.

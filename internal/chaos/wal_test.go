@@ -91,6 +91,44 @@ func TestShardKillsCoverEveryShardOnce(t *testing.T) {
 	}
 }
 
+func TestBatchShardKillsLandMidBatch(t *testing.T) {
+	sizes := []int{9, 1, 10, 9, 2, 10}
+	owners := []int{0, 3, 1, 0, 2, 1}
+	pa := NewWALFaults(11).BatchShardKills(sizes, owners)
+	if pb := NewWALFaults(11).BatchShardKills(sizes, owners); !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("same seed drew different kill plans: %v vs %v", pa, pb)
+	}
+	// Shard 3 only ever gets a single message: no batch to die inside.
+	if len(pa) != 3 {
+		t.Fatalf("plan %v, want one kill each for shards 0, 1, 2", pa)
+	}
+	seen := map[int]bool{}
+	last := 0
+	for _, k := range pa {
+		if seen[k.Shard] {
+			t.Fatalf("shard %d killed twice: %v", k.Shard, pa)
+		}
+		seen[k.Shard] = true
+		if k.AfterAcked <= last {
+			t.Fatalf("kill points not strictly ascending: %v", pa)
+		}
+		last = k.AfterAcked
+		start, inside := 0, false
+		for i, size := range sizes {
+			if owners[i] == k.Shard && k.AfterAcked > start && k.AfterAcked < start+size {
+				inside = true
+			}
+			start += size
+		}
+		if !inside {
+			t.Fatalf("kill %+v is not strictly inside a batch bound for shard %d", k, k.Shard)
+		}
+	}
+	if seen[3] {
+		t.Fatalf("shard 3 killed though it never has a batch in flight: %v", pa)
+	}
+}
+
 func TestRebalanceKillsCoverEveryCutPoint(t *testing.T) {
 	a, b := NewWALFaults(11), NewWALFaults(11)
 	pa, pb := a.RebalanceKills(2, 3), b.RebalanceKills(2, 3)

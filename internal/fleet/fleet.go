@@ -389,11 +389,25 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	shards := f.router.Shards() // post-resize width, not the starting one
 	tallies := f.router.Tallies()
 	merged := &Merged{Tenants: f.router.TenantAccounts()}
-	states := make([]*wire.ShardState, 0, shards)
+	// Gather every shard's dump at once, each over its own link — most of
+	// a drain is moving shard state as JSON — and assemble in shard-index
+	// order, so the merge input and the degraded accounting do not depend
+	// on which dump finished first.
+	dumps := make([]*wire.ShardState, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
-		state, err := f.dumpShardPatiently(i)
-		if err != nil {
-			f.cfg.Log.Warn("shard dump unavailable; degrading", "shard", i, "err", err)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			dumps[i], errs[i] = f.dumpShardPatiently(i)
+		}(i)
+	}
+	wg.Wait()
+	states := make([]*wire.ShardState, 0, shards)
+	for i, state := range dumps {
+		if errs[i] != nil {
+			f.cfg.Log.Warn("shard dump unavailable; degrading", "shard", i, "err", errs[i])
 			merged.Missing = append(merged.Missing, i)
 			merged.MissedRecords += tallies[i].Records
 			merged.MissedReports += tallies[i].Reports

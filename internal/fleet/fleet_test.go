@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +26,14 @@ import (
 // incarnation recovers.
 func startTestShard(t *testing.T, m wire.ShardMap, index int, dir string) *analyzerd.Server {
 	t.Helper()
+	srv, err := analyzerd.ServeWith("127.0.0.1:0", testShardConfig(m, index, dir))
+	if err != nil {
+		t.Fatalf("ServeWith: %v", err)
+	}
+	return srv
+}
+
+func testShardConfig(m wire.ShardMap, index int, dir string) analyzerd.ServerConfig {
 	cfg := analyzerd.DefaultServerConfig()
 	cfg.Shard = &analyzerd.ShardConfig{Map: m, Index: index}
 	if dir != "" {
@@ -32,11 +41,7 @@ func startTestShard(t *testing.T, m wire.ShardMap, index int, dir string) *analy
 			Dir: dir, Fsync: analyzerd.FsyncAlways, SnapshotEvery: 3,
 		}
 	}
-	srv, err := analyzerd.ServeWith("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatalf("ServeWith: %v", err)
-	}
-	return srv
+	return cfg
 }
 
 // submission is one message from one named host agent.
@@ -421,4 +426,181 @@ func TestRouterRelaysMovedNack(t *testing.T) {
 	if err := rc.Flush(); !errors.Is(err, analyzerd.ErrRedirected) {
 		t.Fatalf("Flush = %v, want ErrRedirected relayed through the router", err)
 	}
+}
+
+// pipelinedStream is fleetStream's pipelined cousin: per host, the
+// messages it flushes as ONE batch — its flow, eight step records, and for
+// every third host a telemetry report.
+func pipelinedStream() (hosts []string, batches map[string][]func(rc *analyzerd.ReliableClient) error) {
+	batches = map[string][]func(rc *analyzerd.ReliableClient) error{}
+	for i := 0; i < 12; i++ {
+		host := fmt.Sprintf("h%02d", i)
+		hosts = append(hosts, host)
+		cf := hostFlow(i)
+		batch := []func(rc *analyzerd.ReliableClient) error{
+			func(rc *analyzerd.ReliableClient) error { return rc.SendCF(cf) },
+		}
+		for k := 0; k < 8; k++ {
+			rec := collective.StepRecord{
+				Host: topo.NodeID(i + 1), Step: k, Flow: cf,
+				Bytes: int64(1000*(i+1) + k), Start: simtime.Time(100 * k), End: simtime.Time(100*k + 10*(i+1)),
+			}
+			batch = append(batch, func(rc *analyzerd.ReliableClient) error { return rc.SendStep(rec) })
+		}
+		if i%3 == 0 {
+			rep := &telemetry.Report{
+				At: simtime.Time(50 * (i + 1)), TriggeredBy: cf, HopsPolled: 3,
+				Flows: []telemetry.FlowRecord{{
+					Switch: topo.NodeID(100 + i), Port: 1, Flow: cf,
+					Pkts: int64(10 * (i + 1)), Bytes: int64(500 * (i + 1)),
+					Wait: map[fabric.FlowKey]int64{hostFlow((i + 1) % 12): int64(i + 1)},
+				}},
+			}
+			batch = append(batch, func(rc *analyzerd.ReliableClient) error { return rc.SendReport(rep) })
+		}
+		batches[host] = batch
+	}
+	return hosts, batches
+}
+
+// pipelinedRun flushes pipelinedStream host by host, one batch per Flush,
+// through a router over live in-process shards. A kill fires from the
+// router's OnAcked hook the moment the fleet-wide acked count reaches it —
+// on the link reader, before that ack is even relayed — so the rest of the
+// batch is still in flight on the dying shard's link.
+func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag []byte) {
+	t.Helper()
+	m := wire.ShardMap{Shards: shards}
+	srvs := make([]*analyzerd.Server, shards)
+	dirs := make([]string, shards)
+	addrs := make([]string, shards)
+	for i := range srvs {
+		dirs[i] = t.TempDir()
+		srvs[i] = startTestShard(t, m, i, dirs[i])
+		addrs[i] = srvs[i].Addr()
+	}
+	var router *Router
+	var kmu sync.Mutex
+	ki := 0
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: addrs,
+		OnAcked: func(total int64) {
+			kmu.Lock()
+			defer kmu.Unlock()
+			for ki < len(kills) && int64(kills[ki].AfterAcked) <= total {
+				i := kills[ki].Shard
+				ki++
+				srvs[i].Abort() // SIGKILL stand-in: no drain, WAL abandoned
+				// Not startTestShard: this is a router goroutine, and
+				// only the test's own may call t.Fatal.
+				srv, err := analyzerd.ServeWith("127.0.0.1:0", testShardConfig(m, i, dirs[i]))
+				if err != nil {
+					t.Errorf("restarting shard %d: %v", i, err)
+					return
+				}
+				srvs[i] = srv
+				router.SetShardAddr(i, srv.Addr())
+			}
+		}})
+	if err != nil {
+		t.Fatalf("StartRouter: %v", err)
+	}
+	defer func() {
+		router.Close()
+		kmu.Lock()
+		defer kmu.Unlock()
+		for _, s := range srvs {
+			_ = s.Close()
+		}
+	}()
+
+	hosts, batches := pipelinedStream()
+	for _, host := range hosts {
+		rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
+			ID: host, MaxAttempts: 20,
+			BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("NewReliableClient(%s): %v", host, err)
+		}
+		for _, send := range batches[host] {
+			if err := send(rc); err != nil {
+				t.Fatalf("send from %s: %v", host, err)
+			}
+		}
+		if err := rc.Close(); err != nil {
+			t.Fatalf("flush from %s: %v", host, err)
+		}
+	}
+	kmu.Lock()
+	fired := ki
+	kmu.Unlock()
+	if fired != len(kills) {
+		t.Fatalf("%d of %d kills fired", fired, len(kills))
+	}
+	if st := router.Stats(); len(kills) > 0 && st.ShardDown == 0 {
+		t.Errorf("stats = %+v: no kill found a line in flight on its shard's link", st)
+	}
+
+	states := make([]*wire.ShardState, 0, shards)
+	for i := 0; i < shards; i++ {
+		state, err := router.DumpShard(i)
+		if err != nil {
+			t.Fatalf("DumpShard(%d): %v", i, err)
+		}
+		states = append(states, state)
+	}
+	b, _ := wire.MergeShardStates(states)
+	var bb bytes.Buffer
+	if err := b.Write(&bb); err != nil {
+		t.Fatalf("bundle write: %v", err)
+	}
+	dj, err := json.Marshal(wire.FromDiagnosis(b.AnalyzeObs(nil)))
+	if err != nil {
+		t.Fatalf("diagnosis marshal: %v", err)
+	}
+	return bb.Bytes(), dj
+}
+
+// TestFleetKillShardMidBatchByteIdentity extends the kill-any-shard
+// contract to pipelined batches: every shard is SIGKILLed strictly inside
+// a batch bound for it (chaos.BatchShardKills) — head acknowledged, tail
+// in flight on its link — and the drained bundle and diagnosis stay
+// byte-identical to the unbroken run's.
+func TestFleetKillShardMidBatchByteIdentity(t *testing.T) {
+	const shards = 4
+	ring, err := wire.NewHashRing(wire.ShardMap{Shards: shards})
+	if err != nil {
+		t.Fatalf("NewHashRing: %v", err)
+	}
+	hosts, batches := pipelinedStream()
+	var sizes, owners []int
+	for _, h := range hosts {
+		sizes = append(sizes, len(batches[h]))
+		owners = append(owners, ring.Owner(h))
+	}
+	plan := chaos.NewWALFaults(7).BatchShardKills(sizes, owners)
+	if len(plan) < 2 {
+		t.Fatalf("kill plan %v covers too few shards", plan)
+	}
+	refBundle, refDiag := pipelinedRun(t, shards, nil)
+	if !strings.Contains(string(refDiag), "critical_path") {
+		t.Fatalf("reference diagnosis looks empty: %s", refDiag)
+	}
+	for _, kill := range plan {
+		t.Run(fmt.Sprintf("kill-shard-%d-after-%d", kill.Shard, kill.AfterAcked), func(t *testing.T) {
+			gotBundle, gotDiag := pipelinedRun(t, shards, []chaos.ShardKill{kill})
+			if !bytes.Equal(gotBundle, refBundle) {
+				t.Errorf("merged bundle differs after killing shard %d mid-batch", kill.Shard)
+			}
+			if !bytes.Equal(gotDiag, refDiag) {
+				t.Errorf("diagnosis differs after killing shard %d mid-batch:\n%s\nvs\n%s", kill.Shard, gotDiag, refDiag)
+			}
+		})
+	}
+	t.Run("kill-every-shard", func(t *testing.T) {
+		gotBundle, gotDiag := pipelinedRun(t, shards, plan)
+		if !bytes.Equal(gotBundle, refBundle) || !bytes.Equal(gotDiag, refDiag) {
+			t.Errorf("output differs after killing %d shards mid-batch in turn", len(plan))
+		}
+	})
 }

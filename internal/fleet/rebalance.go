@@ -136,12 +136,9 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 			r.stopStarted(started, cur.Shards, hooks)
 			return nil, fmt.Errorf("fleet: starting shard %d: %w", i, err)
 		}
+		l := r.newLink(i, addr)
 		r.rmu.Lock()
-		r.links = append(r.links, &shardLink{addr: addr})
-		if r.cfg.Metrics != nil {
-			r.forwarded = r.cfg.Metrics.CounterSet(
-				"vedr_router_shard_forwarded", "messages relayed to this shard", next.Shards)
-		}
+		r.links = append(r.links, l)
 		r.rmu.Unlock()
 		started = append(started, i)
 	}
@@ -223,10 +220,9 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 	r.cur = next
 	r.ring = newRing
 	r.quiesce = nil
-	if len(r.links) > next.Shards {
-		r.links = r.links[:next.Shards]
-	}
+	retired := r.truncateLinksLocked(next.Shards)
 	r.rmu.Unlock()
+	closeLinks(retired)
 
 	r.phase(hooks, PhaseAfterFlip)
 
@@ -253,14 +249,32 @@ func (r *Router) liftFence() {
 // stopStarted retires grow targets that were launched before a failure.
 func (r *Router) stopStarted(started []int, oldShards int, hooks *RebalanceHooks) {
 	r.rmu.Lock()
-	if len(r.links) > oldShards {
-		r.links = r.links[:oldShards]
-	}
+	retired := r.truncateLinksLocked(oldShards)
 	r.rmu.Unlock()
+	closeLinks(retired)
 	for k := len(started) - 1; k >= 0; k-- { // highest-index first, like a shrink
 		if hooks.StopShard != nil {
 			hooks.StopShard(started[k])
 		}
+	}
+}
+
+// truncateLinksLocked cuts the topology down to n links and returns the
+// ones cut off, for the caller to close once rmu is released (nothing
+// routes to them any more: their clients were fenced and drained).
+// Callers hold r.rmu.
+func (r *Router) truncateLinksLocked(n int) []*shardLink {
+	if len(r.links) <= n {
+		return nil
+	}
+	retired := append([]*shardLink(nil), r.links[n:]...)
+	r.links = r.links[:n]
+	return retired
+}
+
+func closeLinks(links []*shardLink) {
+	for _, l := range links {
+		l.close()
 	}
 }
 
@@ -273,12 +287,12 @@ func (r *Router) abortResize(started []int, oldShards int, hooks *RebalanceHooks
 }
 
 // drainInflight waits for every submission already past the fence to
-// complete its shard round trip.
+// have its reply relayed (or its link's death answered for it).
 func (r *Router) drainInflight(deadline time.Time) error {
 	for r.inflight.Load() != 0 {
 		//lint:ignore nosystime Time.After is a pure comparison; the clock read is sanctioned in now()
 		if r.now().After(deadline) {
-			return fmt.Errorf("fleet: %d routed submissions did not settle before the rebalance deadline",
+			return fmt.Errorf("fleet: %d routed submissions did not settle before the deadline",
 				r.inflight.Load())
 		}
 		//lint:ignore nosystime pacing a poll on real in-flight TCP round trips
@@ -333,14 +347,18 @@ type adminReply struct {
 	Adopted int64  `json:"adopted"`
 }
 
-// adminRetry sends one admin line to a shard until it succeeds, the
+// adminRetry sends one admin line (newline included) to a shard until it succeeds, the
 // shard answers with a permanent error, or the deadline passes.
 // Transport failures and retryable replies (an overloaded queue, a
 // restart mid-exchange) back off and retry.
 func (r *Router) adminRetry(shard int, line []byte, what string, deadline time.Time) (*adminReply, error) {
 	var lastErr error
 	for {
-		rep, err := r.roundTrip(shard, line)
+		var rep []byte
+		err := fmt.Errorf("no shard %d in the current map", shard)
+		if l := r.link(shard); l != nil {
+			rep, err = l.roundTrip(line)
+		}
 		if err == nil {
 			var parsed adminReply
 			if jerr := json.Unmarshal(rep, &parsed); jerr != nil {
@@ -375,7 +393,7 @@ func (r *Router) remapRetry(i int, next wire.ShardMap, deadline time.Time) error
 	if err != nil {
 		return err
 	}
-	line := []byte(fmt.Sprintf(`{"type":"remap","map":%s}`, m))
+	line := []byte(fmt.Sprintf(`{"type":"remap","map":%s}`+"\n", m))
 	_, err = r.adminRetry(i, line, "remap", deadline)
 	return err
 }
@@ -388,7 +406,7 @@ func (r *Router) adoptRetry(h *wire.Handoff, deadline time.Time) (int64, error) 
 	if err != nil {
 		return 0, err
 	}
-	line := []byte(fmt.Sprintf(`{"type":"adopt","handoff":%s}`, b))
+	line := []byte(fmt.Sprintf(`{"type":"adopt","handoff":%s}`+"\n", b))
 	rep, err := r.adminRetry(h.To, line, "adopt", deadline)
 	if err != nil {
 		return 0, err
@@ -403,14 +421,13 @@ func (r *Router) adoptRetry(h *wire.Handoff, deadline time.Time) (int64, error) 
 // with the ResizeReport.
 func (r *Router) handleResize(conn net.Conn, msg *analyzerd.Message) {
 	report, err := r.Resize(msg.Map.Shards, msg.Map.Replicas)
+	var b []byte
+	if err == nil {
+		b, err = json.Marshal(report)
+	}
 	if err != nil {
-		r.replyf(conn, `{"error":%q}`+"\n", err.Error())
+		r.write(conn, analyzerd.NakLine(0, "", err.Error(), false))
 		return
 	}
-	b, err := json.Marshal(report)
-	if err != nil {
-		r.replyf(conn, `{"error":%q}`+"\n", err.Error())
-		return
-	}
-	r.replyf(conn, "%s\n", b)
+	r.write(conn, append(b, '\n'))
 }

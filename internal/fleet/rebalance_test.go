@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vedrfolnir/internal/analyzerd"
 	"vedrfolnir/internal/chaos"
+	"vedrfolnir/internal/collective"
+	"vedrfolnir/internal/simtime"
+	"vedrfolnir/internal/topo"
 	"vedrfolnir/internal/wire"
 )
 
@@ -362,5 +366,159 @@ func TestFleetResizeUnderLoad(t *testing.T) {
 	}
 	if !bytes.Equal(bb.Bytes(), refBundle) {
 		t.Errorf("merged bundle differs after resize under load:\n%s\nvs\n%s", bb.Bytes(), refBundle)
+	}
+}
+
+// TestFleetResizeUnderPipelinedLoad resizes 2->3 while 8 clients stream
+// pipelined batches. drainInflight must return only after every reply to
+// a line that had passed the fence was relayed — so when the handoff phase
+// begins no fenced client has anything in flight on a link, the donor
+// dumps already hold everything those clients were acknowledged, and the
+// merged bundle equals the one a fleet that never resized produces.
+func TestFleetResizeUnderPipelinedLoad(t *testing.T) {
+	const clients, rounds, perBatch = 8, 6, 8
+	type msg func(rc *analyzerd.ReliableClient) error
+	stream := func(c int) [][]msg {
+		var batches [][]msg
+		cf := hostFlow(c)
+		for r := 0; r < rounds; r++ {
+			var batch []msg
+			if r == 0 {
+				batch = append(batch, func(rc *analyzerd.ReliableClient) error { return rc.SendCF(cf) })
+			}
+			for k := 0; k < perBatch; k++ {
+				rec := collective.StepRecord{
+					Host: topo.NodeID(c + 1), Step: r*perBatch + k, Flow: cf,
+					Bytes: int64(1000*(c+1) + k), End: simtime.Time(100*(r*perBatch+k) + c + 1),
+				}
+				batch = append(batch, func(rc *analyzerd.ReliableClient) error { return rc.SendStep(rec) })
+			}
+			batches = append(batches, batch)
+		}
+		return batches
+	}
+	// run streams every client's batches through a 2-shard router; with
+	// resize set, the fleet grows to 3 once a third of the batches are in.
+	run := func(t *testing.T, resize bool) []byte {
+		m := wire.ShardMap{Shards: 2}
+		shs := make([]*rebalShard, 2)
+		addrs := make([]string, 2)
+		for i := range shs {
+			shs[i] = &rebalShard{dir: t.TempDir(), m: m}
+			shs[i].srv = startTestShard(t, m, i, shs[i].dir)
+			addrs[i] = shs[i].srv.Addr()
+		}
+		oldRing, err := wire.NewHashRing(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newRing, err := wire.NewHashRing(wire.ShardMap{Shards: 3, Epoch: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var router *Router
+		hooks := &RebalanceHooks{
+			StartShard: func(i int, nm wire.ShardMap) (string, error) {
+				sh := &rebalShard{dir: t.TempDir(), m: nm}
+				sh.srv = startTestShard(t, nm, i, sh.dir)
+				shs = append(shs, sh)
+				return sh.srv.Addr(), nil
+			},
+			OnPhase: func(phase string) {
+				if phase != PhaseDuringHandoff {
+					return
+				}
+				for i := 0; i < 2; i++ {
+					l := router.link(i)
+					l.mu.Lock()
+					for f := l.head; f != nil; f = f.next {
+						if oldRing.Owner(f.client) != newRing.Owner(f.client) {
+							t.Errorf("fenced client %s still has seq %d in flight on link %d at the handoff", f.client, f.seq, i)
+						}
+					}
+					l.mu.Unlock()
+				}
+			},
+		}
+		router, err = StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: addrs, Rebalance: hooks})
+		if err != nil {
+			t.Fatalf("StartRouter: %v", err)
+		}
+		defer func() {
+			router.Close()
+			for _, sh := range shs {
+				_ = sh.srv.Close()
+			}
+		}()
+
+		var flushed atomic.Int64
+		errs := make(chan error, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
+					ID: fmt.Sprintf("h%02d", c), MaxAttempts: 40,
+					BackoffBase: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, batch := range stream(c) {
+					for _, send := range batch {
+						if err := send(rc); err != nil {
+							errs <- err
+							return
+						}
+					}
+					if err := rc.Flush(); err != nil {
+						errs <- fmt.Errorf("h%02d flush: %w", c, err)
+						return
+					}
+					flushed.Add(1)
+				}
+				errs <- rc.Close()
+			}(c)
+		}
+		if resize {
+			eventually(t, "a third of the batches", func() bool { return flushed.Load() >= clients*rounds/3 })
+			rep, err := router.Resize(3, 0)
+			if err != nil {
+				t.Fatalf("Resize under pipelined load: %v", err)
+			}
+			if rep.MovedClients == 0 || rep.Adopted != int64(rep.MovedMessages) {
+				t.Errorf("resize report %+v: nothing moved, or adoptees did not ingest all of it", rep)
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("sender failed: %v", err)
+			}
+		}
+		if got := router.inflight.Load(); got != 0 {
+			t.Errorf("inflight = %d after every client was acknowledged", got)
+		}
+		states := make([]*wire.ShardState, 0, router.Shards())
+		for i := 0; i < router.Shards(); i++ {
+			state, err := router.DumpShard(i)
+			if err != nil {
+				t.Fatalf("DumpShard(%d): %v", i, err)
+			}
+			states = append(states, state)
+		}
+		b, _ := wire.MergeShardStates(states)
+		var bb bytes.Buffer
+		if err := b.Write(&bb); err != nil {
+			t.Fatalf("bundle write: %v", err)
+		}
+		return bb.Bytes()
+	}
+	ref := run(t, false)
+	if got := run(t, true); !bytes.Equal(got, ref) {
+		t.Errorf("merged bundle differs after a resize under pipelined load")
 	}
 }

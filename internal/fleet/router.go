@@ -27,8 +27,12 @@ type RouterConfig struct {
 	// updated via SetShardAddr as supervisors learn them. len(Addrs) must
 	// equal Map.Shards when non-nil.
 	Addrs []string
-	// DialTimeout bounds one shard dial (default 2s); ReplyTimeout bounds
-	// one forwarded round trip (default 10s).
+	// DialTimeout bounds one shard dial (default 2s). ReplyTimeout
+	// (default 10s) bounds how long the oldest line in flight on a shard
+	// link may go unanswered before the link is dropped and everything in
+	// flight on it NAK'd retryably; it also bounds one write to a shard,
+	// one relay write to a client (a peer that stops reading is cut off,
+	// not waited for) and one admin exchange.
 	DialTimeout  time.Duration
 	ReplyTimeout time.Duration
 	// RebalanceTimeout bounds each retried shard exchange (dump, adopt,
@@ -79,6 +83,10 @@ type RouterStats struct {
 	// Quiesced counts retryable NACKs issued to moved clients while a
 	// rebalance had them fenced.
 	Quiesced int64
+	// OutOfOrder counts retryable NACKs issued by the bounce guard: the
+	// router had turned away a lower seq of the same client, and letting
+	// this one through first could make a shard acknowledge past the hole.
+	OutOfOrder int64
 	// Rerouted counts messages re-forwarded once after a shard answered
 	// with a moved NACK (the shard's map was ahead of the router's).
 	Rerouted int64
@@ -102,16 +110,6 @@ type ShardTally struct {
 // Total sums the tally.
 func (t ShardTally) Total() int { return t.Records + t.Reports + t.CFs }
 
-// shardLink is one serialized connection to a shard: a single in-flight
-// request per shard keeps the newline-framed reply stream unambiguous
-// when many client connections multiplex onto it.
-type shardLink struct {
-	mu   sync.Mutex
-	addr string
-	conn net.Conn
-	br   *bufio.Reader
-}
-
 // seqType is one forwarded-but-unacked message identity.
 type seqType struct {
 	seq int64
@@ -125,13 +123,24 @@ type clientTally struct {
 	counted int64
 	pending []seqType
 	tally   ShardTally
+	// bounced is the lowest seq the router itself turned away with a
+	// retryable NAK (shard down, link death, tenant quota, rebalance
+	// fence) and has not seen again — the router-side twin of a shard's
+	// retryLow. While it is set every higher seq of the client is
+	// bounced too: a shard with no highwater for the client (first
+	// contact, evicted ack window, non-durable restart) would baseline on
+	// the later seq, and its cumulative ack would make the client drop
+	// the bounced one as delivered. 0 when there is no hole.
+	bounced int64
 }
 
 // Router is the fleet's thin ingest tier: it speaks the same seq/ack wire
 // protocol as a shard daemon, consistent-hashes each named client onto
-// its owning shard, relays the shard's replies verbatim, and answers with
-// a retryable NACK when the shard is down so the reliable client's
-// resubmission machinery carries submissions across shard failover. A
+// its owning shard, forwards over one pipelined link per shard without
+// waiting, relays the shard's replies verbatim as they arrive, and
+// answers with a retryable NACK when the shard is down so the reliable
+// client's resubmission machinery carries submissions across shard
+// failover. A
 // live Resize swaps the shard map underneath it: moved clients are
 // fenced with retryable NACKs while their state is handed off, then
 // re-admitted under the new map.
@@ -142,18 +151,26 @@ type Router struct {
 	// rmu guards the routable topology: the installed map/ring, the
 	// shard links, and the rebalance fence. Lock order: rmu before tmu
 	// or qmu; never the reverse.
-	rmu       sync.RWMutex
-	cur       wire.ShardMap
-	ring      *wire.HashRing
-	links     []*shardLink
-	quiesce   func(client string) bool // non-nil mid-rebalance
-	forwarded []*obs.Counter           // per-shard, when Metrics is set
+	rmu     sync.RWMutex
+	cur     wire.ShardMap
+	ring    *wire.HashRing
+	links   []*shardLink
+	quiesce func(client string) bool // non-nil mid-rebalance
 
 	// inflight counts routed submissions between passing the fence and
-	// completing their shard round trip; Resize waits for it to drain
-	// after installing the fence, so a donor dump cannot miss a message
-	// that was already past the gate.
+	// the relay of their reply (or of the NAK that failed them): lines in
+	// a handler's batch, lines in a link's in-flight table, replies
+	// staged by a link reader. Resize waits for it to drain after
+	// installing the fence, and Stop after the handlers are gone, so a
+	// dump taken afterwards cannot miss a message that was already past
+	// the gate.
 	inflight atomic.Int64
+	// readers tracks the link reader goroutines; Close waits for them.
+	readers sync.WaitGroup
+	// started anchors the latency timers' monotonic clock; batchLines is
+	// the lines-per-shard-write histogram (nil without a registry).
+	started    time.Time
+	batchLines *obs.Histogram
 
 	resizeMu sync.Mutex // serializes live resizes
 
@@ -217,14 +234,15 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 		tallies: map[string]*clientTally{},
 		tenants: map[string]*tenantBucket{},
 	}
-	for i := range r.links {
-		l := &shardLink{}
-		if cfg.Addrs != nil {
-			l.addr = cfg.Addrs[i]
-		}
-		r.links[i] = l
-	}
+	r.started = r.now()
 	r.publishStats()
+	for i := range r.links {
+		addr := ""
+		if cfg.Addrs != nil {
+			addr = cfg.Addrs[i]
+		}
+		r.links[i] = r.newLink(i, addr)
+	}
 	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
@@ -238,6 +256,9 @@ func (r *Router) now() time.Time {
 	//lint:ignore nosystime pacing real tenant buckets and real TCP rebalance deadlines
 	return time.Now()
 }
+
+// sinceStart is the latency timers' nanosecond clock.
+func (r *Router) sinceStart() int64 { return int64(r.now().Sub(r.started)) }
 
 func (r *Router) publishStats() {
 	reg := r.cfg.Metrics
@@ -254,9 +275,14 @@ func (r *Router) publishStats() {
 		func() int64 { return r.Stats().TenantLimited })
 	reg.GaugeFunc("vedr_router_quiesced_total", "retryable NACKs to clients fenced by a rebalance",
 		func() int64 { return r.Stats().Quiesced })
+	reg.GaugeFunc("vedr_router_out_of_order_total", "retryable NACKs from the bounce guard",
+		func() int64 { return r.Stats().OutOfOrder })
 	reg.GaugeFunc("vedr_router_resizes_total", "completed live rebalances",
 		func() int64 { return r.Stats().Resizes })
-	r.forwarded = reg.CounterSet("vedr_router_shard_forwarded", "messages relayed to this shard", r.cfg.Map.Shards)
+	reg.GaugeFunc("vedr_router_inflight", "submissions past the fence whose reply has not been relayed",
+		func() int64 { return r.inflight.Load() })
+	r.batchLines = reg.Histogram("vedr_router_batch_lines", "client lines per shard write",
+		[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 }
 
 // Addr returns the router's listen address.
@@ -284,8 +310,8 @@ func (r *Router) Owner(client string) int {
 	return r.ring.Owner(client)
 }
 
-// link returns shard i's serialized connection, or nil when i is outside
-// the current topology.
+// link returns shard i's link, or nil when i is outside the current
+// topology.
 func (r *Router) link(i int) *shardLink {
 	r.rmu.RLock()
 	defer r.rmu.RUnlock()
@@ -296,21 +322,10 @@ func (r *Router) link(i int) *shardLink {
 }
 
 // SetShardAddr re-points shard i (a supervisor learned a restarted
-// shard's address). A changed address drops the cached connection.
+// shard's address). A changed address drops the cached connections.
 func (r *Router) SetShardAddr(i int, addr string) {
-	l := r.link(i)
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.addr == addr {
-		return
-	}
-	l.addr = addr
-	if l.conn != nil {
-		_ = l.conn.Close() // stale peer; the next round trip redials
-		l.conn, l.br = nil, nil
+	if l := r.link(i); l != nil {
+		l.setAddr(addr)
 	}
 }
 
@@ -341,24 +356,28 @@ func (r *Router) Tallies() []ShardTally {
 	return out
 }
 
-// Stop closes the listener and every client connection, and waits for the
+// Stop closes the listener and every client connection, waits for the
 // handlers to finish (an admin-driven resize runs on a handler, so Stop
-// also waits out any rebalance in flight). Shard links stay usable
+// also waits out any rebalance in flight) and then for every submission
+// still in flight on a shard link to be answered — a dump taken after
+// Stop holds everything a shard was ever sent. Shard links stay usable
 // (DumpShard still works); Close tears those down too.
 func (r *Router) Stop() {
 	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return
-	}
-	r.stopped = true
-	for conn := range r.conns {
-		_ = conn.Close() // unblocks the handler reads
+	if !r.stopped {
+		r.stopped = true
+		for conn := range r.conns {
+			_ = conn.Close() // unblocks the handler reads
+		}
+		_ = r.ln.Close() // unblocks Accept
 	}
 	r.mu.Unlock()
-	_ = r.ln.Close() // unblocks Accept
 	r.wg.Wait()
+	// Every link fails its oldest line after ReplyTimeout, so this
+	// settles on its own; the deadline is a backstop.
+	if err := r.drainInflight(r.now().Add(r.cfg.DialTimeout + 2*r.cfg.ReplyTimeout)); err != nil {
+		r.cfg.Log.Warn("router stopped with submissions in flight", "err", err)
+	}
 }
 
 // Close stops the router and drops the shard connections.
@@ -367,14 +386,8 @@ func (r *Router) Close() {
 	r.rmu.RLock()
 	links := append([]*shardLink(nil), r.links...)
 	r.rmu.RUnlock()
-	for _, l := range links {
-		l.mu.Lock()
-		if l.conn != nil {
-			_ = l.conn.Close() // shutting down; the peer sees EOF either way
-			l.conn, l.br = nil, nil
-		}
-		l.mu.Unlock()
-	}
+	closeLinks(links)
+	r.readers.Wait()
 }
 
 func (r *Router) acceptLoop() {
@@ -410,43 +423,130 @@ func (r *Router) count(f func(*RouterStats)) {
 	r.tmu.Unlock()
 }
 
-func (r *Router) replyf(conn net.Conn, format string, args ...any) {
-	if _, err := fmt.Fprintf(conn, format, args...); err != nil {
-		r.cfg.Log.Debug("router reply failed", "err", err)
+// write sends reply lines to a client connection under a write deadline;
+// a peer that cannot take them (gone, or not reading) is cut off so it
+// cannot stall the link reader that relays for everyone else.
+func (r *Router) write(conn net.Conn, b []byte) {
+	//lint:ignore nosystime write deadline on a real TCP client connection
+	err := conn.SetWriteDeadline(time.Now().Add(r.cfg.ReplyTimeout))
+	if err == nil {
+		_, err = conn.Write(b)
 	}
+	if err != nil {
+		r.cfg.Log.Debug("router reply failed", "err", err)
+		_ = conn.Close() // the write error is already reported above
+	}
+}
+
+// reject answers a line the router refuses outright.
+func (r *Router) reject(conn net.Conn, reason string) {
+	r.count(func(s *RouterStats) { s.Rejected++ })
+	r.write(conn, analyzerd.NakLine(0, "", reason, false))
+}
+
+// bounce turns a sequenced submission away at the gate with a retryable
+// NAK and arms the client's bounce guard.
+func (r *Router) bounce(conn net.Conn, client string, seq int64, reason string) {
+	r.noteBounce(client, seq)
+	r.write(conn, analyzerd.NakLine(seq, "", reason, true))
+}
+
+// fail answers one gated line the router could not get a shard reply for
+// and releases it from the in-flight count. The caller has armed the
+// client's bounce guard.
+func (r *Router) fail(f *flight, reason string) {
+	r.write(f.out, analyzerd.NakLine(f.seq, "", reason, true))
+	r.inflight.Add(-1)
+}
+
+// failAll fails lines lost with shard's link, in the order given.
+func (r *Router) failAll(lost []*flight, shard int) {
+	if len(lost) == 0 {
+		return
+	}
+	r.count(func(s *RouterStats) { s.ShardDown += int64(len(lost)) })
+	reason := fmt.Sprintf("shard %d unavailable", shard)
+	for _, f := range lost {
+		r.fail(f, reason)
+	}
+}
+
+// handler is one client connection's relay loop. Gated lines collect in
+// per-link batches and go out — one write per shard — right before the
+// handler blocks on its next client read, so a pipelined burst costs one
+// shard write and a single message takes no detour.
+type handler struct {
+	conn    net.Conn
+	batches []linkBatch
+}
+
+type linkBatch struct {
+	l       *shardLink
+	flights []*flight
+}
+
+// Read flushes the batches, then reads from the client: bufio.Scanner
+// only calls it when it has no complete line left to hand out.
+func (h *handler) Read(p []byte) (int, error) {
+	h.flush()
+	return h.conn.Read(p)
+}
+
+func (h *handler) flush() {
+	for i := range h.batches {
+		b := &h.batches[i]
+		if len(b.flights) > 0 {
+			b.l.forward(b.flights)
+			clear(b.flights)
+			b.flights = b.flights[:0]
+		}
+	}
+}
+
+func (h *handler) add(l *shardLink, f *flight) {
+	for i := range h.batches {
+		if h.batches[i].l == l {
+			h.batches[i].flights = append(h.batches[i].flights, f)
+			return
+		}
+	}
+	h.batches = append(h.batches, linkBatch{l: l, flights: []*flight{f}})
 }
 
 // handle relays one client connection line by line.
 func (r *Router) handle(conn net.Conn) {
 	defer r.wg.Done()
 	defer r.forget(conn)
-	sc := bufio.NewScanner(conn)
+	h := &handler{conn: conn}
+	defer h.flush() // lines gated since the last read (an oversized line ends the scan without one)
+	sc := bufio.NewScanner(h)
 	sc.Buffer(make([]byte, 0, 64<<10), r.cfg.MaxLineBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
+		// ParseMessage, not a header scan: it is the single entry point
+		// for untrusted input, and a line the shard would refuse comes
+		// back unsequenced — nothing the link could match to a client.
 		msg, err := analyzerd.ParseMessage(line)
 		if err != nil {
-			r.count(func(s *RouterStats) { s.Rejected++ })
-			r.replyf(conn, `{"error":%q}`+"\n", err.Error())
+			r.reject(conn, err.Error())
 			continue
 		}
 		switch msg.Type {
 		case analyzerd.TypeDump:
 			// The drain gathers per-shard dumps itself; a merged dump
 			// through the router would hide which shard is unreachable.
-			r.count(func(s *RouterStats) { s.Rejected++ })
-			r.replyf(conn, `{"error":"dump must target a shard, not the router"}`+"\n")
+			r.reject(conn, "dump must target a shard, not the router")
 			continue
 		case analyzerd.TypeRemap, analyzerd.TypeAdopt:
 			// The router originates these during its own Resize; accepting
 			// them from a client would let anyone rewrite the topology.
-			r.count(func(s *RouterStats) { s.Rejected++ })
-			r.replyf(conn, `{"error":"rebalance verbs are router-internal"}`+"\n")
+			r.reject(conn, "rebalance verbs are router-internal")
 			continue
 		case analyzerd.TypeResize:
+			h.flush() // the resize waits for everything past the gate, this handler's batch included
 			r.handleResize(conn, msg)
 			continue
 		}
@@ -454,168 +554,97 @@ func (r *Router) handle(conn net.Conn) {
 			// A shard sends no reply for accepted unsequenced messages, so
 			// the router could never relay an outcome; and an unnamed
 			// client cannot be hashed. Reject loudly instead of guessing.
-			r.count(func(s *RouterStats) { s.Rejected++ })
-			r.replyf(conn, `{"error":"fleet ingest requires a named client and a sequence number"}`+"\n")
+			r.reject(conn, "fleet ingest requires a named client and a sequence number")
 			continue
 		}
 		if tenant, ok := r.admitTenant(msg.Client); !ok {
 			r.count(func(s *RouterStats) { s.TenantLimited++ })
-			r.replyf(conn, `{"nak":%d,"error":%q,"retry":true}`+"\n",
-				msg.Seq, fmt.Sprintf("tenant %q over quota", tenant))
+			r.bounce(conn, msg.Client, msg.Seq, fmt.Sprintf("tenant %q over quota", tenant))
 			continue
 		}
 		// Pass the rebalance fence and pin the route under one rmu hold:
 		// the inflight increment must be visible before the read lock is
 		// released, so a Resize that installs the fence next observes
-		// this message and waits for its round trip.
+		// this message and waits for its reply to be relayed.
 		r.rmu.RLock()
 		if q := r.quiesce; q != nil && q(msg.Client) {
 			r.rmu.RUnlock()
 			r.count(func(s *RouterStats) { s.Quiesced++ })
-			r.replyf(conn, `{"nak":%d,"error":"rebalance in progress","retry":true}`+"\n", msg.Seq)
+			r.bounce(conn, msg.Client, msg.Seq, "rebalance in progress")
 			continue
 		}
-		shard := r.ring.Owner(msg.Client)
+		l := r.links[r.ring.Owner(msg.Client)]
 		r.inflight.Add(1)
 		r.rmu.RUnlock()
-		r.routeOne(conn, msg, line, shard)
-		r.inflight.Add(-1)
+		h.add(l, &flight{
+			client: msg.Client, seq: msg.Seq, typ: msg.Type, out: conn,
+			line: append(append(make([]byte, 0, len(line)+1), line...), '\n'),
+		})
 	}
 }
 
-// routeOne forwards one admitted submission and relays the outcome.
-func (r *Router) routeOne(conn net.Conn, msg *analyzerd.Message, line []byte, shard int) {
-	r.notePending(msg.Client, msg.Seq, msg.Type)
-	rep, err := r.roundTrip(shard, line)
-	if err != nil {
-		r.count(func(s *RouterStats) { s.ShardDown++ })
-		r.cfg.Log.Warn("shard unreachable", "shard", shard, "client", msg.Client, "err", err)
-		r.replyf(conn, `{"nak":%d,"error":%q,"retry":true}`+"\n",
-			msg.Seq, fmt.Sprintf("shard %d unavailable", shard))
-		return
-	}
-	// A shard whose map ran ahead of the router's answers moved; follow
-	// the announced owner once rather than bouncing the NACK to the
-	// client (stragglers mid-rebalance hit this window).
-	if owner, moved := movedOwner(rep); moved && owner != shard {
-		if l := r.link(owner); l != nil {
-			r.count(func(s *RouterStats) { s.Rerouted++ })
-			if rep2, err2 := r.roundTrip(owner, line); err2 == nil {
-				rep, shard = rep2, owner
-			}
-		}
-	}
-	r.count(func(s *RouterStats) { s.Forwarded++ })
-	r.rmu.RLock()
-	if r.forwarded != nil && shard < len(r.forwarded) {
-		r.forwarded[shard].Inc()
-	}
-	r.rmu.RUnlock()
-	r.noteReply(msg.Client, rep)
-	if _, err := conn.Write(rep); err != nil {
-		r.cfg.Log.Debug("router relay failed", "err", err)
-	}
-}
-
-// movedOwner parses a shard reply for a moved NACK's announced owner.
-func movedOwner(rep []byte) (int, bool) {
-	var parsed struct {
-		Moved bool `json:"moved"`
-		Owner int  `json:"owner"`
-	}
-	if err := json.Unmarshal(rep, &parsed); err != nil || !parsed.Moved {
-		return 0, false
-	}
-	return parsed.Owner, true
-}
-
-// roundTrip forwards one line to a shard and reads its single-line reply.
-// A dead cached connection (the shard restarted since the last trip) gets
-// one redial: the write may have landed in a void, but resubmitting the
-// same seq is safe — the shard's dedup highwater suppresses duplicates.
-func (r *Router) roundTrip(shard int, line []byte) ([]byte, error) {
-	l := r.link(shard)
-	if l == nil {
-		return nil, fmt.Errorf("no shard %d in the current map", shard)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if l.conn == nil {
-			if l.addr == "" {
-				return nil, fmt.Errorf("shard %d has not announced an address", shard)
-			}
-			conn, err := net.DialTimeout("tcp", l.addr, r.cfg.DialTimeout)
-			if err != nil {
-				return nil, err
-			}
-			l.conn = conn
-			l.br = bufio.NewReader(conn)
-		}
-		//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
-		deadline := time.Now().Add(r.cfg.ReplyTimeout)
-		if err := l.conn.SetDeadline(deadline); err != nil {
-			lastErr = err
-			l.drop()
-			continue
-		}
-		if _, err := l.conn.Write(append(append([]byte(nil), line...), '\n')); err != nil {
-			lastErr = err
-			l.drop()
-			continue
-		}
-		rep, err := l.br.ReadBytes('\n')
-		if err != nil {
-			lastErr = err
-			l.drop()
-			continue
-		}
-		return rep, nil
-	}
-	return nil, lastErr
-}
-
-// drop discards a broken shard connection (caller holds l.mu).
-func (l *shardLink) drop() {
-	if l.conn != nil {
-		_ = l.conn.Close() // already broken; the redial is what matters
-		l.conn, l.br = nil, nil
-	}
-}
-
-// notePending records a forwarded message identity awaiting its ack.
-// Already-counted seqs (a resubmission of something acked before a
-// failover) are skipped so the tallies stay exactly-once.
-func (r *Router) notePending(client string, seq int64, typ string) {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
+// tallyLocked returns client's tally, creating it on first sight.
+// Callers hold r.tmu.
+func (r *Router) tallyLocked(client string) *clientTally {
 	ct := r.tallies[client]
 	if ct == nil {
 		ct = &clientTally{}
 		r.tallies[client] = ct
 	}
-	if seq <= ct.counted {
-		return
-	}
-	i := sort.Search(len(ct.pending), func(i int) bool { return ct.pending[i].seq >= seq })
-	if i < len(ct.pending) && ct.pending[i].seq == seq {
-		return
-	}
-	ct.pending = append(ct.pending, seqType{})
-	copy(ct.pending[i+1:], ct.pending[i:])
-	ct.pending[i] = seqType{seq: seq, typ: typ}
+	return ct
 }
 
-// noteReply folds a shard's reply into the client's tally: a cumulative
-// ack settles every pending seq at or below it.
-func (r *Router) noteReply(client string, rep []byte) {
-	var parsed struct {
-		Ack int64 `json:"ack"`
+// noteBounce arms client's bounce guard at seq: the router turned that
+// submission away retryably, so nothing above it may reach a shard until
+// it has come back. A seq a shard already acknowledged leaves no hole.
+func (r *Router) noteBounce(client string, seq int64) {
+	r.tmu.Lock()
+	ct := r.tallyLocked(client)
+	if seq > ct.counted && (ct.bounced == 0 || seq < ct.bounced) {
+		ct.bounced = seq
 	}
-	if err := json.Unmarshal(rep, &parsed); err != nil || parsed.Ack <= 0 {
-		return
+	r.tmu.Unlock()
+}
+
+// admit splits a batch bound for one shard link into the lines that may
+// go (a prefix of batch, order kept) and the ones the bounce guard turns
+// away, and records each admitted identity as awaiting its ack.
+// Already-counted seqs (a resubmission of something acked before a
+// failover) are skipped so the tallies stay exactly-once. Called with the
+// link's mu held, so a line admitted after a link death sees the guards
+// that death armed.
+func (r *Router) admit(batch []*flight) (admitted, late []*flight) {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	admitted = batch[:0]
+	for _, f := range batch {
+		ct := r.tallyLocked(f.client)
+		switch {
+		case ct.bounced != 0 && f.seq > ct.bounced:
+			late = append(late, f)
+			continue
+		case f.seq == ct.bounced:
+			ct.bounced = 0 // the bounced submission is back; its tail may follow
+		}
+		admitted = append(admitted, f)
+		if f.seq <= ct.counted {
+			continue
+		}
+		i := sort.Search(len(ct.pending), func(i int) bool { return ct.pending[i].seq >= f.seq })
+		if i < len(ct.pending) && ct.pending[i].seq == f.seq {
+			continue
+		}
+		ct.pending = append(ct.pending, seqType{})
+		copy(ct.pending[i+1:], ct.pending[i:])
+		ct.pending[i] = seqType{seq: f.seq, typ: f.typ}
 	}
+	return admitted, late
+}
+
+// noteAck folds a shard's cumulative ack into the client's tally: it
+// settles every pending seq at or below it, and closes a bounce-guard
+// hole the shard has evidently seen filled.
+func (r *Router) noteAck(client string, ack int64) {
 	r.tmu.Lock()
 	ct := r.tallies[client]
 	if ct == nil {
@@ -624,7 +653,7 @@ func (r *Router) noteReply(client string, rep []byte) {
 	}
 	n := 0
 	for _, p := range ct.pending {
-		if p.seq > parsed.Ack {
+		if p.seq > ack {
 			break
 		}
 		switch p.typ {
@@ -638,8 +667,11 @@ func (r *Router) noteReply(client string, rep []byte) {
 		n++
 	}
 	ct.pending = ct.pending[n:]
-	if parsed.Ack > ct.counted {
-		ct.counted = parsed.Ack
+	if ack > ct.counted {
+		ct.counted = ack
+	}
+	if ct.bounced != 0 && ack >= ct.bounced {
+		ct.bounced = 0
 	}
 	r.acked += int64(n)
 	total := r.acked
@@ -650,14 +682,15 @@ func (r *Router) noteReply(client string, rep []byte) {
 }
 
 // DumpShard asks one shard for its full accepted-message state over the
-// serialized shard link. The state's shard index and map are checked
+// link's admin connection. The state's shard index and map are checked
 // against the router's currently installed map — a mismatched dump means
 // the fleet is misassembled, and merging it would corrupt the diagnosis.
 func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
-	if r.link(i) == nil {
+	l := r.link(i)
+	if l == nil {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
-	rep, err := r.roundTrip(i, []byte(`{"type":"dump"}`))
+	rep, err := l.roundTrip([]byte(`{"type":"dump"}` + "\n"))
 	if err != nil {
 		return nil, err
 	}

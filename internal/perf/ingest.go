@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"vedrfolnir/internal/analyzerd"
@@ -119,8 +120,10 @@ func RunIngest(cfg scenario.Config, opts scenario.RunOptions, ic IngestConfig) (
 		}
 		rows = append(rows, *row)
 		if ic.Progress != nil {
-			_, _ = fmt.Fprintf(ic.Progress, "shards=%d: %.0f msgs/s, ack p50 %.0f us\n",
-				shards, row.MsgsPerSec, row.AckP50Us)
+			_, _ = fmt.Fprintf(ic.Progress,
+				"shards=%d: %.0f msgs/s, ack p50 %.0f us; router: link reply p50 %.0f us p95 %.0f us, %.1f lines/shard write, inflight at end %d\n",
+				shards, row.MsgsPerSec, row.AckP50Us,
+				row.LinkReplyP50Us, row.LinkReplyP95Us, row.BatchLinesMean, row.InflightAtEnd)
 		}
 	}
 	return rows, nil
@@ -133,12 +136,14 @@ func runIngestWidth(shards int, stream []ingestMsg, latN, thrN int, ic IngestCon
 	}
 	defer func() { _ = os.RemoveAll(dir) }()
 
+	routerReg := obs.NewRegistry() // the router's /metrics, read back below
 	fl, err := fleet.Start(fleet.Config{
 		BinPath:   ic.BinPath,
 		Shards:    shards,
 		Dir:       dir,
 		Fsync:     "off", // measure the protocol path, not the disk
 		HoldShard: -1,
+		Metrics:   routerReg,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("perf: fleet width %d: %w", shards, err)
@@ -235,5 +240,35 @@ func runIngestWidth(shards int, stream []ingestMsg, latN, thrN int, ic IngestCon
 		row.AckP95Us = s.Quantile(0.95) / 1e3
 		row.AckP99Us = s.Quantile(0.99) / 1e3
 	}
+	var reply obs.Sample
+	for _, sm := range routerReg.Snapshot() {
+		switch {
+		case strings.HasPrefix(sm.Name, "vedr_router_shard_reply_ns_"):
+			reply = mergeHistograms(reply, sm)
+		case sm.Name == "vedr_router_batch_lines" && sm.Count > 0:
+			row.BatchLinesMean = float64(sm.Sum) / float64(sm.Count)
+		case sm.Name == "vedr_router_inflight":
+			row.InflightAtEnd = sm.Value
+		}
+	}
+	if reply.Count > 0 {
+		row.LinkReplyP50Us = reply.Quantile(0.50) / 1e3
+		row.LinkReplyP95Us = reply.Quantile(0.95) / 1e3
+	}
 	return row, nil
+}
+
+// mergeHistograms adds b's observations to a's (same bounds: both come
+// from obs.WallBuckets).
+func mergeHistograms(a, b obs.Sample) obs.Sample {
+	if a.Count == 0 {
+		b.Buckets = append([]obs.Bucket(nil), b.Buckets...)
+		return b
+	}
+	for i := range a.Buckets {
+		a.Buckets[i].Count += b.Buckets[i].Count
+	}
+	a.Sum += b.Sum
+	a.Count += b.Count
+	return a
 }

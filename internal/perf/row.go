@@ -52,6 +52,14 @@ type IngestRow struct {
 	AckP50Us       float64 `json:"ack_p50_us"`
 	AckP95Us       float64 `json:"ack_p95_us"`
 	AckP99Us       float64 `json:"ack_p99_us"`
+	// The router's own view of the run, read off its /metrics registry:
+	// forward→reply latency on the shard links (all shards, both phases),
+	// client lines per shard write, and what was still past the fence
+	// when the run ended (0, so normally absent).
+	LinkReplyP50Us float64 `json:"link_reply_p50_us,omitempty"`
+	LinkReplyP95Us float64 `json:"link_reply_p95_us,omitempty"`
+	BatchLinesMean float64 `json:"batch_lines_mean,omitempty"`
+	InflightAtEnd  int64   `json:"inflight_at_end,omitempty"`
 }
 
 // DiagnoseRow is the analyzer diagnose-latency datapoint in
@@ -83,6 +91,10 @@ type StageRow struct {
 
 // AnalyzerdBench is the whole BENCH_analyzerd.json document.
 type AnalyzerdBench struct {
-	Ingest   []IngestRow  `json:"ingest,omitempty"`
-	Diagnose *DiagnoseRow `json:"diagnose,omitempty"`
+	Ingest []IngestRow `json:"ingest,omitempty"`
+	// IngestBefore holds the same rows measured on the parent commit in
+	// the same session (`vedrperf analyzerd -before parent.json`), so an
+	// optimisation's before/after pair lives in one file.
+	IngestBefore []IngestRow  `json:"ingest_before,omitempty"`
+	Diagnose     *DiagnoseRow `json:"diagnose,omitempty"`
 }

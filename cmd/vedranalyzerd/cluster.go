@@ -1,23 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"vedrfolnir/internal/fleet"
 	"vedrfolnir/internal/obs"
-	"vedrfolnir/internal/wire"
 )
 
 // clusterOpts carries the -cluster subset of the daemon flags into the
@@ -161,40 +155,18 @@ func runCluster(o clusterOpts) int {
 		fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
 		return 1
 	}
-	// Arm the drain trigger before announcing readiness, same as run():
-	// a client may read the announce line and SIGTERM us immediately.
-	done := make(chan struct{})
-	if o.after > 0 {
-		go func() {
-			//lint:ignore nosystime operator-requested wall-clock run duration
-			time.Sleep(o.after)
-			close(done)
-		}()
-	} else {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			close(done)
-		}()
-	}
+	done := drainTrigger(o.after)
 	fmt.Println("analyzer listening on", f.Addr())
 	if o.resizeTo > 0 && o.resizeAfter <= 0 {
 		triggerResize() // no ack threshold: rebalance as soon as the fleet is up
 	}
 
 	if o.obsListen != "" {
-		reg.PublishExpvar("vedranalyzerd")
-		ln, err := net.Listen("tcp", o.obsListen)
-		if err != nil {
+		if err := serveObs(o.obsListen, reg, f.Ready); err != nil {
 			fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
 			f.Close()
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "vedranalyzerd: obs on http://%s/metrics\n", ln.Addr())
-		mux := obs.Mux(reg)
-		obs.HandleHealth(mux, nil, f.Ready)
-		go http.Serve(ln, mux)
 	}
 
 	<-done
@@ -239,15 +211,5 @@ func runCluster(o clusterOpts) int {
 			"vedranalyzerd: degraded: shards %v unreachable; diagnosis missing >= %d records, %d reports, %d flows\n",
 			merged.Missing, merged.MissedRecords, merged.MissedReports, merged.MissedCFs)
 	}
-	if o.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(wire.FromDiagnosis(merged.Diagnosis)); err != nil {
-			fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
-			return 1
-		}
-		return 0
-	}
-	fmt.Print(merged.Diagnosis.Summary())
-	return 0
+	return printDiagnosis(merged.Diagnosis, o.asJSON)
 }

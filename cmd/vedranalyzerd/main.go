@@ -3,7 +3,9 @@
 // TCP and stream step records, telemetry reports and collective-flow
 // registrations as newline-delimited JSON; on SIGINT/SIGTERM (or after
 // -after) the daemon drains, prints the diagnosis over everything
-// ingested, and exits 0.
+// ingested, and exits 0. (A fleet member — a shard child spawned by
+// -cluster — drains, prints its ingest counts, and leaves the diagnosing
+// to the parent that merges every shard's state.)
 //
 // Usage:
 //
@@ -50,6 +52,7 @@ import (
 	"time"
 
 	"vedrfolnir/internal/analyzerd"
+	"vedrfolnir/internal/diagnose"
 	"vedrfolnir/internal/fleet"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/wire"
@@ -163,41 +166,19 @@ func run() int {
 	}
 	if rec := srv.Recovery(); rec.SnapshotLoaded || rec.WALEntries > 0 || rec.WALTruncatedBytes > 0 {
 		fmt.Fprintf(os.Stderr,
-			"vedranalyzerd: recovered %d snapshot records, %d WAL entries (%d skipped, %d malformed, %d tail bytes dropped)\n",
-			rec.SnapshotRecords, rec.WALEntries, rec.WALSkipped, rec.WALMalformed, rec.WALTruncatedBytes)
+			"vedranalyzerd: recovered %d snapshot messages, %d WAL entries (%d skipped, %d malformed, %d tail bytes dropped)\n",
+			rec.SnapshotMessages, rec.WALEntries, rec.WALSkipped, rec.WALMalformed, rec.WALTruncatedBytes)
 	}
-	// Arm the drain trigger before announcing readiness: a client that
-	// reads the line below may legitimately finish its work and SIGTERM us
-	// before this goroutine would otherwise have installed the handler.
-	done := make(chan struct{})
-	if *after > 0 {
-		go func() {
-			time.Sleep(*after)
-			close(done)
-		}()
-	} else {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			close(done)
-		}()
-	}
+	done := drainTrigger(*after)
 	fmt.Println("analyzer listening on", srv.Addr())
 
 	if *obsListen != "" {
 		reg := obs.NewRegistry()
 		srv.PublishStats(reg)
-		reg.PublishExpvar("vedranalyzerd")
-		ln, err := net.Listen("tcp", *obsListen)
-		if err != nil {
+		if err := serveObs(*obsListen, reg, srv.Ready); err != nil {
 			fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "vedranalyzerd: obs on http://%s/metrics\n", ln.Addr())
-		mux := obs.Mux(reg)
-		obs.HandleHealth(mux, nil, srv.Ready)
-		go http.Serve(ln, mux)
 	}
 
 	<-done
@@ -219,17 +200,66 @@ func run() int {
 		fmt.Printf("backpressure: %d overloaded, %d rate limited, %d ack evictions, %d wal errors\n",
 			st.Overloaded, st.RateLimited, st.AckEvictions, st.WALErrors)
 	}
-	diag := srv.Diagnose()
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(wire.FromDiagnosis(diag)); err != nil {
-			fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
-			return 1
-		}
+	if scfg.Shard != nil {
+		// A fleet member's slice is not a diagnosis anyone reads: the
+		// parent has its dump and diagnoses the merge.
 		return 0
 	}
-	fmt.Print(diag.Summary())
+	return printDiagnosis(srv.Diagnose(), *asJSON)
+}
+
+// drainTrigger returns a channel that closes when the run should end:
+// after the given duration, or with 0 on SIGINT/SIGTERM. Arm it before
+// announcing readiness — a client that reads the announce line may
+// legitimately finish its work and SIGTERM us before a later
+// signal.Notify would have installed the handler.
+func drainTrigger(after time.Duration) <-chan struct{} {
+	done := make(chan struct{})
+	if after > 0 {
+		go func() {
+			//lint:ignore nosystime operator-requested wall-clock run duration
+			time.Sleep(after)
+			close(done)
+		}()
+		return done
+	}
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		close(done)
+	}()
+	return done
+}
+
+// serveObs serves the registry's /metrics, /debug/vars and /debug/pprof
+// plus /healthz and /readyz (the latter backed by ready) on addr.
+func serveObs(addr string, reg *obs.Registry, ready func() error) error {
+	reg.PublishExpvar("vedranalyzerd")
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "vedranalyzerd: obs on http://%s/metrics\n", ln.Addr())
+	mux := obs.Mux(reg)
+	obs.HandleHealth(mux, nil, ready)
+	go http.Serve(ln, mux)
+	return nil
+}
+
+// printDiagnosis renders the run's result on stdout — the summary, or
+// with asJSON the wire form — and returns the exit code.
+func printDiagnosis(diag *diagnose.Diagnosis, asJSON bool) int {
+	if !asJSON {
+		fmt.Print(diag.Summary())
+		return 0
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(wire.FromDiagnosis(diag)); err != nil {
+		fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
+		return 1
+	}
 	return 0
 }
 

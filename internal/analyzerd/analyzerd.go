@@ -183,7 +183,7 @@ type RateLimit struct {
 	// Rate is the sustained messages/second allowed per client (keyed by
 	// Message.Client, or the peer address for unnamed submissions).
 	Rate float64
-	// Burst is the bucket depth (default: Rate rounded up, minimum 1).
+	// Burst is the bucket depth (default: DefaultBurst(Rate)).
 	Burst int
 }
 
@@ -217,12 +217,14 @@ type ServerConfig struct {
 	// Durability, when non-nil, write-ahead-logs and snapshots every
 	// accepted message so a restart recovers a byte-identical state.
 	Durability *DurabilityConfig
-	// Shard, when non-nil, runs this server as one shard of a diagnosis
-	// fleet: it only accepts named clients the shard map assigns to it
-	// (others get a moved NACK carrying the owning shard), retains every
-	// accepted message with its (client, seq) provenance for the "dump"
-	// verb, and persists shard snapshots in message form so recovery can
-	// re-filter ownership against the current map.
+	// Shard places this server in a diagnosis fleet: it only accepts
+	// named clients the shard map assigns to it (others get a moved NACK
+	// carrying the owning shard) and recovery re-filters ownership against
+	// the map. Every server is a shard — nil means shard 0 of the
+	// one-shard map, which owns every client — and the only thing a nil
+	// Shard changes is that the admin plane (dump/remap/adopt) is refused:
+	// those verbs rewrite or export state on an outside party's say-so,
+	// and only a process started as a fleet member has a router to trust.
 	Shard *ShardConfig
 	// Now injects the clock used for rate limiting, ack-window TTLs, and
 	// WAL fsync pacing. Nil uses the wall clock. (These are real-daemon
@@ -275,8 +277,7 @@ type ServerStats struct {
 	// not make them durable.
 	WALErrors int64
 	// Moved messages named a client the shard map assigns to another
-	// shard; they were NACKed with the owning shard index (shard mode
-	// only).
+	// shard; they were NACKed with the owning shard index.
 	Moved int64
 	// Remaps counts shard maps installed live via the remap verb.
 	Remaps int64
@@ -295,8 +296,7 @@ type clientState struct {
 	acked    int64
 	conns    int
 	lastSeen time.Time
-	tokens   float64
-	refilled time.Time
+	bucket   TokenBucket
 	// retryLow is the lowest seq the server load-shed with a retryable
 	// NACK under this state. While the state has no live highwater
 	// (acked == 0) the applier refuses to baseline past it — the shed
@@ -322,10 +322,14 @@ type Server struct {
 	log *slog.Logger
 	now func() time.Time
 
-	mu      sync.Mutex
-	records []collective.StepRecord // guarded by mu
-	reports []*telemetry.Report     // guarded by mu
-	cfs     map[fabric.FlowKey]bool // guarded by mu
+	mu sync.Mutex
+	// sourced is the server's only retained ingest state: every accepted
+	// message with its (client, seq) provenance, in ingest order. It is
+	// append-only — a remap replaces the slice, nothing edits an element
+	// in place — so a prefix read under mu stays valid after unlocking.
+	// Diagnose and Counts fold it on demand; snapshots, dumps and
+	// handoffs serialize it as is.
+	sourced []wire.SourcedMessage // guarded by mu
 	// clients holds the per-client ack windows, token buckets, and idle
 	// state; entries for disconnected clients are evicted after AckTTL.
 	clients  map[string]*clientState // guarded by mu
@@ -335,12 +339,16 @@ type Server struct {
 	closed   bool                    // guarded by mu
 	stopped  bool                    // guarded by mu
 
-	// ring is the consistent-hash ownership function in shard mode (nil
-	// otherwise) and shardMap the map it was built from; both are
-	// guarded by shardMu because a live rebalance swaps them via the
-	// remap verb while connection handlers consult ownership. Lock
-	// order: mu before shardMu (never the reverse). Whether the server
-	// is in shard mode at all is immutable — check cfg.Shard, not ring.
+	// index is this server's slot in the shard map and fleetMember
+	// whether it was started as one (the admin-plane gate); both are
+	// immutable.
+	index       int
+	fleetMember bool
+	// ring is the consistent-hash ownership function and shardMap the map
+	// it was built from; both are guarded by shardMu because a live
+	// rebalance swaps them via the remap verb while connection handlers
+	// consult ownership. Lock order: mu before shardMu (never the
+	// reverse).
 	shardMu  sync.RWMutex
 	ring     *wire.HashRing
 	shardMap wire.ShardMap
@@ -348,9 +356,6 @@ type Server struct {
 	// fully absorbed, making a re-delivered adopt idempotent when the
 	// reply (not the work) was lost. Guarded by mu.
 	adoptedEpochs map[int]int64
-	// sourced retains every accepted message with its (client, seq)
-	// provenance, in ingest order, for dumps and shard snapshots.
-	sourced []wire.SourcedMessage // guarded by mu
 
 	// wal and sinceSnap are owned by the applier goroutine (and by
 	// stop(), which runs strictly after the applier exits).
@@ -386,15 +391,30 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.AckTTL == 0 {
 		cfg.AckTTL = 15 * time.Minute
 	}
+	if cfg.RateLimit.Burst <= 0 {
+		cfg.RateLimit.Burst = DefaultBurst(cfg.RateLimit.Rate)
+	}
+	shard := ShardConfig{Map: wire.ShardMap{Shards: 1}}
+	if cfg.Shard != nil {
+		shard = *cfg.Shard
+	}
+	ring, err := shard.ring()
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:         cfg,
-		log:         cfg.Log,
-		now:         cfg.Now,
-		cfs:         make(map[fabric.FlowKey]bool),
-		clients:     make(map[string]*clientState),
-		conns:       make(map[net.Conn]struct{}),
-		queue:       make(chan ingestItem, cfg.MaxQueue),
-		applierDone: make(chan struct{}),
+		cfg:           cfg,
+		log:           cfg.Log,
+		now:           cfg.Now,
+		clients:       make(map[string]*clientState),
+		conns:         make(map[net.Conn]struct{}),
+		index:         shard.Index,
+		fleetMember:   cfg.Shard != nil,
+		ring:          ring,
+		shardMap:      shard.Map,
+		adoptedEpochs: make(map[int]int64),
+		queue:         make(chan ingestItem, cfg.MaxQueue),
+		applierDone:   make(chan struct{}),
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -402,15 +422,6 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if s.now == nil {
 		//lint:ignore nosystime rate limiting, ack TTLs and fsync pacing on a real TCP daemon; wall clock never reaches simulation state
 		s.now = time.Now
-	}
-	if cfg.Shard != nil {
-		ring, err := cfg.Shard.ring()
-		if err != nil {
-			return nil, err
-		}
-		s.ring = ring
-		s.shardMap = cfg.Shard.Map
-		s.adoptedEpochs = make(map[int]int64)
 	}
 	if cfg.Durability != nil {
 		if err := s.openDurability(*cfg.Durability); err != nil {
@@ -467,30 +478,17 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 	defer s.mu.Unlock()
 	now := s.now()
 	for _, sm := range rec.Snapshot.Messages {
-		// Shard-mode snapshot: rebuild state by re-ingesting the sourced
-		// stream, dropping clients the current shard map assigns
-		// elsewhere — a map change between incarnations must not replay
-		// records into the wrong shard.
+		// Clients the current shard map assigns elsewhere are dropped —
+		// a map change between incarnations must not replay records into
+		// the wrong shard.
 		if _, moved := s.disownedBy(sm.Client); moved {
 			rec.Stats.Reassigned++
 			continue
 		}
-		msg := messageFromSourced(sm)
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sm); err != nil {
 			s.log.Warn("recovery: skipping unreplayable snapshot message",
-				"client", msg.Client, "seq", msg.Seq, "err", err.Error())
-			continue
+				"client", sm.Client, "seq", sm.Seq, "err", err.Error())
 		}
-	}
-	for _, r := range rec.Snapshot.Records {
-		recInt := r.Record()
-		s.records = append(s.records, recInt)
-	}
-	for _, r := range rec.Snapshot.Reports {
-		s.reports = append(s.reports, r.Telemetry())
-	}
-	for _, f := range rec.Snapshot.CFs {
-		s.cfs[f.Key()] = true
 	}
 	for _, a := range rec.Snapshot.Acked {
 		if _, moved := s.disownedBy(a.Client); moved {
@@ -508,7 +506,7 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 		if msg.Seq > 0 && msg.Seq <= s.clientAcked(msg.Client) {
 			continue // resubmission that was logged twice across a crash
 		}
-		if err := s.ingest(msg); err != nil {
+		if err := s.ingest(sourcedFromMessage(msg)); err != nil {
 			// Every logged record passed ParseMessage before it was
 			// appended, so an unreplayable one means the WAL was written
 			// by a different (or corrupt) writer: surface it and skip,
@@ -628,25 +626,42 @@ func (s *Server) PublishStats(reg *obs.Registry) {
 			func() int64 { return int64(rec.WALEntries) })
 		reg.GaugeFunc("vedr_analyzerd_recovered_truncated_bytes", "torn/corrupt WAL tail bytes dropped at startup",
 			func() int64 { return rec.WALTruncatedBytes })
-		reg.GaugeFunc("vedr_analyzerd_recovered_records", "step records restored from snapshot at startup",
-			func() int64 { return int64(rec.SnapshotRecords) })
+		reg.GaugeFunc("vedr_analyzerd_recovered_messages", "messages restored from the snapshot at startup",
+			func() int64 { return int64(rec.SnapshotMessages) })
 	}
 }
+
+// ending is what a teardown does with the write-ahead log last.
+type ending int
+
+const (
+	endClose   ending = iota // flush and close the log; no snapshot
+	endDrain                 // final snapshot, then close
+	endAbandon               // drop the handle unflushed, as a kill would
+)
 
 // Close stops accepting, severs live connections, and waits for handlers
 // and the applier to drain. A stalled client cannot block it: its
 // connection is closed out from under its handler. Queued messages are
 // still applied (and, with durability, logged) before Close returns, but
 // no final snapshot is taken — use Drain for a graceful shutdown.
-func (s *Server) Close() error { return s.stop(false) }
+func (s *Server) Close() error { return s.stop(endClose) }
 
 // Drain is the graceful shutdown: stop accepting, sever connections,
 // apply everything already queued, flush and sync the WAL, write a final
 // snapshot, and release the log. After Drain a restart recovers from the
 // snapshot alone.
-func (s *Server) Drain() error { return s.stop(true) }
+func (s *Server) Drain() error { return s.stop(endDrain) }
 
-func (s *Server) stop(persist bool) error {
+// Abort is the in-process stand-in for SIGKILL, for crash tests and the
+// in-process fleet harness: connections die, the listener closes,
+// whatever the fsync policy already made durable stays on disk, and no
+// drain snapshot or final sync is written — exactly what a killed
+// process leaves behind.
+func (s *Server) Abort() { _ = s.stop(endAbandon) }
+
+// stop is the one teardown; the endings differ only in the log's last act.
+func (s *Server) stop(end ending) error {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
@@ -663,15 +678,20 @@ func (s *Server) stop(persist bool) error {
 	s.wg.Wait()     // all handlers (the only queue senders) have exited
 	close(s.queue)  // the applier drains what's left and exits
 	<-s.applierDone //
-	if s.wal != nil {
-		if persist {
-			if serr := s.snapshotNow(); serr != nil && err == nil {
-				err = serr
-			}
-		}
-		if serr := s.wal.Close(); serr != nil && err == nil {
+	if s.wal == nil {
+		return err
+	}
+	if end == endAbandon {
+		s.wal.abandon()
+		return err
+	}
+	if end == endDrain {
+		if serr := s.snapshotNow(); serr != nil && err == nil {
 			err = serr
 		}
+	}
+	if serr := s.wal.Close(); serr != nil && err == nil {
+		err = serr
 	}
 	return err
 }
@@ -752,11 +772,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.replyError(conn, err.Error())
 			continue
 		}
-		if msg.Type == TypeDump {
-			s.replyDump(conn)
-			continue
-		}
-		if msg.Type == TypeRemap || msg.Type == TypeAdopt || msg.Type == TypeResize {
+		if msg.Type == TypeDump || msg.Type == TypeRemap || msg.Type == TypeAdopt || msg.Type == TypeResize {
 			s.handleAdmin(conn, msg)
 			continue
 		}
@@ -944,28 +960,33 @@ func (s *Server) apply(item ingestItem) {
 			return
 		}
 	}
-	if err := s.ingestLocked(msg); err != nil {
-		s.count(func(st *ServerStats) { st.Rejected++ })
+	if err := s.land(sourcedFromMessage(msg)); err != nil {
 		s.log.Warn("message rejected", "err", err.Error())
-		if msg.Seq > 0 {
-			// A permanent rejection still advances the highwater — the
-			// message is handled (dropped), and leaving a hole would wedge
-			// the client's stream on the contiguity check forever. The nak
-			// tells the client to drop it rather than resubmit.
-			s.mu.Lock()
-			s.markAcked(msg.Client, msg.Seq)
-			s.mu.Unlock()
-		}
+		// The nak tells the client to drop it rather than resubmit.
 		s.reply(item.conn, NakLine(msg.Seq, msg.Client, err.Error(), false))
 		return
 	}
 	if msg.Seq > 0 {
-		s.mu.Lock()
-		s.markAcked(msg.Client, msg.Seq)
-		s.mu.Unlock()
 		s.reply(item.conn, AckLine(msg.Seq, msg.Client))
 	}
 	s.maybeSnapshot()
+}
+
+// land makes one message visible and advances its client's highwater in
+// one step. A permanent rejection (counted) still advances the highwater
+// — the message is handled (dropped), and leaving a hole would wedge the
+// client's stream on the contiguity check forever.
+func (s *Server) land(sm wire.SourcedMessage) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := s.ingest(sm)
+	if err != nil {
+		s.stats.Rejected++
+	}
+	if sm.Seq > 0 {
+		s.markAcked(sm.Client, sm.Seq)
+	}
+	return err
 }
 
 // maybeSnapshot writes a snapshot and truncates the WAL once enough
@@ -980,16 +1001,17 @@ func (s *Server) maybeSnapshot() {
 	}
 	if err := s.snapshotNow(); err != nil {
 		s.log.Warn("snapshot failed", "err", err.Error())
-		return
 	}
-	s.sinceSnap = 0
 }
 
-// snapshotNow captures the full in-memory state as wire DTOs, writes it
-// atomically, and truncates the now-redundant WAL. Applier-only (or
-// post-applier, from stop).
+// snapshotNow writes the retained stream and ack windows atomically and
+// truncates the now-redundant WAL. Applier-only (or post-applier, from
+// stop).
 func (s *Server) snapshotNow() error {
-	snap := s.buildSnapshot()
+	s.mu.Lock()
+	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}
+	snap.Messages, snap.Acked = s.bodyLocked()
+	s.mu.Unlock()
 	if err := writeSnapshot(s.cfg.Durability.Dir, snap); err != nil {
 		return err
 	}
@@ -997,76 +1019,26 @@ func (s *Server) snapshotNow() error {
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
-	s.log.Info("snapshot written", "records", len(snap.Records),
-		"reports", len(snap.Reports), "cfs", len(snap.CFs), "next_lsn", snap.NextLSN)
+	s.sinceSnap = 0
+	s.log.Info("snapshot written", "messages", len(snap.Messages), "next_lsn", snap.NextLSN)
 	return nil
 }
 
-// buildSnapshot serializes the ingest state deterministically: records
-// and reports in ingest order (the order that defines the flow→step
-// index), flow and ack sets sorted.
-func (s *Server) buildSnapshot() wire.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}
-	if s.cfg.Shard != nil {
-		// Shard mode persists the sourced message stream instead of the
-		// derived record/report/cf state: recovery re-ingests the
-		// messages, which re-derives the state *and* re-checks ownership
-		// against the shard map of the restarted incarnation.
-		snap.Messages = append(snap.Messages, s.sourced...)
-		snap.Acked = s.ackedLocked()
-		return snap
-	}
-	for _, r := range s.records {
-		snap.Records = append(snap.Records, wire.FromStepRecord(r))
-	}
-	for _, r := range s.reports {
-		snap.Reports = append(snap.Reports, wire.FromReport(r))
-	}
-	keys := make([]fabric.FlowKey, 0, len(s.cfs))
-	for k := range s.cfs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return flowKeyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		snap.CFs = append(snap.CFs, wire.FromFlow(k))
-	}
-	snap.Acked = s.ackedLocked()
-	return snap
-}
-
-// ackedLocked returns the per-client ack highwaters, sorted by client.
-// Callers hold s.mu.
-func (s *Server) ackedLocked() []wire.ClientAck {
-	ids := make([]string, 0, len(s.clients))
-	for id := range s.clients {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+// bodyLocked returns the server's whole state in the one form snapshots,
+// dumps and handoffs share: the messages in ingest order and the
+// per-client ack highwaters sorted by client. Callers hold s.mu; the
+// messages alias the append-only stream (see Server.sourced).
+func (s *Server) bodyLocked() ([]wire.SourcedMessage, []wire.ClientAck) {
 	var acked []wire.ClientAck
-	for _, id := range ids {
-		if st := s.clients[id]; st.acked > 0 {
+	for id, st := range s.clients {
+		if st.acked > 0 {
 			acked = append(acked, wire.ClientAck{Client: id, Seq: st.acked})
 		}
 	}
-	return acked
-}
-
-func flowKeyLess(a, b fabric.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
+	// sort.Slice rather than wire.SortClientAcks: the mapiterorder lint
+	// only credits a sort.*/slices.* call with fixing the order above.
+	sort.Slice(acked, func(i, j int) bool { return acked[i].Client < acked[j].Client })
+	return s.sourced[:len(s.sourced):len(s.sourced)], acked
 }
 
 func (s *Server) count(f func(*ServerStats)) {
@@ -1086,11 +1058,7 @@ func (s *Server) alreadyAcked(client string, seq int64) bool {
 // grants the same full token bucket, so a client arriving via recovery
 // or an applier-side ack is not spuriously rate-limited from zero.
 func (s *Server) newClientState(now time.Time) *clientState {
-	st := &clientState{lastSeen: now, refilled: now}
-	if s.cfg.RateLimit.Rate > 0 {
-		st.tokens = float64(s.burst())
-	}
-	return st
+	return &clientState{lastSeen: now, bucket: FullBucket(s.cfg.RateLimit.Burst)}
 }
 
 // markAcked advances a client's ack highwater. Callers hold s.mu.
@@ -1156,17 +1124,6 @@ func (s *Server) evictIdle(now time.Time) {
 	}
 }
 
-func (s *Server) burst() int {
-	b := s.cfg.RateLimit.Burst
-	if b <= 0 {
-		b = int(s.cfg.RateLimit.Rate + 0.999)
-		if b < 1 {
-			b = 1
-		}
-	}
-	return b
-}
-
 // admit charges one token from the client's bucket; false means the
 // client is over its rate and must back off.
 func (s *Server) admit(key string) bool {
@@ -1181,83 +1138,45 @@ func (s *Server) admit(key string) bool {
 		st = s.newClientState(now)
 		s.clients[key] = st
 	}
-	burst := float64(s.burst())
-	st.tokens += s.cfg.RateLimit.Rate * now.Sub(st.refilled).Seconds()
-	if st.tokens > burst {
-		st.tokens = burst
-	}
-	st.refilled = now
-	if st.tokens < 1 {
-		return false
-	}
-	st.tokens--
-	return true
+	return st.bucket.Take(now, s.cfg.RateLimit.Rate, s.cfg.RateLimit.Burst)
 }
 
-// ingestLocked stores one validated message under the state lock.
-func (s *Server) ingestLocked(msg *Message) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ingest(msg)
-}
-
-// ingest stores one validated message. Validation lives in ParseMessage;
-// by the time a message reaches here its payload is present and singular.
-// Callers hold s.mu.
-func (s *Server) ingest(msg *Message) error {
-	switch msg.Type {
-	case TypeStep:
-		if msg.Step == nil {
-			return errors.New("step message without payload")
-		}
-		rec := msg.Step.Record()
-		s.records = append(s.records, rec)
-	case TypeReport:
-		if msg.Report == nil {
-			return errors.New("report message without payload")
-		}
-		s.reports = append(s.reports, msg.Report.Telemetry())
-	case TypeCF:
-		if msg.CF == nil {
-			return errors.New("cf message without payload")
-		}
-		s.cfs[msg.CF.Key()] = true
+// ingest appends one message to the stream. ParseMessage has validated
+// everything that came over a connection or out of the WAL; a snapshot
+// or handoff message arrives as a bare DTO, so the payload is checked
+// here too. Callers hold s.mu.
+func (s *Server) ingest(sm wire.SourcedMessage) error {
+	switch {
+	case sm.Type == TypeStep && sm.Step != nil:
+	case sm.Type == TypeReport && sm.Report != nil:
+	case sm.Type == TypeCF && sm.CF != nil:
 	default:
-		return fmt.Errorf("unknown message type %q", msg.Type)
+		return fmt.Errorf("%q message without its payload", sm.Type)
 	}
-	if s.cfg.Shard != nil {
-		s.sourced = append(s.sourced, sourcedFromMessage(msg))
-	}
+	s.sourced = append(s.sourced, sm)
 	return nil
+}
+
+// fold reduces the stream ingested so far, in ingest order, to the
+// analyzer's input — the same fold a fleet merge ends with.
+func (s *Server) fold() (*wire.Bundle, wire.MergeStats) {
+	s.mu.Lock()
+	msgs := s.sourced[:len(s.sourced):len(s.sourced)] // append-only: safe to read unlocked
+	s.mu.Unlock()
+	return wire.FoldMessages(msgs)
 }
 
 // Counts returns how many records/reports/collective flows have been
 // ingested.
 func (s *Server) Counts() (records, reports, cfs int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.records), len(s.reports), len(s.cfs)
+	_, stats := s.fold()
+	return stats.Records, stats.Reports, stats.CFs
 }
 
 // Diagnose runs the analyzer over everything ingested so far.
 func (s *Server) Diagnose() *diagnose.Diagnosis {
-	s.mu.Lock()
-	records := make([]collective.StepRecord, len(s.records))
-	copy(records, s.records)
-	reports := make([]*telemetry.Report, len(s.reports))
-	copy(reports, s.reports)
-	cfs := make(map[fabric.FlowKey]bool, len(s.cfs))
-	for k := range s.cfs {
-		cfs[k] = true
-	}
-	s.mu.Unlock()
-
-	return diagnose.Analyze(diagnose.Input{
-		Records: records,
-		Reports: reports,
-		CFs:     cfs,
-		StepOf:  diagnose.StepOfRecords(records),
-	})
+	bundle, _ := s.fold()
+	return bundle.Analyze()
 }
 
 // Client is a host agent's connection to the analyzer (fire-and-forget; no

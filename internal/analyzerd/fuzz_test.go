@@ -2,8 +2,6 @@ package analyzerd
 
 import (
 	"testing"
-
-	"vedrfolnir/internal/fabric"
 )
 
 // FuzzParseMessage hammers the single entry point for untrusted input. The
@@ -64,11 +62,8 @@ func FuzzParseMessage(f *testing.F) {
 		}
 		// A validated message must ingest without error: the server relies
 		// on ParseMessage as the only gate for untrusted input.
-		s := &Server{
-			cfs:     make(map[fabric.FlowKey]bool),
-			clients: make(map[string]*clientState),
-		}
-		if err := s.ingest(msg); err != nil {
+		s := &Server{}
+		if err := s.ingest(sourcedFromMessage(msg)); err != nil {
 			t.Fatalf("validated message rejected by ingest: %v", err)
 		}
 	})

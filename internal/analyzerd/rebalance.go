@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 
-	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/wire"
 )
 
@@ -17,18 +16,25 @@ import (
 // ingest — so the WAL, snapshots, and the sourced stream never see a
 // concurrent writer.
 
-// handleAdmin routes the rebalance verbs off the connection handler.
-// resize is router-only and always an error here; remap/adopt enqueue
-// for the applier exactly like ingest, with the same overload NACK so
-// a saturated shard sheds the (retryable) admin verb instead of
-// deadlocking behind its own queue.
+// handleAdmin routes the admin-plane verbs off the connection handler.
+// resize is router-only and always an error here. The rest pass the one
+// gate that tells a fleet member from a lone daemon: dump exports the
+// whole state and remap/adopt rewrite it on the sender's say-so, which
+// only a process started under a fleet's router has reason to honour.
+// dump is answered in place; remap/adopt enqueue for the applier exactly
+// like ingest, with the same overload NACK so a saturated shard sheds
+// the (retryable) admin verb instead of deadlocking behind its own queue.
 func (s *Server) handleAdmin(conn net.Conn, msg *Message) {
 	if msg.Type == TypeResize {
-		s.replyf(conn, `{"error":"resize targets the fleet router, not a shard"}`+"\n")
+		s.replyError(conn, "resize targets the fleet router, not a shard")
 		return
 	}
-	if s.cfg.Shard == nil {
-		s.replyf(conn, `{"error":"not a fleet shard"}`+"\n")
+	if !s.fleetMember {
+		s.replyError(conn, "not a fleet shard")
+		return
+	}
+	if msg.Type == TypeDump {
+		s.replyDump(conn)
 		return
 	}
 	item := ingestItem{msg: msg, conn: conn}
@@ -37,17 +43,15 @@ func (s *Server) handleAdmin(conn net.Conn, msg *Message) {
 	default:
 		s.count(func(st *ServerStats) { st.Overloaded++ })
 		s.log.Warn("ingest queue full, shedding admin verb", "type", msg.Type)
-		s.replyf(conn, `{"error":"overloaded","retry":true}`+"\n")
+		s.replyRetry(conn, "overloaded")
 	}
 }
 
 // applyRemap installs a newer-epoch shard map live: the ownership ring
-// is swapped, retained messages and ack windows for clients the new
-// map assigns elsewhere are dropped (they were handed off first — the
-// router orders adopt before the donor's remap), and the derived
-// diagnosis state is rebuilt from the kept sourced stream. Stale
-// epochs are rejected; a re-delivery of the current map is an
-// idempotent success, so the router can retry through a kill.
+// is swapped, and retained messages and ack windows for clients the new
+// map assigns elsewhere are dropped (they were captured in the donor
+// dump first). Stale epochs are rejected; a re-delivery of the current
+// map is an idempotent success, so the router can retry through a kill.
 func (s *Server) applyRemap(item ingestItem) {
 	next := *item.msg.Map
 	cur := s.curShardMap()
@@ -73,11 +77,11 @@ func (s *Server) applyRemap(item ingestItem) {
 		s.replyError(item.conn, err.Error())
 		return
 	}
-	if s.cfg.Shard.Index >= next.Shards {
+	if s.index >= next.Shards {
 		// A shrink stops removed shards; it never remaps them — a shard
 		// must not install a map that disowns everything it holds.
 		s.replyError(item.conn,
-			fmt.Sprintf("map of %d shards removes shard %d", next.Shards, s.cfg.Shard.Index))
+			fmt.Sprintf("map of %d shards removes shard %d", next.Shards, s.index))
 		return
 	}
 	reassigned := s.installMap(next, ring)
@@ -90,45 +94,30 @@ func (s *Server) applyRemap(item ingestItem) {
 		// on the next recovery.
 		if err := s.snapshotNow(); err != nil {
 			s.log.Warn("post-remap snapshot failed", "err", err.Error())
-		} else {
-			s.sinceSnap = 0
 		}
 	}
 	s.replyf(item.conn, `{"remapped":true,"epoch":%d,"reassigned":%d}`+"\n", next.Epoch, reassigned)
 }
 
-// installMap swaps the ring and re-derives all in-memory state from
-// the sourced messages the new map still assigns here, returning how
-// many retained messages were dropped as reassigned.
+// installMap swaps the ring and drops the retained messages and ack
+// windows the new map assigns elsewhere, returning how many messages
+// went.
 func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.shardMu.Lock()
 	s.shardMap, s.ring = next, ring
 	s.shardMu.Unlock()
-	index := s.cfg.Shard.Index
-	old := s.sourced
-	kept := make([]wire.SourcedMessage, 0, len(old))
-	reassigned := 0
-	for _, sm := range old {
-		if sm.Client != "" && ring.Owner(sm.Client) != index {
-			reassigned++
-			continue
-		}
-		kept = append(kept, sm)
-	}
-	s.records, s.reports, s.sourced = nil, nil, nil
-	s.cfs = make(map[fabric.FlowKey]bool)
-	for _, sm := range kept {
-		if err := s.ingest(messageFromSourced(sm)); err != nil {
-			// Every retained message was ingested once already; failing
-			// now means memory corruption — surface it, don't hide it.
-			s.log.Warn("remap: dropping unreplayable retained message",
-				"client", sm.Client, "seq", sm.Seq, "err", err.Error())
+	kept := make([]wire.SourcedMessage, 0, len(s.sourced)) // a new slice: readers may hold the old one
+	for _, sm := range s.sourced {
+		if _, moved := ring.Moved(sm.Client, s.index); !moved {
+			kept = append(kept, sm)
 		}
 	}
+	reassigned := len(s.sourced) - len(kept)
+	s.sourced = kept
 	for id := range s.clients {
-		if id != "" && ring.Owner(id) != index {
+		if _, moved := ring.Moved(id, s.index); moved {
 			delete(s.clients, id) // the new owner holds this window now
 		}
 	}
@@ -146,15 +135,14 @@ func (s *Server) installMap(next wire.ShardMap, ring *wire.HashRing) int {
 func (s *Server) applyAdopt(item ingestItem) {
 	h := item.msg.Handoff
 	cur := s.curShardMap()
-	index := s.cfg.Shard.Index
 	switch {
 	case h.Format != wire.HandoffFormat:
 		s.replyError(item.conn,
 			fmt.Sprintf("unsupported handoff format %d", h.Format))
 		return
-	case h.To != index:
+	case h.To != s.index:
 		s.replyError(item.conn,
-			fmt.Sprintf("handoff targets shard %d, this is shard %d", h.To, index))
+			fmt.Sprintf("handoff targets shard %d, this is shard %d", h.To, s.index))
 		return
 	case h.Map.Epoch < cur.Epoch:
 		s.count(func(st *ServerStats) { st.StaleEpochs++ })
@@ -178,38 +166,34 @@ func (s *Server) applyAdopt(item ingestItem) {
 		return
 	}
 	// Validate the whole handoff against the installed ring before
-	// mutating anything: a single misrouted client means the artifact
-	// belongs to a different rebalance.
-	ring := func(client string) int {
-		s.shardMu.RLock()
-		defer s.shardMu.RUnlock()
-		return s.ring.Owner(client)
-	}
+	// mutating anything: every client it carries must be one the ring
+	// moves from the donor to this shard. A single stray (or unnamed —
+	// those never move) client means the artifact belongs to a different
+	// rebalance.
+	s.shardMu.RLock()
+	ring := s.ring
+	s.shardMu.RUnlock()
+	clients := make([]string, 0, len(h.Messages)+len(h.Acked))
 	for _, sm := range h.Messages {
-		if sm.Client == "" || ring(sm.Client) != index {
-			s.replyError(item.conn,
-				fmt.Sprintf("handoff carries client %q this shard does not own", sm.Client))
-			return
-		}
+		clients = append(clients, sm.Client)
 	}
-	for _, hc := range h.Clients {
-		if hc.Client == "" || ring(hc.Client) != index {
+	for _, a := range h.Acked {
+		clients = append(clients, a.Client)
+	}
+	for _, client := range clients {
+		if to, moved := ring.Moved(client, h.From); !moved || to != s.index {
 			s.replyError(item.conn,
-				fmt.Sprintf("handoff carries client %q this shard does not own", hc.Client))
+				fmt.Sprintf("handoff carries client %q this shard does not own", client))
 			return
 		}
 	}
 	adopted := 0
 	for _, sm := range h.Messages {
-		s.mu.Lock()
-		dup := sm.Seq > 0 && sm.Seq <= s.clientAcked(sm.Client)
-		s.mu.Unlock()
-		if dup {
+		if sm.Seq > 0 && s.alreadyAcked(sm.Client, sm.Seq) {
 			continue // an earlier (partially crashed) adopt already took it
 		}
-		msg := messageFromSourced(sm)
 		if s.wal != nil {
-			raw, err := json.Marshal(msg)
+			raw, err := json.Marshal(sm) // a SourcedMessage is a protocol line: replay parses it back
 			if err == nil {
 				_, err = s.wal.Append(raw)
 			}
@@ -220,31 +204,22 @@ func (s *Server) applyAdopt(item ingestItem) {
 				return
 			}
 		}
-		s.mu.Lock()
-		if err := s.ingest(msg); err != nil {
-			// Mirror apply()'s permanent-rejection contract: the message
-			// is handled (dropped) and the highwater still advances, so
-			// the stream cannot wedge on the hole.
-			s.stats.Rejected++
+		if err := s.land(sm); err != nil {
 			s.log.Warn("adopt: message rejected", "client", sm.Client, "seq", sm.Seq, "err", err.Error())
 		}
-		if sm.Seq > 0 {
-			s.markAcked(sm.Client, sm.Seq)
-		}
-		s.mu.Unlock()
 		adopted++
 	}
 	s.mu.Lock()
-	for _, hc := range h.Clients {
-		if hc.Acked > 0 {
-			s.markAcked(hc.Client, hc.Acked)
+	for _, a := range h.Acked {
+		if a.Seq > 0 {
+			s.markAcked(a.Client, a.Seq)
 		}
 	}
 	s.adoptedEpochs[h.From] = h.Map.Epoch
 	s.stats.Adopted += int64(adopted)
 	s.mu.Unlock()
 	s.log.Info("handoff adopted", "from", h.From, "epoch", h.Map.Epoch,
-		"messages", adopted, "clients", len(h.Clients))
+		"messages", adopted, "clients", len(h.Acked))
 	if s.wal != nil {
 		// Make the adoption (including bare ack baselines, which the WAL
 		// does not carry) durable before acknowledging it; on failure the
@@ -254,7 +229,6 @@ func (s *Server) applyAdopt(item ingestItem) {
 			s.replyRetry(item.conn, err.Error())
 			return
 		}
-		s.sinceSnap = 0
 	}
 	s.replyf(item.conn, `{"adopted":%d,"epoch":%d}`+"\n", adopted, h.Map.Epoch)
 }

@@ -241,77 +241,3 @@ func TestAdminVerbsRefusedOutsideFleet(t *testing.T) {
 	defer shard.Close()
 	wantErrContaining(t, adminLine(t, shard.Addr(), `{"type":"resize","map":{"shards":3}}`), "router")
 }
-
-// TestReliableClientRehash: a client pointed at the wrong shard rides
-// the moved NACK's announced map through its Rehash hook instead of
-// surfacing ErrRedirected — the straggler path of a live rebalance.
-func TestReliableClientRehash(t *testing.T) {
-	m := wire.ShardMap{Shards: 2}
-	srvs := make([]*Server, 2)
-	for i := range srvs {
-		srvs[i] = shardServe(t, m, i, "")
-		defer srvs[i].Close()
-	}
-	owned, _ := ownedAndDisowned(t, m, 1)
-
-	// Dial shard 0 with a client shard 1 owns.
-	rc, err := NewReliableClient(srvs[0].Addr(), ClientConfig{
-		ID: owned, MaxAttempts: 4, Sleep: noSleep,
-		Rehash: func(gotMap wire.ShardMap, gotOwner int) (string, bool) {
-			if gotMap != m || gotOwner != 1 {
-				t.Errorf("Rehash announced map %+v owner %d, want %+v owner 1", gotMap, gotOwner, m)
-			}
-			return srvs[gotOwner].Addr(), true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.SendCF(testFlow(0).Key()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatalf("Flush through Rehash: %v", err)
-	}
-	if rc.Stats.Remapped != 1 {
-		t.Errorf("Stats.Remapped = %d, want 1", rc.Stats.Remapped)
-	}
-	if got := dumpState(t, srvs[1].Addr()); len(got.Messages) != 1 {
-		t.Errorf("owning shard holds %d messages, want the rehashed delivery", len(got.Messages))
-	}
-}
-
-// TestReliableClientRehashBounded: a Rehash that keeps pointing at a
-// wrong shard cannot loop — MaxRemaps caps it and ErrRedirected
-// surfaces as before.
-func TestReliableClientRehashBounded(t *testing.T) {
-	m := wire.ShardMap{Shards: 2}
-	srv := shardServe(t, m, 0, "")
-	defer srv.Close()
-	_, disowned := ownedAndDisowned(t, m, 0)
-
-	calls := 0
-	rc, err := NewReliableClient(srv.Addr(), ClientConfig{
-		ID: disowned, MaxAttempts: 8, MaxRemaps: 2, Sleep: noSleep,
-		Rehash: func(wire.ShardMap, int) (string, bool) {
-			calls++
-			return srv.Addr(), true // stubbornly wrong
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.SendCF(testFlow(0).Key()); err != nil {
-		t.Fatal(err)
-	}
-	err = rc.Flush()
-	if err == nil {
-		t.Fatal("Flush through a wrong-address Rehash loop should fail")
-	}
-	if calls != 2 {
-		t.Errorf("Rehash called %d times, want MaxRemaps=2", calls)
-	}
-	if rc.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1 (nothing lost)", rc.Pending())
-	}
-}

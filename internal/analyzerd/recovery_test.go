@@ -7,19 +7,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
 	"vedrfolnir/internal/chaos"
-	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/wire"
 )
-
-// crashForTest is the in-process stand-in for SIGKILL (now exported as
-// Abort for the fleet harness; the alias keeps the test vocabulary).
-func (s *Server) crashForTest() { s.Abort() }
 
 // sendFn defers one submission so tests can cut the stream anywhere.
 type sendFn func(rc *ReliableClient) error
@@ -36,13 +30,8 @@ func linearize(res scenario.Result) []sendFn {
 		rep := rep
 		items = append(items, func(rc *ReliableClient) error { return rc.SendReport(rep) })
 	}
-	cfs := make([]fabric.FlowKey, 0, len(res.CFs))
-	for cf := range res.CFs {
-		cfs = append(cfs, cf)
-	}
-	sort.Slice(cfs, func(i, j int) bool { return flowKeyLess(cfs[i], cfs[j]) })
-	for _, cf := range cfs {
-		cf := cf
+	for _, cf := range wire.NewBundle(nil, nil, res.CFs).CFs { // the flow set, in wire.SortFlows order
+		cf := cf.Key()
 		items = append(items, func(rc *ReliableClient) error { return rc.SendCF(cf) })
 	}
 	return items
@@ -89,7 +78,9 @@ func sendRange(t *testing.T, rc *ReliableClient, items []sendFn, from, to int) {
 // the durable analyzer at seeded cut points mid-ingest, restart it on the
 // same directory, finish the stream through the same reliable client, and
 // the recovered daemon's diagnosis must be byte-identical to a run that
-// never crashed — with zero lost and zero duplicated messages.
+// never crashed — with zero lost and zero duplicated messages. (The
+// graceful-drain half — restart from the snapshot alone — is
+// TestShardSnapshotRoundTrip.)
 func TestCrashRecoveryDiagnoseIdentical(t *testing.T) {
 	res := runScenario(t)
 	items := linearize(res)
@@ -130,7 +121,7 @@ func TestCrashRecoveryDiagnoseIdentical(t *testing.T) {
 			if err := rc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			srv1.crashForTest()
+			srv1.Abort()
 
 			srv2, err := ServeWith("127.0.0.1:0", cfg)
 			if err != nil {
@@ -157,30 +148,6 @@ func TestCrashRecoveryDiagnoseIdentical(t *testing.T) {
 			if got := diagBytes(t, srv2); !bytes.Equal(got, wantDiag) {
 				t.Fatalf("recovered diagnosis differs from uninterrupted run:\n%s\nvs\n%s", got, wantDiag)
 			}
-
-			// Graceful drain, then a third incarnation recovers from the
-			// snapshot alone and still agrees byte-for-byte.
-			if err := srv2.Drain(); err != nil {
-				t.Fatal(err)
-			}
-			fi, err := os.Stat(filepath.Join(dir, walFileName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() != 0 {
-				t.Fatalf("WAL holds %d bytes after drain, want 0", fi.Size())
-			}
-			srv3, err := ServeWith("127.0.0.1:0", cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv3.Close()
-			if !srv3.Recovery().SnapshotLoaded {
-				t.Fatal("post-drain restart did not load the snapshot")
-			}
-			if got := diagBytes(t, srv3); !bytes.Equal(got, wantDiag) {
-				t.Fatalf("post-drain diagnosis differs:\n%s\nvs\n%s", got, wantDiag)
-			}
 		})
 	}
 }
@@ -203,7 +170,7 @@ func TestRecoverSuppressesResubmission(t *testing.T) {
 	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
 	expectReply(t, conn, `{"ack":1,"client":"h1"}`)
 	conn.Close()
-	srv1.crashForTest()
+	srv1.Abort()
 
 	srv2, err := ServeWith("127.0.0.1:0", cfg)
 	if err != nil {

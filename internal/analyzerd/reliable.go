@@ -37,18 +37,6 @@ type ClientConfig struct {
 	// growing without bound while the analyzer is down. 0 uses the
 	// default (4096); < 0 removes the bound.
 	MaxPending int
-	// Rehash, when set, turns shard-moved NACKs into live re-resolution
-	// instead of ErrRedirected: the NACK's announced shard map and
-	// owner index are passed in, and the returned address (with
-	// ok=true) replaces the dial target before the next attempt. Return
-	// ok=false to fall back to surfacing ErrRedirected. Fleet clients
-	// that always speak to the router can simply return the router
-	// address — the point is to ride out a live rebalance's straggler
-	// window without erroring.
-	Rehash func(m wire.ShardMap, owner int) (addr string, ok bool)
-	// MaxRemaps bounds Rehash-driven re-resolutions per Flush (default
-	// 4); each one also consumes a regular attempt.
-	MaxRemaps int
 }
 
 // ErrQueueFull is returned by the Send methods when the unacknowledged
@@ -82,11 +70,6 @@ type ClientStats struct {
 	// messages stay pending; Flush surfaces ErrRedirected so the caller
 	// can re-point the client at the router or the owning shard.
 	Redirected int
-	// Remapped counts successful Rehash re-resolutions: times a
-	// shard-moved NACK was answered by re-pointing the client at the
-	// address Rehash derived from the announced shard map, instead of
-	// surfacing ErrRedirected.
-	Remapped int
 }
 
 type pendingMsg struct {
@@ -109,13 +92,6 @@ type ReliableClient struct {
 	br      *bufio.Reader
 	seq     int64
 	pending []pendingMsg
-
-	// lastMoved remembers the newest shard-moved NACK's announced map
-	// and owner, the input to a Rehash re-resolution.
-	lastMoved struct {
-		m     wire.ShardMap
-		owner int
-	}
 
 	// Stats counts reconnects, resubmissions, and rejections.
 	Stats ClientStats
@@ -146,9 +122,6 @@ func NewReliableClient(addr string, cfg ClientConfig) (*ReliableClient, error) {
 	}
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 4096
-	}
-	if cfg.MaxRemaps <= 0 {
-		cfg.MaxRemaps = 4
 	}
 	return &ReliableClient{addr: addr, cfg: cfg}, nil
 }
@@ -200,7 +173,6 @@ func (rc *ReliableClient) Flush() error {
 	}
 	backoff := rc.cfg.BackoffBase
 	var lastErr error
-	remaps := 0
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.cfg.Sleep(backoff)
@@ -215,16 +187,6 @@ func (rc *ReliableClient) Flush() error {
 		}
 		lastErr = err
 		_ = rc.dropConn() // the attempt error is what matters; the conn is already broken
-		if errors.Is(err, ErrRedirected) && rc.cfg.Rehash != nil && remaps < rc.cfg.MaxRemaps {
-			// A live rebalance moved this client: re-resolve against the
-			// announced map instead of hammering the stale address (or
-			// surfacing ErrRedirected to a caller who can't act on it).
-			if addr, ok := rc.cfg.Rehash(rc.lastMoved.m, rc.lastMoved.owner); ok {
-				remaps++
-				rc.Stats.Remapped++
-				rc.addr = addr
-			}
-		}
 	}
 	return fmt.Errorf("analyzerd: flush failed after %d attempts: %w",
 		rc.cfg.MaxAttempts, lastErr)
@@ -257,13 +219,11 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 		return err
 	}
 	type reply struct {
-		Ack   int64          `json:"ack"`
-		Nak   int64          `json:"nak"`
-		Error string         `json:"error"`
-		Retry bool           `json:"retry"`
-		Moved bool           `json:"moved"`
-		Owner int            `json:"owner"`
-		Map   *wire.ShardMap `json:"map"`
+		Ack   int64  `json:"ack"`
+		Nak   int64  `json:"nak"`
+		Error string `json:"error"`
+		Retry bool   `json:"retry"`
+		Moved bool   `json:"moved"`
 	}
 	// The server replies exactly once per submitted line (in order), so
 	// read one reply per written message — a retryable nak leaves its
@@ -290,14 +250,10 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 			// Another shard owns this client (moved replies are also
 			// retryable, so this case must precede Retry). The message
 			// stays pending; the attempt ends in ErrRedirected so the
-			// caller learns to re-point the client — or, with a Rehash
-			// hook, Flush re-resolves from the announced map itself.
+			// caller learns to re-point the client (a fleet's router
+			// follows the NAK itself and never surfaces it).
 			moved++
 			rc.Stats.Redirected++
-			rc.lastMoved.owner = rep.Owner
-			if rep.Map != nil {
-				rc.lastMoved.m = *rep.Map
-			}
 		case rep.Retry:
 			// Transient pressure (overloaded / rate limited / out of
 			// order): the message stays pending for resubmission after

@@ -29,19 +29,14 @@ func (c *ShardConfig) ring() (*wire.HashRing, error) {
 	return ring, nil
 }
 
-// disownedBy reports whether client is a named client the shard map
-// assigns to a different shard, and which one. Always false outside
-// shard mode and for unnamed (peer-keyed) submissions. The ring is
-// read under shardMu: a live remap may swap it at any time.
+// disownedBy reports whether the shard map assigns client to a different
+// shard, and which one (wire.HashRing.Moved states the rule). The ring
+// is read under shardMu: a live remap may swap it at any time.
 func (s *Server) disownedBy(client string) (owner int, moved bool) {
-	if s.cfg.Shard == nil || client == "" {
-		return 0, false
-	}
 	s.shardMu.RLock()
 	ring := s.ring
 	s.shardMu.RUnlock()
-	owner = ring.Owner(client)
-	return owner, owner != s.cfg.Shard.Index
+	return ring.Moved(client, s.index)
 }
 
 // curShardMap returns the map the shard is currently running under.
@@ -53,9 +48,9 @@ func (s *Server) curShardMap() wire.ShardMap {
 
 // replyMoved NACKs a submission for a client another shard owns. The
 // reply is retryable and announces the owner index plus the shard map
-// it was derived from, so a ReliableClient (or the router on its
-// behalf) can rehash, redial the owning shard, and resubmit — the
-// message is not lost.
+// it was derived from, so the router can re-forward to the owning shard
+// (and a ReliableClient speaking to a shard directly surfaces
+// ErrRedirected) — the message is not lost.
 func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) {
 	reason := fmt.Sprintf("client %q belongs to shard %d", client, owner)
 	m, err := json.Marshal(s.curShardMap())
@@ -73,16 +68,9 @@ func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) 
 }
 
 // replyDump answers the "dump" verb with this shard's full sourced
-// message state as one wire.ShardState JSON line. Outside shard mode
-// the verb is an error — a standalone daemon does not retain message
-// provenance.
+// message state as one wire.ShardState JSON line.
 func (s *Server) replyDump(conn net.Conn) {
-	if s.cfg.Shard == nil {
-		s.replyf(conn, `{"error":"not a fleet shard"}`+"\n")
-		return
-	}
-	state := s.ShardState()
-	b, err := json.Marshal(state)
+	b, err := json.Marshal(s.ShardState())
 	if err != nil {
 		s.replyError(conn, err.Error())
 		return
@@ -92,18 +80,12 @@ func (s *Server) replyDump(conn net.Conn) {
 
 // ShardState returns the shard's accepted messages (ingest order) and
 // per-client ack highwaters, with its position in the fleet under the
-// *current* (possibly remapped) shard map. Only meaningful in shard
-// mode; a standalone server returns an empty state.
+// *current* (possibly remapped) shard map.
 func (s *Server) ShardState() *wire.ShardState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	state := &wire.ShardState{Format: wire.ShardStateFormat}
-	if s.cfg.Shard != nil {
-		state.Shard = s.cfg.Shard.Index
-		state.Map = s.curShardMap()
-		state.Acked = s.ackedLocked()
-	}
-	state.Messages = append(state.Messages, s.sourced...)
+	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: s.index, Map: s.curShardMap()}
+	state.Messages, state.Acked = s.bodyLocked()
 	return state
 }
 
@@ -117,45 +99,5 @@ func sourcedFromMessage(msg *Message) wire.SourcedMessage {
 		Step:   msg.Step,
 		Report: msg.Report,
 		CF:     msg.CF,
-	}
-}
-
-// messageFromSourced is the inverse of sourcedFromMessage.
-func messageFromSourced(sm wire.SourcedMessage) *Message {
-	return &Message{
-		Type:   sm.Type,
-		Step:   sm.Step,
-		Report: sm.Report,
-		CF:     sm.CF,
-		Seq:    sm.Seq,
-		Client: sm.Client,
-	}
-}
-
-// Abort is the in-process stand-in for SIGKILL, for crash tests and the
-// in-process fleet harness: connections die, the listener closes,
-// whatever the fsync policy already made durable stays on disk, and no
-// drain snapshot or final sync is written. The WAL file handle is
-// abandoned (closed without flushing), exactly what a killed process
-// leaves behind.
-func (s *Server) Abort() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.stopped = true
-	s.closed = true
-	s.draining = true
-	for conn := range s.conns {
-		_ = conn.Close() // severing peers, as a kill would
-	}
-	s.mu.Unlock()
-	_ = s.ln.Close() // severing the listener, as a kill would
-	s.wg.Wait()
-	close(s.queue)
-	<-s.applierDone
-	if s.wal != nil {
-		s.wal.abandon()
 	}
 }

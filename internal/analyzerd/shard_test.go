@@ -2,10 +2,13 @@ package analyzerd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -255,38 +258,105 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotRoundTrip pins shard-mode durability: snapshots carry
-// Messages (not derived state) and a clean restart rebuilds the same
-// sourced stream.
+// TestShardSnapshotRoundTrip pins the one snapshot form for both ways of
+// starting a server: after a graceful drain the WAL is empty, the
+// snapshot alone carries the stream, and a restart rebuilds the same
+// sourced state and a byte-identical diagnosis.
 func TestShardSnapshotRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	items := linearize(runScenario(t))
 	m := wire.ShardMap{Shards: 2}
 	owned, _ := ownedAndDisowned(t, m, 0)
+	for name, shard := range map[string]*ShardConfig{
+		"standalone":   nil,
+		"fleet-member": {Map: m, Index: 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DefaultServerConfig()
+			cfg.Shard = shard
+			cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncAlways, SnapshotEvery: 3}
+			srv, err := ServeWith("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatalf("ServeWith: %v", err)
+			}
+			rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: owned, MaxAttempts: 2, Sleep: noSleep})
+			if err != nil {
+				t.Fatalf("NewReliableClient: %v", err)
+			}
+			sendRange(t, rc, items, 0, len(items))
+			if err := rc.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			want, wantDiag := srv.ShardState(), diagBytes(t, srv)
+			if err := srv.Drain(); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+			if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() != 0 {
+				t.Fatalf("WAL after drain: %v, %v; want an empty log", fi, err)
+			}
 
-	srv := shardServe(t, m, 0, dir)
-	rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: owned, MaxAttempts: 2, Sleep: noSleep})
+			s2, err := ServeWith("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer s2.Close()
+			if got := s2.ShardState(); !reflect.DeepEqual(got, want) {
+				t.Errorf("restarted state differs:\n got %+v\nwant %+v", got, want)
+			}
+			if got := diagBytes(t, s2); !bytes.Equal(got, wantDiag) {
+				t.Errorf("post-drain diagnosis differs:\n%s\nvs\n%s", got, wantDiag)
+			}
+			if rec := s2.Recovery(); !rec.SnapshotLoaded || rec.SnapshotMessages != len(items) || rec.WALEntries != 0 {
+				t.Errorf("recovery %+v, want all %d messages from the snapshot alone", rec, len(items))
+			}
+		})
+	}
+}
+
+// TestDiagnoseIsTheSharedFold pins the one diagnosis path: a server folds
+// its stream in ingest order through wire.FoldMessages, and the result is
+// byte-identical to what the pre-fold daemon computed — a bundle of the
+// same records and reports in ingest order plus the flow set — for a
+// server started either way.
+func TestDiagnoseIsTheSharedFold(t *testing.T) {
+	res := runScenario(t)
+	items := linearize(res)
+	want, err := json.Marshal(wire.FromDiagnosis(wire.NewBundle(res.Records, res.Reports, res.CFs).Analyze()))
 	if err != nil {
-		t.Fatalf("NewReliableClient: %v", err)
+		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := rc.SendCF(testFlow(i).Key()); err != nil {
-			t.Fatalf("SendCF: %v", err)
-		}
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	want := srv.ShardState()
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-
-	s2 := shardServe(t, m, 0, dir)
-	defer s2.Close()
-	if got := s2.ShardState(); !reflect.DeepEqual(got, want) {
-		t.Errorf("restarted shard state differs:\n got %+v\nwant %+v", got, want)
-	}
-	if rec := s2.Recovery(); rec.SnapshotCFs != 5 {
-		t.Errorf("RecoverStats.SnapshotCFs = %d, want 5", rec.SnapshotCFs)
+	m := wire.ShardMap{Shards: 2}
+	owned, _ := ownedAndDisowned(t, m, 1)
+	for name, shard := range map[string]*ShardConfig{
+		"standalone":   nil,
+		"fleet-member": {Map: m, Index: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultServerConfig()
+			cfg.Shard = shard
+			srv, err := ServeWith("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: owned, Sleep: noSleep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sendRange(t, rc, items, 0, len(items))
+			if err := rc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := diagBytes(t, srv); !bytes.Equal(got, want) {
+				t.Errorf("Diagnose differs from Bundle.Analyze over the same stream:\n%s\nvs\n%s", got, want)
+			}
+			bundle, stats := wire.FoldMessages(srv.ShardState().Messages)
+			r, p, c := srv.Counts()
+			if r != stats.Records || p != stats.Reports || c != stats.CFs ||
+				r != len(res.Records) || p != len(res.Reports) || c != len(res.CFs) || len(bundle.Records) != r {
+				t.Errorf("Counts %d/%d/%d, fold %+v, scenario %d/%d/%d", r, p, c, stats,
+					len(res.Records), len(res.Reports), len(res.CFs))
+			}
+		})
 	}
 }

@@ -26,22 +26,18 @@ func writeSnapshot(dir string, snap wire.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("analyzerd: snapshot: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("analyzerd: snapshot: %w", err)
+	_, err = tmp.Write(b)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("analyzerd: snapshot: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("analyzerd: snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, snapshotFileName))
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapshotFileName)); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // the failed step is the error worth returning
 		return fmt.Errorf("analyzerd: snapshot: %w", err)
 	}
 	return syncDir(dir)
@@ -92,11 +88,8 @@ func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 type RecoverStats struct {
 	// SnapshotLoaded reports whether a snapshot anchored the recovery.
 	SnapshotLoaded bool
-	// SnapshotRecords/Reports/CFs count the state restored from the
-	// snapshot.
-	SnapshotRecords int
-	SnapshotReports int
-	SnapshotCFs     int
+	// SnapshotMessages counts the messages the snapshot held.
+	SnapshotMessages int
 	// WALEntries counts intact log entries replayed on top of the
 	// snapshot; WALSkipped counts intact entries below the snapshot's LSN
 	// horizon (already folded into it by a snapshot that raced the crash).
@@ -112,7 +105,7 @@ type RecoverStats struct {
 	WALTornTail       bool
 	// Reassigned counts recovered messages dropped because the shard map
 	// of the restarted incarnation assigns their client to a different
-	// shard (shard mode only; the owning shard replays them instead).
+	// shard (the owning shard replays them instead).
 	Reassigned int
 	// NextLSN is the first LSN the reopened log will assign.
 	NextLSN uint64
@@ -141,24 +134,7 @@ func Recover(dir string) (*RecoveredState, error) {
 		return nil, err
 	}
 	rs := &RecoveredState{Snapshot: snap}
-	rs.Stats.SnapshotLoaded = ok
-	rs.Stats.SnapshotRecords = len(snap.Records)
-	rs.Stats.SnapshotReports = len(snap.Reports)
-	rs.Stats.SnapshotCFs = len(snap.CFs)
-	for _, sm := range snap.Messages {
-		// Shard snapshots carry messages instead of derived state; the
-		// counters still describe what was restored.
-		switch sm.Type {
-		case TypeStep:
-			rs.Stats.SnapshotRecords++
-		case TypeReport:
-			rs.Stats.SnapshotReports++
-		case TypeCF:
-			rs.Stats.SnapshotCFs++
-		}
-	}
-
-	walStats, err := replayWAL(dir, snap.NextLSN, func(_ uint64, payload []byte) error {
+	stats, err := replayWAL(dir, snap.NextLSN, func(_ uint64, payload []byte) error {
 		msg, err := ParseMessage(payload)
 		if err != nil {
 			return err
@@ -169,13 +145,9 @@ func Recover(dir string) (*RecoveredState, error) {
 	if err != nil {
 		return nil, err
 	}
-	walStats.SnapshotLoaded = rs.Stats.SnapshotLoaded
-	walStats.SnapshotRecords = rs.Stats.SnapshotRecords
-	walStats.SnapshotReports = rs.Stats.SnapshotReports
-	walStats.SnapshotCFs = rs.Stats.SnapshotCFs
-	if walStats.NextLSN < snap.NextLSN {
-		walStats.NextLSN = snap.NextLSN
-	}
-	rs.Stats = walStats
+	stats.SnapshotLoaded = ok
+	stats.SnapshotMessages = len(snap.Messages)
+	stats.NextLSN = max(stats.NextLSN, snap.NextLSN)
+	rs.Stats = stats
 	return rs, nil
 }

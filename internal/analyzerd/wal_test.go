@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,13 +314,13 @@ func testSnapshot() wire.Snapshot {
 	return wire.Snapshot{
 		Format:  wire.SnapshotFormat,
 		NextLSN: 42,
-		Records: []wire.StepRecord{
-			{Host: 1, Step: 0, Flow: wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, Bytes: 100, StartNS: 5, EndNS: 9},
-			{Host: 2, Step: 1, Flow: wire.Flow{Src: 2, Dst: 3}, Bytes: 50, StartNS: 9, EndNS: 12},
+		Messages: []wire.SourcedMessage{
+			{Client: "h1", Seq: 8, Type: TypeStep, Step: &wire.StepRecord{Host: 1, Step: 0, Flow: wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, Bytes: 100, StartNS: 5, EndNS: 9}},
+			{Client: "h2", Seq: 4, Type: TypeStep, Step: &wire.StepRecord{Host: 2, Step: 1, Flow: wire.Flow{Src: 2, Dst: 3}, Bytes: 50, StartNS: 9, EndNS: 12}},
+			{Type: TypeReport, Report: &wire.Report{AtNS: 5, HopsPolled: 3}},
+			{Client: "h1", Seq: 9, Type: TypeCF, CF: &wire.Flow{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}},
 		},
-		Reports: []wire.Report{{AtNS: 5, HopsPolled: 3}},
-		CFs:     []wire.Flow{{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}, {Src: 2, Dst: 3}},
-		Acked:   []wire.ClientAck{{Client: "h1", Seq: 9}, {Client: "h2", Seq: 4}},
+		Acked: []wire.ClientAck{{Client: "h1", Seq: 9}, {Client: "h2", Seq: 4}},
 	}
 }
 
@@ -377,6 +378,37 @@ func TestReadSnapshotRejectsCorruptAndWrongFormat(t *testing.T) {
 	}
 	if _, _, err := readSnapshot(dir); err == nil {
 		t.Fatal("wrong-format snapshot accepted")
+	}
+}
+
+// TestFormat1SnapshotRefused: the two snapshot forms this daemon wrote
+// before format 2 — the standalone one (derived records/reports/cfs) and
+// the shard one (messages) — are refused with the format error. Decoding
+// either as format 2 would silently recover an empty or partial state and
+// then truncate the WAL over it.
+func TestFormat1SnapshotRefused(t *testing.T) {
+	for name, old := range map[string]string{
+		"standalone": `{"format":1,"next_lsn":7,"records":[{"host":3,"step":1,"flow":{"src":3,"dst":4},"bytes":64,"start_ns":1,"end_ns":9}],"cfs":[{"src":3,"dst":4}],"acked":[{"client":"h1","seq":6}]}`,
+		"shard":      `{"format":1,"next_lsn":7,"acked":[{"client":"h1","seq":6}],"messages":[{"client":"h1","seq":6,"type":"cf","cf":{"src":3,"dst":4}}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotFileName), []byte(old+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := readSnapshot(dir); ok || err == nil || !strings.Contains(err.Error(), "format 1, want 2") {
+				t.Fatalf("readSnapshot: ok=%v err=%v, want the format error", ok, err)
+			}
+			if rs, err := Recover(dir); err == nil {
+				t.Fatalf("Recover yielded a state from a format-1 snapshot: %+v", rs.Stats)
+			}
+			cfg := DefaultServerConfig()
+			cfg.Durability = &DurabilityConfig{Dir: dir}
+			if srv, err := ServeWith("127.0.0.1:0", cfg); err == nil {
+				srv.Close()
+				t.Fatal("daemon started on a format-1 snapshot")
+			}
+		})
 	}
 }
 

@@ -37,31 +37,14 @@ type Config struct {
 	SnapshotEvery int
 	// Listen is the router's bind address (default 127.0.0.1:0).
 	Listen string
-	// Supervision knobs, passed to each shard's Proc; zero values take the
-	// Proc defaults.
-	Backoff      time.Duration
-	BackoffMax   time.Duration
-	CrashWindow  time.Duration
-	CrashLoops   int
-	HealthyAfter time.Duration
 	// HoldShard, when >= 0, holds that shard down at Drain time — its dump
 	// is skipped and the merged diagnosis is degraded instead of failed.
 	// The operator-facing stand-in for "one shard is dead and will not
 	// come back before the report is due".
 	HoldShard int
-	// ReadyTimeout bounds each shard's first announce (default 30s).
-	ReadyTimeout time.Duration
-	// Epoch seeds the initial shard map's epoch (a fleet resumed after a
-	// resize starts where it left off; normally 0). Each live Resize
-	// bumps it by one.
-	Epoch int64
 	// Tenants, when set, applies per-tenant token-bucket quotas at the
 	// router and groups the drain accounting by tenant.
 	Tenants *TenantConfig
-	// RebalanceTimeout bounds each retried shard exchange during a live
-	// Resize (default 30s — long enough to ride out a SIGKILLed shard's
-	// supervised restart).
-	RebalanceTimeout time.Duration
 	// OnAcked, when set, observes the cumulative acknowledged-submission
 	// count after each ack (the -resize-after trigger hangs off this).
 	// Called from router goroutines without locks held.
@@ -80,6 +63,10 @@ type Config struct {
 	Log     *slog.Logger
 	Metrics *obs.Registry
 }
+
+// readyTimeout bounds each shard's first announce, and at drain time how
+// long a restarting shard is waited for before its dump is given up on.
+const readyTimeout = 30 * time.Second
 
 // Merged is a fleet drain's result: the canonical merged bundle plus the
 // coverage bookkeeping a degraded gather needs to be honest about.
@@ -133,24 +120,20 @@ func Start(cfg Config) (*Fleet, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 30 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
-	m := wire.ShardMap{Shards: cfg.Shards, Replicas: cfg.Replicas, Epoch: cfg.Epoch}
+	m := wire.ShardMap{Shards: cfg.Shards, Replicas: cfg.Replicas}
 	f := &Fleet{cfg: cfg}
 	handoffDir := ""
 	if cfg.Dir != "" {
 		handoffDir = filepath.Join(cfg.Dir, "handoffs")
 	}
 	router, err := StartRouter(cfg.Listen, RouterConfig{
-		Map:              m,
-		Tenants:          cfg.Tenants,
-		RebalanceTimeout: cfg.RebalanceTimeout,
-		HandoffDir:       handoffDir,
-		OnAcked:          cfg.OnAcked,
+		Map:        m,
+		Tenants:    cfg.Tenants,
+		HandoffDir: handoffDir,
+		OnAcked:    cfg.OnAcked,
 		Rebalance: &RebalanceHooks{
 			StartShard:   f.hookStartShard,
 			PrepareShard: f.hookPrepareShard,
@@ -174,7 +157,7 @@ func Start(cfg Config) (*Fleet, error) {
 		f.procs[i] = p
 	}
 	for i, p := range f.procs {
-		if err := p.WaitReady(cfg.ReadyTimeout); err != nil {
+		if err := p.WaitReady(readyTimeout); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("fleet: shard %d never became ready: %w", i, err)
 		}
@@ -226,11 +209,6 @@ func (f *Fleet) startShard(i int, m wire.ShardMap) (*Proc, error) {
 		Args:           args,
 		AnnouncePrefix: "analyzer listening on ",
 		RelistenFlag:   "-listen",
-		Backoff:        f.cfg.Backoff,
-		BackoffMax:     f.cfg.BackoffMax,
-		CrashWindow:    f.cfg.CrashWindow,
-		CrashLoops:     f.cfg.CrashLoops,
-		HealthyAfter:   f.cfg.HealthyAfter,
 		Stderr:         f.cfg.Stderr,
 		Logf: func(format string, args ...any) {
 			log.Info(fmt.Sprintf("shard %d: "+format, append([]any{idx}, args...)...))
@@ -328,7 +306,7 @@ func (f *Fleet) hookStartShard(i int, m wire.ShardMap) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := p.WaitReady(f.cfg.ReadyTimeout); err != nil {
+	if err := p.WaitReady(readyTimeout); err != nil {
 		p.Terminate(syscall.SIGKILL)
 		p.Wait()
 		return "", fmt.Errorf("fleet: shard %d never became ready: %w", i, err)
@@ -392,15 +370,25 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	// Gather every shard's dump at once, each over its own link — most of
 	// a drain is moving shard state as JSON — and assemble in shard-index
 	// order, so the merge input and the degraded accounting do not depend
-	// on which dump finished first.
+	// on which dump finished first. A dump rides out a supervised restart
+	// (a chaos kill at a rebalance's after-flip cut point leaves the shard
+	// down for the few milliseconds its supervisor needs to relaunch it,
+	// and one failed dial must not cost the merge that shard's whole
+	// slice); the deliberately held shard gets one try — its absence is
+	// the degraded-drain drill's entire point.
 	dumps := make([]*wire.ShardState, shards)
 	errs := make([]error, shards)
+	deadline := f.router.now().Add(readyTimeout)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			dumps[i], errs[i] = f.dumpShardPatiently(i)
+			if i == f.cfg.HoldShard {
+				dumps[i], errs[i] = f.router.DumpShard(i)
+			} else {
+				dumps[i], errs[i] = f.router.dumpRetry(i, deadline)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -416,11 +404,10 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 		}
 		states = append(states, state)
 	}
+	f.Close()
 	if len(states) == 0 {
-		f.Close()
 		return nil, fmt.Errorf("fleet: no shard could be dumped; nothing to diagnose")
 	}
-	f.Close()
 
 	bundle, stats := wire.MergeShardStates(states)
 	merged.Bundle = bundle
@@ -432,31 +419,6 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 		merged.Diagnosis = bundle.AnalyzeObs(scope)
 	}
 	return merged, nil
-}
-
-// dumpShardPatiently gathers one shard's dump, riding out a supervised
-// restart: a SIGKILL in the last moments before the drain (say, a chaos
-// kill at a rebalance's after-flip cut point) leaves the shard down for
-// the few milliseconds its supervisor needs to relaunch it, and a single
-// failed dial must not cost the merge that shard's whole slice. The
-// deliberately held shard gets no such grace — its absence is the
-// degraded-drain drill's entire point.
-func (f *Fleet) dumpShardPatiently(i int) (*wire.ShardState, error) {
-	state, err := f.router.DumpShard(i)
-	if err == nil || i == f.cfg.HoldShard {
-		return state, err
-	}
-	//lint:ignore nosystime bounding a real subprocess restart, not simulated time
-	deadline := time.Now().Add(f.cfg.ReadyTimeout)
-	//lint:ignore nosystime see above
-	for time.Now().Before(deadline) {
-		//lint:ignore nosystime pacing a poll for a real subprocess restart
-		time.Sleep(20 * time.Millisecond)
-		if state, err = f.router.DumpShard(i); err == nil {
-			return state, nil
-		}
-	}
-	return nil, err
 }
 
 // Close terminates every shard child and the router. Safe to call more

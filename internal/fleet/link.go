@@ -128,7 +128,7 @@ func (l *shardLink) connLocked() (net.Conn, error) {
 	if l.addr == "" {
 		return nil, fmt.Errorf("shard %d has not announced an address", l.shard)
 	}
-	conn, err := net.DialTimeout("tcp", l.addr, l.r.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", l.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +364,7 @@ func (l *shardLink) await(conn net.Conn, lr *lineReader) error {
 		if err := conn.SetReadDeadline(oldest.Add(timeout)); err != nil {
 			return err
 		}
-		err := lr.fill(conn, l.r.cfg.MaxLineBytes)
+		err := lr.fill(conn, maxLineBytes)
 		var nerr net.Error
 		if err == nil || !errors.As(err, &nerr) || !nerr.Timeout() {
 			return err
@@ -436,7 +436,7 @@ func (l *shardLink) roundTrip(line []byte) ([]byte, error) {
 			if addr == "" {
 				return nil, fmt.Errorf("shard %d has not announced an address", l.shard)
 			}
-			conn, err := net.DialTimeout("tcp", addr, l.r.cfg.DialTimeout)
+			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				return nil, err
 			}

@@ -28,7 +28,7 @@ import (
 //  6. The router flips its own map atomically and lifts the fence.
 //  7. after-flip — removed shards (shrink) stop.
 //
-// Every shard exchange retries until RebalanceTimeout, so a SIGKILLed
+// Every shard exchange retries until rebalanceTimeout, so a SIGKILLed
 // shard's supervised restart is a delay, not a failure; idempotent verbs
 // (epoch-checked remap, per-donor-deduplicated adopt) make the retries
 // safe, and the drain-side merge dedup absorbs any duplicate copies a
@@ -118,7 +118,7 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: resize: %w", err)
 	}
-	deadline := r.now().Add(r.cfg.RebalanceTimeout)
+	deadline := r.now().Add(rebalanceTimeout)
 	report := &ResizeReport{From: cur.Shards, To: next.Shards, Epoch: next.Epoch}
 	r.cfg.Log.Info("rebalance starting", "from", cur.Shards, "to", next.Shards, "epoch", next.Epoch)
 
@@ -174,7 +174,7 @@ func (r *Router) Resize(shards, replicas int) (*ResizeReport, error) {
 		handoffs = append(handoffs, hs...)
 	}
 	for _, h := range handoffs {
-		report.MovedClients += len(h.Clients)
+		report.MovedClients += len(h.Acked)
 		report.MovedMessages += len(h.Messages)
 	}
 	if err := r.persistHandoffs(handoffs); err != nil {
@@ -323,21 +323,32 @@ func (r *Router) persistHandoffs(handoffs []*wire.Handoff) error {
 	return nil
 }
 
-// dumpRetry dumps one donor shard, riding out supervised restarts.
-func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.ShardState, error) {
+// retryUntil is the one retry-until-deadline loop of the service tier:
+// it runs one shard exchange until it succeeds, fails permanently
+// (retry false), or the deadline passes, backing off in between —
+// transport failures and retryable replies are a supervised restart in
+// progress, not a verdict.
+func (r *Router) retryUntil(deadline time.Time, what string, shard int, try func() (retry bool, err error)) error {
 	for {
-		state, err := r.DumpShard(i)
-		if err == nil {
-			return state, nil
-		}
+		retry, err := try()
 		//lint:ignore nosystime Time.After is a pure comparison; the clock read is sanctioned in now()
-		if r.now().After(deadline) {
-			return nil, err
+		if err == nil || !retry || r.now().After(deadline) {
+			return err
 		}
-		r.cfg.Log.Warn("rebalance dump retrying", "shard", i, "err", err)
+		r.cfg.Log.Warn("shard exchange retrying", "what", what, "shard", shard, "err", err)
 		//lint:ignore nosystime backoff between retries against a real restarting process
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// dumpRetry dumps one shard (a rebalance donor, or any shard at drain
+// time), riding out supervised restarts until the deadline.
+func (r *Router) dumpRetry(i int, deadline time.Time) (state *wire.ShardState, err error) {
+	err = r.retryUntil(deadline, "dump", i, func() (retry bool, err error) {
+		state, err = r.DumpShard(i)
+		return true, err
+	})
+	return state, err
 }
 
 // adminReply is the decoded outcome of a remap or adopt exchange.
@@ -347,41 +358,34 @@ type adminReply struct {
 	Adopted int64  `json:"adopted"`
 }
 
-// adminRetry sends one admin line (newline included) to a shard until it succeeds, the
-// shard answers with a permanent error, or the deadline passes.
-// Transport failures and retryable replies (an overloaded queue, a
-// restart mid-exchange) back off and retry.
+// adminRetry sends one admin line (newline included) to a shard until it
+// succeeds, the shard answers with a permanent error, or the deadline
+// passes. Transport failures and retryable replies (an overloaded queue,
+// a restart mid-exchange) back off and retry.
 func (r *Router) adminRetry(shard int, line []byte, what string, deadline time.Time) (*adminReply, error) {
-	var lastErr error
-	for {
-		var rep []byte
-		err := fmt.Errorf("no shard %d in the current map", shard)
-		if l := r.link(shard); l != nil {
-			rep, err = l.roundTrip(line)
+	var parsed adminReply
+	err := r.retryUntil(deadline, what, shard, func() (bool, error) {
+		l := r.link(shard)
+		if l == nil {
+			return true, fmt.Errorf("no shard %d in the current map", shard)
 		}
-		if err == nil {
-			var parsed adminReply
-			if jerr := json.Unmarshal(rep, &parsed); jerr != nil {
-				return nil, fmt.Errorf("%s reply from shard %d: %w", what, shard, jerr)
-			}
-			if parsed.Error == "" {
-				return &parsed, nil
-			}
-			if !parsed.Retry {
-				return nil, fmt.Errorf("%s rejected by shard %d: %s", what, shard, parsed.Error)
-			}
-			lastErr = fmt.Errorf("%s deferred by shard %d: %s", what, shard, parsed.Error)
-		} else {
-			lastErr = err
+		rep, err := l.roundTrip(line)
+		if err != nil {
+			return true, err
 		}
-		//lint:ignore nosystime Time.After is a pure comparison; the clock read is sanctioned in now()
-		if r.now().After(deadline) {
-			return nil, lastErr
+		parsed = adminReply{}
+		if err := json.Unmarshal(rep, &parsed); err != nil {
+			return false, fmt.Errorf("%s reply from shard %d: %w", what, shard, err)
 		}
-		r.cfg.Log.Warn("rebalance exchange retrying", "what", what, "shard", shard, "err", lastErr)
-		//lint:ignore nosystime backoff between retries against a real restarting process
-		time.Sleep(50 * time.Millisecond)
-	}
+		if parsed.Error == "" {
+			return false, nil
+		}
+		if !parsed.Retry {
+			return false, fmt.Errorf("%s rejected by shard %d: %s", what, shard, parsed.Error)
+		}
+		return true, fmt.Errorf("%s deferred by shard %d: %s", what, shard, parsed.Error)
+	})
+	return &parsed, err
 }
 
 // remapRetry installs the next map at a surviving shard. A shard that

@@ -27,20 +27,12 @@ type RouterConfig struct {
 	// updated via SetShardAddr as supervisors learn them. len(Addrs) must
 	// equal Map.Shards when non-nil.
 	Addrs []string
-	// DialTimeout bounds one shard dial (default 2s). ReplyTimeout
-	// (default 10s) bounds how long the oldest line in flight on a shard
-	// link may go unanswered before the link is dropped and everything in
-	// flight on it NAK'd retryably; it also bounds one write to a shard,
-	// one relay write to a client (a peer that stops reading is cut off,
-	// not waited for) and one admin exchange.
-	DialTimeout  time.Duration
+	// ReplyTimeout (default 10s) bounds how long the oldest line in
+	// flight on a shard link may go unanswered before the link is dropped
+	// and everything in flight on it NAK'd retryably; it also bounds one
+	// write to a shard, one relay write to a client (a peer that stops
+	// reading is cut off, not waited for) and one admin exchange.
 	ReplyTimeout time.Duration
-	// RebalanceTimeout bounds each retried shard exchange (dump, adopt,
-	// remap) during a live Resize — long enough to ride out a SIGKILLed
-	// shard's supervised restart (default 30s).
-	RebalanceTimeout time.Duration
-	// MaxLineBytes caps one client protocol line (default 16 MiB).
-	MaxLineBytes int
 	// Tenants, when set, applies per-tenant token-bucket quotas to ingest
 	// (and groups the drain accounting by tenant).
 	Tenants *TenantConfig
@@ -64,6 +56,17 @@ type RouterConfig struct {
 	Log     *slog.Logger
 	Metrics *obs.Registry
 }
+
+const (
+	// dialTimeout bounds one shard dial.
+	dialTimeout = 2 * time.Second
+	// rebalanceTimeout bounds each retried shard exchange (dump, adopt,
+	// remap) during a live Resize — long enough to ride out a SIGKILLed
+	// shard's supervised restart.
+	rebalanceTimeout = 30 * time.Second
+	// maxLineBytes caps one protocol line, client- or shard-side.
+	maxLineBytes = 16 << 20
+)
 
 // RouterStats counts the router's work. Cheap snapshot via Stats().
 type RouterStats struct {
@@ -197,24 +200,17 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	if cfg.Addrs != nil && len(cfg.Addrs) != cfg.Map.Shards {
 		return nil, fmt.Errorf("fleet: router has %d shard addrs for a map of %d", len(cfg.Addrs), cfg.Map.Shards)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	if cfg.ReplyTimeout <= 0 {
 		cfg.ReplyTimeout = 10 * time.Second
-	}
-	if cfg.RebalanceTimeout <= 0 {
-		cfg.RebalanceTimeout = 30 * time.Second
-	}
-	if cfg.MaxLineBytes <= 0 {
-		cfg.MaxLineBytes = 16 << 20
 	}
 	if cfg.Tenants != nil {
 		if cfg.Tenants.Rate <= 0 {
 			return nil, fmt.Errorf("fleet: tenant quota rate %v, want > 0", cfg.Tenants.Rate)
 		}
-		tc := *cfg.Tenants // defaults apply to a private copy
-		tc.defaults()
+		tc := *cfg.Tenants // the default applies to a private copy
+		if tc.Burst <= 0 {
+			tc.Burst = analyzerd.DefaultBurst(tc.Rate)
+		}
 		cfg.Tenants = &tc
 	}
 	if cfg.Log == nil {
@@ -375,7 +371,7 @@ func (r *Router) Stop() {
 	r.wg.Wait()
 	// Every link fails its oldest line after ReplyTimeout, so this
 	// settles on its own; the deadline is a backstop.
-	if err := r.drainInflight(r.now().Add(r.cfg.DialTimeout + 2*r.cfg.ReplyTimeout)); err != nil {
+	if err := r.drainInflight(r.now().Add(dialTimeout + 2*r.cfg.ReplyTimeout)); err != nil {
 		r.cfg.Log.Warn("router stopped with submissions in flight", "err", err)
 	}
 }
@@ -520,7 +516,7 @@ func (r *Router) handle(conn net.Conn) {
 	h := &handler{conn: conn}
 	defer h.flush() // lines gated since the last read (an oversized line ends the scan without one)
 	sc := bufio.NewScanner(h)
-	sc.Buffer(make([]byte, 0, 64<<10), r.cfg.MaxLineBytes)
+	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -3,57 +3,33 @@ package fleet
 import (
 	"sort"
 	"strings"
-	"time"
 
+	"vedrfolnir/internal/analyzerd"
 	"vedrfolnir/internal/wire"
 )
 
 // TenantConfig turns on per-tenant ingest quotas at the router. A tenant
-// is the budget-owning principal behind a set of clients: by default the
-// client-id prefix before the first Separator ("tenant-a/host-3" belongs
-// to "tenant-a"), with explicit Overrides for clients whose names don't
-// follow the convention. Each tenant gets a token bucket of Rate tokens
-// per second with a Burst-deep reservoir; a submission that finds the
-// bucket empty is NACKed retryably, so a saturating tenant degrades to
-// backoff-paced throughput without ever occupying the shard links that
-// other tenants' traffic needs.
+// is the budget-owning principal behind a set of clients: the client-id
+// prefix before the first "/" ("tenant-a/host-3" belongs to "tenant-a").
+// Each tenant gets a token bucket of Rate tokens per second with a
+// Burst-deep reservoir; a submission that finds the bucket empty is
+// NACKed retryably, so a saturating tenant degrades to backoff-paced
+// throughput without ever occupying the shard links that other tenants'
+// traffic needs.
 type TenantConfig struct {
 	// Rate is the sustained messages-per-second budget per tenant
 	// (required, > 0).
 	Rate float64
 	// Burst is the bucket depth — how many messages a tenant may submit
-	// back-to-back after an idle period (default: max(1, ceil(Rate))).
+	// back-to-back after an idle period (default:
+	// analyzerd.DefaultBurst(Rate)).
 	Burst int
-	// Separator splits a client id into tenant and host parts (default
-	// "/"). A client id without the separator (or starting with it) is
-	// its own tenant.
-	Separator string
-	// Overrides maps exact client ids to tenant names, for clients whose
-	// ids don't carry their tenant as a prefix.
-	Overrides map[string]string
 }
 
-func (c *TenantConfig) defaults() {
-	if c.Separator == "" {
-		c.Separator = "/"
-	}
-	if c.Burst <= 0 {
-		c.Burst = int(c.Rate)
-		if float64(c.Burst) < c.Rate {
-			c.Burst++
-		}
-		if c.Burst < 1 {
-			c.Burst = 1
-		}
-	}
-}
-
-// TenantOf resolves a client id to its tenant name.
-func (c *TenantConfig) TenantOf(client string) string {
-	if t, ok := c.Overrides[client]; ok {
-		return t
-	}
-	if i := strings.Index(client, c.Separator); i > 0 {
+// TenantOf resolves a client id to its tenant name. A client id without
+// a "/" (or starting with one) is its own tenant.
+func TenantOf(client string) string {
+	if i := strings.Index(client, "/"); i > 0 {
 		return client[:i]
 	}
 	return client
@@ -62,29 +38,9 @@ func (c *TenantConfig) TenantOf(client string) string {
 // tenantBucket is one tenant's token bucket plus its drain-time
 // accounting. Guarded by the router's qmu.
 type tenantBucket struct {
-	tokens   float64
-	refilled time.Time // last refill instant
-	admitted int64     // submissions that passed the quota gate
-	limited  int64     // submissions NACKed over-quota
-}
-
-// take refills the bucket for the elapsed wall-clock time and spends one
-// token if available.
-func (b *tenantBucket) take(now time.Time, rate float64, burst int) bool {
-	if !b.refilled.IsZero() {
-		if dt := now.Sub(b.refilled).Seconds(); dt > 0 {
-			b.tokens += dt * rate
-		}
-	}
-	b.refilled = now
-	if b.tokens > float64(burst) {
-		b.tokens = float64(burst)
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	analyzerd.TokenBucket
+	admitted int64 // submissions that passed the quota gate
+	limited  int64 // submissions NACKed over-quota
 }
 
 // admitTenant applies the per-tenant quota to one named submission,
@@ -97,16 +53,16 @@ func (r *Router) admitTenant(client string) (tenant string, ok bool) {
 	if tc == nil {
 		return "", true
 	}
-	tenant = tc.TenantOf(client)
+	tenant = TenantOf(client)
 	now := r.now()
 	r.qmu.Lock()
 	b := r.tenants[tenant]
 	if b == nil {
-		b = &tenantBucket{tokens: float64(tc.Burst)}
+		b = &tenantBucket{TokenBucket: analyzerd.FullBucket(tc.Burst)}
 		r.tenants[tenant] = b
 		r.publishTenant(tenant, b)
 	}
-	ok = b.take(now, tc.Rate, tc.Burst)
+	ok = b.Take(now, tc.Rate, tc.Burst)
 	if ok {
 		b.admitted++
 	} else {
@@ -154,14 +110,9 @@ func sanitizeMetric(s string) string {
 // TenantAccounts snapshots the per-tenant drain accounting: every tenant
 // the router has seen, with its distinct client count, the payloads those
 // clients had acknowledged, and how many submissions the quota gate
-// limited. Sorted by tenant name; without a TenantConfig the default
-// prefix convention still groups the accounting.
+// limited. Sorted by tenant name; the prefix convention groups the
+// accounting with or without a TenantConfig.
 func (r *Router) TenantAccounts() []wire.TenantAccount {
-	tc := r.cfg.Tenants
-	if tc == nil {
-		tc = &TenantConfig{}
-		tc.defaults()
-	}
 	byTenant := map[string]*wire.TenantAccount{}
 	get := func(name string) *wire.TenantAccount {
 		ta := byTenant[name]
@@ -173,7 +124,7 @@ func (r *Router) TenantAccounts() []wire.TenantAccount {
 	}
 	r.tmu.Lock()
 	for client, ct := range r.tallies {
-		ta := get(tc.TenantOf(client))
+		ta := get(TenantOf(client))
 		ta.Clients++
 		ta.Records += int64(ct.tally.Records)
 		ta.Reports += int64(ct.tally.Reports)

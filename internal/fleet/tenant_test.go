@@ -10,56 +10,18 @@ import (
 )
 
 func TestTenantOf(t *testing.T) {
-	c := &TenantConfig{Rate: 1, Overrides: map[string]string{"legacy-host": "team-x"}}
-	c.defaults()
 	for _, tc := range []struct {
 		client, want string
 	}{
 		{"team-a/host-3", "team-a"},
 		{"team-a/h/with/slashes", "team-a"},
-		{"solo", "solo"},          // no separator: its own tenant
-		{"/anon", "/anon"},        // leading separator: no usable prefix
-		{"legacy-host", "team-x"}, // explicit override wins
+		{"solo", "solo"},   // no separator: its own tenant
+		{"/anon", "/anon"}, // leading separator: no usable prefix
 		{"", ""},
 	} {
-		if got := c.TenantOf(tc.client); got != tc.want {
+		if got := TenantOf(tc.client); got != tc.want {
 			t.Errorf("TenantOf(%q) = %q, want %q", tc.client, got, tc.want)
 		}
-	}
-	custom := &TenantConfig{Rate: 1, Separator: ":"}
-	custom.defaults()
-	if got := custom.TenantOf("team-b:host-1"); got != "team-b" {
-		t.Errorf("custom separator: got %q, want team-b", got)
-	}
-}
-
-// TestTenantBucketTake pins the refill arithmetic to a fixed clock.
-func TestTenantBucketTake(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	b := &tenantBucket{tokens: 2, refilled: t0}
-	if !b.take(t0, 1, 2) || !b.take(t0, 1, 2) {
-		t.Fatal("burst of 2 should admit 2 back-to-back")
-	}
-	if b.take(t0, 1, 2) {
-		t.Fatal("third instant submission should be limited")
-	}
-	// Half a second refills half a token: still short of the whole
-	// token a submission costs.
-	if b.take(t0.Add(500*time.Millisecond), 1, 2) {
-		t.Fatal("half-refilled bucket should still limit")
-	}
-	if !b.take(t0.Add(1500*time.Millisecond), 1, 2) {
-		t.Fatal("full second of refill should admit")
-	}
-	// A long idle period caps at Burst, not unbounded credit.
-	b2 := &tenantBucket{tokens: 0, refilled: t0}
-	for i := 0; i < 2; i++ {
-		if !b2.take(t0.Add(time.Hour), 1, 2) {
-			t.Fatalf("after idle, take %d should be admitted", i)
-		}
-	}
-	if b2.take(t0.Add(time.Hour), 1, 2) {
-		t.Fatal("idle credit must cap at Burst")
 	}
 }
 

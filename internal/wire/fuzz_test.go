@@ -57,47 +57,59 @@ func FuzzStepRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip: an arbitrary JSON analyzer snapshot must survive
-// an unmarshal → normalize (sort the flow and ack sets) → marshal cycle
-// stably: the second pass is the identity. Recovery equality depends on
-// this — a snapshot written, read back, and written again must be
-// byte-identical.
-func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"format":1,"next_lsn":7,"records":[{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}],"cfs":[{"src":9,"dst":1},{"src":2,"dst":3,"proto":6}],"acked":[{"client":"h2","seq":41},{"client":"h1","seq":9}]}`))
-	f.Add([]byte(`{"format":1,"reports":[{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}]}`))
-	f.Add([]byte(`{}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return
+// stateBody is the Messages + Acked pair a Snapshot, a ShardState and a
+// Handoff all carry; the round-trip fuzzers below check it through the
+// two headers that reach disk.
+const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,"dst":1}},` +
+	`{"client":"h1","seq":9,"type":"step","step":{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}},` +
+	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}}],` +
+	`"acked":[{"client":"h2","seq":41},{"client":"h1","seq":9}]`
+
+// fuzzBodyRoundTrip is the shared oracle: an arbitrary JSON state
+// artifact must survive an unmarshal → normalize (canonical message
+// order, acks by client) → marshal cycle stably — the second pass is the
+// identity. Recovery and rebalance equality depend on this: a snapshot or
+// handoff written, read back, and written again must be byte-identical.
+func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
+	pass := func(in []byte) ([]byte, bool) {
+		var v T
+		if err := json.Unmarshal(in, &v); err != nil {
+			return nil, false
 		}
-		// First pass normalizes the set-valued fields; records and reports
-		// keep ingest order by design.
-		SortFlows(snap.CFs)
-		SortClientAcks(snap.Acked)
-		for i, r := range snap.Reports {
-			snap.Reports[i] = FromReport(r.Telemetry())
+		msgs, acked := body(&v)
+		for _, sm := range *msgs {
+			if sm.Report != nil { // map-derived lists sort, so the payload tiebreak is stable
+				*sm.Report = FromReport(sm.Report.Telemetry())
+			}
 		}
-		a, err := json.Marshal(snap)
+		SortMessages(*msgs)
+		SortClientAcks(*acked)
+		out, err := json.Marshal(&v)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		var snap2 Snapshot
-		if err := json.Unmarshal(a, &snap2); err != nil {
-			t.Fatalf("re-unmarshal of own output: %v", err)
-		}
-		SortFlows(snap2.CFs)
-		SortClientAcks(snap2.Acked)
-		for i, r := range snap2.Reports {
-			snap2.Reports[i] = FromReport(r.Telemetry())
-		}
-		b, err := json.Marshal(snap2)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("snapshot round trip not stable:\n%s\nvs\n%s", a, b)
-		}
+		return out, true
+	}
+	a, ok := pass(data)
+	if !ok {
+		return
+	}
+	b, ok := pass(a)
+	if !ok {
+		t.Fatalf("re-unmarshal of own output failed:\n%s", a)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("round trip not stable:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// FuzzSnapshotRoundTrip: the on-disk snapshot (format 2).
+func FuzzSnapshotRoundTrip(f *testing.F) {
+	f.Add([]byte(`{"format":2,"next_lsn":7,` + stateBody + `}`))
+	f.Add([]byte(`{"format":2,"messages":[{"type":"cf","cf":{"src":2,"dst":3,"proto":6}}]}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzBodyRoundTrip(t, data, func(s *Snapshot) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
 	})
 }
 
@@ -143,40 +155,14 @@ func FuzzShardMapDecode(f *testing.F) {
 	})
 }
 
-// FuzzHandoffRoundTrip: an arbitrary JSON handoff survives an unmarshal
-// → normalize (canonical client/message order) → marshal cycle stably —
-// the handoff file is the durable artifact of a rebalance, so its
-// serialization must be a fixed point after one normalization pass.
+// FuzzHandoffRoundTrip: the handoff file, the durable artifact of a
+// rebalance (format 2).
 func FuzzHandoffRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"format":1,"map":{"shards":3,"epoch":2},"from":0,"to":2,"clients":[{"client":"h1","acked":4}],"messages":[{"client":"h1","seq":3,"type":"cf","cf":{"src":1,"dst":2}}]}`))
-	f.Add([]byte(`{"format":1,"map":{"shards":2},"from":1,"to":0}`))
+	f.Add([]byte(`{"format":2,"map":{"shards":3,"epoch":2},"from":0,"to":2,` + stateBody + `}`))
+	f.Add([]byte(`{"format":2,"map":{"shards":2},"from":1,"to":0}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var h Handoff
-		if err := json.Unmarshal(data, &h); err != nil {
-			return
-		}
-		normalize := func(h *Handoff) {
-			sortSlice(h.Clients, func(a, b HandoffClient) bool { return a.Client < b.Client })
-			sortSourced(h.Messages)
-		}
-		normalize(&h)
-		a, err := json.Marshal(&h)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var h2 Handoff
-		if err := json.Unmarshal(a, &h2); err != nil {
-			t.Fatalf("re-unmarshal of own output: %v", err)
-		}
-		normalize(&h2)
-		b, err := json.Marshal(&h2)
-		if err != nil {
-			t.Fatalf("re-marshal: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("handoff round trip not stable:\n%s\nvs\n%s", a, b)
-		}
+		fuzzBodyRoundTrip(t, data, func(h *Handoff) (*[]SourcedMessage, *[]ClientAck) { return &h.Messages, &h.Acked })
 	})
 }
 

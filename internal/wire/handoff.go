@@ -1,27 +1,21 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
 
-// HandoffFormat is the supported rebalance-handoff format version.
-const HandoffFormat = 1
-
-// HandoffClient is one moved client's acknowledged-sequence highwater,
-// installed at the new owner as its dedup baseline.
-type HandoffClient struct {
-	Client string `json:"client"`
-	Acked  int64  `json:"acked,omitempty"`
-}
+// HandoffFormat is the supported rebalance-handoff format version (2:
+// ack highwaters travel as Acked []ClientAck, the shared state body).
+const HandoffFormat = 2
 
 // Handoff is the deterministic state-transfer unit of a live rebalance:
-// the slice of one donor shard's accepted messages (and ack windows)
-// that the new shard map assigns to one target shard. The router builds
-// these from donor dumps, persists each as a file, and delivers them to
-// the targets via the "adopt" verb. Map is the map being installed; its
-// Epoch versions the handoff so a stale delivery is rejected loudly.
+// the slice of one donor shard's state — the same Messages + Acked body
+// a ShardState dumps and a Snapshot persists — that the new shard map
+// assigns to one target shard. The router builds these from donor dumps,
+// persists each as a file, and delivers them to the targets via the
+// "adopt" verb. Map is the map being installed; its Epoch versions the
+// handoff so a stale delivery is rejected loudly.
 type Handoff struct {
 	Format int      `json:"format"`
 	Map    ShardMap `json:"map"`
@@ -29,14 +23,15 @@ type Handoff struct {
 	// and new maps respectively.
 	From int `json:"from"`
 	To   int `json:"to"`
-	// Clients lists every moved client's ack highwater, sorted by
-	// client. A moved client appears here even when it has no retained
-	// messages (every submission may have been rejected past the
-	// window), so the baseline still transfers.
-	Clients []HandoffClient `json:"clients,omitempty"`
 	// Messages holds the moved clients' retained messages in canonical
-	// (client, seq, type, payload) order.
+	// (SortMessages) order.
 	Messages []SourcedMessage `json:"messages,omitempty"`
+	// Acked lists every moved client's ack highwater, sorted by client,
+	// installed at the new owner as its dedup baseline. A moved client
+	// appears here even when it has no retained messages (every
+	// submission may have been rejected past the window), so the
+	// baseline still transfers.
+	Acked []ClientAck `json:"acked,omitempty"`
 }
 
 // Filename names the handoff's on-disk artifact; the triple is unique
@@ -49,7 +44,7 @@ func (h *Handoff) Filename() string {
 // the new map. The result is deterministic: targets ascend, and within
 // each handoff clients and messages are canonically sorted, so the
 // serialized handoff bytes are a pure function of the donor state and
-// the new map. Unnamed messages have no hash key and never move.
+// the new map.
 func BuildHandoffs(state *ShardState, newMap ShardMap) ([]*Handoff, error) {
 	ring, err := NewHashRing(newMap)
 	if err != nil {
@@ -65,65 +60,25 @@ func BuildHandoffs(state *ShardState, newMap ShardMap) ([]*Handoff, error) {
 		return h
 	}
 	for _, sm := range state.Messages {
-		if sm.Client == "" {
-			continue
-		}
-		if to := ring.Owner(sm.Client); to != state.Shard {
+		if to, moved := ring.Moved(sm.Client, state.Shard); moved {
 			h := target(to)
 			h.Messages = append(h.Messages, sm)
 		}
 	}
 	for _, ack := range state.Acked {
-		if ack.Client == "" {
-			continue
-		}
-		if to := ring.Owner(ack.Client); to != state.Shard {
+		if to, moved := ring.Moved(ack.Client, state.Shard); moved {
 			h := target(to)
-			h.Clients = append(h.Clients, HandoffClient{Client: ack.Client, Acked: ack.Seq})
+			h.Acked = append(h.Acked, ack)
 		}
 	}
 	out := make([]*Handoff, 0, len(byTarget))
 	for _, h := range byTarget {
-		sort.Slice(h.Clients, func(i, j int) bool { return h.Clients[i].Client < h.Clients[j].Client })
-		sortSourced(h.Messages)
+		SortMessages(h.Messages)
+		SortClientAcks(h.Acked)
 		out = append(out, h)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
 	return out, nil
-}
-
-// sortSourced orders messages canonically — the same (client, seq,
-// type, serialized payload) order MergeShardStates uses — so handoff
-// bytes don't depend on the donor's local ingest order.
-func sortSourced(msgs []SourcedMessage) {
-	ties := make([]string, len(msgs))
-	for i, sm := range msgs {
-		if b, err := json.Marshal(sm); err == nil {
-			ties[i] = string(b)
-		}
-	}
-	order := make([]int, len(msgs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		a, b := msgs[order[x]], msgs[order[y]]
-		if a.Client != b.Client {
-			return a.Client < b.Client
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return ties[order[x]] < ties[order[y]]
-	})
-	sorted := make([]SourcedMessage, len(msgs))
-	for i, idx := range order {
-		sorted[i] = msgs[idx]
-	}
-	copy(msgs, sorted)
 }
 
 // DonorShards returns the old-map shards whose dumps a rebalance must
@@ -134,14 +89,7 @@ func sortSourced(msgs []SourcedMessage) {
 // makes a shrink's donor set just the removed tail; any other change
 // (growth, replica change) must dump every old shard.
 func DonorShards(old, next ShardMap) []int {
-	or, nr := old.Replicas, next.Replicas
-	if or == 0 {
-		or = DefaultShardReplicas
-	}
-	if nr == 0 {
-		nr = DefaultShardReplicas
-	}
-	if next.Shards < old.Shards && or == nr {
+	if next.Shards < old.Shards && old.replicas() == next.replicas() {
 		donors := make([]int, 0, old.Shards-next.Shards)
 		for i := next.Shards; i < old.Shards; i++ {
 			donors = append(donors, i)

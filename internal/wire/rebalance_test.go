@@ -167,9 +167,9 @@ func TestBuildHandoffsDeterministic(t *testing.T) {
 				t.Errorf("handoff to %d carries %q owned by %d", h.To, sm.Client, ring.Owner(sm.Client))
 			}
 		}
-		for _, hc := range h.Clients {
-			if hc.Acked != 2 {
-				t.Errorf("client %q handed off with acked %d, want 2", hc.Client, hc.Acked)
+		for _, hc := range h.Acked {
+			if hc.Seq != 2 {
+				t.Errorf("client %q handed off with acked %d, want 2", hc.Client, hc.Seq)
 			}
 		}
 		if want := fmt.Sprintf("epoch-1-from-0-to-%d.json", h.To); h.Filename() != want {

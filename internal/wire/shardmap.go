@@ -30,6 +30,14 @@ type ShardMap struct {
 	Epoch int64 `json:"epoch,omitempty"`
 }
 
+// replicas resolves the virtual-node count (zero means the default).
+func (m ShardMap) replicas() int {
+	if m.Replicas == 0 {
+		return DefaultShardReplicas
+	}
+	return m.Replicas
+}
+
 // ringPoint is one virtual node on the consistent-hash ring.
 type ringPoint struct {
 	hash  uint64
@@ -54,10 +62,7 @@ func NewHashRing(m ShardMap) (*HashRing, error) {
 	if m.Replicas < 0 {
 		return nil, fmt.Errorf("wire: shard map replicas cannot be negative, got %d", m.Replicas)
 	}
-	replicas := m.Replicas
-	if replicas == 0 {
-		replicas = DefaultShardReplicas
-	}
+	replicas := m.replicas()
 	r := &HashRing{shards: m.Shards, points: make([]ringPoint, 0, m.Shards*replicas)}
 	for s := 0; s < m.Shards; s++ {
 		for v := 0; v < replicas; v++ {
@@ -85,6 +90,19 @@ func (r *HashRing) Owner(key string) int {
 		i = 0 // wrap past the highest point back to the ring start
 	}
 	return r.points[i].shard
+}
+
+// Moved reports whether the ring assigns client, currently held by shard
+// from, to a different shard, and which. This is the one statement of the
+// ownership rule — recovery, live remaps, handoff slicing and adoption
+// all ask it — and of its exception: an unnamed (peer-keyed) client has
+// no hash key, so it never moves.
+func (r *HashRing) Moved(client string, from int) (to int, moved bool) {
+	if client == "" {
+		return from, false
+	}
+	to = r.Owner(client)
+	return to, to != from
 }
 
 // fnv64a is the 64-bit FNV-1a hash with a murmur3-style avalanche

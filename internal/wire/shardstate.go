@@ -16,12 +16,13 @@ const (
 )
 
 // SourcedMessage is one accepted ingest message with its provenance:
-// which client submitted it and at which sequence number. Shards in a
-// diagnosis fleet retain these (instead of bare records) so that the
-// fleet aggregator can merge any subset of shard dumps into one
-// deterministic bundle — (client, seq) is stable across shard crashes,
-// resubmission, and re-sharding, which is what makes the merged
-// diagnosis byte-identical to an unbroken run.
+// which client submitted it and at which sequence number. The stream of
+// these, in ingest order, is the only ingest state an analyzer daemon
+// retains: it diagnoses by folding the stream (FoldMessages), and a fleet
+// aggregator can merge any subset of shard dumps into one deterministic
+// bundle — (client, seq) is stable across shard crashes, resubmission,
+// and re-sharding, which is what makes the merged diagnosis
+// byte-identical to an unbroken run.
 type SourcedMessage struct {
 	Client string      `json:"client,omitempty"`
 	Seq    int64       `json:"seq,omitempty"`
@@ -35,8 +36,10 @@ type SourcedMessage struct {
 const ShardStateFormat = 1
 
 // ShardState is one shard daemon's complete accepted-message set, as
-// returned by the "dump" verb. Shard and Map echo the shard's position
-// in the fleet so an aggregator can detect a mis-wired dump.
+// returned by the "dump" verb: the same Messages + Acked body a Snapshot
+// persists and a Handoff moves, under a header (Shard, Map) that echoes
+// the shard's position in the fleet so an aggregator can detect a
+// mis-wired dump.
 type ShardState struct {
 	Format int `json:"format"`
 	// Shard is this daemon's index in [0, Map.Shards).
@@ -73,32 +76,22 @@ type MergeStats struct {
 	CFs     int
 }
 
-// MergeShardStates merges any number of shard dumps into one bundle in
-// canonical order. The order is a pure function of the merged message
-// *set* — messages sort by (client, seq, type, serialized payload) and
-// duplicate (client, seq) identities collapse — so the result is
-// byte-identical no matter how the fleet was sharded, how often shards
-// crashed and replayed their WALs, or in which order the dumps were
-// gathered.
-func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
-	stats := MergeStats{Shards: len(states)}
-	type item struct {
+// SortMessages puts msgs in canonical order: by (client, seq, type,
+// serialized payload). It is the one order every deterministic artifact
+// uses — the fleet merge and the rebalance handoffs — so their bytes are
+// a pure function of the message *set*, not of any shard's ingest order.
+func SortMessages(msgs []SourcedMessage) {
+	type keyed struct {
 		sm  SourcedMessage
 		tie string // serialized payload, breaking ties between unsequenced messages
 	}
-	var items []item
-	for _, st := range states {
-		if st == nil {
-			continue
+	items := make([]keyed, len(msgs))
+	for i, sm := range msgs {
+		b, err := json.Marshal(sm)
+		if err != nil {
+			b = nil // plain DTOs cannot fail to marshal; an empty tiebreak still sorts
 		}
-		stats.Messages += len(st.Messages)
-		for _, sm := range st.Messages {
-			b, err := json.Marshal(sm)
-			if err != nil {
-				b = nil // plain DTOs cannot fail to marshal; an empty tiebreak still sorts
-			}
-			items = append(items, item{sm: sm, tie: string(b)})
-		}
+		items[i] = keyed{sm: sm, tie: string(b)}
 	}
 	sort.Slice(items, func(i, j int) bool {
 		a, b := items[i], items[j]
@@ -113,7 +106,18 @@ func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
 		}
 		return a.tie < b.tie
 	})
+	for i := range items {
+		msgs[i] = items[i].sm
+	}
+}
 
+// FoldMessages reduces a message stream to the analyzer's input, in the
+// order given: a repeated (client, seq) identity counts once, records and
+// reports keep their order, and the collective flows collapse to a sorted
+// set. A daemon folds its stream in ingest order to diagnose it; the
+// fleet merge folds the canonically sorted union of its shards' streams.
+func FoldMessages(msgs []SourcedMessage) (*Bundle, MergeStats) {
+	stats := MergeStats{Messages: len(msgs)}
 	bundle := &Bundle{}
 	type identity struct {
 		client string
@@ -121,8 +125,7 @@ func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
 	}
 	seen := map[identity]bool{}
 	cfSeen := map[Flow]bool{}
-	for _, it := range items {
-		sm := it.sm
+	for _, sm := range msgs {
 		if sm.Client != "" && sm.Seq > 0 {
 			id := identity{client: sm.Client, seq: sm.Seq}
 			if seen[id] {
@@ -149,5 +152,23 @@ func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
 	stats.Records = len(bundle.Records)
 	stats.Reports = len(bundle.Reports)
 	stats.CFs = len(bundle.CFs)
+	return bundle, stats
+}
+
+// MergeShardStates merges any number of shard dumps into one bundle in
+// canonical order (SortMessages, then FoldMessages), so the result is
+// byte-identical no matter how the fleet was sharded, how often shards
+// crashed and replayed their WALs, or in which order the dumps were
+// gathered.
+func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
+	var msgs []SourcedMessage
+	for _, st := range states {
+		if st != nil {
+			msgs = append(msgs, st.Messages...)
+		}
+	}
+	SortMessages(msgs)
+	bundle, stats := FoldMessages(msgs)
+	stats.Shards = len(states)
 	return bundle, stats
 }

@@ -8,30 +8,23 @@ type ClientAck struct {
 	Seq    int64  `json:"seq"`
 }
 
-// SnapshotFormat is the supported snapshot format version.
-const SnapshotFormat = 1
+// SnapshotFormat is the supported snapshot format version. Format 1 held
+// derived records/reports/cfs (standalone) or messages (shard); a format-1
+// file is refused, never read as an empty state.
+const SnapshotFormat = 2
 
-// Snapshot is the JSON form of the analyzer daemon's complete ingest
-// state: every step record, telemetry report, and collective-flow
-// registration in ingest order, plus the per-client ack windows. A
-// snapshot plus the write-ahead-log entries at or after NextLSN
-// reconstructs a byte-identical Diagnose() — the records slice preserves
-// arrival order because the analyzer's flow→step index is last-write-wins
-// over that order.
+// Snapshot is the analyzer daemon's complete ingest state on disk. Its
+// body is the one every state artifact shares — Messages in ingest order
+// plus the Acked highwaters (see ShardState and Handoff) — under a header
+// that says which write-ahead-log entries it already covers. A snapshot
+// plus the log entries at or after NextLSN reconstructs a byte-identical
+// Diagnose(): ingest order is kept because the analyzer's flow→step index
+// is last-write-wins over it.
 type Snapshot struct {
-	Format  int          `json:"format"`
-	NextLSN uint64       `json:"next_lsn"`
-	Records []StepRecord `json:"records,omitempty"`
-	Reports []Report     `json:"reports,omitempty"`
-	CFs     []Flow       `json:"cfs,omitempty"`
-	Acked   []ClientAck  `json:"acked,omitempty"`
-	// Messages replaces Records/Reports/CFs when the daemon runs as a
-	// fleet shard: shard snapshots keep each accepted message with its
-	// (client, seq) provenance so recovery can re-filter ownership
-	// against the current shard map and the aggregator can merge dumps
-	// deterministically. omitempty keeps standalone snapshots
-	// byte-identical to the pre-fleet format.
+	Format   int              `json:"format"`
+	NextLSN  uint64           `json:"next_lsn"`
 	Messages []SourcedMessage `json:"messages,omitempty"`
+	Acked    []ClientAck      `json:"acked,omitempty"`
 }
 
 // SortFlows sorts flows in canonical (src, dst, sport, dport, proto)

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vedrfolnir/internal/obs"
@@ -29,17 +30,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vedranalyze: -in required")
 		os.Exit(2)
 	}
-	f := os.Stdin
-	if *in != "-" {
-		var err error
-		f, err = os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vedranalyze:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
+	var data []byte
+	var err error
+	if *in == "-" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(*in)
 	}
-	bundle, err := wire.ReadBundle(f)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vedranalyze:", err)
+		os.Exit(1)
+	}
+	bundle, err := wire.DecodeBundle(data)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vedranalyze:", err)
 		os.Exit(1)

@@ -48,24 +48,8 @@ import (
 	"vedrfolnir/internal/wire"
 )
 
-// Message is one line of the monitor→analyzer protocol. Exactly one payload
-// field is set, selected by Type. Seq and Client are optional: a client
-// that numbers its messages (per-client, strictly increasing from 1) gets
-// an {"ack":seq} reply per ingested message and duplicate suppression on
-// resubmission; unnumbered messages keep the original fire-and-forget
-// behaviour.
-type Message struct {
-	Type   string           `json:"type"` // "step" | "report" | "cf"
-	Step   *wire.StepRecord `json:"step,omitempty"`
-	Report *wire.Report     `json:"report,omitempty"`
-	CF     *wire.Flow       `json:"cf,omitempty"`
-	Seq    int64            `json:"seq,omitempty"`
-	Client string           `json:"client,omitempty"`
-	// Map is the remap/resize verb payload: the shard map to install.
-	Map *wire.ShardMap `json:"map,omitempty"`
-	// Handoff is the adopt verb payload: moved-client state to absorb.
-	Handoff *wire.Handoff `json:"handoff,omitempty"`
-}
+// Message is one line of the monitor→analyzer protocol; see wire.Message.
+type Message = wire.Message
 
 // Protocol message types. The ingest payloads (step/report/cf) mirror
 // wire.MsgStep/MsgReport/MsgCF; "dump" is a connection-level query — a
@@ -90,12 +74,20 @@ const (
 // target), so every malformed shape must come back as an error, never a
 // panic.
 func ParseMessage(line []byte) (*Message, error) {
-	var msg Message
-	if err := json.Unmarshal(line, &msg); err != nil {
+	msg, err := wire.DecodeMessage(line)
+	if err != nil {
 		return nil, err
 	}
+	if err := validateMessage(msg); err != nil {
+		return nil, err
+	}
+	return msg, nil
+}
+
+// validateMessage holds the protocol's rules for a decoded line.
+func validateMessage(msg *Message) error {
 	if msg.Seq < 0 {
-		return nil, fmt.Errorf("negative seq %d", msg.Seq)
+		return fmt.Errorf("negative seq %d", msg.Seq)
 	}
 	payloads := 0
 	if msg.Step != nil {
@@ -108,58 +100,58 @@ func ParseMessage(line []byte) (*Message, error) {
 		payloads++
 	}
 	if payloads > 1 {
-		return nil, fmt.Errorf("%d payloads in one message", payloads)
+		return fmt.Errorf("%d payloads in one message", payloads)
 	}
 	switch msg.Type {
 	case TypeStep:
 		if msg.Step == nil {
-			return nil, errors.New("step message without payload")
+			return errors.New("step message without payload")
 		}
 	case TypeReport:
 		if msg.Report == nil {
-			return nil, errors.New("report message without payload")
+			return errors.New("report message without payload")
 		}
 	case TypeCF:
 		if msg.CF == nil {
-			return nil, errors.New("cf message without payload")
+			return errors.New("cf message without payload")
 		}
 	case TypeDump:
 		if payloads != 0 {
-			return nil, errors.New("dump message carries a payload")
+			return errors.New("dump message carries a payload")
 		}
 		if msg.Seq != 0 {
-			return nil, errors.New("dump message cannot be sequenced")
+			return errors.New("dump message cannot be sequenced")
 		}
 	case TypeRemap, TypeResize:
 		if payloads != 0 || msg.Handoff != nil {
-			return nil, fmt.Errorf("%s message carries a payload", msg.Type)
+			return fmt.Errorf("%s message carries a payload", msg.Type)
 		}
 		if msg.Map == nil {
-			return nil, fmt.Errorf("%s message without a map", msg.Type)
+			return fmt.Errorf("%s message without a map", msg.Type)
 		}
 		if msg.Seq != 0 {
-			return nil, fmt.Errorf("%s message cannot be sequenced", msg.Type)
+			return fmt.Errorf("%s message cannot be sequenced", msg.Type)
 		}
 	case TypeAdopt:
 		if payloads != 0 || msg.Map != nil {
-			return nil, errors.New("adopt message carries a payload")
+			return errors.New("adopt message carries a payload")
 		}
 		if msg.Handoff == nil {
-			return nil, errors.New("adopt message without a handoff")
+			return errors.New("adopt message without a handoff")
 		}
 		if msg.Seq != 0 {
-			return nil, errors.New("adopt message cannot be sequenced")
+			return errors.New("adopt message cannot be sequenced")
 		}
 	default:
-		return nil, fmt.Errorf("unknown message type %q", msg.Type)
+		return fmt.Errorf("unknown message type %q", msg.Type)
 	}
 	if msg.Type != TypeRemap && msg.Type != TypeResize && msg.Map != nil {
-		return nil, fmt.Errorf("%s message carries a shard map", msg.Type)
+		return fmt.Errorf("%s message carries a shard map", msg.Type)
 	}
 	if msg.Type != TypeAdopt && msg.Handoff != nil {
-		return nil, fmt.Errorf("%s message carries a handoff", msg.Type)
+		return fmt.Errorf("%s message carries a handoff", msg.Type)
 	}
-	return &msg, nil
+	return nil
 }
 
 // DurabilityConfig makes accepted messages crash-safe: a write-ahead log

@@ -63,7 +63,7 @@ func syncDir(dir string) error {
 // exists; an unreadable or wrong-format snapshot is an error (snapshot
 // writes are atomic, so a corrupt one means the storage itself is
 // damaged and silently ignoring it would replay an incomplete state).
-func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
+func readSnapshot(dir string) (wire.Snapshot, bool, error) {
 	b, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -71,7 +71,8 @@ func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 		}
 		return wire.Snapshot{}, false, fmt.Errorf("analyzerd: snapshot: %w", err)
 	}
-	if err := json.Unmarshal(b, &snap); err != nil {
+	snap, err := wire.DecodeSnapshot(b)
+	if err != nil {
 		return wire.Snapshot{}, false, fmt.Errorf("analyzerd: snapshot %s: %w",
 			filepath.Join(dir, snapshotFileName), err)
 	}
@@ -79,7 +80,7 @@ func readSnapshot(dir string) (snap wire.Snapshot, ok bool, err error) {
 		return wire.Snapshot{}, false, fmt.Errorf("analyzerd: snapshot has format %d, want %d",
 			snap.Format, wire.SnapshotFormat)
 	}
-	return snap, true, nil
+	return *snap, true, nil
 }
 
 // RecoverStats accounts for what a recovery rebuilt and what it had to

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net"
@@ -704,18 +703,14 @@ func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 // decodeDump parses one shard's dump reply, surfacing a shard-side error
 // line as an error.
 func decodeDump(i int, rep []byte) (*wire.ShardState, error) {
-	var state wire.ShardState
-	if err := json.Unmarshal(rep, &state); err != nil {
+	state, failure, err := wire.DecodeShardState(rep)
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("fleet: shard %d dump: %w", i, err)
+	case state.Format != 0:
+		return state, nil
+	case failure != "":
+		return nil, fmt.Errorf("fleet: shard %d dump: %s", i, failure)
 	}
-	if state.Format == 0 {
-		var failure struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(rep, &failure) == nil && failure.Error != "" {
-			return nil, fmt.Errorf("fleet: shard %d dump: %s", i, failure.Error)
-		}
-		return nil, fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
-	}
-	return &state, nil
+	return nil, fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
 }

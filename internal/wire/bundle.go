@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 
@@ -48,13 +49,20 @@ func (b *Bundle) Write(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// ReadBundle parses a JSON bundle.
+// ReadBundle parses the first JSON value r yields as a bundle and ignores
+// whatever follows it. The value is read whole before it is decoded, into a
+// buffer sized up front when r says how much it holds.
 func ReadBundle(r io.Reader) (*Bundle, error) {
-	var b Bundle
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return nil, err
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok && sized.Len() > 0 {
+		buf.Grow(sized.Len() + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
-	return &b, nil
+	_, readErr := buf.ReadFrom(r)
+	b, err := decode(buf.Bytes(), bundleCodec, false)
+	if err != nil && readErr != nil {
+		return nil, readErr
+	}
+	return b, err
 }
 
 // Analyze reconstructs the internal inputs and runs the analyzer. The

@@ -6,21 +6,32 @@ import (
 	"testing"
 )
 
-// FuzzReportRoundTrip: an arbitrary JSON report that unmarshals must
+// The fuzzers over the service tier's DTOs are differential: every input
+// goes through the decoder in decode.go and through encoding/json (the
+// helpers in decode_test.go), which must agree on accept/refuse and on the
+// decoded value, before the target's own property is checked. Each starts
+// from the quirk corpus plus documents of its own type.
+func seed(f *testing.F, docs ...string) {
+	for _, q := range append(docs, quirks...) {
+		f.Add([]byte(q))
+	}
+}
+
+// FuzzReportRoundTrip: an arbitrary JSON report that decodes must
 // convert to the internal telemetry form and back without panicking, and
 // the DTO→internal→DTO conversion must be a fixed point after one
 // normalization pass (FromReport sorts the map-derived lists, so a second
 // pass must be byte-stable — the property journal resume and the
 // determinism tests depend on).
 func FuzzReportRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"at_ns":5,"triggered_by":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"hops_polled":3}`))
-	f.Add([]byte(`{"at_ns":5,"triggered_by":{},"ports_missed":2,"flows":[{"switch":9,"port":1,"flow":{"src":1,"dst":2},"pkts":10,"bytes":1000,"wait":[{"flow":{"src":3,"dst":4},"n":7}]}]}`))
-	f.Add([]byte(`{"ports":[{"switch":9,"port":0,"queued_bytes":1,"paused":true,"meter_in":[{"from":{"node":2,"port":1},"bytes":5}],"pfc_events":[{"at_ns":1,"pause":true,"upstream":{"node":2,"port":1},"downstream":9,"ingress":1,"cause":3}]}]}`))
-	f.Add([]byte(`{"ttl_drops":[{"switch":4,"n":2},{"switch":3,"n":1}]}`))
-	f.Add([]byte(`{}`))
+	seed(f,
+		`{"at_ns":5,"triggered_by":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"hops_polled":3}`,
+		`{"at_ns":5,"triggered_by":{},"ports_missed":2,"flows":[{"switch":9,"port":1,"flow":{"src":1,"dst":2},"pkts":10,"bytes":1000,"wait":[{"flow":{"src":3,"dst":4},"n":7}]}]}`,
+		`{"ports":[{"switch":9,"port":0,"queued_bytes":1,"paused":true,"meter_in":[{"from":{"node":2,"port":1},"bytes":5}],"pfc_events":[{"at_ns":1,"pause":true,"upstream":{"node":2,"port":1},"downstream":9,"ingress":1,"cause":3}]}]}`,
+		`{"ttl_drops":[{"switch":4,"n":2},{"switch":3,"n":1}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dto Report
-		if err := json.Unmarshal(data, &dto); err != nil {
+		dto, ok := differ(t, data, reportCodec)
+		if !ok {
 			return
 		}
 		// First pass normalizes (duplicate map keys collapse, lists sort).
@@ -44,11 +55,10 @@ func FuzzReportRoundTrip(f *testing.F) {
 // FuzzStepRecordRoundTrip: the step-record DTO is flat, so the round trip
 // must be exactly lossless, not just stable.
 func FuzzStepRecordRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900,"wait_src":2,"wait_step":0,"bound_by_wait":true}`))
-	f.Add([]byte(`{}`))
+	seed(f, `{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900,"wait_src":2,"wait_step":0,"bound_by_wait":true}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var dto StepRecord
-		if err := json.Unmarshal(data, &dto); err != nil {
+		dto, ok := differ(t, data, stepRecordCodec)
+		if !ok {
 			return
 		}
 		if got := FromStepRecord(dto.Record()); got != dto {
@@ -65,15 +75,15 @@ const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,
 	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}}],` +
 	`"acked":[{"client":"h2","seq":41},{"client":"h1","seq":9}]`
 
-// fuzzBodyRoundTrip is the shared oracle: an arbitrary JSON state
-// artifact must survive an unmarshal → normalize (canonical message
-// order, acks by client) → marshal cycle stably — the second pass is the
+// fuzzBodyRoundTrip is the shared property: an arbitrary JSON state
+// artifact must survive a decode → normalize (canonical message order,
+// acks by client) → marshal cycle stably — the second pass is the
 // identity. Recovery and rebalance equality depend on this: a snapshot or
 // handoff written, read back, and written again must be byte-identical.
-func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
+func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, c codec[T], body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
 	pass := func(in []byte) ([]byte, bool) {
-		var v T
-		if err := json.Unmarshal(in, &v); err != nil {
+		v, ok := differ(t, in, c)
+		if !ok {
 			return nil, false
 		}
 		msgs, acked := body(&v)
@@ -96,7 +106,7 @@ func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, body func(*T) (*[]Sourc
 	}
 	b, ok := pass(a)
 	if !ok {
-		t.Fatalf("re-unmarshal of own output failed:\n%s", a)
+		t.Fatalf("decode of own output failed:\n%s", a)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("round trip not stable:\n%s\nvs\n%s", a, b)
@@ -105,11 +115,34 @@ func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, body func(*T) (*[]Sourc
 
 // FuzzSnapshotRoundTrip: the on-disk snapshot (format 2).
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"format":2,"next_lsn":7,` + stateBody + `}`))
-	f.Add([]byte(`{"format":2,"messages":[{"type":"cf","cf":{"src":2,"dst":3,"proto":6}}]}`))
-	f.Add([]byte(`{}`))
+	seed(f,
+		`{"format":2,"next_lsn":7,`+stateBody+`}`,
+		`{"format":2,"messages":[{"type":"cf","cf":{"src":2,"dst":3,"proto":6}}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBodyRoundTrip(t, data, func(s *Snapshot) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
+		fuzzBodyRoundTrip(t, data, snapshotCodec, func(s *Snapshot) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
+	})
+}
+
+// FuzzShardStateDecode: a shard's reply to the dump verb — a state, an
+// {"error": …} line, or anything a broken shard might send — decodes in
+// one pass to what the two encoding/json passes it replaced produced.
+func FuzzShardStateDecode(f *testing.F) {
+	seed(f,
+		`{"format":1,"shard":1,"map":{"shards":2,"epoch":4},`+stateBody+`}`,
+		`{"error":"dump: not a shard"}`)
+	f.Fuzz(func(t *testing.T, data []byte) { differDump(t, data) })
+}
+
+// FuzzReadBundle: both bundle entry points against their references —
+// ReadBundle against json.Decoder.Decode (first value, the rest ignored),
+// DecodeBundle against json.Unmarshal (one value, then only whitespace).
+func FuzzReadBundle(f *testing.F) {
+	seed(f,
+		`{"records":[{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}],"reports":[{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}],"cfs":[{"src":3,"dst":4}],"metrics":{"sim.events":12}}`,
+		`{"records":null,"reports":[],"cfs":[]} {"records":[{}]}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		differBundleStream(t, data)
+		differ(t, data, bundleCodec)
 	})
 }
 
@@ -120,23 +153,18 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // maps straight into NewHashRing, so this is an input-validation
 // surface, not just a DTO.
 func FuzzShardMapDecode(f *testing.F) {
-	f.Add([]byte(`{"shards":3}`))
-	f.Add([]byte(`{"shards":4,"replicas":16,"epoch":7}`))
-	f.Add([]byte(`{"shards":-1}`))
-	f.Add([]byte(`{"shards":0,"replicas":-5}`))
-	f.Add([]byte(`{}`))
+	seed(f, `{"shards":3}`, `{"shards":4,"replicas":16,"epoch":7}`, `{"shards":-1}`, `{"shards":0,"replicas":-5}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m ShardMap
-		if err := json.Unmarshal(data, &m); err != nil {
+		m, ok := differ(t, data, shardMapCodec)
+		if !ok {
 			return
 		}
 		a, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
-		var m2 ShardMap
-		if err := json.Unmarshal(a, &m2); err != nil || m2 != m {
-			t.Fatalf("shard map round trip lost data: %+v vs %+v (%v)", m2, m, err)
+		if m2, ok := differ(t, a, shardMapCodec); !ok || m2 != m {
+			t.Fatalf("shard map round trip lost data: %+v vs %+v", m2, m)
 		}
 		ring, err := NewHashRing(m)
 		if err != nil {
@@ -158,11 +186,11 @@ func FuzzShardMapDecode(f *testing.F) {
 // FuzzHandoffRoundTrip: the handoff file, the durable artifact of a
 // rebalance (format 2).
 func FuzzHandoffRoundTrip(f *testing.F) {
-	f.Add([]byte(`{"format":2,"map":{"shards":3,"epoch":2},"from":0,"to":2,` + stateBody + `}`))
-	f.Add([]byte(`{"format":2,"map":{"shards":2},"from":1,"to":0}`))
-	f.Add([]byte(`{}`))
+	seed(f,
+		`{"format":2,"map":{"shards":3,"epoch":2},"from":0,"to":2,`+stateBody+`}`,
+		`{"format":2,"map":{"shards":2},"from":1,"to":0}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBodyRoundTrip(t, data, func(h *Handoff) (*[]SourcedMessage, *[]ClientAck) { return &h.Messages, &h.Acked })
+		fuzzBodyRoundTrip(t, data, handoffCodec, func(h *Handoff) (*[]SourcedMessage, *[]ClientAck) { return &h.Messages, &h.Acked })
 	})
 }
 

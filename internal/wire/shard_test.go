@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -134,5 +136,33 @@ func TestMergeShardStatesUnsequencedDeterministic(t *testing.T) {
 	bb, _ := MergeShardStates(b)
 	if mustJSON(t, ba) != mustJSON(t, bb) {
 		t.Errorf("unsequenced merge order depends on input order:\n%s\n%s", mustJSON(t, ba), mustJSON(t, bb))
+	}
+}
+
+// TestSortMessagesLazyTiebreakKeepsOrder: serializing the payload only
+// where (client, seq, type) tie yields the order that serializing every
+// message up front did — on a shuffled stream where sequenced messages,
+// unsequenced ones and resubmitted duplicates all occur.
+func TestSortMessagesLazyTiebreakKeepsOrder(t *testing.T) {
+	msgs := shardTestMessages()
+	for i := 0; i < 6; i++ {
+		rec := StepRecord{Host: int32(i % 3), Step: i / 3}
+		msgs = append(msgs, SourcedMessage{Type: MsgStep, Step: &rec}, msgs[i])
+	}
+	want := append([]SourcedMessage{}, msgs...)
+	sort.Slice(want, func(i, j int) bool { // the eager order: every key serialized
+		key := func(sm SourcedMessage) string {
+			return fmt.Sprintf("%s\x00%020d\x00%s\x00%s", sm.Client, sm.Seq, sm.Type, mustJSON(t, sm))
+		}
+		return key(want[i]) < key(want[j])
+	})
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+		got := append([]SourcedMessage{}, msgs...)
+		SortMessages(got)
+		if mustJSON(t, got) != mustJSON(t, want) {
+			t.Fatalf("round %d: order differs:\n got %s\nwant %s", round, mustJSON(t, got), mustJSON(t, want))
+		}
 	}
 }

@@ -81,20 +81,26 @@ type MergeStats struct {
 // uses — the fleet merge and the rebalance handoffs — so their bytes are
 // a pure function of the message *set*, not of any shard's ingest order.
 func SortMessages(msgs []SourcedMessage) {
+	// (client, seq, type) already orders every sequenced message, so the
+	// payload is serialized only for elements that tie on all three —
+	// once each: the memo travels with its element as the sort swaps it.
 	type keyed struct {
 		sm  SourcedMessage
-		tie string // serialized payload, breaking ties between unsequenced messages
+		tie string // serialized payload, filled on first need
+	}
+	tie := func(k *keyed) string {
+		if k.tie == "" {
+			b, _ := json.Marshal(k.sm) // plain DTOs cannot fail to marshal; an empty tiebreak still sorts
+			k.tie = string(b)
+		}
+		return k.tie
 	}
 	items := make([]keyed, len(msgs))
 	for i, sm := range msgs {
-		b, err := json.Marshal(sm)
-		if err != nil {
-			b = nil // plain DTOs cannot fail to marshal; an empty tiebreak still sorts
-		}
-		items[i] = keyed{sm: sm, tie: string(b)}
+		items[i].sm = sm
 	}
 	sort.Slice(items, func(i, j int) bool {
-		a, b := items[i], items[j]
+		a, b := &items[i], &items[j]
 		if a.sm.Client != b.sm.Client {
 			return a.sm.Client < b.sm.Client
 		}
@@ -104,7 +110,7 @@ func SortMessages(msgs []SourcedMessage) {
 		if a.sm.Type != b.sm.Type {
 			return a.sm.Type < b.sm.Type
 		}
-		return a.tie < b.tie
+		return tie(a) < tie(b)
 	})
 	for i := range items {
 		msgs[i] = items[i].sm

@@ -3,7 +3,11 @@
 // were scheduled (FIFO tie-break), which keeps simulations deterministic.
 package eventq
 
-import "vedrfolnir/internal/simtime"
+import (
+	"math/bits"
+
+	"vedrfolnir/internal/simtime"
+)
 
 // Event is a callback scheduled at an absolute simulation time.
 type Event struct {
@@ -19,6 +23,24 @@ func (e *Event) less(o *Event) bool {
 	}
 	return e.seq < o.seq
 }
+
+// key returns the event's place in that order as one unsigned 128-bit
+// number (hi, lo): At with its sign bit flipped, so the whole int64 range
+// sorts as unsigned, then the insertion sequence.
+func (e *Event) key() (hi, lo uint64) { return uint64(e.At) ^ 1<<63, e.seq }
+
+// before returns 1 when key a is strictly smaller than key b and 0
+// otherwise: the borrow out of the 128-bit subtraction a - b. Pop selects
+// with it arithmetically, because which of four children is earliest is a
+// coin toss no branch predictor learns.
+func before(ahi, alo, bhi, blo uint64) uint64 {
+	_, borrow := bits.Sub64(alo, blo, 0)
+	_, borrow = bits.Sub64(ahi, bhi, borrow)
+	return borrow
+}
+
+// pick returns x when take is 1 and y when it is 0.
+func pick(take, x, y uint64) uint64 { return y ^ (x^y)&-take }
 
 // Stats counts a queue's lifetime traffic: total pushes and pops, plus the
 // depth high-water mark. Plain values — the queue does not depend on any
@@ -84,23 +106,41 @@ func (q *Queue) Pop() Event {
 	q.stats.Pops++
 	// Sift down: move the hole from the root toward the leaves, pulling up
 	// the earliest child, until last fits.
+	lastHi, lastLo := last.key()
 	i := 0
 	for {
 		c := arity*i + 1
 		if c >= n {
 			break
 		}
-		end := c + arity
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if h[j].less(&h[m]) {
-				m = j
+		var m int
+		var mHi, mLo uint64
+		if c+arity <= n {
+			// A full group: a two-round tournament on the keys, the
+			// winner's index assembled from the borrows.
+			g := h[c : c+arity : c+arity]
+			hi0, lo0 := g[0].key()
+			hi1, lo1 := g[1].key()
+			hi2, lo2 := g[2].key()
+			hi3, lo3 := g[3].key()
+			b1 := before(hi1, lo1, hi0, lo0)
+			b3 := before(hi3, lo3, hi2, lo2)
+			aHi, aLo := pick(b1, hi1, hi0), pick(b1, lo1, lo0)
+			bHi, bLo := pick(b3, hi3, hi2), pick(b3, lo3, lo2)
+			bb := before(bHi, bLo, aHi, aLo)
+			mHi, mLo = pick(bb, bHi, aHi), pick(bb, bLo, aLo)
+			m = c + int(pick(bb, 2+b3, b1))
+		} else {
+			// The partial last group (1–3 children).
+			m = c
+			for j := c + 1; j < n; j++ {
+				if h[j].less(&h[m]) {
+					m = j
+				}
 			}
+			mHi, mLo = h[m].key()
 		}
-		if !h[m].less(&last) {
+		if before(mHi, mLo, lastHi, lastLo) == 0 {
 			break
 		}
 		h[i] = h[m]
@@ -110,6 +150,16 @@ func (q *Queue) Pop() Event {
 		h[i] = last
 	}
 	return e
+}
+
+// PopUntil removes and returns the earliest event if it is due at or before
+// until; otherwise (or when the queue is empty) it leaves the queue as it
+// is and ok is false.
+func (q *Queue) PopUntil(until simtime.Time) (e Event, ok bool) {
+	if len(q.h) == 0 || q.h[0].At > until {
+		return Event{}, false
+	}
+	return q.Pop(), true
 }
 
 // Peek returns the earliest event without removing it; ok is false when the

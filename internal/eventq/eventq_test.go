@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,84 @@ func TestMatchesReference(t *testing.T) {
 		if q.Stats() != ref.stats {
 			t.Fatalf("seed %d: stats %+v, reference %+v", seed, q.Stats(), ref.stats)
 		}
+	}
+	t.Run("adversarial", adversarialAgainstReference)
+}
+
+// adversarialAgainstReference aims the same differential check at the
+// branch-free child selection in Pop: timestamps that tie in long runs (so
+// only the insertion sequence decides), that sit at the ends of the int64
+// range (0, negative, simtime.Never — the sign-bit flip must order them),
+// and fill-then-drain cycles whose depth passes through every n mod 4, so
+// both the four-wide path and each size of partial last group are taken,
+// up to depth 4096.
+func adversarialAgainstReference(t *testing.T) {
+	extremes := []simtime.Time{math.MinInt64, math.MinInt64 + 1, -1 << 40, -1, 0, 1, 1 << 40, math.MaxInt64 - 1, simtime.Never}
+	gens := []struct {
+		name string
+		at   func(rng *rand.Rand, i int) simtime.Time // i counts the pushes so far
+	}{
+		{"all-equal", func(*rand.Rand, int) simtime.Time { return 0 }},
+		{"all-never", func(*rand.Rand, int) simtime.Time { return simtime.Never }},
+		{"two-values", func(rng *rand.Rand, _ int) simtime.Time { return simtime.Time(rng.Intn(2)) }},
+		{"runs-of-equal", func(_ *rand.Rand, i int) simtime.Time { return simtime.Time(-(i / 97)) }},
+		{"extremes", func(rng *rand.Rand, _ int) simtime.Time { return extremes[rng.Intn(len(extremes))] }},
+		{"negative", func(rng *rand.Rand, _ int) simtime.Time { return -1 - simtime.Time(rng.Int63()) }},
+		{"full-range", func(rng *rand.Rand, _ int) simtime.Time { return simtime.Time(rng.Uint64()) }},
+		{"descending", func(_ *rand.Rand, i int) simtime.Time { return simtime.Never - simtime.Time(i) }},
+	}
+	depths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 20, 21, 22, 23, 85, 341, 1365, 4096}
+	for _, g := range gens {
+		name, gen := g.name, g.at
+		rng := rand.New(rand.NewSource(7))
+		var q Queue
+		var ref refQueue
+		pushes := 0
+		for _, depth := range depths {
+			// Fill to depth, drain a random part, refill, drain fully:
+			// the second fill sifts up through a heap that pops reshaped.
+			for _, drainTo := range []int{rng.Intn(depth + 1), 0} {
+				for q.Len() < depth {
+					at := gen(rng, pushes)
+					pushes++
+					q.Push(at, nil)
+					ref.Push(at)
+				}
+				for q.Len() > drainTo {
+					got, want := q.Pop(), ref.Pop()
+					if got.seq != want.seq || got.At != want.at {
+						t.Fatalf("%s depth %d at len %d: popped (%d, #%d), reference (%d, #%d)",
+							name, depth, q.Len()+1, got.At, got.seq, want.at, want.seq)
+					}
+				}
+			}
+		}
+		if q.Len() != 0 || ref.Len() != 0 {
+			t.Fatalf("%s: %d events left, reference %d", name, q.Len(), ref.Len())
+		}
+		if q.Stats() != ref.stats {
+			t.Fatalf("%s: stats %+v, reference %+v", name, q.Stats(), ref.stats)
+		}
+	}
+}
+
+// TestPopUntil pins the deadline call the kernel's run loop uses: it pops
+// exactly when the earliest event is due at or before the deadline.
+func TestPopUntil(t *testing.T) {
+	var q Queue
+	if _, ok := q.PopUntil(simtime.Never); ok {
+		t.Fatal("PopUntil on an empty queue reported an event")
+	}
+	q.Push(20, nil)
+	q.Push(10, nil)
+	if _, ok := q.PopUntil(9); ok || q.Len() != 2 {
+		t.Fatalf("PopUntil(9) popped with the earliest event at 10 (len %d)", q.Len())
+	}
+	if e, ok := q.PopUntil(10); !ok || e.At != 10 {
+		t.Fatalf("PopUntil(10) = (%v, %v), want the event at 10", e.At, ok)
+	}
+	if e, ok := q.PopUntil(simtime.Never); !ok || e.At != 20 || q.Len() != 0 {
+		t.Fatalf("PopUntil(Never) = (%v, %v), len %d; want the event at 20 and an empty queue", e.At, ok, q.Len())
 	}
 }
 

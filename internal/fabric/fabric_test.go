@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,13 +122,7 @@ func TestECNMarking(t *testing.T) {
 	if marked == 0 {
 		t.Fatalf("no ECN marks despite sustained congestion")
 	}
-	sw := tp.Switches()[0]
-	st := n.SwitchAt(sw)
-	var ecn int64
-	for _, ps := range st.Stats {
-		ecn += ps.ECNMarks
-	}
-	if int(ecn) != marked {
+	if ecn := n.ECNMarksTotal(); int(ecn) != marked {
 		t.Fatalf("switch ECN counter %d != observed marks %d", ecn, marked)
 	}
 }
@@ -312,14 +307,16 @@ func TestWaitMatrixAccumulation(t *testing.T) {
 	n.Inject(h1, &Packet{Kind: KindData, Flow: f1, To: h2, Size: 1250})
 	k.Run(simtime.Never)
 
-	sw := tp.Switches()[0]
-	st := n.SwitchAt(sw)
 	// Egress toward h2 is port 2 (links added in host order).
-	ps := st.Stats[2]
-	if ps.FlowPkts[f0] != 2 || ps.FlowPkts[f1] != 2 {
-		t.Fatalf("flow counts: f0=%d f1=%d", ps.FlowPkts[f0], ps.FlowPkts[f1])
+	ps := n.Egress(tp.Switches()[0], 2).Counters()
+	s0, s1 := slices.Index(ps.Flows, f0), slices.Index(ps.Flows, f1)
+	if s0 < 0 || s1 < 0 {
+		t.Fatalf("flows at the port = %v, want %v and %v", ps.Flows, f0, f1)
 	}
-	if ps.Wait[f1][f0] == 0 {
+	if ps.FlowPkts[s0] != 2 || ps.FlowPkts[s1] != 2 {
+		t.Fatalf("flow counts: f0=%d f1=%d", ps.FlowPkts[s0], ps.FlowPkts[s1])
+	}
+	if len(ps.Wait[s1]) <= s0 || ps.Wait[s1][s0] == 0 {
 		t.Fatalf("f1 never recorded waiting behind f0: %v", ps.Wait)
 	}
 	if ps.MeterIn[0] != 2500 || ps.MeterIn[1] != 2500 {

@@ -11,35 +11,67 @@ import (
 	"vedrfolnir/internal/topo"
 )
 
-// TestForwardAllocFree is the floor the pre-bound port callbacks exist for:
-// once queues, maps and the event heap have grown, carrying a data cell
-// host→edge→agg→edge→host allocates nothing — no closure, no event, no
-// queue growth on any of the four links.
+// TestForwardAllocFree is the floor the pre-bound port callbacks and the
+// dense per-port counters exist for: once queues, flow slots, wait rows and
+// the event heap have grown, carrying data cells across the fabric
+// allocates nothing — no closure, no event, no queue growth, no counter map
+// — even through a port that has seen dozens of flows. Three senders in
+// one pod send two cells each per round to one receiver, on a different
+// flow every round: the receiver's edge port carries all 48 flows, and the
+// second cells queue behind other flows' first cells there, so the wait
+// matrix is written too.
 func TestForwardAllocFree(t *testing.T) {
 	ft := topo.PaperFatTree()
 	k := sim.New(1)
 	n := NewNetwork(k, ft.Topology, DefaultConfig())
-	src, dst := ft.HostsByEdge[0][0][0], ft.HostsByEdge[0][1][0]
-	if hops := ft.HopCount(src, dst); hops != 4 {
+	dst := ft.HostsByEdge[0][1][0]
+	senders := []topo.NodeID{ft.HostsByEdge[0][0][0], ft.HostsByEdge[0][0][1], ft.HostsByEdge[0][1][1]}
+	if hops := ft.HopCount(senders[0], dst); hops != 4 {
 		t.Fatalf("test path has %d links, want 4 (host-edge-agg-edge-host)", hops)
 	}
 	delivered := 0
 	if err := n.Attach(dst, deviceFunc(func(*Packet, int) { delivered++ })); err != nil {
 		t.Fatal(err)
 	}
-	cell := &Packet{}
+	const flowsPerSender = 16
+	cells := make([]Packet, 2*len(senders))
+	round := 0
 	send := func() {
-		*cell = Packet{Kind: KindData, Flow: flow(src, dst), To: dst, Size: 4096}
-		n.Inject(src, cell)
+		for i := range cells {
+			src := senders[i%len(senders)]
+			key := FlowKey{Src: src, Dst: dst, SrcPort: uint16(1000 + round%flowsPerSender), DstPort: 2000, Proto: 17}
+			cells[i] = Packet{Kind: KindData, Flow: key, To: dst, Size: 4096}
+			n.Inject(src, &cells[i])
+		}
+		round++
 		k.Run(simtime.Never)
 	}
-	send() // warm-up: per-port stats maps, queue arrays, the event heap
+	// Warm-up: the first pass over the flows interns them and gives them
+	// their slots, the second grows every wait row the (now repeating)
+	// traffic touches to the port's final flow count.
+	for round < 2*flowsPerSender {
+		send()
+	}
+	edge, toDst := ft.EdgeOf(dst)
+	pc := n.Egress(edge, toDst).Counters()
+	if want := flowsPerSender * len(senders); len(pc.Flows) != want {
+		t.Fatalf("receiver's edge port has seen %d flows, want %d", len(pc.Flows), want)
+	}
+	var waits int64
+	for _, row := range pc.Wait {
+		for _, w := range row {
+			waits += w
+		}
+	}
+	if waits == 0 {
+		t.Fatal("no cell ever queued behind another flow's: the wait matrix is not exercised")
+	}
 	allocs := testing.AllocsPerRun(100, send)
-	if delivered != 102 {
-		t.Fatalf("delivered %d cells, want 102", delivered)
+	if want := round * len(cells); delivered != want {
+		t.Fatalf("delivered %d cells, want %d", delivered, want)
 	}
 	if allocs != 0 {
-		t.Fatalf("forwarding one cell over 4 links allocates %v objects, want 0", allocs)
+		t.Fatalf("forwarding %d cells allocates %v objects, want 0", len(cells), allocs)
 	}
 }
 

@@ -59,6 +59,13 @@ func (k FlowKey) PathHash() uint64 {
 	return k.Hash()
 }
 
+// FlowID is a flow's dense handle within one Network: Intern assigns them
+// from 1 in first-seen order, and 0 on a Packet means "not interned yet".
+// The per-packet tables (ECMP hash, per-port counters, host send/receive
+// state) are indexed by it, so a hop never hashes the 5-tuple. Ids never
+// leave the run — every output names flows by FlowKey.
+type FlowID int32
+
 // Kind enumerates the packet types the fabric moves.
 type Kind uint8
 
@@ -71,6 +78,11 @@ const (
 	KindResume             // PFC RESUME frame (link-local)
 	KindNotify             // Vedrfolnir notification packet (highest priority)
 )
+
+// Control reports whether packets of this kind ride the strict-priority
+// control queue (ACKs and CNPs, as RoCE NICs and switches prioritize them
+// in practice).
+func (kd Kind) Control() bool { return kd == KindAck || kd == KindCNP }
 
 func (kd Kind) String() string {
 	switch kd {
@@ -104,21 +116,20 @@ const (
 // quantizes timing, all thresholds are byte-denominated).
 type Packet struct {
 	Kind Kind
-	Flow FlowKey     // flow attribution for telemetry
-	To   topo.NodeID // routing destination
-	Size int         // wire size in bytes
-	Seq  int64       // cell index; echoed by ACKs
-	TTL  int
-	ECN  bool // congestion-experienced mark
+	Flow FlowKey // flow attribution for telemetry
+	// FlowID is Flow's interned id. Senders that hold it set it (a packet
+	// rewritten in place must carry it over); Inject fills in a zero.
+	FlowID FlowID
+	To     topo.NodeID // routing destination
+	Size   int         // wire size in bytes
+	Seq    int64       // cell index; echoed by ACKs
+	TTL    int
+	ECN    bool // congestion-experienced mark
 
 	// SentAt is stamped by the sender for RTT measurement on the ACK echo.
 	SentAt int64
 	// Payload carries control information (e.g. notification contents).
 	Payload any
-
-	// pathHash caches Flow.PathHash() for the ECMP choice at every hop;
-	// Inject fills it, 0 means not yet computed.
-	pathHash uint64
 }
 
 // DefaultTTL bounds forwarding hops; loops exhaust it and drop.

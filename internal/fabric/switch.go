@@ -6,10 +6,13 @@ import (
 )
 
 // queued is a packet plus the ingress port that must be credited when it
-// leaves the queue (PFC attribution).
+// leaves the queue (PFC attribution; -1 when locally generated) and the
+// flow slot whose queue occupancy it counts toward (-1 when it counts
+// toward none: control packets, host NICs).
 type queued struct {
 	pkt     *Packet
-	ingress int
+	ingress int32
+	slot    int32
 }
 
 // fifo is a head-indexed FIFO: pop advances an index instead of re-slicing,
@@ -71,10 +74,13 @@ type egressPort struct {
 	txDone func()
 	land   func()
 
-	bytes      int64
-	pktsByFlow map[FlowKey]int
-	busy       bool
-	paused     bool
+	bytes  int64
+	busy   bool
+	paused bool
+
+	// stats holds the telemetry counters of a switch egress; nil on host
+	// NICs and on switch ports that have not carried a packet yet.
+	stats *portStats
 
 	pausedSince simtime.Time
 
@@ -88,33 +94,25 @@ type egressPort struct {
 func newEgressPort(n *Network, id topo.PortID) *egressPort {
 	link := n.Topo.LinkAt(id)
 	ep := &egressPort{
-		node:       id.Node,
-		port:       id.Port,
-		peer:       n.Topo.PeerOf(id),
-		bw:         link.Bandwidth,
-		delay:      link.Delay,
-		pktsByFlow: make(map[FlowKey]int),
+		node:  id.Node,
+		port:  id.Port,
+		peer:  n.Topo.PeerOf(id),
+		bw:    link.Bandwidth,
+		delay: link.Delay,
 	}
 	ep.txDone = func() { n.txDone(ep) }
 	ep.land = func() { n.arrive(ep.peer.Node, ep.peer.Port, ep.wire.pop()) }
 	return ep
 }
 
-// control reports whether a packet rides the strict-priority control queue
-// (ACKs and CNPs, as RoCE NICs and switches prioritize them in practice).
-func control(k Kind) bool { return k == KindAck || k == KindCNP }
-
-// push enqueues pkt. pktsByFlow tracks data packets only: control packets
-// (ACK/CNP) are served with strict priority, so they neither wait behind
-// data nor count as packets "in front" for the w(f_i, f_j) matrix.
-func (e *egressPort) push(pkt *Packet, ingress int) {
-	if control(pkt.Kind) {
-		e.cq.push(queued{pkt: pkt, ingress: ingress})
+// push enqueues item.
+func (e *egressPort) push(item queued) {
+	if item.pkt.Kind.Control() {
+		e.cq.push(item)
 	} else {
-		e.q.push(queued{pkt: pkt, ingress: ingress})
-		e.pktsByFlow[pkt.Flow]++
+		e.q.push(item)
 	}
-	e.bytes += int64(pkt.Size)
+	e.bytes += int64(item.pkt.Size)
 }
 
 func (e *egressPort) empty() bool { return e.q.len() == 0 && e.cq.len() == 0 }
@@ -128,49 +126,116 @@ func (e *egressPort) pop() queued {
 		item = e.q.pop()
 	}
 	e.bytes -= int64(item.pkt.Size)
-	if !control(item.pkt.Kind) {
-		if c := e.pktsByFlow[item.pkt.Flow]; c <= 1 {
-			delete(e.pktsByFlow, item.pkt.Flow)
-		} else {
-			e.pktsByFlow[item.pkt.Flow] = c - 1
-		}
+	if item.slot >= 0 {
+		e.stats.leave(item.slot)
 	}
 	return item
 }
 
-// PortStats are the cumulative per-egress telemetry counters a switch keeps
-// (§III-C3: "flow-level telemetry (flows' 5-tuple, packet count per flow,
-// queue depth, etc.) and port-level telemetry (traffic size between ports,
-// number of packets paused by PFC per port, etc.)").
-type PortStats struct {
-	FlowPkts  map[FlowKey]int64
-	FlowBytes map[FlowKey]int64
-	// Wait accumulates the paper's w(f_i, f_j): for every enqueued packet
-	// of f_i, the number of f_j packets already queued ahead of it.
-	Wait map[FlowKey]map[FlowKey]int64
+// PortCounters are the cumulative per-egress telemetry counters a switch
+// keeps (§III-C3: "flow-level telemetry (flows' 5-tuple, packet count per
+// flow, queue depth, etc.) and port-level telemetry (traffic size between
+// ports, number of packets paused by PFC per port, etc.)").
+//
+// Per-flow counters are indexed by a port-local slot: a flow's first packet
+// through the port takes the next slot, in arrival order. The slices alias
+// the port's live state — readers must neither modify them nor keep them
+// across simulation events. Slot order is an accident of traffic; anything
+// that reaches an output is re-ordered by FlowKey first (telemetry does).
+type PortCounters struct {
+	Flows     []FlowKey // slot → flow
+	FlowPkts  []int64   // by slot
+	FlowBytes []int64   // by slot
+	// Wait accumulates the paper's w(f_i, f_j) as Wait[slot i][slot j]: for
+	// every enqueued packet of f_i, the number of f_j packets already
+	// queued ahead of it. Rows grow on demand, so row i may be shorter
+	// than Flows; the missing entries are zero.
+	Wait [][]int64
 	// MeterIn is bytes entering this egress per ingress port — the
 	// meter(p_i, p_j) term of the e(p_i, p_j) edge weight.
-	MeterIn map[int]int64
+	MeterIn []int64
 
 	Enqueues  int64
 	QDepthSum int64 // sum of queue bytes observed at each enqueue
 	ECNMarks  int64
 }
 
-func newPortStats() *PortStats {
-	return &PortStats{
-		FlowPkts:  make(map[FlowKey]int64),
-		FlowBytes: make(map[FlowKey]int64),
-		Wait:      make(map[FlowKey]map[FlowKey]int64),
-		MeterIn:   make(map[int]int64),
+// flowCount is one entry of a port's queue-occupancy set: n data packets
+// of the flow in slot are queued.
+type flowCount struct{ slot, n int32 }
+
+// portStats is a switch egress's counters plus the two indexes that keep a
+// packet's accounting free of hashing: the network-wide flow id → local
+// slot table, and the occupancy set — a handful of entries, scanned.
+type portStats struct {
+	PortCounters
+	slotOf    []int32     // FlowID → slot+1; 0 (or beyond the end) = no slot yet
+	occupancy []flowCount // flows with data packets in the queue right now
+}
+
+// slot returns the slot of flow id (5-tuple key) at this port, assigning
+// the next free one on the flow's first packet here.
+func (st *portStats) slot(id FlowID, key FlowKey) int32 {
+	if int(id) < len(st.slotOf) && st.slotOf[id] != 0 {
+		return st.slotOf[id] - 1
+	}
+	if grow := int(id) + 1 - len(st.slotOf); grow > 0 {
+		st.slotOf = append(st.slotOf, make([]int32, grow)...)
+	}
+	st.Flows = append(st.Flows, key)
+	st.FlowPkts = append(st.FlowPkts, 0)
+	st.FlowBytes = append(st.FlowBytes, 0)
+	st.Wait = append(st.Wait, nil)
+	st.slotOf[id] = int32(len(st.Flows))
+	return int32(len(st.Flows)) - 1
+}
+
+// waitBehindQueue adds the queue's current occupancy to slot's wait row:
+// the arriving packet waits behind every queued data packet of every other
+// flow.
+func (st *portStats) waitBehindQueue(slot int32) {
+	row := st.Wait[slot]
+	if grow := len(st.Flows) - len(row); grow > 0 {
+		row = append(row, make([]int64, grow)...)
+		st.Wait[slot] = row
+	}
+	for _, fc := range st.occupancy {
+		if fc.slot != slot {
+			row[fc.slot] += int64(fc.n)
+		}
+	}
+}
+
+// enter counts one more queued data packet for slot.
+func (st *portStats) enter(slot int32) {
+	for i := range st.occupancy {
+		if st.occupancy[i].slot == slot {
+			st.occupancy[i].n++
+			return
+		}
+	}
+	st.occupancy = append(st.occupancy, flowCount{slot: slot, n: 1})
+}
+
+// leave counts one data packet of slot out of the queue.
+func (st *portStats) leave(slot int32) {
+	q := st.occupancy
+	for i := range q {
+		if q[i].slot != slot {
+			continue
+		}
+		if q[i].n--; q[i].n == 0 {
+			q[i] = q[len(q)-1]
+			st.occupancy = q[:len(q)-1]
+		}
+		return
 	}
 }
 
 // Switch is the forwarding and accounting state of one switch.
 type Switch struct {
-	net   *Network
-	ID    topo.NodeID
-	Stats []*PortStats // per egress port
+	net *Network
+	ID  topo.NodeID
 
 	// ingressBytes attributes currently-buffered bytes to the ingress port
 	// they arrived on; crossing the pause threshold pauses that upstream
@@ -187,18 +252,13 @@ type Switch struct {
 }
 
 func newSwitch(n *Network, id topo.NodeID, ports int) *Switch {
-	s := &Switch{
+	return &Switch{
 		net:            n,
 		ID:             id,
-		Stats:          make([]*PortStats, ports),
 		ingressBytes:   make([]int64, ports),
 		pausedUpstream: make([]bool, ports),
 		stormPorts:     make([]bool, ports),
 	}
-	for i := range s.Stats {
-		s.Stats[i] = newPortStats()
-	}
-	return s
 }
 
 // forward routes pkt out of the switch. ingress is the arrival port, or -1
@@ -215,40 +275,39 @@ func (s *Switch) forward(pkt *Packet, ingress int) {
 		s.net.Drops[s.ID]++
 		return
 	}
-	if pkt.pathHash == 0 {
-		pkt.pathHash = pkt.Flow.PathHash()
-	}
-	out := ports[pkt.pathHash%uint64(len(ports))]
+	out := ports[s.net.pathHash[pkt.FlowID]%uint64(len(ports))]
 	s.net.enqueue(s.ID, out, ingress, pkt)
 }
 
 // noteEnqueue updates telemetry counters and PFC attribution when pkt joins
-// egress queue ep having arrived on ingress.
-func (s *Switch) noteEnqueue(ep *egressPort, ingress int, pkt *Packet) {
-	st := s.Stats[ep.port]
+// egress queue ep having arrived on ingress. It returns the flow slot whose
+// queue occupancy pkt now counts toward, or -1 for a control packet.
+func (s *Switch) noteEnqueue(ep *egressPort, ingress int, pkt *Packet) int32 {
+	st := ep.stats
+	if st == nil {
+		st = &portStats{}
+		st.MeterIn = make([]int64, len(s.ingressBytes))
+		ep.stats = st
+	}
+	slot := st.slot(pkt.FlowID, pkt.Flow)
 	st.Enqueues++
 	st.QDepthSum += ep.bytes
-	st.FlowPkts[pkt.Flow]++
-	st.FlowBytes[pkt.Flow] += int64(pkt.Size)
+	st.FlowPkts[slot]++
+	st.FlowBytes[slot] += int64(pkt.Size)
 	if ingress >= 0 {
 		st.MeterIn[ingress] += int64(pkt.Size)
 	}
 
-	// Pairwise wait accumulation: this data packet waits behind every
-	// data packet currently in the queue, grouped by flow. Control
-	// packets skip the matrix (they are served with priority).
-	if !control(pkt.Kind) && len(ep.pktsByFlow) > 0 {
-		row := st.Wait[pkt.Flow]
-		if row == nil {
-			row = make(map[FlowKey]int64)
-			st.Wait[pkt.Flow] = row
+	// Pairwise wait accumulation covers data packets only: control packets
+	// (ACK/CNP) are served with strict priority, so they neither wait
+	// behind data nor count as packets "in front".
+	occupies := int32(-1)
+	if !pkt.Kind.Control() {
+		if len(st.occupancy) > 0 {
+			st.waitBehindQueue(slot)
 		}
-		for fk, cnt := range ep.pktsByFlow {
-			if fk == pkt.Flow {
-				continue
-			}
-			row[fk] += int64(cnt)
-		}
+		st.enter(slot)
+		occupies = slot
 	}
 
 	// ECN mark data packets joining a deep queue.
@@ -265,6 +324,7 @@ func (s *Switch) noteEnqueue(ep *egressPort, ingress int, pkt *Packet) {
 			s.net.sendPFC(s.ID, ingress, true, s.busiestEgressFor(ingress), false)
 		}
 	}
+	return occupies
 }
 
 // noteDequeue credits PFC attribution when a packet leaves an egress queue.
@@ -272,11 +332,11 @@ func (s *Switch) noteDequeue(ep *egressPort, item queued) {
 	if item.ingress < 0 {
 		return
 	}
-	s.ingressBytes[item.ingress] -= int64(item.pkt.Size)
-	if s.pausedUpstream[item.ingress] && !s.stormPorts[item.ingress] &&
-		s.ingressBytes[item.ingress] <= s.net.Cfg.PFCResumeThreshold {
-		s.pausedUpstream[item.ingress] = false
-		s.net.sendPFC(s.ID, item.ingress, false, ep.port, false)
+	in := int(item.ingress)
+	s.ingressBytes[in] -= int64(item.pkt.Size)
+	if s.pausedUpstream[in] && !s.stormPorts[in] && s.ingressBytes[in] <= s.net.Cfg.PFCResumeThreshold {
+		s.pausedUpstream[in] = false
+		s.net.sendPFC(s.ID, in, false, ep.port, false)
 	}
 }
 
@@ -287,12 +347,12 @@ func (s *Switch) busiestEgressFor(ingress int) int {
 	for pi, ep := range s.net.egress[s.ID] {
 		var b int64
 		for _, it := range ep.q.items() {
-			if it.ingress == ingress {
+			if int(it.ingress) == ingress {
 				b += int64(it.pkt.Size)
 			}
 		}
 		for _, it := range ep.cq.items() {
-			if it.ingress == ingress {
+			if int(it.ingress) == ingress {
 				b += int64(it.pkt.Size)
 			}
 		}

@@ -101,8 +101,10 @@ type Host struct {
 
 	lineRate simtime.Rate
 
-	sends map[fabric.FlowKey]*sendState
-	recvs map[fabric.FlowKey]*recvState
+	// In-progress messages, keyed by the network's interned flow id: the
+	// packets carry it, so no per-cell path hashes the 5-tuple.
+	sends map[fabric.FlowID]*sendState
+	recvs map[fabric.FlowID]*recvState
 
 	// OnRTTSample fires at the sender for every ACK received.
 	OnRTTSample func(RTTSample)
@@ -119,6 +121,7 @@ type Host struct {
 
 type sendState struct {
 	flow       fabric.FlowKey
+	id         fabric.FlowID
 	totalCells int64
 	lastCell   int // size of final (possibly short) cell
 	nextSeq    int64
@@ -168,8 +171,8 @@ func NewHost(k *sim.Kernel, net *fabric.Network, id topo.NodeID, cfg Config) (*H
 		ID:       id,
 		Cfg:      cfg,
 		lineRate: link.Bandwidth,
-		sends:    make(map[fabric.FlowKey]*sendState),
-		recvs:    make(map[fabric.FlowKey]*recvState),
+		sends:    make(map[fabric.FlowID]*sendState),
+		recvs:    make(map[fabric.FlowID]*recvState),
 	}
 	if err := net.Attach(id, h); err != nil {
 		return nil, err
@@ -187,7 +190,8 @@ func (h *Host) Send(flow fabric.FlowKey, size int64) error {
 	if flow.Src != h.ID {
 		return fmt.Errorf("rdma: flow source %d is not host %d", flow.Src, h.ID)
 	}
-	if _, dup := h.sends[flow]; dup {
+	id := h.Net.Intern(flow)
+	if _, dup := h.sends[id]; dup {
 		return fmt.Errorf("rdma: duplicate send on flow %v", flow)
 	}
 	cells := size / int64(h.Cfg.CellSize)
@@ -202,6 +206,7 @@ func (h *Host) Send(flow fabric.FlowKey, size int64) error {
 	}
 	st := &sendState{
 		flow:       flow,
+		id:         id,
 		totalCells: cells,
 		lastCell:   last,
 		bytes:      size,
@@ -213,7 +218,7 @@ func (h *Host) Send(flow fabric.FlowKey, size int64) error {
 		st.timerSet = false
 		h.pump(st)
 	}
-	h.sends[flow] = st
+	h.sends[id] = st
 	h.pump(st)
 	return nil
 }
@@ -245,6 +250,7 @@ func (h *Host) pump(st *sendState) {
 		pkt := &fabric.Packet{
 			Kind:   fabric.KindData,
 			Flow:   st.flow,
+			FlowID: st.id,
 			To:     st.flow.Dst,
 			Size:   size,
 			Seq:    st.nextSeq,
@@ -289,11 +295,11 @@ func (h *Host) Receive(pkt *fabric.Packet, port int) {
 // here (the fabric keeps no reference once it has landed, and observers
 // copy values), so the cell is turned into its ACK in place.
 func (h *Host) onData(pkt *fabric.Packet) {
-	flow, ecn := pkt.Flow, pkt.ECN
-	rs := h.recvs[flow]
+	flow, id, ecn := pkt.Flow, pkt.FlowID, pkt.ECN
+	rs := h.recvs[id]
 	if rs == nil {
 		rs = &recvState{flow: flow, lastCNP: -1 << 62}
-		h.recvs[flow] = rs
+		h.recvs[id] = rs
 	}
 	if pkt.Seq == 0 {
 		if total, ok := pkt.Payload.(int64); ok {
@@ -307,6 +313,7 @@ func (h *Host) onData(pkt *fabric.Packet) {
 	*pkt = fabric.Packet{
 		Kind:   fabric.KindAck,
 		Flow:   flow,
+		FlowID: id,
 		To:     flow.Src,
 		Size:   fabric.AckSize,
 		Seq:    pkt.Seq,
@@ -321,10 +328,11 @@ func (h *Host) onData(pkt *fabric.Packet) {
 		if now.Sub(rs.lastCNP) >= h.Cfg.CNPInterval {
 			rs.lastCNP = now
 			cnp := &fabric.Packet{
-				Kind: fabric.KindCNP,
-				Flow: flow,
-				To:   flow.Src,
-				Size: fabric.CNPSize,
+				Kind:   fabric.KindCNP,
+				Flow:   flow,
+				FlowID: id,
+				To:     flow.Src,
+				Size:   fabric.CNPSize,
 			}
 			h.Net.Inject(h.ID, cnp)
 			h.CNPsSent++
@@ -332,7 +340,7 @@ func (h *Host) onData(pkt *fabric.Packet) {
 	}
 
 	if rs.total > 0 && rs.bytes >= rs.total {
-		delete(h.recvs, flow)
+		delete(h.recvs, id)
 		if h.OnRecvComplete != nil {
 			h.OnRecvComplete(flow, rs.bytes)
 		}
@@ -340,7 +348,7 @@ func (h *Host) onData(pkt *fabric.Packet) {
 }
 
 func (h *Host) onAck(pkt *fabric.Packet) {
-	st := h.sends[pkt.Flow]
+	st := h.sends[pkt.FlowID]
 	if st == nil {
 		return
 	}
@@ -360,7 +368,7 @@ func (h *Host) onAck(pkt *fabric.Packet) {
 	st.acked++
 	if st.acked >= st.totalCells {
 		st.done = true
-		delete(h.sends, pkt.Flow)
+		delete(h.sends, pkt.FlowID)
 		if h.OnSendComplete != nil {
 			h.OnSendComplete(pkt.Flow, st.bytes)
 		}
@@ -403,7 +411,7 @@ func (h *Host) onCNP(pkt *fabric.Packet) {
 	if h.Cfg.DisableDCQCN || h.Cfg.CC != CCDCQCN {
 		return
 	}
-	st := h.sends[pkt.Flow]
+	st := h.sends[pkt.FlowID]
 	if st == nil {
 		return
 	}
@@ -449,8 +457,10 @@ func (h *Host) armRecovery(st *sendState) {
 // CurrentRate reports the pacing rate of an active flow (line rate if the
 // flow is unknown, which also covers completed flows).
 func (h *Host) CurrentRate(flow fabric.FlowKey) simtime.Rate {
-	if st := h.sends[flow]; st != nil {
-		return st.rate
+	for _, st := range h.sends {
+		if st.flow == flow {
+			return st.rate
+		}
 	}
 	return h.lineRate
 }

@@ -152,8 +152,13 @@ func Attach(net *fabric.Network, perPortCap int) *Recorder {
 	return r
 }
 
-// QueueEvent implements fabric.QueueObserver.
-func (r *Recorder) QueueEvent(node topo.NodeID, port int, enqueue bool, flow fabric.FlowKey, size int, at simtime.Time) {
+// QueueEvent implements fabric.QueueObserver. Only data packets are logged:
+// control packets are served with strict priority and take no part in
+// w(f_i, f_j).
+func (r *Recorder) QueueEvent(node topo.NodeID, port, _ int, enqueue bool, pkt *fabric.Packet, at simtime.Time) {
+	if pkt.Kind.Control() {
+		return
+	}
 	p := topo.PortID{Node: node, Port: port}
 	l := r.logs[p]
 	if l == nil {
@@ -164,7 +169,7 @@ func (r *Recorder) QueueEvent(node topo.NodeID, port int, enqueue bool, flow fab
 	if enqueue {
 		kind = Enqueue
 	}
-	l.Record(Event{At: at, Kind: kind, Flow: flow, Size: int32(size)})
+	l.Record(Event{At: at, Kind: kind, Flow: pkt.Flow, Size: int32(pkt.Size)})
 }
 
 // Log returns the log for a port (nil if the port saw no traffic).

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -130,9 +131,9 @@ func TestReplayMatchesOnlineAccumulators(t *testing.T) {
 	}
 	res := Replay(log, 0, simtime.Never)
 
-	online := net.SwitchAt(sw).Stats[2].Wait
+	online := net.Egress(sw, 2).Counters()
 	for _, pair := range [][2]fabric.FlowKey{{fa, fb}, {fb, fa}} {
-		want := online[pair[0]][pair[1]]
+		want := online.Wait[slices.Index(online.Flows, pair[0])][slices.Index(online.Flows, pair[1])]
 		got := res.W(pair[0], pair[1])
 		if want == 0 {
 			t.Fatalf("setup: no online wait for %v behind %v", pair[0], pair[1])
@@ -145,10 +146,10 @@ func TestReplayMatchesOnlineAccumulators(t *testing.T) {
 
 func TestRecorderPortsDeterministic(t *testing.T) {
 	r := &Recorder{logs: map[topo.PortID]*Log{}}
-	f := mkFlow(0, 1, 10)
-	r.QueueEvent(5, 2, true, f, 100, 1)
-	r.QueueEvent(3, 0, true, f, 100, 2)
-	r.QueueEvent(5, 0, true, f, 100, 3)
+	pkt := &fabric.Packet{Kind: fabric.KindData, Flow: mkFlow(0, 1, 10), Size: 100}
+	r.QueueEvent(5, 2, -1, true, pkt, 1)
+	r.QueueEvent(3, 0, -1, true, pkt, 2)
+	r.QueueEvent(5, 0, -1, true, pkt, 3)
 	ports := r.Ports()
 	want := []topo.PortID{{Node: 3, Port: 0}, {Node: 5, Port: 0}, {Node: 5, Port: 2}}
 	if len(ports) != len(want) {

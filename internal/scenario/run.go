@@ -127,6 +127,13 @@ func DefaultRunOptions(cfg Config) RunOptions {
 // injection point); a case that merely hits the deadline still returns a
 // Result with Completed=false.
 func Run(cs Case, system SystemKind, cfg Config, opts RunOptions) (Result, error) {
+	ft, net := newNetwork(cs, cfg)
+	return runOn(ft, net, cs, system, cfg, opts)
+}
+
+// newNetwork builds the case's fabric: the paper fat-tree on a fresh kernel
+// seeded from the case, no device attached yet.
+func newNetwork(cs Case, cfg Config) (*topo.FatTree, *fabric.Network) {
 	ft := topo.PaperFatTree()
 	k := sim.New(cs.Seed*1000003 + int64(cs.Kind))
 	k.SetEventLimit(500_000_000)
@@ -134,7 +141,14 @@ func Run(cs Case, system SystemKind, cfg Config, opts RunOptions) (Result, error
 	if fcfg.PFCPauseThreshold == 0 {
 		fcfg = fabric.DefaultConfig()
 	}
-	net := fabric.NewNetwork(k, ft.Topology, fcfg)
+	return ft, fabric.NewNetwork(k, ft.Topology, fcfg)
+}
+
+// runOn is Run on a network newNetwork built; this package's tests reach
+// in between the two to observe every queue or to intern flows in an order
+// of their choosing.
+func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cfg Config, opts RunOptions) (Result, error) {
+	k := net.K
 	if opts.Stages != nil {
 		k.SetStages(opts.Stages)
 		net.SetStages(opts.Stages)

@@ -93,13 +93,11 @@ func (k *Kernel) Run(until simtime.Time) simtime.Time {
 	k.stopped = false
 	for !k.stopped {
 		t0 := k.tPop.Begin()
-		e, ok := k.q.Peek()
-		if !ok || e.At > until {
-			k.tPop.End(t0)
+		e, ok := k.q.PopUntil(until)
+		k.tPop.End(t0)
+		if !ok {
 			break
 		}
-		k.q.Pop()
-		k.tPop.End(t0)
 		k.now = e.At
 		k.events++
 		if k.limit > 0 && k.events > k.limit {

@@ -30,10 +30,13 @@ func fastConfig() scenario.Config {
 
 // testJobs is a small Fig 9-style grid: two kinds, one system, a few
 // seeds each — real simulations, cheap enough for -race CI.
-func testJobs() []Job {
+func testJobs() []Job { return gridJobs(3) }
+
+// gridJobs is testJobs with the given number of seeds per kind.
+func gridJobs(seeds int64) []Job {
 	var jobs []Job
 	for _, kind := range []scenario.AnomalyKind{scenario.Contention, scenario.Incast} {
-		for seed := int64(0); seed < 3; seed++ {
+		for seed := int64(0); seed < seeds; seed++ {
 			jobs = append(jobs, Job{Kind: kind, Seed: seed, System: scenario.Vedrfolnir})
 		}
 	}
@@ -118,7 +121,12 @@ func TestSweepResume(t *testing.T) {
 	}
 	cfg := fastConfig()
 	exec := Cases(cfg, scenario.DefaultRunOptions(cfg))
-	jobs := testJobs()
+	// Twelve jobs: when the merge loop sees its second result, the two
+	// workers of the interrupted run can have been handed at most six (two
+	// merged, two in the result buffer, one in each worker's hands) and the
+	// dispatcher one more before it notices the stop, so some are always
+	// left to resume however far a loaded machine lets the merge fall behind.
+	jobs := gridJobs(6)
 	spec := wire.SweepSpec{Name: "test", ScaleDen: 360}
 	dir := t.TempDir()
 

@@ -10,6 +10,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 
 	"vedrfolnir/internal/fabric"
@@ -113,23 +114,67 @@ type Overhead struct {
 // detection + notification packets + switch telemetry reports.
 func (o Overhead) Bandwidth() int64 { return o.PollBytes + o.NotifyBytes + o.ReportBytes }
 
-// portState remembers the last-collected snapshot of cumulative switch
-// counters so each poll reports only the delta (the switch's periodic
-// record buffer, drained on read).
+// portState remembers the last-collected snapshot of one egress port's
+// cumulative counters so each poll reports only the delta (the switch's
+// periodic record buffer, drained on read). It has the counters' own shape:
+// per-flow values by the port's flow slot (fabric.PortCounters), the meter
+// by ingress port.
 type portState struct {
-	flowPkts  map[fabric.FlowKey]int64
-	flowBytes map[fabric.FlowKey]int64
-	wait      map[fabric.FlowKey]map[fabric.FlowKey]int64
-	meterIn   map[int]int64
+	flowPkts  []int64
+	flowBytes []int64
+	wait      [][]int64
+	meterIn   []int64
 	qdepthSum int64
 	enqueues  int64
+	// order lists the port's flow slots by flowLess of their 5-tuples —
+	// the order flow records are emitted in. Slots are only ever added,
+	// so it is extended by insertion instead of re-sorted per poll.
+	order []int32
+}
+
+// track extends the snapshot (at zero) to every slot and meter pc has.
+func (st *portState) track(pc *fabric.PortCounters) {
+	for slot := len(st.order); slot < len(pc.Flows); slot++ {
+		st.flowPkts = append(st.flowPkts, 0)
+		st.flowBytes = append(st.flowBytes, 0)
+		st.wait = append(st.wait, nil)
+		at := sort.Search(len(st.order), func(i int) bool {
+			return flowLess(pc.Flows[slot], pc.Flows[st.order[i]])
+		})
+		st.order = slices.Insert(st.order, at, int32(slot))
+	}
+	if len(st.meterIn) < len(pc.MeterIn) {
+		st.meterIn = make([]int64, len(pc.MeterIn))
+	}
+}
+
+// drainWait returns the growth of flow slot's w(f_i, ·) row since the last
+// drain as a FlowRecord.Wait map (nil when nothing grew) and advances the
+// snapshot.
+func (st *portState) drainWait(pc *fabric.PortCounters, slot int32) map[fabric.FlowKey]int64 {
+	row, prev := pc.Wait[slot], st.wait[slot]
+	if grow := len(row) - len(prev); grow > 0 {
+		prev = append(prev, make([]int64, grow)...)
+		st.wait[slot] = prev
+	}
+	var out map[fabric.FlowKey]int64
+	for other, w := range row {
+		if w > prev[other] {
+			if out == nil {
+				out = make(map[fabric.FlowKey]int64)
+			}
+			out[pc.Flows[other]] = w - prev[other]
+			prev[other] = w
+		}
+	}
+	return out
 }
 
 // Collector reads switch counters and assembles reports.
 type Collector struct {
 	Net *fabric.Network
 
-	last      map[topo.PortID]*portState
+	last      [][]portState // by node, then egress port; nil for hosts
 	lastDrops map[topo.NodeID]int64
 	pfcSeen   int // high-water mark into Net.PFCLog for windowing
 
@@ -161,7 +206,7 @@ func (c *Collector) SetStages(st *obs.Stages) {
 func NewCollector(net *fabric.Network) *Collector {
 	c := &Collector{
 		Net:       net,
-		last:      make(map[topo.PortID]*portState),
+		last:      make([][]portState, len(net.Topo.Nodes)),
 		lastDrops: make(map[topo.NodeID]int64),
 	}
 	c.baseline()
@@ -174,36 +219,21 @@ func NewCollector(net *fabric.Network) *Collector {
 func (c *Collector) baseline() {
 	c.pfcSeen = len(c.Net.PFCLog)
 	for _, sw := range c.Net.Topo.Switches() {
-		s := c.Net.SwitchAt(sw)
-		c.lastDrops[sw] = s.TTLDrops
-		for pi := range c.Net.Topo.Node(sw).Ports {
-			stats := s.Stats[pi]
-			st := &portState{
-				flowPkts:  make(map[fabric.FlowKey]int64, len(stats.FlowPkts)),
-				flowBytes: make(map[fabric.FlowKey]int64, len(stats.FlowBytes)),
-				wait:      make(map[fabric.FlowKey]map[fabric.FlowKey]int64, len(stats.Wait)),
-				meterIn:   make(map[int]int64, len(stats.MeterIn)),
-				qdepthSum: stats.QDepthSum,
-				enqueues:  stats.Enqueues,
+		c.lastDrops[sw] = c.Net.SwitchAt(sw).TTLDrops
+		ports := make([]portState, len(c.Net.Topo.Node(sw).Ports))
+		for pi := range ports {
+			pc := c.Net.Egress(sw, pi).Counters()
+			st := &ports[pi]
+			st.track(&pc)
+			copy(st.flowPkts, pc.FlowPkts)
+			copy(st.flowBytes, pc.FlowBytes)
+			for slot, row := range pc.Wait {
+				st.wait[slot] = slices.Clone(row)
 			}
-			for k, v := range stats.FlowPkts {
-				st.flowPkts[k] = v
-			}
-			for k, v := range stats.FlowBytes {
-				st.flowBytes[k] = v
-			}
-			for k, row := range stats.Wait {
-				cp := make(map[fabric.FlowKey]int64, len(row))
-				for k2, v := range row {
-					cp[k2] = v
-				}
-				st.wait[k] = cp
-			}
-			for k, v := range stats.MeterIn {
-				st.meterIn[k] = v
-			}
-			c.last[topo.PortID{Node: sw, Port: pi}] = st
+			copy(st.meterIn, pc.MeterIn)
+			st.qdepthSum, st.enqueues = pc.QDepthSum, pc.Enqueues
 		}
+		c.last[sw] = ports
 	}
 }
 
@@ -221,6 +251,7 @@ func (c *Collector) Poll(flow fabric.FlowKey, window simtime.Duration) *Report {
 	defer c.tCollect.End(t0)
 	now := c.Net.K.Now()
 	rep := &Report{At: now, TriggeredBy: flow}
+	pfc := c.pfcWindow(now, window)
 
 	visited := map[topo.PortID]bool{}
 	var visit func(p topo.PortID, depth int)
@@ -233,11 +264,11 @@ func (c *Collector) Poll(flow fabric.FlowKey, window simtime.Duration) *Report {
 		// halted end of a PFC edge (e.g. a storm pausing a NIC), so the
 		// spreading-path check below runs for them too.
 		if c.Net.Topo.Node(p.Node).Kind == topo.KindSwitch {
-			c.collectPort(rep, p, window)
+			c.collectPort(rep, p, pfc)
 		}
 		// Follow the PFC spreading path: if this egress was halted, the
 		// cause lives at the downstream switch's congested egress.
-		for _, ev := range c.pfcWindow(now, window) {
+		for _, ev := range pfc {
 			if !ev.Pause || ev.Upstream != p {
 				continue
 			}
@@ -262,11 +293,13 @@ func (c *Collector) Poll(flow fabric.FlowKey, window simtime.Duration) *Report {
 func (c *Collector) PollAllSwitches(window simtime.Duration) *Report {
 	t0 := c.tCollect.Begin()
 	defer c.tCollect.End(t0)
-	rep := &Report{At: c.Net.K.Now()}
+	now := c.Net.K.Now()
+	rep := &Report{At: now}
+	pfc := c.pfcWindow(now, window)
 	for _, sw := range c.Net.Topo.Switches() {
 		for pi := range c.Net.Topo.Node(sw).Ports {
 			rep.HopsPolled++
-			c.collectPort(rep, topo.PortID{Node: sw, Port: pi}, window)
+			c.collectPort(rep, topo.PortID{Node: sw, Port: pi}, pfc)
 		}
 	}
 	c.account(rep)
@@ -298,8 +331,8 @@ func (c *Collector) pfcWindow(now simtime.Time, window simtime.Duration) []fabri
 }
 
 // collectPort snapshots one egress port into the report, draining the
-// window's counter deltas.
-func (c *Collector) collectPort(rep *Report, p topo.PortID, window simtime.Duration) {
+// window's counter deltas. pfc is the poll's PFC window (pfcWindow).
+func (c *Collector) collectPort(rep *Report, p topo.PortID, pfc []fabric.PFCEvent) {
 	sw := c.Net.SwitchAt(p.Node)
 	if sw == nil {
 		return
@@ -308,9 +341,8 @@ func (c *Collector) collectPort(rep *Report, p topo.PortID, window simtime.Durat
 		rep.PortsMissed++
 		return
 	}
-	now := c.Net.K.Now()
-	stats := sw.Stats[p.Port]
 	ev := c.Net.Egress(p.Node, p.Port)
+	pc := ev.Counters()
 
 	if d := sw.TTLDrops - c.lastDrops[p.Node]; d > 0 {
 		if rep.TTLDrops == nil {
@@ -320,58 +352,25 @@ func (c *Collector) collectPort(rep *Report, p topo.PortID, window simtime.Durat
 		c.lastDrops[p.Node] = sw.TTLDrops
 	}
 
-	st := c.last[p]
-	if st == nil {
-		st = &portState{
-			flowPkts:  make(map[fabric.FlowKey]int64),
-			flowBytes: make(map[fabric.FlowKey]int64),
-			wait:      make(map[fabric.FlowKey]map[fabric.FlowKey]int64),
-			meterIn:   make(map[int]int64),
-		}
-		c.last[p] = st
-	}
+	st := &c.last[p.Node][p.Port]
+	st.track(&pc)
 
 	// Flow records: delta of per-flow counters since last collection.
-	flows := make([]fabric.FlowKey, 0, len(stats.FlowPkts))
-	for fk := range stats.FlowPkts {
-		flows = append(flows, fk)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flowLess(flows[i], flows[j]) })
-	for _, fk := range flows {
-		dp := stats.FlowPkts[fk] - st.flowPkts[fk]
+	for _, slot := range st.order {
+		dp := pc.FlowPkts[slot] - st.flowPkts[slot]
 		if dp <= 0 {
 			continue
 		}
-		fr := FlowRecord{
+		rep.Flows = append(rep.Flows, FlowRecord{
 			Switch: p.Node,
 			Port:   p.Port,
-			Flow:   fk,
+			Flow:   pc.Flows[slot],
 			Pkts:   dp,
-			Bytes:  stats.FlowBytes[fk] - st.flowBytes[fk],
-		}
-		if row := stats.Wait[fk]; len(row) > 0 {
-			fr.Wait = make(map[fabric.FlowKey]int64)
-			prev := st.wait[fk]
-			for other, w := range row {
-				if dw := w - prev[other]; dw > 0 {
-					fr.Wait[other] = dw
-				}
-			}
-			if len(fr.Wait) == 0 {
-				fr.Wait = nil
-			}
-		}
-		rep.Flows = append(rep.Flows, fr)
-		st.flowPkts[fk] = stats.FlowPkts[fk]
-		st.flowBytes[fk] = stats.FlowBytes[fk]
-		row := st.wait[fk]
-		if row == nil {
-			row = make(map[fabric.FlowKey]int64)
-			st.wait[fk] = row
-		}
-		for other, w := range stats.Wait[fk] {
-			row[other] = w
-		}
+			Bytes:  pc.FlowBytes[slot] - st.flowBytes[slot],
+			Wait:   st.drainWait(&pc, slot),
+		})
+		st.flowPkts[slot] = pc.FlowPkts[slot]
+		st.flowBytes[slot] = pc.FlowBytes[slot]
 	}
 
 	// Port record.
@@ -379,28 +378,26 @@ func (c *Collector) collectPort(rep *Report, p topo.PortID, window simtime.Durat
 		Switch:      p.Node,
 		Port:        p.Port,
 		QueuedBytes: ev.QueuedBytes(),
+		QueuedPkts:  ev.QueuedPkts(),
 		Paused:      ev.Paused(),
 		PauseCount:  ev.PauseCount(),
-		PausedFor:   ev.PausedFor(now),
+		PausedFor:   ev.PausedFor(rep.At),
 	}
-	if dn := stats.Enqueues - st.enqueues; dn > 0 {
-		pr.AvgQueuedBytes = (stats.QDepthSum - st.qdepthSum) / dn
+	if dn := pc.Enqueues - st.enqueues; dn > 0 {
+		pr.AvgQueuedBytes = (pc.QDepthSum - st.qdepthSum) / dn
 	}
-	st.qdepthSum, st.enqueues = stats.QDepthSum, stats.Enqueues
-	for _, cnt := range ev.FlowCounts() {
-		pr.QueuedPkts += int64(cnt)
-	}
-	for ingress, bytes := range stats.MeterIn {
+	st.qdepthSum, st.enqueues = pc.QDepthSum, pc.Enqueues
+	for ingress, bytes := range pc.MeterIn {
 		if d := bytes - st.meterIn[ingress]; d > 0 {
 			up := c.Net.Topo.PeerOf(topo.PortID{Node: p.Node, Port: ingress})
 			if pr.MeterIn == nil {
 				pr.MeterIn = make(map[topo.PortID]int64)
 			}
 			pr.MeterIn[up] += d
+			st.meterIn[ingress] = bytes
 		}
-		st.meterIn[ingress] = bytes
 	}
-	for _, e := range c.pfcWindow(now, window) {
+	for _, e := range pfc {
 		if (e.Downstream == p.Node && e.CauseEgress == p.Port) || e.Upstream == p {
 			pr.PFCEvents = append(pr.PFCEvents, e)
 		}

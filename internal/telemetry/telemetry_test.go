@@ -324,3 +324,69 @@ func TestReportSizeMonotone(t *testing.T) {
 		t.Fatalf("port record did not grow size")
 	}
 }
+
+type nopDevice struct{}
+
+func (nopDevice) Receive(*fabric.Packet, int) {}
+
+// TestPollAllocCeiling pins what one poll costs the allocator on a warmed
+// collector: the report and what hangs off it (flow and port records, one
+// Wait map per waiting flow, one MeterIn map), plus the poll's visited set
+// — and nothing per flow slot, per counter or per PFC-window rescan. The
+// traffic between polls reuses its cells and lands on a device that keeps
+// nothing, so it allocates nothing itself (fabric.TestForwardAllocFree) and
+// every allocation counted is the poll's.
+func TestPollAllocCeiling(t *testing.T) {
+	tp := topo.New()
+	var hosts []topo.NodeID
+	for i := 0; i < 3; i++ {
+		hosts = append(hosts, tp.AddNode(topo.KindHost, "h"))
+	}
+	sw := tp.AddNode(topo.KindSwitch, "sw")
+	for _, h := range hosts {
+		tp.AddLink(h, sw, 100*simtime.Gbps, time.Microsecond)
+	}
+	tp.ComputeRoutes()
+	k := sim.New(11)
+	fcfg := fabric.DefaultConfig()
+	fcfg.PFCPauseThreshold = 1 << 40
+	net := fabric.NewNetwork(k, tp, fcfg)
+	if err := net.Attach(hosts[2], nopDevice{}); err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(net)
+
+	f0, f1 := fk(hosts[0], hosts[2], 100), fk(hosts[1], hosts[2], 200)
+	cells := make([]fabric.Packet, 8)
+	var rep *Report
+	round := func() {
+		for i := range cells {
+			f := f0
+			if i%2 == 1 {
+				f = f1
+			}
+			cells[i] = fabric.Packet{Kind: fabric.KindData, Flow: f, To: f.Dst, Size: 4096}
+			net.Inject(f.Src, &cells[i])
+		}
+		k.Run(simtime.Never)
+		rep = col.Poll(f0, 0)
+	}
+	round() // warm-up: flow slots, snapshot rows, queue arrays, the event heap
+	allocs := testing.AllocsPerRun(50, round)
+
+	if len(rep.Flows) != 2 || len(rep.Ports) != 1 {
+		t.Fatalf("poll reported %d flow and %d port records, want 2 and 1", len(rep.Flows), len(rep.Ports))
+	}
+	for _, fr := range rep.Flows {
+		if fr.Pkts != 4 || len(fr.Wait) != 1 {
+			t.Fatalf("flow record %+v: want 4 packets and one wait entry per poll", fr)
+		}
+	}
+	if len(rep.Ports[0].MeterIn) != 2 {
+		t.Fatalf("MeterIn = %v, want both ingress ports", rep.Ports[0].MeterIn)
+	}
+	const ceiling = 12 // measured
+	if allocs > ceiling {
+		t.Fatalf("one Poll allocates %v objects, ceiling %d", allocs, ceiling)
+	}
+}

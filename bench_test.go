@@ -10,11 +10,6 @@
 package vedrfolnir_test
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -23,21 +18,31 @@ import (
 	"vedrfolnir/internal/experiments"
 	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/hostmon"
-	"vedrfolnir/internal/perf"
 	"vedrfolnir/internal/provenance"
 	"vedrfolnir/internal/rdma"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/simtime"
-	"vedrfolnir/internal/sweep"
 	"vedrfolnir/internal/telemetry"
 	"vedrfolnir/internal/topo"
 	"vedrfolnir/internal/waitgraph"
 )
 
-// benchConfig is the reduced-scale experiment configuration — the shared
-// perf.BenchConfig, so bench rows and vedrperf rows stay comparable.
+// benchConfig is the reduced-scale experiment configuration: 1/360 scale
+// with the cell size and PFC/ECN thresholds pinned, not derived from the
+// scale, so the simulated byte stream — and with it every bench's
+// ns/op and allocs/op — means the same on every machine and commit.
+// benchmark/config.go pins the same values independently (its module does
+// not import this one's tests); TestSweepAllocsPerCase in internal/sweep
+// holds its ceiling against them too.
 func benchConfig() scenario.Config {
-	return perf.BenchConfig()
+	cfg := scenario.DefaultConfig()
+	cfg.Scale = 1.0 / 360
+	cfg.StepBytes = cfg.ScaledBytes(360e6)
+	cfg.CellSize = 16 << 10
+	cfg.Fabric.PFCPauseThreshold = 64 << 10
+	cfg.Fabric.PFCResumeThreshold = 32 << 10
+	cfg.Fabric.ECNThreshold = 32 << 10
+	return cfg
 }
 
 // benchCase and benchRun adapt the error-returning scenario API for
@@ -204,113 +209,6 @@ func BenchmarkFig14CaseStudy(b *testing.B) {
 				study.BF2Score, study.BF1Score)
 		}
 	}
-}
-
-// --- internal/sweep worker scaling (the BENCH_sweep.json trajectory) ---
-
-// sweepBenchRows collects one perf.SweepRow per BenchmarkSweepWorkers*
-// run; TestMain writes them to BENCH_sweep.json afterwards, so successive
-// PRs can compare sweep throughput at each pool size (cmd/vedrperf reads
-// and regenerates the same schema). Keyed by bench name; the framework
-// reruns a bench with growing b.N, and the last (largest-N) run wins.
-// Benchmarks run sequentially in one goroutine, so plain map writes are
-// safe.
-var sweepBenchRows = map[string]perf.SweepRow{}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 && len(sweepBenchRows) > 0 {
-		names := make([]string, 0, len(sweepBenchRows))
-		for name := range sweepBenchRows {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		rows := make([]perf.SweepRow, 0, len(names))
-		for _, name := range names {
-			row := sweepBenchRows[name]
-			// A row whose pool could not actually run in parallel measures
-			// scheduler churn, not scaling; refuse to record it silently.
-			// (benchSweepWorkers raises GOMAXPROCS, so this triggers only
-			// when the machine itself has fewer cores than the pool.)
-			if perf.Limited(row.Workers, row.GoMaxProcs, runtime.NumCPU()) && !row.EnvironmentLimited {
-				fmt.Fprintf(os.Stderr,
-					"bench: refusing unannotated environment-limited row %s (workers=%d gomaxprocs=%d numcpu=%d)\n",
-					name, row.Workers, row.GoMaxProcs, runtime.NumCPU())
-				continue
-			}
-			rows = append(rows, row)
-		}
-		if buf, err := json.MarshalIndent(rows, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_sweep.json", append(buf, '\n'), 0o644)
-		}
-	}
-	os.Exit(code)
-}
-
-// benchSweepWorkers runs the Fig 9 contention subset (8 seeds, Vedrfolnir,
-// optimal parameters) through internal/sweep at a fixed pool size and
-// reports merged-sweep throughput.
-func benchSweepWorkers(b *testing.B, name string, workers int) {
-	// The curve is only meaningful if the pool can actually run in
-	// parallel: raise GOMAXPROCS to the pool size for the duration of the
-	// bench. Earlier recordings ran workers=4 on a single P (the harness
-	// environment pinned GOMAXPROCS=1), which measured scheduler churn and
-	// channel overhead, not scaling.
-	if prev := runtime.GOMAXPROCS(0); workers > prev {
-		runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	cfg := benchConfig()
-	opts := scenario.DefaultRunOptions(cfg)
-	opts.Monitor.MaxDetectPerStep = 5 // Fig 9 "optimal parameters"
-	exec := sweep.Cases(cfg, opts)
-	jobs := make([]sweep.Job, 8)
-	for i := range jobs {
-		jobs[i] = sweep.Job{Kind: scenario.Contention, Seed: int64(i), System: scenario.Vedrfolnir}
-	}
-	cases := 0
-	b.ReportAllocs()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum, err := sweep.Run(jobs, exec, sweep.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sum.Failed) > 0 {
-			b.Fatalf("failed cases: %v", sum.Failed)
-		}
-		cases += len(sum.Results)
-	}
-	b.StopTimer()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	elapsed := b.Elapsed()
-	casesPerSec := float64(cases) / elapsed.Seconds()
-	b.ReportMetric(casesPerSec, "cases/s")
-	sweepBenchRows[name] = perf.SweepRow{
-		Bench:              name,
-		Workers:            workers,
-		GoMaxProcs:         runtime.GOMAXPROCS(0),
-		Jobs:               len(jobs),
-		Cases:              cases,
-		CasesPerSec:        casesPerSec,
-		NsPerCase:          elapsed.Nanoseconds() / int64(cases),
-		AllocsPerCase:      int64(after.Mallocs-before.Mallocs) / int64(cases),
-		BytesPerCase:       int64(after.TotalAlloc-before.TotalAlloc) / int64(cases),
-		EnvironmentLimited: perf.Limited(workers, runtime.GOMAXPROCS(0), runtime.NumCPU()),
-	}
-}
-
-func BenchmarkSweepWorkers1(b *testing.B) { benchSweepWorkers(b, "BenchmarkSweepWorkers1", 1) }
-func BenchmarkSweepWorkers4(b *testing.B) { benchSweepWorkers(b, "BenchmarkSweepWorkers4", 4) }
-
-// BenchmarkSweepWorkersMax sizes the pool to the machine, not to the
-// (possibly pinned) starting GOMAXPROCS, so BENCH_sweep.json records a
-// real N-core datapoint.
-func BenchmarkSweepWorkersMax(b *testing.B) {
-	benchSweepWorkers(b, "BenchmarkSweepWorkersMax", runtime.NumCPU())
 }
 
 // --- Core-library micro-benchmarks (ablation/performance support) ---

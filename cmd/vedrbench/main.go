@@ -26,7 +26,6 @@ import (
 
 	"vedrfolnir/internal/experiments"
 	"vedrfolnir/internal/obs"
-	"vedrfolnir/internal/perf"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/sweep"
 	"vedrfolnir/internal/wire"
@@ -43,26 +42,13 @@ func main() {
 	memProf := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	// Profiles are flushed explicitly (not deferred) so the partial-failure
-	// exit below still writes them; fatal() paths lose the profile.
-	var stopCPU func() error
-	if *cpuProf != "" {
-		var err error
-		if stopCPU, err = perf.StartCPUProfile(*cpuProf); err != nil {
-			fatal(err)
-		}
+	flush, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
 	}
-	flushProfiles := func() {
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			stopCPU = nil
-		}
-		if *memProf != "" {
-			if err := perf.WriteHeapProfile(*memProf); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
+	flushProfiles = func() {
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 	defer flushProfiles()
@@ -198,6 +184,7 @@ func main() {
 	}
 	if !known {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
+		flushProfiles()
 		os.Exit(2)
 	}
 	for _, j := range journals {
@@ -223,8 +210,14 @@ func main() {
 	}
 }
 
+// flushProfiles finishes the -cpuprofile/-memprofile files. os.Exit skips
+// defers, so every exit path calls it; main points it at the flush once
+// the flags are parsed.
+var flushProfiles = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, err)
+	flushProfiles()
 	os.Exit(1)
 }
 

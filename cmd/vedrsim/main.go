@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"vedrfolnir/internal/obs"
-	"vedrfolnir/internal/perf"
 	"vedrfolnir/internal/scenario"
+	"vedrfolnir/internal/simtime"
 	"vedrfolnir/internal/wire"
 )
 
@@ -83,7 +83,8 @@ func main() {
 	var stageReg *obs.Registry
 	if *stageTimes {
 		stageReg = obs.NewRegistry()
-		opts.Stages = obs.NewStages(stageReg, perf.NanoNow())
+		sw := simtime.NewSystemStopwatch()
+		opts.Stages = obs.NewStages(stageReg, func() int64 { return int64(sw.Elapsed()) })
 	}
 	start := time.Now()
 	res, err := scenario.Run(cs, sys, cfg, opts)
@@ -114,7 +115,7 @@ func main() {
 	if stageReg != nil {
 		fmt.Fprintf(os.Stderr, "%-20s %10s %12s %10s %10s %10s\n",
 			"stage", "count", "total(ms)", "p50(us)", "p95(us)", "p99(us)")
-		for _, r := range perf.StageSummary(stageReg) {
+		for _, r := range obs.StageSummary(stageReg) {
 			fmt.Fprintf(os.Stderr, "%-20s %10d %12.1f %10.1f %10.1f %10.1f\n",
 				r.Stage, r.Count, r.TotalMs, r.P50Us, r.P95Us, r.P99Us)
 		}

@@ -30,7 +30,6 @@ import (
 
 	"vedrfolnir/internal/experiments"
 	"vedrfolnir/internal/obs"
-	"vedrfolnir/internal/perf"
 	"vedrfolnir/internal/sweep"
 )
 
@@ -54,10 +53,16 @@ func main() {
 	if *journal == "" {
 		fatal(fmt.Errorf("-journal is required"))
 	}
-
-	// Profiles flush through the run/resume exit paths below (which call
-	// os.Exit, skipping defers), so execute owns them.
-	prof := profileOpts{cpu: *cpuProf, mem: *memProf}
+	flush, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	flushProfiles = func() {
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "vedrsweep:", err)
+		}
+	}
+	defer flushProfiles()
 
 	switch cmd {
 	case "run":
@@ -68,7 +73,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		execute(plan, *journal, *workers, *obsListen, prof)
+		execute(plan, *journal, *workers, *obsListen)
 	case "resume":
 		header, _, skipped, err := sweep.ReadJournal(*journal)
 		if err != nil {
@@ -82,11 +87,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		execute(plan, *journal, *workers, *obsListen, prof)
+		execute(plan, *journal, *workers, *obsListen)
 	case "status":
 		status(*journal)
 	default:
 		usage()
+		flushProfiles()
 		os.Exit(2)
 	}
 }
@@ -96,48 +102,19 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "run flags: -sweep name -paper -scale N -workers N -cpuprofile f -memprofile f")
 }
 
+// flushProfiles finishes the -cpuprofile/-memprofile files. os.Exit skips
+// defers, so every exit path calls it; main points it at the flush once
+// the flags are parsed.
+var flushProfiles = func() {}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "vedrsweep:", err)
+	flushProfiles()
 	os.Exit(1)
 }
 
-// profileOpts carries the optional pprof capture paths.
-type profileOpts struct{ cpu, mem string }
-
-// start begins CPU profiling (if requested) and returns a flush that
-// finishes both profiles; execute calls it before every exit path because
-// os.Exit skips defers.
-func (p profileOpts) start() func() {
-	var stopCPU func() error
-	if p.cpu != "" {
-		var err error
-		if stopCPU, err = perf.StartCPUProfile(p.cpu); err != nil {
-			fatal(err)
-		}
-	}
-	done := false
-	return func() {
-		if done {
-			return
-		}
-		done = true
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintln(os.Stderr, "vedrsweep:", err)
-			}
-		}
-		if p.mem != "" {
-			if err := perf.WriteHeapProfile(p.mem); err != nil {
-				fmt.Fprintln(os.Stderr, "vedrsweep:", err)
-			}
-		}
-	}
-}
-
 // execute runs (or completes) the planned sweep against the journal.
-func execute(plan *experiments.SweepPlan, path string, workers int, obsListen string, prof profileOpts) {
-	flushProfiles := prof.start()
-	defer flushProfiles()
+func execute(plan *experiments.SweepPlan, path string, workers int, obsListen string) {
 	j, err := sweep.OpenJournal(path, plan.Spec)
 	if err != nil {
 		fatal(err)

@@ -1,17 +1,17 @@
 package obs
 
-// Wall-time stage timing for the hot-path performance observability layer
-// (cmd/vedrperf). Unlike everything else in this package, stage timers
-// record *host* wall-clock durations — they exist to answer "where do the
-// nanoseconds go", which sim time cannot. The obswallclock rule still
-// holds: obs itself never reads a clock. The nanosecond source is injected
-// as a plain func by the caller (internal/perf builds one on the
-// sanctioned simtime.Stopwatch gateway), so the recording path here stays
-// clock-free and the uninstrumented path — a nil Timer or nil Stages —
-// costs a nil check and changes no behaviour.
+// Wall-time stage timing of the hot path (`vedrsim -stages`). Unlike
+// everything else in this package, stage timers record *host* wall-clock
+// durations — they exist to answer "where do the nanoseconds go", which
+// sim time cannot. The obswallclock rule still holds: obs itself never
+// reads a clock. The nanosecond source is injected as a plain func by the
+// caller (vedrsim builds one on the sanctioned simtime.Stopwatch
+// gateway), so the recording path here stays clock-free and the
+// uninstrumented path — a nil Timer or nil Stages — costs a nil check
+// and changes no behaviour.
 //
 // Stage histograms therefore live in a *dedicated* registry owned by the
-// profiling run, never in the deterministic obs.Scope registry whose
+// timed run, never in the deterministic obs.Scope registry whose
 // Flatten lands in result bundles: wall times are not reproducible and
 // must never leak into byte-identity-checked artifacts (DESIGN.md §16).
 
@@ -166,4 +166,40 @@ func NewStages(r *Registry, now func() int64) *Stages {
 		ProvenanceRate:   t(StageProvenanceRate, "wall time of provenance build + contributor rating (ns)"),
 		Diagnose:         t(StageDiagnose, "wall time of one full diagnosis (ns)"),
 	}
+}
+
+// StageRow summarizes one stage histogram: where the nanoseconds went.
+type StageRow struct {
+	Stage   string
+	Count   int64
+	TotalMs float64
+	P50Us   float64
+	P95Us   float64
+	P99Us   float64
+}
+
+// StageSummary renders the stage histograms NewStages registered in r as
+// report rows, in StageNames order; a stage that observed nothing has no
+// row.
+func StageSummary(r *Registry) []StageRow {
+	byName := map[string]Sample{}
+	for _, s := range r.Snapshot() {
+		byName[s.Name] = s
+	}
+	var out []StageRow
+	for _, stage := range StageNames() {
+		s := byName["vedr_stage_"+stage+"_ns"]
+		if s.Count == 0 {
+			continue
+		}
+		out = append(out, StageRow{
+			Stage:   stage,
+			Count:   s.Count,
+			TotalMs: float64(s.Sum) / 1e6,
+			P50Us:   s.Quantile(0.50) / 1e3,
+			P95Us:   s.Quantile(0.95) / 1e3,
+			P99Us:   s.Quantile(0.99) / 1e3,
+		})
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -84,5 +85,44 @@ func TestStagesNilAndRegistration(t *testing.T) {
 	NewStages(r, clk.now)
 	if got := r.Flatten()[ConflictMetric]; got != 0 {
 		t.Errorf("re-registering stages raised %d conflicts, want 0", got)
+	}
+}
+
+func TestStageSummary(t *testing.T) {
+	if rows := StageSummary(nil); rows != nil {
+		t.Errorf("nil registry summarised to %v", rows)
+	}
+	r := NewRegistry()
+	clk := &fakeClock{}
+	st := NewStages(r, clk.now)
+	// Registered out of display order, and telemetry_collect never fires.
+	for _, obsv := range []struct {
+		tm *Timer
+		ns int64
+	}{{st.Diagnose, 3_000_000}, {st.EventPop, 100}, {st.EventPop, 100}, {st.EventPush, 1000}} {
+		start := obsv.tm.Begin()
+		clk.t += obsv.ns
+		obsv.tm.End(start)
+	}
+	// A histogram that is not a stage's stays out of the table.
+	r.Histogram("perf_case_ns", "", WallBuckets()).Observe(5)
+
+	rows := StageSummary(r)
+	var got []string
+	for _, row := range rows {
+		got = append(got, row.Stage)
+	}
+	if want := []string{StageEventPush, StageEventPop, StageDiagnose}; !slices.Equal(got, want) {
+		t.Fatalf("stages = %v, want %v", got, want)
+	}
+	pop, diag := rows[1], rows[2]
+	if pop.Count != 2 || pop.TotalMs != 200.0/1e6 {
+		t.Errorf("event_pop count/total = %d/%v ms, want 2/0.0002", pop.Count, pop.TotalMs)
+	}
+	if pop.P50Us <= 0.064 || pop.P99Us > 0.128 {
+		t.Errorf("event_pop p50/p99 = %v/%v us, want within the 100 ns bucket (0.064, 0.128]", pop.P50Us, pop.P99Us)
+	}
+	if diag.Count != 1 || diag.TotalMs != 3 {
+		t.Errorf("diagnose count/total = %d/%v ms, want 1/3", diag.Count, diag.TotalMs)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"vedrfolnir/internal/analyzerd"
-	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/spec"
 	"vedrfolnir/internal/wire"
@@ -111,7 +109,7 @@ func (r *Runner) runAnalyzerd(sp *spec.Spec, cs scenario.Case, res scenario.Resu
 	}
 	defer func() { _ = rc.Close() }()
 
-	msgs := submissionStream(res)
+	msgs := replayStream(res) // one client sends everything: the host column is the fleet mode's
 	killAfter := sp.Analyzerd.KillAfter
 	var checks []Check
 	if killAfter > 0 && killAfter >= len(msgs) {
@@ -122,8 +120,8 @@ func (r *Runner) runAnalyzerd(sp *spec.Spec, cs scenario.Case, res scenario.Resu
 	}
 
 	killed := false
-	for i, send := range msgs {
-		if err := send(rc); err != nil {
+	for i, m := range msgs {
+		if err := m.send(rc); err != nil {
 			return append(checks, fail(fmt.Sprintf("analyzerd.send[%d]", i), "message accepted", err)...)
 		}
 		if err := rc.Flush(); err != nil {
@@ -194,31 +192,6 @@ func (r *Runner) runAnalyzerd(sp *spec.Spec, cs scenario.Case, res scenario.Resu
 	checks = append(checks, check("analyzerd.outcome",
 		res.Outcome.String(), scenario.Evaluate(cs, localDiag).String()))
 	return checks
-}
-
-// submissionStream fixes the replay order: the collective-flow census
-// (sorted), then step records, then telemetry reports, all in run order —
-// deterministic, so a kill-after point always lands on the same message.
-func submissionStream(res scenario.Result) []func(*analyzerd.ReliableClient) error {
-	var msgs []func(*analyzerd.ReliableClient) error
-	cfs := make([]fabric.FlowKey, 0, len(res.CFs))
-	for f := range res.CFs {
-		cfs = append(cfs, f)
-	}
-	sort.Slice(cfs, func(i, j int) bool { return flowKeyLess(cfs[i], cfs[j]) })
-	for _, f := range cfs {
-		f := f
-		msgs = append(msgs, func(rc *analyzerd.ReliableClient) error { return rc.SendCF(f) })
-	}
-	for _, rec := range res.Records {
-		rec := rec
-		msgs = append(msgs, func(rc *analyzerd.ReliableClient) error { return rc.SendStep(rec) })
-	}
-	for _, rep := range res.Reports {
-		rep := rep
-		msgs = append(msgs, func(rc *analyzerd.ReliableClient) error { return rc.SendReport(rep) })
-	}
-	return msgs
 }
 
 // daemon is one running vedranalyzerd subprocess with captured stdout.

@@ -26,9 +26,10 @@ import (
 // (recovered by the supervisor) or a shard held down through the drain
 // (asserted degraded instead).
 
-// fleetSubmission is one message from one named host agent, mirrored as
-// the sourced message the shard is expected to retain.
-type fleetSubmission struct {
+// submission is one message of a replayed case: the host agent that
+// produced it, how a client sends it, and the sourced message (client and
+// seq still blank) a shard is expected to retain for it.
+type submission struct {
 	host string
 	send func(*analyzerd.ReliableClient) error
 	msg  wire.SourcedMessage
@@ -37,11 +38,12 @@ type fleetSubmission struct {
 // hostOf names the fleet client for a source host ID.
 func hostOf(id int32) string { return fmt.Sprintf("h%02d", id) }
 
-// fleetStream fixes the replay order (sorted collective-flow census, then
-// step records, then telemetry reports — the submissionStream order) and
-// attributes each message to the host that produced it.
-func fleetStream(res scenario.Result) []fleetSubmission {
-	var subs []fleetSubmission
+// replayStream fixes the replay order for both daemon modes: the
+// collective-flow census (sorted), then step records, then telemetry
+// reports, all in run order — deterministic, so a kill-after point always
+// lands on the same message — each attributed to the host that produced it.
+func replayStream(res scenario.Result) []submission {
+	var subs []submission
 	cfs := make([]fabric.FlowKey, 0, len(res.CFs))
 	for f := range res.CFs {
 		cfs = append(cfs, f)
@@ -50,7 +52,7 @@ func fleetStream(res scenario.Result) []fleetSubmission {
 	for _, f := range cfs {
 		f := f
 		dto := wire.FromFlow(f)
-		subs = append(subs, fleetSubmission{
+		subs = append(subs, submission{
 			host: hostOf(int32(f.Src)),
 			send: func(rc *analyzerd.ReliableClient) error { return rc.SendCF(f) },
 			msg:  wire.SourcedMessage{Type: wire.MsgCF, CF: &dto},
@@ -59,7 +61,7 @@ func fleetStream(res scenario.Result) []fleetSubmission {
 	for _, rec := range res.Records {
 		rec := rec
 		dto := wire.FromStepRecord(rec)
-		subs = append(subs, fleetSubmission{
+		subs = append(subs, submission{
 			host: hostOf(int32(rec.Host)),
 			send: func(rc *analyzerd.ReliableClient) error { return rc.SendStep(rec) },
 			msg:  wire.SourcedMessage{Type: wire.MsgStep, Step: &dto},
@@ -68,7 +70,7 @@ func fleetStream(res scenario.Result) []fleetSubmission {
 	for _, rep := range res.Reports {
 		rep := rep
 		dto := wire.FromReport(rep)
-		subs = append(subs, fleetSubmission{
+		subs = append(subs, submission{
 			host: hostOf(int32(rep.TriggeredBy.Src)),
 			send: func(rc *analyzerd.ReliableClient) error { return rc.SendReport(rep) },
 			msg:  wire.SourcedMessage{Type: wire.MsgReport, Report: &dto},
@@ -167,7 +169,7 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 	}
 	defer func() { _ = d.cmd.Process.Kill() }()
 
-	subs := fleetStream(res)
+	subs := replayStream(res)
 	var checks []Check
 	killAfter := 0
 	if fl.KillShard != spec.Unset {

@@ -10,6 +10,7 @@
 package vedrfolnir_test
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -228,22 +229,42 @@ func BenchmarkFabricForwarding(b *testing.B) {
 }
 
 // BenchmarkWaitGraphBuild measures waiting-graph construction + critical
-// path on a 64-rank, 63-step synthetic collective.
+// path at diagnose-large's XL shape: a 128-rank Ring AllGather, 127 steps a
+// rank, 16 256 records in completion order. Each step starts when the later
+// of its previous step and its data dependency is done, and BoundByWait is
+// set the way the runner sets it: when the data arrived last.
 func BenchmarkWaitGraphBuild(b *testing.B) {
+	ranks := make([]topo.NodeID, 128)
+	for i := range ranks {
+		ranks[i] = topo.NodeID(i)
+	}
+	schedules, err := collective.Decompose(collective.Spec{
+		Op: collective.AllGather, Alg: collective.Ring, Ranks: ranks, Bytes: 128 << 20,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	end := make(map[topo.NodeID][]simtime.Time, len(schedules))
 	var recs []collective.StepRecord
-	const ranks, steps = 64, 63
-	for h := 0; h < ranks; h++ {
-		for s := 0; s < steps; s++ {
-			start := simtime.Time(s * 1000)
-			recs = append(recs, collective.StepRecord{
-				Host:    topo.NodeID(h),
-				Step:    s,
-				Start:   start,
-				End:     start.Add(900),
-				WaitSrc: topo.NodeID((h + ranks - 1) % ranks),
-			})
+	for s := range schedules[0].Steps {
+		for i, sch := range schedules {
+			st := sch.Steps[s]
+			rec := collective.StepRecord{Host: sch.Host, Step: s, WaitSrc: st.WaitSrc, WaitStep: st.WaitStep}
+			if s > 0 {
+				rec.Start = end[sch.Host][s-1]
+			}
+			if st.WaitSrc != topo.None {
+				if recv := end[st.WaitSrc][st.WaitStep]; recv >= rec.Start {
+					rec.Start, rec.BoundByWait = recv, true
+				}
+			}
+			rec.End = rec.Start.Add(simtime.Duration(900 + (i*7+s*13)%200))
+			end[sch.Host] = append(end[sch.Host], rec.End)
+			recs = append(recs, rec)
 		}
 	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End < recs[j].End })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := waitgraph.Build(recs)

@@ -531,14 +531,18 @@ func (d *Diagnosis) rate(in Input) {
 
 	// Slowdown weights over the critical path.
 	type stepCtx struct {
-		ref   waitgraph.StepRef
-		cf    fabric.FlowKey
-		slow  simtime.Duration
-		graph *provenance.Graph
+		cf         fabric.FlowKey
+		slow       simtime.Duration
+		graph      *provenance.Graph
+		contenders []fabric.FlowKey
 	}
 	byStep := groupReports(in)
 	var steps []stepCtx
 	var totalSlow simtime.Duration
+	// Every step without reports of its own rates against the aggregate
+	// graph, so its contender set is computed once and shared.
+	var shared []fabric.FlowKey
+	sharedDone := false
 	for _, ref := range d.CriticalPath {
 		rec, ok := d.WaitGraph.Record(ref)
 		if !ok {
@@ -548,18 +552,19 @@ func (d *Diagnosis) rate(in Input) {
 		if slow <= 0 {
 			continue
 		}
-		g := d.Graph
+		sc := stepCtx{cf: rec.Flow, slow: slow, graph: d.Graph}
 		if group := byStep[ref]; len(group) > 0 {
-			g = provenance.Build(group, in.CFs)
+			sc.graph = provenance.Build(group, in.CFs)
+			sc.contenders = sc.graph.Contenders()
 		} else if len(in.Reports) == 0 {
 			continue
+		} else {
+			if !sharedDone {
+				shared, sharedDone = d.Graph.Contenders(), true
+			}
+			sc.contenders = shared
 		}
-		steps = append(steps, stepCtx{
-			ref:   ref,
-			cf:    rec.Flow,
-			slow:  slow,
-			graph: g,
-		})
+		steps = append(steps, sc)
 		totalSlow += slow
 	}
 	if totalSlow == 0 {
@@ -569,7 +574,7 @@ func (d *Diagnosis) rate(in Input) {
 	scores := map[fabric.FlowKey]float64{}
 	for _, sc := range steps {
 		w := float64(sc.slow) / float64(totalSlow)
-		for _, fa := range sc.graph.Contenders() {
+		for _, fa := range sc.contenders {
 			r := sc.graph.RateFlowCF(fa, sc.cf)
 			if r <= in.MinCulpritScore {
 				continue

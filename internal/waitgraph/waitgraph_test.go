@@ -1,6 +1,10 @@
 package waitgraph
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"sort"
 	"testing"
 	"time"
 
@@ -214,6 +218,99 @@ func TestEmptyGraph(t *testing.T) {
 	}
 	if g.Prune() != 0 {
 		t.Fatal("pruned something from empty graph")
+	}
+}
+
+// ringRecords is a ranks-host Ring AllGather of ranks-1 steps in the order
+// a runner reports it (completion order), each step gated by the later of
+// its flow's previous step and its left neighbour's, BoundByWait set when
+// the neighbour's data arrived last.
+func ringRecords(ranks int) []collective.StepRecord {
+	steps := ranks - 1
+	end := make([][]simtime.Time, ranks)
+	var recs []collective.StepRecord
+	for h := range end {
+		end[h] = make([]simtime.Time, steps)
+	}
+	for s := 0; s < steps; s++ {
+		for h := 0; h < ranks; h++ {
+			rec := collective.StepRecord{Host: topo.NodeID(h), Step: s, WaitSrc: topo.None}
+			if s > 0 {
+				left := (h + ranks - 1) % ranks
+				rec.WaitSrc, rec.WaitStep = topo.NodeID(left), s-1
+				rec.Start = end[h][s-1]
+				if end[left][s-1] >= rec.Start {
+					rec.Start, rec.BoundByWait = end[left][s-1], true
+				}
+			}
+			rec.End = rec.Start.Add(simtime.Duration(900 + (h*7+s*13)%200))
+			end[h][s] = rec.End
+			recs = append(recs, rec)
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End < recs[j].End })
+	return recs
+}
+
+// TestBuildAllocsConstant: Build allocates a fixed number of slices
+// whatever the record count. A count that grows with the records means
+// per-vertex maps or slices have crept back.
+func TestBuildAllocsConstant(t *testing.T) {
+	small, large := ringRecords(32), ringRecords(128) // 992 and 16 256 records
+	// The runtime allocates a little after a collection, which 3 MB Builds
+	// would trigger; with the collector off every count is Build's own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a1 := testing.AllocsPerRun(5, func() { Build(small) })
+	a16 := testing.AllocsPerRun(5, func() { Build(large) })
+	t.Logf("allocs per Build: %.0f at %d records, %.0f at %d", a1, len(small), a16, len(large))
+	if int(a1) != int(a16) { // whole numbers: AllocsPerRun divides integers
+		t.Fatalf("allocs per Build grew from %.0f at %d records to %.0f at %d", a1, len(small), a16, len(large))
+	}
+}
+
+// TestBuildHostileIDs: ids at the ends of their ranges build a graph like
+// any other, and memory follows the record count, not the id values, so a
+// bundle or daemon client cannot make the analyzer allocate by choosing ids.
+func TestBuildHostileIDs(t *testing.T) {
+	const n = 4096
+	hosts := []topo.NodeID{math.MinInt32, math.MaxInt32, topo.None, -2}
+	steps := []int{1 << 62, -(1 << 62), math.MaxInt, math.MinInt}
+	recs := make([]collective.StepRecord, n)
+	for i := range recs {
+		recs[i] = collective.StepRecord{
+			Host:     hosts[i%len(hosts)],
+			Step:     steps[i/len(hosts)%len(steps)] + i/16*(i%2*2-1),
+			Start:    simtime.Time(i),
+			End:      simtime.Time(i + 10),
+			WaitSrc:  hosts[(i+1)%len(hosts)],
+			WaitStep: steps[(i+1)%len(steps)],
+		}
+	}
+	g := Build(recs)
+	if g.StepCount() == 0 || len(g.Vertices()) != 2*g.StepCount() {
+		t.Fatalf("%d steps, %d vertices", g.StepCount(), len(g.Vertices()))
+	}
+	if _, ok := g.Source(); !ok {
+		t.Fatal("no source")
+	}
+	g.Edges()
+	g.SlowestSteps(n)
+	g.Prune()
+
+	bytesPerBuild := func(recs []collective.StepRecord) float64 {
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Build(recs)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	hostile, benign := bytesPerBuild(recs), bytesPerBuild(ringRecords(65)[:n])
+	t.Logf("bytes per Build of %d records: %.0f hostile, %.0f benign", n, hostile, benign)
+	if hostile > 1.5*benign || hostile > 512*n {
+		t.Fatalf("hostile ids cost %.0f B per Build of %d records, benign ones %.0f B", hostile, n, benign)
 	}
 }
 

@@ -13,9 +13,7 @@
 //	              [-read-timeout 2m] [-max-line 16777216]
 //	              [-wal-dir DIR] [-fsync always|interval|off]
 //	              [-snapshot-every N] [-queue N] [-rate R] [-burst N]
-//	vedranalyzerd -cluster N [-shard-replicas R] [-hold-shard I]
-//	              [-resize-to M [-resize-after K] [-rebalance-kill P:S]]
-//	              [-tenant-rate R [-tenant-burst N]] [...]
+//	vedranalyzerd -cluster N [-shard-replicas R] [-hold-shard I] [...]
 //	vedranalyzerd supervise [-backoff 200ms] [-crash-loops 5]
 //	              [-healthy-after 30s] -- <daemon flags>
 //
@@ -99,22 +97,10 @@ func run() int {
 		"consistent-hash virtual nodes per shard (0 = default)")
 	holdShard := flag.Int("hold-shard", -1,
 		"with -cluster: hold this shard down at drain time and report a degraded diagnosis")
-	resizeTo := flag.Int("resize-to", 0,
-		"with -cluster: live-rebalance the fleet to this many shards mid-run")
-	resizeAfter := flag.Int("resize-after", 0,
-		"with -cluster and -resize-to: trigger the rebalance once this many submissions are acked")
-	rebalanceKill := flag.String("rebalance-kill", "",
-		"with -cluster and -resize-to: SIGKILL shard S at rebalance phase P, as P:S (chaos hook)")
-	tenantRate := flag.Float64("tenant-rate", 0,
-		"with -cluster: per-tenant sustained messages/second quota (0 = no quotas)")
-	tenantBurst := flag.Int("tenant-burst", 0,
-		"with -cluster: per-tenant token bucket depth (0 = derived from -tenant-rate)")
 	shardIndex := flag.Int("shard-index", -1,
 		"run as shard I of a fleet (internal; spawned by -cluster)")
 	shardCount := flag.Int("shard-count", 0,
 		"fleet width for -shard-index (internal; spawned by -cluster)")
-	shardEpoch := flag.Int64("shard-epoch", 0,
-		"shard map epoch for -shard-index (internal; rewritten by a live rebalance)")
 	flag.Parse()
 
 	if *cluster > 0 {
@@ -125,11 +111,6 @@ func run() int {
 			shards:        *cluster,
 			replicas:      *shardReplicas,
 			holdShard:     *holdShard,
-			resizeTo:      *resizeTo,
-			resizeAfter:   *resizeAfter,
-			rebalanceKill: *rebalanceKill,
-			tenantRate:    *tenantRate,
-			tenantBurst:   *tenantBurst,
 			walDir:        *walDir,
 			fsyncMode:     *fsyncMode,
 			snapshotEvery: *snapshotEvery,
@@ -142,7 +123,7 @@ func run() int {
 	}
 	if *shardCount > 0 {
 		scfg.Shard = &analyzerd.ShardConfig{
-			Map:   wire.ShardMap{Shards: *shardCount, Replicas: *shardReplicas, Epoch: *shardEpoch},
+			Map:   wire.ShardMap{Shards: *shardCount, Replicas: *shardReplicas},
 			Index: *shardIndex,
 		}
 	}

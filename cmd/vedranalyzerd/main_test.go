@@ -106,7 +106,7 @@ func (d *daemon) output() []string {
 	var out []string
 	for _, l := range d.lines {
 		if strings.HasPrefix(l, "shrugged off:") || strings.HasPrefix(l, "backpressure:") ||
-			strings.HasPrefix(l, "shard ") || strings.HasPrefix(l, "resized ") {
+			strings.HasPrefix(l, "shard ") {
 			continue
 		}
 		out = append(out, l)
@@ -300,5 +300,32 @@ func TestSuperviseCrashLoopGivesUp(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "restarting in"); got != 2 {
 		t.Fatalf("child restarted %d times before giving up, want 2\n%s", got, out.String())
+	}
+}
+
+// TestRemovedFlagsRefused: the fleet is sized once, by -cluster, so the
+// live-rebalance, tenant-quota and shard-epoch flags are gone, and a
+// command line that still carries one fails with exit 2 instead of
+// running a fleet that ignores it.
+func TestRemovedFlagsRefused(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cluster", "2", "-resize-to", "3"},
+		{"-cluster", "2", "-resize-after", "10"},
+		{"-cluster", "2", "-rebalance-kill", "after-flip:0"},
+		{"-cluster", "2", "-tenant-rate", "25"},
+		{"-cluster", "2", "-tenant-burst", "4"},
+		{"-shard-index", "0", "-shard-count", "2", "-shard-epoch", "1"},
+	} {
+		cmd := exec.Command(daemonPath, append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, args...)...)
+		out, err := cmd.CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: err=%v, want exit 2\n%s", args, err, out)
+			continue
+		}
+		flag := strings.TrimPrefix(args[len(args)-2], "-")
+		if !strings.Contains(string(out), "flag provided but not defined: -"+flag) {
+			t.Errorf("%v: output does not name the unknown flag -%s:\n%s", args, flag, out)
+		}
 	}
 }

@@ -55,17 +55,11 @@ type Message = wire.Message
 // wire.MsgStep/MsgReport/MsgCF; "dump" is a connection-level query — a
 // fleet aggregator asks a shard for its full accepted-message state and
 // gets one wire.ShardState JSON line back (never WAL'd, never acked).
-// The rebalance verbs are admin-plane: "remap" installs a newer-epoch
-// shard map at a shard, "adopt" hands a shard moved-client state, and
-// "resize" asks a fleet *router* to rebalance to Map.Shards shards.
 const (
 	TypeStep   = "step"
 	TypeReport = "report"
 	TypeCF     = "cf"
 	TypeDump   = "dump"
-	TypeRemap  = "remap"
-	TypeAdopt  = "adopt"
-	TypeResize = "resize"
 )
 
 // ParseMessage decodes and validates one protocol line: known type, the
@@ -122,34 +116,8 @@ func validateMessage(msg *Message) error {
 		if msg.Seq != 0 {
 			return errors.New("dump message cannot be sequenced")
 		}
-	case TypeRemap, TypeResize:
-		if payloads != 0 || msg.Handoff != nil {
-			return fmt.Errorf("%s message carries a payload", msg.Type)
-		}
-		if msg.Map == nil {
-			return fmt.Errorf("%s message without a map", msg.Type)
-		}
-		if msg.Seq != 0 {
-			return fmt.Errorf("%s message cannot be sequenced", msg.Type)
-		}
-	case TypeAdopt:
-		if payloads != 0 || msg.Map != nil {
-			return errors.New("adopt message carries a payload")
-		}
-		if msg.Handoff == nil {
-			return errors.New("adopt message without a handoff")
-		}
-		if msg.Seq != 0 {
-			return errors.New("adopt message cannot be sequenced")
-		}
 	default:
 		return fmt.Errorf("unknown message type %q", msg.Type)
-	}
-	if msg.Type != TypeRemap && msg.Type != TypeResize && msg.Map != nil {
-		return fmt.Errorf("%s message carries a shard map", msg.Type)
-	}
-	if msg.Type != TypeAdopt && msg.Handoff != nil {
-		return fmt.Errorf("%s message carries a handoff", msg.Type)
 	}
 	return nil
 }
@@ -214,9 +182,9 @@ type ServerConfig struct {
 	// carrying the owning shard) and recovery re-filters ownership against
 	// the map. Every server is a shard — nil means shard 0 of the
 	// one-shard map, which owns every client — and the only thing a nil
-	// Shard changes is that the admin plane (dump/remap/adopt) is refused:
-	// those verbs rewrite or export state on an outside party's say-so,
-	// and only a process started as a fleet member has a router to trust.
+	// Shard changes is that the dump verb is refused: it exports the
+	// whole state on an outside party's say-so, and only a process
+	// started as a fleet member has a router to trust.
 	Shard *ShardConfig
 	// Now injects the clock used for rate limiting, ack-window TTLs, and
 	// WAL fsync pacing. Nil uses the wall clock. (These are real-daemon
@@ -271,13 +239,6 @@ type ServerStats struct {
 	// Moved messages named a client the shard map assigns to another
 	// shard; they were NACKed with the owning shard index.
 	Moved int64
-	// Remaps counts shard maps installed live via the remap verb.
-	Remaps int64
-	// Adopted counts messages absorbed from rebalance handoffs.
-	Adopted int64
-	// StaleEpochs counts remap/adopt deliveries rejected because their
-	// map epoch was behind the shard's.
-	StaleEpochs int64
 }
 
 // clientState is everything the server remembers about one submitting
@@ -317,10 +278,9 @@ type Server struct {
 	mu sync.Mutex
 	// sourced is the server's only retained ingest state: every accepted
 	// message with its (client, seq) provenance, in ingest order. It is
-	// append-only — a remap replaces the slice, nothing edits an element
-	// in place — so a prefix read under mu stays valid after unlocking.
-	// Diagnose and Counts fold it on demand; snapshots, dumps and
-	// handoffs serialize it as is.
+	// append-only, so a prefix read under mu stays valid after unlocking.
+	// Diagnose and Counts fold it on demand; snapshots and dumps
+	// serialize it as is.
 	sourced []wire.SourcedMessage // guarded by mu
 	// clients holds the per-client ack windows, token buckets, and idle
 	// state; entries for disconnected clients are evicted after AckTTL.
@@ -332,22 +292,13 @@ type Server struct {
 	stopped  bool                    // guarded by mu
 
 	// index is this server's slot in the shard map and fleetMember
-	// whether it was started as one (the admin-plane gate); both are
-	// immutable.
+	// whether it was started as one (the dump gate); ring is the
+	// consistent-hash ownership function and shardMap the map it was
+	// built from. All four are set once in ServeWith.
 	index       int
 	fleetMember bool
-	// ring is the consistent-hash ownership function and shardMap the map
-	// it was built from; both are guarded by shardMu because a live
-	// rebalance swaps them via the remap verb while connection handlers
-	// consult ownership. Lock order: mu before shardMu (never the
-	// reverse).
-	shardMu  sync.RWMutex
-	ring     *wire.HashRing
-	shardMap wire.ShardMap
-	// adoptedEpochs records, per donor shard, the newest handoff epoch
-	// fully absorbed, making a re-delivered adopt idempotent when the
-	// reply (not the work) was lost. Guarded by mu.
-	adoptedEpochs map[int]int64
+	ring        *wire.HashRing
+	shardMap    wire.ShardMap
 
 	// wal and sinceSnap are owned by the applier goroutine (and by
 	// stop(), which runs strictly after the applier exits).
@@ -395,18 +346,17 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:           cfg,
-		log:           cfg.Log,
-		now:           cfg.Now,
-		clients:       make(map[string]*clientState),
-		conns:         make(map[net.Conn]struct{}),
-		index:         shard.Index,
-		fleetMember:   cfg.Shard != nil,
-		ring:          ring,
-		shardMap:      shard.Map,
-		adoptedEpochs: make(map[int]int64),
-		queue:         make(chan ingestItem, cfg.MaxQueue),
-		applierDone:   make(chan struct{}),
+		cfg:         cfg,
+		log:         cfg.Log,
+		now:         cfg.Now,
+		clients:     make(map[string]*clientState),
+		conns:       make(map[net.Conn]struct{}),
+		index:       shard.Index,
+		fleetMember: cfg.Shard != nil,
+		ring:        ring,
+		shardMap:    shard.Map,
+		queue:       make(chan ingestItem, cfg.MaxQueue),
+		applierDone: make(chan struct{}),
 	}
 	if s.log == nil {
 		s.log = obs.NopLogger()
@@ -764,8 +714,8 @@ func (s *Server) handle(conn net.Conn) {
 			s.replyError(conn, err.Error())
 			continue
 		}
-		if msg.Type == TypeDump || msg.Type == TypeRemap || msg.Type == TypeAdopt || msg.Type == TypeResize {
-			s.handleAdmin(conn, msg)
+		if msg.Type == TypeDump {
+			s.replyDump(conn)
 			continue
 		}
 		if owner, ok := s.disownedBy(msg.Client); ok {
@@ -847,19 +797,9 @@ func (s *Server) noteRetryNack(client string, seq int64) {
 	}
 }
 
-// replyf formats one reply line and writes it with reply.
-func (s *Server) replyf(conn net.Conn, format string, args ...any) {
-	s.reply(conn, fmt.Appendf(nil, format, args...))
-}
-
-// replyError answers an unsequenced line with a permanent {"error":…};
-// replyRetry marks the refusal transient.
+// replyError answers an unsequenced line with a permanent {"error":…}.
 func (s *Server) replyError(conn net.Conn, reason string) {
 	s.reply(conn, NakLine(0, "", reason, false))
-}
-
-func (s *Server) replyRetry(conn net.Conn, reason string) {
-	s.reply(conn, NakLine(0, "", reason, true))
 }
 
 // reply writes one reply line under the write deadline, closing the
@@ -903,14 +843,6 @@ func (s *Server) applier() {
 
 func (s *Server) apply(item ingestItem) {
 	msg := item.msg
-	switch msg.Type {
-	case TypeRemap:
-		s.applyRemap(item)
-		return
-	case TypeAdopt:
-		s.applyAdopt(item)
-		return
-	}
 	if msg.Seq > 0 {
 		s.mu.Lock()
 		var acked, retryLow int64
@@ -1016,8 +948,8 @@ func (s *Server) snapshotNow() error {
 	return nil
 }
 
-// bodyLocked returns the server's whole state in the one form snapshots,
-// dumps and handoffs share: the messages in ingest order and the
+// bodyLocked returns the server's whole state in the one form snapshots
+// and dumps share: the messages in ingest order and the
 // per-client ack highwaters sorted by client. Callers hold s.mu; the
 // messages alias the append-only stream (see Server.sourced).
 func (s *Server) bodyLocked() ([]wire.SourcedMessage, []wire.ClientAck) {
@@ -1135,8 +1067,8 @@ func (s *Server) admit(key string) bool {
 
 // ingest appends one message to the stream. ParseMessage has validated
 // everything that came over a connection or out of the WAL; a snapshot
-// or handoff message arrives as a bare DTO, so the payload is checked
-// here too. Callers hold s.mu.
+// message arrives as a bare DTO, so the payload is checked here too.
+// Callers hold s.mu.
 func (s *Server) ingest(sm wire.SourcedMessage) error {
 	switch {
 	case sm.Type == TypeStep && sm.Step != nil:

@@ -6,7 +6,7 @@ import (
 )
 
 // TokenBucket is the one rate limiter of the service tier: the daemon
-// keeps one per client, the fleet router one per tenant. It holds up to
+// keeps one per client. It holds up to
 // burst tokens, refills at rate tokens per second of elapsed wall clock,
 // and a submission costs one. The zero value is an empty bucket.
 type TokenBucket struct {

@@ -97,7 +97,7 @@ func FuzzParseMessage(f *testing.F) {
 			if err := s.ingest(sourcedFromMessage(msg)); err != nil {
 				t.Fatalf("validated message rejected by ingest: %v", err)
 			}
-		case TypeDump, TypeRemap, TypeResize, TypeAdopt:
+		case TypeDump:
 			if payloads != 0 || msg.Seq != 0 {
 				t.Fatalf("accepted %s message with %d payloads, seq %d", msg.Type, payloads, msg.Seq)
 			}

@@ -30,30 +30,19 @@ func (c *ShardConfig) ring() (*wire.HashRing, error) {
 }
 
 // disownedBy reports whether the shard map assigns client to a different
-// shard, and which one (wire.HashRing.Moved states the rule). The ring
-// is read under shardMu: a live remap may swap it at any time.
+// shard, and which one (wire.HashRing.Moved states the rule).
 func (s *Server) disownedBy(client string) (owner int, moved bool) {
-	s.shardMu.RLock()
-	ring := s.ring
-	s.shardMu.RUnlock()
-	return ring.Moved(client, s.index)
-}
-
-// curShardMap returns the map the shard is currently running under.
-func (s *Server) curShardMap() wire.ShardMap {
-	s.shardMu.RLock()
-	defer s.shardMu.RUnlock()
-	return s.shardMap
+	return s.ring.Moved(client, s.index)
 }
 
 // replyMoved NACKs a submission for a client another shard owns. The
-// reply is retryable and announces the owner index plus the shard map
-// it was derived from, so the router can re-forward to the owning shard
-// (and a ReliableClient speaking to a shard directly surfaces
-// ErrRedirected) — the message is not lost.
+// reply is retryable and announces the owner index plus the shard map it
+// was derived from. The router shares that map, so only a misassembled
+// fleet produces one, and it reaches the client as ErrRedirected: the
+// misconfiguration is loud, and the message stays pending, not lost.
 func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) {
 	reason := fmt.Sprintf("client %q belongs to shard %d", client, owner)
-	m, err := json.Marshal(s.curShardMap())
+	m, err := json.Marshal(s.shardMap)
 	if err != nil {
 		m = []byte("{}") // a flat int struct cannot fail to marshal
 	}
@@ -68,8 +57,14 @@ func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) 
 }
 
 // replyDump answers the "dump" verb with this shard's full sourced
-// message state as one wire.ShardState JSON line.
+// message state as one wire.ShardState JSON line. Only a fleet member
+// answers: a lone daemon has no router whose say-so could justify
+// exporting its whole state.
 func (s *Server) replyDump(conn net.Conn) {
+	if !s.fleetMember {
+		s.replyError(conn, "not a fleet shard")
+		return
+	}
 	b, err := json.Marshal(s.ShardState())
 	if err != nil {
 		s.replyError(conn, err.Error())
@@ -79,12 +74,11 @@ func (s *Server) replyDump(conn net.Conn) {
 }
 
 // ShardState returns the shard's accepted messages (ingest order) and
-// per-client ack highwaters, with its position in the fleet under the
-// *current* (possibly remapped) shard map.
+// per-client ack highwaters, with its position in the fleet.
 func (s *Server) ShardState() *wire.ShardState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: s.index, Map: s.curShardMap()}
+	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: s.index, Map: s.shardMap}
 	state.Messages, state.Acked = s.bodyLocked()
 	return state
 }

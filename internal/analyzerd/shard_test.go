@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vedrfolnir/internal/wire"
@@ -157,6 +158,66 @@ func TestShardDumpReturnsSourcedMessages(t *testing.T) {
 		if sm.Client != owned || sm.Seq != int64(i+1) || sm.Type != TypeCF {
 			t.Errorf("message %d = %+v, want client %q seq %d cf", i, sm, owned, i+1)
 		}
+	}
+}
+
+// adminLine sends one raw line on a fresh connection and decodes the
+// JSON reply.
+func adminLine(t *testing.T, addr, line string) map[string]any {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
+		t.Fatalf("write %q: %v", line, err)
+	}
+	reply, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("read reply to %q: %v", line, err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(reply, &m); err != nil {
+		t.Fatalf("bad reply %q: %v", reply, err)
+	}
+	return m
+}
+
+func wantErrContaining(t *testing.T, reply map[string]any, sub string) {
+	t.Helper()
+	e, _ := reply["error"].(string)
+	if e == "" || !strings.Contains(e, sub) {
+		t.Errorf("reply = %v, want error containing %q", reply, sub)
+	}
+}
+
+// TestAdminVerbsRefusedOutsideFleet: dump is the one admin verb, and only
+// a fleet member answers it. The rebalance verbs older builds spoke —
+// remap, adopt, resize — are unknown types now: ParseMessage refuses
+// them, and a shard answers with that error instead of ignoring them.
+func TestAdminVerbsRefusedOutsideFleet(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	wantErrContaining(t, adminLine(t, srv.Addr(), `{"type":"dump"}`), "not a fleet shard")
+
+	shard := shardServe(t, wire.ShardMap{Shards: 2}, 0, "")
+	defer shard.Close()
+	for _, tc := range []struct{ line, want string }{
+		{`{"type":"remap","map":{"shards":3,"epoch":2}}`, `unknown message type "remap"`},
+		{`{"type":"adopt","handoff":{"format":2,"map":{"shards":2},"from":1,"to":0}}`, `unknown message type "adopt"`},
+		{`{"type":"resize","map":{"shards":3}}`, `unknown message type "resize"`},
+	} {
+		if _, err := ParseMessage([]byte(tc.line)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseMessage(%s) = %v, want an error containing %q", tc.line, err, tc.want)
+		}
+		wantErrContaining(t, adminLine(t, shard.Addr(), tc.line), tc.want)
+	}
+	if st := shard.Stats(); st.Malformed != 3 {
+		t.Errorf("Malformed = %d, want 3 (one per refused verb)", st.Malformed)
 	}
 }
 

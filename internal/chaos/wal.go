@@ -109,62 +109,6 @@ func (w *WALFaults) BatchShardKills(sizes, owners []int) []ShardKill {
 	return plan
 }
 
-// Rebalance cut points: the phases of a live fleet resize at which a
-// chaos harness SIGKILLs a shard. The strings match the fleet router's
-// OnPhase announcements.
-const (
-	// KillBeforeQuiesce fires before the router fences moved clients —
-	// the shard dies with traffic still flowing to it.
-	KillBeforeQuiesce = "before-quiesce"
-	// KillDuringHandoff fires between the donor dumps and the adopt
-	// deliveries — the shard dies holding (or owed) moved state.
-	KillDuringHandoff = "during-handoff"
-	// KillAfterFlip fires after the new map is installed and traffic
-	// re-admitted — the shard dies while the fleet settles.
-	KillAfterFlip = "after-flip"
-)
-
-// RebalanceKill schedules the SIGKILL of one shard at a rebalance cut
-// point.
-type RebalanceKill struct {
-	// Phase is the cut point (KillBeforeQuiesce / KillDuringHandoff /
-	// KillAfterFlip).
-	Phase string
-	// Shard is the shard index to SIGKILL.
-	Shard int
-}
-
-// RebalanceKills draws the mid-rebalance kill schedule for a resize
-// from oldShards to newShards: every (cut point, shard) pair that can
-// exist at that moment appears exactly once — a shard not yet started
-// (grow) cannot die before quiesce, and a shard already stopped
-// (shrink) cannot die after the flip — in seeded order. Iterating the
-// plan, one full fleet run per entry, exercises the byte-identity
-// property at every reachable crash coordinate of the rebalance.
-func (w *WALFaults) RebalanceKills(oldShards, newShards int) []RebalanceKill {
-	if oldShards <= 0 || newShards <= 0 {
-		return nil
-	}
-	max := oldShards
-	if newShards > max {
-		max = newShards
-	}
-	var plan []RebalanceKill
-	for s := 0; s < max; s++ {
-		for _, ph := range []string{KillBeforeQuiesce, KillDuringHandoff, KillAfterFlip} {
-			if ph == KillBeforeQuiesce && s >= oldShards {
-				continue // a grow target doesn't exist yet
-			}
-			if ph == KillAfterFlip && s >= newShards {
-				continue // a shrink donor is already stopped
-			}
-			plan = append(plan, RebalanceKill{Phase: ph, Shard: s})
-		}
-	}
-	w.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
-	return plan
-}
-
 // CrashPoints draws n distinct message indices in [1, msgs] at which the
 // harness SIGKILLs the daemon mid-ingest, sorted ascending so a run can
 // consume them as it counts acknowledged messages. Fewer than n points

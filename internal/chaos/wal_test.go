@@ -129,42 +129,6 @@ func TestBatchShardKillsLandMidBatch(t *testing.T) {
 	}
 }
 
-func TestRebalanceKillsCoverEveryCutPoint(t *testing.T) {
-	a, b := NewWALFaults(11), NewWALFaults(11)
-	pa, pb := a.RebalanceKills(2, 3), b.RebalanceKills(2, 3)
-	if !reflect.DeepEqual(pa, pb) {
-		t.Fatalf("same seed drew different rebalance kill plans: %v vs %v", pa, pb)
-	}
-	// Grow 2→3: shards 0,1 can die at all three phases; the new shard 2
-	// exists only from the handoff on.
-	want := map[RebalanceKill]bool{
-		{KillBeforeQuiesce, 0}: true, {KillDuringHandoff, 0}: true, {KillAfterFlip, 0}: true,
-		{KillBeforeQuiesce, 1}: true, {KillDuringHandoff, 1}: true, {KillAfterFlip, 1}: true,
-		{KillDuringHandoff, 2}: true, {KillAfterFlip, 2}: true,
-	}
-	if len(pa) != len(want) {
-		t.Fatalf("plan has %d kills, want %d: %v", len(pa), len(want), pa)
-	}
-	for _, k := range pa {
-		if !want[k] {
-			t.Fatalf("unexpected or duplicate kill %+v in %v", k, pa)
-		}
-		delete(want, k)
-	}
-	// Shrink 3→2: the removed shard 2 cannot die after the flip.
-	for _, k := range NewWALFaults(7).RebalanceKills(3, 2) {
-		if k.Shard == 2 && k.Phase == KillAfterFlip {
-			t.Fatalf("removed shard scheduled to die after the flip: %v", k)
-		}
-	}
-	if NewWALFaults(7).RebalanceKills(0, 2) != nil || NewWALFaults(7).RebalanceKills(2, 0) != nil {
-		t.Fatal("degenerate rebalance kill requests must return nil")
-	}
-	if pc := NewWALFaults(12).RebalanceKills(2, 3); reflect.DeepEqual(pa, pc) {
-		t.Fatalf("different seeds drew identical rebalance kill plans: %v", pa)
-	}
-}
-
 func TestShardKillsDegenerate(t *testing.T) {
 	w := NewWALFaults(5)
 	if plan := w.ShardKills(0, 10); plan != nil {

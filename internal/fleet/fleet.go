@@ -42,17 +42,6 @@ type Config struct {
 	// The operator-facing stand-in for "one shard is dead and will not
 	// come back before the report is due".
 	HoldShard int
-	// Tenants, when set, applies per-tenant token-bucket quotas at the
-	// router and groups the drain accounting by tenant.
-	Tenants *TenantConfig
-	// OnAcked, when set, observes the cumulative acknowledged-submission
-	// count after each ack (the -resize-after trigger hangs off this).
-	// Called from router goroutines without locks held.
-	OnAcked func(total int64)
-	// OnPhase, when set, observes each rebalance phase announcement
-	// (fleet.PhaseBeforeQuiesce and friends) — the chaos harness's
-	// mid-rebalance kill trigger. Called from the resizing goroutine.
-	OnPhase func(phase string)
 	// OnShard, when set, observes every shard (re)announce: index, listen
 	// address, pid. Called from the supervisor goroutine.
 	OnShard func(i int, addr string, pid int)
@@ -82,10 +71,6 @@ type Merged struct {
 	MissedRecords int
 	MissedReports int
 	MissedCFs     int
-	// Tenants is the per-tenant drain accounting: acknowledged payloads
-	// and quota-limited submissions grouped by budget owner, sorted by
-	// tenant name.
-	Tenants []wire.TenantAccount
 	// Diagnosis is the analysis of Bundle; when shards are missing it is
 	// computed degraded, with Coverage and Confidence discounted by the
 	// missed counts.
@@ -96,15 +81,14 @@ type Merged struct {
 func (m *Merged) Degraded() bool { return len(m.Missing) > 0 }
 
 // Fleet is a running sharded analyzer: router + supervised shard
-// processes. The contract it exists to keep: SIGKILL any single shard
-// mid-ingest — or mid-rebalance — and, once its supervisor restarts it,
-// the drained merged diagnosis is byte-identical to an unbroken run's.
+// processes, as many as Config.Shards, fixed once Start returns. The
+// contract it exists to keep: SIGKILL any single shard mid-ingest and,
+// once its supervisor restarts it, the drained merged diagnosis is
+// byte-identical to an unbroken run's.
 type Fleet struct {
 	cfg    Config
 	router *Router
-
-	mu    sync.Mutex // guards procs (a live Resize grows/shrinks it)
-	procs []*Proc
+	procs  []*Proc
 }
 
 // Start launches the fleet: router first (so shard announces have
@@ -123,38 +107,22 @@ func Start(cfg Config) (*Fleet, error) {
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
-	m := wire.ShardMap{Shards: cfg.Shards, Replicas: cfg.Replicas}
-	f := &Fleet{cfg: cfg}
-	handoffDir := ""
-	if cfg.Dir != "" {
-		handoffDir = filepath.Join(cfg.Dir, "handoffs")
-	}
 	router, err := StartRouter(cfg.Listen, RouterConfig{
-		Map:        m,
-		Tenants:    cfg.Tenants,
-		HandoffDir: handoffDir,
-		OnAcked:    cfg.OnAcked,
-		Rebalance: &RebalanceHooks{
-			StartShard:   f.hookStartShard,
-			PrepareShard: f.hookPrepareShard,
-			StopShard:    f.hookStopShard,
-			OnPhase:      cfg.OnPhase,
-		},
+		Map:     wire.ShardMap{Shards: cfg.Shards, Replicas: cfg.Replicas},
 		Log:     cfg.Log,
 		Metrics: cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err
 	}
-	f.router = router
-	f.procs = make([]*Proc, cfg.Shards)
+	f := &Fleet{cfg: cfg, router: router}
 	for i := 0; i < cfg.Shards; i++ {
-		p, err := f.startShard(i, m)
+		p, err := f.startShard(i)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		f.procs[i] = p
+		f.procs = append(f.procs, p)
 	}
 	for i, p := range f.procs {
 		if err := p.WaitReady(readyTimeout); err != nil {
@@ -165,20 +133,15 @@ func Start(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// shardArgs builds shard i's command line for map m. The epoch flag is
-// only emitted once an epoch exists, so pre-rebalance fleets run the
-// same command lines they always have.
-func shardArgs(cfg *Config, i int, m wire.ShardMap) ([]string, error) {
+// shardArgs builds shard i's command line.
+func shardArgs(cfg *Config, i int) ([]string, error) {
 	args := []string{
 		"-listen", "127.0.0.1:0",
 		"-shard-index", strconv.Itoa(i),
-		"-shard-count", strconv.Itoa(m.Shards),
+		"-shard-count", strconv.Itoa(cfg.Shards),
 	}
-	if m.Replicas > 0 {
-		args = append(args, "-shard-replicas", strconv.Itoa(m.Replicas))
-	}
-	if m.Epoch > 0 {
-		args = append(args, "-shard-epoch", strconv.FormatInt(m.Epoch, 10))
+	if cfg.Replicas > 0 {
+		args = append(args, "-shard-replicas", strconv.Itoa(cfg.Replicas))
 	}
 	if cfg.Dir != "" {
 		dir := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
@@ -196,9 +159,9 @@ func shardArgs(cfg *Config, i int, m wire.ShardMap) ([]string, error) {
 	return args, nil
 }
 
-// startShard launches one supervised shard child under map m.
-func (f *Fleet) startShard(i int, m wire.ShardMap) (*Proc, error) {
-	args, err := shardArgs(&f.cfg, i, m)
+// startShard launches one supervised shard child.
+func (f *Fleet) startShard(i int) (*Proc, error) {
+	args, err := shardArgs(&f.cfg, i)
 	if err != nil {
 		return nil, err
 	}
@@ -228,33 +191,17 @@ func (f *Fleet) Addr() string { return f.router.Addr() }
 // Router exposes the ingest tier (tests and the obs registry peek at it).
 func (f *Fleet) Router() *Router { return f.router }
 
-// Shards returns the current fleet width (a live Resize changes it).
-func (f *Fleet) Shards() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.procs)
-}
-
 // proc returns shard i's supervisor (nil when i is out of range).
 func (f *Fleet) proc(i int) *Proc {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if i < 0 || i >= len(f.procs) {
 		return nil
 	}
 	return f.procs[i]
 }
 
-// procSnapshot copies the supervisor list.
-func (f *Fleet) procSnapshot() []*Proc {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*Proc(nil), f.procs...)
-}
-
 // Ready reports whether every shard has announced and is being supervised.
 func (f *Fleet) Ready() error {
-	for i, p := range f.procSnapshot() {
+	for i, p := range f.procs {
 		if err := p.Ready(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -291,66 +238,6 @@ func (f *Fleet) KillShard(i int) error {
 	return nil
 }
 
-// Resize rebalances the live fleet to the given shard count: new shards
-// spawn (grow) or donors retire (shrink), moved clients' state rides the
-// handoff protocol to its new owners, and clients never see more than
-// retryable NACKs. See Router.Resize for the state machine.
-func (f *Fleet) Resize(shards int) (*ResizeReport, error) {
-	return f.router.Resize(shards, f.cfg.Replicas)
-}
-
-// hookStartShard launches a grow target under the next map and waits for
-// its announce so the router can route to it immediately.
-func (f *Fleet) hookStartShard(i int, m wire.ShardMap) (string, error) {
-	p, err := f.startShard(i, m)
-	if err != nil {
-		return "", err
-	}
-	if err := p.WaitReady(readyTimeout); err != nil {
-		p.Terminate(syscall.SIGKILL)
-		p.Wait()
-		return "", fmt.Errorf("fleet: shard %d never became ready: %w", i, err)
-	}
-	f.mu.Lock()
-	for len(f.procs) <= i {
-		f.procs = append(f.procs, nil)
-	}
-	f.procs[i] = p
-	f.mu.Unlock()
-	return p.Addr(), nil
-}
-
-// hookPrepareShard rewrites a survivor's restart args to the next map
-// before the remap verb is sent: a crash after the remap restarts the
-// shard under the map it acknowledged.
-func (f *Fleet) hookPrepareShard(i int, m wire.ShardMap) error {
-	p := f.proc(i)
-	if p == nil {
-		return fmt.Errorf("fleet: no shard %d", i)
-	}
-	p.SetFlags(
-		"-shard-count", strconv.Itoa(m.Shards),
-		"-shard-replicas", strconv.Itoa(m.Replicas),
-		"-shard-epoch", strconv.FormatInt(m.Epoch, 10),
-	)
-	return nil
-}
-
-// hookStopShard retires a shrink donor after the flip.
-func (f *Fleet) hookStopShard(i int) {
-	f.mu.Lock()
-	var p *Proc
-	if i >= 0 && i < len(f.procs) {
-		p = f.procs[i]
-		f.procs = f.procs[:i] // donors retire from the tail, highest first
-	}
-	f.mu.Unlock()
-	if p != nil {
-		p.Terminate(syscall.SIGTERM)
-		p.Wait()
-	}
-}
-
 // Drain finishes the fleet run: stop accepting clients, gather every
 // shard's dump, terminate the children, merge, and diagnose. A shard that
 // cannot be dumped (held down, or dead past its crash-loop budget)
@@ -364,21 +251,22 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	}
 	f.router.Stop() // no new ingest; shard links stay up for the dumps
 
-	shards := f.router.Shards() // post-resize width, not the starting one
+	shards := f.cfg.Shards
 	tallies := f.router.Tallies()
-	merged := &Merged{Tenants: f.router.TenantAccounts()}
+	merged := &Merged{}
 	// Gather every shard's dump at once, each over its own link — most of
 	// a drain is moving shard state as JSON — and assemble in shard-index
 	// order, so the merge input and the degraded accounting do not depend
 	// on which dump finished first. A dump rides out a supervised restart
-	// (a chaos kill at a rebalance's after-flip cut point leaves the shard
-	// down for the few milliseconds its supervisor needs to relaunch it,
-	// and one failed dial must not cost the merge that shard's whole
-	// slice); the deliberately held shard gets one try — its absence is
-	// the degraded-drain drill's entire point.
+	// (a shard killed just before the drain is down for the few
+	// milliseconds its supervisor needs to relaunch it, and one failed
+	// dial must not cost the merge that shard's whole slice); the
+	// deliberately held shard gets one try — its absence is the
+	// degraded-drain drill's entire point.
 	dumps := make([]*wire.ShardState, shards)
 	errs := make([]error, shards)
-	deadline := f.router.now().Add(readyTimeout)
+	//lint:ignore nosystime bounding a real shard's supervised restart
+	deadline := time.Now().Add(readyTimeout)
 	var wg sync.WaitGroup
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
@@ -424,16 +312,11 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 // Close terminates every shard child and the router. Safe to call more
 // than once and after Drain.
 func (f *Fleet) Close() {
-	procs := f.procSnapshot()
-	for _, p := range procs {
-		if p != nil {
-			p.Terminate(syscall.SIGTERM)
-		}
+	for _, p := range f.procs {
+		p.Terminate(syscall.SIGTERM)
 	}
-	for _, p := range procs {
-		if p != nil {
-			p.Wait()
-		}
+	for _, p := range f.procs {
+		p.Wait()
 	}
 	if f.router != nil {
 		f.router.Close()

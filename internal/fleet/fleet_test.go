@@ -384,47 +384,85 @@ func TestRouterShardDownNacksRetryably(t *testing.T) {
 	}
 }
 
-// TestRouterRelaysMovedNack: a misassembled fleet (a shard daemon running
-// with the wrong index) moved-NACKs disowned clients; the router relays
-// that verbatim and the reliable client surfaces ErrRedirected — the
-// misconfiguration is loud, not lost.
+// TestRouterRelaysMovedNack: a misassembled fleet moved-NACKs disowned
+// clients; the router relays that verbatim, never re-forwards it, and the
+// reliable client surfaces ErrRedirected — the misconfiguration is loud,
+// not lost. Two ways to misassemble a two-shard fleet:
+//   - both daemons claim index 0, so shard 1's clients are disowned by
+//     the daemon they land on, which names shard 1, its own link;
+//   - both daemons run a map with another vnode count, so a client the
+//     router sends to link 1 is one the shard there says belongs to
+//     shard 0 — and the daemon on link 0 would accept it if the router
+//     went there.
 func TestRouterRelaysMovedNack(t *testing.T) {
 	m := wire.ShardMap{Shards: 2}
-	// Both daemons claim index 0: whichever shard 1's clients land on
-	// will disown them.
-	s0 := startTestShard(t, m, 0, "")
-	defer s0.Close()
-	s1 := startTestShard(t, m, 0, "")
-	defer s1.Close()
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{
-		Map: m, Addrs: []string{s0.Addr(), s1.Addr()},
-	})
-	if err != nil {
-		t.Fatalf("StartRouter: %v", err)
-	}
-	defer router.Close()
-
 	ring, err := wire.NewHashRing(m)
 	if err != nil {
 		t.Fatalf("NewHashRing: %v", err)
 	}
-	disowned := ""
-	for i := 0; i < 1024 && disowned == ""; i++ {
-		if name := fmt.Sprintf("h%03d", i); ring.Owner(name) == 1 {
-			disowned = name
-		}
+	other := wire.ShardMap{Shards: 2, Replicas: 8}
+	type shardAt struct {
+		m     wire.ShardMap
+		index int
 	}
-	rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
-		ID: disowned, MaxAttempts: 2, BackoffBase: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	if err := rc.SendCF(hostFlow(0)); err != nil {
-		t.Fatalf("SendCF: %v", err)
-	}
-	if err := rc.Flush(); !errors.Is(err, analyzerd.ErrRedirected) {
-		t.Fatalf("Flush = %v, want ErrRedirected relayed through the router", err)
+	for _, tc := range []struct {
+		name   string
+		shards [2]shardAt
+		owner  int // the shard the disowned client's moved NAK names
+	}{
+		{"wrong-index", [2]shardAt{{m, 0}, {m, 0}}, 1},
+		{"wrong-map", [2]shardAt{{other, 0}, {other, 1}}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s0 := startTestShard(t, tc.shards[0].m, tc.shards[0].index, "")
+			defer s0.Close()
+			s1 := startTestShard(t, tc.shards[1].m, tc.shards[1].index, "")
+			defer s1.Close()
+			router, err := StartRouter("127.0.0.1:0", RouterConfig{
+				Map: m, Addrs: []string{s0.Addr(), s1.Addr()},
+			})
+			if err != nil {
+				t.Fatalf("StartRouter: %v", err)
+			}
+			defer router.Close()
+
+			// A client the router sends to link 1 and the daemon there
+			// says belongs to tc.owner.
+			shard1, err := wire.NewHashRing(tc.shards[1].m)
+			if err != nil {
+				t.Fatalf("NewHashRing: %v", err)
+			}
+			disowned := ""
+			for i := 0; i < 1024 && disowned == ""; i++ {
+				if name := fmt.Sprintf("h%03d", i); ring.Owner(name) == 1 && shard1.Owner(name) == tc.owner {
+					disowned = name
+				}
+			}
+			if disowned == "" {
+				t.Fatal("no client name fits the misassembly")
+			}
+			rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
+				ID: disowned, MaxAttempts: 2, BackoffBase: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("client: %v", err)
+			}
+			if err := rc.SendCF(hostFlow(0)); err != nil {
+				t.Fatalf("SendCF: %v", err)
+			}
+			if err := rc.Flush(); !errors.Is(err, analyzerd.ErrRedirected) {
+				t.Fatalf("Flush = %v, want ErrRedirected relayed through the router", err)
+			}
+			if st := s0.Stats(); st.Moved != 0 || st.Duplicates != 0 {
+				t.Errorf("link 0's shard saw the line (%+v): the router re-forwarded a moved NAK", st)
+			}
+			if r, p, c := s0.Counts(); r+p+c != 0 {
+				t.Errorf("link 0's shard ingested %d/%d/%d: the router re-forwarded a moved NAK", r, p, c)
+			}
+			if st := router.Stats(); st.Forwarded != 2 {
+				t.Errorf("Forwarded = %d, want 2 (one relayed moved NAK per attempt)", st.Forwarded)
+			}
+		})
 	}
 }
 

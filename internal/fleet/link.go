@@ -24,8 +24,7 @@ type flight struct {
 	seq    int64
 	typ    string
 	// line is the client's line plus its newline — the one copy the
-	// router makes per message, kept so a moved NAK can be followed to
-	// the announced owner.
+	// router makes per message, kept so a failed write can be retried.
 	line []byte
 	// out is the client connection the reply is relayed to.
 	out net.Conn
@@ -33,9 +32,6 @@ type flight struct {
 	// reference); begun the latency timer's reading of the same moment.
 	sent  time.Time
 	begun int64
-	// rerouted marks a line already re-forwarded after a moved NAK, so a
-	// second one is relayed instead of chased.
-	rerouted bool
 	// prev/next thread the link's in-flight list, oldest first; dup
 	// chains a later in-flight line with the same (client, seq) — a
 	// resubmission racing its original.
@@ -57,9 +53,8 @@ type flightKey struct {
 // the client connection it came from. Every entry in the table was
 // written on the current conn; when that connection dies, all of them
 // are failed with a retryable NAK — exactly one reply per forwarded
-// line. Admin exchanges (dump, remap, adopt) answer without a (client,
-// seq) to match on, so they run stop-and-wait on a connection of their
-// own.
+// line. The dump exchange answers without a (client, seq) to match on,
+// so it runs stop-and-wait on a connection of its own.
 type shardLink struct {
 	r     *Router
 	shard int
@@ -178,7 +173,7 @@ func (l *shardLink) putLocked(f *flight) {
 	} else {
 		l.table[key] = f
 	}
-	f.prev, f.next, f.dup = l.tail, nil, nil // a retried or rerouted line comes with stale links
+	f.prev, f.next, f.dup = l.tail, nil, nil // a retried line comes with stale links
 	if l.tail != nil {
 		l.tail.next = f
 	} else {
@@ -276,7 +271,7 @@ func writeLines(conn net.Conn, batch []*flight) error {
 // nothing is left to write.
 func (l *shardLink) register(batch []*flight) (conn net.Conn, admitted []*flight) {
 	r := l.r
-	//lint:ignore nosystime the ReplyTimeout reference for socket deadlines on a real TCP link; Router.now() may be a test clock
+	//lint:ignore nosystime the ReplyTimeout reference for socket deadlines on a real TCP link
 	sent := time.Now()
 	begun := l.replyTime.Begin()
 	l.mu.Lock()
@@ -306,13 +301,11 @@ func (l *shardLink) register(batch []*flight) (conn net.Conn, admitted []*flight
 }
 
 // shardReply is the one decode a shard's reply gets: enough to match it
-// to its in-flight line, follow a moved NAK and tally an ack.
+// to its in-flight line and tally an ack.
 type shardReply struct {
 	Ack    int64  `json:"ack"`
 	Nak    int64  `json:"nak"`
 	Client string `json:"client"`
-	Moved  bool   `json:"moved"`
-	Owner  int    `json:"owner"`
 }
 
 // read is the link's reader goroutine for one ingest connection: it
@@ -372,8 +365,10 @@ func (l *shardLink) await(conn net.Conn, lr *lineReader) error {
 	}
 }
 
-// deliver handles one reply line: match it to its in-flight line, follow
-// a moved NAK once, account for it, and stage it for relay.
+// deliver handles one reply line: match it to its in-flight line, account
+// for it, and stage it for relay. A moved NAK is relayed like any other:
+// the router and every shard share one map, so only a misassembled fleet
+// produces one, and the client must see it.
 func (l *shardLink) deliver(line []byte, out *relays) {
 	r := l.r
 	var rep shardReply
@@ -396,17 +391,6 @@ func (l *shardLink) deliver(line []byte, out *relays) {
 		return
 	}
 	l.replyTime.End(f.begun)
-	// A shard whose map ran ahead of the router's answers moved; follow
-	// the announced owner once rather than bouncing the NACK to the
-	// client (stragglers mid-rebalance hit this window).
-	if rep.Moved && rep.Owner != l.shard && !f.rerouted {
-		if owner := r.link(rep.Owner); owner != nil {
-			f.rerouted = true
-			r.count(func(s *RouterStats) { s.Rerouted++ })
-			owner.forward([]*flight{f})
-			return
-		}
-	}
 	r.count(func(s *RouterStats) { s.Forwarded++ })
 	l.forwarded.Inc()
 	if rep.Ack > 0 {
@@ -415,12 +399,11 @@ func (l *shardLink) deliver(line []byte, out *relays) {
 	out.add(f.out, line)
 }
 
-// roundTrip runs one stop-and-wait admin exchange (dump, remap, adopt)
-// on the link's admin connection: line, newline included, goes out and
-// the single-line reply comes back. A dead cached connection (the shard
-// restarted, or moved, since the last exchange) gets one redial; the
-// admin verbs are idempotent, so a request that landed in a void is safe
-// to repeat.
+// roundTrip runs one stop-and-wait dump exchange on the link's admin
+// connection: line, newline included, goes out and the single-line reply
+// comes back. A dead cached connection (the shard restarted, or moved,
+// since the last exchange) gets one redial; a dump is idempotent, so a
+// request that landed in a void is safe to repeat.
 func (l *shardLink) roundTrip(line []byte) ([]byte, error) {
 	l.amu.Lock()
 	defer l.amu.Unlock()

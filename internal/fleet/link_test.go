@@ -511,35 +511,6 @@ func TestRouterStopWaitsForInflight(t *testing.T) {
 	}
 }
 
-// TestLinkFollowsMovedNakOnce: a moved NAK is re-forwarded to the
-// announced owner with the line the entry kept; a second one is relayed.
-func TestLinkFollowsMovedNakOnce(t *testing.T) {
-	s0, s1 := startFakeShard(t), startFakeShard(t)
-	router := startLinkRouter(t, RouterConfig{}, s0, s1)
-	id := ""
-	for i := 0; id == ""; i++ {
-		if name := fmt.Sprintf("h%02d", i); router.Owner(name) == 0 {
-			id = name
-		}
-	}
-	c := dialRouter(t, router, id)
-	c.send(t, 1, 2)
-	for _, fl := range s0.take(t, 2) {
-		fl.send(fl.moved(1))
-	}
-	second := s1.take(t, 2)
-	find(t, second, id, 1).send(find(t, second, id, 1).ack())
-	find(t, second, id, 2).send(find(t, second, id, 2).moved(0))
-	got := c.recv(t, 2)
-	if got[0].Ack != 1 || got[1].Nak != 2 || !got[1].Moved {
-		t.Errorf("replies = %+v, want ack 1 from the new owner and the second moved NAK relayed", got)
-	}
-	linkIdle(t, router)
-	if st := router.Stats(); st.Rerouted != 2 || st.Forwarded != 2 {
-		t.Errorf("stats = %+v, want 2 rerouted, 2 forwarded", st)
-	}
-}
-
 // TestRouterBounceGuardFirstContact is the first-contact regression: the
 // shard's address is unannounced while a client flushes the head of its
 // first batch and announced before the rest arrives. The router bounced
@@ -850,22 +821,21 @@ func linkProperty(t *testing.T, seed int64) {
 	}
 }
 
-// TestRouterNaksAreValidJSON: a router-origin NAK names tenants and
-// parse errors that may carry quotes or non-ASCII bytes; it must stay
-// decodable.
+// TestRouterNaksAreValidJSON: a router-origin reply can quote what a
+// client sent — a parse error names the unknown type verbatim, quotes and
+// non-ASCII bytes included — and it must stay decodable, beside the
+// shard-down NAK a client name with the same bytes gets.
 func TestRouterNaksAreValidJSON(t *testing.T) {
-	m := wire.ShardMap{Shards: 1}
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{
-		Map: m, Tenants: &TenantConfig{Rate: 0.001, Burst: 1},
-	})
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: wire.ShardMap{Shards: 1}})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	defer router.Close()
 	c := dialRouter(t, router, "te\"n\xffant/h0")
-	msg := analyzerd.Message{Type: analyzerd.TypeCF, CF: &wire.Flow{Src: 1, Dst: 2}, Client: c.id}
-	for seq := int64(1); seq <= 2; seq++ {
-		msg.Seq = seq
+	for _, msg := range []analyzerd.Message{
+		{Type: analyzerd.TypeCF, CF: &wire.Flow{Src: 1, Dst: 2}, Client: c.id, Seq: 1},
+		{Type: c.id},
+	} {
 		line, err := json.Marshal(msg)
 		if err != nil {
 			t.Fatal(err)
@@ -874,14 +844,12 @@ func TestRouterNaksAreValidJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// recv fails the test on a reply that does not decode. The two NAKs
-	// come from different places (the gate, the flush), in either order.
+	// recv fails the test on a reply that does not decode. The two replies
+	// come from different places (the flush, the parse), in either order.
 	for _, rep := range c.recv(t, 2) {
 		switch {
-		case !rep.Retry:
-			t.Errorf("reply %+v is not retryable", rep)
-		case rep.Nak == 1 && rep.Error == "shard 0 unavailable":
-		case rep.Nak == 2 && strings.Contains(rep.Error, `te\"n`) && strings.Contains(rep.Error, "over quota"):
+		case rep.Nak == 1 && rep.Retry && rep.Error == "shard 0 unavailable":
+		case rep.Nak == 0 && !rep.Retry && strings.Contains(rep.Error, `unknown message type "te\"n`):
 		default:
 			t.Errorf("unexpected reply %+v", rep)
 		}

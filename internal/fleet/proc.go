@@ -166,31 +166,6 @@ func (p *Proc) Restarts() int {
 	return p.restarts
 }
 
-// SetFlags rewrites (or appends) flag/value pairs in the child's restart
-// arguments. The running child is untouched; the next restart — crash or
-// kill — launches with the new command line. This is how a rebalance
-// makes a shard's map cutover crash-durable before the remap verb is
-// sent.
-func (p *Proc) SetFlags(pairs ...string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	args := append([]string(nil), p.cfg.Args...)
-	for k := 0; k+1 < len(pairs); k += 2 {
-		flag, val := pairs[k], pairs[k+1]
-		found := false
-		for i := 0; i < len(args)-1; i++ {
-			if args[i] == flag {
-				args[i+1] = val
-				found = true
-			}
-		}
-		if !found {
-			args = append(args, flag, val)
-		}
-	}
-	p.cfg.Args = args
-}
-
 // Ready returns nil once the current child incarnation has announced; a
 // child mid-restart (or one that never announces) reports an error. With
 // no AnnouncePrefix a running child is always ready.
@@ -307,10 +282,10 @@ func relistenArgs(args []string, flag, addr string) []string {
 	return out
 }
 
-// startChild launches one incarnation and returns its wait channel. The
-// stdout scanner feeds the wait: cmd.Wait is only called after the pipe
-// drains, per the os/exec contract.
-func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
+// startChild launches one incarnation, makes it the current child, and
+// returns its wait channel. The stdout scanner feeds the wait: cmd.Wait is
+// only called after the pipe drains, per the os/exec contract.
+func (p *Proc) startChild() (<-chan error, error) {
 	p.mu.Lock()
 	args := relistenArgs(p.cfg.Args, p.cfg.RelistenFlag, p.addr)
 	p.mu.Unlock()
@@ -318,11 +293,17 @@ func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
 	cmd.Stderr = p.cfg.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	// Before the scanner starts: set after it, announced = false could
+	// land on top of this incarnation's own announce and leave it unready.
+	p.mu.Lock()
+	p.cmd = cmd
+	p.announced = false
+	p.mu.Unlock()
 	waitCh := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -347,7 +328,7 @@ func (p *Proc) startChild() (*exec.Cmd, <-chan error, error) {
 		}
 		waitCh <- cmd.Wait()
 	}()
-	return cmd, waitCh, nil
+	return waitCh, nil
 }
 
 // finish records the verdict and wakes every Wait.
@@ -370,16 +351,12 @@ func (p *Proc) supervise() {
 	for {
 		//lint:ignore nosystime measuring a real child's uptime for crash-loop classification
 		start := time.Now()
-		cmd, waitCh, err := p.startChild()
+		waitCh, err := p.startChild()
 		if err != nil {
 			p.logf("starting child: %v", err)
 			p.finish(ProcExit{Code: 1})
 			return
 		}
-		p.mu.Lock()
-		p.cmd = cmd
-		p.announced = false
-		p.mu.Unlock()
 
 		var werr error
 		select {

@@ -18,8 +18,8 @@ import (
 // RouterConfig tunes the fleet's ingest tier.
 type RouterConfig struct {
 	// Map is the fleet-wide consistent-hash shard map; it must match the
-	// ShardConfig of every shard daemon. Required. A live Resize replaces
-	// it (with a bumped Epoch) without restarting the router.
+	// ShardConfig of every shard daemon. Required, and fixed for the
+	// router's lifetime.
 	Map wire.ShardMap
 	// Addrs are the shard listen addresses by index; entries may start
 	// empty (a not-yet-announced shard routes as unavailable) and are
@@ -30,28 +30,15 @@ type RouterConfig struct {
 	// flight on a shard link may go unanswered before the link is dropped
 	// and everything in flight on it NAK'd retryably; it also bounds one
 	// write to a shard, one relay write to a client (a peer that stops
-	// reading is cut off, not waited for) and one admin exchange.
+	// reading is cut off, not waited for) and one dump exchange.
 	ReplyTimeout time.Duration
-	// Tenants, when set, applies per-tenant token-bucket quotas to ingest
-	// (and groups the drain accounting by tenant).
-	Tenants *TenantConfig
-	// Rebalance supplies the process-level hooks a live Resize needs
-	// (start/prepare/stop shard daemons). Nil disables Resize.
-	Rebalance *RebalanceHooks
-	// HandoffDir, when set, persists every handoff unit a Resize builds
-	// as a deterministic JSON file (wire.Handoff.Filename) before it is
-	// delivered — the auditable record of what moved where.
-	HandoffDir string
 	// OnAcked, when set, observes the cumulative count of acknowledged
 	// submissions after each ack is folded in. Called without router
 	// locks held; keep it fast or hand off to a goroutine.
 	OnAcked func(total int64)
-	// Now overrides the wall clock for the tenant buckets and rebalance
-	// deadlines (tests); nil uses the system clock.
-	Now func() time.Time
 	// Log receives routing warnings; nil discards. Metrics, when set,
-	// publishes the router counters (including a per-shard CounterSet of
-	// forwarded messages and lazy per-tenant quota gauges).
+	// publishes the router counters (including a per-shard counter of
+	// forwarded messages).
 	Log     *slog.Logger
 	Metrics *obs.Registry
 }
@@ -59,10 +46,6 @@ type RouterConfig struct {
 const (
 	// dialTimeout bounds one shard dial.
 	dialTimeout = 2 * time.Second
-	// rebalanceTimeout bounds each retried shard exchange (dump, adopt,
-	// remap) during a live Resize — long enough to ride out a SIGKILLed
-	// shard's supervised restart.
-	rebalanceTimeout = 30 * time.Second
 	// maxLineBytes caps one protocol line, client- or shard-side.
 	maxLineBytes = 16 << 20
 )
@@ -79,30 +62,22 @@ type RouterStats struct {
 	// could not be reached; the reliable client backs off and resubmits,
 	// so these are delays, not losses.
 	ShardDown int64
-	// TenantLimited counts retryable NACKs issued by the per-tenant
-	// quota gate.
+	// TenantLimited and Quiesced are always 0: the per-tenant quota gate
+	// and the rebalance fence that counted here are gone. The fields stay
+	// only because the frozen benchmark/ reads both; ROADMAP item 8 drops
+	// them with its other shims.
 	TenantLimited int64
-	// Quiesced counts retryable NACKs issued to moved clients while a
-	// rebalance had them fenced.
-	Quiesced int64
+	Quiesced      int64
 	// OutOfOrder counts retryable NACKs issued by the bounce guard: the
 	// router had turned away a lower seq of the same client, and letting
 	// this one through first could make a shard acknowledge past the hole.
 	OutOfOrder int64
-	// Rerouted counts messages re-forwarded once after a shard answered
-	// with a moved NACK (the shard's map was ahead of the router's).
-	Rerouted int64
-	// Resizes counts completed live rebalances.
-	Resizes int64
 }
 
 // ShardTally is the router's account of what one shard acknowledged, by
 // payload type, with resubmitted duplicates counted once. When a shard is
 // unreachable at drain time, its tally is exactly what the merged
-// diagnosis is missing — the degraded-coverage input. After a rebalance
-// the tallies follow the moved clients: acked work is attributed to the
-// client's current owner, because that is the shard whose dump now
-// carries it.
+// diagnosis is missing — the degraded-coverage input.
 type ShardTally struct {
 	Records int
 	Reports int
@@ -126,13 +101,13 @@ type clientTally struct {
 	pending []seqType
 	tally   ShardTally
 	// bounced is the lowest seq the router itself turned away with a
-	// retryable NAK (shard down, link death, tenant quota, rebalance
-	// fence) and has not seen again — the router-side twin of a shard's
-	// retryLow. While it is set every higher seq of the client is
-	// bounced too: a shard with no highwater for the client (first
-	// contact, evicted ack window, non-durable restart) would baseline on
-	// the later seq, and its cumulative ack would make the client drop
-	// the bounced one as delivered. 0 when there is no hole.
+	// retryable NAK (shard down, link death) and has not seen again —
+	// the router-side twin of a shard's retryLow. While it is set every
+	// higher seq of the client is bounced too: a shard with no highwater
+	// for the client (first contact, evicted ack window, non-durable
+	// restart) would baseline on the later seq, and its cumulative ack
+	// would make the client drop the bounced one as delivered. 0 when
+	// there is no hole.
 	bounced int64
 }
 
@@ -142,30 +117,19 @@ type clientTally struct {
 // waiting, relays the shard's replies verbatim as they arrive, and
 // answers with a retryable NACK when the shard is down so the reliable
 // client's resubmission machinery carries submissions across shard
-// failover. A
-// live Resize swaps the shard map underneath it: moved clients are
-// fenced with retryable NACKs while their state is handed off, then
-// re-admitted under the new map.
+// failover. The map, its ring and the links are fixed at StartRouter.
 type Router struct {
-	cfg RouterConfig
-	ln  net.Listener
+	cfg   RouterConfig
+	ln    net.Listener
+	ring  *wire.HashRing
+	links []*shardLink
 
-	// rmu guards the routable topology: the installed map/ring, the
-	// shard links, and the rebalance fence. Lock order: rmu before tmu
-	// or qmu; never the reverse.
-	rmu     sync.RWMutex
-	cur     wire.ShardMap
-	ring    *wire.HashRing
-	links   []*shardLink
-	quiesce func(client string) bool // non-nil mid-rebalance
-
-	// inflight counts routed submissions between passing the fence and
+	// inflight counts routed submissions between passing the gate and
 	// the relay of their reply (or of the NAK that failed them): lines in
 	// a handler's batch, lines in a link's in-flight table, replies
-	// staged by a link reader. Resize waits for it to drain after
-	// installing the fence, and Stop after the handlers are gone, so a
-	// dump taken afterwards cannot miss a message that was already past
-	// the gate.
+	// staged by a link reader. Stop waits for it to drain after the
+	// handlers are gone, so a dump taken afterwards cannot miss a message
+	// that was already past the gate.
 	inflight atomic.Int64
 	// readers tracks the link reader goroutines; Close waits for them.
 	readers sync.WaitGroup
@@ -173,8 +137,6 @@ type Router struct {
 	// the lines-per-shard-write histogram (nil without a registry).
 	started    time.Time
 	batchLines *obs.Histogram
-
-	resizeMu sync.Mutex // serializes live resizes
 
 	mu      sync.Mutex
 	conns   map[net.Conn]bool
@@ -185,9 +147,6 @@ type Router struct {
 	tallies map[string]*clientTally
 	stats   RouterStats
 	acked   int64 // cumulative acked submissions (OnAcked feed)
-
-	qmu     sync.Mutex
-	tenants map[string]*tenantBucket
 }
 
 // StartRouter binds the router and begins accepting clients.
@@ -202,16 +161,6 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	if cfg.ReplyTimeout <= 0 {
 		cfg.ReplyTimeout = 10 * time.Second
 	}
-	if cfg.Tenants != nil {
-		if cfg.Tenants.Rate <= 0 {
-			return nil, fmt.Errorf("fleet: tenant quota rate %v, want > 0", cfg.Tenants.Rate)
-		}
-		tc := *cfg.Tenants // the default applies to a private copy
-		if tc.Burst <= 0 {
-			tc.Burst = analyzerd.DefaultBurst(tc.Rate)
-		}
-		cfg.Tenants = &tc
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
@@ -221,15 +170,14 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		cur:     cfg.Map,
 		ring:    ring,
 		ln:      ln,
 		links:   make([]*shardLink, cfg.Map.Shards),
 		conns:   map[net.Conn]bool{},
 		tallies: map[string]*clientTally{},
-		tenants: map[string]*tenantBucket{},
 	}
-	r.started = r.now()
+	//lint:ignore nosystime anchoring the latency timers of a real TCP router
+	r.started = time.Now()
 	r.publishStats()
 	for i := range r.links {
 		addr := ""
@@ -243,17 +191,11 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-// now reads the router's clock (injectable for tests).
-func (r *Router) now() time.Time {
-	if r.cfg.Now != nil {
-		return r.cfg.Now()
-	}
-	//lint:ignore nosystime pacing real tenant buckets and real TCP rebalance deadlines
-	return time.Now()
-}
-
 // sinceStart is the latency timers' nanosecond clock.
-func (r *Router) sinceStart() int64 { return int64(r.now().Sub(r.started)) }
+func (r *Router) sinceStart() int64 {
+	//lint:ignore nosystime the latency timers of a real TCP router
+	return int64(time.Since(r.started))
+}
 
 func (r *Router) publishStats() {
 	reg := r.cfg.Metrics
@@ -266,15 +208,9 @@ func (r *Router) publishStats() {
 		func() int64 { return r.Stats().Rejected })
 	reg.GaugeFunc("vedr_router_shard_down_total", "retryable NACKs for unreachable shards",
 		func() int64 { return r.Stats().ShardDown })
-	reg.GaugeFunc("vedr_router_tenant_limited_total", "retryable NACKs from the per-tenant quota gate",
-		func() int64 { return r.Stats().TenantLimited })
-	reg.GaugeFunc("vedr_router_quiesced_total", "retryable NACKs to clients fenced by a rebalance",
-		func() int64 { return r.Stats().Quiesced })
 	reg.GaugeFunc("vedr_router_out_of_order_total", "retryable NACKs from the bounce guard",
 		func() int64 { return r.Stats().OutOfOrder })
-	reg.GaugeFunc("vedr_router_resizes_total", "completed live rebalances",
-		func() int64 { return r.Stats().Resizes })
-	reg.GaugeFunc("vedr_router_inflight", "submissions past the fence whose reply has not been relayed",
+	reg.GaugeFunc("vedr_router_inflight", "submissions past the gate whose reply has not been relayed",
 		func() int64 { return r.inflight.Load() })
 	r.batchLines = reg.Histogram("vedr_router_batch_lines", "client lines per shard write",
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
@@ -283,33 +219,14 @@ func (r *Router) publishStats() {
 // Addr returns the router's listen address.
 func (r *Router) Addr() string { return r.ln.Addr().String() }
 
-// Shards returns the current shard-map size.
-func (r *Router) Shards() int {
-	r.rmu.RLock()
-	defer r.rmu.RUnlock()
-	return r.cur.Shards
-}
+// Shards returns the shard-map size.
+func (r *Router) Shards() int { return r.cfg.Map.Shards }
 
-// Map returns the currently installed shard map.
-func (r *Router) Map() wire.ShardMap {
-	r.rmu.RLock()
-	defer r.rmu.RUnlock()
-	return r.cur
-}
+// Owner returns the shard index owning a client name.
+func (r *Router) Owner(client string) int { return r.ring.Owner(client) }
 
-// Owner returns the shard index owning a client name under the current
-// map.
-func (r *Router) Owner(client string) int {
-	r.rmu.RLock()
-	defer r.rmu.RUnlock()
-	return r.ring.Owner(client)
-}
-
-// link returns shard i's link, or nil when i is outside the current
-// topology.
+// link returns shard i's link, or nil when there is no shard i.
 func (r *Router) link(i int) *shardLink {
-	r.rmu.RLock()
-	defer r.rmu.RUnlock()
 	if i < 0 || i >= len(r.links) {
 		return nil
 	}
@@ -331,19 +248,14 @@ func (r *Router) Stats() RouterStats {
 	return r.stats
 }
 
-// Tallies snapshots the per-shard acked accounting under the current
-// map: each client's acknowledged payloads are attributed to the shard
-// that owns the client now, which after a rebalance is the shard whose
-// dump carries them.
+// Tallies snapshots the per-shard acked accounting: each client's
+// acknowledged payloads are attributed to the shard that owns it.
 func (r *Router) Tallies() []ShardTally {
-	r.rmu.RLock()
-	ring, n := r.ring, r.cur.Shards
-	r.rmu.RUnlock()
-	out := make([]ShardTally, n)
+	out := make([]ShardTally, r.cfg.Map.Shards)
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
 	for client, ct := range r.tallies {
-		s := ring.Owner(client)
+		s := r.ring.Owner(client)
 		out[s].Records += ct.tally.Records
 		out[s].Reports += ct.tally.Reports
 		out[s].CFs += ct.tally.CFs
@@ -352,11 +264,10 @@ func (r *Router) Tallies() []ShardTally {
 }
 
 // Stop closes the listener and every client connection, waits for the
-// handlers to finish (an admin-driven resize runs on a handler, so Stop
-// also waits out any rebalance in flight) and then for every submission
-// still in flight on a shard link to be answered — a dump taken after
-// Stop holds everything a shard was ever sent. Shard links stay usable
-// (DumpShard still works); Close tears those down too.
+// handlers to finish and then for every submission still in flight on a
+// shard link to be answered — a dump taken after Stop holds everything a
+// shard was ever sent. Shard links stay usable (DumpShard still works);
+// Close tears those down too.
 func (r *Router) Stop() {
 	r.mu.Lock()
 	if !r.stopped {
@@ -370,18 +281,25 @@ func (r *Router) Stop() {
 	r.wg.Wait()
 	// Every link fails its oldest line after ReplyTimeout, so this
 	// settles on its own; the deadline is a backstop.
-	if err := r.drainInflight(r.now().Add(dialTimeout + 2*r.cfg.ReplyTimeout)); err != nil {
-		r.cfg.Log.Warn("router stopped with submissions in flight", "err", err)
+	//lint:ignore nosystime bounding real in-flight TCP round trips
+	deadline := time.Now().Add(dialTimeout + 2*r.cfg.ReplyTimeout)
+	for r.inflight.Load() != 0 {
+		//lint:ignore nosystime bounding real in-flight TCP round trips
+		if time.Now().After(deadline) {
+			r.cfg.Log.Warn("router stopped with submissions in flight", "inflight", r.inflight.Load())
+			return
+		}
+		//lint:ignore nosystime pacing a poll on real in-flight TCP round trips
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // Close stops the router and drops the shard connections.
 func (r *Router) Close() {
 	r.Stop()
-	r.rmu.RLock()
-	links := append([]*shardLink(nil), r.links...)
-	r.rmu.RUnlock()
-	closeLinks(links)
+	for _, l := range r.links {
+		l.close()
+	}
 	r.readers.Wait()
 }
 
@@ -437,13 +355,6 @@ func (r *Router) write(conn net.Conn, b []byte) {
 func (r *Router) reject(conn net.Conn, reason string) {
 	r.count(func(s *RouterStats) { s.Rejected++ })
 	r.write(conn, analyzerd.NakLine(0, "", reason, false))
-}
-
-// bounce turns a sequenced submission away at the gate with a retryable
-// NAK and arms the client's bounce guard.
-func (r *Router) bounce(conn net.Conn, client string, seq int64, reason string) {
-	r.noteBounce(client, seq)
-	r.write(conn, analyzerd.NakLine(seq, "", reason, true))
 }
 
 // fail answers one gated line the router could not get a shard reply for
@@ -529,20 +440,10 @@ func (r *Router) handle(conn net.Conn) {
 			r.reject(conn, err.Error())
 			continue
 		}
-		switch msg.Type {
-		case analyzerd.TypeDump:
+		if msg.Type == analyzerd.TypeDump {
 			// The drain gathers per-shard dumps itself; a merged dump
 			// through the router would hide which shard is unreachable.
 			r.reject(conn, "dump must target a shard, not the router")
-			continue
-		case analyzerd.TypeRemap, analyzerd.TypeAdopt:
-			// The router originates these during its own Resize; accepting
-			// them from a client would let anyone rewrite the topology.
-			r.reject(conn, "rebalance verbs are router-internal")
-			continue
-		case analyzerd.TypeResize:
-			h.flush() // the resize waits for everything past the gate, this handler's batch included
-			r.handleResize(conn, msg)
 			continue
 		}
 		if msg.Client == "" || msg.Seq == 0 {
@@ -552,26 +453,8 @@ func (r *Router) handle(conn net.Conn) {
 			r.reject(conn, "fleet ingest requires a named client and a sequence number")
 			continue
 		}
-		if tenant, ok := r.admitTenant(msg.Client); !ok {
-			r.count(func(s *RouterStats) { s.TenantLimited++ })
-			r.bounce(conn, msg.Client, msg.Seq, fmt.Sprintf("tenant %q over quota", tenant))
-			continue
-		}
-		// Pass the rebalance fence and pin the route under one rmu hold:
-		// the inflight increment must be visible before the read lock is
-		// released, so a Resize that installs the fence next observes
-		// this message and waits for its reply to be relayed.
-		r.rmu.RLock()
-		if q := r.quiesce; q != nil && q(msg.Client) {
-			r.rmu.RUnlock()
-			r.count(func(s *RouterStats) { s.Quiesced++ })
-			r.bounce(conn, msg.Client, msg.Seq, "rebalance in progress")
-			continue
-		}
-		l := r.links[r.ring.Owner(msg.Client)]
 		r.inflight.Add(1)
-		r.rmu.RUnlock()
-		h.add(l, &flight{
+		h.add(r.links[r.ring.Owner(msg.Client)], &flight{
 			client: msg.Client, seq: msg.Seq, typ: msg.Type, out: conn,
 			line: append(append(make([]byte, 0, len(line)+1), line...), '\n'),
 		})
@@ -678,8 +561,8 @@ func (r *Router) noteAck(client string, ack int64) {
 
 // DumpShard asks one shard for its full accepted-message state over the
 // link's admin connection. The state's shard index and map are checked
-// against the router's currently installed map — a mismatched dump means
-// the fleet is misassembled, and merging it would corrupt the diagnosis.
+// against the router's — a mismatched dump means the fleet is
+// misassembled, and merging it would corrupt the diagnosis.
 func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 	l := r.link(i)
 	if l == nil {
@@ -693,11 +576,27 @@ func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cur := r.Map(); state.Shard != i || state.Map != cur {
+	if state.Shard != i || state.Map != r.cfg.Map {
 		return nil, fmt.Errorf("fleet: dump from shard %d/%+v where shard %d/%+v was expected",
-			state.Shard, state.Map, i, cur)
+			state.Shard, state.Map, i, r.cfg.Map)
 	}
 	return state, nil
+}
+
+// dumpRetry dumps one shard at drain time, riding out a supervised
+// restart until the deadline: transport failures are a restart in
+// progress, not a verdict.
+func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.ShardState, error) {
+	for {
+		state, err := r.DumpShard(i)
+		//lint:ignore nosystime bounding a real restarting process
+		if err == nil || time.Now().After(deadline) {
+			return state, err
+		}
+		r.cfg.Log.Warn("shard dump retrying", "shard", i, "err", err)
+		//lint:ignore nosystime backoff between retries against a real restarting process
+		time.Sleep(50 * time.Millisecond)
+	}
 }
 
 // decodeDump parses one shard's dump reply, surfacing a shard-side error

@@ -132,24 +132,6 @@ type FleetSpec struct {
 	// HoldShard, when not Unset, holds that shard down at drain time; the
 	// runner asserts a degraded (confidence < 1) diagnosis.
 	HoldShard int
-	// ResizeTo, when > 0, live-rebalances the fleet to that shard count
-	// mid-run; the runner asserts the resize completed and the merged
-	// diagnosis still matches the local canonical merge.
-	ResizeTo int
-	// ResizeAfter is the fleet-wide acked-message count that triggers
-	// the resize (0 = as soon as the fleet is up).
-	ResizeAfter int
-	// RebalanceKillPhase / RebalanceKillShard, when set, SIGKILL that
-	// shard the moment the rebalance announces that cut-point phase
-	// ("before-quiesce", "during-handoff", "after-flip"); the supervisor
-	// restarts it and byte-identity must still hold. Requires ResizeTo.
-	RebalanceKillPhase string
-	RebalanceKillShard int
-	// TenantRate / TenantBurst, when Rate > 0, enable the router's
-	// per-tenant token-bucket quotas (messages per second / bucket
-	// depth) for the replay's clients.
-	TenantRate  float64
-	TenantBurst int
 	// SnapshotEvery is each shard's -snapshot-every (default 4); Fsync is
 	// the -fsync policy (default "always").
 	SnapshotEvery int
@@ -443,7 +425,7 @@ func decodeSpec(root *Node) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp.Fleet.KillShard, sp.Fleet.HoldShard, sp.Fleet.RebalanceKillShard = Unset, Unset, Unset
+	sp.Fleet.KillShard, sp.Fleet.HoldShard = Unset, Unset
 	if fl != nil {
 		if sp.Mode != Fleet {
 			return nil, errAt(fl.n.Line, "section \"fleet\" requires mode: fleet")
@@ -887,114 +869,6 @@ func decodeFleet(d *dec, sp *Spec) error {
 			return errAt(line, "key \"hold-down-shard\": shard index must be in [0, %d), got %d", shards, hs)
 		}
 		f.HoldShard = int(hs)
-	}
-
-	rt, rtLine, hasRT, err := d.intVal("resize-to")
-	if err != nil {
-		return err
-	}
-	if hasRT {
-		if rt < 1 || rt > 16 {
-			return errAt(rtLine, "key \"resize-to\": target width must be in [1, 16], got %d", rt)
-		}
-		if int(rt) == f.Shards {
-			return errAt(rtLine, "key \"resize-to\": target width %d equals \"shards\" (nothing to rebalance)", rt)
-		}
-		if hasHS {
-			return errAt(rtLine, "keys \"resize-to\" and \"hold-down-shard\" are mutually exclusive")
-		}
-		if hasKS {
-			return errAt(rtLine, "keys \"resize-to\" and \"kill-shard\" are mutually exclusive (use \"rebalance-kill-phase\")")
-		}
-		f.ResizeTo = int(rt)
-	}
-	ra, line, hasRA, err := d.intVal("resize-after")
-	if err != nil {
-		return err
-	}
-	if hasRA {
-		if !hasRT {
-			return errAt(line, "key \"resize-after\" requires \"resize-to\"")
-		}
-		if ra <= 0 {
-			return errAt(line, "key \"resize-after\": must be > 0 acked messages, got %d", ra)
-		}
-		f.ResizeAfter = int(ra)
-	}
-	phase, phLine, hasPh, err := d.str("rebalance-kill-phase")
-	if err != nil {
-		return err
-	}
-	if hasPh {
-		if !hasRT {
-			return errAt(phLine, "key \"rebalance-kill-phase\" requires \"resize-to\"")
-		}
-		switch phase {
-		case "before-quiesce", "during-handoff", "after-flip":
-			f.RebalanceKillPhase = phase
-		default:
-			return errAt(phLine, "key \"rebalance-kill-phase\": unknown cut point %q (before-quiesce, during-handoff, after-flip)", phase)
-		}
-	}
-	rks, line, hasRKS, err := d.intVal("rebalance-kill-shard")
-	if err != nil {
-		return err
-	}
-	if hasRKS {
-		if !hasPh {
-			return errAt(line, "key \"rebalance-kill-shard\" requires \"rebalance-kill-phase\"")
-		}
-		// The shard must exist at the chosen cut point: a grow target is
-		// not yet started before the quiesce, and a shrink donor is
-		// already stopped after the flip.
-		width := f.Shards
-		if f.ResizeTo > width {
-			width = f.ResizeTo
-		}
-		switch phase {
-		case "before-quiesce":
-			width = f.Shards
-		case "after-flip":
-			width = f.ResizeTo
-		}
-		if rks < 0 || rks >= int64(width) {
-			return errAt(line, "key \"rebalance-kill-shard\": no shard %d alive at %s (want [0, %d))", rks, phase, width)
-		}
-		f.RebalanceKillShard = int(rks)
-	}
-	if hasPh && !hasRKS {
-		return errAt(phLine, "key \"rebalance-kill-phase\" requires \"rebalance-kill-shard\"")
-	}
-
-	tn, err := d.mapping("tenants")
-	if err != nil {
-		return err
-	}
-	if tn != nil {
-		rate, line, ok, err := tn.floatVal("rate")
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return errAt(tn.n.Line, "tenants: missing required key \"rate\"")
-		}
-		if rate <= 0 {
-			return errAt(line, "key \"rate\": messages per second must be > 0, got %v", rate)
-		}
-		f.TenantRate = rate
-		burst, line, ok, err := tn.intVal("burst")
-		if err != nil {
-			return err
-		}
-		if ok {
-			if burst <= 0 {
-				return errAt(line, "key \"burst\": bucket depth must be > 0, got %d", burst)
-			}
-			f.TenantBurst = int(burst)
-		}
-		if err := tn.finish("section \"tenants\""); err != nil {
-			return err
-		}
 	}
 
 	se, line, ok, err := d.intVal("snapshot-every")

@@ -175,26 +175,6 @@ func TestFleetDecoding(t *testing.T) {
 		f2.Replicas != 16 || f2.SnapshotEvery != 8 || f2.Fsync != "off" {
 		t.Fatalf("fleet: %+v", f2)
 	}
-
-	sp3, err := ParseSpec([]byte("mode: fleet\nscenario:\n  anomaly: clean\nfleet:\n" +
-		"  shards: 2\n  resize-to: 3\n  resize-after: 40\n" +
-		"  rebalance-kill-phase: during-handoff\n  rebalance-kill-shard: 1\n" +
-		"  tenants:\n    rate: 25.5\n    burst: 4\n" +
-		"expect:\n  outcome: TP\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3 := sp3.Fleet
-	if f3.ResizeTo != 3 || f3.ResizeAfter != 40 ||
-		f3.RebalanceKillPhase != "during-handoff" || f3.RebalanceKillShard != 1 {
-		t.Fatalf("fleet rebalance: %+v", f3)
-	}
-	if f3.TenantRate != 25.5 || f3.TenantBurst != 4 {
-		t.Fatalf("fleet tenants: %+v", f3)
-	}
-	if f3.KillShard != Unset || f3.HoldShard != Unset {
-		t.Fatalf("unset kill knobs leaked: %+v", f3)
-	}
 }
 
 func TestFleetValidationErrors(t *testing.T) {
@@ -221,35 +201,23 @@ func TestFleetValidationErrors(t *testing.T) {
 		{"unknown key", fleet("  shards: 2\n  sharding: ring\n"), `section "fleet"`},
 		{"multi-seed", "mode: fleet\nscenario:\n  anomaly: clean\n  seeds: [1, 2]\nfleet:\n  shards: 2\nexpect:\n  outcome: TP\n",
 			"mode fleet requires a single seed"},
-		{"resize to same width", fleet("  shards: 3\n  resize-to: 3\n"),
-			`target width 3 equals "shards"`},
-		{"resize too wide", fleet("  shards: 2\n  resize-to: 64\n"), "target width must be in [1, 16]"},
-		{"resize-after without resize-to", fleet("  shards: 2\n  resize-after: 5\n"),
-			`key "resize-after" requires "resize-to"`},
-		{"resize and hold", fleet("  shards: 3\n  resize-to: 2\n  hold-down-shard: 0\n"),
-			`keys "resize-to" and "hold-down-shard" are mutually exclusive`},
-		{"resize and kill-shard", fleet("  shards: 2\n  kill-shard: 0\n  kill-shard-after: 5\n  resize-to: 3\n"),
-			`keys "resize-to" and "kill-shard" are mutually exclusive`},
-		{"kill phase without resize", fleet("  shards: 2\n  rebalance-kill-phase: after-flip\n  rebalance-kill-shard: 0\n"),
-			`key "rebalance-kill-phase" requires "resize-to"`},
-		{"unknown kill phase", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: mid-air\n  rebalance-kill-shard: 0\n"),
-			`unknown cut point "mid-air"`},
-		{"kill phase without shard", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: after-flip\n"),
-			`key "rebalance-kill-phase" requires "rebalance-kill-shard"`},
-		{"kill shard without phase", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-shard: 0\n"),
-			`key "rebalance-kill-shard" requires "rebalance-kill-phase"`},
-		{"grow target dead before quiesce", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: before-quiesce\n  rebalance-kill-shard: 2\n"),
-			"no shard 2 alive at before-quiesce"},
-		{"shrink donor dead after flip", fleet("  shards: 3\n  resize-to: 2\n  rebalance-kill-phase: after-flip\n  rebalance-kill-shard: 2\n"),
-			"no shard 2 alive at after-flip"},
-		{"tenants without rate", fleet("  shards: 2\n  tenants:\n    burst: 4\n"),
-			`tenants: missing required key "rate"`},
-		{"zero tenant rate", fleet("  shards: 2\n  tenants:\n    rate: 0\n"),
-			`key "rate": messages per second must be > 0`},
-		{"bad tenant burst", fleet("  shards: 2\n  tenants:\n    rate: 5\n    burst: 0\n"),
-			`key "burst": bucket depth must be > 0`},
-		{"unknown tenants key", fleet("  shards: 2\n  tenants:\n    rate: 5\n    color: blue\n"),
-			`section "tenants"`},
+		// The live-rebalance and tenant-quota keys are gone: a spec that
+		// still carries one is refused at its line, not silently ignored.
+		{"resize to same width", fleet("  shards: 3\n  resize-to: 3\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"resize too wide", fleet("  shards: 2\n  resize-to: 64\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"resize-after without resize-to", fleet("  shards: 2\n  resize-after: 5\n"), `line 6: unknown key "resize-after" in section "fleet"`},
+		{"resize and hold", fleet("  shards: 3\n  resize-to: 2\n  hold-down-shard: 0\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"resize and kill-shard", fleet("  shards: 2\n  kill-shard: 0\n  kill-shard-after: 5\n  resize-to: 3\n"), `line 8: unknown key "resize-to" in section "fleet"`},
+		{"kill phase without resize", fleet("  shards: 2\n  rebalance-kill-phase: after-flip\n  rebalance-kill-shard: 0\n"), `line 6: unknown key "rebalance-kill-phase" in section "fleet"`},
+		{"unknown kill phase", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: mid-air\n  rebalance-kill-shard: 0\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"kill phase without shard", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: after-flip\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"kill shard without phase", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-shard: 0\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"grow target dead before quiesce", fleet("  shards: 2\n  resize-to: 3\n  rebalance-kill-phase: before-quiesce\n  rebalance-kill-shard: 2\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"shrink donor dead after flip", fleet("  shards: 3\n  resize-to: 2\n  rebalance-kill-phase: after-flip\n  rebalance-kill-shard: 2\n"), `line 6: unknown key "resize-to" in section "fleet"`},
+		{"tenants without rate", fleet("  shards: 2\n  tenants:\n    burst: 4\n"), `line 6: unknown key "tenants" in section "fleet"`},
+		{"zero tenant rate", fleet("  shards: 2\n  tenants:\n    rate: 0\n"), `line 6: unknown key "tenants" in section "fleet"`},
+		{"bad tenant burst", fleet("  shards: 2\n  tenants:\n    rate: 5\n    burst: 0\n"), `line 6: unknown key "tenants" in section "fleet"`},
+		{"unknown tenants key", fleet("  shards: 2\n  tenants:\n    rate: 5\n    color: blue\n"), `line 6: unknown key "tenants" in section "fleet"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

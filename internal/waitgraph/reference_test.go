@@ -152,13 +152,14 @@ func (g *refGraph) CriticalPath() ([]StepRef, simtime.Duration) {
 	var path []StepRef
 	cur := StepRef{src.Host, src.Step}
 	seen := map[StepRef]bool{}
+	budget := uint64(len(g.records))
 	for {
 		if seen[cur] {
 			break
 		}
 		seen[cur] = true
 		path = append(path, cur)
-		rec := g.records[cur]
+		rec, recorded := g.records[cur]
 		if cur.Step == 0 {
 			break
 		}
@@ -168,9 +169,25 @@ func (g *refGraph) CriticalPath() ([]StepRef, simtime.Duration) {
 				break
 			}
 			cur = next
-		} else {
-			cur = StepRef{cur.Host, cur.Step - 1}
+			continue
 		}
+		next := StepRef{cur.Host, cur.Step - 1}
+		if _, ok := g.records[next]; recorded && !ok {
+			// The record-less run down from next: scan for the flow's
+			// highest recorded step below it.
+			below, floor := false, 0
+			for ref := range g.records {
+				if ref.Host == next.Host && ref.Step < next.Step && (!below || ref.Step > floor) {
+					below, floor = true, ref.Step
+				}
+			}
+			n, ends := recordlessRun(next.Step, below, floor)
+			if !ends || n > budget {
+				break
+			}
+			budget -= n
+		}
+		cur = next
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]

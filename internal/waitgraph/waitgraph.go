@@ -211,6 +211,38 @@ func (g *Graph) id(ref StepRef) (int, bool) {
 	return lo, lo < len(g.refs) && g.refs[lo] == ref
 }
 
+// recordless returns how many record-less steps a walk down ref's flow
+// takes from ref before it meets a record, or step 0, which it takes with
+// or without one: 0 when ref is recorded, and ends false when the walk
+// would meet neither. The flow's highest recorded step below ref sorts
+// right before ref's place among the ids.
+func (g *Graph) recordless(ref StepRef) (n uint64, ends bool) {
+	lo, ok := g.id(ref)
+	if ok {
+		return 0, true
+	}
+	floor, below := 0, lo > 0 && g.refs[lo-1].Host == ref.Host
+	if below {
+		floor = g.refs[lo-1].Step
+	}
+	return recordlessRun(ref.Step, below, floor)
+}
+
+// recordlessRun is recordless given whether the flow has a recorded step
+// below step, and the highest such step, floor, if so.
+func recordlessRun(step int, below bool, floor int) (n uint64, ends bool) {
+	switch {
+	case step >= 0:
+		if !below || floor < 0 {
+			floor = -1 // the run goes on through step 0
+		}
+		return uint64(step) - uint64(floor), true // unsigned: step+1 can overflow an int
+	case below:
+		return uint64(step - floor), true
+	}
+	return 0, false
+}
+
 // record returns step id's record: the last of its group.
 func (g *Graph) record(id int) *collective.StepRecord { return &g.recs[g.first[id+1]-1] }
 
@@ -334,6 +366,13 @@ func (g *Graph) Prune() int {
 // path in execution order plus the total elapsed time they explain. These
 // steps are the collective's performance bottleneck; the flows they belong
 // to are the "critical flows" whose provenance the analyzer inspects.
+//
+// A step without a record reads as unbound, so the walk steps down its
+// flow until it meets a record or step 0. Steps come from the wire as any
+// int, so such a record-less run is taken only while the walk's record-less
+// steps stay within the number of recorded ones; a run that would not end,
+// or end past that, ends the walk where it would begin. The walk is thus
+// bounded by the record count on every input.
 func (g *Graph) CriticalPath() ([]StepRef, simtime.Duration) {
 	src, ok := g.Source()
 	if !ok {
@@ -342,15 +381,14 @@ func (g *Graph) CriticalPath() ([]StepRef, simtime.Duration) {
 	var path []StepRef
 	cur := StepRef{src.Host, src.Step}
 	seen := map[StepRef]bool{}
+	budget := uint64(len(g.refs))
 	for {
 		if seen[cur] {
 			break // defensive: malformed records
 		}
 		seen[cur] = true
 		path = append(path, cur)
-		// A step without a record reads as unbound, so the walk steps down
-		// its flow until it meets a record or step 0.
-		rec, _ := g.Record(cur)
+		rec, recorded := g.Record(cur)
 		if cur.Step == 0 {
 			break
 		}
@@ -360,9 +398,17 @@ func (g *Graph) CriticalPath() ([]StepRef, simtime.Duration) {
 				break
 			}
 			cur = next
-		} else {
-			cur = StepRef{cur.Host, cur.Step - 1}
+			continue
 		}
+		next := StepRef{cur.Host, cur.Step - 1}
+		if recorded {
+			n, ends := g.recordless(next)
+			if !ends || n > budget {
+				break
+			}
+			budget -= n
+		}
+		cur = next
 	}
 	// Reverse into execution order.
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {

@@ -314,6 +314,35 @@ func TestBuildHostileIDs(t *testing.T) {
 	}
 }
 
+// TestCriticalPathHostileSteps: a source record at step -1, or at 1<<40
+// with nothing below it on its flow, used to send the walk down
+// record-less steps without end (or for 10^12 steps), growing the path
+// as it went — a hang any bundle or daemon client could cause. The walk
+// now ends at the source, at once, with a handful of allocations.
+func TestCriticalPathHostileSteps(t *testing.T) {
+	for _, step := range []int{-1, 1 << 40} {
+		recs := append(ring4(), mkrec(9, step, 0, 1000, topo.None, false)) // the latest End: the source
+		g := Build(recs)
+		done := make(chan []StepRef, 1)
+		go func() {
+			path, _ := g.CriticalPath()
+			done <- path
+		}()
+		select {
+		case path := <-done:
+			if len(path) != 1 || path[0] != (StepRef{9, step}) {
+				t.Errorf("step %d: path = %v, want the source alone", step, path)
+			}
+		//lint:ignore nosystime bounding a walk that used to hang, not simulated time
+		case <-time.After(time.Second):
+			t.Fatalf("step %d: CriticalPath still walking after a second", step)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { g.CriticalPath() }); allocs > float64(len(recs)) {
+			t.Errorf("step %d: %.0f allocs per walk over %d records", step, allocs, len(recs))
+		}
+	}
+}
+
 func TestUnorderedRecords(t *testing.T) {
 	recs := ring4()
 	// Shuffle deterministically: reverse.

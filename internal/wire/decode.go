@@ -492,7 +492,6 @@ var clientAckCodec = codec[ClientAck]{
 var shardMapCodec = codec[ShardMap]{
 	{"shards", func(d *decoder, m *ShardMap) { signed(d, &m.Shards) }},
 	{"replicas", func(d *decoder, m *ShardMap) { signed(d, &m.Replicas) }},
-	{"epoch", func(d *decoder, m *ShardMap) { signed(d, &m.Epoch) }},
 }
 
 var snapshotCodec = codec[Snapshot]{
@@ -525,15 +524,6 @@ var dumpReplyCodec = codec[dumpReply]{
 	}},
 }
 
-var handoffCodec = codec[Handoff]{
-	{"format", func(d *decoder, h *Handoff) { signed(d, &h.Format) }},
-	{"map", func(d *decoder, h *Handoff) { shardMapCodec.decode(d, &h.Map) }},
-	{"from", func(d *decoder, h *Handoff) { signed(d, &h.From) }},
-	{"to", func(d *decoder, h *Handoff) { signed(d, &h.To) }},
-	{"messages", func(d *decoder, h *Handoff) { slice(d, &h.Messages, sourcedMessageCodec) }},
-	{"acked", func(d *decoder, h *Handoff) { slice(d, &h.Acked, clientAckCodec) }},
-}
-
 var messageCodec = codec[Message]{
 	{"type", func(d *decoder, m *Message) { d.text(&m.Type) }},
 	{"step", func(d *decoder, m *Message) { pointer(d, &m.Step, stepRecordCodec) }},
@@ -541,8 +531,6 @@ var messageCodec = codec[Message]{
 	{"cf", func(d *decoder, m *Message) { pointer(d, &m.CF, flowCodec) }},
 	{"seq", func(d *decoder, m *Message) { signed(d, &m.Seq) }},
 	{"client", func(d *decoder, m *Message) { d.text(&m.Client) }},
-	{"map", func(d *decoder, m *Message) { pointer(d, &m.Map, shardMapCodec) }},
-	{"handoff", func(d *decoder, m *Message) { pointer(d, &m.Handoff, handoffCodec) }},
 }
 
 // decode reads the first JSON value of data as a T. With whole set only

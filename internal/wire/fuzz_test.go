@@ -67,9 +67,8 @@ func FuzzStepRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// stateBody is the Messages + Acked pair a Snapshot, a ShardState and a
-// Handoff all carry; the round-trip fuzzers below check it through the
-// two headers that reach disk.
+// stateBody is the Messages + Acked pair a Snapshot and a ShardState both
+// carry; the fuzzers below check it through both headers.
 const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,"dst":1}},` +
 	`{"client":"h1","seq":9,"type":"step","step":{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}},` +
 	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}}],` +
@@ -78,11 +77,12 @@ const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,
 // fuzzBodyRoundTrip is the shared property: an arbitrary JSON state
 // artifact must survive a decode → normalize (canonical message order,
 // acks by client) → marshal cycle stably — the second pass is the
-// identity. Recovery and rebalance equality depend on this: a snapshot or
-// handoff written, read back, and written again must be byte-identical.
-func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, c codec[T], body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
+// identity. Recovery equality depends on this: a snapshot written, read
+// back, and written again must be byte-identical. decode is the
+// artifact's differential decode (differ over its codec, or differDump).
+func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, decode func(*testing.T, []byte) (T, bool), body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
 	pass := func(in []byte) ([]byte, bool) {
-		v, ok := differ(t, in, c)
+		v, ok := decode(t, in)
 		if !ok {
 			return nil, false
 		}
@@ -119,7 +119,21 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		`{"format":2,"next_lsn":7,`+stateBody+`}`,
 		`{"format":2,"messages":[{"type":"cf","cf":{"src":2,"dst":3,"proto":6}}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBodyRoundTrip(t, data, snapshotCodec, func(s *Snapshot) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
+		decode := func(t *testing.T, in []byte) (Snapshot, bool) { return differ(t, in, snapshotCodec) }
+		fuzzBodyRoundTrip(t, data, decode, func(s *Snapshot) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
+	})
+}
+
+// FuzzHandoffRoundTrip: the state a shard hands to the aggregator in its
+// dump reply. With a static shard map this is the one artifact that
+// carries a shard's Messages + Acked body out of its process, under the
+// shard-map header, and the merge depends on it reading back as written.
+func FuzzHandoffRoundTrip(f *testing.F) {
+	seed(f,
+		`{"format":1,"shard":2,"map":{"shards":3},`+stateBody+`}`,
+		`{"format":1,"shard":1,"map":{"shards":2,"replicas":8}}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzBodyRoundTrip(t, data, differDump, func(s *ShardState) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
 	})
 }
 
@@ -149,9 +163,8 @@ func FuzzReadBundle(f *testing.F) {
 // FuzzShardMapDecode: an arbitrary JSON shard map either fails ring
 // construction with an error or yields a ring whose ownership function
 // is total (every key lands in [0, Shards)), and the map's JSON round
-// trip is stable. The rebalance admin channel feeds remotely-supplied
-// maps straight into NewHashRing, so this is an input-validation
-// surface, not just a DTO.
+// trip is stable. A dump reply carries a map from another process, so
+// this is an input-validation surface, not just a DTO.
 func FuzzShardMapDecode(f *testing.F) {
 	seed(f, `{"shards":3}`, `{"shards":4,"replicas":16,"epoch":7}`, `{"shards":-1}`, `{"shards":0,"replicas":-5}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -180,17 +193,6 @@ func FuzzShardMapDecode(f *testing.F) {
 				t.Fatalf("Owner(%q) = %d, outside [0, %d)", key, o, m.Shards)
 			}
 		}
-	})
-}
-
-// FuzzHandoffRoundTrip: the handoff file, the durable artifact of a
-// rebalance (format 2).
-func FuzzHandoffRoundTrip(f *testing.F) {
-	seed(f,
-		`{"format":2,"map":{"shards":3,"epoch":2},"from":0,"to":2,`+stateBody+`}`,
-		`{"format":2,"map":{"shards":2},"from":1,"to":0}`)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBodyRoundTrip(t, data, handoffCodec, func(h *Handoff) (*[]SourcedMessage, *[]ClientAck) { return &h.Messages, &h.Acked })
 	})
 }
 

@@ -3,10 +3,51 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
 )
+
+// syntheticIDs returns 10k client names shaped like real fleet traffic
+// (a group prefix plus a host suffix): the key distribution the router
+// hashes.
+func syntheticIDs() []string {
+	ids := make([]string, 10000)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("tenant-%d/host-%04d", i%23, i)
+	}
+	return ids
+}
+
+// TestHashRingAssignmentByteStable pins the assignment function itself:
+// the checksum of 10k ownership decisions must never drift across
+// replica counts, process restarts, or refactors of the hash — a drift
+// would silently reassign every fleet's clients on upgrade, and recovery
+// would drop each moved client's WAL as belonging to another shard.
+func TestHashRingAssignmentByteStable(t *testing.T) {
+	golden := []struct {
+		m   ShardMap
+		sum uint64
+	}{
+		{ShardMap{Shards: 4}, 0x01d0a5eac60bfc36},
+		{ShardMap{Shards: 4, Replicas: 16}, 0x14fd4b606e01021a},
+		{ShardMap{Shards: 7, Replicas: 128}, 0xe38af973dea79354},
+	}
+	for _, g := range golden {
+		ring, err := NewHashRing(g.m)
+		if err != nil {
+			t.Fatalf("NewHashRing(%+v): %v", g.m, err)
+		}
+		h := fnv.New64a()
+		for _, id := range syntheticIDs() {
+			fmt.Fprintf(h, "%s=%d;", id, ring.Owner(id))
+		}
+		if got := h.Sum64(); got != g.sum {
+			t.Errorf("assignment checksum for %+v = %#016x, want %#016x (ownership drifted!)", g.m, got, g.sum)
+		}
+	}
+}
 
 func TestHashRingDeterministicAndCovering(t *testing.T) {
 	m := ShardMap{Shards: 4}

@@ -15,19 +15,13 @@ const DefaultShardReplicas = 64
 // shard daemons. It is part of the wire schema: the router, every
 // shard, and recovery all derive ownership from the same map, so the
 // map must be identical everywhere for the fleet's exactly-once
-// guarantees to hold.
+// guarantees to hold. A fleet's map is fixed when it starts.
 type ShardMap struct {
 	// Shards is the number of shard daemons in the fleet.
 	Shards int `json:"shards"`
 	// Replicas is the number of virtual nodes per shard on the hash
 	// ring; zero means DefaultShardReplicas.
 	Replicas int `json:"replicas,omitempty"`
-	// Epoch versions the map: a live rebalance installs its successor
-	// with Epoch+1, shards reject remaps whose epoch is behind their
-	// own, and dumps echo it so the aggregator can detect a shard that
-	// restarted on stale arguments. The ring itself depends only on
-	// Shards and Replicas.
-	Epoch int64 `json:"epoch,omitempty"`
 }
 
 // replicas resolves the virtual-node count (zero means the default).
@@ -94,9 +88,9 @@ func (r *HashRing) Owner(key string) int {
 
 // Moved reports whether the ring assigns client, currently held by shard
 // from, to a different shard, and which. This is the one statement of the
-// ownership rule — recovery, live remaps, handoff slicing and adoption
-// all ask it — and of its exception: an unnamed (peer-keyed) client has
-// no hash key, so it never moves.
+// ownership rule — ingest and recovery both ask it — and of its
+// exception: an unnamed (peer-keyed) client has no hash key, so it never
+// moves.
 func (r *HashRing) Moved(client string, from int) (to int, moved bool) {
 	if client == "" {
 		return from, false

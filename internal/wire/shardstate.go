@@ -20,9 +20,9 @@ const (
 // these, in ingest order, is the only ingest state an analyzer daemon
 // retains: it diagnoses by folding the stream (FoldMessages), and a fleet
 // aggregator can merge any subset of shard dumps into one deterministic
-// bundle — (client, seq) is stable across shard crashes, resubmission,
-// and re-sharding, which is what makes the merged diagnosis
-// byte-identical to an unbroken run.
+// bundle — (client, seq) is stable across shard crashes and
+// resubmission, which is what makes the merged diagnosis byte-identical
+// to an unbroken run.
 type SourcedMessage struct {
 	Client string      `json:"client,omitempty"`
 	Seq    int64       `json:"seq,omitempty"`
@@ -37,9 +37,8 @@ const ShardStateFormat = 1
 
 // ShardState is one shard daemon's complete accepted-message set, as
 // returned by the "dump" verb: the same Messages + Acked body a Snapshot
-// persists and a Handoff moves, under a header (Shard, Map) that echoes
-// the shard's position in the fleet so an aggregator can detect a
-// mis-wired dump.
+// persists, under a header (Shard, Map) that echoes the shard's position
+// in the fleet so an aggregator can detect a mis-wired dump.
 type ShardState struct {
 	Format int `json:"format"`
 	// Shard is this daemon's index in [0, Map.Shards).
@@ -49,11 +48,9 @@ type ShardState struct {
 	// Messages holds every accepted message in local ingest order.
 	Messages []SourcedMessage `json:"messages,omitempty"`
 	// Acked carries each client's acknowledged-sequence highwater,
-	// sorted by client. A rebalance handoff needs the true highwater —
-	// not the max retained message seq — because a permanently rejected
-	// submission advances the window without leaving a message behind;
-	// adopting only message seqs could wedge the new owner's
-	// seq-contiguity check. Merging ignores this field.
+	// sorted by client: the true highwater, not the max retained message
+	// seq, because a permanently rejected submission advances the window
+	// without leaving a message behind. Merging ignores this field.
 	Acked []ClientAck `json:"acked,omitempty"`
 }
 
@@ -77,9 +74,9 @@ type MergeStats struct {
 }
 
 // SortMessages puts msgs in canonical order: by (client, seq, type,
-// serialized payload). It is the one order every deterministic artifact
-// uses — the fleet merge and the rebalance handoffs — so their bytes are
-// a pure function of the message *set*, not of any shard's ingest order.
+// serialized payload). It is the order the fleet merge uses, so the
+// merged bytes are a pure function of the message *set*, not of any
+// shard's ingest order.
 func SortMessages(msgs []SourcedMessage) {
 	// (client, seq, type) already orders every sequenced message, so the
 	// payload is serialized only for elements that tie on all three —

@@ -14,8 +14,8 @@ type ClientAck struct {
 const SnapshotFormat = 2
 
 // Snapshot is the analyzer daemon's complete ingest state on disk. Its
-// body is the one every state artifact shares — Messages in ingest order
-// plus the Acked highwaters (see ShardState and Handoff) — under a header
+// body is the one a shard dump shares — Messages in ingest order plus
+// the Acked highwaters (see ShardState) — under a header
 // that says which write-ahead-log entries it already covers. A snapshot
 // plus the log entries at or after NextLSN reconstructs a byte-identical
 // Diagnose(): ingest order is kept because the analyzer's flow→step index

@@ -44,6 +44,8 @@ var messageQuirks = []string{
 	`{"TYPE":"cf","type":"step","CF":{"SRC":1,"src":2}}`, `{"type":"cf","cf":{"src":1},"cf":{"dst":2}}`, `{"type":"cf","cf":{"src":1},"cf":null}`,
 	`{"type":"step","step":null}`, `{"type":"step","step":{}}`, `{"type":"cf","cf":{"dst":1e2}}`, `{"type":"cf","cf":{"sport":65536}}`,
 	`{"type":"cf","cf":{"proto":-1}}`, `{"type":"cf","cf":{"src"`, `{"type":"cf","cf":{}} x`, `{"type":"cf","cf":{}}` + "\n", `{"type":"cf","cf":{},"seq":9223372036854775808}`,
+	`{"client":"h1","seq":1,"cf":{"proto":6,"src":1},"type":"cf"}`, `{"type" :"cf","cf":{}}`, `{"\u0074ype":"cf","cf":{}}`, `{"type":"cf","TYPE":"step","cf":{}}`,
+	`{"types":"x","type":"cf","cf":{}}`, `{"type":"cf","type":"cf","cf":{"src":1},"cf":{"src":2}}`, `{"type"`, `{"type":"cf","step"`,
 	`{"type":"cf","cf":{},"client":"h\u00e9\ud800"}`, "{\"type\":\"cf\",\"cf\":{},\"client\":\"\xff\"}", `{"type":"cf","cf":{},"x":[[1,{"y":null}],"\n"]}`, `null`,
 }
 

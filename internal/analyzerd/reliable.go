@@ -218,13 +218,6 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 	if _, err := rc.conn.Write(buf.Bytes()); err != nil {
 		return err
 	}
-	type reply struct {
-		Ack   int64  `json:"ack"`
-		Nak   int64  `json:"nak"`
-		Error string `json:"error"`
-		Retry bool   `json:"retry"`
-		Moved bool   `json:"moved"`
-	}
 	// The server replies exactly once per submitted line (in order), so
 	// read one reply per written message — a retryable nak leaves its
 	// message pending, and the server's contiguity check guarantees no
@@ -239,8 +232,8 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 		if err != nil {
 			return err
 		}
-		var rep reply
-		if err := json.Unmarshal(line, &rep); err != nil {
+		rep, err := wire.DecodeReply(line)
+		if err != nil {
 			return fmt.Errorf("bad reply %q: %w", line, err)
 		}
 		switch {

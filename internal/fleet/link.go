@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"vedrfolnir/internal/obs"
+	"vedrfolnir/internal/wire"
 )
 
 // flight is one client line between passing the router's gate and the
@@ -300,14 +300,6 @@ func (l *shardLink) register(batch []*flight) (conn net.Conn, admitted []*flight
 	return conn, admitted
 }
 
-// shardReply is the one decode a shard's reply gets: enough to match it
-// to its in-flight line and tally an ack.
-type shardReply struct {
-	Ack    int64  `json:"ack"`
-	Nak    int64  `json:"nak"`
-	Client string `json:"client"`
-}
-
 // read is the link's reader goroutine for one ingest connection: it
 // completes in-flight lines as their replies arrive and, when the
 // connection ends (shard death, Close, SetShardAddr, ReplyTimeout on the
@@ -371,8 +363,8 @@ func (l *shardLink) await(conn net.Conn, lr *lineReader) error {
 // produces one, and the client must see it.
 func (l *shardLink) deliver(line []byte, out *relays) {
 	r := l.r
-	var rep shardReply
-	if err := json.Unmarshal(line, &rep); err != nil {
+	rep, err := wire.DecodeShardReply(line)
+	if err != nil {
 		r.cfg.Log.Warn("undecodable shard reply", "shard", l.shard, "err", err)
 		return
 	}

@@ -47,15 +47,16 @@ func (d *decoder) peek() byte {
 	return 0
 }
 
+// ws and the other per-byte loops below work on a local copy of the
+// cursor and store d.i once, so the cursor lives in a register.
 func (d *decoder) ws() {
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ' ', '\n', '\t', '\r':
-			d.i++
-		default:
-			return
+	data, i := d.data, d.i
+	for ; i < len(data); i++ {
+		if c := data[i]; c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			break
 		}
 	}
+	d.i = i
 }
 
 func (d *decoder) literal(s string) {
@@ -126,32 +127,40 @@ func (d *decoder) more(closer byte) bool {
 // whose unquoting (surrogate pairs, U+FFFD for invalid UTF-8) and escape
 // validation are the contract.
 func (d *decoder) str() []byte {
-	if d.peek() != '"' {
+	data, i := d.data, d.i
+	if i >= len(data) || data[i] != '"' {
 		d.fail("expected string")
 		return nil
 	}
-	start, plain := d.i, true
-	for d.i++; d.i < len(d.data); d.i++ {
-		switch c := d.data[d.i]; {
+	start, plain := i, true
+	for i++; i < len(data); i++ {
+		c := data[i]
+		if c-0x20 < 0x80-0x20 && c != '"' && c != '\\' {
+			continue // printable ASCII that neither ends nor escapes
+		}
+		switch {
 		case c == '"':
-			d.i++
+			d.i = i + 1
 			if plain {
-				return d.data[start+1 : d.i-1]
+				return data[start+1 : i]
 			}
 			var s string
-			if err := json.Unmarshal(d.data[start:d.i], &s); err != nil {
+			if err := json.Unmarshal(data[start:i+1], &s); err != nil {
 				d.fail("invalid string literal")
 			}
 			return []byte(s)
 		case c == '\\':
 			plain = false
-			d.i++ // whatever is escaped, it does not end the literal
+			i++ // whatever is escaped, it does not end the literal
 		case c < 0x20:
+			d.i = i
 			d.fail("control character in string literal")
-		case c >= 0x80:
+			return nil
+		default:
 			plain = false
 		}
 	}
+	d.i = i
 	d.fail("unterminated string literal")
 	return nil
 }
@@ -170,12 +179,14 @@ func (d *decoder) name() []byte {
 
 // digits consumes one or more decimal digits.
 func (d *decoder) digits() {
-	start := d.i
-	for d.i < len(d.data) && d.data[d.i]-'0' <= 9 {
-		d.i++
+	data, i := d.data, d.i
+	for i < len(data) && data[i]-'0' <= 9 {
+		i++
 	}
-	if d.i == start {
+	if i == d.i {
 		d.fail("expected digit")
+	} else {
+		d.i = i
 	}
 }
 
@@ -183,22 +194,28 @@ func (d *decoder) digits() {
 // plain reports that it was all integer part and within 64 bits — what
 // strconv.ParseInt takes of that grammar, and all an integer field accepts.
 func (d *decoder) number() (mag uint64, neg, plain bool) {
-	if neg = d.peek() == '-'; neg {
-		d.i++
+	data, i := d.data, d.i
+	if neg = i < len(data) && data[i] == '-'; neg {
+		i++
 	}
-	start := d.i
+	start := i
 	plain = true
-	for ; d.i < len(d.data) && d.data[d.i]-'0' <= 9; d.i++ {
-		c := uint64(d.data[d.i] - '0')
-		if mag > math.MaxUint64/10 || mag == math.MaxUint64/10 && c > math.MaxUint64%10 {
-			plain = false
+	if i < len(data) && data[i] == '0' {
+		i++ // a leading zero stands alone; the container refuses what follows
+	} else {
+		// 19 digits cannot overflow 64 bits, so only the 20th on are checked.
+		for end := min(len(data), start+19); i < end && data[i]-'0' <= 9; i++ {
+			mag = mag*10 + uint64(data[i]-'0')
 		}
-		if mag = mag*10 + c; c == 0 && d.i == start {
-			d.i++ // a leading zero stands alone; the container refuses what follows
-			break
+		for ; i < len(data) && data[i]-'0' <= 9; i++ {
+			c := uint64(data[i] - '0')
+			if mag > math.MaxUint64/10 || mag == math.MaxUint64/10 && c > math.MaxUint64%10 {
+				plain = false
+			}
+			mag = mag*10 + c
 		}
 	}
-	if d.i == start {
+	if d.i = i; i == start {
 		d.fail("expected digit")
 	}
 	if d.peek() == '.' {
@@ -306,12 +323,11 @@ func slice[T any](d *decoder, s *[]T, elem codec[T]) {
 	n := 0
 	for ; d.more(']'); n++ {
 		if n == len(*s) {
-			if n < cap(*s) {
-				*s = (*s)[:n+1]
-			} else {
-				var zero T
-				*s = append(*s, zero)
+			if n == cap(*s) {
+				var zeros [4]T // append's growth, never below 4; fresh elements are zero
+				*s = append(*s, zeros[:]...)
 			}
+			*s = (*s)[:n+1]
 		}
 		elem.decode(d, &(*s)[n])
 	}
@@ -363,27 +379,54 @@ type codec[T any] []struct {
 // skipped. Nothing is reset first: a repeated key stores again (the last
 // scalar wins, objects merge, arrays overwrite in place) and an absent key
 // leaves what v held.
+//
+// Writers emit keys in struct order, so the entry after the last one
+// matched is tried first, on the raw bytes: table keys are plain ASCII and
+// unique, so input reading exactly "key": is the key str would return and
+// the exact match lookup would find. Anything else takes the lookup.
 func (c codec[T]) decode(d *decoder, v *T) {
 	if !d.open('{') {
 		return
 	}
-next:
+	next := 0
 	for d.more('}') {
-		k := d.name()
-		for i := range c {
-			if c[i].key == string(k) {
-				c[i].store(d, v)
-				continue next
+		i := next
+		if i >= len(c) || !d.predicted(c[i].key) {
+			if i = c.find(d.name()); i < 0 {
+				d.skip()
+				continue
 			}
 		}
-		for i := range c {
-			if strings.EqualFold(c[i].key, string(k)) {
-				c[i].store(d, v)
-				continue next
-			}
-		}
-		d.skip()
+		c[i].store(d, v)
+		next = i + 1
 	}
+}
+
+// predicted consumes "key": and the whitespace after it if the input
+// holds exactly those bytes next.
+func (d *decoder) predicted(key string) bool {
+	i, end := d.i, d.i+len(key)+3
+	if end > len(d.data) || d.data[i] != '"' || d.data[end-2] != '"' || d.data[end-1] != ':' || string(d.data[i+1:end-2]) != key {
+		return false
+	}
+	d.i = end
+	d.ws()
+	return true
+}
+
+// find returns the entry key k selects, or -1 for an unknown key.
+func (c codec[T]) find(k []byte) int {
+	for i := range c {
+		if c[i].key == string(k) {
+			return i
+		}
+	}
+	for i := range c {
+		if strings.EqualFold(c[i].key, string(k)) {
+			return i
+		}
+	}
+	return -1
 }
 
 var flowCodec = codec[Flow]{
@@ -533,6 +576,20 @@ var messageCodec = codec[Message]{
 	{"client", func(d *decoder, m *Message) { d.text(&m.Client) }},
 }
 
+var replyCodec = codec[Reply]{
+	{"ack", func(d *decoder, r *Reply) { signed(d, &r.Ack) }},
+	{"nak", func(d *decoder, r *Reply) { signed(d, &r.Nak) }},
+	{"error", func(d *decoder, r *Reply) { d.text(&r.Error) }},
+	{"retry", func(d *decoder, r *Reply) { d.boolean(&r.Retry) }},
+	{"moved", func(d *decoder, r *Reply) { d.boolean(&r.Moved) }},
+}
+
+var shardReplyCodec = codec[ShardReply]{
+	{"ack", func(d *decoder, r *ShardReply) { signed(d, &r.Ack) }},
+	{"nak", func(d *decoder, r *ShardReply) { signed(d, &r.Nak) }},
+	{"client", func(d *decoder, r *ShardReply) { d.text(&r.Client) }},
+}
+
 // decode reads the first JSON value of data as a T. With whole set only
 // whitespace may follow it (json.Unmarshal's rule); without, whatever
 // follows is ignored (json.Decoder.Decode's).
@@ -555,6 +612,12 @@ func DecodeBundle(data []byte) (*Bundle, error) { return decode(data, bundleCode
 // DecodeMessage parses one protocol line: its syntax and field types only;
 // analyzerd.ParseMessage adds the protocol's rules.
 func DecodeMessage(line []byte) (*Message, error) { return decode(line, messageCodec, true) }
+
+// DecodeReply parses one reply line as a ReliableClient reads it.
+func DecodeReply(line []byte) (*Reply, error) { return decode(line, replyCodec, true) }
+
+// DecodeShardReply parses one shard reply line as a fleet router reads it.
+func DecodeShardReply(line []byte) (*ShardReply, error) { return decode(line, shardReplyCodec, true) }
 
 // DecodeSnapshot parses a snapshot file.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return decode(data, snapshotCodec, true) }

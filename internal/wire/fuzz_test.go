@@ -139,12 +139,19 @@ func FuzzHandoffRoundTrip(f *testing.F) {
 
 // FuzzShardStateDecode: a shard's reply to the dump verb — a state, an
 // {"error": …} line, or anything a broken shard might send — decodes in
-// one pass to what the two encoding/json passes it replaced produced.
+// one pass to what the two encoding/json passes it replaced produced. The
+// same bytes read as an ingest reply, by the router and by a client, decode
+// as encoding/json reads them into each reader's fields.
 func FuzzShardStateDecode(f *testing.F) {
 	seed(f,
 		`{"format":1,"shard":1,"map":{"shards":2,"epoch":4},`+stateBody+`}`,
-		`{"error":"dump: not a shard"}`)
-	f.Fuzz(func(t *testing.T, data []byte) { differDump(t, data) })
+		`{"error":"dump: not a shard"}`,
+		`{"nak":4,"client":"h2","error":"overloaded","retry":true}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		differDump(t, data)
+		differ(t, data, shardReplyCodec)
+		differ(t, data, replyCodec)
+	})
 }
 
 // FuzzReadBundle: both bundle entry points against their references —

@@ -15,3 +15,22 @@ type Message struct {
 	Seq    int64       `json:"seq,omitempty"`
 	Client string      `json:"client,omitempty"`
 }
+
+// Reply is what a ReliableClient reads of a reply line: an ack, a NAK
+// (retryable, or moved to another shard) or an unsequenced error.
+type Reply struct {
+	Ack   int64  `json:"ack"`
+	Nak   int64  `json:"nak"`
+	Error string `json:"error"`
+	Retry bool   `json:"retry"`
+	Moved bool   `json:"moved"`
+}
+
+// ShardReply is what a fleet router reads of a shard's reply: enough to
+// match it to its in-flight line and tally an ack. Keys it does not name,
+// "error" included, are skipped whatever their value.
+type ShardReply struct {
+	Ack    int64  `json:"ack"`
+	Nak    int64  `json:"nak"`
+	Client string `json:"client"`
+}

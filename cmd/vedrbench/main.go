@@ -4,24 +4,33 @@
 // Usage:
 //
 //	vedrbench [-fig 9|10|11|12|13|14|ext|chaos|all] [-paper] [-scale N]
-//	          [-workers N] [-journal base] [-cpuprofile f] [-memprofile f]
+//	          [-workers N] [-journal base] [-trace-dir dir] [-obs-listen addr]
+//	          [-cpuprofile f] [-memprofile f]
 //
 // By default a reduced case census runs in seconds; -paper runs the full
-// §IV-A census (60/60/40/60 cases per scenario). Case grids run on the
-// internal/sweep worker pool (-workers, default GOMAXPROCS); -journal
-// checkpoints each grid to base.<fig>.jsonl so an interrupted run resumes
-// where it stopped (see cmd/vedrsweep for journal tooling). A failing case
-// no longer aborts the run: completed rows still print, the failed case
-// keys are reported at the end, and the exit status is non-zero.
+// §IV-A census (60/60/40/60 cases per scenario). Every case grid is an
+// entry of the figure table (experiments.Grids) and runs on the
+// internal/sweep worker pool (-workers, default GOMAXPROCS). -journal
+// checkpoints each grid to base.<grid>.jsonl: SIGINT/SIGTERM stops
+// dispatch, lets in-flight cases finish and be journaled, and exits 3;
+// rerunning the same command resumes where it stopped and compacts each
+// journal to the bytes an unbroken run writes. A failing case does not
+// abort the run: completed rows still print, the failed case keys are
+// reported at the end, and the exit status is 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"vedrfolnir/internal/experiments"
@@ -31,237 +40,290 @@ import (
 	"vedrfolnir/internal/wire"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// exitInterrupted is the status of a run stopped by SIGINT/SIGTERM.
+const exitInterrupted = 3
+
+func run() int {
 	fig := flag.String("fig", "all", "figure to regenerate: 9, 10, 11, 12, 13, 14, ext, chaos or all")
 	paper := flag.Bool("paper", false, "run the full paper case census (60/60/40/60)")
 	scaleDen := flag.Float64("scale", 90, "workload scale denominator: sizes and times are 1/N of the paper's")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	journal := flag.String("journal", "", "checkpoint base path: each case grid journals to base.<fig>.jsonl")
+	journal := flag.String("journal", "", "checkpoint base path: each case grid journals to base.<grid>.jsonl; rerun to resume")
 	traceDir := flag.String("trace-dir", "", "write one sim-time Chrome trace per sweep/case study into this directory")
+	obsListen := flag.String("obs-listen", "", "serve live /metrics, /debug/vars and /debug/pprof on this address while the sweeps run")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	flush, err := obs.StartProfiles(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	flushProfiles = func() {
-		if err := flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-	}
-	defer flushProfiles()
-
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-
 	cfg := scenario.ConfigForScale(*scaleDen)
-
 	counts := experiments.SmallCaseCounts()
 	if *paper {
 		counts = experiments.PaperCaseCounts()
 	}
-
-	// One failing case degrades its figure instead of aborting the run;
-	// every captured failure is reported (and the exit status set) at the
-	// end. OnResult is invoked from the sweep's single merging goroutine,
-	// so plain append is safe.
-	var failed []string
-	var journals []*sweep.Journal
-	// Each sweep (and the Fig 14 case study) gets its own trace scope; the
-	// files are written together at the end so a mid-run failure still
-	// leaves the completed traces on disk in one place.
-	type namedScope struct {
-		name  string
-		scope *obs.Scope
+	// Every sweep feeds one registry: the per-sweep summary line is read
+	// from it, and -obs-listen serves it live. Stdout, journals and traces
+	// are identical either way.
+	reg := obs.NewRegistry()
+	interrupt := make(chan struct{})
+	b := &bench{
+		grids: experiments.Grids(cfg, counts), rows: map[string][]experiments.Row{},
+		paper: *paper, scaleDen: *scaleDen, workers: *workers,
+		journal: *journal, traceDir: *traceDir, reg: reg, interrupt: interrupt,
 	}
-	var scopes []namedScope
-	newScope := func(name string) *obs.Scope {
-		scope := &obs.Scope{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
-		scopes = append(scopes, namedScope{name, scope})
-		return scope
+	// The sections in print order: each -fig value, its title, and the
+	// steps that print it.
+	type step func() error
+	sections := []struct {
+		fig, title string
+		steps      []step
+	}{
+		{"9", "Fig 9: precision & recall vs baselines", []step{b.grid("fig9", printFig9)}},
+		{"10", "Fig 10: processing & bandwidth overhead", []step{b.grid("fig9", printFig10)}},
+		{"11", "Fig 11: host monitor overhead (testbed substitute)", []step{printFig11}},
+		{"12", "Fig 12: precision & recall over RTT thresholds × detection counts", []step{b.grid("fig12", printFig12)}},
+		{"13", "Fig 13: ablations of the step-aware mechanism",
+			[]step{b.grid("fig13a", printFig13a), b.grid("fig13b", printFig13b)}},
+		{"14", "Fig 14: case study", []step{func() error { return printFig14(cfg, b.caseScope("fig14")) }}},
+		{"ext", "Extensions: remaining §II-B anomalies + slowdown distributions",
+			[]step{b.grid("ext", printExt), b.grid("slowdowns", printSlowdowns)}},
+		{"chaos", "Chaos: precision/recall/confidence vs control-packet loss", []step{b.grid("chaos", printChaos)}},
 	}
-	sweepOpts := func(name string) sweep.Options {
-		sw := sweep.Options{
-			Workers:  *workers,
-			Progress: os.Stderr,
-			OnResult: func(r sweep.Result) {
-				if r.Err != "" {
-					failed = append(failed, fmt.Sprintf("%s: %s", r.Key, r.Err))
-				}
-			},
-		}
-		if *traceDir != "" {
-			sw.Obs = newScope(name)
-		}
-		if *journal != "" {
-			spec := wire.SweepSpec{Name: name, Paper: *paper, ScaleDen: *scaleDen}
-			j, err := sweep.OpenJournal(fmt.Sprintf("%s.%s.jsonl", *journal, name), spec)
-			if err != nil {
-				fatal(err)
-			}
-			journals = append(journals, j)
-			sw.Journal = j
-		}
-		return sw
-	}
-
-	run := func(name string, fn func()) {
-		start := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		fn()
-		fmt.Printf("(%s in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
 	want := func(f string) bool { return *fig == "all" || *fig == f }
-
-	var cells []experiments.Cell
-	if want("9") || want("10") {
-		// One sweep feeds both figures.
-		opts := scenario.DefaultRunOptions(cfg)
-		opts.Monitor.MaxDetectPerStep = 5 // Fig 9 uses "optimal parameters"
-		var err error
-		cells, err = experiments.Sweep(cfg, counts, experiments.Systems, opts, sweepOpts("fig9"))
-		if err != nil {
-			fatal(err)
-		}
-	}
-	if want("9") {
-		run("Fig 9: precision & recall vs baselines", func() { printFig9(cells) })
-	}
-	if want("10") {
-		run("Fig 10: processing & bandwidth overhead", func() { printFig10(cells) })
-	}
-	if want("11") {
-		run("Fig 11: host monitor overhead (testbed substitute)", printFig11)
-	}
-	if want("12") {
-		run("Fig 12: precision & recall over RTT thresholds × detection counts", func() {
-			rows, err := experiments.Fig12(cfg, counts, sweepOpts("fig12"))
-			if err != nil {
-				fatal(err)
-			}
-			printFig12(rows)
-		})
-	}
-	if want("13") {
-		run("Fig 13: ablations of the step-aware mechanism", func() {
-			printFig13(cfg, counts[scenario.Contention], sweepOpts)
-		})
-	}
-	if want("14") {
-		run("Fig 14: case study", func() {
-			var scope *obs.Scope
-			if *traceDir != "" {
-				scope = newScope("fig14")
-			}
-			printFig14(cfg, scope)
-		})
-	}
-	if want("ext") {
-		run("Extensions: remaining §II-B anomalies + slowdown distributions", func() {
-			printExtensions(cfg, counts, sweepOpts)
-		})
-	}
-	if want("chaos") {
-		run("Chaos: precision/recall/confidence vs control-packet loss", func() {
-			rows, err := experiments.Chaos(cfg, counts, sweepOpts("chaos"))
-			if err != nil {
-				fatal(err)
-			}
-			printChaos(rows)
-		})
-	}
 	known := false
-	for _, f := range []string{"9", "10", "11", "12", "13", "14", "ext", "chaos"} {
-		if want(f) {
-			known = true
-		}
+	for _, s := range sections {
+		known = known || want(s.fig)
 	}
 	if !known {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
-		flushProfiles()
-		os.Exit(2)
+		return 2
 	}
-	for _, j := range journals {
-		if err := j.Close(); err != nil {
-			fatal(err)
+
+	flush, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer func() {
+		if err := flush(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
 	}
-	for _, ns := range scopes {
-		path := filepath.Join(*traceDir, ns.name+".trace.json")
-		if err := ns.scope.Trace.WriteFile(path); err != nil {
-			fatal(err)
+	if *obsListen != "" {
+		ln, err := net.Listen("tcp", *obsListen)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", path, ns.scope.Trace.Len())
+		defer ln.Close() // stops the server goroutine
+		reg.PublishExpvar("vedrbench")
+		fmt.Fprintf(os.Stderr, "vedrbench: obs on http://%s/metrics\n", ln.Addr())
+		go func() { _ = http.Serve(ln, obs.Mux(reg)) }()
 	}
-	if len(failed) > 0 {
-		sort.Strings(failed)
-		fmt.Fprintf(os.Stderr, "%d case(s) failed (rows above aggregate the remainder):\n", len(failed))
-		for _, f := range failed {
+	// SIGINT/SIGTERM stop dispatch; in-flight cases finish and are
+	// journaled, so rerunning the command loses nothing. A second signal
+	// kills the process.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	go func() {
+		<-sigs
+		fmt.Fprintln(os.Stderr, "vedrbench: interrupted; finishing in-flight cases")
+		signal.Stop(sigs)
+		close(interrupt)
+	}()
+
+	code := 0
+	for _, s := range sections {
+		if !want(s.fig) {
+			continue
+		}
+		start := time.Now()
+		fmt.Printf("==== %s ====\n", s.title)
+		var err error
+		for _, step := range s.steps {
+			if err = step(); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			if errors.Is(err, experiments.ErrInterrupted) {
+				if *journal != "" {
+					fmt.Fprintln(os.Stderr, "vedrbench: finished cases are journaled; rerun the same command to resume")
+				}
+				code = exitInterrupted
+			} else {
+				code = 1
+			}
+			break
+		}
+		fmt.Printf("(%s in %v)\n\n", s.title, time.Since(start).Round(time.Millisecond))
+	}
+	if err := b.close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	if code != 0 {
+		return code
+	}
+	if len(b.failed) > 0 {
+		sort.Strings(b.failed)
+		fmt.Fprintf(os.Stderr, "%d case(s) failed (rows above aggregate the remainder):\n", len(b.failed))
+		for _, f := range b.failed {
 			fmt.Fprintf(os.Stderr, "  %s\n", f)
 		}
-		flushProfiles()
-		os.Exit(1)
+		return 1
+	}
+	return 0
+}
+
+// bench runs the figure table's grids on demand, each at most once, and
+// owns what outlives a sweep: journals, tracers, failed case keys.
+type bench struct {
+	grids []experiments.Grid
+	rows  map[string][]experiments.Row
+
+	paper     bool
+	scaleDen  float64
+	workers   int
+	journal   string
+	traceDir  string
+	reg       *obs.Registry
+	interrupt <-chan struct{}
+
+	journals []*sweep.Journal
+	traces   []namedTrace
+	// failed collects captured case failures; OnResult runs on the
+	// sweep's single merging goroutine, so plain append is safe.
+	failed []string
+}
+
+type namedTrace struct {
+	name string
+	tr   *obs.Tracer
+}
+
+// grid returns a section step: sweep the named grid (if not swept yet)
+// and print its rows.
+func (b *bench) grid(name string, print func([]experiments.Row)) func() error {
+	return func() error {
+		rows, err := b.sweep(name)
+		if err != nil {
+			return err
+		}
+		print(rows)
+		return nil
 	}
 }
 
-// flushProfiles finishes the -cpuprofile/-memprofile files. os.Exit skips
-// defers, so every exit path calls it; main points it at the flush once
-// the flags are parsed.
-var flushProfiles = func() {}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	flushProfiles()
-	os.Exit(1)
-}
-
-func printExtensions(cfg scenario.Config, counts map[scenario.AnomalyKind]int,
-	sweepOpts func(string) sweep.Options) {
-	cases := counts[scenario.Contention]
-	if cases == 0 {
-		cases = 6
+// sweep runs the named grid once and memoizes its rows (fig9 feeds both
+// Fig 9 and Fig 10).
+func (b *bench) sweep(name string) ([]experiments.Row, error) {
+	if rows, ok := b.rows[name]; ok {
+		return rows, nil
 	}
-	fmt.Println("-- extension anomalies (vedrfolnir) --")
-	fmt.Printf("%-18s %9s %9s %16s\n", "scenario", "precision", "recall", "telemetry(B)")
-	ext, err := experiments.ExtensionSweep(cfg, cases, sweepOpts("ext"))
+	g, ok := experiments.Lookup(b.grids, name)
+	if !ok {
+		return nil, fmt.Errorf("vedrbench: no grid %q", name)
+	}
+	sw := sweep.Options{
+		Workers:   b.workers,
+		Progress:  os.Stderr,
+		Interrupt: b.interrupt,
+		OnResult: func(r sweep.Result) {
+			if r.Err != "" {
+				b.failed = append(b.failed, fmt.Sprintf("%s: %s", r.Key, r.Err))
+			}
+		},
+		Obs: &obs.Scope{Metrics: b.reg, Trace: b.tracer(name)},
+	}
+	if b.journal != "" {
+		path := fmt.Sprintf("%s.%s.jsonl", b.journal, name)
+		j, err := sweep.OpenJournal(path, wire.SweepSpec{Name: name, Paper: b.paper, ScaleDen: b.scaleDen})
+		if err != nil {
+			return nil, err
+		}
+		b.journals = append(b.journals, j)
+		if n := j.Skipped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "vedrbench: journal %s: skipped %d corrupt line(s); those jobs re-run\n", path, n)
+		}
+		sw.Journal = j
+	}
+	before := b.reg.Flatten()
+	rows, err := g.Run(sw)
+	if err == nil || errors.Is(err, experiments.ErrInterrupted) {
+		b.summaryLine(name, before)
+	}
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	for _, c := range ext {
-		fmt.Printf("%-18s %9.2f %9.2f %16d\n", c.Kind, c.Precision(), c.Recall(), c.TelemetryBytes)
-	}
-	fmt.Println("-- per-step slowdown distributions --")
-	rows, err := experiments.Slowdowns(cfg, counts, sweepOpts("slowdowns"))
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rows {
-		fmt.Printf("%-18s %s\n", row.Kind, row.Summary)
-	}
+	b.rows[name] = rows
+	return rows, nil
 }
 
-func printFig9(cells []experiments.Cell) {
-	fmt.Printf("%-18s %-14s %9s %9s %6s\n", "scenario", "system", "precision", "recall", "cases")
-	for _, c := range cells {
-		fmt.Printf("%-18s %-14s %9.2f %9.2f %6d%s\n",
-			c.Kind, c.System, c.Precision(), c.Recall(), c.Cases, failNote(c.Failed))
-	}
+// summaryLine emits one machine-readable key=value line per sweep on
+// stderr, from the registry every sweep shares (counters as this sweep's
+// deltas).
+func (b *bench) summaryLine(name string, before map[string]int64) {
+	m := b.reg.Flatten()
+	delta := func(k string) int64 { return m[k] - before[k] }
+	fmt.Fprintf(os.Stderr,
+		"vedrbench: %s summary cases=%d done=%d failed=%d skipped=%d pending=%d interrupted=%d wall_ms=%d\n",
+		name, m["vedr_sweep_cases"], delta("vedr_sweep_cases_done_total"),
+		delta("vedr_sweep_cases_failed_total"), delta("vedr_sweep_cases_skipped_total"),
+		m["vedr_sweep_cases_pending"], m["vedr_sweep_interrupted"], m["vedr_sweep_wall_ms"])
 }
 
-func printFig10(cells []experiments.Cell) {
-	fmt.Printf("%-18s %-14s %16s %16s\n", "scenario", "system", "telemetry(B)", "bandwidth(B)")
-	for _, c := range cells {
-		fmt.Printf("%-18s %-14s %16d %16d%s\n", c.Kind, c.System, c.TelemetryBytes, c.BandwidthBytes, failNote(c.Failed))
+// tracer returns a fresh tracer for one sweep or case study, or nil
+// without -trace-dir. The files are written together at the end, so a
+// failure midway still leaves the completed traces in one place.
+func (b *bench) tracer(name string) *obs.Tracer {
+	if b.traceDir == "" {
+		return nil
 	}
+	tr := obs.NewTracer()
+	b.traces = append(b.traces, namedTrace{name, tr})
+	return tr
 }
 
-// failNote annotates a row whose cell lost cases to captured failures.
+// caseScope is the Fig 14 case study's observability scope: its own
+// tracer and registry, or nil without -trace-dir.
+func (b *bench) caseScope(name string) *obs.Scope {
+	tr := b.tracer(name)
+	if tr == nil {
+		return nil
+	}
+	return &obs.Scope{Trace: tr, Metrics: obs.NewRegistry()}
+}
+
+// close releases the journals (a finished sweep has already compacted
+// its own) and writes the collected traces.
+func (b *bench) close() error {
+	var first error
+	for _, j := range b.journals {
+		if err := j.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	for _, nt := range b.traces {
+		path := filepath.Join(b.traceDir, nt.name+".trace.json")
+		if err := nt.tr.WriteFile(path); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "trace written to %s (%d events)\n", path, nt.tr.Len())
+	}
+	return first
+}
+
+// failNote annotates a row whose group lost cases to captured failures.
 func failNote(failed int) string {
 	if failed == 0 {
 		return ""
@@ -269,55 +331,75 @@ func failNote(failed int) string {
 	return fmt.Sprintf("  (!%d failed)", failed)
 }
 
-func printFig11() {
+func printFig9(rows []experiments.Row) {
+	fmt.Printf("%-18s %-14s %9s %9s %6s\n", "scenario", "system", "precision", "recall", "cases")
+	for _, r := range rows {
+		fmt.Printf("%-18s %-14s %9.2f %9.2f %6d%s\n",
+			r.Kind, r.System, r.Precision(), r.Recall(), r.Seeds, failNote(r.Failed))
+	}
+}
+
+func printFig10(rows []experiments.Row) {
+	fmt.Printf("%-18s %-14s %16s %16s\n", "scenario", "system", "telemetry(B)", "bandwidth(B)")
+	for _, r := range rows {
+		fmt.Printf("%-18s %-14s %16d %16d%s\n", r.Kind, r.System, r.TelemetryBytes, r.BandwidthBytes, failNote(r.Failed))
+	}
+}
+
+func printFig11() error {
 	rows, err := experiments.Fig11(3)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("%-18s %12s %14s %12s\n", "run", "cpu", "alloc(B)", "sim-time")
 	for _, r := range rows {
 		fmt.Printf("%-18s %12v %14d %12v\n", r.Label, r.CPU.Round(time.Microsecond), r.AllocBytes, r.SimTime)
 	}
+	return nil
 }
 
-func printFig12(rows []experiments.Fig12Row) {
+func printFig12(rows []experiments.Row) {
 	fmt.Printf("%-18s %6s %7s %9s %9s\n", "scenario", "rtt%", "detect", "precision", "recall")
 	for _, r := range rows {
 		fmt.Printf("%-18s %5.0f%% %7d %9.2f %9.2f%s\n",
-			r.Kind, r.RTTFactor*100, r.DetectCount, r.Metrics.Precision(), r.Metrics.Recall(), failNote(r.Failed))
+			r.Kind, r.Params.RTTFactor*100, r.Params.MaxDetectPerStep, r.Precision(), r.Recall(), failNote(r.Failed))
 	}
 }
 
-func printFig13(cfg scenario.Config, cases int, sweepOpts func(string) sweep.Options) {
-	if cases == 0 {
-		cases = 6
-	}
-	ths := experiments.Fig13aThresholds(cfg)
+func printFig13a(rows []experiments.Row) {
 	fmt.Println("-- Fig 13a: fixed vs step-grained RTT thresholds (contention, ≤3/step) --")
 	fmt.Printf("%-22s %9s %16s\n", "threshold", "precision", "telemetry(B)")
-	rows13a, err := experiments.Fig13a(cfg, cases, ths, sweepOpts("fig13a"))
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rows13a {
-		label := "step-grained (ours)"
-		if row.Threshold > 0 {
-			label = row.Threshold.String()
-		}
-		fmt.Printf("%-22s %9.2f %16d%s\n", label, row.Metrics.Precision(), row.TelemetryBytes, failNote(row.Failed))
-	}
+	printAblation(rows)
+}
+
+func printFig13b(rows []experiments.Row) {
 	fmt.Println("-- Fig 13b: detection-count allocation vs unrestricted triggering --")
 	fmt.Printf("%-22s %9s %16s\n", "setting", "precision", "telemetry(B)")
-	rows13b, err := experiments.Fig13b(cfg, cases, []int{1, 3, 5}, sweepOpts("fig13b"))
-	if err != nil {
-		fatal(err)
-	}
-	for _, row := range rows13b {
-		fmt.Printf("%-22s %9.2f %16d%s\n", row.Label, row.Metrics.Precision(), row.TelemetryBytes, failNote(row.Failed))
+	printAblation(rows)
+}
+
+func printAblation(rows []experiments.Row) {
+	for _, r := range rows {
+		fmt.Printf("%-22s %9.2f %16d%s\n", r.Label, r.Precision(), r.TelemetryBytes, failNote(r.Failed))
 	}
 }
 
-func printChaos(rows []experiments.ChaosRow) {
+func printExt(rows []experiments.Row) {
+	fmt.Println("-- extension anomalies (vedrfolnir) --")
+	fmt.Printf("%-18s %9s %9s %16s\n", "scenario", "precision", "recall", "telemetry(B)")
+	for _, r := range rows {
+		fmt.Printf("%-18s %9.2f %9.2f %16d\n", r.Kind, r.Precision(), r.Recall(), r.TelemetryBytes)
+	}
+}
+
+func printSlowdowns(rows []experiments.Row) {
+	fmt.Println("-- per-step slowdown distributions --")
+	for _, r := range rows {
+		fmt.Printf("%-18s %s\n", r.Kind, r.Slowdowns)
+	}
+}
+
+func printChaos(rows []experiments.Row) {
 	fmt.Printf("%-18s %7s %9s %9s %11s %6s\n", "scenario", "loss%", "precision", "recall", "confidence", "cases")
 	for _, r := range rows {
 		note := failNote(r.Failed)
@@ -325,19 +407,19 @@ func printChaos(rows []experiments.ChaosRow) {
 			note += fmt.Sprintf("  (%d incomplete)", r.Incomplete)
 		}
 		fmt.Printf("%-18s %6.1f%% %9.2f %9.2f %11.2f %6d%s\n",
-			r.Kind, r.LossRate*100, r.Metrics.Precision(), r.Metrics.Recall(),
-			r.MeanConfidence, r.Cases, note)
+			r.Kind, r.Params.ChaosLoss*100, r.Precision(), r.Recall(), r.Confidence, r.Seeds, note)
 	}
 }
 
-func printFig14(cfg scenario.Config, scope *obs.Scope) {
+func printFig14(cfg scenario.Config, scope *obs.Scope) error {
 	study, err := experiments.Fig14Obs(cfg, scope)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println("critical path:", study.CriticalStr)
 	fmt.Printf("BF1 (%v) overall score: %.0f\n", study.BF1, study.BF1Score)
 	fmt.Printf("BF2 (%v) overall score: %.0f\n", study.BF2, study.BF2Score)
 	fmt.Println(strings.TrimSpace(study.Diag.Summary()))
 	fmt.Println("\n(waiting graph and provenance DOT available via cmd/vedrgraph)")
+	return nil
 }

@@ -1,44 +1,31 @@
 // Command vedrlint runs the repository's determinism and diagnosis
-// invariant analyzers (internal/lint) over the module, multichecker-style,
-// and gates the result on the known-violation baseline. Run it alongside
-// go vet:
+// invariant analyzers (internal/lint) over the module, multichecker-style.
+// Run it alongside go vet:
 //
 //	go vet ./... && go run ./cmd/vedrlint ./...
 //
 // It prints one line per finding (file:line:col: message (analyzer)) and
-// exits non-zero when a finding is NOT in lint/baseline.json — existing,
-// recorded debt passes while every new violation fails. Stale baseline
-// entries (fixed debt) are reported as prunable; stale //lint:ignore
-// comments (suppressing nothing) are hard failures, so dead justifications
-// cannot accumulate. Suppress a finding with a justified comment on or
-// above the offending line:
+// exits 1 on any finding or stale //lint:ignore comment (one suppressing
+// nothing), so dead justifications cannot accumulate. Suppress a finding
+// with a justified comment on or above the offending line:
 //
 //	//lint:ignore nosystime measuring real host overhead, not simulated time
 //
 // Flags:
 //
-//	-list              print the analyzer suite and exit
-//	-baseline PATH     baseline file, relative to the module root
-//	                   (default lint/baseline.json)
-//	-update-baseline   rewrite the baseline from this run's findings
-//	                   (burn-down: fix debt, then update to shrink the
-//	                   ledger; run over ./... so nothing is dropped)
+//	-list   print the analyzer suite and exit
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"vedrfolnir/internal/lint"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	baselinePath := flag.String("baseline", filepath.Join("lint", "baseline.json"),
-		"known-violation baseline, relative to the module root")
-	update := flag.Bool("update-baseline", false, "rewrite the baseline from this run's findings")
 	flag.Parse()
 
 	if *list {
@@ -62,52 +49,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vedrlint:", err)
 		os.Exit(2)
 	}
-	bpath := *baselinePath
-	if !filepath.IsAbs(bpath) {
-		bpath = filepath.Join(rep.ModuleDir, bpath)
-	}
-
-	if *update {
-		b := lint.NewBaseline(rep.ModuleDir, rep.Diags)
-		if err := lint.WriteBaseline(bpath, b); err != nil {
-			fmt.Fprintln(os.Stderr, "vedrlint:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("vedrlint: baseline updated: %d finding(s) recorded in %s\n",
-			len(b.Entries), bpath)
-		for _, d := range rep.StaleIgnores {
-			fmt.Println(d)
-		}
-		if len(rep.StaleIgnores) > 0 {
-			fmt.Fprintf(os.Stderr, "vedrlint: %d stale suppression(s)\n", len(rep.StaleIgnores))
-			os.Exit(1)
-		}
-		return
-	}
-
-	base, err := lint.LoadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vedrlint:", err)
-		os.Exit(2)
-	}
-	fresh, unmatched := lint.DiffBaseline(base, rep.ModuleDir, rep.Diags)
-	for _, d := range fresh {
+	for _, d := range rep.Diags {
 		fmt.Println(d)
 	}
 	for _, d := range rep.StaleIgnores {
 		fmt.Println(d)
 	}
-	for _, e := range unmatched {
-		fmt.Printf("vedrlint: baseline entry fixed or drifted: %s:%d %s (%s) — prune with -update-baseline\n",
-			e.File, e.Line, e.Note, e.Rule)
-	}
-	known := len(rep.Diags) - len(fresh)
-	if known > 0 {
-		fmt.Fprintf(os.Stderr, "vedrlint: %d known finding(s) carried by the baseline\n", known)
-	}
-	if len(fresh)+len(rep.StaleIgnores) > 0 {
-		fmt.Fprintf(os.Stderr, "vedrlint: %d new invariant violation(s), %d stale suppression(s)\n",
-			len(fresh), len(rep.StaleIgnores))
+	if len(rep.Diags)+len(rep.StaleIgnores) > 0 {
+		fmt.Fprintf(os.Stderr, "vedrlint: %d invariant violation(s), %d stale suppression(s)\n",
+			len(rep.Diags), len(rep.StaleIgnores))
 		os.Exit(1)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestChaosJobsShape(t *testing.T) {
 	counts := tinyCounts()
-	jobs := ChaosJobs(counts)
+	jobs := grid(t, fastConfig(), counts, "chaos").Jobs()
 	want := 0
 	for _, kind := range Kinds {
 		want += counts[kind] * len(ChaosLossRates)
@@ -29,22 +29,15 @@ func TestChaosJobsShape(t *testing.T) {
 	}
 }
 
+// TestChaosPlanned: the robustness grid is a figure-table entry with jobs,
+// journaled under its own name.
 func TestChaosPlanned(t *testing.T) {
-	plan, err := PlanSweep("chaos", false, 360)
-	if err != nil {
-		t.Fatal(err)
+	g := grid(t, scenario.ConfigForScale(360), SmallCaseCounts(), "chaos")
+	if len(g.Jobs()) == 0 {
+		t.Fatal("chaos grid is empty")
 	}
-	if len(plan.Jobs) == 0 || plan.Exec == nil {
-		t.Fatal("chaos plan is empty")
-	}
-	found := false
-	for _, n := range SweepNames() {
-		if n == "chaos" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("chaos missing from SweepNames")
+	if !g.ScoreCompleteOnly {
+		t.Fatal("chaos grid must score completed cases only")
 	}
 }
 
@@ -65,41 +58,35 @@ func TestChaosDegradation(t *testing.T) {
 		scenario.PFCStorm:        2,
 		scenario.PFCBackpressure: 2,
 	}
-	rows, err := Chaos(cfg, counts, sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runGrid(t, cfg, counts, "chaos", sweep.Options{Workers: 4})
 	if want := 4 * len(ChaosLossRates); len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
 	}
 	for _, r := range rows {
 		if r.Failed != 0 {
-			t.Errorf("%v @ %.1f%%: %d case(s) failed outright", r.Kind, r.LossRate*100, r.Failed)
+			t.Errorf("%v @ %.1f%%: %d case(s) failed outright", r.Kind, r.Params.ChaosLoss*100, r.Failed)
 		}
 		if r.Incomplete != 0 {
-			t.Errorf("%v @ %.1f%%: %d case(s) hit the deadline", r.Kind, r.LossRate*100, r.Incomplete)
+			t.Errorf("%v @ %.1f%%: %d case(s) hit the deadline", r.Kind, r.Params.ChaosLoss*100, r.Incomplete)
 		}
-		if got := r.Metrics.TP + r.Metrics.FP + r.Metrics.FN; got != r.Cases-r.Failed-r.Incomplete {
+		if got := r.Metrics.TP + r.Metrics.FP + r.Metrics.FN; got != r.Seeds-r.Failed-r.Incomplete {
 			t.Errorf("%v @ %.1f%%: outcome accounting broken: %+v over %d cases",
-				r.Kind, r.LossRate*100, r.Metrics, r.Cases)
+				r.Kind, r.Params.ChaosLoss*100, r.Metrics, r.Seeds)
 		}
-		if r.LossRate == 0 {
-			if !(r.MeanConfidence > 0.999) {
+		if r.Params.ChaosLoss == 0 {
+			if !(r.Confidence > 0.999) {
 				t.Errorf("%v @ 0%%: confidence %v, want 1 (byte-identity control)",
-					r.Kind, r.MeanConfidence)
+					r.Kind, r.Confidence)
 			}
-		} else if r.MeanConfidence <= 0 || r.MeanConfidence > 1 {
+		} else if r.Confidence <= 0 || r.Confidence > 1 {
 			t.Errorf("%v @ %.1f%%: confidence %v outside (0,1]",
-				r.Kind, r.LossRate*100, r.MeanConfidence)
+				r.Kind, r.Params.ChaosLoss*100, r.Confidence)
 		}
 	}
 
 	// Determinism across pool widths: the robustness grid is still a
 	// simulation, so workers=1 must reproduce the parallel rows exactly.
-	seq, err := Chaos(cfg, counts, sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := runGrid(t, cfg, counts, "chaos", sweep.Options{Workers: 1})
 	for i := range rows {
 		if rows[i] != seq[i] {
 			t.Errorf("row %d differs across pool widths:\n%+v\nvs\n%+v", i, rows[i], seq[i])

@@ -2,15 +2,15 @@
 // evaluation (§IV): the precision/recall comparison (Fig 9), processing and
 // bandwidth overhead (Fig 10), host monitor overhead (Fig 11), the RTT
 // threshold × detection count sweep (Fig 12), the step-aware ablations
-// (Fig 13), and the Fig 14 case study. Each figure has a typed row form so
-// cmd/vedrbench can print the same series the paper plots and tests can
-// assert their shape.
+// (Fig 13), and the Fig 14 case study.
 //
-// Every case-grid harness (Figs 9/10/12/13, the extension sweep, the
-// slowdown distributions) routes through one entry point — the
-// internal/sweep engine — which fans the independent cases out over a
-// worker pool, journals them for checkpoint/resume, and merges results in
-// job order so figure rows are byte-identical at any worker count.
+// Every case grid (Figs 9/10/12/13, the extension scenarios, the slowdown
+// distributions, the chaos robustness grid) is one entry of the figure
+// table (Grids): groups of seeds over kind × system × parameters. One
+// function expands a grid into internal/sweep jobs — fanned out over a
+// worker pool, journaled for checkpoint/resume, merged in job order — and
+// one folds the merged results into a row per group, so figure rows are
+// byte-identical at any worker count. cmd/vedrbench prints the rows.
 package experiments
 
 import (
@@ -24,7 +24,6 @@ import (
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/simtime"
-	"vedrfolnir/internal/sweep"
 	"vedrfolnir/internal/viz"
 )
 
@@ -56,112 +55,6 @@ func SmallCaseCounts() map[scenario.AnomalyKind]int {
 		scenario.PFCStorm:        4,
 		scenario.PFCBackpressure: 6,
 	}
-}
-
-// Cell is one (scenario, system) aggregate: the quantities behind Figs 9
-// and 10.
-type Cell struct {
-	Kind   scenario.AnomalyKind
-	System scenario.SystemKind
-	Cases  int
-	// Failed counts cases whose simulation failed (captured per-job by
-	// the sweep engine); they are excluded from the aggregates.
-	Failed int
-
-	Metrics scenario.Metrics
-
-	// Mean per-case overheads.
-	TelemetryBytes int64 // Fig 10a: processing overhead
-	BandwidthBytes int64 // Fig 10b: polling + notifications + reports
-}
-
-// Precision of the cell.
-func (c Cell) Precision() float64 { return c.Metrics.Precision() }
-
-// Recall of the cell.
-func (c Cell) Recall() float64 { return c.Metrics.Recall() }
-
-// CellJobs is the Fig 9/10 job grid: every anomaly kind × system × seed,
-// in paper order. The grid order is the merge order, so it must stay
-// stable for journals to resume and rows to stay byte-identical.
-func CellJobs(counts map[scenario.AnomalyKind]int, systems []scenario.SystemKind) []sweep.Job {
-	var jobs []sweep.Job
-	for _, kind := range Kinds {
-		n := counts[kind]
-		if n == 0 {
-			continue
-		}
-		for _, sys := range systems {
-			for seed := 0; seed < n; seed++ {
-				jobs = append(jobs, sweep.Job{Kind: kind, Seed: int64(seed), System: sys})
-			}
-		}
-	}
-	return jobs
-}
-
-// cursor walks a summary's job-ordered results one at a time, mirroring
-// the loop order of the job builder that produced them.
-func cursor(sum *sweep.Summary) func() sweep.Result {
-	i := 0
-	return func() sweep.Result {
-		r := sum.Results[i]
-		i++
-		return r
-	}
-}
-
-// finish rejects interrupted sweeps: figure aggregation needs every case.
-func finish(sum *sweep.Summary, err error) (*sweep.Summary, error) {
-	if err != nil {
-		return nil, err
-	}
-	if sum.Interrupted {
-		return nil, fmt.Errorf("experiments: sweep interrupted with %d cases pending", len(sum.Pending))
-	}
-	return sum, nil
-}
-
-// Sweep runs counts[kind] cases per anomaly kind under every system and
-// aggregates them. Fig 9 reads the Metrics; Fig 10 reads the overheads.
-// The paper reports Fig 9 "with optimal parameters": detection count 5.
-// Scheduling (worker count, journal, progress) comes from sw; a failing
-// case is excluded from its cell and counted in Cell.Failed.
-func Sweep(cfg scenario.Config, counts map[scenario.AnomalyKind]int,
-	systems []scenario.SystemKind, opts scenario.RunOptions, sw sweep.Options) ([]Cell, error) {
-
-	sum, err := finish(sweep.Run(CellJobs(counts, systems), sweep.Cases(cfg, opts), sw))
-	if err != nil {
-		return nil, err
-	}
-	next := cursor(sum)
-	var out []Cell
-	for _, kind := range Kinds {
-		n := counts[kind]
-		if n == 0 {
-			continue
-		}
-		for _, sys := range systems {
-			cell := Cell{Kind: kind, System: sys, Cases: n}
-			var telem, bw int64
-			for seed := 0; seed < n; seed++ {
-				r := next()
-				if r.Err != "" {
-					cell.Failed++
-					continue
-				}
-				cell.Metrics.Add(r.Outcome)
-				telem += r.TelemetryBytes
-				bw += r.BandwidthBytes
-			}
-			if ok := cell.Cases - cell.Failed; ok > 0 {
-				cell.TelemetryBytes = telem / int64(ok)
-				cell.BandwidthBytes = bw / int64(ok)
-			}
-			out = append(out, cell)
-		}
-	}
-	return out, nil
 }
 
 // Fig11Row is one bar group of Fig 11.
@@ -210,201 +103,6 @@ func Fig11(runs int) ([]Fig11Row, error) {
 		SimTime:    m.SimTime,
 	})
 	return rows, nil
-}
-
-// Fig12Row is one point of the Fig 12 sweep.
-type Fig12Row struct {
-	Kind        scenario.AnomalyKind
-	RTTFactor   float64
-	DetectCount int
-	Failed      int
-	Metrics     scenario.Metrics
-}
-
-// fig12Factors and fig12Detects are the paper's parameter grid: RTT
-// threshold ∈ {120%, 180%, 240%} and detections per step ∈ {1, 3, 5}.
-var (
-	fig12Factors = []float64{1.2, 1.8, 2.4}
-	fig12Detects = []int{1, 3, 5}
-)
-
-// Fig12Jobs is the Fig 12 grid: kind × RTT factor × detection count × seed
-// under Vedrfolnir.
-func Fig12Jobs(counts map[scenario.AnomalyKind]int) []sweep.Job {
-	var jobs []sweep.Job
-	for _, kind := range Kinds {
-		n := counts[kind]
-		if n == 0 {
-			continue
-		}
-		for _, f := range fig12Factors {
-			for _, d := range fig12Detects {
-				for seed := 0; seed < n; seed++ {
-					jobs = append(jobs, sweep.Job{
-						Kind: kind, Seed: int64(seed), System: scenario.Vedrfolnir,
-						Params: sweep.Params{RTTFactor: f, MaxDetectPerStep: d},
-					})
-				}
-			}
-		}
-	}
-	return jobs
-}
-
-// Fig12 sweeps Vedrfolnir's two detection parameters over every scenario.
-func Fig12(cfg scenario.Config, counts map[scenario.AnomalyKind]int, sw sweep.Options) ([]Fig12Row, error) {
-	sum, err := finish(sweep.Run(Fig12Jobs(counts), sweep.Cases(cfg, scenario.DefaultRunOptions(cfg)), sw))
-	if err != nil {
-		return nil, err
-	}
-	next := cursor(sum)
-	var out []Fig12Row
-	for _, kind := range Kinds {
-		n := counts[kind]
-		if n == 0 {
-			continue
-		}
-		for _, f := range fig12Factors {
-			for _, d := range fig12Detects {
-				row := Fig12Row{Kind: kind, RTTFactor: f, DetectCount: d}
-				for seed := 0; seed < n; seed++ {
-					r := next()
-					if r.Err != "" {
-						row.Failed++
-						continue
-					}
-					row.Metrics.Add(r.Outcome)
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out, nil
-}
-
-// Fig13aRow is one fixed-RTT-threshold ablation point: precision and
-// overhead of Vedrfolnir when the step-grained threshold is replaced by a
-// fixed one (contention scenario, ≤3 detections/step).
-type Fig13aRow struct {
-	Threshold      simtime.Duration // 0 = step-grained (the real mechanism)
-	Failed         int
-	Metrics        scenario.Metrics
-	TelemetryBytes int64
-}
-
-// Fig13aThresholds is the fixed-threshold grid the ablation compares
-// against the step-grained mechanism: 1–8× a 30 µs paper-scale base,
-// scaled to the workload.
-func Fig13aThresholds(cfg scenario.Config) []simtime.Duration {
-	base := simtime.Duration(float64(30*time.Microsecond) * cfg.Scale * 90)
-	return []simtime.Duration{base, 2 * base, 4 * base, 8 * base}
-}
-
-// Fig13aJobs is the Fig 13a grid: {step-grained, thresholds...} × seed on
-// the contention scenario.
-func Fig13aJobs(cases int, thresholds []simtime.Duration) []sweep.Job {
-	all := append([]simtime.Duration{0}, thresholds...)
-	var jobs []sweep.Job
-	for _, th := range all {
-		for seed := 0; seed < cases; seed++ {
-			jobs = append(jobs, sweep.Job{
-				Kind: scenario.Contention, Seed: int64(seed), System: scenario.Vedrfolnir,
-				Params: sweep.Params{FixedRTTThreshold: th, MaxDetectPerStep: 3},
-			})
-		}
-	}
-	return jobs
-}
-
-// Fig13a runs the fixed-threshold ablation.
-func Fig13a(cfg scenario.Config, cases int, thresholds []simtime.Duration, sw sweep.Options) ([]Fig13aRow, error) {
-	sum, err := finish(sweep.Run(Fig13aJobs(cases, thresholds),
-		sweep.Cases(cfg, scenario.DefaultRunOptions(cfg)), sw))
-	if err != nil {
-		return nil, err
-	}
-	next := cursor(sum)
-	var out []Fig13aRow
-	for _, th := range append([]simtime.Duration{0}, thresholds...) {
-		row := Fig13aRow{Threshold: th}
-		var telem int64
-		for seed := 0; seed < cases; seed++ {
-			r := next()
-			if r.Err != "" {
-				row.Failed++
-				continue
-			}
-			row.Metrics.Add(r.Outcome)
-			telem += r.TelemetryBytes
-		}
-		if ok := cases - row.Failed; ok > 0 {
-			row.TelemetryBytes = telem / int64(ok)
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// Fig13bRow is one detection-count-allocation ablation point.
-type Fig13bRow struct {
-	Label          string
-	DetectCount    int // 0 = unrestricted (Hawkeye-like triggering)
-	Failed         int
-	Metrics        scenario.Metrics
-	TelemetryBytes int64
-}
-
-// Fig13bJobs is the Fig 13b grid: each bounded detection count plus the
-// unrestricted setting, × seed, on the contention scenario.
-func Fig13bJobs(cases int, detects []int) []sweep.Job {
-	var jobs []sweep.Job
-	add := func(p sweep.Params) {
-		for seed := 0; seed < cases; seed++ {
-			jobs = append(jobs, sweep.Job{
-				Kind: scenario.Contention, Seed: int64(seed), System: scenario.Vedrfolnir,
-				Params: p,
-			})
-		}
-	}
-	for _, d := range detects {
-		add(sweep.Params{MaxDetectPerStep: d})
-	}
-	add(sweep.Params{Unrestricted: true})
-	return jobs
-}
-
-// Fig13b compares bounded detection counts against unrestricted triggering
-// on the contention scenario.
-func Fig13b(cfg scenario.Config, cases int, detects []int, sw sweep.Options) ([]Fig13bRow, error) {
-	sum, err := finish(sweep.Run(Fig13bJobs(cases, detects),
-		sweep.Cases(cfg, scenario.DefaultRunOptions(cfg)), sw))
-	if err != nil {
-		return nil, err
-	}
-	next := cursor(sum)
-	var out []Fig13bRow
-	collect := func(label string, count int) {
-		row := Fig13bRow{Label: label, DetectCount: count}
-		var telem int64
-		for seed := 0; seed < cases; seed++ {
-			r := next()
-			if r.Err != "" {
-				row.Failed++
-				continue
-			}
-			row.Metrics.Add(r.Outcome)
-			telem += r.TelemetryBytes
-		}
-		if ok := cases - row.Failed; ok > 0 {
-			row.TelemetryBytes = telem / int64(ok)
-		}
-		out = append(out, row)
-	}
-	for _, d := range detects {
-		collect(fmt.Sprintf("max-%d-per-step", d), d)
-	}
-	collect("unrestricted", 0)
-	return out, nil
 }
 
 // CaseStudy is the Fig 14 reproduction: the Fig 2a-style contention with

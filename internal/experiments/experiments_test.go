@@ -40,22 +40,39 @@ func tinyCounts() map[scenario.AnomalyKind]int {
 	}
 }
 
+// grid returns the named entry of the figure table at cfg and counts.
+func grid(t *testing.T, cfg scenario.Config, counts map[scenario.AnomalyKind]int, name string) Grid {
+	t.Helper()
+	g, ok := Lookup(Grids(cfg, counts), name)
+	if !ok {
+		t.Fatalf("no grid %q in the figure table", name)
+	}
+	return g
+}
+
+// runGrid sweeps the named grid and returns its rows.
+func runGrid(t *testing.T, cfg scenario.Config, counts map[scenario.AnomalyKind]int, name string, sw sweep.Options) []Row {
+	t.Helper()
+	rows, err := grid(t, cfg, counts, name).Run(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
 	cfg := fastConfig()
-	cells, err := Sweep(cfg, tinyCounts(), Systems, scenario.DefaultRunOptions(cfg), sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := runGrid(t, cfg, tinyCounts(), "fig9", sweep.Options{})
 	if len(cells) != 4*4 {
 		t.Fatalf("cells = %d, want 16", len(cells))
 	}
-	byKey := map[[2]int]Cell{}
+	byKey := map[[2]int]Row{}
 	for _, c := range cells {
 		byKey[[2]int{int(c.Kind), int(c.System)}] = c
-		if c.Metrics.TP+c.Metrics.FP+c.Metrics.FN != c.Cases {
+		if c.Metrics.TP+c.Metrics.FP+c.Metrics.FN != c.Seeds {
 			t.Fatalf("%v/%v: outcome accounting broken: %+v", c.Kind, c.System, c.Metrics)
 		}
 	}
@@ -98,10 +115,7 @@ func TestFig12Shape(t *testing.T) {
 	}
 	cfg := fastConfig()
 	counts := map[scenario.AnomalyKind]int{scenario.Contention: 2, scenario.PFCBackpressure: 2}
-	rows, err := Fig12(cfg, counts, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := runGrid(t, cfg, counts, "fig12", sweep.Options{})
 	if len(rows) != 2*9 {
 		t.Fatalf("rows = %d, want 18 (2 kinds × 3 factors × 3 counts)", len(rows))
 	}
@@ -117,12 +131,9 @@ func TestFig13b(t *testing.T) {
 		t.Skip("sweep is slow")
 	}
 	cfg := fastConfig()
-	rows, err := Fig13b(cfg, 2, []int{1, 3}, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (two bounded + unrestricted)", len(rows))
+	rows := runGrid(t, cfg, map[scenario.AnomalyKind]int{scenario.Contention: 2}, "fig13b", sweep.Options{})
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4 (three bounded + unrestricted)", len(rows))
 	}
 	unrestricted := rows[len(rows)-1]
 	if unrestricted.Label != "unrestricted" {
@@ -189,53 +200,6 @@ func TestTrainingSimLocalizesAnomaly(t *testing.T) {
 	if results[disturbAt].Duration <= results[disturbAt-1].Duration {
 		t.Fatalf("disturbed iteration not slower: %v vs %v",
 			results[disturbAt].Duration, results[disturbAt-1].Duration)
-	}
-}
-
-func TestTrainingSweepParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training streams are slow")
-	}
-	cfg := fastConfig()
-	const streams, iterations, disturbAt = 3, 3, 1
-	seq, err := TrainingSweep(cfg, streams, iterations, disturbAt, 4<<20, sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := TrainingSweep(cfg, streams, iterations, disturbAt, 4<<20, sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != streams || len(par) != streams {
-		t.Fatalf("rows: seq %d, par %d, want %d", len(seq), len(par), streams)
-	}
-	for s := range seq {
-		if seq[s].Err != "" {
-			t.Fatalf("stream %d failed: %s", s, seq[s].Err)
-		}
-		if !seq[s].DisturbDetected {
-			t.Errorf("stream %d: disturbed iteration not diagnosed", s)
-		}
-		if len(seq[s].Iterations) != iterations {
-			t.Fatalf("stream %d: %d iterations", s, len(seq[s].Iterations))
-		}
-		for it := range seq[s].Iterations {
-			if seq[s].Iterations[it] != par[s].Iterations[it] {
-				t.Fatalf("stream %d iteration %d: %v (workers=1) != %v (workers=4)",
-					s, it, seq[s].Iterations[it], par[s].Iterations[it])
-			}
-		}
-	}
-	// Streams are differently seeded clusters: at least one pair of
-	// streams must differ somewhere, or the fleet is degenerate.
-	distinct := false
-	for it := 0; it < iterations && !distinct; it++ {
-		if seq[0].Iterations[it] != seq[1].Iterations[it] {
-			distinct = true
-		}
-	}
-	if !distinct {
-		t.Error("streams 0 and 1 are identical; stream seeding is broken")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/sim"
 	"vedrfolnir/internal/simtime"
-	"vedrfolnir/internal/sweep"
 	"vedrfolnir/internal/topo"
 	"vedrfolnir/internal/waitgraph"
 	"vedrfolnir/internal/workload"
@@ -33,18 +32,8 @@ type TrainingResult struct {
 // fresh monitor system and is diagnosed separately, so the test can assert
 // that anomalies localize to the iteration they occurred in.
 func TrainingSim(cfg scenario.Config, iterations, disturbAt int, disturbBytes int64) ([]TrainingResult, error) {
-	return TrainingStream(cfg, 0, iterations, disturbAt, disturbBytes)
-}
-
-// TrainingStream is TrainingSim for one stream of an independent-stream
-// fleet: the kernel and workload-generator seeds derive from the stream
-// index, so different streams simulate different clusters while stream 0
-// reproduces TrainingSim exactly. Iterations within a stream share one
-// simulated cluster and run back-to-back — the stream is the unit of
-// parallelism, not the iteration.
-func TrainingStream(cfg scenario.Config, stream int64, iterations, disturbAt int, disturbBytes int64) ([]TrainingResult, error) {
 	ft := topo.PaperFatTree()
-	k := sim.New(4242 + stream*7919)
+	k := sim.New(4242)
 	k.SetEventLimit(2_000_000_000)
 	fcfg := cfg.Fabric
 	net := fabric.NewNetwork(k, ft.Topology, fcfg)
@@ -62,7 +51,7 @@ func TrainingStream(cfg scenario.Config, stream int64, iterations, disturbAt int
 	ranks := ft.Hosts()[:cfg.Ranks]
 	extras := ft.Hosts()[cfg.Ranks:]
 
-	gen := workload.NewGenerator(7+stream, workload.PaperMix(), ranks, cfg.StepBytes, cfg.Alg)
+	gen := workload.NewGenerator(7, workload.PaperMix(), ranks, cfg.StepBytes, cfg.Alg)
 
 	var results []TrainingResult
 	for it := 0; it < iterations; it++ {
@@ -128,61 +117,4 @@ func TrainingStream(cfg scenario.Config, stream int64, iterations, disturbAt int
 		})
 	}
 	return results, nil
-}
-
-// TrainingStreamRow summarizes one stream of a training-fleet sweep.
-type TrainingStreamRow struct {
-	Stream int
-	// Iterations holds each collective's completion time, in order.
-	Iterations []simtime.Duration
-	// DisturbDetected reports whether the disturbed iteration's diagnosis
-	// named at least one culprit flow.
-	DisturbDetected bool
-	// Err is the stream's captured failure, if any.
-	Err string
-}
-
-// TrainingSweep fans independent training streams (each its own simulated
-// cluster, seeded from the stream index) over the sweep engine's worker
-// pool — the fleet-scale steady-state regime. Every stream disturbs
-// iteration disturbAt with a disturbBytes background flow; rows merge in
-// stream order, identical at any worker count.
-func TrainingSweep(cfg scenario.Config, streams, iterations, disturbAt int,
-	disturbBytes int64, sw sweep.Options) ([]TrainingStreamRow, error) {
-
-	jobs := make([]sweep.Job, streams)
-	for s := range jobs {
-		// The stream index rides in the seed; Kind/System only shape the
-		// job key (a training stream has no single anomaly kind).
-		jobs[s] = sweep.Job{Kind: scenario.Clean, Seed: int64(s), System: scenario.Vedrfolnir}
-	}
-	exec := func(j sweep.Job) (sweep.Result, error) {
-		trs, err := TrainingStream(cfg, j.Seed, iterations, disturbAt, disturbBytes)
-		if err != nil {
-			return sweep.Result{}, err
-		}
-		r := sweep.Result{Completed: true}
-		for _, tr := range trs {
-			r.Samples = append(r.Samples, tr.Duration)
-			r.CollectiveTime += tr.Duration
-			if tr.Index == disturbAt {
-				r.Detected = len(tr.Diag.Culprits())
-			}
-		}
-		return r, nil
-	}
-	sum, err := sweep.Run(jobs, exec, sw)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]TrainingStreamRow, 0, streams)
-	for s, r := range sum.Results {
-		rows = append(rows, TrainingStreamRow{
-			Stream:          s,
-			Iterations:      r.Samples,
-			DisturbDetected: r.Detected > 0,
-			Err:             r.Err,
-		})
-	}
-	return rows, nil
 }

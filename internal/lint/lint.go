@@ -15,10 +15,8 @@
 // Pass, Diagnostic) so the suite can migrate to the upstream framework
 // when the dependency becomes available; until then everything here is
 // built on go/ast, go/parser and go/types alone. On top of the per-package
-// passes sit two module-wide capabilities: a cross-package fact store
-// (facts.go) propagated in dependency order, and a known-violation
-// baseline (baseline.go) that lets CI fail on new findings only while the
-// recorded debt burns down.
+// passes sits one module-wide capability: a cross-package fact store
+// (facts.go) propagated in dependency order.
 package lint
 
 import (

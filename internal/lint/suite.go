@@ -96,9 +96,7 @@ func Analyzers() []*Analyzer {
 
 // TreeReport is a module-wide analysis result.
 type TreeReport struct {
-	// ModuleDir is the module root on disk (where lint/baseline.json
-	// lives) and ModulePath its import path.
-	ModuleDir  string
+	// ModulePath is the analyzed module's import path.
 	ModulePath string
 	// Diags are the surviving (unsuppressed) findings across every
 	// analyzed package, position-sorted per package.
@@ -156,7 +154,7 @@ func analyzeTree(dir string, patterns []string, pick func(modulePath string) fun
 		facts.AddPackage(pkg)
 	}
 	analyzersFor := pick(loader.ModulePath())
-	rep := &TreeReport{ModuleDir: loader.ModuleDir(), ModulePath: loader.ModulePath()}
+	rep := &TreeReport{ModulePath: loader.ModulePath()}
 	for _, pkg := range pkgs {
 		as := analyzersFor(pkg.Path)
 		if len(as) == 0 {

@@ -119,8 +119,7 @@ type Result struct {
 	// port answered; only the chaos grid pushes it below 1).
 	Confidence float64
 	// Samples is a harness-defined per-job sample set: positive per-step
-	// slowdowns for case sweeps, per-iteration durations for training
-	// streams.
+	// slowdowns for case sweeps.
 	Samples []simtime.Duration
 }
 

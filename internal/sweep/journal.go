@@ -26,7 +26,6 @@ type Journal struct {
 	f       *os.File
 	header  wire.SweepHeader
 	have    map[string]Result
-	failed  map[string]bool
 	skipped int
 }
 
@@ -38,10 +37,9 @@ func OpenJournal(path string, spec wire.SweepSpec) (*Journal, error) {
 		path:   path,
 		header: wire.SweepHeader{Format: journalFormat, Spec: spec},
 		have:   map[string]Result{},
-		failed: map[string]bool{},
 	}
 	if _, err := os.Stat(path); err == nil {
-		header, results, skipped, err := ReadJournal(path)
+		header, results, skipped, err := readJournal(path)
 		if err != nil {
 			return nil, err
 		}
@@ -51,13 +49,9 @@ func OpenJournal(path string, spec wire.SweepSpec) (*Journal, error) {
 				path, header.Spec, spec)
 		}
 		for _, r := range results {
-			if r.Err != "" {
-				// Failed jobs re-run on resume; remember them only so
-				// status can report the capture.
-				j.failed[r.Key] = true
-				continue
+			if r.Err == "" { // failed jobs re-run on resume
+				j.have[r.Key] = r
 			}
-			j.have[r.Key] = r
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("sweep: %w", err)
@@ -80,9 +74,6 @@ func OpenJournal(path string, spec wire.SweepSpec) (*Journal, error) {
 	}
 	return j, nil
 }
-
-// Spec returns the sweep spec the journal was opened with.
-func (j *Journal) Spec() wire.SweepSpec { return j.header.Spec }
 
 // Skipped returns how many corrupt journal lines the open discarded —
 // typically the torn final line of a killed run. The jobs they would have
@@ -195,14 +186,14 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// ReadJournal parses a journal file: the header plus every record, in file
+// readJournal parses a journal file: the header plus every record, in file
 // order. Records for the same key may repeat (an interrupted sweep re-ran
 // a failed job); later lines supersede earlier ones. A record line that no
 // longer parses — typically the torn final line of a killed run — is
 // skipped and counted in skipped rather than refusing the whole journal:
 // losing one checkpoint line must cost one re-run, not the resume. Only a
 // missing, empty, or corrupt-header journal is an error.
-func ReadJournal(path string) (header wire.SweepHeader, results []Result, skipped int, err error) {
+func readJournal(path string) (header wire.SweepHeader, results []Result, skipped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return wire.SweepHeader{}, nil, 0, fmt.Errorf("sweep: %w", err)

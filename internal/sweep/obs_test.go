@@ -56,7 +56,7 @@ func TestSweepTraceWorkerInvariant(t *testing.T) {
 }
 
 // TestSweepMetricsFailures checks the failure counter and the interrupted
-// / pending gauges land in the registry (the source for vedrsweep's final
+// / pending gauges land in the registry (the source for vedrbench's per-sweep
 // summary line).
 func TestSweepMetricsFailures(t *testing.T) {
 	jobs := []Job{

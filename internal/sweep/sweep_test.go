@@ -246,7 +246,7 @@ func TestSweepErrorCapture(t *testing.T) {
 	if got := attempt[1]; got != 2 {
 		t.Fatalf("failing job ran %d times, want 2", got)
 	}
-	_, results, _, err := ReadJournal(path)
+	_, results, _, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vedrfolnir/internal/experiments"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/spec"
 )
@@ -54,15 +55,23 @@ func TestFig9SpecGoParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load %s: %v", path, err)
 	}
-	if sp.Params.MaxDetectPerStep != 5 {
-		t.Fatalf("spec max-detect-per-step = %d, want the experiment's 5", sp.Params.MaxDetectPerStep)
-	}
-
-	// Direct Go run of the identical cell, written the way
-	// internal/experiments codes it rather than through Compile.
+	// Direct Go run of the identical cell at the figure table's Fig 9
+	// operating point rather than through Compile.
 	cfg := scenario.ConfigForScale(90)
-	opts := scenario.DefaultRunOptions(cfg)
-	opts.Monitor.MaxDetectPerStep = 5
+	fig9, ok := experiments.Lookup(experiments.Grids(cfg, experiments.SmallCaseCounts()), "fig9")
+	if !ok {
+		t.Fatal("no fig9 grid in the figure table")
+	}
+	opts := fig9.RunOptions()
+	for _, g := range fig9.Groups {
+		if g.Kind == scenario.Contention && g.System == scenario.Vedrfolnir {
+			g.Params.Apply(&opts)
+		}
+	}
+	if sp.Params.MaxDetectPerStep != opts.Monitor.MaxDetectPerStep {
+		t.Fatalf("spec max-detect-per-step = %d, want the figure table's %d",
+			sp.Params.MaxDetectPerStep, opts.Monitor.MaxDetectPerStep)
+	}
 	var m scenario.Metrics
 	for _, seed := range sp.Scenario.Seeds {
 		cs, err := scenario.GenerateCase(scenario.Contention, seed, cfg)

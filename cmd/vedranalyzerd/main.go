@@ -198,7 +198,6 @@ func drainTrigger(after time.Duration) <-chan struct{} {
 	done := make(chan struct{})
 	if after > 0 {
 		go func() {
-			//lint:ignore nosystime operator-requested wall-clock run duration
 			time.Sleep(after)
 			close(done)
 		}()

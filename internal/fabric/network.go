@@ -229,7 +229,6 @@ func (n *Network) DeliverControl(from, to topo.NodeID, pkt *Packet) int {
 		extras = n.Tap(from, to, pkt)
 	}
 	for _, extra := range extras {
-		//lint:ignore hotalloc control packets are per detection, not per data packet
 		n.K.After(lat+extra, func() {
 			if d := n.devices[dst]; d != nil {
 				d.Receive(pkt, -1)
@@ -348,7 +347,6 @@ func (n *Network) sendPFC(node topo.NodeID, ingressPort int, pause bool, causeEg
 		kind = KindPause
 	}
 	delay := link.Delay + link.Bandwidth.Transmit(int64(PFCSize))
-	//lint:ignore hotalloc one frame per pause/resume threshold crossing, not per packet
 	n.K.After(delay, func() {
 		n.arrive(up.Node, up.Port, &Packet{Kind: kind, Size: PFCSize})
 	})

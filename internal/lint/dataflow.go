@@ -1,8 +1,7 @@
-// Intra-procedural dataflow helpers shared by the concurrency and
-// error-flow analyzers: control-flow shape queries (forever-loops,
-// constructor-fresh locals) and callee resolution, all over go/ast and
-// go/types. Deliberately no SSA: def-use over types.Info covers the
-// invariants this suite enforces and keeps the framework stdlib-only.
+// Intra-procedural dataflow helpers shared by the guardedfield and errdrop
+// analyzers: constructor-fresh locals and callee resolution, all over
+// go/ast and go/types. Deliberately no SSA: def-use over types.Info covers
+// the invariants this suite enforces and keeps the framework stdlib-only.
 package lint
 
 import (
@@ -10,86 +9,6 @@ import (
 	"go/token"
 	"go/types"
 )
-
-// inspectSkipFuncLit walks the tree rooted at n without descending into
-// function literals: their bodies run on a different control path (often a
-// different goroutine), so their statements say nothing about n's own
-// control flow.
-func inspectSkipFuncLit(n ast.Node, fn func(ast.Node) bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok && m != n {
-			return false
-		}
-		if m == nil {
-			return true
-		}
-		return fn(m)
-	})
-}
-
-// foreverLoop returns the position of the first condition-less for-loop in
-// body whose own control flow has no exit edge — no return, break, goto,
-// select, or channel operation. Such a loop can only be left by killing
-// the process; a goroutine running one has no shutdown path.
-func foreverLoop(body ast.Node, info *types.Info) (token.Pos, bool) {
-	var pos token.Pos
-	found := false
-	inspectSkipFuncLit(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		fs, ok := n.(*ast.ForStmt)
-		if !ok || fs.Cond != nil {
-			return true
-		}
-		if !loopHasExit(fs.Body, info) {
-			pos, found = fs.For, true
-			return false
-		}
-		return true
-	})
-	return pos, found
-}
-
-// loopHasExit reports whether a loop body contains an edge that can end or
-// coordinate the loop: return, break, goto, a select, a channel operation,
-// or ranging over a channel. The check is conservative in the safe
-// direction — a break targeting an inner loop still counts — because the
-// analyzers using it only report when no edge exists at all.
-func loopHasExit(body *ast.BlockStmt, info *types.Info) bool {
-	exit := false
-	inspectSkipFuncLit(body, func(n ast.Node) bool {
-		if exit {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			exit = true
-		case *ast.BranchStmt:
-			if n.Tok == token.BREAK || n.Tok == token.GOTO {
-				exit = true
-			}
-		case *ast.SelectStmt:
-			exit = true
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				exit = true
-			}
-		case *ast.SendStmt:
-			exit = true
-		case *ast.RangeStmt:
-			if info != nil {
-				if t := info.TypeOf(n.X); t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						exit = true
-					}
-				}
-			}
-		}
-		return !exit
-	})
-	return exit
-}
 
 // calleeFunc resolves the function or method a call statically invokes,
 // or nil for builtins, conversions, and calls through function values.
@@ -105,24 +24,6 @@ func calleeFunc(call *ast.CallExpr, info *types.Info) *types.Func {
 		}
 	}
 	return nil
-}
-
-// shortFuncName renders fn for diagnostics: Type.Method for methods,
-// pkg.Func otherwise.
-func shortFuncName(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			return n.Obj().Name() + "." + fn.Name()
-		}
-	}
-	if fn.Pkg() != nil {
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return fn.Name()
 }
 
 // freshLocals returns the local variables of body that are initialized

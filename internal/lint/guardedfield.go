@@ -27,12 +27,21 @@ var GuardedField = &Analyzer{
 	Run: runGuardedField,
 }
 
+// guardedByRE matches the guarded-field annotation on a struct field:
+//
+//	mu      sync.Mutex
+//	records map[string]int // guarded by mu
+//
+// The named mutex must be a sibling field of the same struct.
+var guardedByRE = regexp.MustCompile(`guarded by\s+([A-Za-z_]\w*)`)
+
 // callersHoldRE extracts the caller-contract doc convention, e.g.
 // "Callers hold s.mu." or "caller must hold q.mu".
 var callersHoldRE = regexp.MustCompile(`[Cc]allers?\s+(?:must\s+)?holds?\s+(\w+(?:\.\w+)*)`)
 
 func runGuardedField(pass *Pass) error {
-	if pass.Facts == nil {
+	guarded := guardedFields(pass)
+	if len(guarded) == 0 {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -44,7 +53,7 @@ func runGuardedField(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c := &guardedChecker{pass: pass, fresh: freshLocals(fd.Body, pass.TypesInfo)}
+			c := &guardedChecker{pass: pass, guarded: guarded, fresh: freshLocals(fd.Body, pass.TypesInfo)}
 			st := lockState{held: map[string]bool{}}
 			if len(fd.Name.Name) > len("Locked") &&
 				fd.Name.Name[len(fd.Name.Name)-len("Locked"):] == "Locked" {
@@ -59,6 +68,37 @@ func runGuardedField(pass *Pass) error {
 		}
 	}
 	return nil
+}
+
+// guardedFields maps each annotated struct field declared in the package
+// to the name of its guarding sibling mutex. Annotations are read one
+// package at a time, so an annotated field must be unexported: an access
+// from another package would go unchecked, and is reported instead.
+func guardedFields(pass *Pass) map[*types.Var]string {
+	guarded := map[*types.Var]string{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			field, ok := n.(*ast.Field)
+			if !ok {
+				return true
+			}
+			for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+				if m := guardedByRE.FindStringSubmatch(cg.Text()); m != nil {
+					for _, name := range field.Names {
+						if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+							guarded[v] = m[1]
+						}
+						if name.IsExported() {
+							pass.Reportf(name.Pos(), "%s is guarded by %s but exported; unexport it so every access is checked", name.Name, m[1])
+						}
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	return guarded
 }
 
 // lockState is the set of mutexes held at a program point, keyed by the
@@ -92,8 +132,9 @@ func intersect(a, b lockState) lockState {
 }
 
 type guardedChecker struct {
-	pass  *Pass
-	fresh map[types.Object]bool
+	pass    *Pass
+	guarded map[*types.Var]string
+	fresh   map[types.Object]bool
 }
 
 // stmts walks a statement list, threading lock state; the bool result
@@ -290,7 +331,7 @@ func (c *guardedChecker) access(sel *ast.SelectorExpr, st lockState) {
 	if !ok {
 		return
 	}
-	mu, ok := c.pass.Facts.GuardedBy(field)
+	mu, ok := c.guarded[field]
 	if !ok {
 		return
 	}

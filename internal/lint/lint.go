@@ -1,22 +1,21 @@
 // Package lint is a stdlib-only static-analysis framework plus the suite of
 // analyzers that encode this repository's determinism and diagnosis
-// invariants (see DESIGN.md "Determinism invariants & linting"). The
-// simulator's value proposition is *reproducible* diagnosis: the waiting
-// graph, per-step thresholds and contributor ratings (Eqs. 1–3) must come
-// out identical for identical inputs, and the crash-safe daemon around them
-// must be free of lock-discipline and error-swallowing bugs. The analyzers
-// reject the code patterns that silently break those properties — wall-clock
-// reads (direct or transitive), globally seeded randomness, order-dependent
-// map iteration, library panics, exact floating-point equality, unguarded
-// access to mutex-protected fields, discarded error returns, unstoppable
-// goroutines and per-iteration allocations in declared hot paths.
+// invariants (see DESIGN.md §8 and §13). The simulator's value proposition
+// is *reproducible* diagnosis: the waiting graph, per-step thresholds and
+// contributor ratings (Eqs. 1–3) must come out identical for identical
+// inputs, and the crash-safe daemon around them must not swallow errors or
+// touch lock-guarded state unlocked. The analyzers reject the code patterns
+// that silently break those properties — wall-clock reads, globally seeded
+// randomness, order-dependent map iteration, library panics, exact
+// floating-point equality, unguarded access to mutex-protected fields and
+// discarded error returns. Each stays only while some one-line mutation of
+// the tree is caught by it and by nothing else (DESIGN.md §13 keeps the
+// table).
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the suite can migrate to the upstream framework
 // when the dependency becomes available; until then everything here is
-// built on go/ast, go/parser and go/types alone. On top of the per-package
-// passes sits one module-wide capability: a cross-package fact store
-// (facts.go) propagated in dependency order.
+// built on go/ast, go/parser and go/types alone, one package at a time.
 package lint
 
 import (
@@ -51,9 +50,6 @@ type Pass struct {
 	// for single-package runs (linttest); analyzers use it to tell module
 	// code from dependencies.
 	ModulePath string
-	// Facts is the cross-package fact store, populated for every module
-	// package in dependency order before any analyzer runs.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -83,56 +79,41 @@ func (d Diagnostic) String() string {
 // suppresses anything is debt pretending to be justification.
 const StaleIgnore = "staleignore"
 
-// ignoreRE matches the suppression comment. The analyzer list is
-// comma-separated; a reason is mandatory, matching staticcheck's
-// //lint:ignore convention.
-var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+([\w,]+)\s+\S`)
+// ignoreRE matches the suppression comment: one analyzer name, then a
+// mandatory reason, matching staticcheck's //lint:ignore convention.
+var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+(\w+)\s+\S`)
 
 // suppression is one //lint:ignore comment. It covers its own line
 // (trailing-comment form) and the line immediately below (standalone
-// form). used records whether any diagnostic was actually suppressed, so
-// stale comments can be audited away.
+// form). used records whether it suppressed a diagnostic; one that did
+// not is stale.
 type suppression struct {
-	pos   token.Position
-	names map[string]bool
-	list  string // the comma-separated analyzer list as written
-	used  bool
+	pos  token.Position
+	name string
+	used bool
 }
 
-type suppressionList []*suppression
-
-func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressionList {
-	var sups suppressionList
+func collectSuppressions(fset *token.FileSet, files []*ast.File) []*suppression {
+	var sups []*suppression
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := ignoreRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+				if m := ignoreRE.FindStringSubmatch(c.Text); m != nil {
+					sups = append(sups, &suppression{pos: fset.Position(c.Pos()), name: m[1]})
 				}
-				s := &suppression{pos: fset.Position(c.Pos()), names: map[string]bool{}, list: m[1]}
-				for _, n := range strings.Split(m[1], ",") {
-					s.names[n] = true
-				}
-				sups = append(sups, s)
 			}
 		}
 	}
 	return sups
 }
 
-// covers reports whether any suppression matches d, marking every match
+// suppressed reports whether a suppression covers d, marking every match
 // used.
-func (l suppressionList) covers(d Diagnostic) bool {
+func suppressed(sups []*suppression, d Diagnostic) bool {
 	hit := false
-	for _, s := range l {
-		if s.pos.Filename != d.Pos.Filename {
-			continue
-		}
-		if d.Pos.Line != s.pos.Line && d.Pos.Line != s.pos.Line+1 {
-			continue
-		}
-		if s.names[d.Analyzer] || s.names["all"] {
+	for _, s := range sups {
+		if s.name == d.Analyzer && s.pos.Filename == d.Pos.Filename &&
+			(d.Pos.Line == s.pos.Line || d.Pos.Line == s.pos.Line+1) {
 			s.used = true
 			hit = true
 		}
@@ -140,68 +121,17 @@ func (l suppressionList) covers(d Diagnostic) bool {
 	return hit
 }
 
-// allows is the side-effect-free variant used during fact extraction: it
-// reports whether a finding by the named analyzer at pos would be
-// suppressed, without marking anything used.
-func (l suppressionList) allows(pos token.Position, name string) bool {
-	for _, s := range l {
-		if s.pos.Filename == pos.Filename &&
-			(pos.Line == s.pos.Line || pos.Line == s.pos.Line+1) &&
-			(s.names[name] || s.names["all"]) {
-			return true
-		}
-	}
-	return false
-}
-
-// stale returns the suppressions that suppressed nothing, restricted to
-// comments whose every named analyzer actually ran (a comment naming an
-// analyzer outside this run may be load-bearing for another scope, and
-// "all" can never be proven stale).
-func (l suppressionList) stale(ran map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	for _, s := range l {
-		if s.used || s.names["all"] {
-			continue
-		}
-		covered := true
-		for n := range s.names {
-			if !ran[n] {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Analyzer: StaleIgnore,
-			Pos:      s.pos,
-			Message: fmt.Sprintf("stale //lint:ignore %s: it suppresses nothing on this or the next line; delete it",
-				s.list),
-		})
-	}
-	return out
-}
-
-// RunAnalyzers executes the analyzers over one loaded package, honoring
-// //lint:ignore suppressions, and returns the surviving diagnostics sorted
-// by position. Facts are computed from the package itself; module-wide
-// runs go through RunTree, which propagates facts across packages first.
+// RunAnalyzers executes the analyzers over one loaded package and returns
+// the findings no //lint:ignore covers, plus one StaleIgnore finding per
+// suppression that covered nothing in this run (including one naming an
+// analyzer that did not run), sorted by position.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFacts("")
-	facts.AddPackage(pkg)
-	diags, _, err := runAnalyzers(pkg, analyzers, "", facts)
-	return diags, err
+	return runAnalyzers(pkg, analyzers, "")
 }
 
-// runAnalyzers is the shared core: run the analyzers, filter suppressed
-// findings, and audit the suppressions themselves.
-func runAnalyzers(pkg *Package, analyzers []*Analyzer, modulePath string, facts *Facts) (diags, stale []Diagnostic, err error) {
+func runAnalyzers(pkg *Package, analyzers []*Analyzer, modulePath string) ([]Diagnostic, error) {
 	var raw []Diagnostic
-	ran := map[string]bool{}
 	for _, a := range analyzers {
-		ran[a.Name] = true
 		pass := &Pass{
 			Analyzer:   a,
 			Fset:       pkg.Fset,
@@ -209,24 +139,30 @@ func runAnalyzers(pkg *Package, analyzers []*Analyzer, modulePath string, facts 
 			Pkg:        pkg.Types,
 			TypesInfo:  pkg.Info,
 			ModulePath: modulePath,
-			Facts:      facts,
 			diags:      &raw,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
 	sups := collectSuppressions(pkg.Fset, pkg.Files)
 	var kept []Diagnostic
 	for _, d := range raw {
-		if !sups.covers(d) {
+		if !suppressed(sups, d) {
 			kept = append(kept, d)
 		}
 	}
+	for _, s := range sups {
+		if !s.used {
+			kept = append(kept, Diagnostic{
+				Analyzer: StaleIgnore,
+				Pos:      s.pos,
+				Message:  fmt.Sprintf("stale //lint:ignore %s: it suppresses nothing on this or the next line; delete it", s.name),
+			})
+		}
+	}
 	sortDiags(kept)
-	stale = sups.stale(ran)
-	sortDiags(stale)
-	return kept, stale, nil
+	return kept, nil
 }
 
 func sortDiags(diags []Diagnostic) {

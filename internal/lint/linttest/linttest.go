@@ -3,7 +3,8 @@
 // the reported diagnostics against `// want "regexp"` comments placed on
 // the offending lines. Both directions are checked — every diagnostic must
 // be expected, and every expectation must fire. //lint:ignore suppressions
-// are honored, so testdata can also exercise the suppression path.
+// are honored and audited, so testdata can also exercise the suppression
+// path and the stale-suppression report.
 package linttest
 
 import (
@@ -60,59 +61,6 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 			t.Errorf("expected diagnostic matching %q at %s:%d, got none", w.pattern, w.file, w.line)
 		}
 	}
-}
-
-// RunModule loads the self-contained module rooted at dir (it has its own
-// go.mod — e.g. "testdata/mod/factprop"), runs the analyzers with
-// cross-package fact propagation over the packages matched by patterns
-// (default ./...), and checks the `// want` expectations of every Go file
-// in the module. This is the multi-package counterpart of Run: use it when
-// the case under test is a fact crossing a package boundary.
-func RunModule(t *testing.T, analyzers []*lint.Analyzer, dir string, patterns ...string) {
-	t.Helper()
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatalf("resolving %s: %v", dir, err)
-	}
-	diags, err := lint.AnalyzeModule(abs, analyzers, patterns...)
-	if err != nil {
-		t.Fatalf("analyzing %s: %v", dir, err)
-	}
-	wants, err := moduleExpectations(abs)
-	if err != nil {
-		t.Fatalf("parsing expectations in %s: %v", dir, err)
-	}
-	for _, d := range diags {
-		if !claim(wants, d) {
-			t.Errorf("unexpected diagnostic at %s:%d: %s", d.Pos.Filename, d.Pos.Line, d.Message)
-		}
-	}
-	for _, w := range wants {
-		if !w.matched {
-			t.Errorf("expected diagnostic matching %q at %s:%d, got none", w.pattern, w.file, w.line)
-		}
-	}
-}
-
-// moduleExpectations parses every Go file under root for want comments.
-func moduleExpectations(root string) ([]*expectation, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return parseExpectations(fset, files)
 }
 
 // claim marks the first unmatched expectation that covers d.

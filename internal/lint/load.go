@@ -1,5 +1,5 @@
 // Package loading without golang.org/x/tools: parse and type-check the
-// module's packages in dependency order, resolving stdlib imports through
+// module's packages and their tests, resolving stdlib imports through
 // the compiler's source importer (works offline, needs only GOROOT) and
 // module-internal imports recursively through the loader itself.
 package lint
@@ -32,11 +32,9 @@ type Package struct {
 }
 
 // Loader loads packages of a single module.
+// In-package _test.go files join their package; external (package
+// foo_test) files become a separate package.
 type Loader struct {
-	// IncludeTests adds _test.go files: in-package test files join their
-	// package; external (package foo_test) files become a separate package.
-	IncludeTests bool
-
 	fset       *token.FileSet
 	modulePath string
 	moduleDir  string
@@ -86,39 +84,6 @@ func NewLoader(dir string) (*Loader, error) {
 
 // ModulePath returns the module's import path.
 func (l *Loader) ModulePath() string { return l.modulePath }
-
-// ModuleDir returns the module root directory on disk.
-func (l *Loader) ModuleDir() string { return l.moduleDir }
-
-// DependencyOrder returns every package loaded so far with imports before
-// importers, the order cross-package fact propagation needs. Roots are
-// visited in path order, so the result is deterministic.
-func (l *Loader) DependencyOrder() []*Package {
-	paths := make([]string, 0, len(l.pkgs))
-	for p := range l.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	seen := map[string]bool{}
-	var out []*Package
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if seen[p.Path] {
-			return
-		}
-		seen[p.Path] = true
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := l.pkgs[imp.Path()]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, path := range paths {
-		visit(l.pkgs[path])
-	}
-	return out
-}
 
 // LoadPatterns resolves go-tool-style patterns ("./...", "./internal/sim")
 // relative to the module root and loads every matched package.
@@ -205,8 +170,8 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.modulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// loadDir loads the package in dir (and, with IncludeTests, its external
-// test package, if any).
+// loadDir loads the package in dir and its external test package, if
+// any.
 func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	path, err := l.importPathFor(dir)
 	if err != nil {
@@ -216,17 +181,11 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := []*Package{pkg}
-	if l.IncludeTests {
-		ext, err := l.loadExternalTests(dir, path)
-		if err != nil {
-			return nil, err
-		}
-		if ext != nil {
-			out = append(out, ext)
-		}
+	ext, err := l.loadExternalTests(dir, path)
+	if err != nil || ext == nil {
+		return []*Package{pkg}, err
 	}
-	return out, nil
+	return []*Package{pkg, ext}, nil
 }
 
 // load parses and type-checks the package with the given module import
@@ -265,8 +224,8 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 // parseDir parses a directory's Go files, returning the package's own
-// files (including in-package tests when IncludeTests) and any external
-// test-package files separately.
+// files (in-package tests included) and any external test-package files
+// separately.
 func (l *Loader) parseDir(dir string) (own, extTest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -278,9 +237,6 @@ func (l *Loader) parseDir(dir string) (own, extTest []*ast.File, err error) {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !l.IncludeTests {
-			continue
-		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, err

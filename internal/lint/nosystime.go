@@ -26,15 +26,12 @@ var bannedTimeFuncs = map[string]bool{
 // (internal/simtime, sim.Kernel.Now); a single wall-clock read makes a run
 // unreproducible. The only sanctioned gateway to the host clock is
 // internal/simtime's Stopwatch, used for host-overhead profiling (Fig 11).
-//
-// Two report modes: direct (a banned time.* selector in this package) and
-// transitive (a call into a module function whose cross-package fact says
-// it eventually reads the clock). Sanctioned reads — those justified with
-// //lint:ignore nosystime — set no fact, so they never taint callers, and
-// calls into internal/simtime are the gateway and exempt by construction.
+// The check is direct: a banned time.* selector in the package under
+// analysis. It runs on every module package a simulation package can
+// import, so a read one call hop away is reported where it happens.
 var NoSysTime = &Analyzer{
 	Name: "nosystime",
-	Doc: "forbid time.Now/Sleep/Since and friends in simulation packages, directly or transitively; " +
+	Doc: "forbid time.Now/Sleep/Since and friends in simulation packages; " +
 		"all time must flow through internal/simtime",
 	Run: runNoSysTime,
 }
@@ -42,33 +39,18 @@ var NoSysTime = &Analyzer{
 func runNoSysTime(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				obj := pass.TypesInfo.Uses[n.Sel]
-				if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-					return true
-				}
-				if fn, ok := obj.(*types.Func); ok && bannedTimeFuncs[fn.Name()] {
-					pass.Reportf(n.Pos(),
-						"time.%s reads the host clock in simulation code; use the injected simtime clock (kernel.Now / simtime.Stopwatch)",
-						fn.Name())
-				}
-			case *ast.CallExpr:
-				if pass.Facts == nil {
-					return true
-				}
-				if _, direct := bannedTimeCall(n, pass.TypesInfo); direct {
-					return true // the selector case above already reports it
-				}
-				fn := calleeFunc(n, pass.TypesInfo)
-				if fn == nil || !pass.moduleFunc(fn) || pass.Facts.isGateway(fn) {
-					return true
-				}
-				if fact, ok := pass.Facts.FuncFact(fn); ok && fact.WallClock {
-					pass.Reportf(n.Pos(),
-						"call to %s transitively reads the host clock (%s); thread the simtime clock through instead",
-						shortFuncName(fn), fact.WallClockVia)
-				}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			obj := pass.TypesInfo.Uses[sel.Sel]
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "time" {
+				return true
+			}
+			if fn, ok := obj.(*types.Func); ok && bannedTimeFuncs[fn.Name()] {
+				pass.Reportf(sel.Pos(),
+					"time.%s reads the host clock in simulation code; use the injected simtime clock (kernel.Now / simtime.Stopwatch)",
+					fn.Name())
 			}
 			return true
 		})

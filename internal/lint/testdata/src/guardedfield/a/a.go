@@ -95,6 +95,8 @@ func (c *counter) unguarded() int {
 type gauge struct {
 	mu sync.RWMutex
 	v  int64 // guarded by mu
+	// Another package could touch an exported guarded field unchecked.
+	Peak int64 // guarded by mu // want "Peak is guarded by mu but exported"
 }
 
 func (g *gauge) goodRLock() int64 {
@@ -105,6 +107,25 @@ func (g *gauge) goodRLock() int64 {
 
 func (g *gauge) badWrite(v int64) {
 	g.v = v // want "guarded by mu but accessed without it held"
+}
+
+// link has two mutexes, the shape of fleet's shard link: holding amu
+// says nothing about the field mu guards.
+type link struct {
+	mu    sync.Mutex
+	addr  string // guarded by mu
+	amu   sync.Mutex
+	admin string // guarded by amu
+}
+
+func (l *link) roundTrip() string {
+	l.amu.Lock()
+	defer l.amu.Unlock()
+	addr := l.addr // want "guarded by mu but accessed without it held"
+	if l.admin != addr {
+		l.admin = addr
+	}
+	return addr
 }
 
 var _ = newCounter

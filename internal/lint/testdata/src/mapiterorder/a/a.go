@@ -35,6 +35,17 @@ func collectThenSortSlice(m map[string]float64) []string {
 	return keys
 }
 
+// The sort must name the append target: sorting a reslice of it leaves
+// the collected order as the map produced it.
+func sortsAnotherSlice(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k) // want `append to keys inside range over map captures the random iteration order`
+	}
+	sort.Slice(keys[:0], func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
 // Local helpers named sort*/Sort* count as the sorting step too (the wire
 // package's sortFlowCounts-style helpers).
 func collectThenSortHelper(m map[string]int) []string {

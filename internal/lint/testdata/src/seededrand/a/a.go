@@ -26,6 +26,12 @@ func globalDraws() {
 	rand.Seed(42)                      // want `global rand\.Seed draws from the shared process-wide source`
 }
 
+// A global draw is flagged inside the sanctioned constructor too: a seed
+// drawn from the shared source makes the seeded generator unreproducible.
+func seedFromGlobal() *rand.Rand {
+	return rand.New(rand.NewSource(rand.Int63())) // want `global rand\.Int63 draws from the shared process-wide source`
+}
+
 // Types from the package are fine; only global draws are banned.
 var source rand.Source = rand.NewSource(7)
 

@@ -246,7 +246,6 @@ func (h *Host) pump(st *sendState) {
 		if st.nextSeq == st.totalCells-1 {
 			size = st.lastCell
 		}
-		//lint:ignore hotalloc the cell is the one object a data packet needs; onData reuses it as the ACK
 		pkt := &fabric.Packet{
 			Kind:   fabric.KindData,
 			Flow:   st.flow,
@@ -427,7 +426,6 @@ func (h *Host) onCNP(pkt *fabric.Packet) {
 }
 
 func (h *Host) armRecovery(st *sendState) {
-	//lint:ignore hotalloc one recovery timer per RateIncTimer per congested flow, not per packet
 	h.K.After(h.Cfg.RateIncTimer, func() {
 		if st.done {
 			return

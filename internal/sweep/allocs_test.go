@@ -9,18 +9,29 @@ import (
 	"vedrfolnir/internal/scenario"
 )
 
-// allocsPerCaseCeiling is 1 % over the 15 927 heap allocations a case cost
-// when the ceiling was last set (PR 18); a run on this tree does 15 921 to
-// 15 925. Allocation counts are deterministic up to map iteration and
+// allocCeilings hold each of the four §IV-A kinds that the benchmark's
+// sweep-mixed workload runs to 1 % over the heap allocations a case cost
+// when the ceilings were last set: contention 15 657–15 662, incast
+// 12 767–12 768, pfc-storm 9 429–9 430 and pfc-backpressure 11 905–11 907
+// a case. Allocation counts are deterministic up to map iteration and
 // goroutine scheduling, so the band is tight: a hot-path allocation that
 // creeps back in fails here, on any machine, where wall time would only
-// read as noise. Lower the ceiling when a change cuts allocations.
-const allocsPerCaseCeiling = 16086
+// read as noise, and a path only incast or the PFC cases take is held as
+// tightly as contention's. Lower a ceiling when a change cuts allocations.
+var allocCeilings = []struct {
+	kind    scenario.AnomalyKind
+	ceiling int64
+}{
+	{scenario.Contention, 15819},
+	{scenario.Incast, 12896},
+	{scenario.PFCStorm, 9525},
+	{scenario.PFCBackpressure, 12027},
+}
 
 // checkAllocsPerCase is the gate: nil at or under the ceiling.
-func checkAllocsPerCase(got int64) error {
-	if got > allocsPerCaseCeiling {
-		return fmt.Errorf("%d allocs/case exceeds the ceiling of %d", got, allocsPerCaseCeiling)
+func checkAllocsPerCase(got, ceiling int64) error {
+	if got > ceiling {
+		return fmt.Errorf("%d allocs/case exceeds the ceiling of %d", got, ceiling)
 	}
 	return nil
 }
@@ -42,14 +53,14 @@ func raceEnabled() bool {
 	return false
 }
 
-// TestSweepAllocsPerCase holds the case kernel to its allocation budget on
-// a fixed workload: the Fig 9 contention subset (seeds 0-7, Vedrfolnir, at
-// most 5 detections a step) through one worker, at the pinned 1/360
-// configuration — fastConfig's cell size and thresholds with the step at
-// its scaled 1 MB, the values benchConfig in the root bench_test.go and
-// benchmark/config.go also pin. The canary proves the check can fail:
-// 1 600 extra allocations a case, a 10 % regression, must trip the same
-// function.
+// TestSweepAllocsPerCase holds the case kernel to its allocation budget,
+// one subtest per kind in allocCeilings, on a fixed workload: seeds 0-7,
+// Vedrfolnir, at most 5 detections a step, through one worker, at the
+// pinned 1/360 configuration — fastConfig's cell size and thresholds with
+// the step at its scaled 1 MB, the values benchConfig in the root
+// bench_test.go and benchmark/config.go also pin. The canary proves the
+// check can fail: 1 600 extra allocations a contention case, a 10 %
+// regression, must trip the same function.
 func TestSweepAllocsPerCase(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's own allocations break the ceiling")
@@ -60,12 +71,12 @@ func TestSweepAllocsPerCase(t *testing.T) {
 	opts.Monitor.MaxDetectPerStep = 5
 	exec := Cases(cfg, opts)
 
-	jobs := make([]Job, 8)
-	for i := range jobs {
-		jobs[i] = Job{Kind: scenario.Contention, Seed: int64(i), System: scenario.Vedrfolnir}
-	}
-	measure := func(t *testing.T, exec Exec) int64 {
+	measure := func(t *testing.T, kind scenario.AnomalyKind, exec Exec) int64 {
 		t.Helper()
+		jobs := make([]Job, 8)
+		for i := range jobs {
+			jobs[i] = Job{Kind: kind, Seed: int64(i), System: scenario.Vedrfolnir}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		sum, err := Run(jobs, exec, Options{Workers: 1})
@@ -79,13 +90,18 @@ func TestSweepAllocsPerCase(t *testing.T) {
 		return int64(after.Mallocs-before.Mallocs) / int64(len(jobs))
 	}
 
-	got := measure(t, exec)
-	t.Logf("%d allocs/case (ceiling %d)", got, allocsPerCaseCeiling)
-	if err := checkAllocsPerCase(got); err != nil {
-		t.Error(err)
+	for _, c := range allocCeilings {
+		t.Run(c.kind.String(), func(t *testing.T) {
+			got := measure(t, c.kind, exec)
+			t.Logf("%d allocs/case (ceiling %d)", got, c.ceiling)
+			if err := checkAllocsPerCase(got, c.ceiling); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 
 	t.Run("canary", func(t *testing.T) {
+		ceiling := allocCeilings[0].ceiling
 		var sink [][]byte // keeps the burnt allocations reachable, so none is optimised away
 		burning := func(j Job) (Result, error) {
 			sink = sink[:0]
@@ -94,11 +110,11 @@ func TestSweepAllocsPerCase(t *testing.T) {
 			}
 			return exec(j)
 		}
-		got := measure(t, burning)
+		got := measure(t, scenario.Contention, burning)
 		t.Logf("%d allocs/case with the burn", got)
-		if err := checkAllocsPerCase(got); err == nil {
+		if err := checkAllocsPerCase(got, ceiling); err == nil {
 			t.Errorf("%d allocs/case with 1600 burnt per case passed the ceiling of %d: the check gates nothing",
-				got, allocsPerCaseCeiling)
+				got, ceiling)
 		}
 	})
 }

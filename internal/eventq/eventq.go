@@ -1,6 +1,11 @@
 // Package eventq implements the priority queue that orders discrete
 // simulation events. Events with equal timestamps dequeue in the order they
 // were scheduled (FIFO tie-break), which keeps simulations deterministic.
+//
+// Events scheduled a fixed delay after a clock that never runs backwards
+// arrive already sorted, so PushAfter files them in constant-delay FIFO
+// lanes beside the heap; only the rest (absolute times, delays without a
+// lane) are sorted. The pop order is (At, insertion order) either way.
 package eventq
 
 import (
@@ -55,24 +60,132 @@ type Stats struct {
 // keeps a node's children within two cache lines for Pop's sift-down.
 const arity = 4
 
-// Queue is a 4-ary min-heap of events keyed by (At, insertion order). Events
-// are stored by value, so Push and Pop allocate nothing once the backing
-// array has grown to the run's depth. The zero Queue is ready to use.
-type Queue struct {
-	h     []Event
-	stats Stats
+// lanes is how many distinct PushAfter delays get a FIFO of their own. A
+// case's first delay is the stall watchdog's and a few rare ones claim
+// lanes early too; with 4 lanes a PFC frame's delay took the last one
+// before the ACK's in some PFC cases. 8 keep link propagation, ACK and
+// cell serialisation laned in every benchmark case.
+const lanes = 8
+
+// Queue.full has a bit per lane: this constant fails to compile when lanes
+// outgrows a uint8.
+const _ = uint8(1<<lanes - 1)
+
+// lane is a FIFO of events pushed with one delay, in (At, seq) order. Like
+// fabric's fifo it pops by advancing head, so a lane that cycles reuses its
+// backing array.
+type lane struct {
+	buf  []Event
+	head int
 }
 
+func (l *lane) push(e Event) {
+	// When full and at least half the array is popped prefix, reclaim it
+	// rather than let append copy the dead entries into a bigger array.
+	if len(l.buf) == cap(l.buf) && l.head > 0 && l.head >= len(l.buf)/2 {
+		n := copy(l.buf, l.buf[l.head:])
+		clear(l.buf[n:])
+		l.buf, l.head = l.buf[:n], 0
+	}
+	l.buf = append(l.buf, e)
+}
+
+func (l *lane) pop() Event {
+	e := l.buf[l.head]
+	l.buf[l.head] = Event{} // drop the callback reference
+	l.head++
+	if l.head == len(l.buf) {
+		l.buf, l.head = l.buf[:0], 0
+	}
+	return e
+}
+
+// Queue is a 4-ary min-heap of events keyed by (At, insertion order), plus
+// up to lanes constant-delay FIFOs that PushAfter fills without sorting.
+// Events are stored by value, so pushes and pops allocate nothing once the
+// backing arrays have grown to the run's depth. The zero Queue is ready to
+// use.
+type Queue struct {
+	h      []Event
+	n      int                     // pending events, heap and lanes
+	nl     int                     // lanes claimed so far
+	full   uint8                   // bit i set: lane i is not empty
+	delays [lanes]simtime.Duration // delays[i] owns lane[i], for i < nl
+	lane   [lanes]lane
+	ls     LaneStats
+	stats  Stats
+}
+
+// heapSrc names the heap where head and take name a source; lanes are 0
+// to lanes-1.
+const heapSrc = -1
+
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return q.n }
 
 // Stats returns the queue's lifetime traffic counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
+// LaneStats counts the PushAfter share of a queue's pushes: how many
+// events were scheduled a delay after now, and how many of those joined a
+// lane rather than the heap.
+type LaneStats struct {
+	After uint64
+	Laned uint64
+}
+
+// LaneStats returns the queue's lifetime PushAfter counters.
+func (q *Queue) LaneStats() LaneStats { return q.ls }
+
+// counted records one push: it returns the event's insertion sequence and
+// raises the depth high-water mark.
+func (q *Queue) counted() uint64 {
+	q.stats.Pushes++ // doubles as the insertion sequence number
+	q.n++
+	if q.n > q.stats.MaxLen {
+		q.stats.MaxLen = q.n
+	}
+	return q.stats.Pushes
+}
+
 // Push schedules fn at time at.
 func (q *Queue) Push(at simtime.Time, fn func()) {
-	q.stats.Pushes++ // doubles as the insertion sequence number
-	e := Event{At: at, Fn: fn, seq: q.stats.Pushes}
+	q.pushHeap(Event{At: at, Fn: fn, seq: q.counted()})
+}
+
+// PushAfter schedules fn at now+d. The first time a delay is seen it claims
+// a free lane and keeps it for the queue's lifetime; an event with a laned
+// delay joins the back of its lane, which stays in (At, seq) order as long
+// as now never decreases between calls. An event that would break that
+// order (now ran backwards), or whose delay found every lane taken, goes
+// on the heap, so the pop order is (At, insertion order) for any caller.
+func (q *Queue) PushAfter(now simtime.Time, d simtime.Duration, fn func()) {
+	e := Event{At: now.Add(d), Fn: fn, seq: q.counted()}
+	q.ls.After++
+	i := 0
+	for i < q.nl && q.delays[i] != d {
+		i++
+	}
+	if i == q.nl {
+		if i == lanes {
+			q.pushHeap(e)
+			return
+		}
+		q.delays[i] = d
+		q.nl++
+	}
+	l := &q.lane[i]
+	if n := len(l.buf); n > l.head && l.buf[n-1].At > e.At {
+		q.pushHeap(e)
+		return
+	}
+	q.ls.Laned++
+	q.full |= 1 << i
+	l.push(e)
+}
+
+// pushHeap sifts e into the heap.
+func (q *Queue) pushHeap(e Event) {
 	h := append(q.h, e)
 	q.h = h
 	// Sift up: move the hole toward the root while its parent is later.
@@ -86,24 +199,61 @@ func (q *Queue) Push(at simtime.Time, fn func()) {
 		i = p
 	}
 	h[i] = e
-	if n := len(h); n > q.stats.MaxLen {
-		q.stats.MaxLen = n
+}
+
+// head returns the source of the earliest pending event — heapSrc or a
+// lane — and the event. The queue must not be empty. Only non-empty lanes
+// are visited: the rare delays' lanes are empty most of the time, and
+// reading their heads cost more than the rest of the compare.
+func (q *Queue) head() (src int, e *Event) {
+	src = heapSrc
+	if len(q.h) > 0 {
+		e = &q.h[0]
 	}
+	for m := q.full; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		l := &q.lane[i]
+		if c := &l.buf[l.head]; e == nil || c.less(e) {
+			src, e = i, c
+		}
+	}
+	return src, e
+}
+
+// take removes and returns the head event of src.
+func (q *Queue) take(src int) Event {
+	q.n--
+	q.stats.Pops++
+	if src == heapSrc {
+		return q.popHeap()
+	}
+	l := &q.lane[src]
+	e := l.pop()
+	if l.head == len(l.buf) {
+		q.full &^= 1 << src
+	}
+	return e
 }
 
 // Pop removes and returns the earliest event, or the zero Event when the
 // queue is empty (check Len first where that can happen).
 func (q *Queue) Pop() Event {
-	h := q.h
-	n := len(h) - 1
-	if n < 0 {
+	if q.n == 0 {
 		return Event{}
 	}
+	src, _ := q.head()
+	return q.take(src)
+}
+
+// popHeap removes and returns the heap's earliest event; the heap must not
+// be empty.
+func (q *Queue) popHeap() Event {
+	h := q.h
+	n := len(h) - 1
 	e, last := h[0], h[n]
 	h[n] = Event{} // drop the callback reference
 	h = h[:n]
 	q.h = h
-	q.stats.Pops++
 	// Sift down: move the hole from the root toward the leaves, pulling up
 	// the earliest child, until last fits.
 	lastHi, lastLo := last.key()
@@ -156,17 +306,22 @@ func (q *Queue) Pop() Event {
 // until; otherwise (or when the queue is empty) it leaves the queue as it
 // is and ok is false.
 func (q *Queue) PopUntil(until simtime.Time) (e Event, ok bool) {
-	if len(q.h) == 0 || q.h[0].At > until {
+	if q.n == 0 {
 		return Event{}, false
 	}
-	return q.Pop(), true
+	src, h := q.head()
+	if h.At > until {
+		return Event{}, false
+	}
+	return q.take(src), true
 }
 
 // Peek returns the earliest event without removing it; ok is false when the
 // queue is empty.
 func (q *Queue) Peek() (e Event, ok bool) {
-	if len(q.h) == 0 {
+	if q.n == 0 {
 		return Event{}, false
 	}
-	return q.h[0], true
+	_, h := q.head()
+	return *h, true
 }

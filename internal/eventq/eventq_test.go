@@ -109,17 +109,41 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// testDelays are the PushAfter delays the differential tests draw from:
+// more of them than there are lanes, so some delays find every lane taken
+// and go to the heap, and small enough that lane, heap and cross-lane
+// pushes tie on At and only the insertion sequence orders them.
+var testDelays = []simtime.Duration{0, 1, 2, 3, 5, 7, 11, 13, 17, 40, 1000, 1 << 40}
+
+// pushEither pushes an event due at at through Push or, two times in
+// three, through PushAfter with a random test delay from a now that makes
+// it due at the same time; ref gets the same event as a plain push.
+func pushEither(rng *rand.Rand, q *Queue, ref *refQueue, at simtime.Time) {
+	if rng.Intn(3) == 0 {
+		q.Push(at, nil)
+	} else {
+		d := testDelays[rng.Intn(len(testDelays))]
+		q.PushAfter(at-simtime.Time(d), d, nil) // wraps and unwraps at the int64 ends
+	}
+	ref.Push(at)
+}
+
 // TestMatchesReference drives Queue and the container/heap refQueue with
 // the same seeded push/pop interleavings — few distinct timestamps, so most
-// pushes tie — and requires identical (At, insertion) pop order and Stats.
+// pushes tie, and a mix of heap pushes and PushAfter with more distinct
+// delays than lanes — and requires identical (At, insertion) pop order,
+// heads and Stats.
 func TestMatchesReference(t *testing.T) {
+	if len(testDelays) <= lanes {
+		t.Fatalf("%d test delays do not overflow %d lanes", len(testDelays), lanes)
+	}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q Queue
 		var ref refQueue
 		order := func() (got, want uint64) { return q.Pop().seq, ref.Pop().seq }
 		spread := 1 + rng.Intn(40)
-		base := simtime.Time(0)
+		now := simtime.Time(0)
 		for op := 0; op < 4000; op++ {
 			if q.Len() != ref.Len() {
 				t.Fatalf("seed %d op %d: len %d, reference %d", seed, op, q.Len(), ref.Len())
@@ -127,17 +151,28 @@ func TestMatchesReference(t *testing.T) {
 			// Bursts of pushes and pops so the depth wanders between 0
 			// and a few hundred.
 			if q.Len() == 0 || rng.Intn(100) < 55 {
-				at := base + simtime.Time(rng.Intn(spread))
-				q.Push(at, nil)
-				ref.Push(at)
+				// Like a simulation, never schedule before the last pop:
+				// a heap push lands in [now, now+spread), a laned one at
+				// now plus its delay.
+				if rng.Intn(3) == 0 {
+					at := now + simtime.Time(rng.Intn(spread))
+					q.Push(at, nil)
+					ref.Push(at)
+				} else {
+					d := testDelays[rng.Intn(len(testDelays))]
+					q.PushAfter(now, d, nil)
+					ref.Push(now.Add(d))
+				}
 				continue
 			}
 			head, _ := q.Peek()
+			if want := ref.Peek(); head.seq != want.seq || head.At != want.at {
+				t.Fatalf("seed %d op %d: Peek (%d, #%d), reference (%d, #%d)", seed, op, head.At, head.seq, want.at, want.seq)
+			}
 			if got, want := order(); got != want {
 				t.Fatalf("seed %d op %d: popped insertion #%d, reference #%d", seed, op, got, want)
 			}
-			// Like a simulation, never schedule before the last pop.
-			base = head.At
+			now = head.At
 		}
 		for ref.Len() > 0 {
 			if got, want := order(); got != want {
@@ -150,17 +185,22 @@ func TestMatchesReference(t *testing.T) {
 		if q.Stats() != ref.stats {
 			t.Fatalf("seed %d: stats %+v, reference %+v", seed, q.Stats(), ref.stats)
 		}
+		if q.nl != lanes {
+			t.Fatalf("seed %d: %d lanes claimed, want all %d", seed, q.nl, lanes)
+		}
 	}
 	t.Run("adversarial", adversarialAgainstReference)
 }
 
 // adversarialAgainstReference aims the same differential check at the
-// branch-free child selection in Pop: timestamps that tie in long runs (so
-// only the insertion sequence decides), that sit at the ends of the int64
-// range (0, negative, simtime.Never — the sign-bit flip must order them),
-// and fill-then-drain cycles whose depth passes through every n mod 4, so
-// both the four-wide path and each size of partial last group are taken,
-// up to depth 4096.
+// branch-free child selection in Pop and at the lanes: timestamps that tie
+// in long runs (so only the insertion sequence decides), that sit at the
+// ends of the int64 range (0, negative, simtime.Never — the sign-bit flip
+// must order them), that arrive in descending order (so a laned delay's
+// now runs backwards and its push must fall back to the heap), and
+// fill-then-drain cycles whose depth passes through every n mod 4, so both
+// the four-wide path and each size of partial last group are taken, up to
+// depth 4096. Two pushes in three go through PushAfter.
 func adversarialAgainstReference(t *testing.T) {
 	extremes := []simtime.Time{math.MinInt64, math.MinInt64 + 1, -1 << 40, -1, 0, 1, 1 << 40, math.MaxInt64 - 1, simtime.Never}
 	gens := []struct {
@@ -188,10 +228,8 @@ func adversarialAgainstReference(t *testing.T) {
 			// the second fill sifts up through a heap that pops reshaped.
 			for _, drainTo := range []int{rng.Intn(depth + 1), 0} {
 				for q.Len() < depth {
-					at := gen(rng, pushes)
+					pushEither(rng, &q, &ref, gen(rng, pushes))
 					pushes++
-					q.Push(at, nil)
-					ref.Push(at)
 				}
 				for q.Len() > drainTo {
 					got, want := q.Pop(), ref.Pop()
@@ -209,6 +247,83 @@ func adversarialAgainstReference(t *testing.T) {
 			t.Fatalf("%s: stats %+v, reference %+v", name, q.Stats(), ref.stats)
 		}
 	}
+}
+
+// FuzzQueueMatchesReference runs an op byte-stream against Queue and
+// refQueue. Each byte is one op, its low two bits the kind and the rest an
+// argument: 0 Pop, 1 PopUntil a deadline up to 63 past now, 2 Push up to 63
+// past now, 3 PushAfter one of testDelays — from now, or (top bit set)
+// from before it, so a lane's order can be broken and the push must go to
+// the heap. now follows the pops, as in a simulation. Every op must agree
+// on Len and the head; the drain, the pop order and Stats on everything.
+func FuzzQueueMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 7, 11, 15, 19, 23, 27, 31, 35, 39, 43, 47, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 3, 3, 6, 7, 0, 131, 135, 1, 5, 0, 0, 0})
+	f.Add([]byte{0, 1, 2, 3, 255, 254, 253, 252, 0, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var q Queue
+		var ref refQueue
+		now := simtime.Time(0)
+		pop := func(i int) {
+			got, want := q.Pop(), ref.Pop()
+			if got.seq != want.seq || got.At != want.at {
+				t.Fatalf("op %d: popped (%d, #%d), reference (%d, #%d)", i, got.At, got.seq, want.at, want.seq)
+			}
+			now = got.At
+		}
+		for i, b := range ops {
+			arg := simtime.Time(b >> 2)
+			switch b & 3 {
+			case 0:
+				if ref.Len() == 0 {
+					if e := q.Pop(); e.Fn != nil || e.At != 0 || e.seq != 0 || q.Stats() != ref.stats {
+						t.Fatalf("op %d: Pop on empty = %+v, stats %+v", i, e, q.Stats())
+					}
+					continue
+				}
+				pop(i)
+			case 1:
+				until := now + arg
+				e, ok := q.PopUntil(until)
+				if want := ref.Peek(); want == nil || want.at > until {
+					if ok {
+						t.Fatalf("op %d: PopUntil(%d) popped (%d, #%d), reference had nothing due", i, until, e.At, e.seq)
+					}
+					continue
+				}
+				if want := ref.Pop(); !ok || e.seq != want.seq || e.At != want.at {
+					t.Fatalf("op %d: PopUntil(%d) = (%d, #%d, %v), reference (%d, #%d)", i, until, e.At, e.seq, ok, want.at, want.seq)
+				}
+				now = e.At
+			case 2:
+				q.Push(now+arg, nil)
+				ref.Push(now + arg)
+			case 3:
+				d := testDelays[int(arg&31)%len(testDelays)]
+				from := now
+				if b&128 != 0 {
+					from -= 3
+				}
+				q.PushAfter(from, d, nil)
+				ref.Push(from.Add(d))
+			}
+			if q.Len() != ref.Len() {
+				t.Fatalf("op %d: len %d, reference %d", i, q.Len(), ref.Len())
+			}
+			if head, ok := q.Peek(); ok != (ref.Len() > 0) || ok && (head.seq != ref.Peek().seq || head.At != ref.Peek().at) {
+				t.Fatalf("op %d: Peek (%d, #%d, %v) disagrees with the reference", i, head.At, head.seq, ok)
+			}
+		}
+		for ref.Len() > 0 {
+			pop(len(ops))
+		}
+		if q.Len() != 0 {
+			t.Fatalf("%d events left after the reference drained", q.Len())
+		}
+		if q.Stats() != ref.stats {
+			t.Fatalf("stats %+v, reference %+v", q.Stats(), ref.stats)
+		}
+	})
 }
 
 // TestPopUntil pins the deadline call the kernel's run loop uses: it pops
@@ -231,21 +346,121 @@ func TestPopUntil(t *testing.T) {
 	}
 }
 
-// TestPushPopAllocFree is the floor the value-typed heap exists for: at a
-// steady depth, a pop followed by a push allocates nothing.
+// TestPushPopAllocFree is the floor the value-typed heap and the recycled
+// lane arrays exist for: at a steady depth, a pop followed by a push
+// allocates nothing, whether the pushes go to the heap or to lanes.
 func TestPushPopAllocFree(t *testing.T) {
 	const depth = 1024
-	rng := rand.New(rand.NewSource(1))
-	var q Queue
 	fn := func() {}
-	for i := 0; i < depth; i++ {
-		q.Push(simtime.Time(rng.Intn(1_000_000)), fn)
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		e := q.Pop()
-		q.Push(e.At+simtime.Time(1+rng.Intn(1_000_000)), fn)
+	t.Run("heap", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		var q Queue
+		for i := 0; i < depth; i++ {
+			q.Push(simtime.Time(rng.Intn(1_000_000)), fn)
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			e := q.Pop()
+			q.Push(e.At+simtime.Time(1+rng.Intn(1_000_000)), fn)
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Pop+Push at depth %d allocates %v objects per pair, want 0", depth, allocs)
+		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Pop+Push at depth %d allocates %v objects per pair, want 0", depth, allocs)
+	t.Run("lanes", func(t *testing.T) {
+		// A case kernel's mix: mostly propagation, ACK and cell delays
+		// through lanes, every fifth push an absolute time on the heap.
+		delays := []simtime.Duration{2000, 5, 1310, 2005}
+		rng := rand.New(rand.NewSource(1))
+		var q Queue
+		i := 0
+		op := func() {
+			e := q.Pop()
+			if i++; i%5 == 0 {
+				q.Push(e.At+simtime.Time(1+rng.Intn(5000)), fn)
+			} else {
+				q.PushAfter(e.At, delays[i%len(delays)], fn)
+			}
+		}
+		for q.Len() < depth {
+			q.PushAfter(0, delays[q.Len()%len(delays)], fn)
+		}
+		for j := 0; j < 100_000; j++ { // grow every array to its steady size
+			op()
+		}
+		allocs := testing.AllocsPerRun(10_000, op)
+		if allocs != 0 {
+			t.Fatalf("steady-state Pop+PushAfter at depth %d allocates %v objects per pair, want 0", depth, allocs)
+		}
+		if q.nl != len(delays) || q.Len() != depth {
+			t.Fatalf("%d lanes claimed at depth %d, want %d at %d", q.nl, q.Len(), len(delays), depth)
+		}
+		// Reuse, not amortised growth: a lane whose popped prefix were
+		// never reclaimed would grow without bound while it never empties.
+		for i := 0; i < q.nl; i++ {
+			if c := cap(q.lane[i].buf); c > 2*depth {
+				t.Errorf("lane %d grew to %d slots at depth %d: its popped entries are not reclaimed", i, c, depth)
+			}
+		}
+	})
+}
+
+// BenchmarkCaseMix times one pop and one push, the kernel's step, on a
+// benchmark case's traffic: depth about 100, the case's first delay the
+// stall watchdog's, then link propagation (47 % of pushes), ACK (25 %) and
+// cell (19 %) serialisation, a few rarer delays, and 6 % absolute times.
+// "lanes" schedules the delays with PushAfter, "heap" with Push, as the
+// kernel did before the lanes.
+func BenchmarkCaseMix(b *testing.B) {
+	delays := []simtime.Duration{138_888, 2000, 5, 1310, 46, 4010, 8020, 12_030, 2005, 13_750}
+	rng := rand.New(rand.NewSource(1))
+	next := make([]int, 4096) // index into delays, or -1 for an absolute time
+	for i := range next {
+		switch r := rng.Intn(100); {
+		case r < 6:
+			next[i] = -1
+		case r < 53:
+			next[i] = 1
+		case r < 78:
+			next[i] = 2
+		case r < 97:
+			next[i] = 3
+		default:
+			next[i] = 4 + rng.Intn(len(delays)-4)
+		}
+	}
+	for _, laned := range []bool{true, false} {
+		name := "heap"
+		if laned {
+			name = "lanes"
+		}
+		b.Run(name, func(b *testing.B) {
+			var q Queue
+			after := func(now simtime.Time, d simtime.Duration) {
+				if laned {
+					q.PushAfter(now, d, nil)
+				} else {
+					q.Push(now.Add(d), nil)
+				}
+			}
+			after(0, delays[0])
+			for q.Len() < 100 {
+				after(0, delays[1+q.Len()%3])
+			}
+			step := func(i int) {
+				e := q.Pop()
+				if d := next[i&4095]; d < 0 {
+					q.Push(e.At+simtime.Time(1+i&1023), nil)
+				} else {
+					after(e.At, delays[d])
+				}
+			}
+			for i := 0; i < 100_000; i++ {
+				step(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(i)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // refQueue is the container/heap queue over *refEvent that Queue replaced,
-// kept as the reference the differential test compares pop order and Stats
-// against.
+// kept as the reference the differential tests compare pop order and Stats
+// against. It has no lanes: PushAfter(now, d) is Push(now+d) to it.
 type refQueue struct {
 	h     refHeap
 	seq   uint64
@@ -29,6 +29,14 @@ func (q *refQueue) Push(at simtime.Time) {
 	if n := len(q.h); n > q.stats.MaxLen {
 		q.stats.MaxLen = n
 	}
+}
+
+// Peek returns the earliest event without removing it, nil when empty.
+func (q *refQueue) Peek() *refEvent {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
 }
 
 func (q *refQueue) Pop() *refEvent {

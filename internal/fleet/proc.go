@@ -204,12 +204,17 @@ func (p *Proc) WaitReady(timeout time.Duration) error {
 
 // Kill SIGKILLs the current child. The supervisor restarts it immediately
 // — an operator-driven kill is not a crash-loop signal, and the chaos
-// harness wants the recovery, not the backoff.
+// harness wants the recovery, not the backoff. Between incarnations (a
+// crash backoff, a restart in progress) there is no child and Kill does
+// nothing: the next incarnation is not marked as killed.
 func (p *Proc) Kill() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cmd == nil {
+		return
+	}
 	p.killed = true
-	p.mu.Unlock()
-	p.signalChild(os.Kill)
+	_ = p.cmd.Process.Signal(os.Kill) // a child that died meanwhile is fine
 }
 
 // Hold SIGKILLs the current child and parks the supervisor: no restart
@@ -217,10 +222,12 @@ func (p *Proc) Kill() {
 // degraded-fleet contract.
 func (p *Proc) Hold() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.holding = true
-	p.killed = true
-	p.mu.Unlock()
-	p.signalChild(os.Kill)
+	if p.cmd != nil {
+		p.killed = true
+		_ = p.cmd.Process.Signal(os.Kill)
+	}
 }
 
 // Release un-parks a held supervisor; the child restarts immediately.
@@ -371,7 +378,11 @@ func (p *Proc) supervise() {
 		//lint:ignore nosystime measuring a real child's uptime for crash-loop classification
 		lived := time.Since(start)
 
+		// The incarnation is gone: until the next one starts and announces,
+		// the child is neither ready nor a target for Kill.
 		p.mu.Lock()
+		p.cmd = nil
+		p.announced = false
 		holding := p.holding
 		killed := p.killed
 		p.killed = false

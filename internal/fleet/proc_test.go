@@ -206,6 +206,50 @@ func TestProcKillRestartsImmediately(t *testing.T) {
 	p.Wait()
 }
 
+// TestProcNotReadyDuringBackoff is the dead-incarnation fix: once a child
+// that announced has exited, Ready must fail through the whole crash
+// backoff, and a Kill aimed into that gap must not mark the next
+// incarnation as killed. Both are checked from Logf, which the supervisor
+// calls after the wait returns and before it sleeps, so no timing is
+// involved.
+func TestProcNotReadyDuringBackoff(t *testing.T) {
+	started := make(chan *Proc, 1) // hands p to the supervisor goroutine
+	var inBackoff []error
+	logf := func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "restarting in") {
+			p := <-started
+			started <- p
+			inBackoff = append(inBackoff, p.Ready())
+			p.Kill() // no child to kill: must be a no-op
+		}
+	}
+	p, err := StartProc(ProcConfig{
+		Path:           "/bin/sh",
+		Args:           []string{script(t, `echo "svc listening on pid-$$"; exit 1`)},
+		AnnouncePrefix: "svc listening on ",
+		Backoff:        500 * time.Millisecond,
+		CrashWindow:    time.Minute,
+		CrashLoops:     2,
+		Logf:           logf,
+	})
+	if err != nil {
+		t.Fatalf("StartProc: %v", err)
+	}
+	started <- p
+	exit := p.Wait()
+	if len(inBackoff) != 1 {
+		t.Fatalf("%d backoffs logged, want 1", len(inBackoff))
+	}
+	if inBackoff[0] == nil {
+		t.Errorf("Ready() = nil during the crash backoff: the dead incarnation reported ready")
+	}
+	// A Kill that leaked onto the second incarnation would turn its crash
+	// into an operator kill: an immediate third start, Restarts 2.
+	if !exit.CrashLoop || exit.Restarts != 1 {
+		t.Errorf("exit = %+v, want a crash loop after 1 restart", exit)
+	}
+}
+
 func TestProcHoldParksUntilRelease(t *testing.T) {
 	p, err := StartProc(ProcConfig{
 		Path:           "/bin/sh",

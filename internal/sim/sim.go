@@ -2,6 +2,11 @@
 // substrate runs on: a virtual clock, an event scheduler and a deterministic
 // random source. The kernel is single-goroutine by design — determinism is a
 // hard requirement for reproducing the paper's figures bit-identically.
+//
+// Events scheduled with After (link propagation, serialisation, timers) go
+// to the event queue's constant-delay lanes, events scheduled with At
+// (pacing, injections, kills) to its heap; either way they run in (time,
+// scheduling order).
 package sim
 
 import (
@@ -63,6 +68,10 @@ func (k *Kernel) SetStages(st *obs.Stages) {
 // QueueStats returns the event queue's lifetime traffic counters.
 func (k *Kernel) QueueStats() eventq.Stats { return k.q.Stats() }
 
+// LaneStats returns how many events After scheduled and how many of them
+// took one of the queue's constant-delay lanes instead of its heap.
+func (k *Kernel) LaneStats() eventq.LaneStats { return k.q.LaneStats() }
+
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics, since it would silently reorder causality.
 func (k *Kernel) At(at simtime.Time, fn func()) {
@@ -75,12 +84,21 @@ func (k *Kernel) At(at simtime.Time, fn func()) {
 	k.tPush.End(t0)
 }
 
-// After schedules fn to run d after the current time.
+// After schedules fn to run d after the current time. Relative events go
+// to the queue's constant-delay lanes, which need no sorting because the
+// clock never runs backwards; the run is the same as scheduling them with
+// At(Now()+d).
 func (k *Kernel) After(d simtime.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	k.At(k.now.Add(d), fn)
+	if at := k.now.Add(d); at < k.now {
+		k.At(at, fn) // d overflowed the clock into the past: At panics
+		return
+	}
+	t0 := k.tPush.Begin()
+	k.q.PushAfter(k.now, d, fn)
+	k.tPush.End(t0)
 }
 
 // Stop makes Run return after the current event completes.

@@ -129,3 +129,73 @@ func TestEventLimit(t *testing.T) {
 	}()
 	k.Run(simtime.Never)
 }
+
+// TestAfterMatchesAt holds the kernel's two ways of scheduling to one
+// order: a run whose handlers schedule with After (the queue's lanes, more
+// delays than there are lanes) executes the same events at the same times
+// in the same order as the run that schedules every one of them with
+// At(Now()+d) (the heap alone), absolute-time events mixed in.
+func TestAfterMatchesAt(t *testing.T) {
+	delays := []simtime.Duration{0, 5, 46, 1310, 2000, 2005, 4010, 8020, 12_030, 13_750, 138_888}
+	run := func(after bool) []int64 {
+		k := New(7)
+		var log []int64
+		schedule := func(d simtime.Duration, fn func()) {
+			if after {
+				k.After(d, fn)
+			} else {
+				k.At(k.Now().Add(d), fn)
+			}
+		}
+		var spawn func(id int64) func()
+		spawn = func(id int64) func() {
+			return func() {
+				log = append(log, id, int64(k.Now()))
+				if len(log) > 40_000 {
+					return
+				}
+				for i := 0; i < 1+k.Rand().Intn(2); i++ {
+					child := id*3 + int64(i) + 1
+					if k.Rand().Intn(10) == 0 {
+						k.At(k.Now()+simtime.Time(k.Rand().Intn(3000)), spawn(child))
+						continue
+					}
+					schedule(delays[k.Rand().Intn(len(delays))], spawn(child))
+				}
+			}
+		}
+		for i := int64(0); i < 50; i++ {
+			schedule(delays[i%int64(len(delays))], spawn(i*1000))
+		}
+		k.Run(simtime.Never)
+		if st := k.QueueStats(); after && k.LaneStats().Laned == 0 || !after && k.LaneStats().After != 0 {
+			t.Fatalf("after=%v: lane stats %+v with queue stats %+v", after, k.LaneStats(), st)
+		}
+		return log
+	}
+	a, b := run(true), run(false)
+	if len(a) != len(b) {
+		t.Fatalf("After run logged %d values, At run %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("runs diverge at value %d: %d (After) vs %d (At)", i, a[i], b[i])
+		}
+	}
+}
+
+// TestAfterOverflowPanics keeps After's causality check: a delay that
+// overflows the clock into the past panics like At does, rather than
+// joining a lane.
+func TestAfterOverflowPanics(t *testing.T) {
+	k := New(1)
+	k.After(time.Microsecond, func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("expected panic for a delay that overflows the clock")
+			}
+		}()
+		k.After(simtime.Duration(simtime.Never), nil)
+	})
+	k.Run(simtime.Never)
+}

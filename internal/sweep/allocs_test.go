@@ -11,8 +11,8 @@ import (
 
 // allocCeilings hold each of the four §IV-A kinds that the benchmark's
 // sweep-mixed workload runs to 1 % over the heap allocations a case cost
-// when the ceilings were last set: contention 15 657–15 662, incast
-// 12 767–12 768, pfc-storm 9 429–9 430 and pfc-backpressure 11 905–11 907
+// when the ceilings were last set: contention 15 140–15 142, incast
+// 12 246–12 248, pfc-storm 8 908–8 909 and pfc-backpressure 11 386–11 387
 // a case. Allocation counts are deterministic up to map iteration and
 // goroutine scheduling, so the band is tight: a hot-path allocation that
 // creeps back in fails here, on any machine, where wall time would only
@@ -22,10 +22,10 @@ var allocCeilings = []struct {
 	kind    scenario.AnomalyKind
 	ceiling int64
 }{
-	{scenario.Contention, 15819},
-	{scenario.Incast, 12896},
-	{scenario.PFCStorm, 9525},
-	{scenario.PFCBackpressure, 12027},
+	{scenario.Contention, 15294},
+	{scenario.Incast, 12371},
+	{scenario.PFCStorm, 8999},
+	{scenario.PFCBackpressure, 11501},
 }
 
 // checkAllocsPerCase is the gate: nil at or under the ceiling.

@@ -79,14 +79,14 @@ type Topology struct {
 	// nextHops[node][host] = candidate egress ports on shortest paths,
 	// dense in both NodeIDs; a row is nil until the node has a route.
 	nextHops [][][]int
-	// hostPort[host] = the single port a host uses (hosts are single-homed).
-	dist map[NodeID]map[NodeID]int
+	// dist[host][node] = hop count from node to host, dense in both
+	// NodeIDs, -1 when unreachable; a row is nil for a switch (HopCount
+	// runs a BFS toward those).
+	dist [][]int
 }
 
 // New returns an empty topology.
-func New() *Topology {
-	return &Topology{dist: make(map[NodeID]map[NodeID]int)}
-}
+func New() *Topology { return &Topology{} }
 
 // AddNode appends a node and returns its ID.
 func (t *Topology) AddNode(kind Kind, name string) NodeID {
@@ -144,20 +144,22 @@ func (t *Topology) PeerOf(p PortID) PortID {
 // ComputeRoutes builds shortest-path ECMP next-hop tables from every node to
 // every host. Call once after the topology is fully built.
 func (t *Topology) ComputeRoutes() {
+	t.dist = make([][]int, len(t.Nodes))
+	queue := make([]NodeID, 0, len(t.Nodes))
 	for _, h := range t.hosts {
-		dist := t.bfsFrom(h)
+		dist := t.bfsFrom(h, queue)
 		t.dist[h] = dist
 		for _, n := range t.Nodes {
 			if n.ID == h {
 				continue
 			}
-			d, ok := dist[n.ID]
-			if !ok {
+			d := dist[n.ID]
+			if d < 0 {
 				continue
 			}
 			var ports []int
 			for pi, peer := range n.Ports {
-				if pd, ok := dist[peer.Node]; ok && pd == d-1 {
+				if dist[peer.Node] == d-1 {
 					ports = append(ports, pi)
 				}
 			}
@@ -166,15 +168,20 @@ func (t *Topology) ComputeRoutes() {
 	}
 }
 
-// bfsFrom returns hop distances from src to every reachable node.
-func (t *Topology) bfsFrom(src NodeID) map[NodeID]int {
-	dist := map[NodeID]int{src: 0}
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+// bfsFrom returns hop distances from src to every node, indexed by NodeID,
+// with -1 for an unreachable one. queue is scratch space (nil is fine); its
+// contents are overwritten.
+func (t *Topology) bfsFrom(src NodeID, queue []NodeID) []int {
+	dist := make([]int, len(t.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], src)
+	for i := 0; i < len(queue); i++ {
+		cur := queue[i]
 		for _, peer := range t.Nodes[cur].Ports {
-			if _, seen := dist[peer.Node]; !seen {
+			if dist[peer.Node] < 0 {
 				dist[peer.Node] = dist[cur] + 1
 				queue = append(queue, peer.Node)
 			}
@@ -215,19 +222,19 @@ func (t *Topology) setNextHops(at, dst NodeID, ports []int) {
 }
 
 // HopCount returns the number of links on a shortest path from src to dst,
-// or -1 if unreachable.
+// or -1 if unreachable or either is not a node.
 func (t *Topology) HopCount(src, dst NodeID) int {
-	if d, ok := t.dist[dst]; ok {
-		if n, ok := d[src]; ok {
-			return n
-		}
+	if uint(src) >= uint(len(t.Nodes)) || uint(dst) >= uint(len(t.Nodes)) {
 		return -1
 	}
-	// dst may be a switch; fall back to a BFS from src.
-	if d, ok := t.bfsFrom(src)[dst]; ok {
-		return d
+	if uint(dst) < uint(len(t.dist)) && t.dist[dst] != nil {
+		if row := t.dist[dst]; uint(src) < uint(len(row)) {
+			return row[src]
+		}
+		return -1 // src was added after ComputeRoutes: not in the table
 	}
-	return -1
+	// dst may be a switch; fall back to a BFS from src.
+	return t.bfsFrom(src, nil)[dst]
 }
 
 // Path returns one concrete shortest path from src host to dst host as the

@@ -39,6 +39,42 @@ func TestLineRouting(t *testing.T) {
 	}
 }
 
+// TestHopCountContract pins HopCount's answers off the host-to-host path:
+// toward a switch (the BFS fallback), toward an unreachable host, and -1
+// for ids that name no node, on either side.
+func TestHopCountContract(t *testing.T) {
+	tp, h0, h1, sw := line(t)
+	lone := tp.AddNode(KindHost, "lone") // a host with no links
+	tp.ComputeRoutes()
+	cases := []struct {
+		src, dst NodeID
+		want     int
+	}{
+		{h0, h0, 0},
+		{h1, h0, 2},
+		{sw, h1, 1},
+		{h0, sw, 1},
+		{sw, sw, 0},
+		{h0, lone, -1},
+		{lone, h1, -1},
+		{lone, sw, -1},
+		{-1, h1, -1},
+		{NodeID(len(tp.Nodes)), h1, -1},
+		{h0, -1, -1},
+		{h0, NodeID(len(tp.Nodes)), -1},
+		{NodeID(len(tp.Nodes)), sw, -1},
+	}
+	for _, c := range cases {
+		if got := tp.HopCount(c.src, c.dst); got != c.want {
+			t.Errorf("HopCount(%d, %d) = %d, want %d", c.src, c.dst, got, c.want)
+		}
+	}
+	late := tp.AddNode(KindSwitch, "late") // after ComputeRoutes: shorter rows
+	if got := tp.HopCount(late, h1); got != -1 {
+		t.Errorf("HopCount(late, h1) = %d, want -1", got)
+	}
+}
+
 func TestPeerOf(t *testing.T) {
 	tp, h0, _, sw := line(t)
 	got := tp.PeerOf(PortID{Node: h0, Port: 0})

@@ -17,7 +17,6 @@ type clusterOpts struct {
 	after         time.Duration
 	asJSON        bool
 	shards        int
-	replicas      int
 	holdShard     int
 	walDir        string
 	fsyncMode     string
@@ -50,7 +49,6 @@ func runCluster(o clusterOpts) int {
 	f, err := fleet.Start(fleet.Config{
 		BinPath:       exe,
 		Shards:        o.shards,
-		Replicas:      o.replicas,
 		Dir:           o.walDir,
 		Fsync:         o.fsyncMode,
 		SnapshotEvery: o.snapshotEvery,

@@ -12,24 +12,24 @@
 //	vedranalyzerd [-listen 127.0.0.1:7391] [-after 30s] [-json]
 //	              [-read-timeout 2m] [-max-line 16777216]
 //	              [-wal-dir DIR] [-fsync always|interval|off]
-//	              [-snapshot-every N] [-queue N] [-rate R] [-burst N]
-//	vedranalyzerd -cluster N [-shard-replicas R] [-hold-shard I] [...]
+//	              [-snapshot-every N] [-queue N]
+//	vedranalyzerd -cluster N [-hold-shard I] [...]
 //	vedranalyzerd supervise [-backoff 200ms] [-crash-loops 5]
 //	              [-healthy-after 30s] -- <daemon flags>
 //
 // The service is hardened against misbehaving agents: -read-timeout drops
 // a connection that stops delivering bytes, -max-line caps one protocol
-// line, malformed lines are skipped with a counter, and sequence-numbered
-// submissions are acknowledged for exactly-once resubmission (see
-// internal/analyzerd). Abuse counters print alongside the ingest totals.
+// line, malformed lines are skipped with a counter, and every submission
+// must name its client and carry a sequence number, which is acknowledged
+// for exactly-once resubmission (see internal/analyzerd). Abuse counters
+// print alongside the ingest totals.
 //
 // With -wal-dir every accepted message is write-ahead-logged before it is
 // acknowledged and the daemon snapshots its state there; a restarted
 // daemon recovers a byte-identical diagnosis from the snapshot plus the
-// log tail. -queue bounds the ingest queue and -rate/-burst cap each
-// client's submission rate; both overload paths answer with explicit
-// retryable NACKs that the reliable client backs off on. The obs listener
-// additionally serves /healthz and /readyz probes.
+// log tail. -queue bounds the ingest queue; a full queue answers with an
+// explicit retryable NACK that the reliable client backs off on. The obs
+// listener additionally serves /healthz and /readyz probes.
 //
 // The supervise subcommand re-runs the daemon under a restart-with-backoff
 // loop: a clean exit (0) ends supervision, a crash restarts the daemon
@@ -74,10 +74,6 @@ func run() int {
 		"maximum protocol line size in bytes")
 	flag.IntVar(&scfg.MaxQueue, "queue", scfg.MaxQueue,
 		"ingest queue bound; a full queue NACKs with retry")
-	flag.Float64Var(&scfg.RateLimit.Rate, "rate", 0,
-		"per-client sustained messages/second (0 = unlimited)")
-	flag.IntVar(&scfg.RateLimit.Burst, "burst", 0,
-		"per-client token bucket depth (0 = derived from -rate)")
 	flag.DurationVar(&scfg.AckTTL, "ack-ttl", 0,
 		"evict a disconnected client's ack window after this idle time (0 = default 15m, <0 = never)")
 	walDir := flag.String("wal-dir", "",
@@ -93,8 +89,6 @@ func run() int {
 	verbose := flag.Bool("v", false, "log connection and ingest events on stderr")
 	cluster := flag.Int("cluster", 0,
 		"run as a fleet: N supervised shard children behind a consistent-hash router")
-	shardReplicas := flag.Int("shard-replicas", 0,
-		"consistent-hash virtual nodes per shard (0 = default)")
 	holdShard := flag.Int("hold-shard", -1,
 		"with -cluster: hold this shard down at drain time and report a degraded diagnosis")
 	shardIndex := flag.Int("shard-index", -1,
@@ -109,7 +103,6 @@ func run() int {
 			after:         *after,
 			asJSON:        *asJSON,
 			shards:        *cluster,
-			replicas:      *shardReplicas,
 			holdShard:     *holdShard,
 			walDir:        *walDir,
 			fsyncMode:     *fsyncMode,
@@ -123,7 +116,7 @@ func run() int {
 	}
 	if *shardCount > 0 {
 		scfg.Shard = &analyzerd.ShardConfig{
-			Map:   wire.ShardMap{Shards: *shardCount, Replicas: *shardReplicas},
+			Map:   wire.ShardMap{Shards: *shardCount},
 			Index: *shardIndex,
 		}
 	}
@@ -177,9 +170,9 @@ func run() int {
 		fmt.Printf("shrugged off: %d malformed, %d oversized, %d timed out, %d rejected, %d duplicates\n",
 			st.Malformed, st.Oversized, st.TimedOut, st.Rejected, st.Duplicates)
 	}
-	if st.Overloaded != 0 || st.RateLimited != 0 || st.AckEvictions != 0 || st.WALErrors != 0 {
-		fmt.Printf("backpressure: %d overloaded, %d rate limited, %d ack evictions, %d wal errors\n",
-			st.Overloaded, st.RateLimited, st.AckEvictions, st.WALErrors)
+	if st.Overloaded != 0 || st.AckEvictions != 0 || st.WALErrors != 0 {
+		fmt.Printf("backpressure: %d overloaded, %d ack evictions, %d wal errors\n",
+			st.Overloaded, st.AckEvictions, st.WALErrors)
 	}
 	if scfg.Shard != nil {
 		// A fleet member's slice is not a diagnosis anyone reads: the

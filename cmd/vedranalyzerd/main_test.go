@@ -304,9 +304,10 @@ func TestSuperviseCrashLoopGivesUp(t *testing.T) {
 }
 
 // TestRemovedFlagsRefused: the fleet is sized once, by -cluster, so the
-// live-rebalance, tenant-quota and shard-epoch flags are gone, and a
-// command line that still carries one fails with exit 2 instead of
-// running a fleet that ignores it.
+// live-rebalance, tenant-quota, shard-epoch and vnode-count flags are
+// gone, as is the per-client rate limiter's -rate/-burst, and a command
+// line that still carries one fails with exit 2 instead of running a
+// daemon that ignores it.
 func TestRemovedFlagsRefused(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cluster", "2", "-resize-to", "3"},
@@ -315,6 +316,9 @@ func TestRemovedFlagsRefused(t *testing.T) {
 		{"-cluster", "2", "-tenant-rate", "25"},
 		{"-cluster", "2", "-tenant-burst", "4"},
 		{"-shard-index", "0", "-shard-count", "2", "-shard-epoch", "1"},
+		{"-cluster", "2", "-shard-replicas", "16"},
+		{"-rate", "100"},
+		{"-burst", "8"},
 	} {
 		cmd := exec.Command(daemonPath, append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, args...)...)
 		out, err := cmd.CombinedOutput()

@@ -63,7 +63,7 @@ func expectReply(t *testing.T, conn net.Conn, want string) {
 	}
 }
 
-// fakeClock is a mutex-guarded manual clock for rate-limit and TTL tests.
+// fakeClock is a mutex-guarded manual clock for TTL tests.
 type fakeClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -208,58 +208,6 @@ func TestSeqBaselineForFreshClient(t *testing.T) {
 	}
 	if _, _, cfs := srv.Counts(); cfs != 5 {
 		t.Fatalf("ingested %d cfs, want 5", cfs)
-	}
-}
-
-// TestRateLimitTokenBucket: with an injected clock, a client gets exactly
-// its burst, the over-limit message is nacked retryable, and refilled
-// tokens admit the retry.
-func TestRateLimitTokenBucket(t *testing.T) {
-	clock := newFakeClock()
-	cfg := DefaultServerConfig()
-	cfg.RateLimit = RateLimit{Rate: 1, Burst: 2}
-	cfg.Now = clock.Now
-	srv, err := ServeWith("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-
-	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)
-	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":3},"seq":2,"client":"h1"}`)
-	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":4},"seq":3,"client":"h1"}`)
-	var naks, acks int
-	for _, rep := range readReplies(t, br, conn, 3) {
-		switch {
-		case rep.Ack > 0:
-			acks++
-		case rep.Nak == 3 && rep.Retry:
-			naks++
-		default:
-			t.Fatalf("unexpected reply %+v", rep)
-		}
-	}
-	if acks != 2 || naks != 1 {
-		t.Fatalf("acks=%d naks=%d, want 2 acks and 1 retryable nak", acks, naks)
-	}
-	if rl := srv.Stats().RateLimited; rl != 1 {
-		t.Fatalf("RateLimited = %d, want 1", rl)
-	}
-
-	clock.Advance(2 * time.Second) // refills 2 tokens
-	sendLine(t, conn, `{"type":"cf","cf":{"src":1,"dst":4},"seq":3,"client":"h1"}`)
-	reps := readReplies(t, br, conn, 1)
-	if reps[0].Ack != 3 {
-		t.Fatalf("refilled retry reply %+v, want ack 3", reps[0])
-	}
-	if _, _, cfs := srv.Counts(); cfs != 3 {
-		t.Fatalf("ingested %d cfs, want 3", cfs)
 	}
 }
 

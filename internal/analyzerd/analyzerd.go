@@ -11,8 +11,9 @@
 // peers: per-connection read deadlines bound a stalled client, the line
 // scanner is capped so an unbounded line cannot grow the buffer without
 // limit, malformed lines are counted and skipped instead of killing the
-// connection, and sequence-numbered submissions are acknowledged so a
-// ReliableClient can reconnect and resubmit unacked records exactly once.
+// connection, and every submission is named and sequence-numbered and is
+// acknowledged, so a ReliableClient can reconnect and resubmit unacked
+// records exactly once.
 //
 // The serving path is also crash-safe and overload-safe. With a
 // DurabilityConfig, every accepted message is appended to a CRC-checked
@@ -20,15 +21,13 @@
 // periodic snapshots bound replay time, and a restarted daemon calls
 // Recover to reach a byte-identical Diagnose() to an uninterrupted run.
 // Accepted messages flow through a bounded ingest queue drained by a
-// single applier goroutine; when the queue is full or a client exceeds its
-// token-bucket rate the server replies with an explicit retryable NACK
-// instead of degrading for everyone.
+// single applier goroutine; when the queue is full the server replies with
+// an explicit retryable NACK instead of degrading for everyone.
 package analyzerd
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -40,11 +39,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vedrfolnir/internal/collective"
 	"vedrfolnir/internal/diagnose"
-	"vedrfolnir/internal/fabric"
 	"vedrfolnir/internal/obs"
-	"vedrfolnir/internal/telemetry"
 	"vedrfolnir/internal/wire"
 )
 
@@ -63,10 +59,11 @@ const (
 )
 
 // ParseMessage decodes and validates one protocol line: known type, the
-// matching payload present, no extra payloads, non-negative sequence
-// number. It is the single entry point for untrusted input (the fuzz
-// target), so every malformed shape must come back as an error, never a
-// panic.
+// matching payload present, no extra payloads, and for an ingest line a
+// named client and a sequence number from 1. It is the single entry point
+// for untrusted input — the shard's connection handler, the fleet router,
+// WAL recovery and the fuzz target all come through it — so every
+// malformed shape must come back as an error, never a panic.
 func ParseMessage(line []byte) (*Message, error) {
 	msg, err := wire.DecodeMessage(line)
 	if err != nil {
@@ -78,11 +75,12 @@ func ParseMessage(line []byte) (*Message, error) {
 	return msg, nil
 }
 
-// validateMessage holds the protocol's rules for a decoded line.
+// validateMessage is the whole ingest contract: a step, report or cf line
+// carries exactly its payload, a named client and a seq >= 1 (the client's
+// ack window is keyed by the name and advanced by the seq); a dump line
+// carries neither payload nor seq. Whoever accepts a line — a lone
+// daemon, a shard, the router in front of it — accepts it here.
 func validateMessage(msg *Message) error {
-	if msg.Seq < 0 {
-		return fmt.Errorf("negative seq %d", msg.Seq)
-	}
 	payloads := 0
 	if msg.Step != nil {
 		payloads++
@@ -116,8 +114,15 @@ func validateMessage(msg *Message) error {
 		if msg.Seq != 0 {
 			return errors.New("dump message cannot be sequenced")
 		}
+		return nil
 	default:
 		return fmt.Errorf("unknown message type %q", msg.Type)
+	}
+	if msg.Client == "" {
+		return fmt.Errorf("%s message without a client", msg.Type)
+	}
+	if msg.Seq < 1 {
+		return fmt.Errorf("%s message with seq %d, want >= 1", msg.Type, msg.Seq)
 	}
 	return nil
 }
@@ -136,15 +141,6 @@ type DurabilityConfig struct {
 	// SnapshotEvery writes a snapshot (and truncates the WAL) after this
 	// many applied messages. <= 0 snapshots only on Drain.
 	SnapshotEvery int
-}
-
-// RateLimit is the per-client token bucket. Rate 0 disables limiting.
-type RateLimit struct {
-	// Rate is the sustained messages/second allowed per client (keyed by
-	// Message.Client, or the peer address for unnamed submissions).
-	Rate float64
-	// Burst is the bucket depth (default: DefaultBurst(Rate)).
-	Burst int
 }
 
 // ServerConfig hardens the service against misbehaving peers and overload.
@@ -168,8 +164,6 @@ type ServerConfig struct {
 	// "overloaded" NACK instead of unbounded memory growth. <= 0 uses the
 	// default (1024).
 	MaxQueue int
-	// RateLimit throttles each client; the zero value disables it.
-	RateLimit RateLimit
 	// AckTTL evicts a disconnected client's ack window after this idle
 	// time (counted in Stats().AckEvictions), bounding the per-client
 	// dedup state. 0 uses the default (15m); < 0 never evicts.
@@ -178,7 +172,7 @@ type ServerConfig struct {
 	// accepted message so a restart recovers a byte-identical state.
 	Durability *DurabilityConfig
 	// Shard places this server in a diagnosis fleet: it only accepts
-	// named clients the shard map assigns to it (others get a moved NACK
+	// clients the shard map assigns to it (others get a moved NACK
 	// carrying the owning shard) and recovery re-filters ownership against
 	// the map. Every server is a shard — nil means shard 0 of the
 	// one-shard map, which owns every client — and the only thing a nil
@@ -186,8 +180,8 @@ type ServerConfig struct {
 	// whole state on an outside party's say-so, and only a process
 	// started as a fleet member has a router to trust.
 	Shard *ShardConfig
-	// Now injects the clock used for rate limiting, ack-window TTLs, and
-	// WAL fsync pacing. Nil uses the wall clock. (These are real-daemon
+	// Now injects the clock used for ack-window TTLs and WAL fsync
+	// pacing. Nil uses the wall clock. (These are real-daemon
 	// concerns; simulation time never reaches this package.)
 	Now func() time.Time
 	// Log, when set, receives structured connection-level events
@@ -228,8 +222,6 @@ type ServerStats struct {
 	Duplicates int64
 	// Overloaded messages were NACKed because the ingest queue was full.
 	Overloaded int64
-	// RateLimited messages were NACKed by a client's token bucket.
-	RateLimited int64
 	// AckEvictions counts per-client ack windows dropped after the idle
 	// TTL expired on a disconnected client.
 	AckEvictions int64
@@ -243,13 +235,12 @@ type ServerStats struct {
 
 // clientState is everything the server remembers about one submitting
 // client: the ack highwater (a cumulative sliding window over its
-// sequence space — O(1) regardless of how much it has sent), the token
-// bucket, and the idle-tracking needed to evict it after disconnect.
+// sequence space — O(1) regardless of how much it has sent) and the
+// idle-tracking needed to evict it after disconnect.
 type clientState struct {
 	acked    int64
 	conns    int
 	lastSeen time.Time
-	bucket   TokenBucket
 	// retryLow is the lowest seq the server load-shed with a retryable
 	// NACK under this state. While the state has no live highwater
 	// (acked == 0) the applier refuses to baseline past it — the shed
@@ -265,7 +256,6 @@ type ingestItem struct {
 	msg  *Message
 	raw  []byte
 	conn net.Conn
-	key  string
 }
 
 // Server accepts monitor connections and aggregates their submissions.
@@ -282,8 +272,8 @@ type Server struct {
 	// Diagnose and Counts fold it on demand; snapshots and dumps
 	// serialize it as is.
 	sourced []wire.SourcedMessage // guarded by mu
-	// clients holds the per-client ack windows, token buckets, and idle
-	// state; entries for disconnected clients are evicted after AckTTL.
+	// clients holds the per-client ack windows and idle state; entries
+	// for disconnected clients are evicted after AckTTL.
 	clients  map[string]*clientState // guarded by mu
 	conns    map[net.Conn]struct{}   // guarded by mu
 	stats    ServerStats             // guarded by mu
@@ -334,9 +324,6 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.AckTTL == 0 {
 		cfg.AckTTL = 15 * time.Minute
 	}
-	if cfg.RateLimit.Burst <= 0 {
-		cfg.RateLimit.Burst = DefaultBurst(cfg.RateLimit.Rate)
-	}
 	shard := ShardConfig{Map: wire.ShardMap{Shards: 1}}
 	if cfg.Shard != nil {
 		shard = *cfg.Shard
@@ -362,7 +349,7 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 		s.log = obs.NopLogger()
 	}
 	if s.now == nil {
-		//lint:ignore nosystime rate limiting, ack TTLs and fsync pacing on a real TCP daemon; wall clock never reaches simulation state
+		//lint:ignore nosystime ack TTLs and fsync pacing on a real TCP daemon; wall clock never reaches simulation state
 		s.now = time.Now
 	}
 	if cfg.Durability != nil {
@@ -436,16 +423,14 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 		if _, moved := s.disownedBy(a.Client); moved {
 			continue // the owning shard holds this client's window now
 		}
-		st := s.newClientState(now)
-		st.acked = a.Seq
-		s.clients[a.Client] = st
+		s.clients[a.Client] = &clientState{acked: a.Seq, lastSeen: now}
 	}
 	for _, msg := range rec.Messages {
 		if _, moved := s.disownedBy(msg.Client); moved {
 			rec.Stats.Reassigned++
 			continue
 		}
-		if msg.Seq > 0 && msg.Seq <= s.clientAcked(msg.Client) {
+		if msg.Seq <= s.clientAcked(msg.Client) {
 			continue // resubmission that was logged twice across a crash
 		}
 		if err := s.ingest(sourcedFromMessage(msg)); err != nil {
@@ -457,9 +442,7 @@ func (s *Server) applyRecovered(rec *RecoveredState) {
 				"client", msg.Client, "seq", msg.Seq, "err", err.Error())
 			continue
 		}
-		if msg.Seq > 0 {
-			s.markAcked(msg.Client, msg.Seq)
-		}
+		s.markAcked(msg.Client, msg.Seq)
 	}
 }
 
@@ -536,8 +519,6 @@ func (s *Server) PublishStats(reg *obs.Registry) {
 		func() int64 { return s.Stats().Duplicates })
 	reg.GaugeFunc("vedr_analyzerd_overloaded_total", "messages NACKed because the ingest queue was full",
 		func() int64 { return s.Stats().Overloaded })
-	reg.GaugeFunc("vedr_analyzerd_ratelimited_total", "messages NACKed by per-client token buckets",
-		func() int64 { return s.Stats().RateLimited })
 	reg.GaugeFunc("vedr_analyzerd_ack_evictions_total", "idle client ack windows evicted",
 		func() int64 { return s.Stats().AckEvictions })
 	reg.GaugeFunc("vedr_analyzerd_wal_errors_total", "messages NACKed because the WAL append failed",
@@ -725,27 +706,17 @@ func (s *Server) handle(conn net.Conn) {
 			s.replyMoved(conn, msg.Seq, msg.Client, owner)
 			continue
 		}
-		key := msg.Client
-		if key == "" {
-			key = peer
+		if !seen[msg.Client] {
+			seen[msg.Client] = true
+			s.bindClient(msg.Client)
 		}
-		if !seen[key] {
-			seen[key] = true
-			s.bindClient(key)
-		}
-		if msg.Seq > 0 && s.alreadyAcked(msg.Client, msg.Seq) {
+		if s.alreadyAcked(msg.Client, msg.Seq) {
 			s.count(func(st *ServerStats) { st.Duplicates++ })
 			s.log.Debug("duplicate suppressed", "peer", peer, "client", msg.Client, "seq", msg.Seq)
 			s.reply(conn, AckLine(msg.Seq, msg.Client))
 			continue
 		}
-		if !s.admit(key) {
-			s.count(func(st *ServerStats) { st.RateLimited++ })
-			s.log.Warn("rate limited", "peer", peer, "client", key)
-			s.nackRetry(conn, msg.Client, msg.Seq, "rate limited")
-			continue
-		}
-		item := ingestItem{msg: msg, raw: append([]byte(nil), line...), conn: conn, key: key}
+		item := ingestItem{msg: msg, raw: append([]byte(nil), line...), conn: conn}
 		select {
 		case s.queue <- item:
 		default:
@@ -782,22 +753,16 @@ func (s *Server) nackRetry(conn net.Conn, client string, seq int64, reason strin
 // retryable NACK, the guard the applier's baseline rule checks before
 // trusting a first-seen seq.
 func (s *Server) noteRetryNack(client string, seq int64) {
-	if seq <= 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.clients[client]
-	if st == nil {
-		st = s.newClientState(s.now())
-		s.clients[client] = st
-	}
+	st := s.clientLocked(client, s.now())
 	if st.retryLow == 0 || seq < st.retryLow {
 		st.retryLow = seq
 	}
 }
 
-// replyError answers an unsequenced line with a permanent {"error":…}.
+// replyError answers a line that breaks the protocol with a permanent,
+// unsequenced {"error":…}.
 func (s *Server) replyError(conn net.Conn, reason string) {
 	s.reply(conn, NakLine(0, "", reason, false))
 }
@@ -843,38 +808,36 @@ func (s *Server) applier() {
 
 func (s *Server) apply(item ingestItem) {
 	msg := item.msg
-	if msg.Seq > 0 {
-		s.mu.Lock()
-		var acked, retryLow int64
-		if st := s.clients[msg.Client]; st != nil {
-			acked, retryLow = st.acked, st.retryLow
-		}
-		s.mu.Unlock()
-		switch {
-		case msg.Seq <= acked:
-			// A resubmission raced its original through the queue.
-			s.count(func(st *ServerStats) { st.Duplicates++ })
-			s.reply(item.conn, AckLine(msg.Seq, msg.Client))
-			return
-		case acked == 0 && (retryLow == 0 || msg.Seq <= retryLow):
-			// No live highwater for this client: first contact, an ack
-			// window evicted by AckTTL, or state lost to a non-durable
-			// restart. Its seq counter is process-lifetime monotonic, so
-			// demanding seq 1 would NACK its resubmissions forever; the
-			// first seen seq becomes the new baseline instead. That is
-			// only unsafe when a lower seq was already load-shed under
-			// this state (retryLow) — then the hole must be filled first,
-			// which the next case enforces.
-		case msg.Seq != acked+1:
-			// An earlier message from this client was NACKed (overload,
-			// rate limit) after this one was already queued. Accepting it
-			// would advance the cumulative ack highwater past that hole
-			// and the resubmission would be wrongly suppressed as a
-			// duplicate — so the whole tail is bounced for resubmission.
-			s.count(func(st *ServerStats) { st.Overloaded++ })
-			s.nackRetry(item.conn, msg.Client, msg.Seq, "out of order")
-			return
-		}
+	s.mu.Lock()
+	var acked, retryLow int64
+	if st := s.clients[msg.Client]; st != nil {
+		acked, retryLow = st.acked, st.retryLow
+	}
+	s.mu.Unlock()
+	switch {
+	case msg.Seq <= acked:
+		// A resubmission raced its original through the queue.
+		s.count(func(st *ServerStats) { st.Duplicates++ })
+		s.reply(item.conn, AckLine(msg.Seq, msg.Client))
+		return
+	case acked == 0 && (retryLow == 0 || msg.Seq <= retryLow):
+		// No live highwater for this client: first contact, an ack
+		// window evicted by AckTTL, or state lost to a non-durable
+		// restart. Its seq counter is process-lifetime monotonic, so
+		// demanding seq 1 would NACK its resubmissions forever; the
+		// first seen seq becomes the new baseline instead. That is
+		// only unsafe when a lower seq was already load-shed under
+		// this state (retryLow) — then the hole must be filled first,
+		// which the next case enforces.
+	case msg.Seq != acked+1:
+		// An earlier message from this client was NACKed (overload, a
+		// failed WAL append) after this one was already queued.
+		// Accepting it would advance the cumulative ack highwater past
+		// that hole and the resubmission would be wrongly suppressed as
+		// a duplicate — so the whole tail is bounced for resubmission.
+		s.count(func(st *ServerStats) { st.Overloaded++ })
+		s.nackRetry(item.conn, msg.Client, msg.Seq, "out of order")
+		return
 	}
 	if s.wal != nil {
 		if _, err := s.wal.Append(item.raw); err != nil {
@@ -890,9 +853,7 @@ func (s *Server) apply(item ingestItem) {
 		s.reply(item.conn, NakLine(msg.Seq, msg.Client, err.Error(), false))
 		return
 	}
-	if msg.Seq > 0 {
-		s.reply(item.conn, AckLine(msg.Seq, msg.Client))
-	}
+	s.reply(item.conn, AckLine(msg.Seq, msg.Client))
 	s.maybeSnapshot()
 }
 
@@ -907,9 +868,7 @@ func (s *Server) land(sm wire.SourcedMessage) error {
 	if err != nil {
 		s.stats.Rejected++
 	}
-	if sm.Seq > 0 {
-		s.markAcked(sm.Client, sm.Seq)
-	}
+	s.markAcked(sm.Client, sm.Seq)
 	return err
 }
 
@@ -977,21 +936,20 @@ func (s *Server) alreadyAcked(client string, seq int64) bool {
 	return seq <= s.clientAcked(client)
 }
 
-// newClientState is the one constructor for per-client state: every path
-// that first learns about a client (bind, admit, ack, NACK, recovery)
-// grants the same full token bucket, so a client arriving via recovery
-// or an applier-side ack is not spuriously rate-limited from zero.
-func (s *Server) newClientState(now time.Time) *clientState {
-	return &clientState{lastSeen: now, bucket: FullBucket(s.cfg.RateLimit.Burst)}
+// clientLocked returns client's state, creating it on first sight.
+// Callers hold s.mu.
+func (s *Server) clientLocked(client string, now time.Time) *clientState {
+	st := s.clients[client]
+	if st == nil {
+		st = &clientState{lastSeen: now}
+		s.clients[client] = st
+	}
+	return st
 }
 
 // markAcked advances a client's ack highwater. Callers hold s.mu.
 func (s *Server) markAcked(client string, seq int64) {
-	st := s.clients[client]
-	if st == nil {
-		st = s.newClientState(s.now())
-		s.clients[client] = st
-	}
+	st := s.clientLocked(client, s.now())
 	if seq > st.acked {
 		st.acked = seq
 	}
@@ -1007,11 +965,7 @@ func (s *Server) bindClient(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	st := s.clients[key]
-	if st == nil {
-		st = s.newClientState(now)
-		s.clients[key] = st
-	}
+	st := s.clientLocked(key, now)
 	st.conns++
 	st.lastSeen = now
 }
@@ -1046,23 +1000,6 @@ func (s *Server) evictIdle(now time.Time) {
 			s.stats.AckEvictions++
 		}
 	}
-}
-
-// admit charges one token from the client's bucket; false means the
-// client is over its rate and must back off.
-func (s *Server) admit(key string) bool {
-	if s.cfg.RateLimit.Rate <= 0 {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	st := s.clients[key]
-	if st == nil {
-		st = s.newClientState(now)
-		s.clients[key] = st
-	}
-	return st.bucket.Take(now, s.cfg.RateLimit.Rate, s.cfg.RateLimit.Burst)
 }
 
 // ingest appends one message to the stream. ParseMessage has validated
@@ -1101,50 +1038,4 @@ func (s *Server) Counts() (records, reports, cfs int) {
 func (s *Server) Diagnose() *diagnose.Diagnosis {
 	bundle, _ := s.fold()
 	return bundle.Analyze()
-}
-
-// Client is a host agent's connection to the analyzer (fire-and-forget; no
-// sequence numbers, no resubmission). ReliableClient adds both.
-type Client struct {
-	conn net.Conn
-	w    *bufio.Writer
-	enc  *json.Encoder
-}
-
-// Dial connects to an analyzer.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("analyzerd: %w", err)
-	}
-	w := bufio.NewWriter(conn)
-	return &Client{conn: conn, w: w, enc: json.NewEncoder(w)}, nil
-}
-
-// SendStep submits a completed step record.
-func (c *Client) SendStep(rec collective.StepRecord) error {
-	dto := wire.FromStepRecord(rec)
-	return c.enc.Encode(Message{Type: TypeStep, Step: &dto})
-}
-
-// SendReport submits a telemetry report.
-func (c *Client) SendReport(rep *telemetry.Report) error {
-	dto := wire.FromReport(rep)
-	return c.enc.Encode(Message{Type: TypeReport, Report: &dto})
-}
-
-// SendCF registers one collective flow (monitors announce their schedule's
-// 5-tuples before the collective starts).
-func (c *Client) SendCF(flow fabric.FlowKey) error {
-	dto := wire.FromFlow(flow)
-	return c.enc.Encode(Message{Type: TypeCF, CF: &dto})
-}
-
-// Close flushes and closes the connection.
-func (c *Client) Close() error {
-	if err := c.w.Flush(); err != nil {
-		_ = c.conn.Close() // the flush failure is the error worth returning
-		return err
-	}
-	return c.conn.Close()
 }

@@ -1,6 +1,7 @@
 package analyzerd
 
 import (
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func waitIngested(t *testing.T, s *Server, recs, reps, cfs int) {
 
 // TestEndToEndParity runs a full simulated contention case, ships every
 // record and report to the analyzer daemon over real TCP (split across two
-// client connections, as two host agents would), and verifies the networked
+// reliable clients, as two host agents would), and verifies the networked
 // diagnosis matches the in-process one exactly.
 func TestEndToEndParity(t *testing.T) {
 	cfg := testConfig()
@@ -64,11 +65,11 @@ func TestEndToEndParity(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c1, err := Dial(srv.Addr())
+	c1, err := NewReliableClient(srv.Addr(), ClientConfig{ID: "h1", MaxPending: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Dial(srv.Addr())
+	c2, err := NewReliableClient(srv.Addr(), ClientConfig{ID: "h2", MaxPending: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,11 @@ func TestEndToEndParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitIngested(t, srv, len(res.Records), len(res.Reports), len(res.CFs))
+	// Close returns once every message is acked, and an ack follows the
+	// message into the ingested stream.
+	if r, p, c := srv.Counts(); r != len(res.Records) || p != len(res.Reports) || c != len(res.CFs) {
+		t.Fatalf("ingested %d/%d/%d, want %d/%d/%d", r, p, c, len(res.Records), len(res.Reports), len(res.CFs))
+	}
 	remote := srv.Diagnose()
 
 	if !reflect.DeepEqual(remote.CriticalPath, local.CriticalPath) {
@@ -138,19 +143,13 @@ func TestBadMessageRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr())
+	conn, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if err := c.enc.Encode(Message{Type: "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore nosystime grace period for the real TCP server to reject the frame
-	time.Sleep(10 * time.Millisecond)
+	defer conn.Close()
+	sendLine(t, conn, `{"type":"bogus","seq":1,"client":"h1"}`)
+	expectReply(t, conn, `{"error":"unknown message type \"bogus\""}`)
 	if r, p, cf := srv.Counts(); r+p+cf != 0 {
 		t.Fatalf("bogus message ingested: %d/%d/%d", r, p, cf)
 	}
@@ -168,7 +167,7 @@ func TestServeAndCloseIdempotence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dialing a closed server fails.
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := net.Dial("tcp", srv.Addr()); err == nil {
 		t.Fatal("dial after close should fail")
 	}
 }

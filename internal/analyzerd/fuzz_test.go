@@ -33,29 +33,32 @@ const reportLine = `{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1
 // places a decoder and encoding/json could part ways (internal/wire's
 // quirk corpus has the full list; these are the ones a Message can show).
 var messageQuirks = []string{
-	`{"type":"cf","cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17}}`,
-	`{"type":"step","step":{"host":3,"step":1,"flow":{"src":3,"dst":4},"bytes":1048576,"start_ns":100,"end_ns":900}}`,
-	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}}`,
+	`{"type":"cf","cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"seq":1,"client":"h1"}`,
+	`{"type":"step","step":{"host":3,"step":1,"flow":{"src":3,"dst":4},"bytes":1048576,"start_ns":100,"end_ns":900},"seq":2,"client":"h1"}`,
+	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3},"seq":3,"client":"h1"}`,
 	`{"type":"report","report":{"at_ns":5,"triggered_by":{},"hops_polled":3,"ports_missed":2},"seq":7,"client":"h1"}`,
 	reportLine,
-	`{"type":"cf","cf":{},"step":{}}`, `{"type":"cf","cf":{},"seq":-1}`, `{"type":"bogus"}`, `{"type":"step"}`, `not json`, ``,
+	// the ingest contract: unnamed, unsequenced, seq 0 and negative seq are refused
+	`{"type":"cf","cf":{},"seq":1}`, `{"type":"cf","cf":{},"client":"h1"}`, `{"type":"cf","cf":{},"seq":0,"client":"h1"}`, `{"type":"cf","cf":{},"client":"","seq":1}`,
+	`{"type":"cf","cf":{},"step":{},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{},"seq":-1,"client":"h1"}`, `{"type":"bogus","seq":1,"client":"h1"}`, `{"type":"step","seq":1,"client":"h1"}`, `not json`, ``,
 	`{"type":"dump"}`, `{"type":"dump","seq":1}`, `{"type":"remap","map":{"shards":3,"epoch":2}}`, `{"type":"resize","map":{"shards":2},"cf":{}}`,
 	`{"type":"adopt","handoff":{"format":2,"map":{"shards":2},"from":1,"to":0,"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9}}],"acked":[{"client":"h2","seq":41}]}}`,
-	`{"TYPE":"cf","type":"step","CF":{"SRC":1,"src":2}}`, `{"type":"cf","cf":{"src":1},"cf":{"dst":2}}`, `{"type":"cf","cf":{"src":1},"cf":null}`,
-	`{"type":"step","step":null}`, `{"type":"step","step":{}}`, `{"type":"cf","cf":{"dst":1e2}}`, `{"type":"cf","cf":{"sport":65536}}`,
-	`{"type":"cf","cf":{"proto":-1}}`, `{"type":"cf","cf":{"src"`, `{"type":"cf","cf":{}} x`, `{"type":"cf","cf":{}}` + "\n", `{"type":"cf","cf":{},"seq":9223372036854775808}`,
-	`{"client":"h1","seq":1,"cf":{"proto":6,"src":1},"type":"cf"}`, `{"type" :"cf","cf":{}}`, `{"\u0074ype":"cf","cf":{}}`, `{"type":"cf","TYPE":"step","cf":{}}`,
-	`{"types":"x","type":"cf","cf":{}}`, `{"type":"cf","type":"cf","cf":{"src":1},"cf":{"src":2}}`, `{"type"`, `{"type":"cf","step"`,
-	`{"type":"cf","cf":{},"client":"h\u00e9\ud800"}`, "{\"type\":\"cf\",\"cf\":{},\"client\":\"\xff\"}", `{"type":"cf","cf":{},"x":[[1,{"y":null}],"\n"]}`, `null`,
+	`{"TYPE":"cf","type":"step","CF":{"SRC":1,"src":2},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{"src":1},"cf":{"dst":2},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{"src":1},"cf":null,"seq":1,"client":"h1"}`,
+	`{"type":"step","step":null,"seq":1,"client":"h1"}`, `{"type":"step","step":{},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{"dst":1e2},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{"sport":65536},"seq":1,"client":"h1"}`,
+	`{"type":"cf","cf":{"proto":-1},"seq":1,"client":"h1"}`, `{"type":"cf","cf":{"src"`, `{"type":"cf","cf":{},"seq":1,"client":"h1"} x`, `{"type":"cf","cf":{},"seq":1,"client":"h1"}` + "\n", `{"type":"cf","cf":{},"seq":9223372036854775808,"client":"h1"}`,
+	`{"client":"h1","seq":1,"cf":{"proto":6,"src":1},"type":"cf"}`, `{"type" :"cf","cf":{},"seq":1,"client":"h1"}`, `{"\u0074ype":"cf","cf":{},"\u0073eq":1,"client":"h1"}`, `{"type":"cf","TYPE":"step","cf":{},"seq":1,"client":"h1"}`,
+	`{"types":"x","type":"cf","cf":{},"seq":1,"client":"h1"}`, `{"type":"cf","type":"cf","cf":{"src":1},"cf":{"src":2},"seq":1,"client":"h1"}`, `{"type"`, `{"type":"cf","step"`,
+	`{"type":"cf","cf":{},"seq":1,"client":"h\u00e9\ud800"}`, "{\"type\":\"cf\",\"cf\":{},\"seq\":1,\"client\":\"\xff\"}", `{"type":"cf","cf":{},"seq":1,"client":"h1","x":[[1,{"y":null}],"\n"]}`, `null`,
 }
 
 // FuzzParseMessage hammers the single entry point for untrusted input,
 // differentially: ParseMessage and parseMessageReference accept and refuse
 // the same lines and return DeepEqual messages. On top of that, arbitrary
 // bytes never panic, and any line that parses satisfies the protocol
-// invariants (known type, the matching payload present and singular,
-// non-negative sequence number) — the properties Server.handle and ingest
-// rely on without re-checking.
+// invariants (known type, the matching payload present and singular, and
+// an ingest line named and sequenced from 1; a dump line unsequenced) —
+// the properties Server.handle, the router and ingest rely on without
+// re-checking.
 func FuzzParseMessage(f *testing.F) {
 	for _, q := range messageQuirks {
 		f.Add([]byte(q))
@@ -75,9 +78,6 @@ func FuzzParseMessage(f *testing.F) {
 		if !reflect.DeepEqual(msg, want) {
 			t.Fatalf("value mismatch on %q:\n ParseMessage: %+v\n reference:    %+v", line, msg, want)
 		}
-		if msg.Seq < 0 {
-			t.Fatalf("accepted negative seq %d", msg.Seq)
-		}
 		payloads := 0
 		if msg.Step != nil {
 			payloads++
@@ -92,6 +92,9 @@ func FuzzParseMessage(f *testing.F) {
 		case TypeStep, TypeReport, TypeCF:
 			if payloads != 1 {
 				t.Fatalf("accepted %s message with %d payloads", msg.Type, payloads)
+			}
+			if msg.Client == "" || msg.Seq < 1 {
+				t.Fatalf("accepted %s message from client %q with seq %d", msg.Type, msg.Client, msg.Seq)
 			}
 			// A validated message must ingest without error: the server relies
 			// on ParseMessage as the only gate for untrusted input.

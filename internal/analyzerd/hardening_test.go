@@ -120,16 +120,13 @@ func TestOversizedLineTerminatesConnection(t *testing.T) {
 	}
 	waitStats(t, srv, "Oversized > 0", func(st ServerStats) bool { return st.Oversized > 0 })
 	// The listener still serves a well-behaved client.
-	c, err := Dial(srv.Addr())
+	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendCF(fabric.FlowKey{Src: 1, Dst: 2, SrcPort: 7, DstPort: 8, Proto: 17}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer c.Close()
+	sendLine(t, c, `{"type":"cf","cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"seq":1,"client":"h1"}`)
+	expectReply(t, c, `{"ack":1,"client":"h1"}`)
 	waitIngested(t, srv, 0, 0, 1)
 }
 
@@ -147,8 +144,8 @@ func TestMalformedLineSkipped(t *testing.T) {
 	}
 	defer conn.Close()
 	lines := "not json at all\n" + // malformed
-		`{"type":"bogus"}` + "\n" + // unknown type
-		`{"type":"cf","cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17}}` + "\n"
+		`{"type":"bogus","seq":1,"client":"h1"}` + "\n" + // unknown type
+		`{"type":"cf","cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17},"seq":1,"client":"h1"}` + "\n"
 	if _, err := conn.Write([]byte(lines)); err != nil {
 		t.Fatal(err)
 	}

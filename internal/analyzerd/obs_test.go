@@ -2,7 +2,9 @@ package analyzerd
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"vedrfolnir/internal/collective"
 	"vedrfolnir/internal/obs"
+	"vedrfolnir/internal/wire"
 )
 
 // syncBuffer guards the log sink: server goroutines write concurrently.
@@ -46,22 +49,19 @@ func TestPublishStatsAndLogging(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv.PublishStats(reg)
 
-	c, err := Dial(srv.Addr())
+	c, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := collective.StepRecord{Host: 1, Step: 0, Bytes: 4096, Start: 0, End: 1000}
-	if err := c.SendStep(rec); err != nil {
+	step := wire.FromStepRecord(collective.StepRecord{Host: 1, Step: 0, Bytes: 4096, Start: 0, End: 1000})
+	line, err := json.Marshal(Message{Type: TypeStep, Step: &step, Seq: 1, Client: "h1"})
+	if err != nil {
 		t.Fatal(err)
 	}
+	sendLine(t, c, string(line))
 	// A message with a bogus type is counted (and logged) as malformed,
 	// exercising the abuse counters.
-	if err := c.enc.Encode(Message{Type: "bogus"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	sendLine(t, c, `{"type":"bogus","seq":2,"client":"h1"}`)
 	waitIngested(t, srv, 1, 0, 0)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

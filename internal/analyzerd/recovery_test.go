@@ -237,6 +237,50 @@ func TestRecoverTornWALTail(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesUnsequencedWALEntry: an entry an older build logged
+// without a client seq breaks the ingest contract, so recovery counts it
+// malformed and skips it; the entries around it replay intact.
+func TestRecoverRefusesUnsequencedWALEntry(t *testing.T) {
+	dir := t.TempDir()
+	w, err := openWAL(dir, 1, FsyncAlways, 0, fixedNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`{"type":"cf","cf":{"src":1,"dst":9},"seq":1,"client":"h1"}`,
+		`{"type":"cf","cf":{"src":2,"dst":9},"seq":2,"client":"h1"}`,
+		`{"type":"cf","cf":{"src":3,"dst":9}}`,
+		`{"type":"cf","cf":{"src":4,"dst":9},"seq":3,"client":"h1"}`,
+	} {
+		if _, err := w.Append([]byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultServerConfig()
+	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncAlways}
+	srv, err := ServeWith("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if rec := srv.Recovery(); rec.WALEntries != 4 || rec.WALMalformed != 1 || rec.WALTruncatedBytes != 0 {
+		t.Fatalf("recovery stats %+v, want 4 entries with 1 malformed", rec)
+	}
+	state := srv.ShardState()
+	if len(state.Messages) != 3 || len(state.Acked) != 1 || state.Acked[0] != (wire.ClientAck{Client: "h1", Seq: 3}) {
+		t.Fatalf("recovered %d messages, acked %+v; want 3 messages and h1 acked through 3", len(state.Messages), state.Acked)
+	}
+	for i, m := range state.Messages {
+		if m.Seq != int64(i+1) || m.CF == nil || m.CF.Src == 3 {
+			t.Fatalf("recovered message %d = %+v, want h1's seq %d", i, m, i+1)
+		}
+	}
+}
+
 func TestRecoverEmptyDir(t *testing.T) {
 	rs, err := Recover(t.TempDir())
 	if err != nil {

@@ -61,9 +61,9 @@ type ClientStats struct {
 	// Rejected counts messages the server nak'd; they are dropped rather
 	// than resubmitted forever.
 	Rejected int
-	// Backpressure counts retryable naks (overloaded / rate limited /
-	// out of order); the nacked messages stay pending and are resubmitted
-	// after backoff.
+	// Backpressure counts retryable naks (overloaded / out of order /
+	// WAL append failed); the nacked messages stay pending and are
+	// resubmitted after backoff.
 	Backpressure int
 	// Redirected counts shard-moved naks: a fleet shard refused the
 	// message because the shard map assigns this client elsewhere. The
@@ -248,9 +248,9 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 			moved++
 			rc.Stats.Redirected++
 		case rep.Retry:
-			// Transient pressure (overloaded / rate limited / out of
-			// order): the message stays pending for resubmission after
-			// backoff.
+			// Transient pressure (overloaded / out of order / WAL
+			// append failed): the message stays pending for
+			// resubmission after backoff.
 			busy++
 			rc.Stats.Backpressure++
 		case rep.Nak > 0:

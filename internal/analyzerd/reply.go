@@ -5,8 +5,8 @@ import (
 	"strconv"
 )
 
-// Reply lines. Every reply to a sequenced submission from a named client
-// echoes the client id next to the seq — {"ack":7,"client":"h03"} — because
+// Reply lines. Every reply a daemon sends to a submission (always named
+// and sequenced; see validateMessage) echoes the client id next to the seq — {"ack":7,"client":"h03"} — because
 // replies on one connection are not FIFO (duplicate-acks and NAKs are
 // written by the connection handler, acks by the applier), and a fleet
 // router multiplexing many clients onto one shard link can only hand a
@@ -60,8 +60,8 @@ func AckLine(seq int64, client string) []byte {
 }
 
 // NakLine renders a refusal. With seq > 0 it names the submission (and the
-// client, when there is one); without, it is the bare {"error":…} form an
-// unsequenced line gets. retry marks transient pressure: the client keeps
+// client, when there is one: the router's own NAKs name none); without, it
+// is the bare {"error":…} form a line that breaks the protocol gets. retry marks transient pressure: the client keeps
 // the message and resubmits after backoff instead of dropping it.
 func NakLine(seq int64, client, reason string, retry bool) []byte {
 	b := appendNakHead(make([]byte, 0, 96), seq, client)

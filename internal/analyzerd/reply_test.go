@@ -56,7 +56,8 @@ func cfFrom(t *testing.T, client string, seq int64) string {
 // NAK, permanent NAK, moved NAK — names the client next to the seq, as
 // JSON (not Go) string syntax, for ids with a quote, a backslash, a
 // control byte or non-ASCII text; the fleet router matches replies to
-// submitters on exactly that pair. Unnamed submissions keep the bare form.
+// submitters on exactly that pair. A reply that names no client (the
+// router's own NAK) keeps the bare form.
 func TestSequencedRepliesEchoClient(t *testing.T) {
 	ids := []string{"h03", `ho"st`, `back\slash`, "tab\there", "héllo-主机", "bad\xffbyte"}
 
@@ -87,7 +88,7 @@ func TestSequencedRepliesEchoClient(t *testing.T) {
 			}
 		}
 		if got := string(AckLine(7, "")); got != `{"ack":7}`+"\n" {
-			t.Errorf("unnamed ack = %q", got)
+			t.Errorf("client-less ack = %q", got)
 		}
 		if got := string(NakLine(0, "", "bad", true)); got != `{"error":"bad","retry":true}`+"\n" {
 			t.Errorf("unsequenced refusal = %q", got)
@@ -98,15 +99,37 @@ func TestSequencedRepliesEchoClient(t *testing.T) {
 	})
 
 	t.Run("server", func(t *testing.T) {
-		clock := newFakeClock()
+		// The applier takes one message past the gate and the queue
+		// holds one more, so a third in one write is NACKed overloaded.
+		gate := make(chan struct{})
 		cfg := DefaultServerConfig()
-		cfg.Now = clock.Now
-		cfg.RateLimit = RateLimit{Rate: 0.001, Burst: 1}
+		cfg.MaxQueue = 1
+		cfg.testApplyGate = gate
 		srv, err := ServeWith("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		// open feeds the gate until the returned stop is called; call
+		// stop only once every line sent has been answered, when the
+		// applier waits on the queue and not on the gate.
+		open := func() (stop func()) {
+			done := make(chan struct{})
+			go func() {
+				for {
+					select {
+					case gate <- struct{}{}:
+					case <-done:
+						return
+					}
+				}
+			}()
+			return func() { close(done) }
+		}
+		defer func() {
+			stop := open() // a failed check must not leave Close waiting on the gate
+			srv.Close()
+			stop()
+		}()
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -114,6 +137,7 @@ func TestSequencedRepliesEchoClient(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		for _, id := range ids[:5] {
+			stop := open()
 			sendLine(t, conn, cfFrom(t, id, 1))
 			if rep := readEcho(t, conn, br); rep.Ack != 1 || rep.Client != id {
 				t.Errorf("applier ack for %q = %+v", id, rep)
@@ -122,10 +146,22 @@ func TestSequencedRepliesEchoClient(t *testing.T) {
 			if rep := readEcho(t, conn, br); rep.Ack != 1 || rep.Client != id {
 				t.Errorf("duplicate ack for %q = %+v", id, rep)
 			}
-			sendLine(t, conn, cfFrom(t, id, 2)) // the one-token bucket is empty
-			if rep := readEcho(t, conn, br); rep.Nak != 2 || !rep.Retry || rep.Client != id {
-				t.Errorf("rate-limit NAK for %q = %+v", id, rep)
+			stop()
+			// With the gate shut nothing can be acked, so the first reply
+			// is the overload NAK of seq 3 or 4 (seq 2 finds the queue
+			// empty). The rest — acks, or an out-of-order NAK when seq 3
+			// was the one shed — come once the gate opens.
+			sendLine(t, conn, cfFrom(t, id, 2)+"\n"+cfFrom(t, id, 3)+"\n"+cfFrom(t, id, 4))
+			if rep := readEcho(t, conn, br); rep.Nak < 3 || !rep.Retry || rep.Client != id {
+				t.Errorf("overload NAK for %q = %+v", id, rep)
 			}
+			stop = open()
+			for i := 0; i < 2; i++ {
+				if rep := readEcho(t, conn, br); rep.Ack+rep.Nak < 2 || rep.Client != id {
+					t.Errorf("reply for %q = %+v", id, rep)
+				}
+			}
+			stop()
 		}
 	})
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 func fixedNow() time.Time { return time.Unix(1000, 0) }
 
 func walPayload(i byte) []byte {
-	return []byte(`{"type":"cf","cf":{"src":` + string('0'+i) + `,"dst":9}}`)
+	return []byte(`{"type":"cf","cf":{"src":` + strconv.Itoa(int(i)) + `,"dst":9},"seq":` + strconv.Itoa(int(i)+1) + `,"client":"h1"}`)
 }
 
 // writeTestWAL creates a WAL with n entries (LSNs starting at firstLSN)
@@ -416,7 +417,7 @@ func TestFormat1SnapshotRefused(t *testing.T) {
 // the two replay-terminating errors on arbitrary bytes — never panic,
 // never loop — and whatever it accepts must re-encode to the same bytes.
 func FuzzWALDecode(f *testing.F) {
-	f.Add(encodeWALEntry(nil, 1, []byte(`{"type":"cf","cf":{"src":1,"dst":2}}`)))
+	f.Add(encodeWALEntry(nil, 1, []byte(`{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`)))
 	f.Add(encodeWALEntry(encodeWALEntry(nil, 1, []byte("a")), 2, nil))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))

@@ -22,10 +22,8 @@ import (
 type Config struct {
 	// BinPath is the vedranalyzerd binary the shard children run. Required.
 	BinPath string
-	// Shards is the fleet width (required, >= 1); Replicas is the
-	// consistent-hash vnode count per shard (0 = wire.DefaultShardReplicas).
-	Shards   int
-	Replicas int
+	// Shards is the fleet width (required, >= 1): the whole shard map.
+	Shards int
 	// Dir, when set, gives each shard a WAL under Dir/shard-<i> so a
 	// SIGKILLed shard recovers its accepted messages on restart. Empty
 	// disables durability (a killed shard loses its slice of the fleet).
@@ -108,7 +106,7 @@ func Start(cfg Config) (*Fleet, error) {
 		cfg.Log = obs.NopLogger()
 	}
 	router, err := StartRouter(cfg.Listen, RouterConfig{
-		Map:     wire.ShardMap{Shards: cfg.Shards, Replicas: cfg.Replicas},
+		Map:     wire.ShardMap{Shards: cfg.Shards},
 		Log:     cfg.Log,
 		Metrics: cfg.Metrics,
 	})
@@ -139,9 +137,6 @@ func shardArgs(cfg *Config, i int) ([]string, error) {
 		"-listen", "127.0.0.1:0",
 		"-shard-index", strconv.Itoa(i),
 		"-shard-count", strconv.Itoa(cfg.Shards),
-	}
-	if cfg.Replicas > 0 {
-		args = append(args, "-shard-replicas", strconv.Itoa(cfg.Replicas))
 	}
 	if cfg.Dir != "" {
 		dir := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))

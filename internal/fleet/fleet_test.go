@@ -349,6 +349,88 @@ func TestRouterRejectsUnroutableLines(t *testing.T) {
 	}
 }
 
+// exchange sends one line on a fresh connection and returns the one reply
+// line, or a note that none came.
+func exchange(t *testing.T, addr, line string) string {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintln(conn, line); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := conn.SetReadDeadline(wallDeadline(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		return fmt.Sprintf("no reply (%v)", err)
+	}
+	return strings.TrimSuffix(rep, "\n")
+}
+
+// TestRouterShardAdmissionParity: a router in front of a shard and a lone
+// daemon accept the same lines and refuse the same lines with the same
+// permanent {"error":…}, because both run analyzerd.ParseMessage and
+// nothing else decides.
+func TestRouterShardAdmissionParity(t *testing.T) {
+	const cf = `"cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17}`
+	lines := []struct {
+		name, line string
+		accept     bool
+	}{
+		{"named and sequenced", `{"type":"cf",` + cf + `,"seq":1,"client":"h1"}`, true},
+		{"unnamed", `{"type":"cf",` + cf + `,"seq":1}`, false},
+		{"unsequenced", `{"type":"cf",` + cf + `,"client":"h1"}`, false},
+		{"seq 0", `{"type":"cf",` + cf + `,"seq":0,"client":"h1"}`, false},
+		{"negative seq", `{"type":"cf",` + cf + `,"seq":-3,"client":"h1"}`, false},
+		{"unknown type", `{"type":"bogus","seq":1,"client":"h1"}`, false},
+		{"two payloads", `{"type":"cf",` + cf + `,"step":{},"seq":1,"client":"h1"}`, false},
+		{"sequenced dump", `{"type":"dump","seq":1,"client":"h1"}`, false},
+		{"garbage", `not json`, false},
+	}
+	lone, err := analyzerd.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer lone.Close()
+	m := wire.ShardMap{Shards: 1}
+	shard := startTestShard(t, m, 0, "")
+	defer shard.Close()
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: []string{shard.Addr()}})
+	if err != nil {
+		t.Fatalf("StartRouter: %v", err)
+	}
+	defer router.Close()
+
+	refused := 0
+	for _, tc := range lines {
+		want := exchange(t, lone.Addr(), tc.line)
+		got := exchange(t, router.Addr(), tc.line)
+		if got != want {
+			t.Errorf("%s: router replied %s, lone daemon %s", tc.name, got, want)
+		}
+		if tc.accept {
+			if want != `{"ack":1,"client":"h1"}` {
+				t.Errorf("%s: lone daemon replied %s, want the ack", tc.name, want)
+			}
+			continue
+		}
+		refused++
+		if !strings.HasPrefix(want, `{"error":`) || strings.Contains(want, `"retry"`) {
+			t.Errorf("%s: lone daemon replied %s, want a permanent {\"error\":…}", tc.name, want)
+		}
+	}
+	if got := router.Stats().Rejected; got != int64(refused) {
+		t.Errorf("router Rejected = %d, want %d", got, refused)
+	}
+	if st := shard.Stats(); st.Malformed != 0 {
+		t.Errorf("the shard saw %d refused lines: the router forwarded what it should refuse", st.Malformed)
+	}
+}
+
 // TestRouterShardDownNacksRetryably: with no shard reachable, a sequenced
 // submission gets {"nak":seq,...,"retry":true} so the reliable client
 // backs off and resubmits instead of dropping the message.
@@ -390,17 +472,17 @@ func TestRouterShardDownNacksRetryably(t *testing.T) {
 // not lost. Two ways to misassemble a two-shard fleet:
 //   - both daemons claim index 0, so shard 1's clients are disowned by
 //     the daemon they land on, which names shard 1, its own link;
-//   - both daemons run a map with another vnode count, so a client the
-//     router sends to link 1 is one the shard there says belongs to
-//     shard 0 — and the daemon on link 0 would accept it if the router
-//     went there.
+//   - both daemons run a three-shard map, so a client the router sends
+//     to link 1 is one the shard there says belongs to shard 2, a shard
+//     the router's map does not have (growing a consistent-hash ring only
+//     moves clients to the new shard).
 func TestRouterRelaysMovedNack(t *testing.T) {
 	m := wire.ShardMap{Shards: 2}
 	ring, err := wire.NewHashRing(m)
 	if err != nil {
 		t.Fatalf("NewHashRing: %v", err)
 	}
-	other := wire.ShardMap{Shards: 2, Replicas: 8}
+	other := wire.ShardMap{Shards: 3}
 	type shardAt struct {
 		m     wire.ShardMap
 		index int
@@ -411,7 +493,7 @@ func TestRouterRelaysMovedNack(t *testing.T) {
 		owner  int // the shard the disowned client's moved NAK names
 	}{
 		{"wrong-index", [2]shardAt{{m, 0}, {m, 0}}, 1},
-		{"wrong-map", [2]shardAt{{other, 0}, {other, 1}}, 0},
+		{"wrong-map", [2]shardAt{{other, 0}, {other, 1}}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s0 := startTestShard(t, tc.shards[0].m, tc.shards[0].index, "")

@@ -55,8 +55,9 @@ type RouterStats struct {
 	// Forwarded counts messages relayed to a shard (including retried
 	// duplicates of the same seq).
 	Forwarded int64
-	// Rejected counts lines the router refused outright: malformed,
-	// unnamed, unsequenced, or misdirected verbs.
+	// Rejected counts lines the router refused outright: any line
+	// analyzerd.ParseMessage refuses (malformed, unnamed, unsequenced),
+	// and the dump verb, which must target a shard.
 	Rejected int64
 	// ShardDown counts retryable NACKs issued because the owning shard
 	// could not be reached; the reliable client backs off and resubmits,
@@ -432,9 +433,10 @@ func (r *Router) handle(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		// ParseMessage, not a header scan: it is the single entry point
-		// for untrusted input, and a line the shard would refuse comes
-		// back unsequenced — nothing the link could match to a client.
+		// ParseMessage, not a header scan: it is the whole ingest
+		// contract, so the router refuses exactly the lines a shard
+		// would, with the same {"error":…}, and never forwards a line
+		// without the (client, seq) the link matches its reply by.
 		msg, err := analyzerd.ParseMessage(line)
 		if err != nil {
 			r.reject(conn, err.Error())
@@ -444,13 +446,6 @@ func (r *Router) handle(conn net.Conn) {
 			// The drain gathers per-shard dumps itself; a merged dump
 			// through the router would hide which shard is unreachable.
 			r.reject(conn, "dump must target a shard, not the router")
-			continue
-		}
-		if msg.Client == "" || msg.Seq == 0 {
-			// A shard sends no reply for accepted unsequenced messages, so
-			// the router could never relay an outcome; and an unnamed
-			// client cannot be hashed. Reject loudly instead of guessing.
-			r.reject(conn, "fleet ingest requires a named client and a sequence number")
 			continue
 		}
 		r.inflight.Add(1)

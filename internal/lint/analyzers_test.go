@@ -13,7 +13,6 @@ func td(parts ...string) string {
 }
 
 func TestNoSysTime(t *testing.T)    { linttest.Run(t, lint.NoSysTime, td("nosystime", "a")) }
-func TestObsWallClock(t *testing.T) { linttest.Run(t, lint.ObsWallClock, td("obswallclock", "a")) }
 func TestSeededRand(t *testing.T)   { linttest.Run(t, lint.SeededRand, td("seededrand", "a")) }
 func TestMapIterOrder(t *testing.T) { linttest.Run(t, lint.MapIterOrder, td("mapiterorder", "a")) }
 func TestNoPanic(t *testing.T)      { linttest.Run(t, lint.NoPanic, td("nopanic", "a")) }
@@ -44,10 +43,6 @@ func TestSuiteScoping(t *testing.T) {
 		{"nosystime", mod + "/internal/lint", false},    // host-side tooling
 		{"nosystime", mod + "/cmd/vedrsim", false},      // CLIs may report wall time
 		{"nosystime", mod, true},                        // root facade is simulated
-		{"obswallclock", mod + "/internal/obs", true},
-		{"obswallclock", mod + "/internal/obs.test", true},
-		{"obswallclock", mod + "/internal/sweep", false}, // stopwatch legal outside obs
-		{"obswallclock", mod + "/internal/simtime", false},
 		{"seededrand", mod + "/cmd/vedrsim", true},
 		{"seededrand", mod + "/internal/scenario", true},
 		{"mapiterorder", mod + "/internal/provenance", true},

@@ -19,9 +19,6 @@ type SuiteEntry struct {
 //     internal/lint is host-side tooling, so both are exempt, as are the
 //     cmd/ CLIs and examples (wall-clock progress reporting is legitimate
 //     there).
-//   - obswallclock: internal/obs only — the observability layer's outputs
-//     must be byte-identical across runs, so even the sanctioned stopwatch
-//     gateway and slog's wall-clock record stamps are off-limits there.
 //   - seededrand, mapiterorder: everywhere — determinism is global.
 //   - nopanic: library (internal/...) packages except internal/lint's own
 //     testdata-free tooling; binaries may still crash on startup errors.
@@ -50,10 +47,6 @@ func Suite(modulePath string) []SuiteEntry {
 			sub, ok := internal(path)
 			return ok && sub != "simtime" && sub != "lint"
 		}},
-		{ObsWallClock, func(path string) bool {
-			sub, ok := internal(path)
-			return ok && sub == "obs"
-		}},
 		{SeededRand, func(string) bool { return true }},
 		{MapIterOrder, func(string) bool { return true }},
 		{NoPanic, func(path string) bool {
@@ -77,7 +70,7 @@ func Suite(modulePath string) []SuiteEntry {
 // tools that want the full set).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoSysTime, ObsWallClock, SeededRand, MapIterOrder, NoPanic, FloatEq,
+		NoSysTime, SeededRand, MapIterOrder, NoPanic, FloatEq,
 		GuardedField, ErrDrop,
 	}
 }

@@ -6,7 +6,7 @@
 // Everything here obeys the tree's determinism invariants. Trace
 // timestamps, metric values, and log attributes derive exclusively from
 // simulation time — the package never reads the host clock (enforced by
-// the nosystime and obswallclock lint rules) — so a trace file is
+// the nosystime lint rule) — so a trace file is
 // byte-identical across runs and worker counts, and an enabled scope
 // never perturbs the simulation it observes. Every recording method is a
 // no-op on a nil receiver, so instrumented code calls unconditionally and

@@ -3,8 +3,8 @@ package obs
 // Wall-time stage timing of the hot path (`vedrsim -stages`). Unlike
 // everything else in this package, stage timers record *host* wall-clock
 // durations — they exist to answer "where do the nanoseconds go", which
-// sim time cannot. The obswallclock rule still holds: obs itself never
-// reads a clock. The nanosecond source is injected as a plain func by the
+// sim time cannot. Still, obs itself never reads a clock (nosystime
+// holds here as everywhere in internal/). The nanosecond source is injected as a plain func by the
 // caller (vedrsim builds one on the sanctioned simtime.Stopwatch
 // gateway), so the recording path here stays clock-free and the
 // uninstrumented path — a nil Timer or nil Stages — costs a nil check

@@ -120,8 +120,6 @@ type AnalyzerdSpec struct {
 type FleetSpec struct {
 	// Shards is the fleet width (required, in [2, 16]).
 	Shards int
-	// Replicas is the consistent-hash vnode count per shard (0 = default).
-	Replicas int
 	// KillShard, when not Unset, SIGKILLs that shard after KillAfter acked
 	// messages; its supervisor restarts it on its WAL and the runner
 	// asserts the merged diagnosis matches an unbroken run.
@@ -818,17 +816,6 @@ func decodeFleet(d *dec, sp *Spec) error {
 		return errAt(line, "key \"shards\": fleet width must be in [2, 16], got %d", shards)
 	}
 	f.Shards = int(shards)
-
-	reps, line, ok, err := d.intVal("replicas")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if reps <= 0 {
-			return errAt(line, "key \"replicas\": must be > 0 vnodes per shard, got %d", reps)
-		}
-		f.Replicas = int(reps)
-	}
 
 	ks, ksLine, hasKS, err := d.intVal("kill-shard")
 	if err != nil {

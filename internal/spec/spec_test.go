@@ -162,17 +162,17 @@ func TestFleetDecoding(t *testing.T) {
 		t.Fatalf("fleet: %+v", f)
 	}
 	// Defaults fill in for the durability knobs.
-	if f.SnapshotEvery != 4 || f.Fsync != "always" || f.Replicas != 0 {
+	if f.SnapshotEvery != 4 || f.Fsync != "always" {
 		t.Fatalf("fleet defaults: %+v", f)
 	}
 
-	sp2, err := ParseSpec([]byte("mode: fleet\nscenario:\n  anomaly: clean\nfleet:\n  shards: 2\n  hold-down-shard: 0\n  replicas: 16\n  snapshot-every: 8\n  fsync: off\nexpect:\n  outcome: TP\n"))
+	sp2, err := ParseSpec([]byte("mode: fleet\nscenario:\n  anomaly: clean\nfleet:\n  shards: 2\n  hold-down-shard: 0\n  snapshot-every: 8\n  fsync: off\nexpect:\n  outcome: TP\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	f2 := sp2.Fleet
 	if f2.Shards != 2 || f2.HoldShard != 0 || f2.KillShard != Unset ||
-		f2.Replicas != 16 || f2.SnapshotEvery != 8 || f2.Fsync != "off" {
+		f2.SnapshotEvery != 8 || f2.Fsync != "off" {
 		t.Fatalf("fleet: %+v", f2)
 	}
 }
@@ -197,12 +197,13 @@ func TestFleetValidationErrors(t *testing.T) {
 			`keys "kill-shard" and "hold-down-shard" are mutually exclusive`},
 		{"hold out of range", fleet("  shards: 2\n  hold-down-shard: 7\n"), "shard index must be in [0, 2), got 7"},
 		{"bad fsync", fleet("  shards: 2\n  fsync: sometimes\n"), `unknown policy "sometimes"`},
-		{"bad replicas", fleet("  shards: 2\n  replicas: 0\n"), "must be > 0 vnodes per shard"},
 		{"unknown key", fleet("  shards: 2\n  sharding: ring\n"), `section "fleet"`},
 		{"multi-seed", "mode: fleet\nscenario:\n  anomaly: clean\n  seeds: [1, 2]\nfleet:\n  shards: 2\nexpect:\n  outcome: TP\n",
 			"mode fleet requires a single seed"},
-		// The live-rebalance and tenant-quota keys are gone: a spec that
-		// still carries one is refused at its line, not silently ignored.
+		// The live-rebalance, tenant-quota and vnode-count keys are gone: a
+		// spec that still carries one is refused at its line, not silently
+		// ignored.
+		{"bad replicas", fleet("  shards: 2\n  replicas: 0\n"), `line 6: unknown key "replicas" in section "fleet"`},
 		{"resize to same width", fleet("  shards: 3\n  resize-to: 3\n"), `line 6: unknown key "resize-to" in section "fleet"`},
 		{"resize too wide", fleet("  shards: 2\n  resize-to: 64\n"), `line 6: unknown key "resize-to" in section "fleet"`},
 		{"resize-after without resize-to", fleet("  shards: 2\n  resize-after: 5\n"), `line 6: unknown key "resize-after" in section "fleet"`},

@@ -123,9 +123,6 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 		"-wal-dir", walDir,
 		"-fsync", fl.Fsync,
 		"-snapshot-every", strconv.Itoa(fl.SnapshotEvery)}
-	if fl.Replicas > 0 {
-		args = append(args, "-shard-replicas", strconv.Itoa(fl.Replicas))
-	}
 	if fl.HoldShard != spec.Unset {
 		args = append(args, "-hold-shard", strconv.Itoa(fl.HoldShard))
 	}
@@ -242,7 +239,7 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 	// must reconstruct no matter how it was sharded, killed, or recovered.
 	local, stats := wire.MergeShardStates([]*wire.ShardState{{
 		Format:   wire.ShardStateFormat,
-		Map:      wire.ShardMap{Shards: fl.Shards, Replicas: fl.Replicas},
+		Map:      wire.ShardMap{Shards: fl.Shards},
 		Messages: sourced,
 	}})
 

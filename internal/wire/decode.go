@@ -534,7 +534,6 @@ var clientAckCodec = codec[ClientAck]{
 
 var shardMapCodec = codec[ShardMap]{
 	{"shards", func(d *decoder, m *ShardMap) { signed(d, &m.Shards) }},
-	{"replicas", func(d *decoder, m *ShardMap) { signed(d, &m.Replicas) }},
 }
 
 var snapshotCodec = codec[Snapshot]{

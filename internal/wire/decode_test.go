@@ -157,12 +157,14 @@ var quirks = []string{
 	`{"error":"boom"}`, `{"error":5,"format":1}`, `{"ERROR":"x","error":null}`, `{"error":"a","error":"b"}`, `{"error":"a","error":5}`, `{"error":{"x":[1]},"format":1,"shard":1}`,
 	// reply lines: the client's reader refuses a non-string error, the router's skips it
 	`{"ack":7,"client":"h03"}`, `{"nak":3,"client":"h\u00e9","error":"overloaded","retry":true}`, `{"error":"bad line"}`, `{"error":5}`,
+	// a moved NAK from a build whose map still had a vnode count: the
+	// replicas key is skipped like any unknown key
 	`{"nak":2,"client":"h1","error":"moved","retry":true,"moved":true,"map":{"shards":2,"replicas":8}}`, `{"ack":"7"}`, `{"retry":1}`,
 	// whole documents; remap and adopt lines from older builds decode
 	// with their map, epoch and handoff keys skipped as unknown keys
 	`{"type":"dump"}`, `{"type":"remap","map":{"shards":3,"epoch":2}}`,
 	`{"type":"adopt","handoff":{"format":2,"map":{"shards":2},"from":1,"to":0,` + stateBody + `}}`,
-	`{"format":1,"shard":1,"map":{"shards":2,"replicas":8},` + stateBody + `}`,
+	`{"format":1,"shard":1,"map":{"shards":2},` + stateBody + `}`,
 	"{\n \"records\": [\n  {\n   \"host\": 3,\n   \"step\": 1,\n   \"flow\": {\n    \"src\": 3\n   },\n   \"bound_by_wait\": true\n  }\n ],\n \"reports\": null,\n \"cfs\": []\n}\n",
 }
 

@@ -131,7 +131,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 func FuzzHandoffRoundTrip(f *testing.F) {
 	seed(f,
 		`{"format":1,"shard":2,"map":{"shards":3},`+stateBody+`}`,
-		`{"format":1,"shard":1,"map":{"shards":2,"replicas":8}}`)
+		`{"format":1,"shard":1,"map":{"shards":2}}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzBodyRoundTrip(t, data, differDump, func(s *ShardState) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
 	})
@@ -173,7 +173,7 @@ func FuzzReadBundle(f *testing.F) {
 // trip is stable. A dump reply carries a map from another process, so
 // this is an input-validation surface, not just a DTO.
 func FuzzShardMapDecode(f *testing.F) {
-	seed(f, `{"shards":3}`, `{"shards":4,"replicas":16,"epoch":7}`, `{"shards":-1}`, `{"shards":0,"replicas":-5}`)
+	seed(f, `{"shards":3}`, `{"shards":4,"epoch":7}`, `{"shards":-1}`, `{"shards":0}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ok := differ(t, data, shardMapCodec)
 		if !ok {
@@ -190,9 +190,9 @@ func FuzzShardMapDecode(f *testing.F) {
 		if err != nil {
 			return // invalid maps must be rejected, not built
 		}
-		// Cap the work: enormous replica counts are legal but slow to
+		// Cap the work: enormous shard counts are legal but slow to
 		// exercise per fuzz iteration.
-		if m.Shards > 1024 || m.Replicas > 1024 {
+		if m.Shards > 1024 {
 			return
 		}
 		for _, key := range []string{"", "h00", string(data)} {

@@ -1,12 +1,12 @@
 package wire
 
 // Message is one line of the monitor→analyzer protocol. Exactly one payload
-// field is set, selected by Type. Seq and Client are optional: a client
-// that numbers its messages (per-client, strictly increasing from 1) gets
-// an {"ack":seq} reply per ingested message and duplicate suppression on
-// resubmission; unnumbered messages keep the original fire-and-forget
-// behaviour. The struct lives here so the one decoder covers it;
-// internal/analyzerd, which owns the protocol's rules, aliases it.
+// field is set, selected by Type. An ingest line (step, report, cf) names
+// its Client and numbers it with Seq, per client and strictly increasing
+// from 1, and gets an {"ack":seq,"client":…} reply and duplicate
+// suppression on resubmission; a dump line carries neither. The struct
+// lives here so the one decoder covers it; internal/analyzerd, which owns
+// the protocol's rules (ParseMessage), aliases it.
 type Message struct {
 	Type   string      `json:"type"` // "step" | "report" | "cf" | "dump"
 	Step   *StepRecord `json:"step,omitempty"`

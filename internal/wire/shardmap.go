@@ -5,31 +5,21 @@ import (
 	"sort"
 )
 
-// DefaultShardReplicas is the number of virtual nodes each shard
-// contributes to the consistent-hash ring when ShardMap.Replicas is
-// unset. More replicas smooth the key distribution at the cost of a
-// larger (still tiny) ring.
-const DefaultShardReplicas = 64
+// ringReplicas is the number of virtual nodes each shard contributes to
+// the consistent-hash ring: enough to smooth the key distribution, still a
+// tiny ring. It is part of the ownership function, so changing it moves
+// clients between shards.
+const ringReplicas = 64
 
 // ShardMap describes how a diagnosis fleet partitions clients across
 // shard daemons. It is part of the wire schema: the router, every
 // shard, and recovery all derive ownership from the same map, so the
 // map must be identical everywhere for the fleet's exactly-once
-// guarantees to hold. A fleet's map is fixed when it starts.
+// guarantees to hold. A fleet's map is fixed when it starts, and the
+// shard count is all there is to it.
 type ShardMap struct {
 	// Shards is the number of shard daemons in the fleet.
 	Shards int `json:"shards"`
-	// Replicas is the number of virtual nodes per shard on the hash
-	// ring; zero means DefaultShardReplicas.
-	Replicas int `json:"replicas,omitempty"`
-}
-
-// replicas resolves the virtual-node count (zero means the default).
-func (m ShardMap) replicas() int {
-	if m.Replicas == 0 {
-		return DefaultShardReplicas
-	}
-	return m.Replicas
 }
 
 // ringPoint is one virtual node on the consistent-hash ring.
@@ -53,13 +43,9 @@ func NewHashRing(m ShardMap) (*HashRing, error) {
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("wire: shard map needs at least one shard, got %d", m.Shards)
 	}
-	if m.Replicas < 0 {
-		return nil, fmt.Errorf("wire: shard map replicas cannot be negative, got %d", m.Replicas)
-	}
-	replicas := m.replicas()
-	r := &HashRing{shards: m.Shards, points: make([]ringPoint, 0, m.Shards*replicas)}
+	r := &HashRing{shards: m.Shards, points: make([]ringPoint, 0, m.Shards*ringReplicas)}
 	for s := 0; s < m.Shards; s++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			label := fmt.Sprintf("shard-%d#%d", s, v)
 			r.points = append(r.points, ringPoint{hash: fnv64a(label), shard: s})
 		}
@@ -88,13 +74,8 @@ func (r *HashRing) Owner(key string) int {
 
 // Moved reports whether the ring assigns client, currently held by shard
 // from, to a different shard, and which. This is the one statement of the
-// ownership rule — ingest and recovery both ask it — and of its
-// exception: an unnamed (peer-keyed) client has no hash key, so it never
-// moves.
+// ownership rule; ingest and recovery both ask it.
 func (r *HashRing) Moved(client string, from int) (to int, moved bool) {
-	if client == "" {
-		return from, false
-	}
 	to = r.Owner(client)
 	return to, to != from
 }

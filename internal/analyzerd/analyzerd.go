@@ -296,6 +296,9 @@ type Server struct {
 	sinceSnap int
 	recovery  RecoverStats
 	snapshots atomic.Int64
+	// bodySize estimates the next snapshot's or dump's length: the last
+	// one's, plus each line applied since (its encoding is as long).
+	bodySize atomic.Int64
 
 	queue       chan ingestItem
 	applierDone chan struct{}
@@ -853,6 +856,7 @@ func (s *Server) apply(item ingestItem) {
 		s.reply(item.conn, NakLine(msg.Seq, msg.Client, err.Error(), false))
 		return
 	}
+	s.bodySize.Add(int64(len(item.raw) + 1))
 	s.reply(item.conn, AckLine(msg.Seq, msg.Client))
 	s.maybeSnapshot()
 }
@@ -895,7 +899,9 @@ func (s *Server) snapshotNow() error {
 	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}
 	snap.Messages, snap.Acked = s.bodyLocked()
 	s.mu.Unlock()
-	if err := writeSnapshot(s.cfg.Durability.Dir, snap); err != nil {
+	b := wire.AppendSnapshot(s.bodyBuf(), &snap)
+	s.bodySize.Store(int64(len(b)))
+	if err := writeSnapshot(s.cfg.Durability.Dir, append(b, '\n')); err != nil {
 		return err
 	}
 	s.snapshots.Add(1)

@@ -3,7 +3,6 @@ package analyzerd
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -92,6 +91,7 @@ type ReliableClient struct {
 	br      *bufio.Reader
 	seq     int64
 	pending []pendingMsg
+	buf     []byte // encodes each line before its exact-size copy is kept
 
 	// Stats counts reconnects, resubmissions, and rejections.
 	Stats ClientStats
@@ -136,12 +136,8 @@ func (rc *ReliableClient) enqueue(msg Message) error {
 	rc.seq++
 	msg.Seq = rc.seq
 	msg.Client = rc.cfg.ID
-	line, err := json.Marshal(msg)
-	if err != nil {
-		rc.seq--
-		return fmt.Errorf("analyzerd: %w", err)
-	}
-	rc.pending = append(rc.pending, pendingMsg{seq: msg.Seq, line: append(line, '\n')})
+	rc.buf = append(wire.AppendMessage(rc.buf[:0], &msg), '\n')
+	rc.pending = append(rc.pending, pendingMsg{seq: msg.Seq, line: bytes.Clone(rc.buf)})
 	return nil
 }
 

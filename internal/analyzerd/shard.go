@@ -1,10 +1,8 @@
 package analyzerd
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"strconv"
 
 	"vedrfolnir/internal/wire"
 )
@@ -41,19 +39,10 @@ func (s *Server) disownedBy(client string) (owner int, moved bool) {
 // fleet produces one, and it reaches the client as ErrRedirected: the
 // misconfiguration is loud, and the message stays pending, not lost.
 func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) {
-	reason := fmt.Sprintf("client %q belongs to shard %d", client, owner)
-	m, err := json.Marshal(s.shardMap)
-	if err != nil {
-		m = []byte("{}") // a flat int struct cannot fail to marshal
-	}
-	b := appendNakHead(make([]byte, 0, 192), seq, client)
-	b = append(b, `"moved":true,"owner":`...)
-	b = strconv.AppendInt(b, int64(owner), 10)
-	b = append(b, `,"map":`...)
-	b = append(b, m...)
-	b = append(b, `,"error":`...)
-	b = appendJSONString(b, reason)
-	s.reply(conn, append(b, `,"retry":true}`+"\n"...))
+	s.reply(conn, replyLine(wire.ReplyLine{
+		Nak: seq, Client: client, Moved: true, Owner: &owner, Map: &s.shardMap,
+		Error: fmt.Sprintf("client %q belongs to shard %d", client, owner), Retry: true,
+	}))
 }
 
 // replyDump answers the "dump" verb with this shard's full sourced
@@ -65,13 +54,14 @@ func (s *Server) replyDump(conn net.Conn) {
 		s.replyError(conn, "not a fleet shard")
 		return
 	}
-	b, err := json.Marshal(s.ShardState())
-	if err != nil {
-		s.replyError(conn, err.Error())
-		return
-	}
+	b := wire.AppendShardState(s.bodyBuf(), s.ShardState())
+	s.bodySize.Store(int64(len(b)))
 	s.reply(conn, append(b, '\n'))
 }
+
+// bodyBuf returns an empty buffer for a snapshot or a dump, an eighth
+// larger than bodySize expects.
+func (s *Server) bodyBuf() []byte { return make([]byte, 0, s.bodySize.Load()*9/8+512) }
 
 // ShardState returns the shard's accepted messages (ingest order) and
 // per-client ack highwaters, with its position in the fleet.

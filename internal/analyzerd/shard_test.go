@@ -374,6 +374,77 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRealStreamEncodesAsMarshal: on a real scenario's stream, from two
+// clients (one named with quotes, HTML bytes, U+2028 and non-ASCII text),
+// every byte the hand-written encoders write is json.Marshal's: each
+// client line, the dump reply and the drain snapshot.
+func TestRealStreamEncodesAsMarshal(t *testing.T) {
+	items := linearize(runScenario(t))
+	dir := t.TempDir()
+	cfg := DefaultServerConfig()
+	cfg.Shard = &ShardConfig{Map: wire.ShardMap{Shards: 1}}
+	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncOff}
+	srv, err := ServeWith("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatalf("ServeWith: %v", err)
+	}
+	defer srv.Close()
+	marshalled := func(v any) []byte {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	for _, id := range []string{"h01", "h\"<é>&\u2028"} {
+		rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: id, MaxAttempts: 2, Sleep: noSleep, MaxPending: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sendRange(t, rc, items, 0, len(items))
+		for _, p := range rc.pending {
+			msg, err := ParseMessage(p.line)
+			if err != nil {
+				t.Fatalf("client line %q: %v", p.line, err)
+			}
+			if want := marshalled(msg); !bytes.Equal(p.line, want) {
+				t.Fatalf("client line differs:\n got %s\nwant %s", p.line, want)
+			}
+		}
+		if err := rc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"type":"dump"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := srv.ShardState()
+	if len(state.Messages) != 2*len(items) || !bytes.Equal(dump, marshalled(state)) {
+		t.Fatalf("dump reply of %d bytes for %d messages differs from json.Marshal's", len(dump), len(state.Messages))
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := readSnapshot(dir)
+	if err != nil || !ok || len(snap.Messages) != 2*len(items) || !bytes.Equal(file, marshalled(snap)) {
+		t.Fatalf("drain snapshot of %d bytes differs from json.Marshal's (ok=%v, err=%v)", len(file), ok, err)
+	}
+}
+
 // TestDiagnoseIsTheSharedFold pins the one diagnosis path: a server folds
 // its stream in ingest order through wire.FoldMessages, and the result is
 // byte-identical to what the pre-fold daemon computed — a bundle of the

@@ -1,7 +1,6 @@
 package analyzerd
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,17 +10,12 @@ import (
 
 const snapshotFileName = "snapshot.json"
 
-// writeSnapshot atomically replaces dir/snapshot.json: the bytes are
-// written to a temp file in the same directory, fsynced, renamed over the
-// live name, and the directory is fsynced so the rename itself is durable.
-// A crash at any point leaves either the old snapshot or the new one,
-// never a torn mix.
-func writeSnapshot(dir string, snap wire.Snapshot) error {
-	b, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("analyzerd: snapshot: %w", err)
-	}
-	b = append(b, '\n')
+// writeSnapshot atomically replaces dir/snapshot.json with b, an encoded
+// wire.Snapshot and its newline: b goes to a temp file in the same
+// directory, fsynced, renamed over the live name, and the directory is
+// fsynced so the rename itself is durable. A crash at any point leaves
+// either the old snapshot or the new one, never a torn mix.
+func writeSnapshot(dir string, b []byte) error {
 	tmp, err := os.CreateTemp(dir, snapshotFileName+".tmp*")
 	if err != nil {
 		return fmt.Errorf("analyzerd: snapshot: %w", err)

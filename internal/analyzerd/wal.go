@@ -45,8 +45,10 @@ const (
 	// power cut may lose the last interval's messages, a process kill does
 	// not.
 	FsyncInterval
-	// FsyncOff never syncs explicitly; appends are flushed to the OS per
-	// message. Durability is whatever the OS provides.
+	// FsyncOff never syncs an append, only flushes it to the OS: an
+	// appended message is as durable as the OS makes it. The policy
+	// governs appends alone; a snapshot (its temp file and directory), a
+	// WAL reset and a WAL close sync under every policy.
 	FsyncOff
 )
 

@@ -331,7 +331,7 @@ func TestSnapshotWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir: ok=%v err=%v, want no snapshot", ok, err)
 	}
 	want := testSnapshot()
-	if err := writeSnapshot(dir, want); err != nil {
+	if err := writeSnapshot(dir, append(wire.AppendSnapshot(nil, &want), '\n')); err != nil {
 		t.Fatal(err)
 	}
 	first, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
@@ -346,7 +346,7 @@ func TestSnapshotWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data:\n%+v\nvs\n%+v", got, want)
 	}
 	// Determinism: writing the same state again is byte-identical.
-	if err := writeSnapshot(dir, want); err != nil {
+	if err := writeSnapshot(dir, append(wire.AppendSnapshot(nil, &want), '\n')); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(filepath.Join(dir, snapshotFileName))

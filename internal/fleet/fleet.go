@@ -234,8 +234,9 @@ func (f *Fleet) KillShard(i int) error {
 }
 
 // Drain finishes the fleet run: stop accepting clients, gather every
-// shard's dump, terminate the children, merge, and diagnose. A shard that
-// cannot be dumped (held down, or dead past its crash-loop budget)
+// shard's dump, signal each child to exit once its dump is in, merge and
+// diagnose while they write their final snapshots, and reap them. A shard
+// that cannot be dumped (held down, or dead past its crash-loop budget)
 // degrades the result instead of failing it: the router's acked tallies
 // for that shard become the missed-input counts that discount Coverage
 // and Confidence.
@@ -257,7 +258,8 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	// milliseconds its supervisor needs to relaunch it, and one failed
 	// dial must not cost the merge that shard's whole slice); the
 	// deliberately held shard gets one try — its absence is the
-	// degraded-drain drill's entire point.
+	// degraded-drain drill's entire point. A shard whose dump is in exits
+	// while the other dumps, the merge and the analysis go on.
 	dumps := make([]*wire.ShardState, shards)
 	errs := make([]error, shards)
 	//lint:ignore nosystime bounding a real shard's supervised restart
@@ -272,6 +274,7 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 			} else {
 				dumps[i], errs[i] = f.router.dumpRetry(i, deadline)
 			}
+			f.procs[i].Terminate(syscall.SIGTERM)
 		}(i)
 	}
 	wg.Wait()
@@ -287,7 +290,7 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 		}
 		states = append(states, state)
 	}
-	f.Close()
+	defer f.Close()
 	if len(states) == 0 {
 		return nil, fmt.Errorf("fleet: no shard could be dumped; nothing to diagnose")
 	}

@@ -1,11 +1,11 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -66,9 +66,9 @@ type shardLink struct {
 	head, tail *flight               // guarded by mu
 
 	amu       sync.Mutex
-	adminConn net.Conn      // guarded by amu
-	adminBR   *bufio.Reader // guarded by amu
-	adminAddr string        // guarded by amu
+	adminConn net.Conn   // guarded by amu
+	adminLR   lineReader // guarded by amu
+	adminAddr string     // guarded by amu
 
 	// forwarded counts lines this shard answered; replyTime is their
 	// forward→reply latency. Both nil (no-ops) without a registry.
@@ -392,11 +392,14 @@ func (l *shardLink) deliver(line []byte, out *relays) {
 }
 
 // roundTrip runs one stop-and-wait dump exchange on the link's admin
-// connection: line, newline included, goes out and the single-line reply
-// comes back. A dead cached connection (the shard restarted, or moved,
-// since the last exchange) gets one redial; a dump is idempotent, so a
-// request that landed in a void is safe to repeat.
-func (l *shardLink) roundTrip(line []byte) ([]byte, error) {
+// connection: line, newline included, goes out and parse gets the
+// single-line reply, which is valid only during the call. The reply is a
+// shard's whole state, megabytes on one line, so it is read in large
+// chunks into a buffer that grows to fit it. A dead cached connection (the
+// shard restarted, or moved, since the last exchange) gets one redial; a
+// dump is idempotent, so a request that landed in a void is safe to
+// repeat.
+func (l *shardLink) roundTrip(line []byte, parse func([]byte) error) error {
 	l.amu.Lock()
 	defer l.amu.Unlock()
 	var lastErr error
@@ -409,37 +412,36 @@ func (l *shardLink) roundTrip(line []byte) ([]byte, error) {
 		}
 		if l.adminConn == nil {
 			if addr == "" {
-				return nil, fmt.Errorf("shard %d has not announced an address", l.shard)
+				return fmt.Errorf("shard %d has not announced an address", l.shard)
 			}
 			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			l.adminConn, l.adminBR, l.adminAddr = conn, bufio.NewReader(conn), addr
+			l.adminConn, l.adminLR, l.adminAddr = conn, lineReader{buf: make([]byte, 64<<10)}, addr
 		}
 		//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
 		err := l.adminConn.SetDeadline(time.Now().Add(l.r.cfg.ReplyTimeout))
 		if err == nil {
 			_, err = l.adminConn.Write(line)
 		}
-		var rep []byte
-		if err == nil {
-			rep, err = l.adminBR.ReadBytes('\n')
-		}
-		if err == nil {
-			return rep, nil
+		for err == nil {
+			if rep := l.adminLR.next(); rep != nil {
+				return parse(rep)
+			}
+			err = l.adminLR.fill(l.adminConn, math.MaxInt) // a dump is as long as the shard's state
 		}
 		lastErr = err
 		l.dropAdmin()
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // dropAdmin discards the admin connection (caller holds l.amu).
 func (l *shardLink) dropAdmin() {
 	if l.adminConn != nil {
 		_ = l.adminConn.Close() // broken or stale; the redial is what matters
-		l.adminConn, l.adminBR, l.adminAddr = nil, nil, ""
+		l.adminConn, l.adminLR, l.adminAddr = nil, lineReader{}, ""
 	}
 }
 

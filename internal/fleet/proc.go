@@ -177,10 +177,7 @@ func (p *Proc) Ready() error {
 		return fmt.Errorf("fleet: supervision ended (exit %d)", p.exit.Code)
 	default:
 	}
-	if p.cfg.AnnouncePrefix == "" {
-		return nil
-	}
-	if !p.announced {
+	if p.cfg.AnnouncePrefix != "" && !p.announced {
 		return fmt.Errorf("fleet: child has not announced readiness")
 	}
 	return nil

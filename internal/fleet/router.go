@@ -555,19 +555,29 @@ func (r *Router) noteAck(client string, ack int64) {
 }
 
 // DumpShard asks one shard for its full accepted-message state over the
-// link's admin connection. The state's shard index and map are checked
-// against the router's — a mismatched dump means the fleet is
-// misassembled, and merging it would corrupt the diagnosis.
+// link's admin connection; a shard-side error line comes back as an error.
+// The state's shard index and map are checked against the router's — a
+// mismatched dump means the fleet is misassembled, and merging it would
+// corrupt the diagnosis.
 func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 	l := r.link(i)
 	if l == nil {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
-	rep, err := l.roundTrip([]byte(`{"type":"dump"}` + "\n"))
-	if err != nil {
-		return nil, err
-	}
-	state, err := decodeDump(i, rep)
+	var state *wire.ShardState
+	err := l.roundTrip([]byte(`{"type":"dump"}`+"\n"), func(rep []byte) error {
+		st, failure, err := wire.DecodeShardState(rep)
+		switch {
+		case err != nil:
+			return fmt.Errorf("fleet: shard %d dump: %w", i, err)
+		case st.Format == 0 && failure != "":
+			return fmt.Errorf("fleet: shard %d dump: %s", i, failure)
+		case st.Format == 0:
+			return fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
+		}
+		state = st
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -592,19 +602,4 @@ func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.ShardState, error) 
 		//lint:ignore nosystime backoff between retries against a real restarting process
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// decodeDump parses one shard's dump reply, surfacing a shard-side error
-// line as an error.
-func decodeDump(i int, rep []byte) (*wire.ShardState, error) {
-	state, failure, err := wire.DecodeShardState(rep)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("fleet: shard %d dump: %w", i, err)
-	case state.Format != 0:
-		return state, nil
-	case failure != "":
-		return nil, fmt.Errorf("fleet: shard %d dump: %s", i, failure)
-	}
-	return nil, fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
 }

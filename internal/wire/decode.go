@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
 // This file is the one decoder for every JSON document the service tier
 // reads: diagnosis bundles, protocol lines, snapshots and shard dumps. It
-// is a recursive-descent parser with one table of (key, store) pairs per
-// DTO, and it accepts, refuses and decodes exactly as encoding/json's
+// is a recursive-descent parser over one table of (key, store, emit)
+// entries per DTO — the emit column is encode.go's — and it accepts, refuses and decodes exactly as encoding/json's
 // reflection decoder does over the same structs — the router must refuse
 // what a shard would, and an existing WAL must replay to the same state —
 // at a fraction of the cost. DESIGN.md §16 has the grammar and the parity
@@ -367,11 +368,12 @@ func (d *decoder) metrics(m *map[string]int64) {
 	}
 }
 
-// codec is a DTO's decoder: its keys, in struct order, each with the store
-// for its value.
+// codec is a DTO's schema: its keys, in struct order, each with the store
+// that decodes its value and the emit that encodes it (encode.go).
 type codec[T any] []struct {
 	key   string
 	store func(*decoder, *T)
+	emit  func([]byte, *T) []byte
 }
 
 // decode reads an object into v. A key selects the field it equals, else
@@ -430,117 +432,119 @@ func (c codec[T]) find(k []byte) int {
 }
 
 var flowCodec = codec[Flow]{
-	{"src", func(d *decoder, f *Flow) { signed(d, &f.Src) }},
-	{"dst", func(d *decoder, f *Flow) { signed(d, &f.Dst) }},
-	{"sport", func(d *decoder, f *Flow) { unsigned(d, &f.SrcPort) }},
-	{"dport", func(d *decoder, f *Flow) { unsigned(d, &f.DstPort) }},
-	{"proto", func(d *decoder, f *Flow) { unsigned(d, &f.Proto) }},
+	{"src", func(d *decoder, f *Flow) { signed(d, &f.Src) }, func(b []byte, f *Flow) []byte { return num(b, f.Src) }},
+	{"dst", func(d *decoder, f *Flow) { signed(d, &f.Dst) }, func(b []byte, f *Flow) []byte { return num(b, f.Dst) }},
+	{"sport", func(d *decoder, f *Flow) { unsigned(d, &f.SrcPort) }, func(b []byte, f *Flow) []byte { return unum(b, f.SrcPort) }},
+	{"dport", func(d *decoder, f *Flow) { unsigned(d, &f.DstPort) }, func(b []byte, f *Flow) []byte { return unum(b, f.DstPort) }},
+	{"proto", func(d *decoder, f *Flow) { unsigned(d, &f.Proto) }, func(b []byte, f *Flow) []byte { return unum(b, f.Proto) }},
 }
 
 var portCodec = codec[Port]{
-	{"node", func(d *decoder, p *Port) { signed(d, &p.Node) }},
-	{"port", func(d *decoder, p *Port) { signed(d, &p.Port) }},
+	{"node", func(d *decoder, p *Port) { signed(d, &p.Node) }, func(b []byte, p *Port) []byte { return num(b, p.Node) }},
+	{"port", func(d *decoder, p *Port) { signed(d, &p.Port) }, func(b []byte, p *Port) []byte { return num(b, p.Port) }},
 }
 
 var stepRecordCodec = codec[StepRecord]{
-	{"host", func(d *decoder, r *StepRecord) { signed(d, &r.Host) }},
-	{"step", func(d *decoder, r *StepRecord) { signed(d, &r.Step) }},
-	{"flow", func(d *decoder, r *StepRecord) { flowCodec.decode(d, &r.Flow) }},
-	{"bytes", func(d *decoder, r *StepRecord) { signed(d, &r.Bytes) }},
-	{"start_ns", func(d *decoder, r *StepRecord) { signed(d, &r.StartNS) }},
-	{"end_ns", func(d *decoder, r *StepRecord) { signed(d, &r.EndNS) }},
-	{"wait_src", func(d *decoder, r *StepRecord) { signed(d, &r.WaitSrc) }},
-	{"wait_step", func(d *decoder, r *StepRecord) { signed(d, &r.WaitStep) }},
-	{"bound_by_wait", func(d *decoder, r *StepRecord) { d.boolean(&r.BoundByWait) }},
+	{"host", func(d *decoder, r *StepRecord) { signed(d, &r.Host) }, func(b []byte, r *StepRecord) []byte { return num(b, r.Host) }},
+	{"step", func(d *decoder, r *StepRecord) { signed(d, &r.Step) }, func(b []byte, r *StepRecord) []byte { return num(b, r.Step) }},
+	{"flow", func(d *decoder, r *StepRecord) { flowCodec.decode(d, &r.Flow) }, func(b []byte, r *StepRecord) []byte { return flowCodec.encode(b, &r.Flow) }},
+	{"bytes", func(d *decoder, r *StepRecord) { signed(d, &r.Bytes) }, func(b []byte, r *StepRecord) []byte { return num(b, r.Bytes) }},
+	{"start_ns", func(d *decoder, r *StepRecord) { signed(d, &r.StartNS) }, func(b []byte, r *StepRecord) []byte { return num(b, r.StartNS) }},
+	{"end_ns", func(d *decoder, r *StepRecord) { signed(d, &r.EndNS) }, func(b []byte, r *StepRecord) []byte { return num(b, r.EndNS) }},
+	{"wait_src", func(d *decoder, r *StepRecord) { signed(d, &r.WaitSrc) }, func(b []byte, r *StepRecord) []byte { return num(b, r.WaitSrc) }},
+	{"wait_step", func(d *decoder, r *StepRecord) { signed(d, &r.WaitStep) }, func(b []byte, r *StepRecord) []byte { return num(b, r.WaitStep) }},
+	{"bound_by_wait", func(d *decoder, r *StepRecord) { d.boolean(&r.BoundByWait) }, func(b []byte, r *StepRecord) []byte { return strconv.AppendBool(b, r.BoundByWait) }},
 }
 
 var flowCountCodec = codec[FlowCount]{
-	{"flow", func(d *decoder, c *FlowCount) { flowCodec.decode(d, &c.Flow) }},
-	{"n", func(d *decoder, c *FlowCount) { signed(d, &c.N) }},
+	{"flow", func(d *decoder, c *FlowCount) { flowCodec.decode(d, &c.Flow) }, func(b []byte, c *FlowCount) []byte { return flowCodec.encode(b, &c.Flow) }},
+	{"n", func(d *decoder, c *FlowCount) { signed(d, &c.N) }, func(b []byte, c *FlowCount) []byte { return num(b, c.N) }},
 }
 
 var flowRecordCodec = codec[FlowRecord]{
-	{"switch", func(d *decoder, r *FlowRecord) { signed(d, &r.Switch) }},
-	{"port", func(d *decoder, r *FlowRecord) { signed(d, &r.Port) }},
-	{"flow", func(d *decoder, r *FlowRecord) { flowCodec.decode(d, &r.Flow) }},
-	{"pkts", func(d *decoder, r *FlowRecord) { signed(d, &r.Pkts) }},
-	{"bytes", func(d *decoder, r *FlowRecord) { signed(d, &r.Bytes) }},
-	{"wait", func(d *decoder, r *FlowRecord) { slice(d, &r.Wait, flowCountCodec) }},
+	{"switch", func(d *decoder, r *FlowRecord) { signed(d, &r.Switch) }, func(b []byte, r *FlowRecord) []byte { return num(b, r.Switch) }},
+	{"port", func(d *decoder, r *FlowRecord) { signed(d, &r.Port) }, func(b []byte, r *FlowRecord) []byte { return num(b, r.Port) }},
+	{"flow", func(d *decoder, r *FlowRecord) { flowCodec.decode(d, &r.Flow) }, func(b []byte, r *FlowRecord) []byte { return flowCodec.encode(b, &r.Flow) }},
+	{"pkts", func(d *decoder, r *FlowRecord) { signed(d, &r.Pkts) }, func(b []byte, r *FlowRecord) []byte { return num(b, r.Pkts) }},
+	{"bytes", func(d *decoder, r *FlowRecord) { signed(d, &r.Bytes) }, func(b []byte, r *FlowRecord) []byte { return num(b, r.Bytes) }},
+	{"wait", func(d *decoder, r *FlowRecord) { slice(d, &r.Wait, flowCountCodec) }, func(b []byte, r *FlowRecord) []byte { return optList(b, r.Wait, flowCountCodec) }},
 }
 
 var pfcEventCodec = codec[PFCEvent]{
-	{"at_ns", func(d *decoder, e *PFCEvent) { signed(d, &e.AtNS) }},
-	{"pause", func(d *decoder, e *PFCEvent) { d.boolean(&e.Pause) }},
-	{"upstream", func(d *decoder, e *PFCEvent) { portCodec.decode(d, &e.Upstream) }},
-	{"downstream", func(d *decoder, e *PFCEvent) { signed(d, &e.Downstream) }},
-	{"ingress", func(d *decoder, e *PFCEvent) { signed(d, &e.IngressPort) }},
-	{"cause", func(d *decoder, e *PFCEvent) { signed(d, &e.CauseEgress) }},
-	{"injected", func(d *decoder, e *PFCEvent) { d.boolean(&e.Injected) }},
+	{"at_ns", func(d *decoder, e *PFCEvent) { signed(d, &e.AtNS) }, func(b []byte, e *PFCEvent) []byte { return num(b, e.AtNS) }},
+	{"pause", func(d *decoder, e *PFCEvent) { d.boolean(&e.Pause) }, func(b []byte, e *PFCEvent) []byte { return strconv.AppendBool(b, e.Pause) }},
+	{"upstream", func(d *decoder, e *PFCEvent) { portCodec.decode(d, &e.Upstream) }, func(b []byte, e *PFCEvent) []byte { return portCodec.encode(b, &e.Upstream) }},
+	{"downstream", func(d *decoder, e *PFCEvent) { signed(d, &e.Downstream) }, func(b []byte, e *PFCEvent) []byte { return num(b, e.Downstream) }},
+	{"ingress", func(d *decoder, e *PFCEvent) { signed(d, &e.IngressPort) }, func(b []byte, e *PFCEvent) []byte { return num(b, e.IngressPort) }},
+	{"cause", func(d *decoder, e *PFCEvent) { signed(d, &e.CauseEgress) }, func(b []byte, e *PFCEvent) []byte { return num(b, e.CauseEgress) }},
+	{"injected", func(d *decoder, e *PFCEvent) { d.boolean(&e.Injected) }, func(b []byte, e *PFCEvent) []byte { return strconv.AppendBool(b, e.Injected) }},
 }
 
 var meterEntryCodec = codec[MeterEntry]{
-	{"from", func(d *decoder, m *MeterEntry) { portCodec.decode(d, &m.From) }},
-	{"bytes", func(d *decoder, m *MeterEntry) { signed(d, &m.Bytes) }},
+	{"from", func(d *decoder, m *MeterEntry) { portCodec.decode(d, &m.From) }, func(b []byte, m *MeterEntry) []byte { return portCodec.encode(b, &m.From) }},
+	{"bytes", func(d *decoder, m *MeterEntry) { signed(d, &m.Bytes) }, func(b []byte, m *MeterEntry) []byte { return num(b, m.Bytes) }},
 }
 
 var portRecordCodec = codec[PortRecord]{
-	{"switch", func(d *decoder, r *PortRecord) { signed(d, &r.Switch) }},
-	{"port", func(d *decoder, r *PortRecord) { signed(d, &r.Port) }},
-	{"queued_bytes", func(d *decoder, r *PortRecord) { signed(d, &r.QueuedBytes) }},
-	{"queued_pkts", func(d *decoder, r *PortRecord) { signed(d, &r.QueuedPkts) }},
-	{"avg_queued_bytes", func(d *decoder, r *PortRecord) { signed(d, &r.AvgQueuedBytes) }},
-	{"paused", func(d *decoder, r *PortRecord) { d.boolean(&r.Paused) }},
-	{"pause_count", func(d *decoder, r *PortRecord) { signed(d, &r.PauseCount) }},
-	{"paused_for_ns", func(d *decoder, r *PortRecord) { signed(d, &r.PausedForNS) }},
-	{"meter_in", func(d *decoder, r *PortRecord) { slice(d, &r.MeterIn, meterEntryCodec) }},
-	{"pfc_events", func(d *decoder, r *PortRecord) { slice(d, &r.PFCEvents, pfcEventCodec) }},
+	{"switch", func(d *decoder, r *PortRecord) { signed(d, &r.Switch) }, func(b []byte, r *PortRecord) []byte { return num(b, r.Switch) }},
+	{"port", func(d *decoder, r *PortRecord) { signed(d, &r.Port) }, func(b []byte, r *PortRecord) []byte { return num(b, r.Port) }},
+	{"queued_bytes", func(d *decoder, r *PortRecord) { signed(d, &r.QueuedBytes) }, func(b []byte, r *PortRecord) []byte { return num(b, r.QueuedBytes) }},
+	{"queued_pkts", func(d *decoder, r *PortRecord) { signed(d, &r.QueuedPkts) }, func(b []byte, r *PortRecord) []byte { return num(b, r.QueuedPkts) }},
+	{"avg_queued_bytes", func(d *decoder, r *PortRecord) { signed(d, &r.AvgQueuedBytes) }, func(b []byte, r *PortRecord) []byte { return num(b, r.AvgQueuedBytes) }},
+	{"paused", func(d *decoder, r *PortRecord) { d.boolean(&r.Paused) }, func(b []byte, r *PortRecord) []byte { return strconv.AppendBool(b, r.Paused) }},
+	{"pause_count", func(d *decoder, r *PortRecord) { signed(d, &r.PauseCount) }, func(b []byte, r *PortRecord) []byte { return num(b, r.PauseCount) }},
+	{"paused_for_ns", func(d *decoder, r *PortRecord) { signed(d, &r.PausedForNS) }, func(b []byte, r *PortRecord) []byte { return num(b, r.PausedForNS) }},
+	{"meter_in", func(d *decoder, r *PortRecord) { slice(d, &r.MeterIn, meterEntryCodec) }, func(b []byte, r *PortRecord) []byte { return optList(b, r.MeterIn, meterEntryCodec) }},
+	{"pfc_events", func(d *decoder, r *PortRecord) { slice(d, &r.PFCEvents, pfcEventCodec) }, func(b []byte, r *PortRecord) []byte { return optList(b, r.PFCEvents, pfcEventCodec) }},
 }
 
 var dropEntryCodec = codec[DropEntry]{
-	{"switch", func(d *decoder, e *DropEntry) { signed(d, &e.Switch) }},
-	{"n", func(d *decoder, e *DropEntry) { signed(d, &e.N) }},
+	{"switch", func(d *decoder, e *DropEntry) { signed(d, &e.Switch) }, func(b []byte, e *DropEntry) []byte { return num(b, e.Switch) }},
+	{"n", func(d *decoder, e *DropEntry) { signed(d, &e.N) }, func(b []byte, e *DropEntry) []byte { return num(b, e.N) }},
 }
 
 var reportCodec = codec[Report]{
-	{"at_ns", func(d *decoder, r *Report) { signed(d, &r.AtNS) }},
-	{"triggered_by", func(d *decoder, r *Report) { flowCodec.decode(d, &r.TriggeredBy) }},
-	{"flows", func(d *decoder, r *Report) { slice(d, &r.Flows, flowRecordCodec) }},
-	{"ports", func(d *decoder, r *Report) { slice(d, &r.Ports, portRecordCodec) }},
-	{"ttl_drops", func(d *decoder, r *Report) { slice(d, &r.TTLDrops, dropEntryCodec) }},
-	{"hops_polled", func(d *decoder, r *Report) { signed(d, &r.HopsPolled) }},
-	{"ports_missed", func(d *decoder, r *Report) { signed(d, &r.PortsMissed) }},
+	{"at_ns", func(d *decoder, r *Report) { signed(d, &r.AtNS) }, func(b []byte, r *Report) []byte { return num(b, r.AtNS) }},
+	{"triggered_by", func(d *decoder, r *Report) { flowCodec.decode(d, &r.TriggeredBy) }, func(b []byte, r *Report) []byte { return flowCodec.encode(b, &r.TriggeredBy) }},
+	{"flows", func(d *decoder, r *Report) { slice(d, &r.Flows, flowRecordCodec) }, func(b []byte, r *Report) []byte { return optList(b, r.Flows, flowRecordCodec) }},
+	{"ports", func(d *decoder, r *Report) { slice(d, &r.Ports, portRecordCodec) }, func(b []byte, r *Report) []byte { return optList(b, r.Ports, portRecordCodec) }},
+	{"ttl_drops", func(d *decoder, r *Report) { slice(d, &r.TTLDrops, dropEntryCodec) }, func(b []byte, r *Report) []byte { return optList(b, r.TTLDrops, dropEntryCodec) }},
+	{"hops_polled", func(d *decoder, r *Report) { signed(d, &r.HopsPolled) }, func(b []byte, r *Report) []byte { return num(b, r.HopsPolled) }},
+	{"ports_missed", func(d *decoder, r *Report) { signed(d, &r.PortsMissed) }, func(b []byte, r *Report) []byte { return opt(b, r.PortsMissed, num) }},
 }
 
+// bundleCodec has no emit column: a bundle's one writer is Bundle.Write,
+// whose indented bytes are vedrsim -dump's.
 var bundleCodec = codec[Bundle]{
-	{"records", func(d *decoder, b *Bundle) { slice(d, &b.Records, stepRecordCodec) }},
-	{"reports", func(d *decoder, b *Bundle) { slice(d, &b.Reports, reportCodec) }},
-	{"cfs", func(d *decoder, b *Bundle) { slice(d, &b.CFs, flowCodec) }},
-	{"metrics", func(d *decoder, b *Bundle) { d.metrics(&b.Metrics) }},
+	{"records", func(d *decoder, b *Bundle) { slice(d, &b.Records, stepRecordCodec) }, nil},
+	{"reports", func(d *decoder, b *Bundle) { slice(d, &b.Reports, reportCodec) }, nil},
+	{"cfs", func(d *decoder, b *Bundle) { slice(d, &b.CFs, flowCodec) }, nil},
+	{"metrics", func(d *decoder, b *Bundle) { d.metrics(&b.Metrics) }, nil},
 }
 
 var sourcedMessageCodec = codec[SourcedMessage]{
-	{"client", func(d *decoder, m *SourcedMessage) { d.text(&m.Client) }},
-	{"seq", func(d *decoder, m *SourcedMessage) { signed(d, &m.Seq) }},
-	{"type", func(d *decoder, m *SourcedMessage) { d.text(&m.Type) }},
-	{"step", func(d *decoder, m *SourcedMessage) { pointer(d, &m.Step, stepRecordCodec) }},
-	{"report", func(d *decoder, m *SourcedMessage) { pointer(d, &m.Report, reportCodec) }},
-	{"cf", func(d *decoder, m *SourcedMessage) { pointer(d, &m.CF, flowCodec) }},
+	{"client", func(d *decoder, m *SourcedMessage) { d.text(&m.Client) }, func(b []byte, m *SourcedMessage) []byte { return opt(b, m.Client, text) }},
+	{"seq", func(d *decoder, m *SourcedMessage) { signed(d, &m.Seq) }, func(b []byte, m *SourcedMessage) []byte { return opt(b, m.Seq, num) }},
+	{"type", func(d *decoder, m *SourcedMessage) { d.text(&m.Type) }, func(b []byte, m *SourcedMessage) []byte { return text(b, m.Type) }},
+	{"step", func(d *decoder, m *SourcedMessage) { pointer(d, &m.Step, stepRecordCodec) }, func(b []byte, m *SourcedMessage) []byte { return opt(b, m.Step, stepRecordCodec.encode) }},
+	{"report", func(d *decoder, m *SourcedMessage) { pointer(d, &m.Report, reportCodec) }, func(b []byte, m *SourcedMessage) []byte { return opt(b, m.Report, reportCodec.encode) }},
+	{"cf", func(d *decoder, m *SourcedMessage) { pointer(d, &m.CF, flowCodec) }, func(b []byte, m *SourcedMessage) []byte { return opt(b, m.CF, flowCodec.encode) }},
 }
 
 var clientAckCodec = codec[ClientAck]{
-	{"client", func(d *decoder, a *ClientAck) { d.text(&a.Client) }},
-	{"seq", func(d *decoder, a *ClientAck) { signed(d, &a.Seq) }},
+	{"client", func(d *decoder, a *ClientAck) { d.text(&a.Client) }, func(b []byte, a *ClientAck) []byte { return text(b, a.Client) }},
+	{"seq", func(d *decoder, a *ClientAck) { signed(d, &a.Seq) }, func(b []byte, a *ClientAck) []byte { return num(b, a.Seq) }},
 }
 
 var shardMapCodec = codec[ShardMap]{
-	{"shards", func(d *decoder, m *ShardMap) { signed(d, &m.Shards) }},
+	{"shards", func(d *decoder, m *ShardMap) { signed(d, &m.Shards) }, func(b []byte, m *ShardMap) []byte { return num(b, m.Shards) }},
 }
 
 var snapshotCodec = codec[Snapshot]{
-	{"format", func(d *decoder, s *Snapshot) { signed(d, &s.Format) }},
-	{"next_lsn", func(d *decoder, s *Snapshot) { unsigned(d, &s.NextLSN) }},
-	{"messages", func(d *decoder, s *Snapshot) { slice(d, &s.Messages, sourcedMessageCodec) }},
-	{"acked", func(d *decoder, s *Snapshot) { slice(d, &s.Acked, clientAckCodec) }},
+	{"format", func(d *decoder, s *Snapshot) { signed(d, &s.Format) }, func(b []byte, s *Snapshot) []byte { return num(b, s.Format) }},
+	{"next_lsn", func(d *decoder, s *Snapshot) { unsigned(d, &s.NextLSN) }, func(b []byte, s *Snapshot) []byte { return unum(b, s.NextLSN) }},
+	{"messages", func(d *decoder, s *Snapshot) { slice(d, &s.Messages, sourcedMessageCodec) }, func(b []byte, s *Snapshot) []byte { return optList(b, s.Messages, sourcedMessageCodec) }},
+	{"acked", func(d *decoder, s *Snapshot) { slice(d, &s.Acked, clientAckCodec) }, func(b []byte, s *Snapshot) []byte { return optList(b, s.Acked, clientAckCodec) }},
 }
 
 // dumpReply is a shard's answer to the dump verb: its state, or in its
@@ -552,41 +556,54 @@ type dumpReply struct {
 }
 
 var dumpReplyCodec = codec[dumpReply]{
-	{"format", func(d *decoder, r *dumpReply) { signed(d, &r.Format) }},
-	{"shard", func(d *decoder, r *dumpReply) { signed(d, &r.Shard) }},
-	{"map", func(d *decoder, r *dumpReply) { shardMapCodec.decode(d, &r.Map) }},
-	{"messages", func(d *decoder, r *dumpReply) { slice(d, &r.Messages, sourcedMessageCodec) }},
-	{"acked", func(d *decoder, r *dumpReply) { slice(d, &r.Acked, clientAckCodec) }},
+	{"format", func(d *decoder, r *dumpReply) { signed(d, &r.Format) }, func(b []byte, r *dumpReply) []byte { return num(b, r.Format) }},
+	{"shard", func(d *decoder, r *dumpReply) { signed(d, &r.Shard) }, func(b []byte, r *dumpReply) []byte { return num(b, r.Shard) }},
+	{"map", func(d *decoder, r *dumpReply) { shardMapCodec.decode(d, &r.Map) }, func(b []byte, r *dumpReply) []byte { return shardMapCodec.encode(b, &r.Map) }},
+	{"messages", func(d *decoder, r *dumpReply) { slice(d, &r.Messages, sourcedMessageCodec) }, func(b []byte, r *dumpReply) []byte { return optList(b, r.Messages, sourcedMessageCodec) }},
+	{"acked", func(d *decoder, r *dumpReply) { slice(d, &r.Acked, clientAckCodec) }, func(b []byte, r *dumpReply) []byte { return optList(b, r.Acked, clientAckCodec) }},
 	{"error", func(d *decoder, r *dumpReply) {
 		if d.peek() == '"' {
 			d.text(&r.failure)
 		} else {
 			d.skip()
 		}
-	}},
+	}, func(b []byte, r *dumpReply) []byte { return opt(b, r.failure, text) }},
 }
 
 var messageCodec = codec[Message]{
-	{"type", func(d *decoder, m *Message) { d.text(&m.Type) }},
-	{"step", func(d *decoder, m *Message) { pointer(d, &m.Step, stepRecordCodec) }},
-	{"report", func(d *decoder, m *Message) { pointer(d, &m.Report, reportCodec) }},
-	{"cf", func(d *decoder, m *Message) { pointer(d, &m.CF, flowCodec) }},
-	{"seq", func(d *decoder, m *Message) { signed(d, &m.Seq) }},
-	{"client", func(d *decoder, m *Message) { d.text(&m.Client) }},
+	{"type", func(d *decoder, m *Message) { d.text(&m.Type) }, func(b []byte, m *Message) []byte { return text(b, m.Type) }},
+	{"step", func(d *decoder, m *Message) { pointer(d, &m.Step, stepRecordCodec) }, func(b []byte, m *Message) []byte { return opt(b, m.Step, stepRecordCodec.encode) }},
+	{"report", func(d *decoder, m *Message) { pointer(d, &m.Report, reportCodec) }, func(b []byte, m *Message) []byte { return opt(b, m.Report, reportCodec.encode) }},
+	{"cf", func(d *decoder, m *Message) { pointer(d, &m.CF, flowCodec) }, func(b []byte, m *Message) []byte { return opt(b, m.CF, flowCodec.encode) }},
+	{"seq", func(d *decoder, m *Message) { signed(d, &m.Seq) }, func(b []byte, m *Message) []byte { return opt(b, m.Seq, num) }},
+	{"client", func(d *decoder, m *Message) { d.text(&m.Client) }, func(b []byte, m *Message) []byte { return opt(b, m.Client, text) }},
 }
 
 var replyCodec = codec[Reply]{
-	{"ack", func(d *decoder, r *Reply) { signed(d, &r.Ack) }},
-	{"nak", func(d *decoder, r *Reply) { signed(d, &r.Nak) }},
-	{"error", func(d *decoder, r *Reply) { d.text(&r.Error) }},
-	{"retry", func(d *decoder, r *Reply) { d.boolean(&r.Retry) }},
-	{"moved", func(d *decoder, r *Reply) { d.boolean(&r.Moved) }},
+	{"ack", func(d *decoder, r *Reply) { signed(d, &r.Ack) }, func(b []byte, r *Reply) []byte { return num(b, r.Ack) }},
+	{"nak", func(d *decoder, r *Reply) { signed(d, &r.Nak) }, func(b []byte, r *Reply) []byte { return num(b, r.Nak) }},
+	{"error", func(d *decoder, r *Reply) { d.text(&r.Error) }, func(b []byte, r *Reply) []byte { return text(b, r.Error) }},
+	{"retry", func(d *decoder, r *Reply) { d.boolean(&r.Retry) }, func(b []byte, r *Reply) []byte { return strconv.AppendBool(b, r.Retry) }},
+	{"moved", func(d *decoder, r *Reply) { d.boolean(&r.Moved) }, func(b []byte, r *Reply) []byte { return strconv.AppendBool(b, r.Moved) }},
 }
 
 var shardReplyCodec = codec[ShardReply]{
-	{"ack", func(d *decoder, r *ShardReply) { signed(d, &r.Ack) }},
-	{"nak", func(d *decoder, r *ShardReply) { signed(d, &r.Nak) }},
-	{"client", func(d *decoder, r *ShardReply) { d.text(&r.Client) }},
+	{"ack", func(d *decoder, r *ShardReply) { signed(d, &r.Ack) }, func(b []byte, r *ShardReply) []byte { return num(b, r.Ack) }},
+	{"nak", func(d *decoder, r *ShardReply) { signed(d, &r.Nak) }, func(b []byte, r *ShardReply) []byte { return num(b, r.Nak) }},
+	{"client", func(d *decoder, r *ShardReply) { d.text(&r.Client) }, func(b []byte, r *ShardReply) []byte { return text(b, r.Client) }},
+}
+
+var replyLineCodec = codec[ReplyLine]{
+	{"ack", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Ack, num) }},
+	{"nak", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Nak, num) }},
+	{"client", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Client, text) }},
+	{"moved", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Moved, strconv.AppendBool) }},
+	{"owner", nil, func(b []byte, r *ReplyLine) []byte {
+		return opt(b, r.Owner, func(b []byte, o *int) []byte { return num(b, *o) })
+	}},
+	{"map", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Map, shardMapCodec.encode) }},
+	{"error", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Error, text) }},
+	{"retry", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Retry, strconv.AppendBool) }},
 }
 
 // decode reads the first JSON value of data as a T. With whole set only

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -59,7 +60,7 @@ func differBundleStream(t *testing.T, data []byte) {
 	agree(t, data, *got, gotErr, want, wantErr)
 }
 
-// differDump is differ for DecodeShardState, against what fleet.decodeDump
+// differDump is differ for DecodeShardState, against what fleet.DumpShard
 // did with two passes: the state as json.Unmarshal reads it, and the text
 // of the "error" key whenever a pass into {"error": string} succeeds.
 func differDump(t *testing.T, data []byte) (ShardState, bool) {
@@ -197,6 +198,7 @@ func TestDecodeFieldTablesMatchTags(t *testing.T) {
 	tableMatchesTags(t, dumpReplyCodec, "error")
 	tableMatchesTags(t, replyCodec)
 	tableMatchesTags(t, shardReplyCodec)
+	tableMatchesTags(t, replyLineCodec)
 }
 
 func tableMatchesTags[T any](t *testing.T, c codec[T], extra ...string) {
@@ -225,6 +227,12 @@ func tableMatchesTags[T any](t *testing.T, c codec[T], extra ...string) {
 			t.Errorf("%T: key %q is repeated or not plain ASCII", *new(T), f.key)
 		}
 		got = append(got, f.key)
+		// Every table both decodes and encodes but the two one-way ones:
+		// a bundle is only read here, a reply line only written.
+		typ := reflect.TypeOf(*new(T))
+		if (f.store == nil) != (typ == reflect.TypeOf(ReplyLine{})) || (f.emit == nil) != (typ == reflect.TypeOf(Bundle{})) {
+			t.Errorf("%T: key %q has store %t, emit %t", *new(T), f.key, f.store != nil, f.emit != nil)
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%T: table keys %v, struct tags %v", *new(T), got, want)
@@ -350,6 +358,50 @@ func TestReadBundleAllocs(t *testing.T) {
 // report decode throughput: go test -run '^$' -bench ReadBundle ./internal/wire
 func BenchmarkReadBundleL(b *testing.B)  { benchmarkReadBundle(b, 4032) }
 func BenchmarkReadBundleXL(b *testing.B) { benchmarkReadBundle(b, 16256) }
+
+// BenchmarkAppendShardState encodes a dump of an ingest-stream shard's
+// shape (2 272 messages over eight clients: 1 760 of fixedBundle's step
+// records and 512 of its reports) through the codec tables into a reused buffer, as a shard
+// answers the dump verb, and through json.Marshal for reference:
+// go test -run '^$' -bench AppendShardState ./internal/wire
+func BenchmarkAppendShardState(b *testing.B) {
+	bundle, err := DecodeBundle(fixedBundle(b, 1760, 512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := &ShardState{Format: ShardStateFormat, Map: ShardMap{Shards: 2}}
+	add := func(m SourcedMessage) {
+		n := len(st.Messages)
+		m.Client, m.Seq = fmt.Sprintf("h%02d", n%8), int64(n/8+1)
+		st.Messages = append(st.Messages, m)
+	}
+	for i := range bundle.Records {
+		add(SourcedMessage{Type: MsgStep, Step: &bundle.Records[i]})
+	}
+	for i := range bundle.Reports {
+		add(SourcedMessage{Type: MsgReport, Report: &bundle.Reports[i]})
+	}
+	for i := 0; i < 8; i++ {
+		st.Acked = append(st.Acked, ClientAck{Client: fmt.Sprintf("h%02d", i), Seq: int64(len(st.Messages) / 8)})
+	}
+	buf := AppendShardState(nil, st)
+	b.Run("table", func(b *testing.B) {
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = AppendShardState(buf[:0], st)
+		}
+	})
+	b.Run("json.Marshal", func(b *testing.B) {
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
 
 func benchmarkReadBundle(b *testing.B, nrec int) {
 	data := fixedBundle(b, nrec, 256)

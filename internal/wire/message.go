@@ -34,3 +34,18 @@ type ShardReply struct {
 	Nak    int64  `json:"nak"`
 	Client string `json:"client"`
 }
+
+// ReplyLine is every reply a daemon or router writes: an ack, a NAK
+// (retryable, or moved to Owner under Map) or an unsequenced error. It
+// names the client, because a router hands each reply back by (client,
+// seq). Only written: Reply and ShardReply are what readers keep of it.
+type ReplyLine struct {
+	Ack    int64     `json:"ack,omitempty"`
+	Nak    int64     `json:"nak,omitempty"`
+	Client string    `json:"client,omitempty"`
+	Moved  bool      `json:"moved,omitempty"`
+	Owner  *int      `json:"owner,omitempty"`
+	Map    *ShardMap `json:"map,omitempty"`
+	Error  string    `json:"error,omitempty"`
+	Retry  bool      `json:"retry,omitempty"`
+}

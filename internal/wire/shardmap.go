@@ -33,7 +33,6 @@ type ringPoint struct {
 // the key's FNV-1a hash. Safe for concurrent use once built.
 type HashRing struct {
 	points []ringPoint
-	shards int
 }
 
 // NewHashRing builds the ring for m. The construction is fully
@@ -43,7 +42,7 @@ func NewHashRing(m ShardMap) (*HashRing, error) {
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("wire: shard map needs at least one shard, got %d", m.Shards)
 	}
-	r := &HashRing{shards: m.Shards, points: make([]ringPoint, 0, m.Shards*ringReplicas)}
+	r := &HashRing{points: make([]ringPoint, 0, m.Shards*ringReplicas)}
 	for s := 0; s < m.Shards; s++ {
 		for v := 0; v < ringReplicas; v++ {
 			label := fmt.Sprintf("shard-%d#%d", s, v)
@@ -58,9 +57,6 @@ func NewHashRing(m ShardMap) (*HashRing, error) {
 	})
 	return r, nil
 }
-
-// Shards returns the number of shards the ring was built for.
-func (r *HashRing) Shards() int { return r.shards }
 
 // Owner returns the index of the shard owning key.
 func (r *HashRing) Owner(key string) int {

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // Message type tags shared by the analyzer wire protocol and shard
 // state dumps. internal/analyzerd's TypeStep/TypeReport/TypeCF carry
@@ -74,44 +71,24 @@ type MergeStats struct {
 }
 
 // SortMessages puts msgs in canonical order: by (client, seq, type,
-// serialized payload). It is the order the fleet merge uses, so the
+// serialized payload), the payload serialized only to break a tie (a
+// resubmitted duplicate). It is the order the fleet merge uses, so the
 // merged bytes are a pure function of the message *set*, not of any
 // shard's ingest order.
 func SortMessages(msgs []SourcedMessage) {
-	// (client, seq, type) already orders every sequenced message, so the
-	// payload is serialized only for elements that tie on all three —
-	// once each: the memo travels with its element as the sort swaps it.
-	type keyed struct {
-		sm  SourcedMessage
-		tie string // serialized payload, filled on first need
-	}
-	tie := func(k *keyed) string {
-		if k.tie == "" {
-			b, _ := json.Marshal(k.sm) // plain DTOs cannot fail to marshal; an empty tiebreak still sorts
-			k.tie = string(b)
+	sort.Slice(msgs, func(i, j int) bool {
+		a, b := &msgs[i], &msgs[j]
+		if a.Client != b.Client {
+			return a.Client < b.Client
 		}
-		return k.tie
-	}
-	items := make([]keyed, len(msgs))
-	for i, sm := range msgs {
-		items[i].sm = sm
-	}
-	sort.Slice(items, func(i, j int) bool {
-		a, b := &items[i], &items[j]
-		if a.sm.Client != b.sm.Client {
-			return a.sm.Client < b.sm.Client
+		if a.Seq != b.Seq {
+			return a.Seq < b.Seq
 		}
-		if a.sm.Seq != b.sm.Seq {
-			return a.sm.Seq < b.sm.Seq
+		if a.Type != b.Type {
+			return a.Type < b.Type
 		}
-		if a.sm.Type != b.sm.Type {
-			return a.sm.Type < b.sm.Type
-		}
-		return tie(a) < tie(b)
+		return string(sourcedMessageCodec.encode(nil, a)) < string(sourcedMessageCodec.encode(nil, b))
 	})
-	for i := range items {
-		msgs[i] = items[i].sm
-	}
 }
 
 // FoldMessages reduces a message stream to the analyzer's input, in the

@@ -24,6 +24,24 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%d:%d>%d:%d/%d", k.Src, k.SrcPort, k.Dst, k.DstPort, k.Proto)
 }
 
+// Less orders flow keys by source, destination, source port, destination
+// port, then protocol: the one order every sorted flow list is in.
+func (k FlowKey) Less(o FlowKey) bool {
+	if k.Src != o.Src {
+		return k.Src < o.Src
+	}
+	if k.Dst != o.Dst {
+		return k.Dst < o.Dst
+	}
+	if k.SrcPort != o.SrcPort {
+		return k.SrcPort < o.SrcPort
+	}
+	if k.DstPort != o.DstPort {
+		return k.DstPort < o.DstPort
+	}
+	return k.Proto < o.Proto
+}
+
 // Reverse returns the key of the reverse direction (ACKs, CNPs).
 func (k FlowKey) Reverse() FlowKey {
 	return FlowKey{Src: k.Dst, Dst: k.Src, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}

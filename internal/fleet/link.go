@@ -54,7 +54,7 @@ type flightKey struct {
 // written on the current conn; when that connection dies, all of them
 // are failed with a retryable NAK — exactly one reply per forwarded
 // line. The dump exchange answers without a (client, seq) to match on,
-// so it runs stop-and-wait on a connection of its own.
+// so each dump dials a connection of its own.
 type shardLink struct {
 	r     *Router
 	shard int
@@ -64,11 +64,6 @@ type shardLink struct {
 	conn       net.Conn              // guarded by mu
 	table      map[flightKey]*flight // guarded by mu
 	head, tail *flight               // guarded by mu
-
-	amu       sync.Mutex
-	adminConn net.Conn   // guarded by amu
-	adminLR   lineReader // guarded by amu
-	adminAddr string     // guarded by amu
 
 	// forwarded counts lines this shard answered; replyTime is their
 	// forward→reply latency. Both nil (no-ops) without a registry.
@@ -88,8 +83,7 @@ func (r *Router) newLink(shard int, addr string) *shardLink {
 }
 
 // setAddr re-points the link; a changed address drops the ingest
-// connection (its in-flight lines are NAK'd retryably) and the next
-// admin exchange redials.
+// connection (its in-flight lines are NAK'd retryably).
 func (l *shardLink) setAddr(addr string) {
 	l.mu.Lock()
 	if l.addr == addr {
@@ -102,16 +96,13 @@ func (l *shardLink) setAddr(addr string) {
 	l.r.failAll(dead, l.shard)
 }
 
-// close drops both connections; the reader goroutine exits on the closed
-// socket.
+// close drops the ingest connection; the reader goroutine exits on the
+// closed socket.
 func (l *shardLink) close() {
 	l.mu.Lock()
 	dead := l.dropLocked(l.conn)
 	l.mu.Unlock()
 	l.r.failAll(dead, l.shard)
-	l.amu.Lock()
-	l.dropAdmin()
-	l.amu.Unlock()
 }
 
 // connLocked returns the ingest connection, dialing it (and starting its
@@ -391,58 +382,37 @@ func (l *shardLink) deliver(line []byte, out *relays) {
 	out.add(f.out, line)
 }
 
-// roundTrip runs one stop-and-wait dump exchange on the link's admin
-// connection: line, newline included, goes out and parse gets the
-// single-line reply, which is valid only during the call. The reply is a
-// shard's whole state, megabytes on one line, so it is read in large
-// chunks into a buffer that grows to fit it. A dead cached connection (the
-// shard restarted, or moved, since the last exchange) gets one redial; a
-// dump is idempotent, so a request that landed in a void is safe to
-// repeat.
-func (l *shardLink) roundTrip(line []byte, parse func([]byte) error) error {
-	l.amu.Lock()
-	defer l.amu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		l.mu.Lock()
-		addr := l.addr
-		l.mu.Unlock()
-		if l.adminAddr != addr {
-			l.dropAdmin()
-		}
-		if l.adminConn == nil {
-			if addr == "" {
-				return fmt.Errorf("shard %d has not announced an address", l.shard)
-			}
-			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
-			if err != nil {
-				return err
-			}
-			l.adminConn, l.adminLR, l.adminAddr = conn, lineReader{buf: make([]byte, 64<<10)}, addr
-		}
-		//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
-		err := l.adminConn.SetDeadline(time.Now().Add(l.r.cfg.ReplyTimeout))
-		if err == nil {
-			_, err = l.adminConn.Write(line)
-		}
-		for err == nil {
-			if rep := l.adminLR.next(); rep != nil {
-				return parse(rep)
-			}
-			err = l.adminLR.fill(l.adminConn, math.MaxInt) // a dump is as long as the shard's state
-		}
-		lastErr = err
-		l.dropAdmin()
+// dump runs one dump exchange on a connection dialed for it: line,
+// newline included, goes out and parse gets the single-line reply, which
+// is valid only during the call. The reply is a shard's whole state,
+// megabytes on one line, so it is read in large chunks into a buffer that
+// grows to fit it. A dump is idempotent; a caller riding out a restart
+// (dumpRetry) simply asks again.
+func (l *shardLink) dump(line []byte, parse func([]byte) error) error {
+	l.mu.Lock()
+	addr := l.addr
+	l.mu.Unlock()
+	if addr == "" {
+		return fmt.Errorf("shard %d has not announced an address", l.shard)
 	}
-	return lastErr
-}
-
-// dropAdmin discards the admin connection (caller holds l.amu).
-func (l *shardLink) dropAdmin() {
-	if l.adminConn != nil {
-		_ = l.adminConn.Close() // broken or stale; the redial is what matters
-		l.adminConn, l.adminLR, l.adminAddr = nil, lineReader{}, ""
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+	if err != nil {
+		return err
 	}
+	defer func() { _ = conn.Close() }() // the reply is in, or the exchange failed
+	//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
+	err = conn.SetDeadline(time.Now().Add(l.r.cfg.ReplyTimeout))
+	if err == nil {
+		_, err = conn.Write(line)
+	}
+	lr := lineReader{buf: make([]byte, 64<<10)}
+	for err == nil {
+		if rep := lr.next(); rep != nil {
+			return parse(rep)
+		}
+		err = lr.fill(conn, math.MaxInt) // a dump is as long as the shard's state
+	}
+	return err
 }
 
 // lineReader frames a shard's reply stream. Unlike bufio.Reader it keeps

@@ -554,8 +554,9 @@ func (r *Router) noteAck(client string, ack int64) {
 	}
 }
 
-// DumpShard asks one shard for its full accepted-message state over the
-// link's admin connection; a shard-side error line comes back as an error.
+// DumpShard asks one shard for its full accepted-message state over a
+// connection dialed for the dump; a shard-side error line comes back as an
+// error.
 // The state's shard index and map are checked against the router's — a
 // mismatched dump means the fleet is misassembled, and merging it would
 // corrupt the diagnosis.
@@ -565,7 +566,7 @@ func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
 	var state *wire.ShardState
-	err := l.roundTrip([]byte(`{"type":"dump"}`+"\n"), func(rep []byte) error {
+	err := l.dump([]byte(`{"type":"dump"}`+"\n"), func(rep []byte) error {
 		st, failure, err := wire.DecodeShardState(rep)
 		switch {
 		case err != nil:

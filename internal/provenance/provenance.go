@@ -215,7 +215,7 @@ func (g *Graph) FlowsAt(p topo.PortID) []fabric.FlowKey {
 	for f := range fs {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return flowLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -370,7 +370,7 @@ func (g *Graph) Contenders() []fabric.FlowKey {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return flowLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -382,20 +382,4 @@ func (g *Graph) hasCFAt(p topo.PortID) bool {
 		}
 	}
 	return false
-}
-
-func flowLess(a, b fabric.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
 }

@@ -382,6 +382,23 @@ func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cf
 	return res, nil
 }
 
+// RootLocalized reports whether a finding traces the case's PFC anomaly to
+// its ground-truth origin: a storm finding to the injected switch
+// (provenance roots are egress ports while the injection point is an
+// ingress, so a storm is compared at switch granularity), a backpressure
+// or storm finding to the cascade's root port. Other kinds have no PFC
+// origin to localize.
+func (cs Case) RootLocalized(f diagnose.Finding) bool {
+	switch cs.Kind {
+	case PFCStorm:
+		return f.Type == diagnose.PFCStorm && f.RootPort.Node == cs.StormSwitch
+	case PFCBackpressure:
+		return (f.Type == diagnose.PFCBackpressure || f.Type == diagnose.PFCStorm) &&
+			f.RootPort == cs.BackpressureRoot
+	}
+	return false
+}
+
 // Evaluate applies the paper's per-scenario TP/FP/FN criteria to a
 // diagnosis.
 func Evaluate(cs Case, diag *diagnose.Diagnosis) Outcome {
@@ -409,29 +426,15 @@ func Evaluate(cs Case, diag *diagnose.Diagnosis) Outcome {
 			return FP
 		}
 
-	case PFCStorm:
+	case PFCStorm, PFCBackpressure:
 		// "Tracing to the source port where the PFC occurred is a true
 		// positive, merely reporting the presence of PFC is a false
 		// positive, failing to detect any anomaly is a false negative."
-		// Provenance roots are egress ports while the injection point is
-		// an ingress, so localization is compared at switch granularity.
 		if len(diag.Findings) == 0 {
 			return FN
 		}
 		for _, f := range diag.Findings {
-			if f.Type == diagnose.PFCStorm && f.RootPort.Node == cs.StormSwitch {
-				return TP
-			}
-		}
-		return FP
-
-	case PFCBackpressure:
-		if len(diag.Findings) == 0 {
-			return FN
-		}
-		for _, f := range diag.Findings {
-			if (f.Type == diagnose.PFCBackpressure || f.Type == diagnose.PFCStorm) &&
-				f.RootPort == cs.BackpressureRoot {
+			if cs.RootLocalized(f) {
 				return TP
 			}
 		}

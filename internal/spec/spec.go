@@ -3,11 +3,14 @@ package spec
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"vedrfolnir/internal/chaos"
 	"vedrfolnir/internal/collective"
+	"vedrfolnir/internal/diagnose"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/simtime"
 )
@@ -201,797 +204,507 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeSpec(root)
-}
-
-// dec decodes one mapping node with consumed-key tracking, so any key the
-// schema does not know is reported with its line.
-type dec struct {
-	n    *Node
-	used map[string]bool
-}
-
-func newDec(n *Node) *dec { return &dec{n: n, used: make(map[string]bool)} }
-
-// entry marks a key consumed and returns its value node (nil if absent).
-func (d *dec) entry(key string) *Node {
-	d.used[key] = true
-	return d.n.Get(key)
-}
-
-// finish errors on the first unconsumed (unknown) key, in source order.
-func (d *dec) finish(section string) error {
-	for _, e := range d.n.Entries {
-		if !d.used[e.Key] {
-			return errAt(e.Line, "unknown key %q in %s", e.Key, section)
-		}
-	}
-	return nil
-}
-
-func scalarOf(n *Node, key string) (*Node, error) {
-	if n.Kind != ScalarNode {
-		return nil, errAt(n.Line, "key %q: expected a scalar, got a %s", key, n.Kind)
-	}
-	return n, nil
-}
-
-func (d *dec) str(key string) (string, int, bool, error) {
-	n := d.entry(key)
-	if n == nil {
-		return "", 0, false, nil
-	}
-	s, err := scalarOf(n, key)
-	if err != nil {
-		return "", 0, false, err
-	}
-	return s.Value, s.Line, true, nil
-}
-
-func (d *dec) num(key string) (*Node, error) {
-	n := d.entry(key)
-	if n == nil {
-		return nil, nil
-	}
-	s, err := scalarOf(n, key)
-	if err != nil {
-		return nil, err
-	}
-	if s.Quoted {
-		return nil, errAt(s.Line, "key %q: quoted scalar where a number is expected", key)
-	}
-	return s, nil
-}
-
-func (d *dec) intVal(key string) (int64, int, bool, error) {
-	s, err := d.num(key)
-	if s == nil || err != nil {
-		return 0, 0, false, err
-	}
-	v, perr := strconv.ParseInt(s.Value, 10, 64)
-	if perr != nil {
-		return 0, 0, false, errAt(s.Line, "key %q: cannot parse %q as an integer", key, s.Value)
-	}
-	return v, s.Line, true, nil
-}
-
-func (d *dec) floatVal(key string) (float64, int, bool, error) {
-	s, err := d.num(key)
-	if s == nil || err != nil {
-		return 0, 0, false, err
-	}
-	v, perr := strconv.ParseFloat(s.Value, 64)
-	if perr != nil {
-		return 0, 0, false, errAt(s.Line, "key %q: cannot parse %q as a number", key, s.Value)
-	}
-	return v, s.Line, true, nil
-}
-
-func (d *dec) boolVal(key string) (bool, int, bool, error) {
-	s, err := d.num(key)
-	if s == nil || err != nil {
-		return false, 0, false, err
-	}
-	switch s.Value {
-	case "true":
-		return true, s.Line, true, nil
-	case "false":
-		return false, s.Line, true, nil
-	}
-	return false, 0, false, errAt(s.Line, "key %q: cannot parse %q as a bool (true/false)", key, s.Value)
-}
-
-// durVal parses a Go duration string ("10ms", "1.5s").
-func (d *dec) durVal(key string) (time.Duration, int, bool, error) {
-	n := d.entry(key)
-	if n == nil {
-		return 0, 0, false, nil
-	}
-	s, err := scalarOf(n, key)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	v, perr := time.ParseDuration(s.Value)
-	if perr != nil {
-		return 0, 0, false, errAt(s.Line, "key %q: cannot parse %q as a duration (e.g. \"10ms\")", key, s.Value)
-	}
-	return v, s.Line, true, nil
-}
-
-func (d *dec) mapping(key string) (*dec, error) {
-	n := d.entry(key)
-	if n == nil {
-		return nil, nil
-	}
-	if n.Kind != MappingNode {
-		return nil, errAt(n.Line, "key %q: expected a mapping, got a %s", key, n.Kind)
-	}
-	return newDec(n), nil
-}
-
-func (d *dec) sequence(key string) (*Node, error) {
-	n := d.entry(key)
-	if n == nil {
-		return nil, nil
-	}
-	if n.Kind != SequenceNode {
-		return nil, errAt(n.Line, "key %q: expected a sequence, got a %s", key, n.Kind)
-	}
-	return n, nil
-}
-
-func decodeSpec(root *Node) (*Spec, error) {
-	d := newDec(root)
 	sp := &Spec{}
-	var err error
-	if sp.Name, _, _, err = d.str("name"); err != nil {
+	if err := specTable.decode(root, sp); err != nil {
 		return nil, err
 	}
-	if sp.Description, _, _, err = d.str("description"); err != nil {
-		return nil, err
-	}
-	mode, line, ok, err := d.str("mode")
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		switch mode {
-		case "in-process":
-			sp.Mode = InProcess
-		case "analyzerd":
-			sp.Mode = Analyzerd
-		case "fleet":
-			sp.Mode = Fleet
-		default:
-			return nil, errAt(line, "key \"mode\": unknown mode %q (in-process, analyzerd, fleet)", mode)
-		}
-	}
-
-	sc, err := d.mapping("scenario")
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		return nil, errAt(root.Line, "missing required section \"scenario\"")
-	}
-	if err := decodeScenario(sc, sp); err != nil {
-		return nil, err
-	}
-
-	pm, err := d.mapping("params")
-	if err != nil {
-		return nil, err
-	}
-	if pm != nil {
-		if err := decodeParams(pm, sp); err != nil {
-			return nil, err
-		}
-	}
-
-	ch, err := d.mapping("chaos")
-	if err != nil {
-		return nil, err
-	}
-	if ch != nil {
-		if err := decodeChaos(ch, sp); err != nil {
-			return nil, err
-		}
-	}
-
-	an, err := d.mapping("analyzerd")
-	if err != nil {
-		return nil, err
-	}
-	if an != nil {
-		if sp.Mode != Analyzerd {
-			return nil, errAt(an.n.Line, "section \"analyzerd\" requires mode: analyzerd")
-		}
-		if err := decodeAnalyzerd(an, sp); err != nil {
-			return nil, err
-		}
-	}
-	if sp.Mode == Analyzerd {
-		if sp.Analyzerd.SnapshotEvery == 0 {
-			sp.Analyzerd.SnapshotEvery = 4
-		}
-		if sp.Analyzerd.Fsync == "" {
-			sp.Analyzerd.Fsync = "always"
-		}
-	}
-
-	fl, err := d.mapping("fleet")
-	if err != nil {
-		return nil, err
-	}
-	sp.Fleet.KillShard, sp.Fleet.HoldShard = Unset, Unset
-	if fl != nil {
-		if sp.Mode != Fleet {
-			return nil, errAt(fl.n.Line, "section \"fleet\" requires mode: fleet")
-		}
-		if err := decodeFleet(fl, sp); err != nil {
-			return nil, err
-		}
-	}
-	if sp.Mode == Fleet {
-		if fl == nil {
-			return nil, errAt(root.Line, "mode fleet requires a \"fleet\" section (at least \"shards\")")
-		}
-		if sp.Fleet.SnapshotEvery == 0 {
-			sp.Fleet.SnapshotEvery = 4
-		}
-		if sp.Fleet.Fsync == "" {
-			sp.Fleet.Fsync = "always"
-		}
-	}
-
-	ex, err := d.mapping("expect")
-	if err != nil {
-		return nil, err
-	}
-	if ex == nil {
-		return nil, errAt(root.Line, "missing required section \"expect\" (a spec with no assertions tests nothing)")
-	}
-	exLine := ex.n.Line
-	if err := decodeExpect(ex, sp); err != nil {
-		return nil, err
-	}
-
-	if err := d.finish("the spec"); err != nil {
-		return nil, err
-	}
-	if err := validate(sp, exLine); err != nil {
+	if err := validate(sp, root); err != nil {
 		return nil, err
 	}
 	return sp, nil
 }
 
-func decodeScenario(d *dec, sp *Spec) error {
-	s := &sp.Scenario
+// A table decodes one mapping: def is the section's value before any key
+// is read (the defaults), and each row decodes one key, in order.
+// Unknown keys are refused after the last row, naming the section.
+type table[T any] struct {
+	section string
+	def     T
+	rows    []row[T]
+}
 
-	topo, line, ok, err := d.str("topology")
-	if err != nil {
-		return err
-	}
-	s.Topology = "paper-fattree"
-	if ok && topo != "paper-fattree" {
-		return errAt(line, "key \"topology\": unknown topology %q (paper-fattree)", topo)
-	}
+// row is one key. missing, when set, is the error for an absent key,
+// reported at the mapping's line; store parses, bounds and assigns a
+// present one.
+type row[T any] struct {
+	key     string
+	missing string
+	store   func(field, *T) error
+}
 
-	anom, line, ok, err := d.str("anomaly")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return errAt(d.n.Line, "scenario: missing required key \"anomaly\"")
-	}
-	kind, known := ParseAnomaly(anom)
-	if !known {
-		return errAt(line, "key \"anomaly\": unknown anomaly %q (%s)", anom, anomalyNames())
-	}
-	s.Anomaly = kind
-
-	seed, seedLine, hasSeed, err := d.intVal("seed")
-	if err != nil {
-		return err
-	}
-	seqNode, err := d.sequence("seeds")
-	if err != nil {
-		return err
-	}
-	switch {
-	case hasSeed && seqNode != nil:
-		return errAt(seedLine, "keys \"seed\" and \"seeds\" are mutually exclusive")
-	case seqNode != nil:
-		if len(seqNode.Items) == 0 {
-			return errAt(seqNode.Line, "key \"seeds\": empty seed list")
-		}
-		s.MultiSeed = true
-		for _, item := range seqNode.Items {
-			sc, err := scalarOf(item, "seeds")
-			if err != nil {
+func (t *table[T]) decode(n *Node, v *T) error {
+	*v = t.def
+	for _, r := range t.rows {
+		switch f := (field{key: r.key, n: n.Get(r.key)}); {
+		case f.n != nil:
+			if err := r.store(f, v); err != nil {
 				return err
 			}
-			v, perr := strconv.ParseInt(sc.Value, 10, 64)
-			if perr != nil {
-				return errAt(sc.Line, "key \"seeds\": cannot parse %q as an integer", sc.Value)
-			}
-			s.Seeds = append(s.Seeds, v)
+		case r.missing != "":
+			return errAt(n.Line, "%s", r.missing)
 		}
-	case hasSeed:
-		s.Seeds = []int64{seed}
-	default:
+	}
+	for _, e := range n.Entries {
+		if !slices.ContainsFunc(t.rows, func(r row[T]) bool { return r.key == e.Key }) {
+			return errAt(e.Line, "unknown key %q in %s", e.Key, t.section)
+		}
+	}
+	return nil
+}
+
+// field is one present key's value node.
+type field struct {
+	key string
+	n   *Node
+}
+
+func (f field) errf(format string, args ...any) error {
+	return errAt(f.n.Line, "key %q: %s", f.key, fmt.Sprintf(format, args...))
+}
+
+func (f field) scalar() (string, error) {
+	if f.n.Kind != ScalarNode {
+		return "", f.errf("expected a scalar, got a %s", f.n.Kind)
+	}
+	return f.n.Value, nil
+}
+
+// number is scalar for a numeric or bool key: a quoted scalar is a string.
+func (f field) number() (string, error) {
+	s, err := f.scalar()
+	if err == nil && f.n.Quoted {
+		return "", f.errf("quoted scalar where a number is expected")
+	}
+	return s, err
+}
+
+// unless is a bound: the error text for a value that fails ok, else "".
+func unless(ok bool, format string, args ...any) string {
+	if ok {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+func check[V any](f field, v V, bound func(V) string) error {
+	if bound != nil {
+		if msg := bound(v); msg != "" {
+			return f.errf("%s", msg)
+		}
+	}
+	return nil
+}
+
+func text(f field, dst *string) error {
+	s, err := f.scalar()
+	if err == nil {
+		*dst = s
+	}
+	return err
+}
+
+func integer[I int | int64](f field, dst *I, bound func(int64) string) error {
+	s, err := f.number()
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return f.errf("cannot parse %q as an integer", s)
+	}
+	if err := check(f, v, bound); err != nil {
+		return err
+	}
+	*dst = I(v)
+	return nil
+}
+
+func float(f field, dst *float64, bound func(float64) string) error {
+	s, err := f.number()
+	if err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return f.errf("cannot parse %q as a number", s)
+	}
+	if err := check(f, v, bound); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
+}
+
+func boolean(f field, dst *bool) error {
+	s, err := f.number()
+	if err != nil {
+		return err
+	}
+	if s != "true" && s != "false" {
+		return f.errf("cannot parse %q as a bool (true/false)", s)
+	}
+	*dst = s == "true"
+	return nil
+}
+
+// duration reads a Go duration string ("10ms", "1.5s").
+func duration(f field, dst *simtime.Duration, bound func(time.Duration) string) error {
+	s, err := f.scalar()
+	if err != nil {
+		return err
+	}
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return f.errf("cannot parse %q as a duration (e.g. \"10ms\")", s)
+	}
+	if err := check(f, v, bound); err != nil {
+		return err
+	}
+	*dst = simtime.Duration(v)
+	return nil
+}
+
+// enum reads one of values by its String(); the error lists the accepted
+// names in order.
+func enum[K fmt.Stringer](f field, dst *K, what string, values ...K) error {
+	s, err := f.scalar()
+	if err != nil {
+		return err
+	}
+	names := make([]string, len(values))
+	for i, k := range values {
+		if names[i] = k.String(); names[i] == s {
+			*dst = k
+			return nil
+		}
+	}
+	return f.errf("unknown %s %q (%s)", what, s, strings.Join(names, ", "))
+}
+
+// word is a string enum value.
+type word string
+
+func (w word) String() string { return string(w) }
+
+// list reads a sequence item by item; empty, when set, refuses an empty
+// one.
+func list(f field, empty string, item func(field) error) error {
+	if f.n.Kind != SequenceNode {
+		return f.errf("expected a sequence, got a %s", f.n.Kind)
+	}
+	if empty != "" && len(f.n.Items) == 0 {
+		return f.errf("%s", empty)
+	}
+	for _, it := range f.n.Items {
+		if err := item(field{key: f.key, n: it}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// section decodes a nested mapping.
+func section[T any](f field, t *table[T], dst *T) error {
+	if f.n.Kind != MappingNode {
+		return f.errf("expected a mapping, got a %s", f.n.Kind)
+	}
+	return t.decode(f.n, dst)
+}
+
+// inMode decodes a mode's own section only under that mode; validate
+// refuses it under any other.
+func inMode[T any](f field, sp *Spec, mode Mode, t *table[T], dst *T) error {
+	if sp.Mode != mode && f.n.Kind == MappingNode {
+		return nil
+	}
+	return section(f, t, dst)
+}
+
+// Bounds shared by several rows.
+var (
+	positive  = func(v int64) string { return unless(v > 0, "must be > 0, got %d", v) }
+	count     = func(v int64) string { return unless(v >= 0, "count must be >= 0, got %d", v) }
+	rate      = func(v float64) string { return unless(v >= 0 && v <= 1, "rate must be in [0, 1], got %v", v) }
+	fraction  = func(v float64) string { return unless(v >= 0 && v <= 1, "must be in [0, 1], got %v", v) }
+	hostID    = func(v int64) string { return unless(v >= 0 && v <= 15, "host ID must be in [0, 15], got %d", v) }
+	lasting   = func(v time.Duration) string { return unless(v >= 0, "duration must be >= 0, got %v", v) }
+	policies  = []word{"always", "interval", "off"}
+	anomalies = []scenario.AnomalyKind{
+		scenario.Contention, scenario.Incast, scenario.PFCStorm,
+		scenario.PFCBackpressure, scenario.Loop, scenario.LoadImbalance, scenario.Clean,
+	}
+	anomalyTypes = []diagnose.AnomalyType{
+		diagnose.FlowContention, diagnose.Incast, diagnose.PFCBackpressure,
+		diagnose.PFCStorm, diagnose.ForwardingLoop, diagnose.PFCDeadlock,
+	}
+)
+
+var specTable = &table[Spec]{
+	section: "the spec",
+	def:     Spec{Fleet: FleetSpec{KillShard: Unset, HoldShard: Unset}},
+	rows: []row[Spec]{
+		{"name", "", func(f field, sp *Spec) error { return text(f, &sp.Name) }},
+		{"description", "", func(f field, sp *Spec) error { return text(f, &sp.Description) }},
+		{"mode", "", func(f field, sp *Spec) error { return enum(f, &sp.Mode, "mode", InProcess, Analyzerd, Fleet) }},
+		{"scenario", `missing required section "scenario"`, func(f field, sp *Spec) error { return section(f, scenarioTable, &sp.Scenario) }},
+		{"params", "", func(f field, sp *Spec) error { return section(f, paramsTable, &sp.Params) }},
+		{"chaos", "", func(f field, sp *Spec) error { return section(f, chaosTable, &sp.Chaos) }},
+		{"analyzerd", "", func(f field, sp *Spec) error { return inMode(f, sp, Analyzerd, analyzerdTable, &sp.Analyzerd) }},
+		{"fleet", "", func(f field, sp *Spec) error { return inMode(f, sp, Fleet, fleetTable, &sp.Fleet) }},
+		{"expect", `missing required section "expect" (a spec with no assertions tests nothing)`,
+			func(f field, sp *Spec) error { return section(f, expectTable, &sp.Expect) }},
+	},
+}
+
+var scenarioTable = &table[Scenario]{
+	section: `section "scenario"`,
+	def: Scenario{Topology: "paper-fattree", System: scenario.Vedrfolnir, ScaleDen: 90, Ranks: 8,
+		Op: collective.AllGather, Alg: collective.Ring},
+	rows: []row[Scenario]{
+		{"topology", "", func(f field, s *Scenario) error { return enum(f, (*word)(&s.Topology), "topology", "paper-fattree") }},
+		{"anomaly", `scenario: missing required key "anomaly"`, func(f field, s *Scenario) error {
+			return enum(f, &s.Anomaly, "anomaly", anomalies...)
+		}},
+		{"seed", "", func(f field, s *Scenario) error {
+			s.Seeds = []int64{0}
+			return integer(f, &s.Seeds[0], nil)
+		}},
+		{"seeds", "", func(f field, s *Scenario) error {
+			s.MultiSeed = true
+			return list(f, "empty seed list", func(it field) error {
+				v, err := it.scalar()
+				if err != nil {
+					return err
+				}
+				seed, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					return it.errf("cannot parse %q as an integer", v)
+				}
+				s.Seeds = append(s.Seeds, seed)
+				return nil
+			})
+		}},
+		{"system", "", func(f field, s *Scenario) error {
+			return enum(f, &s.System, "system",
+				scenario.Vedrfolnir, scenario.HawkeyeMaxR, scenario.HawkeyeMinR, scenario.FullPolling)
+		}},
+		{"scale", "", func(f field, s *Scenario) error {
+			return float(f, &s.ScaleDen, func(v float64) string {
+				return unless(v > 0, "scale denominator must be > 0, got %v", v)
+			})
+		}},
+		{"ranks", "", func(f field, s *Scenario) error {
+			return integer(f, &s.Ranks, func(v int64) string {
+				return unless(v >= 2 && v <= 16 && v%2 == 0, "ranks must be even and in [2, 16], got %d", v)
+			})
+		}},
+		{"op", "", func(f field, s *Scenario) error {
+			return enum(f, &s.Op, "collective op", collective.AllGather, collective.ReduceScatter, collective.AllReduce)
+		}},
+		{"alg", "", func(f field, s *Scenario) error {
+			return enum(f, &s.Alg, "algorithm", collective.Ring, collective.HalvingDoubling)
+		}},
+		{"flows", "", func(f field, s *Scenario) error {
+			return list(f, "empty flow list (omit the key instead)", func(it field) error {
+				if it.n.Kind != MappingNode {
+					return it.errf("each flow is a mapping (src/dst/mb/start-ms)")
+				}
+				var fl Flow
+				if err := flowTable.decode(it.n, &fl); err != nil {
+					return err
+				}
+				fl.Line = it.n.Line
+				s.Flows = append(s.Flows, fl)
+				return nil
+			})
+		}},
+	},
+}
+
+var flowTable = &table[Flow]{
+	section: "a flow",
+	rows: []row[Flow]{
+		{"src", `flow: missing required key "src"`, func(f field, fl *Flow) error { return integer(f, &fl.Src, hostID) }},
+		{"dst", `flow: missing required key "dst"`, func(f field, fl *Flow) error {
+			if err := integer(f, &fl.Dst, hostID); err != nil {
+				return err
+			}
+			if fl.Dst == fl.Src {
+				return errAt(f.n.Line, "flow: src and dst are both host %d", fl.Dst)
+			}
+			return nil
+		}},
+		{"mb", `flow: missing required key "mb"`, func(f field, fl *Flow) error {
+			return float(f, &fl.MB, func(v float64) string { return unless(v > 0, "flow size must be > 0 MB, got %v", v) })
+		}},
+		{"start-ms", "", func(f field, fl *Flow) error {
+			return float(f, &fl.StartMS, func(v float64) string { return unless(v >= 0, "start must be >= 0 ms, got %v", v) })
+		}},
+	},
+}
+
+var paramsTable = &table[Params]{
+	section: `section "params"`,
+	rows: []row[Params]{
+		{"rtt-factor", "", func(f field, p *Params) error {
+			return float(f, &p.RTTFactor, func(v float64) string { return unless(v > 0, "must be > 0, got %v", v) })
+		}},
+		{"max-detect-per-step", "", func(f field, p *Params) error { return integer(f, &p.MaxDetectPerStep, positive) }},
+		{"fixed-rtt-threshold", "", func(f field, p *Params) error {
+			return duration(f, &p.FixedRTTThreshold, func(v time.Duration) string { return unless(v > 0, "must be > 0, got %v", v) })
+		}},
+		{"unrestricted", "", func(f field, p *Params) error { return boolean(f, &p.Unrestricted) }},
+	},
+}
+
+var chaosTable = &table[chaos.Config]{
+	section: `section "chaos"`,
+	rows: []row[chaos.Config]{
+		// loss is the uniform shorthand; the keys after it refine it.
+		{"loss", "", func(f field, c *chaos.Config) error {
+			var loss float64
+			err := float(f, &loss, rate)
+			*c = chaos.UniformLoss(loss)
+			return err
+		}},
+		{"seed", "", func(f field, c *chaos.Config) error { return integer(f, &c.Seed, nil) }},
+		{"notify-drop-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.NotifyDropRate, rate) }},
+		{"notify-dup-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.NotifyDupRate, rate) }},
+		{"notify-delay-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.NotifyDelayRate, rate) }},
+		{"notify-delay", "", func(f field, c *chaos.Config) error { return duration(f, &c.NotifyDelay, lasting) }},
+		{"poll-loss-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.PollLossRate, rate) }},
+		{"port-loss-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.PortLossRate, rate) }},
+		{"monitor-kill-rate", "", func(f field, c *chaos.Config) error { return float(f, &c.MonitorKillRate, rate) }},
+		{"monitor-kill-window", "", func(f field, c *chaos.Config) error { return duration(f, &c.MonitorKillWindow, lasting) }},
+		{"monitor-down-for", "", func(f field, c *chaos.Config) error { return duration(f, &c.MonitorDownFor, lasting) }},
+	},
+}
+
+var analyzerdTable = &table[AnalyzerdSpec]{
+	section: `section "analyzerd"`,
+	def:     AnalyzerdSpec{SnapshotEvery: 4, Fsync: "always"},
+	rows: []row[AnalyzerdSpec]{
+		{"kill-after", "", func(f field, a *AnalyzerdSpec) error {
+			return integer(f, &a.KillAfter, func(v int64) string {
+				return unless(v > 0, "must be > 0 acked messages, got %d", v)
+			})
+		}},
+		{"snapshot-every", "", func(f field, a *AnalyzerdSpec) error { return integer(f, &a.SnapshotEvery, positive) }},
+		{"fsync", "", func(f field, a *AnalyzerdSpec) error { return enum(f, (*word)(&a.Fsync), "policy", policies...) }},
+	},
+}
+
+// The kill-shard-after bound and hold-down-shard's range wait for
+// validate, which checks the fleet's key pairings first.
+var fleetTable = &table[FleetSpec]{
+	section: `section "fleet"`,
+	def:     FleetSpec{KillShard: Unset, HoldShard: Unset, SnapshotEvery: 4, Fsync: "always"},
+	rows: []row[FleetSpec]{
+		{"shards", `fleet: missing required key "shards"`, func(f field, fs *FleetSpec) error {
+			return integer(f, &fs.Shards, func(v int64) string {
+				return unless(v >= 2 && v <= 16, "fleet width must be in [2, 16], got %d", v)
+			})
+		}},
+		{"kill-shard", "", func(f field, fs *FleetSpec) error {
+			return integer(f, &fs.KillShard, func(v int64) string {
+				return unless(v >= 0 && v < int64(fs.Shards), "shard index must be in [0, %d), got %d", fs.Shards, v)
+			})
+		}},
+		{"kill-shard-after", "", func(f field, fs *FleetSpec) error { return integer(f, &fs.KillAfter, nil) }},
+		{"hold-down-shard", "", func(f field, fs *FleetSpec) error { return integer(f, &fs.HoldShard, nil) }},
+		{"snapshot-every", "", func(f field, fs *FleetSpec) error { return integer(f, &fs.SnapshotEvery, positive) }},
+		{"fsync", "", func(f field, fs *FleetSpec) error { return enum(f, (*word)(&fs.Fsync), "policy", policies...) }},
+	},
+}
+
+var expectTable = &table[Expect]{
+	section: `section "expect"`,
+	def: Expect{MinFindings: Unset, MaxFindings: Unset, MinCulprits: Unset, MaxCulprits: Unset,
+		MinVictims: Unset, MinConfidence: Unset, MaxConfidence: Unset,
+		Precision: Unset, Recall: Unset, MinPrecision: Unset, MinRecall: Unset},
+	rows: []row[Expect]{
+		{"outcome", "", func(f field, e *Expect) error {
+			var o scenario.Outcome
+			err := enum(f, &o, "outcome", scenario.TP, scenario.FP, scenario.FN)
+			e.Outcome = o.String()
+			return err
+		}},
+		{"completed", "", func(f field, e *Expect) error {
+			e.Completed = new(bool)
+			return boolean(f, e.Completed)
+		}},
+		{"anomaly-types", "", func(f field, e *Expect) error {
+			return list(f, "", func(it field) error {
+				var t diagnose.AnomalyType
+				err := enum(it, &t, "anomaly type", anomalyTypes...)
+				if err == nil {
+					e.AnomalyTypes = append(e.AnomalyTypes, t.String())
+				}
+				return err
+			})
+		}},
+		{"min-findings", "", func(f field, e *Expect) error { return integer(f, &e.MinFindings, count) }},
+		{"max-findings", "", func(f field, e *Expect) error { return integer(f, &e.MaxFindings, count) }},
+		{"culprits-include-injected", "", func(f field, e *Expect) error { return boolean(f, &e.CulpritsIncludeInjected) }},
+		{"min-culprits", "", func(f field, e *Expect) error { return integer(f, &e.MinCulprits, count) }},
+		{"max-culprits", "", func(f field, e *Expect) error { return integer(f, &e.MaxCulprits, count) }},
+		{"min-victims", "", func(f field, e *Expect) error { return integer(f, &e.MinVictims, count) }},
+		{"victims-are-collective", "", func(f field, e *Expect) error { return boolean(f, &e.VictimsAreCollective) }},
+		{"min-confidence", "", func(f field, e *Expect) error { return float(f, &e.MinConfidence, fraction) }},
+		{"max-confidence", "", func(f field, e *Expect) error { return float(f, &e.MaxConfidence, fraction) }},
+		{"root-localized", "", func(f field, e *Expect) error { return boolean(f, &e.RootLocalized) }},
+		{"precision", "", func(f field, e *Expect) error { return float(f, &e.Precision, fraction) }},
+		{"recall", "", func(f field, e *Expect) error { return float(f, &e.Recall, fraction) }},
+		{"min-precision", "", func(f field, e *Expect) error { return float(f, &e.MinPrecision, fraction) }},
+		{"min-recall", "", func(f field, e *Expect) error { return float(f, &e.MinRecall, fraction) }},
+	},
+}
+
+// validate applies the rules that span keys or sections, after every row
+// has decoded.
+func validate(sp *Spec, root *Node) error {
+	s := &sp.Scenario
+	at := func(n *Node, key string) *Node {
+		if n == nil {
+			return nil
+		}
+		return n.Get(key)
+	}
+	scen, fleet := root.Get("scenario"), root.Get("fleet")
+	expectLine := root.Get("expect").Line
+	if seed := at(scen, "seed"); seed != nil && s.MultiSeed {
+		return errAt(seed.Line, "keys \"seed\" and \"seeds\" are mutually exclusive")
+	}
+	if len(s.Seeds) == 0 {
 		s.Seeds = []int64{1}
 	}
-
-	sys, line, ok, err := d.str("system")
-	if err != nil {
-		return err
-	}
-	if ok {
-		k, known := ParseSystem(sys)
-		if !known {
-			return errAt(line, "key \"system\": unknown system %q (vedrfolnir, hawkeye-maxr, hawkeye-minr, full-polling)", sys)
+	for _, m := range []Mode{Analyzerd, Fleet} {
+		if n := root.Get(m.String()); n != nil && sp.Mode != m {
+			return errAt(n.Line, "section %q requires mode: %s", m.String(), m)
 		}
-		s.System = k
-	} else {
-		s.System = scenario.Vedrfolnir
 	}
-
-	scale, line, ok, err := d.floatVal("scale")
-	if err != nil {
-		return err
+	if sp.Mode == Analyzerd && root.Get("analyzerd") == nil {
+		sp.Analyzerd = analyzerdTable.def
 	}
-	s.ScaleDen = 90
-	if ok {
-		if scale <= 0 {
-			return errAt(line, "key \"scale\": scale denominator must be > 0, got %v", scale)
-		}
-		s.ScaleDen = scale
-	}
-
-	ranks, line, ok, err := d.intVal("ranks")
-	if err != nil {
-		return err
-	}
-	s.Ranks = 8
-	if ok {
-		if ranks < 2 || ranks > 16 || ranks%2 != 0 {
-			return errAt(line, "key \"ranks\": ranks must be even and in [2, 16], got %d", ranks)
-		}
-		s.Ranks = int(ranks)
-	}
-
-	op, line, ok, err := d.str("op")
-	if err != nil {
-		return err
-	}
-	s.Op = collective.AllGather
-	if ok {
-		k, known := ParseOp(op)
-		if !known {
-			return errAt(line, "key \"op\": unknown collective op %q (allgather, reducescatter, allreduce)", op)
-		}
-		s.Op = k
-	}
-
-	alg, line, ok, err := d.str("alg")
-	if err != nil {
-		return err
-	}
-	s.Alg = collective.Ring
-	if ok {
-		k, known := ParseAlg(alg)
-		if !known {
-			return errAt(line, "key \"alg\": unknown algorithm %q (ring, halving-doubling)", alg)
-		}
-		s.Alg = k
-	}
-
-	flows, err := d.sequence("flows")
-	if err != nil {
-		return err
-	}
-	if flows != nil {
-		if len(flows.Items) == 0 {
-			return errAt(flows.Line, "key \"flows\": empty flow list (omit the key instead)")
-		}
-		for _, item := range flows.Items {
-			if item.Kind != MappingNode {
-				return errAt(item.Line, "key \"flows\": each flow is a mapping (src/dst/mb/start-ms)")
-			}
-			f, err := decodeFlow(newDec(item))
-			if err != nil {
-				return err
-			}
-			s.Flows = append(s.Flows, f)
+	if sp.Mode == Fleet {
+		f := sp.Fleet
+		ks, ka, hold := at(fleet, "kill-shard"), at(fleet, "kill-shard-after"), at(fleet, "hold-down-shard")
+		switch {
+		case fleet == nil:
+			return errAt(root.Line, "mode fleet requires a \"fleet\" section (at least \"shards\")")
+		case ka != nil && ks == nil:
+			return errAt(ka.Line, "key \"kill-shard-after\" requires \"kill-shard\"")
+		case ka != nil && f.KillAfter <= 0:
+			return errAt(ka.Line, "key \"kill-shard-after\": must be > 0 acked messages, got %d", f.KillAfter)
+		case ks != nil && ka == nil:
+			return errAt(ks.Line, "key \"kill-shard\" requires \"kill-shard-after\"")
+		case hold != nil && ks != nil:
+			return errAt(hold.Line, "keys \"kill-shard\" and \"hold-down-shard\" are mutually exclusive")
+		case hold != nil && (f.HoldShard < 0 || f.HoldShard >= f.Shards):
+			return errAt(hold.Line, "key \"hold-down-shard\": shard index must be in [0, %d), got %d", f.Shards, f.HoldShard)
 		}
 	}
 
-	return d.finish("section \"scenario\"")
-}
-
-func decodeFlow(d *dec) (Flow, error) {
-	f := Flow{Line: d.n.Line}
-	src, line, ok, err := d.intVal("src")
-	if err != nil {
-		return f, err
-	}
-	if !ok {
-		return f, errAt(d.n.Line, "flow: missing required key \"src\"")
-	}
-	if src < 0 || src > 15 {
-		return f, errAt(line, "key \"src\": host ID must be in [0, 15], got %d", src)
-	}
-	f.Src = int(src)
-
-	dst, line, ok, err := d.intVal("dst")
-	if err != nil {
-		return f, err
-	}
-	if !ok {
-		return f, errAt(d.n.Line, "flow: missing required key \"dst\"")
-	}
-	if dst < 0 || dst > 15 {
-		return f, errAt(line, "key \"dst\": host ID must be in [0, 15], got %d", dst)
-	}
-	if dst == src {
-		return f, errAt(line, "flow: src and dst are both host %d", dst)
-	}
-	f.Dst = int(dst)
-
-	mb, line, ok, err := d.floatVal("mb")
-	if err != nil {
-		return f, err
-	}
-	if !ok {
-		return f, errAt(d.n.Line, "flow: missing required key \"mb\"")
-	}
-	if mb <= 0 {
-		return f, errAt(line, "key \"mb\": flow size must be > 0 MB, got %v", mb)
-	}
-	f.MB = mb
-
-	start, line, ok, err := d.floatVal("start-ms")
-	if err != nil {
-		return f, err
-	}
-	if ok {
-		if start < 0 {
-			return f, errAt(line, "key \"start-ms\": start must be >= 0 ms, got %v", start)
-		}
-		f.StartMS = start
-	}
-	return f, d.finish("a flow")
-}
-
-func decodeParams(d *dec, sp *Spec) error {
-	p := &sp.Params
-	var err error
-	var line int
-	var ok bool
-	if p.RTTFactor, line, ok, err = d.floatVal("rtt-factor"); err != nil {
-		return err
-	}
-	if ok && p.RTTFactor <= 0 {
-		return errAt(line, "key \"rtt-factor\": must be > 0, got %v", p.RTTFactor)
-	}
-	mds, line, ok, err := d.intVal("max-detect-per-step")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if mds <= 0 {
-			return errAt(line, "key \"max-detect-per-step\": must be > 0, got %d", mds)
-		}
-		p.MaxDetectPerStep = int(mds)
-	}
-	fixed, line, ok, err := d.durVal("fixed-rtt-threshold")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if fixed <= 0 {
-			return errAt(line, "key \"fixed-rtt-threshold\": must be > 0, got %v", fixed)
-		}
-		p.FixedRTTThreshold = simtime.Duration(fixed)
-	}
-	if p.Unrestricted, _, _, err = d.boolVal("unrestricted"); err != nil {
-		return err
-	}
-	return d.finish("section \"params\"")
-}
-
-func decodeChaos(d *dec, sp *Spec) error {
-	loss, line, ok, err := d.floatVal("loss")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if loss < 0 || loss > 1 {
-			return errAt(line, "key \"loss\": rate must be in [0, 1], got %v", loss)
-		}
-		sp.Chaos = chaos.UniformLoss(loss)
-	}
-
-	seed, _, ok, err := d.intVal("seed")
-	if err != nil {
-		return err
-	}
-	if ok {
-		sp.Chaos.Seed = seed
-	}
-
-	rate := func(key string, dst *float64) error {
-		v, line, ok, err := d.floatVal(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if v < 0 || v > 1 {
-				return errAt(line, "key %q: rate must be in [0, 1], got %v", key, v)
-			}
-			*dst = v
-		}
-		return nil
-	}
-	dur := func(key string, dst *simtime.Duration) error {
-		v, line, ok, err := d.durVal(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if v < 0 {
-				return errAt(line, "key %q: duration must be >= 0, got %v", key, v)
-			}
-			*dst = simtime.Duration(v)
-		}
-		return nil
-	}
-	c := &sp.Chaos
-	for _, step := range []error{
-		rate("notify-drop-rate", &c.NotifyDropRate),
-		rate("notify-dup-rate", &c.NotifyDupRate),
-		rate("notify-delay-rate", &c.NotifyDelayRate),
-		dur("notify-delay", &c.NotifyDelay),
-		rate("poll-loss-rate", &c.PollLossRate),
-		rate("port-loss-rate", &c.PortLossRate),
-		rate("monitor-kill-rate", &c.MonitorKillRate),
-		dur("monitor-kill-window", &c.MonitorKillWindow),
-		dur("monitor-down-for", &c.MonitorDownFor),
-	} {
-		if step != nil {
-			return step
-		}
-	}
-	return d.finish("section \"chaos\"")
-}
-
-func decodeAnalyzerd(d *dec, sp *Spec) error {
-	a := &sp.Analyzerd
-	ka, line, ok, err := d.intVal("kill-after")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if ka <= 0 {
-			return errAt(line, "key \"kill-after\": must be > 0 acked messages, got %d", ka)
-		}
-		a.KillAfter = int(ka)
-	}
-	se, line, ok, err := d.intVal("snapshot-every")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if se <= 0 {
-			return errAt(line, "key \"snapshot-every\": must be > 0, got %d", se)
-		}
-		a.SnapshotEvery = int(se)
-	}
-	fs, line, ok, err := d.str("fsync")
-	if err != nil {
-		return err
-	}
-	if ok {
-		switch fs {
-		case "always", "interval", "off":
-			a.Fsync = fs
-		default:
-			return errAt(line, "key \"fsync\": unknown policy %q (always, interval, off)", fs)
-		}
-	}
-	return d.finish("section \"analyzerd\"")
-}
-
-func decodeFleet(d *dec, sp *Spec) error {
-	f := &sp.Fleet
-	shards, line, ok, err := d.intVal("shards")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return errAt(d.n.Line, "fleet: missing required key \"shards\"")
-	}
-	if shards < 2 || shards > 16 {
-		return errAt(line, "key \"shards\": fleet width must be in [2, 16], got %d", shards)
-	}
-	f.Shards = int(shards)
-
-	ks, ksLine, hasKS, err := d.intVal("kill-shard")
-	if err != nil {
-		return err
-	}
-	if hasKS {
-		if ks < 0 || ks >= shards {
-			return errAt(ksLine, "key \"kill-shard\": shard index must be in [0, %d), got %d", shards, ks)
-		}
-		f.KillShard = int(ks)
-	}
-	ka, line, hasKA, err := d.intVal("kill-shard-after")
-	if err != nil {
-		return err
-	}
-	if hasKA {
-		if !hasKS {
-			return errAt(line, "key \"kill-shard-after\" requires \"kill-shard\"")
-		}
-		if ka <= 0 {
-			return errAt(line, "key \"kill-shard-after\": must be > 0 acked messages, got %d", ka)
-		}
-		f.KillAfter = int(ka)
-	}
-	if hasKS && !hasKA {
-		return errAt(ksLine, "key \"kill-shard\" requires \"kill-shard-after\"")
-	}
-
-	hs, line, hasHS, err := d.intVal("hold-down-shard")
-	if err != nil {
-		return err
-	}
-	if hasHS {
-		if hasKS {
-			return errAt(line, "keys \"kill-shard\" and \"hold-down-shard\" are mutually exclusive")
-		}
-		if hs < 0 || hs >= shards {
-			return errAt(line, "key \"hold-down-shard\": shard index must be in [0, %d), got %d", shards, hs)
-		}
-		f.HoldShard = int(hs)
-	}
-
-	se, line, ok, err := d.intVal("snapshot-every")
-	if err != nil {
-		return err
-	}
-	if ok {
-		if se <= 0 {
-			return errAt(line, "key \"snapshot-every\": must be > 0, got %d", se)
-		}
-		f.SnapshotEvery = int(se)
-	}
-	fs, line, ok, err := d.str("fsync")
-	if err != nil {
-		return err
-	}
-	if ok {
-		switch fs {
-		case "always", "interval", "off":
-			f.Fsync = fs
-		default:
-			return errAt(line, "key \"fsync\": unknown policy %q (always, interval, off)", fs)
-		}
-	}
-	return d.finish("section \"fleet\"")
-}
-
-func decodeExpect(d *dec, sp *Spec) error {
-	e := &sp.Expect
-	e.MinFindings, e.MaxFindings = Unset, Unset
-	e.MinCulprits, e.MaxCulprits = Unset, Unset
-	e.MinVictims = Unset
-	e.MinConfidence, e.MaxConfidence = Unset, Unset
-	e.Precision, e.Recall = Unset, Unset
-	e.MinPrecision, e.MinRecall = Unset, Unset
-
-	outcome, line, ok, err := d.str("outcome")
-	if err != nil {
-		return err
-	}
-	if ok {
-		switch outcome {
-		case "TP", "FP", "FN":
-			e.Outcome = outcome
-		default:
-			return errAt(line, "key \"outcome\": unknown outcome %q (TP, FP, FN)", outcome)
-		}
-	}
-
-	comp, _, ok, err := d.boolVal("completed")
-	if err != nil {
-		return err
-	}
-	if ok {
-		e.Completed = &comp
-	}
-
-	types, err := d.sequence("anomaly-types")
-	if err != nil {
-		return err
-	}
-	if types != nil {
-		for _, item := range types.Items {
-			sc, err := scalarOf(item, "anomaly-types")
-			if err != nil {
-				return err
-			}
-			if !KnownAnomalyType(sc.Value) {
-				return errAt(sc.Line, "key \"anomaly-types\": unknown anomaly type %q (%s)", sc.Value, anomalyTypeNames())
-			}
-			e.AnomalyTypes = append(e.AnomalyTypes, sc.Value)
-		}
-	}
-
-	count := func(key string, dst *int) error {
-		v, line, ok, err := d.intVal(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if v < 0 {
-				return errAt(line, "key %q: count must be >= 0, got %d", key, v)
-			}
-			*dst = int(v)
-		}
-		return nil
-	}
-	frac := func(key string, dst *float64) error {
-		v, line, ok, err := d.floatVal(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if v < 0 || v > 1 {
-				return errAt(line, "key %q: must be in [0, 1], got %v", key, v)
-			}
-			*dst = v
-		}
-		return nil
-	}
-	boolKey := func(key string, dst *bool) error {
-		v, _, ok, err := d.boolVal(key)
-		if err != nil {
-			return err
-		}
-		if ok {
-			*dst = v
-		}
-		return nil
-	}
-	for _, step := range []error{
-		count("min-findings", &e.MinFindings),
-		count("max-findings", &e.MaxFindings),
-		boolKey("culprits-include-injected", &e.CulpritsIncludeInjected),
-		count("min-culprits", &e.MinCulprits),
-		count("max-culprits", &e.MaxCulprits),
-		count("min-victims", &e.MinVictims),
-		boolKey("victims-are-collective", &e.VictimsAreCollective),
-		frac("min-confidence", &e.MinConfidence),
-		frac("max-confidence", &e.MaxConfidence),
-		boolKey("root-localized", &e.RootLocalized),
-		frac("precision", &e.Precision),
-		frac("recall", &e.Recall),
-		frac("min-precision", &e.MinPrecision),
-		frac("min-recall", &e.MinRecall),
-	} {
-		if step != nil {
-			return step
-		}
-	}
-	return d.finish("section \"expect\"")
-}
-
-// validate applies cross-field rules after decoding.
-func validate(sp *Spec, expectLine int) error {
-	s := sp.Scenario
 	if len(s.Flows) > 0 {
 		switch s.Anomaly {
 		case scenario.Contention, scenario.Incast, scenario.Clean:
@@ -1033,91 +746,4 @@ func validate(sp *Spec, expectLine int) error {
 		return errAt(expectLine, "min-confidence (%v) exceeds max-confidence (%v)", e.MinConfidence, e.MaxConfidence)
 	}
 	return nil
-}
-
-// ParseAnomaly maps an anomaly name to its kind.
-func ParseAnomaly(s string) (scenario.AnomalyKind, bool) {
-	for _, k := range anomalyKinds {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-var anomalyKinds = []scenario.AnomalyKind{
-	scenario.Contention, scenario.Incast, scenario.PFCStorm,
-	scenario.PFCBackpressure, scenario.Loop, scenario.LoadImbalance,
-	scenario.Clean,
-}
-
-func anomalyNames() string {
-	out := ""
-	for i, k := range anomalyKinds {
-		if i > 0 {
-			out += ", "
-		}
-		out += k.String()
-	}
-	return out
-}
-
-// ParseSystem maps a system name to its kind.
-func ParseSystem(s string) (scenario.SystemKind, bool) {
-	for _, k := range []scenario.SystemKind{
-		scenario.Vedrfolnir, scenario.HawkeyeMaxR, scenario.HawkeyeMinR, scenario.FullPolling,
-	} {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// ParseOp maps a collective op name.
-func ParseOp(s string) (collective.Op, bool) {
-	for _, k := range []collective.Op{collective.AllGather, collective.ReduceScatter, collective.AllReduce} {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// ParseAlg maps an algorithm name.
-func ParseAlg(s string) (collective.Algorithm, bool) {
-	for _, k := range []collective.Algorithm{collective.Ring, collective.HalvingDoubling} {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// anomalyTypeNames lists the diagnose.AnomalyType names assertable in
-// expect.anomaly-types.
-var knownAnomalyTypes = []string{
-	"flow-contention", "incast", "pfc-backpressure", "pfc-storm",
-	"forwarding-loop", "pfc-deadlock",
-}
-
-// KnownAnomalyType reports whether s names a diagnose.AnomalyType.
-func KnownAnomalyType(s string) bool {
-	for _, t := range knownAnomalyTypes {
-		if t == s {
-			return true
-		}
-	}
-	return false
-}
-
-func anomalyTypeNames() string {
-	out := ""
-	for i, t := range knownAnomalyTypes {
-		if i > 0 {
-			out += ", "
-		}
-		out += t
-	}
-	return out
 }

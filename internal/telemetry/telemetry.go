@@ -126,7 +126,7 @@ type portState struct {
 	meterIn   []int64
 	qdepthSum int64
 	enqueues  int64
-	// order lists the port's flow slots by flowLess of their 5-tuples —
+	// order lists the port's flow slots by fabric.FlowKey.Less of their 5-tuples —
 	// the order flow records are emitted in. Slots are only ever added,
 	// so it is extended by insertion instead of re-sorted per poll.
 	order []int32
@@ -139,7 +139,7 @@ func (st *portState) track(pc *fabric.PortCounters) {
 		st.flowBytes = append(st.flowBytes, 0)
 		st.wait = append(st.wait, nil)
 		at := sort.Search(len(st.order), func(i int) bool {
-			return flowLess(pc.Flows[slot], pc.Flows[st.order[i]])
+			return pc.Flows[slot].Less(pc.Flows[st.order[i]])
 		})
 		st.order = slices.Insert(st.order, at, int32(slot))
 	}
@@ -403,20 +403,4 @@ func (c *Collector) collectPort(rep *Report, p topo.PortID, pfc []fabric.PFCEven
 		}
 	}
 	rep.Ports = append(rep.Ports, pr)
-}
-
-func flowLess(a, b fabric.FlowKey) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
 }

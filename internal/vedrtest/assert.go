@@ -2,6 +2,7 @@ package vedrtest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -142,50 +143,24 @@ func victimSet(diag *diagnose.Diagnosis) []fabric.FlowKey {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return flowKeyLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
-func flowKeyLess(a, b fabric.FlowKey) bool {
-	switch {
-	case a.Src != b.Src:
-		return a.Src < b.Src
-	case a.Dst != b.Dst:
-		return a.Dst < b.Dst
-	case a.SrcPort != b.SrcPort:
-		return a.SrcPort < b.SrcPort
-	case a.DstPort != b.DstPort:
-		return a.DstPort < b.DstPort
-	default:
-		return a.Proto < b.Proto
-	}
-}
-
-// rootLocalizedCheck applies the paper's PFC localization criterion: the
-// storm must trace to the injected switch, the backpressure cascade to the
-// ground-truth root port.
+// rootLocalizedCheck applies the paper's PFC localization criterion,
+// scenario's Case.RootLocalized, the one Evaluate scores with.
 func rootLocalizedCheck(cs scenario.Case, diag *diagnose.Diagnosis) Check {
 	want := ""
-	got := "no finding localizes the root"
 	switch cs.Kind {
 	case scenario.PFCStorm:
 		want = fmt.Sprintf("a pfc-storm finding rooted at switch %d", cs.StormSwitch)
-		for _, f := range diag.Findings {
-			if f.Type == diagnose.PFCStorm && f.RootPort.Node == cs.StormSwitch {
-				got = want
-				break
-			}
-		}
 	case scenario.PFCBackpressure:
 		want = fmt.Sprintf("a PFC finding rooted at port %d/%d",
 			cs.BackpressureRoot.Node, cs.BackpressureRoot.Port)
-		for _, f := range diag.Findings {
-			if (f.Type == diagnose.PFCBackpressure || f.Type == diagnose.PFCStorm) &&
-				f.RootPort == cs.BackpressureRoot {
-				got = want
-				break
-			}
-		}
+	}
+	got := "no finding localizes the root"
+	if slices.ContainsFunc(diag.Findings, cs.RootLocalized) {
+		got = want
 	}
 	return check("root-localized", want, got)
 }

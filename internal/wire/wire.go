@@ -390,21 +390,7 @@ func sortDrops(s []DropEntry) {
 	sortSlice(s, func(a, b DropEntry) bool { return a.Switch < b.Switch })
 }
 
-func flowLess(a, b Flow) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	if a.Dst != b.Dst {
-		return a.Dst < b.Dst
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
-}
+func flowLess(a, b Flow) bool { return a.Key().Less(b.Key()) }
 
 // sortSlice sorts a DTO list into its canonical order. The sort is stable,
 // so elements less does not distinguish keep their input order.

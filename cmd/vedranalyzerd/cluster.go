@@ -91,7 +91,7 @@ func runCluster(o clusterOpts) int {
 		fmt.Printf("shrugged off: %d rejected lines\n", st.Rejected)
 	}
 	if st.ShardDown != 0 {
-		fmt.Printf("backpressure: %d shard-down retries\n", st.ShardDown)
+		fmt.Printf("backpressure: %d client connections ended for an unreachable shard\n", st.ShardDown)
 	}
 	if merged.Degraded() {
 		fmt.Fprintf(os.Stderr,

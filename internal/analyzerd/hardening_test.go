@@ -288,6 +288,43 @@ func TestReliableClientBackoffExhaustion(t *testing.T) {
 	}
 }
 
+// TestReliableClientRedialsStaleConnAtOnce: a connection kept from an
+// earlier Flush that the server has closed since (here: its idle read
+// deadline) costs the next Flush a redial but no backoff sleep.
+func TestReliableClientRedialsStaleConnAtOnce(t *testing.T) {
+	srv, err := ServeWith("127.0.0.1:0", ServerConfig{ReadTimeout: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var sleeps []time.Duration
+	rc, err := NewReliableClient(srv.Addr(), ClientConfig{
+		ID:    "agent-2",
+		Sleep: func(d time.Duration) { sleeps = append(sleeps, d) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	for i := 0; i < 2; i++ {
+		if err := rc.SendCF(fabric.FlowKey{Src: topo.NodeID(i + 1), Dst: 2, Proto: 17}); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Flush(); err != nil {
+			t.Fatalf("flush %d: %v", i, err)
+		}
+		if i == 0 {
+			waitStats(t, srv, "TimedOut > 0", func(st ServerStats) bool { return st.TimedOut > 0 })
+		}
+	}
+	if len(sleeps) != 0 || rc.Stats.Reconnects != 1 {
+		t.Errorf("sleeps = %v, stats = %+v: want one redial and no backoff", sleeps, rc.Stats)
+	}
+	if _, _, cfs := srv.Counts(); cfs != 2 {
+		t.Errorf("cfs = %d, want 2", cfs)
+	}
+}
+
 // TestReliableClientAllTypes: the sequenced path carries all three message
 // types and a drained client's second Flush is a no-op.
 func TestReliableClientAllTypes(t *testing.T) {

@@ -162,26 +162,32 @@ func (rc *ReliableClient) SendCF(flow fabric.FlowKey) error {
 // Flush delivers every buffered message and waits for its ack, retrying
 // through connection failures with exponential backoff. It returns nil
 // once nothing is pending; after MaxAttempts failed attempts the pending
-// buffer is retained so a later Flush (or Close) can try again.
+// buffer is retained so a later Flush (or Close) can try again. A
+// connection kept from an earlier Flush may have been closed by the
+// server meanwhile (a fleet router ends a client's connection when its
+// shard goes down); if the first attempt on it fails before reading any
+// reply, the next attempt redials at once, without backing off.
 func (rc *ReliableClient) Flush() error {
 	if len(rc.pending) == 0 {
 		return nil
 	}
 	backoff := rc.cfg.BackoffBase
+	stale := rc.conn != nil
 	var lastErr error
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
+		if attempt > 0 && !stale {
 			rc.cfg.Sleep(backoff)
 			backoff *= 2
 			if backoff > rc.cfg.BackoffMax {
 				backoff = rc.cfg.BackoffMax
 			}
 		}
-		err := rc.attempt(attempt > 0)
+		replied, err := rc.attempt(attempt > 0)
 		if err == nil {
 			return nil
 		}
 		lastErr = err
+		stale = stale && attempt == 0 && !replied
 		_ = rc.dropConn() // the attempt error is what matters; the conn is already broken
 	}
 	return fmt.Errorf("analyzerd: flush failed after %d attempts: %w",
@@ -190,12 +196,12 @@ func (rc *ReliableClient) Flush() error {
 
 // attempt writes all pending messages on a (re)established connection and
 // consumes ack/nak replies until the pending set drains or the connection
-// errors.
-func (rc *ReliableClient) attempt(isRetry bool) error {
+// errors. replied reports whether any reply was read.
+func (rc *ReliableClient) attempt(isRetry bool) (replied bool, err error) {
 	if rc.conn == nil {
 		conn, err := net.Dial("tcp", rc.addr)
 		if err != nil {
-			return err
+			return false, err
 		}
 		rc.conn = conn
 		rc.br = bufio.NewReader(conn)
@@ -212,25 +218,25 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 		rc.Stats.Resubmitted += written
 	}
 	if _, err := rc.conn.Write(buf.Bytes()); err != nil {
-		return err
+		return false, err
 	}
-	// The server replies exactly once per submitted line (in order), so
-	// read one reply per written message — a retryable nak leaves its
-	// message pending, and the server's contiguity check guarantees no
-	// later ack can leapfrog it.
+	// The server replies exactly once per submitted line, so read one
+	// reply per written message — a retryable nak leaves its message
+	// pending, and the server's contiguity check guarantees no later ack
+	// can leapfrog it.
 	busy, moved := 0, 0
 	for i := 0; i < written && len(rc.pending) > 0; i++ {
 		//lint:ignore nosystime ack-read deadline on a real TCP connection; wall clock never reaches simulation state
 		if err := rc.conn.SetReadDeadline(time.Now().Add(rc.cfg.AckTimeout)); err != nil {
-			return err
+			return i > 0, err
 		}
 		line, err := rc.br.ReadBytes('\n')
 		if err != nil {
-			return err
+			return i > 0, err
 		}
 		rep, err := wire.DecodeReply(line)
 		if err != nil {
-			return fmt.Errorf("bad reply %q: %w", line, err)
+			return true, fmt.Errorf("bad reply %q: %w", line, err)
 		}
 		switch {
 		case rep.Ack > 0:
@@ -239,8 +245,9 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 			// Another shard owns this client (moved replies are also
 			// retryable, so this case must precede Retry). The message
 			// stays pending; the attempt ends in ErrRedirected so the
-			// caller learns to re-point the client (a fleet's router
-			// follows the NAK itself and never surfaces it).
+			// caller learns to re-point the client. A fleet's router
+			// relays the shard's moved NAK as it is: only a misassembled
+			// fleet sends one.
 			moved++
 			rc.Stats.Redirected++
 		case rep.Retry:
@@ -261,13 +268,13 @@ func (rc *ReliableClient) attempt(isRetry bool) error {
 	}
 	if len(rc.pending) > 0 {
 		if moved > 0 {
-			return fmt.Errorf("%w: %d shard-moved naks, %d still pending",
+			return true, fmt.Errorf("%w: %d shard-moved naks, %d still pending",
 				ErrRedirected, moved, len(rc.pending))
 		}
-		return fmt.Errorf("server backpressure: %d retryable naks, %d still pending",
+		return true, fmt.Errorf("server backpressure: %d retryable naks, %d still pending",
 			busy, len(rc.pending))
 	}
-	return nil
+	return true, nil
 }
 
 // dropThrough removes every pending message with seq <= through (acks are

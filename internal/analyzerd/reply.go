@@ -14,9 +14,9 @@ func AckLine(seq int64, client string) []byte {
 }
 
 // NakLine renders a refusal. With seq > 0 it names the submission and the
-// client (none, for the router's own NAKs); without, it is the bare
-// {"error":…} a line that breaks the protocol gets. retry marks transient
-// pressure: the client keeps the message and resubmits after backoff.
+// client; without, it is the bare {"error":…} a line that breaks the
+// protocol gets. retry marks transient pressure: the client keeps the
+// message and resubmits after backoff.
 func NakLine(seq int64, client, reason string, retry bool) []byte {
 	r := wire.ReplyLine{Error: reason, Retry: retry}
 	if seq > 0 {

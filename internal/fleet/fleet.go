@@ -245,12 +245,12 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 		// Hold the shard down before gathering: the degraded-drain drill.
 		p.Hold()
 	}
-	f.router.Stop() // no new ingest; shard links stay up for the dumps
+	f.router.Stop() // no new ingest, every forwarded line answered
 
 	shards := f.cfg.Shards
 	tallies := f.router.Tallies()
 	merged := &Merged{}
-	// Gather every shard's dump at once, each over its own link — most of
+	// Gather every shard's dump at once, each on a fresh connection — most of
 	// a drain is moving shard state as JSON — and assemble in shard-index
 	// order, so the merge input and the degraded accounting do not depend
 	// on which dump finished first. A dump rides out a supervised restart

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -431,16 +432,32 @@ func TestRouterShardAdmissionParity(t *testing.T) {
 	}
 }
 
-// TestRouterShardDownNacksRetryably: with no shard reachable, a sequenced
-// submission gets {"nak":seq,...,"retry":true} so the reliable client
-// backs off and resubmits instead of dropping the message.
-func TestRouterShardDownNacksRetryably(t *testing.T) {
+// TestRouterShardDownEndsConnection: with no shard reachable, the router
+// ends a client connection that sent a sequenced line, with no sequenced
+// reply of its own, and the reliable client reconnects with backoff and
+// keeps the message for resubmission instead of dropping it.
+func TestRouterShardDownEndsConnection(t *testing.T) {
 	m := wire.ShardMap{Shards: 2}
 	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	defer router.Close()
+
+	conn, err := net.Dial("tcp", router.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, `{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h00"}`+"\n"); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if err := conn.SetReadDeadline(wallDeadline(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(conn); err != nil || len(rest) != 0 {
+		t.Errorf("router replied %q (%v), want the connection ended with no reply", rest, err)
+	}
 
 	rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
 		ID: "h00", MaxAttempts: 3, BackoffBase: time.Millisecond,
@@ -456,13 +473,13 @@ func TestRouterShardDownNacksRetryably(t *testing.T) {
 		t.Fatal("Flush succeeded with every shard down")
 	}
 	if errors.Is(err, analyzerd.ErrRedirected) {
-		t.Fatalf("Flush = %v; shard-down must be a retryable NACK, not a redirect", err)
+		t.Fatalf("Flush = %v; shard-down must end the connection, not redirect", err)
 	}
 	if rc.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1 (message retained for resubmission)", rc.Pending())
 	}
-	if got := router.Stats().ShardDown; got < 3 {
-		t.Errorf("ShardDown = %d, want >= 3 (one per attempt)", got)
+	if got := router.Stats().ShardDown; got != 4 {
+		t.Errorf("ShardDown = %d, want 4 (the raw connection, then one per attempt)", got)
 	}
 }
 
@@ -586,8 +603,8 @@ func pipelinedStream() (hosts []string, batches map[string][]func(rc *analyzerd.
 // pipelinedRun flushes pipelinedStream host by host, one batch per Flush,
 // through a router over live in-process shards. A kill fires from the
 // router's OnAcked hook the moment the fleet-wide acked count reaches it —
-// on the link reader, before that ack is even relayed — so the rest of the
-// batch is still in flight on the dying shard's link.
+// on the shard connection's reader, before that ack is even relayed — so
+// the rest of the batch is still in flight to the dying shard.
 func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag []byte) {
 	t.Helper()
 	m := wire.ShardMap{Shards: shards}
@@ -658,7 +675,7 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 		t.Fatalf("%d of %d kills fired", fired, len(kills))
 	}
 	if st := router.Stats(); len(kills) > 0 && st.ShardDown == 0 {
-		t.Errorf("stats = %+v: no kill found a line in flight on its shard's link", st)
+		t.Errorf("stats = %+v: no kill ended a client connection with lines in flight", st)
 	}
 
 	states := make([]*wire.ShardState, 0, shards)
@@ -684,7 +701,7 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 // TestFleetKillShardMidBatchByteIdentity extends the kill-any-shard
 // contract to pipelined batches: every shard is SIGKILLed strictly inside
 // a batch bound for it (chaos.BatchShardKills) — head acknowledged, tail
-// in flight on its link — and the drained bundle and diagnosis stay
+// in flight to it — and the drained bundle and diagnosis stay
 // byte-identical to the unbroken run's.
 func TestFleetKillShardMidBatchByteIdentity(t *testing.T) {
 	const shards = 4

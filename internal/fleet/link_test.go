@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -261,26 +262,52 @@ func startLinkRouter(t *testing.T, cfg RouterConfig, shards ...*fakeShard) *Rout
 	return router
 }
 
+// recvEnd reads until the router ends the connection and returns the
+// replies that came before the end.
+func (c *rawClient) recvEnd(t *testing.T) []linkReply {
+	t.Helper()
+	var out []linkReply
+	for {
+		if err := c.conn.SetReadDeadline(wallDeadline(10 * time.Second)); err != nil {
+			t.Fatalf("%s: %v", c.id, err)
+		}
+		line, err := c.br.ReadBytes('\n')
+		if err != nil {
+			var nerr net.Error
+			if errors.As(err, &nerr) && nerr.Timeout() {
+				t.Fatalf("%s: the router never ended the connection (%d replies)", c.id, len(out))
+			}
+			return out
+		}
+		var rep linkReply
+		if err := json.Unmarshal(line, &rep); err != nil {
+			t.Fatalf("%s: reply %q: %v", c.id, line, err)
+		}
+		out = append(out, rep)
+	}
+}
+
 // linkIdle asserts the router holds nothing in flight anywhere.
 func linkIdle(t *testing.T, r *Router) {
 	t.Helper()
 	eventually(t, "inflight to drain", func() bool { return r.inflight.Load() == 0 })
-	for i := 0; i < r.Shards(); i++ {
-		l := r.link(i)
-		l.mu.Lock()
-		n, head := len(l.table), l.head
-		l.mu.Unlock()
-		if n != 0 || head != nil {
-			t.Errorf("link %d still holds %d in-flight entries", i, n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for s := range r.links {
+		s.mu.Lock()
+		owed := s.owed
+		s.mu.Unlock()
+		if owed != 0 {
+			t.Errorf("a connection to shard %d still owes %d replies", s.shard, owed)
 		}
 	}
 }
 
 // TestLinkDemuxUnderReordering: a shard's replies are not FIFO. The fake
-// answers a batch from two clients in a permuted order — including a
-// handler-side duplicate-ack for hb ahead of the applier's ack for an
-// earlier line of ha — and every client connection must still receive
-// exactly its own replies, with each acked payload tallied once.
+// answers a batch from two client connections in a permuted order —
+// including a handler-side duplicate-ack for hb ahead of the applier's
+// ack for an earlier line of ha — and every client connection must still
+// receive exactly its own replies, with each acked payload tallied once.
 func TestLinkDemuxUnderReordering(t *testing.T) {
 	shard := startFakeShard(t)
 	var mu sync.Mutex
@@ -345,13 +372,16 @@ func TestLinkDemuxUnderReordering(t *testing.T) {
 	if st := router.Stats(); st.Forwarded != 9 || st.ShardDown != 0 {
 		t.Errorf("stats = %+v, want 9 forwarded and no failures", st)
 	}
+	if n := shard.accepted(); n != 2 {
+		t.Errorf("fake shard saw %d connections, want one per client connection", n)
+	}
 }
 
-// TestLinkDeathFailsEveryInFlightLine: when the connection dies with
-// lines in flight, each gets exactly one retryable NAK, in (client, seq)
-// order, the next line dials fresh without costing anyone a back-off —
-// and the bounce guard holds a client's tail back until the lost head is
-// resubmitted.
+// TestLinkDeathFailsEveryInFlightLine: a shard connection that dies with
+// lines in flight ends the client connection that owns it — no reply of
+// the router's own for the lost lines — and nobody else's: inflight
+// returns to 0, ShardDown counts the one ended connection, and the
+// client's resubmission goes out on a fresh shard connection.
 func TestLinkDeathFailsEveryInFlightLine(t *testing.T) {
 	shard := startFakeShard(t)
 	router := startLinkRouter(t, RouterConfig{}, shard)
@@ -366,121 +396,47 @@ func TestLinkDeathFailsEveryInFlightLine(t *testing.T) {
 	if rep := ha.recv(t, 1)[0]; rep.Ack != 2 {
 		t.Fatalf("ha reply = %+v, want ack 2", rep)
 	}
-	_ = answered.conn.Close() // the shard dies with four lines in flight
+	_ = answered.conn.Close() // ha's shard connection dies with seqs 1 and 3 in flight
 
-	for _, c := range []struct {
-		cl   *rawClient
-		want []int64
-	}{{ha, []int64{1, 3}}, {hb, []int64{1, 2}}} {
-		for i, rep := range c.cl.recv(t, len(c.want)) {
-			if rep.Nak != c.want[i] || !rep.Retry || rep.Error != "shard 0 unavailable" {
-				t.Errorf("%s reply %d = %+v, want a retryable shard-unavailable NAK for seq %d",
-					c.cl.id, i, rep, c.want[i])
-			}
+	if reps := ha.recvEnd(t); len(reps) != 0 {
+		t.Errorf("ha got %+v after its shard connection died, want the connection ended", reps)
+	}
+	for _, fl := range lines {
+		if fl.client == "hb" {
+			fl.send(fl.ack())
+		}
+	}
+	for i, rep := range hb.recv(t, 2) {
+		if rep.Client != "hb" || rep.Ack == 0 {
+			t.Errorf("hb reply %d = %+v, want its ack: another connection's death is not hb's", i, rep)
 		}
 	}
 	linkIdle(t, router)
-	if st := router.Stats(); st.ShardDown != 4 {
-		t.Errorf("ShardDown = %d, want 4 (one per line lost with the link)", st.ShardDown)
+	if st := router.Stats(); st.ShardDown != 1 {
+		t.Errorf("ShardDown = %d, want 1 (one client connection ended)", st.ShardDown)
 	}
 
-	// hb's seq 1 was bounced: seq 3 must not overtake it.
-	hb.send(t, 3)
-	if rep := hb.recv(t, 1)[0]; rep.Nak != 3 || !rep.Retry || rep.Error != "out of order" {
-		t.Errorf("hb tail reply = %+v, want a retryable out-of-order NAK", rep)
-	}
-	// The resubmission goes out on a fresh connection, straight away.
-	hb.send(t, 1, 2, 3)
+	// ha reconnects and resubmits everything unacked, in seq order.
+	ha = dialRouter(t, router, "ha")
+	ha.send(t, 1, 2, 3)
 	for _, fl := range shard.take(t, 3) {
 		if fl.conn == answered.conn {
 			t.Fatalf("line %+v arrived on the dead connection", fl)
 		}
 		fl.send(fl.ack())
 	}
-	for i, rep := range hb.recv(t, 3) {
+	for i, rep := range ha.recv(t, 3) {
 		if rep.Ack != int64(i+1) {
-			t.Errorf("hb resubmission reply %d = %+v, want ack %d", i, rep, i+1)
+			t.Errorf("ha resubmission reply %d = %+v, want ack %d", i, rep, i+1)
 		}
 	}
 	linkIdle(t, router)
-	if st := router.Stats(); st.ShardDown != 4 || st.OutOfOrder != 1 {
-		t.Errorf("stats = %+v, want the redial to cost no further NAK", st)
+	if st := router.Stats(); st.ShardDown != 1 {
+		t.Errorf("stats = %+v, want the redial to end nothing further", st)
 	}
-	if n := shard.accepted(); n != 2 {
-		t.Errorf("fake shard saw %d connections, want 2", n)
+	if n := shard.accepted(); n != 3 {
+		t.Errorf("fake shard saw %d connections, want 3", n)
 	}
-}
-
-// TestLinkWriteErrorRetriesOnce: a write that fails (here: the router's
-// own end of the socket shut for writing, so the reader sees nothing)
-// retires the connection, NAKs what was in flight on it, and retries the
-// failed batch once on a fresh dial.
-func TestLinkWriteErrorRetriesOnce(t *testing.T) {
-	shard := startFakeShard(t)
-	router := startLinkRouter(t, RouterConfig{}, shard)
-	ha, hb := dialRouter(t, router, "ha"), dialRouter(t, router, "hb")
-	hb.send(t, 1)
-	shard.take(t, 1) // left unanswered: in flight when the write fails
-
-	l := router.link(0)
-	l.mu.Lock()
-	err := l.conn.(*net.TCPConn).CloseWrite()
-	l.mu.Unlock()
-	if err != nil {
-		t.Fatalf("CloseWrite: %v", err)
-	}
-	ha.send(t, 1, 2)
-	for _, fl := range shard.take(t, 2) {
-		fl.send(fl.ack())
-	}
-	for i, rep := range ha.recv(t, 2) {
-		if rep.Ack != int64(i+1) {
-			t.Errorf("ha reply %d = %+v, want ack %d after the retry", i, rep, i+1)
-		}
-	}
-	if rep := hb.recv(t, 1)[0]; rep.Nak != 1 || !rep.Retry {
-		t.Errorf("hb reply = %+v, want the line lost with the link NAK'd retryably", rep)
-	}
-	linkIdle(t, router)
-	if st := router.Stats(); st.ShardDown != 1 || st.Forwarded != 2 {
-		t.Errorf("stats = %+v, want 1 shard-down NAK and 2 forwarded", st)
-	}
-}
-
-// TestLinkReplyTimeout: ReplyTimeout bounds the oldest line in flight.
-// A shard that goes silent costs its link: everything in flight is
-// NAK'd, and later lines start over on a fresh connection.
-func TestLinkReplyTimeout(t *testing.T) {
-	shard := startFakeShard(t)
-	router := startLinkRouter(t, RouterConfig{ReplyTimeout: 150 * time.Millisecond}, shard)
-	ha := dialRouter(t, router, "ha")
-	ha.send(t, 1, 2)
-	silent := shard.take(t, 2)
-	for i, rep := range ha.recv(t, 2) {
-		if rep.Nak != int64(i+1) || !rep.Retry || rep.Error != "shard 0 unavailable" {
-			t.Errorf("reply %d = %+v, want a retryable NAK once the shard went silent", i, rep)
-		}
-	}
-	linkIdle(t, router)
-	ha.send(t, 1)
-	fl := shard.take(t, 1)[0]
-	if fl.conn == silent[0].conn {
-		t.Fatal("the timed-out connection was reused")
-	}
-	fl.send(fl.ack())
-	if rep := ha.recv(t, 1)[0]; rep.Ack != 1 {
-		t.Errorf("reply after the redial = %+v, want ack 1", rep)
-	}
-	// An idle link is not timed out: the reader parks without a deadline.
-	//lint:ignore nosystime outliving a real 150ms socket deadline
-	time.Sleep(400 * time.Millisecond)
-	ha.send(t, 2)
-	again := shard.take(t, 1)[0]
-	if again.conn != fl.conn {
-		t.Error("an idle link was dropped by ReplyTimeout")
-	}
-	again.send(again.ack())
-	ha.recv(t, 1)
 }
 
 // TestRouterStopWaitsForInflight: Stop returns only once every line past
@@ -511,16 +467,16 @@ func TestRouterStopWaitsForInflight(t *testing.T) {
 	}
 }
 
-// TestRouterBounceGuardFirstContact is the first-contact regression: the
+// TestRouterFirstContactExactlyOnce is the first-contact case: the
 // shard's address is unannounced while a client flushes the head of its
-// first batch and announced before the rest arrives. The router bounced
-// the head, so it must bounce the tail too — a shard with no highwater
-// for the client would baseline on the first seq it sees, and its
-// cumulative ack would make the client drop the bounced head as
-// delivered. The client below follows ReliableClient's rules (a
-// cumulative ack settles everything at or below it; retryable NAKs stay
-// pending), and every message must end up in the dump exactly once.
-func TestRouterBounceGuardFirstContact(t *testing.T) {
+// first batch, so the router ends the connection without a reply, and is
+// announced before the client resubmits. The client follows
+// ReliableClient's rules (reconnect and resubmit everything unacked in
+// seq order; a cumulative ack settles everything at or below it), and
+// every message must end up in the dump exactly once: a shard with no
+// highwater for the client baselines on the first seq it sees, and that
+// is the head.
+func TestRouterFirstContactExactlyOnce(t *testing.T) {
 	m := wire.ShardMap{Shards: 1}
 	srv := startTestShard(t, m, 0, "")
 	defer srv.Close()
@@ -529,7 +485,6 @@ func TestRouterBounceGuardFirstContact(t *testing.T) {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	defer router.Close()
-	c := dialRouter(t, router, "h00")
 
 	const n = 16
 	pending := make([]int64, n)
@@ -552,18 +507,14 @@ func TestRouterBounceGuardFirstContact(t *testing.T) {
 		pending = kept
 	}
 
+	c := dialRouter(t, router, "h00")
 	c.send(t, pending[:n/2]...)
-	head := c.recv(t, n/2)
-	router.SetShardAddr(0, srv.Addr()) // announced mid-batch
-	c.send(t, pending[n/2:]...)
-	tail := c.recv(t, n/2)
-	for _, rep := range append(head, tail...) {
-		if rep.Ack != 0 || !rep.Retry {
-			t.Errorf("first flush reply %+v, want every line bounced retryably", rep)
-		}
+	if reps := c.recvEnd(t); len(reps) != 0 {
+		t.Errorf("head replies %+v, want the connection ended with no sequenced reply", reps)
 	}
-	settle(append(head, tail...))
+	router.SetShardAddr(0, srv.Addr()) // announced before the resubmission
 	for attempt := 0; len(pending) > 0 && attempt < 3; attempt++ {
+		c = dialRouter(t, router, "h00")
 		c.send(t, pending...)
 		settle(c.recv(t, len(pending)))
 	}
@@ -584,8 +535,11 @@ func TestRouterBounceGuardFirstContact(t *testing.T) {
 			t.Errorf("seq %d is in the dump %d times, want exactly once", s, seen[s])
 		}
 	}
-	if st := router.Stats(); st.ShardDown != n/2 || st.OutOfOrder != n/2 {
-		t.Errorf("stats = %+v, want %d shard-down and %d out-of-order NAKs", st, n/2, n/2)
+	if got := router.Tallies()[0].Total(); got != n {
+		t.Errorf("tally = %d, want each of the %d messages once", got, n)
+	}
+	if st := router.Stats(); st.ShardDown != 1 {
+		t.Errorf("stats = %+v, want 1 ended connection", st)
 	}
 }
 
@@ -594,11 +548,13 @@ func TestRouterBounceGuardFirstContact(t *testing.T) {
 var propertySeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 
 // TestLinkPropertyOneReplyPerLine drives random interleavings of clients,
-// acks, retryable and permanent NAKs, moved NAKs and link deaths with 0-64
-// lines in flight through a router over two scripted shards, and checks
-// the link's invariants: exactly one reply per line a client wrote, a
-// client's lines reach its shard in the order it wrote them, nothing left
-// in a table, inflight back to 0.
+// acks, retryable and permanent NAKs, moved NAKs and shard-connection
+// deaths with 0-64 lines in flight through a router over two scripted
+// shards, and checks the router's invariants: every line a client
+// connection wrote gets exactly one reply, relayed to that connection, or
+// the connection ends; a connection ends exactly when one of its shard
+// connections died; each shard connection carries a prefix of what its
+// client connection wrote, in order; inflight returns to 0.
 func TestLinkPropertyOneReplyPerLine(t *testing.T) {
 	seeds := propertySeeds
 	if testing.Short() {
@@ -610,18 +566,17 @@ func TestLinkPropertyOneReplyPerLine(t *testing.T) {
 	}
 }
 
-// propClient is one property-test client: what it wrote, in order, and
-// how many replies each seq is still owed.
-type propClient struct {
-	raw   *rawClient
-	owner int
-	next  int64
+// propConn is one client connection of the property test: what it wrote,
+// in order, how many replies each seq is still owed, and whether the
+// router ended it.
+type propConn struct {
+	raw *rawClient
 
-	mu      sync.Mutex
-	wrote   []int64       // guarded by mu
-	owed    map[int64]int // guarded by mu
-	bounced int64         // guarded by mu: lowest seq the router turned away
-	extra   int           // guarded by mu: replies nothing was owed for
+	mu    sync.Mutex
+	wrote []int64       // guarded by mu
+	owed  map[int64]int // guarded by mu
+	extra int           // guarded by mu: replies nothing was owed for
+	ended bool          // guarded by mu
 }
 
 func linkProperty(t *testing.T, seed int64) {
@@ -629,18 +584,21 @@ func linkProperty(t *testing.T, seed int64) {
 	shards := []*fakeShard{startFakeShard(t), startFakeShard(t)}
 	router := startLinkRouter(t, RouterConfig{}, shards...)
 
-	clients := make([]*propClient, 6)
 	var readers sync.WaitGroup
-	for i := range clients {
-		id := fmt.Sprintf("c%d", i)
-		pc := &propClient{raw: dialRouter(t, router, id), owner: router.Owner(id), next: 1, owed: map[int64]int{}}
-		clients[i] = pc
+	var conns []*propConn
+	byLine := map[fakeKey]*propConn{} // who wrote each (client, seq)
+	open := func(id string) *propConn {
+		pc := &propConn{raw: dialRouter(t, router, id), owed: map[int64]int{}}
+		conns = append(conns, pc)
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for {
 				line, err := pc.raw.br.ReadBytes('\n')
 				if err != nil {
+					pc.mu.Lock()
+					pc.ended = true
+					pc.mu.Unlock()
 					return
 				}
 				var rep linkReply
@@ -648,30 +606,30 @@ func linkProperty(t *testing.T, seed int64) {
 					continue
 				}
 				pc.mu.Lock()
-				if s := rep.seq(); pc.owed[s] > 0 {
+				if s := rep.seq(); rep.Client == pc.raw.id && pc.owed[s] > 0 {
 					pc.owed[s]--
 				} else {
 					pc.extra++
 				}
-				fromRouter := rep.Error == "out of order" || strings.HasPrefix(rep.Error, "shard ")
-				if fromRouter && (pc.bounced == 0 || rep.Nak < pc.bounced) {
-					pc.bounced = rep.Nak
-				}
 				pc.mu.Unlock()
 			}
 		}()
+		return pc
+	}
+	ids := make([]string, 6)
+	current := make([]*propConn, len(ids))
+	next := make([]int64, len(ids))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("c%d", i)
+		current[i], next[i] = open(ids[i]), 1
 	}
 
 	// Each fake shard answers from its own seeded stream: it lets 0-64
 	// lines pile up, then answers a random subset in random order with
-	// random outcomes, and now and then dies instead.
-	type arrival struct {
-		conn   net.Conn
-		client string
-		seq    int64
-	}
+	// random outcomes, and now and then kills a connection instead.
 	var amu sync.Mutex
-	arrivals := [2][]arrival{}
+	arrivals := map[net.Conn][]fakeKey{}
+	killed := map[net.Conn]bool{}
 	stop := make(chan struct{})
 	var responders sync.WaitGroup
 	for si, s := range shards {
@@ -690,7 +648,7 @@ func linkProperty(t *testing.T, seed int64) {
 				select {
 				case fl := <-s.lines:
 					amu.Lock()
-					arrivals[si] = append(arrivals[si], arrival{fl.conn, fl.client, fl.seq})
+					arrivals[fl.conn] = append(arrivals[fl.conn], fakeKey{fl.client, fl.seq})
 					amu.Unlock()
 					held = append(held, fl)
 					if len(held) < threshold {
@@ -723,7 +681,10 @@ func linkProperty(t *testing.T, seed int64) {
 				}
 				if len(held) > 0 && srng.Intn(6) == 0 {
 					dead := held[0].conn
-					_ = dead.Close() // the link dies with the rest in flight
+					amu.Lock()
+					killed[dead] = true
+					amu.Unlock()
+					_ = dead.Close() // the shard connection dies with the rest in flight
 					kept := held[:0]
 					for _, fl := range held {
 						if fl.conn != dead {
@@ -737,39 +698,49 @@ func linkProperty(t *testing.T, seed int64) {
 		}()
 	}
 
-	// Clients write bursts; one whose line the router turned away goes
-	// back to the bounced seq first, as a ReliableClient would.
+	// Clients write bursts; one whose connection the router ended dials
+	// again and goes on with fresh seqs.
 	for round := 0; round < 60; round++ {
-		pc := clients[rng.Intn(len(clients))]
+		i := rng.Intn(len(ids))
+		pc := current[i]
 		pc.mu.Lock()
-		if pc.bounced != 0 {
-			pc.next, pc.bounced = pc.bounced, 0
+		ended := pc.ended
+		pc.mu.Unlock()
+		if ended {
+			pc = open(ids[i])
+			current[i] = pc
 		}
 		burst := 1 + rng.Intn(12)
 		seqs := make([]int64, burst)
-		for i := range seqs {
-			seqs[i] = pc.next
-			pc.next++
-			pc.owed[seqs[i]]++
+		var b bytes.Buffer
+		pc.mu.Lock()
+		for j := range seqs {
+			seqs[j] = next[i]
+			next[i]++
+			pc.owed[seqs[j]]++
+			byLine[fakeKey{ids[i], seqs[j]}] = pc
+			b.WriteString(cfLine(ids[i], seqs[j]))
 		}
 		pc.wrote = append(pc.wrote, seqs...)
 		pc.mu.Unlock()
-		pc.raw.send(t, seqs...)
+		_, _ = pc.raw.conn.Write(b.Bytes()) // a connection the router just ended may refuse it
 		if rng.Intn(3) == 0 {
 			//lint:ignore nosystime letting replies and deaths interleave with the writes
 			time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
 		}
 	}
 
+	// A connection is settled once it is ended or owes nothing.
 	settled := func() bool {
-		for _, pc := range clients {
+		for _, pc := range conns {
 			pc.mu.Lock()
 			owed := 0
 			for _, n := range pc.owed {
 				owed += n
 			}
+			done := pc.ended || owed == 0
 			pc.mu.Unlock()
-			if owed != 0 {
+			if !done {
 				return false
 			}
 		}
@@ -779,52 +750,55 @@ func linkProperty(t *testing.T, seed int64) {
 	linkIdle(t, router)
 	close(stop)
 	responders.Wait()
-	for _, pc := range clients {
-		_ = pc.raw.conn.Close()
-	}
-	readers.Wait()
 
 	amu.Lock()
 	defer amu.Unlock()
-	for ci, pc := range clients {
-		if pc.extra != 0 {
-			t.Errorf("client %d got %d replies it was not owed", ci, pc.extra)
+	lost := map[*propConn]bool{} // client connections that lost a shard connection
+	for conn, keys := range arrivals {
+		owner := byLine[keys[0]]
+		if killed[conn] {
+			lost[owner] = true
 		}
-		// What its own shard saw of this client, connection by
-		// connection, must be a subsequence of what the client wrote.
-		id := pc.raw.id
-		byConn := map[net.Conn][]int64{}
-		var order []net.Conn
-		for _, a := range arrivals[pc.owner] {
-			if a.client != id {
-				continue
-			}
-			if _, ok := byConn[a.conn]; !ok {
-				order = append(order, a.conn)
-			}
-			byConn[a.conn] = append(byConn[a.conn], a.seq)
-		}
-		for _, conn := range order {
-			i := 0
-			for _, s := range byConn[conn] {
-				for i < len(pc.wrote) && pc.wrote[i] != s {
-					i++
-				}
-				if i == len(pc.wrote) {
-					t.Errorf("client %d: shard %d saw %v on one connection, not in the order written %v",
-						ci, pc.owner, byConn[conn], pc.wrote)
-					break
-				}
-				i++
+		// A shard connection carries a prefix of what its client
+		// connection wrote, in order.
+		owner.mu.Lock()
+		want := owner.wrote
+		owner.mu.Unlock()
+		for j, k := range keys {
+			if byLine[k] != owner || j >= len(want) || k.seq != want[j] {
+				t.Errorf("a shard connection carried %v, not a prefix of its client connection's %v", keys, want)
+				break
 			}
 		}
 	}
+	for ci, pc := range conns {
+		pc.mu.Lock()
+		extra, ended := pc.extra, pc.ended
+		pc.mu.Unlock()
+		if extra != 0 {
+			t.Errorf("connection %d (%s) got %d replies it was not owed", ci, pc.raw.id, extra)
+		}
+		if ended != lost[pc] {
+			t.Errorf("connection %d (%s): ended = %v, but lost a shard connection = %v", ci, pc.raw.id, ended, lost[pc])
+		}
+	}
+	t.Logf("%d client connections, %d ended by %d shard-connection deaths, %d lines",
+		len(conns), len(lost), len(killed), len(byLine))
+	for _, pc := range conns {
+		_ = pc.raw.conn.Close()
+	}
+	readers.Wait()
+}
+
+// fakeKey is a line's (client, seq).
+type fakeKey struct {
+	client string
+	seq    int64
 }
 
 // TestRouterNaksAreValidJSON: a router-origin reply can quote what a
 // client sent — a parse error names the unknown type verbatim, quotes and
-// non-ASCII bytes included — and it must stay decodable, beside the
-// shard-down NAK a client name with the same bytes gets.
+// non-ASCII bytes included — and it must stay decodable.
 func TestRouterNaksAreValidJSON(t *testing.T) {
 	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: wire.ShardMap{Shards: 1}})
 	if err != nil {
@@ -832,26 +806,15 @@ func TestRouterNaksAreValidJSON(t *testing.T) {
 	}
 	defer router.Close()
 	c := dialRouter(t, router, "te\"n\xffant/h0")
-	for _, msg := range []analyzerd.Message{
-		{Type: analyzerd.TypeCF, CF: &wire.Flow{Src: 1, Dst: 2}, Client: c.id, Seq: 1},
-		{Type: c.id},
-	} {
-		line, err := json.Marshal(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.conn.Write(append(line, '\n')); err != nil {
-			t.Fatal(err)
-		}
+	line, err := json.Marshal(analyzerd.Message{Type: c.id})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// recv fails the test on a reply that does not decode. The two replies
-	// come from different places (the flush, the parse), in either order.
-	for _, rep := range c.recv(t, 2) {
-		switch {
-		case rep.Nak == 1 && rep.Retry && rep.Error == "shard 0 unavailable":
-		case rep.Nak == 0 && !rep.Retry && strings.Contains(rep.Error, `unknown message type "te\"n`):
-		default:
-			t.Errorf("unexpected reply %+v", rep)
-		}
+	if _, err := c.conn.Write(append(line, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	// recv fails the test on a reply that does not decode.
+	if rep := c.recv(t, 1)[0]; rep.Nak != 0 || rep.Retry || !strings.Contains(rep.Error, `unknown message type "te\"n`) {
+		t.Errorf("unexpected reply %+v", rep)
 	}
 }

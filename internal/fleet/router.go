@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -22,16 +23,10 @@ type RouterConfig struct {
 	// router's lifetime.
 	Map wire.ShardMap
 	// Addrs are the shard listen addresses by index; entries may start
-	// empty (a not-yet-announced shard routes as unavailable) and are
-	// updated via SetShardAddr as supervisors learn them. len(Addrs) must
-	// equal Map.Shards when non-nil.
+	// empty (a client of a not-yet-announced shard has its connection
+	// ended) and are updated via SetShardAddr as supervisors learn them.
+	// len(Addrs) must equal Map.Shards when non-nil.
 	Addrs []string
-	// ReplyTimeout (default 10s) bounds how long the oldest line in
-	// flight on a shard link may go unanswered before the link is dropped
-	// and everything in flight on it NAK'd retryably; it also bounds one
-	// write to a shard, one relay write to a client (a peer that stops
-	// reading is cut off, not waited for) and one dump exchange.
-	ReplyTimeout time.Duration
 	// OnAcked, when set, observes the cumulative count of acknowledged
 	// submissions after each ack is folded in. Called without router
 	// locks held; keep it fast or hand off to a goroutine.
@@ -46,22 +41,26 @@ type RouterConfig struct {
 const (
 	// dialTimeout bounds one shard dial.
 	dialTimeout = 2 * time.Second
+	// replyTimeout bounds one write to a shard or a client and one dump
+	// exchange; a shard connection that owes replies and delivers no byte
+	// for that long, twice over, counts as failed.
+	replyTimeout = 10 * time.Second
 	// maxLineBytes caps one protocol line, client- or shard-side.
 	maxLineBytes = 16 << 20
 )
 
 // RouterStats counts the router's work. Cheap snapshot via Stats().
 type RouterStats struct {
-	// Forwarded counts messages relayed to a shard (including retried
-	// duplicates of the same seq).
+	// Forwarded counts shard replies relayed to clients, one per message
+	// a shard answered (resubmitted duplicates included).
 	Forwarded int64
 	// Rejected counts lines the router refused outright: any line
 	// analyzerd.ParseMessage refuses (malformed, unnamed, unsequenced),
 	// and the dump verb, which must target a shard.
 	Rejected int64
-	// ShardDown counts retryable NACKs issued because the owning shard
-	// could not be reached; the reliable client backs off and resubmits,
-	// so these are delays, not losses.
+	// ShardDown counts client connections ended for an unreachable
+	// shard; the reliable client reconnects and resubmits, so these are
+	// delays, not losses.
 	ShardDown int64
 	// TenantLimited and Quiesced are always 0: the per-tenant quota gate
 	// and the rebalance fence that counted here are gone. The fields stay
@@ -69,10 +68,6 @@ type RouterStats struct {
 	// them with its other shims.
 	TenantLimited int64
 	Quiesced      int64
-	// OutOfOrder counts retryable NACKs issued by the bounce guard: the
-	// router had turned away a lower seq of the same client, and letting
-	// this one through first could make a shard acknowledge past the hole.
-	OutOfOrder int64
 }
 
 // ShardTally is the router's account of what one shard acknowledged, by
@@ -101,53 +96,47 @@ type clientTally struct {
 	counted int64
 	pending []seqType
 	tally   ShardTally
-	// bounced is the lowest seq the router itself turned away with a
-	// retryable NAK (shard down, link death) and has not seen again —
-	// the router-side twin of a shard's retryLow. While it is set every
-	// higher seq of the client is bounced too: a shard with no highwater
-	// for the client (first contact, evicted ack window, non-durable
-	// restart) would baseline on the later seq, and its cumulative ack
-	// would make the client drop the bounced one as delivered. 0 when
-	// there is no hole.
-	bounced int64
 }
 
 // Router is the fleet's thin ingest tier: it speaks the same seq/ack wire
-// protocol as a shard daemon, consistent-hashes each named client onto
-// its owning shard, forwards over one pipelined link per shard without
-// waiting, relays the shard's replies verbatim as they arrive, and
-// answers with a retryable NACK when the shard is down so the reliable
-// client's resubmission machinery carries submissions across shard
-// failover. The map, its ring and the links are fixed at StartRouter.
+// protocol as a shard daemon and consistent-hashes each named client onto
+// its owning shard. Each client connection reaches each shard it needs
+// over a connection of its own, so the shard's replies are relayed
+// verbatim with nothing to match, and any failure of that connection ends
+// the client connection: the reliable client's reconnect-and-resubmit
+// carries its lines across shard failover, in seq order. The only replies
+// the router writes itself are unsequenced refusals. The map and its ring
+// are fixed at StartRouter.
 type Router struct {
-	cfg   RouterConfig
-	ln    net.Listener
-	ring  *wire.HashRing
-	links []*shardLink
+	cfg  RouterConfig
+	ln   net.Listener
+	ring *wire.HashRing
 
-	// inflight counts routed submissions between passing the gate and
-	// the relay of their reply (or of the NAK that failed them): lines in
-	// a handler's batch, lines in a link's in-flight table, replies
-	// staged by a link reader. Stop waits for it to drain after the
-	// handlers are gone, so a dump taken afterwards cannot miss a message
-	// that was already past the gate.
+	// inflight counts routed submissions between passing the gate and the
+	// relay of their reply, or the end of the shard connection they were
+	// written on. Stop waits for it to drain after the handlers are gone,
+	// so a dump taken afterwards cannot miss a message that was already
+	// past the gate.
 	inflight atomic.Int64
-	// readers tracks the link reader goroutines; Close waits for them.
+	// readers tracks the shard connections' reader goroutines; Close
+	// waits for them.
 	readers sync.WaitGroup
-	// started anchors the latency timers' monotonic clock; batchLines is
-	// the lines-per-shard-write histogram (nil without a registry).
-	started    time.Time
+	// batchLines is the lines-per-shard-write histogram, forwarded the
+	// per-shard reply counters (nil no-ops without a registry).
 	batchLines *obs.Histogram
+	forwarded  []*obs.Counter
 
 	mu      sync.Mutex
-	conns   map[net.Conn]bool
-	stopped bool
+	addrs   []string            // guarded by mu
+	conns   map[net.Conn]bool   // guarded by mu
+	links   map[*shardConn]bool // guarded by mu
+	stopped bool                // guarded by mu
 	wg      sync.WaitGroup
 
 	tmu     sync.Mutex
-	tallies map[string]*clientTally
-	stats   RouterStats
-	acked   int64 // cumulative acked submissions (OnAcked feed)
+	tallies map[string]*clientTally // guarded by tmu
+	stats   RouterStats             // guarded by tmu
+	acked   int64                   // guarded by tmu: cumulative acked submissions (OnAcked feed)
 }
 
 // StartRouter binds the router and begins accepting clients.
@@ -159,9 +148,6 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	if cfg.Addrs != nil && len(cfg.Addrs) != cfg.Map.Shards {
 		return nil, fmt.Errorf("fleet: router has %d shard addrs for a map of %d", len(cfg.Addrs), cfg.Map.Shards)
 	}
-	if cfg.ReplyTimeout <= 0 {
-		cfg.ReplyTimeout = 10 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
@@ -170,32 +156,20 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("fleet: router: %w", err)
 	}
 	r := &Router{
-		cfg:     cfg,
-		ring:    ring,
-		ln:      ln,
-		links:   make([]*shardLink, cfg.Map.Shards),
-		conns:   map[net.Conn]bool{},
-		tallies: map[string]*clientTally{},
+		cfg:       cfg,
+		ring:      ring,
+		ln:        ln,
+		forwarded: make([]*obs.Counter, cfg.Map.Shards),
+		addrs:     make([]string, cfg.Map.Shards),
+		conns:     map[net.Conn]bool{},
+		links:     map[*shardConn]bool{},
+		tallies:   map[string]*clientTally{},
 	}
-	//lint:ignore nosystime anchoring the latency timers of a real TCP router
-	r.started = time.Now()
+	copy(r.addrs, cfg.Addrs)
 	r.publishStats()
-	for i := range r.links {
-		addr := ""
-		if cfg.Addrs != nil {
-			addr = cfg.Addrs[i]
-		}
-		r.links[i] = r.newLink(i, addr)
-	}
 	r.wg.Add(1)
 	go r.acceptLoop()
 	return r, nil
-}
-
-// sinceStart is the latency timers' nanosecond clock.
-func (r *Router) sinceStart() int64 {
-	//lint:ignore nosystime the latency timers of a real TCP router
-	return int64(time.Since(r.started))
 }
 
 func (r *Router) publishStats() {
@@ -203,43 +177,45 @@ func (r *Router) publishStats() {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("vedr_router_forwarded_total", "messages relayed to shards",
+	reg.GaugeFunc("vedr_router_forwarded_total", "shard replies relayed to clients",
 		func() int64 { return r.Stats().Forwarded })
 	reg.GaugeFunc("vedr_router_rejected_total", "lines the router refused (malformed/unnamed/unsequenced)",
 		func() int64 { return r.Stats().Rejected })
-	reg.GaugeFunc("vedr_router_shard_down_total", "retryable NACKs for unreachable shards",
+	reg.GaugeFunc("vedr_router_shard_down_total", "client connections ended for an unreachable shard",
 		func() int64 { return r.Stats().ShardDown })
-	reg.GaugeFunc("vedr_router_out_of_order_total", "retryable NACKs from the bounce guard",
-		func() int64 { return r.Stats().OutOfOrder })
 	reg.GaugeFunc("vedr_router_inflight", "submissions past the gate whose reply has not been relayed",
 		func() int64 { return r.inflight.Load() })
 	r.batchLines = reg.Histogram("vedr_router_batch_lines", "client lines per shard write",
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
+	for i := range r.forwarded {
+		r.forwarded[i] = reg.Counter(fmt.Sprintf("vedr_router_shard_forwarded_%d", i),
+			"messages relayed to this shard")
+	}
 }
 
 // Addr returns the router's listen address.
 func (r *Router) Addr() string { return r.ln.Addr().String() }
 
-// Shards returns the shard-map size.
-func (r *Router) Shards() int { return r.cfg.Map.Shards }
-
-// Owner returns the shard index owning a client name.
-func (r *Router) Owner(client string) int { return r.ring.Owner(client) }
-
-// link returns shard i's link, or nil when there is no shard i.
-func (r *Router) link(i int) *shardLink {
-	if i < 0 || i >= len(r.links) {
-		return nil
+// SetShardAddr records shard i's address (a supervisor learned a
+// restarted shard's); connections dialed from now on use it.
+func (r *Router) SetShardAddr(i int, addr string) {
+	if i < 0 || i >= r.cfg.Map.Shards {
+		return
 	}
-	return r.links[i]
+	r.mu.Lock()
+	r.addrs[i] = addr
+	r.mu.Unlock()
 }
 
-// SetShardAddr re-points shard i (a supervisor learned a restarted
-// shard's address). A changed address drops the cached connections.
-func (r *Router) SetShardAddr(i int, addr string) {
-	if l := r.link(i); l != nil {
-		l.setAddr(addr)
+// dial opens a connection to shard i at its last recorded address.
+func (r *Router) dial(i int) (net.Conn, error) {
+	r.mu.Lock()
+	addr := r.addrs[i]
+	r.mu.Unlock()
+	if addr == "" {
+		return nil, fmt.Errorf("shard %d has not announced an address", i)
 	}
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // Stats snapshots the router counters.
@@ -265,10 +241,10 @@ func (r *Router) Tallies() []ShardTally {
 }
 
 // Stop closes the listener and every client connection, waits for the
-// handlers to finish and then for every submission still in flight on a
-// shard link to be answered — a dump taken after Stop holds everything a
-// shard was ever sent. Shard links stay usable (DumpShard still works);
-// Close tears those down too.
+// handlers to finish and then for every submission still owed a reply on
+// a shard connection to be answered — a dump taken after Stop holds
+// everything a shard was ever sent. DumpShard still works; Close tears
+// the shard connections down too.
 func (r *Router) Stop() {
 	r.mu.Lock()
 	if !r.stopped {
@@ -280,10 +256,11 @@ func (r *Router) Stop() {
 	}
 	r.mu.Unlock()
 	r.wg.Wait()
-	// Every link fails its oldest line after ReplyTimeout, so this
-	// settles on its own; the deadline is a backstop.
+	// A shard connection that owes replies and stays silent fails after
+	// two replyTimeouts, so this settles on its own; the deadline is a
+	// backstop.
 	//lint:ignore nosystime bounding real in-flight TCP round trips
-	deadline := time.Now().Add(dialTimeout + 2*r.cfg.ReplyTimeout)
+	deadline := time.Now().Add(dialTimeout + 2*replyTimeout)
 	for r.inflight.Load() != 0 {
 		//lint:ignore nosystime bounding real in-flight TCP round trips
 		if time.Now().After(deadline) {
@@ -298,9 +275,11 @@ func (r *Router) Stop() {
 // Close stops the router and drops the shard connections.
 func (r *Router) Close() {
 	r.Stop()
-	for _, l := range r.links {
-		l.close()
+	r.mu.Lock()
+	for s := range r.links {
+		_ = s.conn.Close() // the reader exits on the closed socket
 	}
+	r.mu.Unlock()
 	r.readers.Wait()
 }
 
@@ -338,11 +317,11 @@ func (r *Router) count(f func(*RouterStats)) {
 }
 
 // write sends reply lines to a client connection under a write deadline;
-// a peer that cannot take them (gone, or not reading) is cut off so it
-// cannot stall the link reader that relays for everyone else.
+// a peer that cannot take them (gone, or not reading) is cut off rather
+// than left to stall the shard connection's reader.
 func (r *Router) write(conn net.Conn, b []byte) {
 	//lint:ignore nosystime write deadline on a real TCP client connection
-	err := conn.SetWriteDeadline(time.Now().Add(r.cfg.ReplyTimeout))
+	err := conn.SetWriteDeadline(time.Now().Add(replyTimeout))
 	if err == nil {
 		_, err = conn.Write(b)
 	}
@@ -358,73 +337,12 @@ func (r *Router) reject(conn net.Conn, reason string) {
 	r.write(conn, analyzerd.NakLine(0, "", reason, false))
 }
 
-// fail answers one gated line the router could not get a shard reply for
-// and releases it from the in-flight count. The caller has armed the
-// client's bounce guard.
-func (r *Router) fail(f *flight, reason string) {
-	r.write(f.out, analyzerd.NakLine(f.seq, "", reason, true))
-	r.inflight.Add(-1)
-}
-
-// failAll fails lines lost with shard's link, in the order given.
-func (r *Router) failAll(lost []*flight, shard int) {
-	if len(lost) == 0 {
-		return
-	}
-	r.count(func(s *RouterStats) { s.ShardDown += int64(len(lost)) })
-	reason := fmt.Sprintf("shard %d unavailable", shard)
-	for _, f := range lost {
-		r.fail(f, reason)
-	}
-}
-
-// handler is one client connection's relay loop. Gated lines collect in
-// per-link batches and go out — one write per shard — right before the
-// handler blocks on its next client read, so a pipelined burst costs one
-// shard write and a single message takes no detour.
-type handler struct {
-	conn    net.Conn
-	batches []linkBatch
-}
-
-type linkBatch struct {
-	l       *shardLink
-	flights []*flight
-}
-
-// Read flushes the batches, then reads from the client: bufio.Scanner
-// only calls it when it has no complete line left to hand out.
-func (h *handler) Read(p []byte) (int, error) {
-	h.flush()
-	return h.conn.Read(p)
-}
-
-func (h *handler) flush() {
-	for i := range h.batches {
-		b := &h.batches[i]
-		if len(b.flights) > 0 {
-			b.l.forward(b.flights)
-			clear(b.flights)
-			b.flights = b.flights[:0]
-		}
-	}
-}
-
-func (h *handler) add(l *shardLink, f *flight) {
-	for i := range h.batches {
-		if h.batches[i].l == l {
-			h.batches[i].flights = append(h.batches[i].flights, f)
-			return
-		}
-	}
-	h.batches = append(h.batches, linkBatch{l: l, flights: []*flight{f}})
-}
-
 // handle relays one client connection line by line.
 func (r *Router) handle(conn net.Conn) {
 	defer r.wg.Done()
 	defer r.forget(conn)
-	h := &handler{conn: conn}
+	h := &handler{r: r, conn: conn, shards: make([]*shardConn, r.cfg.Map.Shards)}
+	defer h.release()
 	defer h.flush() // lines gated since the last read (an oversized line ends the scan without one)
 	sc := bufio.NewScanner(h)
 	sc.Buffer(make([]byte, 0, 64<<10), maxLineBytes)
@@ -436,7 +354,7 @@ func (r *Router) handle(conn net.Conn) {
 		// ParseMessage, not a header scan: it is the whole ingest
 		// contract, so the router refuses exactly the lines a shard
 		// would, with the same {"error":…}, and never forwards a line
-		// without the (client, seq) the link matches its reply by.
+		// without the (client, seq) its ack is tallied by.
 		msg, err := analyzerd.ParseMessage(line)
 		if err != nil {
 			r.reject(conn, err.Error())
@@ -449,10 +367,8 @@ func (r *Router) handle(conn net.Conn) {
 			continue
 		}
 		r.inflight.Add(1)
-		h.add(r.links[r.ring.Owner(msg.Client)], &flight{
-			client: msg.Client, seq: msg.Seq, typ: msg.Type, out: conn,
-			line: append(append(make([]byte, 0, len(line)+1), line...), '\n'),
-		})
+		r.noteForward(msg.Client, msg.Seq, msg.Type)
+		h.add(r.ring.Owner(msg.Client), line)
 	}
 }
 
@@ -467,56 +383,28 @@ func (r *Router) tallyLocked(client string) *clientTally {
 	return ct
 }
 
-// noteBounce arms client's bounce guard at seq: the router turned that
-// submission away retryably, so nothing above it may reach a shard until
-// it has come back. A seq a shard already acknowledged leaves no hole.
-func (r *Router) noteBounce(client string, seq int64) {
-	r.tmu.Lock()
-	ct := r.tallyLocked(client)
-	if seq > ct.counted && (ct.bounced == 0 || seq < ct.bounced) {
-		ct.bounced = seq
-	}
-	r.tmu.Unlock()
-}
-
-// admit splits a batch bound for one shard link into the lines that may
-// go (a prefix of batch, order kept) and the ones the bounce guard turns
-// away, and records each admitted identity as awaiting its ack.
-// Already-counted seqs (a resubmission of something acked before a
-// failover) are skipped so the tallies stay exactly-once. Called with the
-// link's mu held, so a line admitted after a link death sees the guards
-// that death armed.
-func (r *Router) admit(batch []*flight) (admitted, late []*flight) {
+// noteForward records a gated line as awaiting its ack. An
+// already-counted seq (a resubmission of something acked before a
+// failover) or one already pending is skipped, so the tallies stay
+// exactly-once.
+func (r *Router) noteForward(client string, seq int64, typ string) {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	admitted = batch[:0]
-	for _, f := range batch {
-		ct := r.tallyLocked(f.client)
-		switch {
-		case ct.bounced != 0 && f.seq > ct.bounced:
-			late = append(late, f)
-			continue
-		case f.seq == ct.bounced:
-			ct.bounced = 0 // the bounced submission is back; its tail may follow
-		}
-		admitted = append(admitted, f)
-		if f.seq <= ct.counted {
-			continue
-		}
-		i := sort.Search(len(ct.pending), func(i int) bool { return ct.pending[i].seq >= f.seq })
-		if i < len(ct.pending) && ct.pending[i].seq == f.seq {
-			continue
-		}
-		ct.pending = append(ct.pending, seqType{})
-		copy(ct.pending[i+1:], ct.pending[i:])
-		ct.pending[i] = seqType{seq: f.seq, typ: f.typ}
+	ct := r.tallyLocked(client)
+	if seq <= ct.counted {
+		return
 	}
-	return admitted, late
+	i := sort.Search(len(ct.pending), func(i int) bool { return ct.pending[i].seq >= seq })
+	if i < len(ct.pending) && ct.pending[i].seq == seq {
+		return
+	}
+	ct.pending = append(ct.pending, seqType{})
+	copy(ct.pending[i+1:], ct.pending[i:])
+	ct.pending[i] = seqType{seq: seq, typ: typ}
 }
 
 // noteAck folds a shard's cumulative ack into the client's tally: it
-// settles every pending seq at or below it, and closes a bounce-guard
-// hole the shard has evidently seen filled.
+// settles every pending seq at or below it.
 func (r *Router) noteAck(client string, ack int64) {
 	r.tmu.Lock()
 	ct := r.tallies[client]
@@ -543,9 +431,6 @@ func (r *Router) noteAck(client string, ack int64) {
 	if ack > ct.counted {
 		ct.counted = ack
 	}
-	if ct.bounced != 0 && ack >= ct.bounced {
-		ct.bounced = 0
-	}
 	r.acked += int64(n)
 	total := r.acked
 	r.tmu.Unlock()
@@ -556,37 +441,56 @@ func (r *Router) noteAck(client string, ack int64) {
 
 // DumpShard asks one shard for its full accepted-message state over a
 // connection dialed for the dump; a shard-side error line comes back as an
-// error.
-// The state's shard index and map are checked against the router's — a
-// mismatched dump means the fleet is misassembled, and merging it would
-// corrupt the diagnosis.
+// error. The state's shard index and map are checked against the
+// router's — a mismatched dump means the fleet is misassembled, and
+// merging it would corrupt the diagnosis.
 func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
-	l := r.link(i)
-	if l == nil {
+	if i < 0 || i >= r.cfg.Map.Shards {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
-	var state *wire.ShardState
-	err := l.dump([]byte(`{"type":"dump"}`+"\n"), func(rep []byte) error {
-		st, failure, err := wire.DecodeShardState(rep)
-		switch {
-		case err != nil:
-			return fmt.Errorf("fleet: shard %d dump: %w", i, err)
-		case st.Format == 0 && failure != "":
-			return fmt.Errorf("fleet: shard %d dump: %s", i, failure)
-		case st.Format == 0:
-			return fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
-		}
-		state = st
-		return nil
-	})
+	rep, err := r.dumpLine(i)
 	if err != nil {
 		return nil, err
 	}
-	if state.Shard != i || state.Map != r.cfg.Map {
+	state, failure, err := wire.DecodeShardState(rep)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("fleet: shard %d dump: %w", i, err)
+	case state.Format == 0 && failure != "":
+		return nil, fmt.Errorf("fleet: shard %d dump: %s", i, failure)
+	case state.Format == 0:
+		return nil, fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
+	case state.Shard != i || state.Map != r.cfg.Map:
 		return nil, fmt.Errorf("fleet: dump from shard %d/%+v where shard %d/%+v was expected",
 			state.Shard, state.Map, i, r.cfg.Map)
 	}
 	return state, nil
+}
+
+// dumpLine runs one dump exchange with shard i on a connection dialed
+// for it and returns the single-line reply. The reply is a shard's whole
+// state, megabytes on one line, so it is read in large chunks into a
+// buffer that grows to fit it. A dump is idempotent; a caller riding out
+// a restart (dumpRetry) simply asks again.
+func (r *Router) dumpLine(i int) ([]byte, error) {
+	conn, err := r.dial(i)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = conn.Close() }() // the reply is in, or the exchange failed
+	//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
+	err = conn.SetDeadline(time.Now().Add(replyTimeout))
+	if err == nil {
+		_, err = conn.Write([]byte(`{"type":"dump"}` + "\n"))
+	}
+	lr := lineReader{buf: make([]byte, 64<<10)}
+	for err == nil {
+		if rep := lr.next(); rep != nil {
+			return rep, nil
+		}
+		err = lr.fill(conn, math.MaxInt) // a dump is as long as the shard's state
+	}
+	return nil, err
 }
 
 // dumpRetry dumps one shard at drain time, riding out a supervised

@@ -27,8 +27,8 @@ type Reply struct {
 }
 
 // ShardReply is what a fleet router reads of a shard's reply: enough to
-// match it to its in-flight line and tally an ack. Keys it does not name,
-// "error" included, are skipped whatever their value.
+// tally an ack. Keys it does not name, "error" included, are skipped
+// whatever their value.
 type ShardReply struct {
 	Ack    int64  `json:"ack"`
 	Nak    int64  `json:"nak"`
@@ -37,8 +37,8 @@ type ShardReply struct {
 
 // ReplyLine is every reply a daemon or router writes: an ack, a NAK
 // (retryable, or moved to Owner under Map) or an unsequenced error. It
-// names the client, because a router hands each reply back by (client,
-// seq). Only written: Reply and ShardReply are what readers keep of it.
+// names the client, because a router tallies each ack by (client, seq).
+// Only written: Reply and ShardReply are what readers keep of it.
 type ReplyLine struct {
 	Ack    int64     `json:"ack,omitempty"`
 	Nak    int64     `json:"nak,omitempty"`

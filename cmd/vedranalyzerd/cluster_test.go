@@ -73,7 +73,8 @@ func closeClients(t *testing.T, clients map[string]*analyzerd.ReliableClient) {
 // kill-any-shard contract: run `vedranalyzerd -cluster 2` with durable
 // shards, SIGKILL each shard in turn mid-ingest, let the supervisor
 // restart it on its WAL, and require the drained output (ingest totals +
-// diagnosis) byte-identical to an unbroken cluster run's.
+// diagnosis) byte-identical to an unbroken cluster run's. The same holds
+// for `-cluster 1`, the supervised form of a lone durable daemon.
 func TestClusterKillRecoverDiagnosisIdentical(t *testing.T) {
 	ref, ok := startDaemon(t, "-cluster", "2", "-listen", "127.0.0.1:0")
 	if !ok {
@@ -91,9 +92,17 @@ func TestClusterKillRecoverDiagnosisIdentical(t *testing.T) {
 		t.Fatalf("unexpected reference output: %q", want)
 	}
 
-	for shard := 0; shard < 2; shard++ {
-		t.Run(fmt.Sprintf("kill-shard-%d", shard), func(t *testing.T) {
-			d, ok := startDaemon(t, "-cluster", "2", "-listen", "127.0.0.1:0",
+	for _, tc := range []struct {
+		name          string
+		shards, shard int
+	}{
+		{"kill-shard-0", 2, 0},
+		{"kill-shard-1", 2, 1},
+		{"cluster-1-kill-shard-0", 1, 0},
+	} {
+		shard := tc.shard
+		t.Run(tc.name, func(t *testing.T) {
+			d, ok := startDaemon(t, "-cluster", fmt.Sprint(tc.shards), "-listen", "127.0.0.1:0",
 				"-wal-dir", t.TempDir(), "-fsync", "always", "-snapshot-every", "3")
 			if !ok {
 				t.Fatal("cluster failed to start")

@@ -14,8 +14,6 @@
 //	              [-wal-dir DIR] [-fsync always|interval|off]
 //	              [-snapshot-every N] [-queue N]
 //	vedranalyzerd -cluster N [-hold-shard I] [...]
-//	vedranalyzerd supervise [-backoff 200ms] [-crash-loops 5]
-//	              [-healthy-after 30s] -- <daemon flags>
 //
 // The service is hardened against misbehaving agents: -read-timeout drops
 // a connection that stops delivering bytes, -max-line caps one protocol
@@ -31,10 +29,13 @@
 // explicit retryable NACK that the reliable client backs off on. The obs
 // listener additionally serves /healthz and /readyz probes.
 //
-// The supervise subcommand re-runs the daemon under a restart-with-backoff
-// loop: a clean exit (0) ends supervision, a crash restarts the daemon
-// after exponential backoff, and too many consecutive short-lived runs is
-// declared a crash loop and gives up rather than burning CPU forever.
+// For unattended operation, -cluster 1 -wal-dir DIR runs the daemon as one
+// supervised shard: a crash restarts it with backoff onto DIR/shard-0, and
+// too many consecutive short-lived runs end supervision as a crash loop.
+//
+// The daemon takes no positional arguments: one on the command line is an
+// error (exit 2), so a stale "vedranalyzerd supervise -- ..." command does
+// not start a daemon that ignores its flags.
 package main
 
 import (
@@ -51,15 +52,11 @@ import (
 
 	"vedrfolnir/internal/analyzerd"
 	"vedrfolnir/internal/diagnose"
-	"vedrfolnir/internal/fleet"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/wire"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "supervise" {
-		os.Exit(supervise(os.Args[2:]))
-	}
 	os.Exit(run())
 }
 
@@ -96,6 +93,11 @@ func run() int {
 	shardCount := flag.Int("shard-count", 0,
 		"fleet width for -shard-index (internal; spawned by -cluster)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "vedranalyzerd: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		return 2
+	}
 
 	if *cluster > 0 {
 		return runCluster(clusterOpts{
@@ -234,62 +236,4 @@ func printDiagnosis(diag *diagnose.Diagnosis, asJSON bool) int {
 		return 1
 	}
 	return 0
-}
-
-// supervise re-runs this binary as a child daemon under fleet.Proc's
-// restart-with-backoff loop: a clean exit (0) ends supervision, a crash
-// restarts the daemon, a forwarded signal passes the child's verdict
-// through, and too many consecutive short-lived runs is declared a crash
-// loop. The crash-loop counter forgives earlier crashes only once a child
-// has stayed up for -healthy-after — a daemon that limps past the crash
-// window but keeps dying is still a crash loop, not a healthy service.
-func supervise(argv []string) int {
-	fs := flag.NewFlagSet("supervise", flag.ExitOnError)
-	backoff := fs.Duration("backoff", 200*time.Millisecond, "first restart delay; doubles per crash")
-	backoffMax := fs.Duration("backoff-max", 5*time.Second, "restart delay cap")
-	crashWindow := fs.Duration("crash-window", 2*time.Second,
-		"a child living shorter than this counts toward the crash loop")
-	crashLoops := fs.Int("crash-loops", 5, "give up after this many consecutive short-lived crashes")
-	healthyAfter := fs.Duration("healthy-after", 30*time.Second,
-		"a child must live this long before earlier crashes are forgiven")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: vedranalyzerd supervise [flags] -- <daemon flags>")
-		fs.PrintDefaults()
-	}
-	fs.Parse(argv)
-	childArgs := fs.Args()
-
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vedranalyzerd: supervise:", err)
-		return 1
-	}
-	p, err := fleet.StartProc(fleet.ProcConfig{
-		Path:           exe,
-		Args:           childArgs,
-		AnnouncePrefix: "analyzer listening on ",
-		RelistenFlag:   "-listen",
-		Backoff:        *backoff,
-		BackoffMax:     *backoffMax,
-		CrashWindow:    *crashWindow,
-		CrashLoops:     *crashLoops,
-		HealthyAfter:   *healthyAfter,
-		Stdout:         os.Stdout,
-		Stderr:         os.Stderr,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "vedranalyzerd: supervise: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vedranalyzerd: supervise:", err)
-		return 1
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		// Forward the signal so the child drains gracefully; supervision
-		// ends with the child's own verdict, not a restart.
-		p.Terminate(<-sig)
-	}()
-	return p.Wait().Code
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -263,73 +262,39 @@ func slicesEqual(a, b []string) bool {
 	return true
 }
 
-// TestSuperviseCleanExit: a child that drains and exits 0 ends
-// supervision with exit 0 (no restart).
-func TestSuperviseCleanExit(t *testing.T) {
-	cmd := exec.Command(daemonPath, "supervise", "--", "-listen", "127.0.0.1:0", "-after", "300ms")
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("supervise of a clean child: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "analyzer listening on ") {
-		t.Fatalf("child never ran under supervision:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "restarting in") {
-		t.Fatalf("clean exit was restarted:\n%s", out.String())
-	}
-}
-
-// TestSuperviseCrashLoopGivesUp: a child that dies instantly must be
-// restarted with backoff only a bounded number of times.
-func TestSuperviseCrashLoopGivesUp(t *testing.T) {
-	cmd := exec.Command(daemonPath, "supervise",
-		"-backoff", "10ms", "-crash-window", "5s", "-crash-loops", "3",
-		"--", "-definitely-not-a-flag")
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("supervise of a crash-looping child: err=%v, want exit 1\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "crash loop") {
-		t.Fatalf("crash loop not reported:\n%s", out.String())
-	}
-	if got := strings.Count(out.String(), "restarting in"); got != 2 {
-		t.Fatalf("child restarted %d times before giving up, want 2\n%s", got, out.String())
-	}
-}
-
 // TestRemovedFlagsRefused: the fleet is sized once, by -cluster, so the
 // live-rebalance, tenant-quota, shard-epoch and vnode-count flags are
-// gone, as is the per-client rate limiter's -rate/-burst, and a command
-// line that still carries one fails with exit 2 instead of running a
-// daemon that ignores it.
+// gone, as is the per-client rate limiter's -rate/-burst and the
+// supervise subcommand (-cluster 1 supervises a lone daemon), and a
+// command line that still carries one fails with exit 2 instead of
+// running a daemon that ignores it.
 func TestRemovedFlagsRefused(t *testing.T) {
-	for _, args := range [][]string{
-		{"-cluster", "2", "-resize-to", "3"},
-		{"-cluster", "2", "-resize-after", "10"},
-		{"-cluster", "2", "-rebalance-kill", "after-flip:0"},
-		{"-cluster", "2", "-tenant-rate", "25"},
-		{"-cluster", "2", "-tenant-burst", "4"},
-		{"-shard-index", "0", "-shard-count", "2", "-shard-epoch", "1"},
-		{"-cluster", "2", "-shard-replicas", "16"},
-		{"-rate", "100"},
-		{"-burst", "8"},
+	daemon := func(flags ...string) []string {
+		return append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, flags...)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{daemon("-cluster", "2", "-resize-to", "3"), "flag provided but not defined: -resize-to"},
+		{daemon("-cluster", "2", "-resize-after", "10"), "flag provided but not defined: -resize-after"},
+		{daemon("-cluster", "2", "-rebalance-kill", "after-flip:0"), "flag provided but not defined: -rebalance-kill"},
+		{daemon("-cluster", "2", "-tenant-rate", "25"), "flag provided but not defined: -tenant-rate"},
+		{daemon("-cluster", "2", "-tenant-burst", "4"), "flag provided but not defined: -tenant-burst"},
+		{daemon("-shard-index", "0", "-shard-count", "2", "-shard-epoch", "1"), "flag provided but not defined: -shard-epoch"},
+		{daemon("-cluster", "2", "-shard-replicas", "16"), "flag provided but not defined: -shard-replicas"},
+		{daemon("-rate", "100"), "flag provided but not defined: -rate"},
+		{daemon("-burst", "8"), "flag provided but not defined: -burst"},
+		{[]string{"supervise", "--", "-listen", "127.0.0.1:0"}, `unexpected argument "supervise"`},
 	} {
-		cmd := exec.Command(daemonPath, append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, args...)...)
-		out, err := cmd.CombinedOutput()
+		out, err := exec.Command(daemonPath, tc.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {
-			t.Errorf("%v: err=%v, want exit 2\n%s", args, err, out)
+			t.Errorf("%v: err=%v, want exit 2\n%s", tc.args, err, out)
 			continue
 		}
-		flag := strings.TrimPrefix(args[len(args)-2], "-")
-		if !strings.Contains(string(out), "flag provided but not defined: -"+flag) {
-			t.Errorf("%v: output does not name the unknown flag -%s:\n%s", args, flag, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: output does not say %q:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

@@ -149,12 +149,6 @@ type ServerConfig struct {
 	// bytes before it is dropped (a stalled client must not hold its
 	// handler — or Close — hostage). <= 0 disables the deadline.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one reply write. Acks flow through the single
-	// applier goroutine, so a peer that stops reading its replies (full
-	// TCP send buffer) would head-of-line block every client's acks; it
-	// is disconnected instead. 0 uses the default (10s); < 0 disables
-	// the deadline.
-	WriteTimeout time.Duration
 	// MaxLineBytes caps one protocol line; a longer line terminates the
 	// connection (counted in Stats().Oversized) instead of growing the
 	// scanner buffer without bound. <= 0 uses the default (16 MiB).
@@ -201,7 +195,6 @@ type ServerConfig struct {
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
 		ReadTimeout:  2 * time.Minute,
-		WriteTimeout: 10 * time.Second,
 		MaxLineBytes: 16 << 20,
 		MaxQueue:     1024,
 	}
@@ -317,9 +310,6 @@ func Serve(addr string) (*Server, error) {
 func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.MaxLineBytes <= 0 {
 		cfg.MaxLineBytes = 16 << 20
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 10 * time.Second
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 1024
@@ -770,23 +760,24 @@ func (s *Server) replyError(conn net.Conn, reason string) {
 	s.reply(conn, NakLine(0, "", reason, false))
 }
 
+// replyWriteTimeout bounds one reply write.
+const replyWriteTimeout = 10 * time.Second
+
 // reply writes one reply line under the write deadline, closing the
 // connection on failure: acks flow through the single applier goroutine,
-// so a peer that stops reading its replies must not head-of-line block
-// every other client — it is cut off and re-syncs by resubmitting on
-// reconnect.
+// so a peer that stops reading its replies (full TCP send buffer) must not
+// head-of-line block every other client — it is cut off and re-syncs by
+// resubmitting on reconnect.
 func (s *Server) reply(conn net.Conn, line []byte) {
-	if s.cfg.WriteTimeout > 0 {
-		//lint:ignore nosystime write deadline on a real TCP connection; wall clock never reaches simulation state
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
-			// Without the deadline the Fprintf below could block forever on
-			// a stuck peer, which is exactly the head-of-line stall the
-			// deadline exists to prevent — cut the connection instead.
-			s.log.Warn("reply deadline failed, dropping connection",
-				"peer", conn.RemoteAddr().String(), "err", err.Error())
-			_ = conn.Close()
-			return
-		}
+	//lint:ignore nosystime write deadline on a real TCP connection; wall clock never reaches simulation state
+	if err := conn.SetWriteDeadline(time.Now().Add(replyWriteTimeout)); err != nil {
+		// Without the deadline the Write below could block forever on a
+		// stuck peer, which is exactly the head-of-line stall the deadline
+		// exists to prevent — cut the connection instead.
+		s.log.Warn("reply deadline failed, dropping connection",
+			"peer", conn.RemoteAddr().String(), "err", err.Error())
+		_ = conn.Close()
+		return
 	}
 	if _, err := conn.Write(line); err != nil {
 		s.log.Warn("reply write failed, dropping connection",

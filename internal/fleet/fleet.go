@@ -162,12 +162,10 @@ func (f *Fleet) startShard(i int) (*Proc, error) {
 	}
 	idx := i
 	log := f.cfg.Log
-	return StartProc(ProcConfig{
-		Path:           f.cfg.BinPath,
-		Args:           args,
-		AnnouncePrefix: "analyzer listening on ",
-		RelistenFlag:   "-listen",
-		Stderr:         f.cfg.Stderr,
+	return startProc(procConfig{
+		Path:   f.cfg.BinPath,
+		Args:   args,
+		Stderr: f.cfg.Stderr,
 		Logf: func(format string, args ...any) {
 			log.Info(fmt.Sprintf("shard %d: "+format, append([]any{idx}, args...)...))
 		},
@@ -177,7 +175,7 @@ func (f *Fleet) startShard(i int) (*Proc, error) {
 				f.cfg.OnShard(idx, addr, pid)
 			}
 		},
-	})
+	}), nil
 }
 
 // Addr returns the router's client-facing listen address.
@@ -211,15 +209,6 @@ func (f *Fleet) Pid(i int) int {
 		return -1
 	}
 	return p.Pid()
-}
-
-// Restarts returns how many times shard i has been restarted.
-func (f *Fleet) Restarts(i int) int {
-	p := f.proc(i)
-	if p == nil {
-		return 0
-	}
-	return p.Restarts()
 }
 
 // KillShard SIGKILLs shard i's child; the supervisor restarts it

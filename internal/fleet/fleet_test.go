@@ -104,15 +104,16 @@ func fleetRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag [
 	m := wire.ShardMap{Shards: shards}
 	srvs := make([]*analyzerd.Server, shards)
 	dirs := make([]string, shards)
-	addrs := make([]string, shards)
 	for i := range srvs {
 		dirs[i] = t.TempDir()
 		srvs[i] = startTestShard(t, m, i, dirs[i])
-		addrs[i] = srvs[i].Addr()
 	}
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: addrs})
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
+	}
+	for i, srv := range srvs {
+		router.SetShardAddr(i, srv.Addr())
 	}
 	defer func() {
 		router.Close()
@@ -226,17 +227,18 @@ func TestFleetDegradedGather(t *testing.T) {
 	const shards = 3
 	m := wire.ShardMap{Shards: shards}
 	srvs := make([]*analyzerd.Server, shards)
-	addrs := make([]string, shards)
 	for i := range srvs {
 		srvs[i] = startTestShard(t, m, i, "")
-		addrs[i] = srvs[i].Addr()
 		defer srvs[i].Close()
 	}
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: addrs})
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	defer router.Close()
+	for i, srv := range srvs {
+		router.SetShardAddr(i, srv.Addr())
+	}
 
 	ring, err := wire.NewHashRing(m)
 	if err != nil {
@@ -400,11 +402,12 @@ func TestRouterShardAdmissionParity(t *testing.T) {
 	m := wire.ShardMap{Shards: 1}
 	shard := startTestShard(t, m, 0, "")
 	defer shard.Close()
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: []string{shard.Addr()}})
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	defer router.Close()
+	router.SetShardAddr(0, shard.Addr())
 
 	refused := 0
 	for _, tc := range lines {
@@ -517,13 +520,13 @@ func TestRouterRelaysMovedNack(t *testing.T) {
 			defer s0.Close()
 			s1 := startTestShard(t, tc.shards[1].m, tc.shards[1].index, "")
 			defer s1.Close()
-			router, err := StartRouter("127.0.0.1:0", RouterConfig{
-				Map: m, Addrs: []string{s0.Addr(), s1.Addr()},
-			})
+			router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 			if err != nil {
 				t.Fatalf("StartRouter: %v", err)
 			}
 			defer router.Close()
+			router.SetShardAddr(0, s0.Addr())
+			router.SetShardAddr(1, s1.Addr())
 
 			// A client the router sends to link 1 and the daemon there
 			// says belongs to tc.owner.
@@ -610,16 +613,14 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 	m := wire.ShardMap{Shards: shards}
 	srvs := make([]*analyzerd.Server, shards)
 	dirs := make([]string, shards)
-	addrs := make([]string, shards)
 	for i := range srvs {
 		dirs[i] = t.TempDir()
 		srvs[i] = startTestShard(t, m, i, dirs[i])
-		addrs[i] = srvs[i].Addr()
 	}
 	var router *Router
 	var kmu sync.Mutex
 	ki := 0
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: addrs,
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m,
 		OnAcked: func(total int64) {
 			kmu.Lock()
 			defer kmu.Unlock()
@@ -640,6 +641,9 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 		}})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
+	}
+	for i, srv := range srvs {
+		router.SetShardAddr(i, srv.Addr())
 	}
 	defer func() {
 		router.Close()

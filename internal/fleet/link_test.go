@@ -251,14 +251,14 @@ func (c *rawClient) recv(t *testing.T, n int) []linkReply {
 func startLinkRouter(t *testing.T, cfg RouterConfig, shards ...*fakeShard) *Router {
 	t.Helper()
 	cfg.Map = wire.ShardMap{Shards: len(shards)}
-	for _, s := range shards {
-		cfg.Addrs = append(cfg.Addrs, s.addr())
-	}
 	router, err := StartRouter("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
 	t.Cleanup(router.Close)
+	for i, s := range shards {
+		router.SetShardAddr(i, s.addr())
+	}
 	return router
 }
 
@@ -480,7 +480,7 @@ func TestRouterFirstContactExactlyOnce(t *testing.T) {
 	m := wire.ShardMap{Shards: 1}
 	srv := startTestShard(t, m, 0, "")
 	defer srv.Close()
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m, Addrs: []string{""}})
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}

@@ -23,43 +23,37 @@ import (
 	"time"
 )
 
-// ProcConfig describes one supervised child process.
-type ProcConfig struct {
-	// Path and Args are the child's command line. Path is required.
+// announcePrefix marks a shard's readiness line on stdout; the text after
+// it is the address the shard listens on.
+const announcePrefix = "analyzer listening on "
+
+// relistenFlag is the shard flag rewritten to the announced address before
+// each restart: a shard first bound to a :0 wildcard rebinds its concrete
+// port, so peers holding that address survive the restart.
+const relistenFlag = "-listen"
+
+// procTiming is the restart rule's clock.
+type procTiming struct {
+	backoff     time.Duration // delay before the first restart after an exit
+	backoffMax  time.Duration // cap on the doubling delay
+	crashWindow time.Duration // an exit sooner than this after start is a crash
+	crashLoops  int           // this many consecutive crashes end supervision
+}
+
+// shardTiming is the timing every supervised shard runs on.
+var shardTiming = procTiming{
+	backoff:     200 * time.Millisecond,
+	backoffMax:  5 * time.Second,
+	crashWindow: 2 * time.Second,
+	crashLoops:  5,
+}
+
+// procConfig describes one supervised child process.
+type procConfig struct {
+	// Path and Args are the child's command line.
 	Path string
 	Args []string
-	// AnnouncePrefix marks the child's readiness line on stdout; the text
-	// after the prefix is the learned address (e.g. "analyzer listening on ").
-	// Empty disables announce tracking (the child is considered ready as
-	// soon as it starts).
-	AnnouncePrefix string
-	// RelistenFlag, when non-empty, names the command-line flag whose value
-	// is rewritten to the learned address before each restart (typically
-	// "-listen"): a child first bound to a :0 wildcard rebinds its concrete
-	// port, so peers holding the announced address survive the restart.
-	RelistenFlag string
-
-	// Backoff is the first restart delay; it doubles per crash up to
-	// BackoffMax (defaults 200ms and 5s).
-	Backoff    time.Duration
-	BackoffMax time.Duration
-	// CrashWindow classifies an exit: a child living shorter than this
-	// counts toward the crash loop (default 2s).
-	CrashWindow time.Duration
-	// CrashLoops gives up after this many consecutive short-lived crashes
-	// (default 5).
-	CrashLoops int
-	// HealthyAfter is the uptime that forgives earlier crashes: the
-	// consecutive-crash counter resets only once a child has lived this
-	// long (default: CrashWindow). A child that dies after CrashWindow but
-	// before HealthyAfter neither increments nor resets the counter — a
-	// daemon that limps for a few seconds between crashes is still
-	// crash-looping, it is just slow about it.
-	HealthyAfter time.Duration
-
-	// Stdout receives every child stdout line (announce lines included);
-	// nil discards. Stderr is handed to the child directly; nil discards.
-	Stdout io.Writer
+	// Stderr is handed to the child directly; nil discards.
 	Stderr io.Writer
 	// Logf receives supervisor events ("child exited …; restarting in …",
 	// "crash loop: …"); nil discards.
@@ -69,28 +63,13 @@ type ProcConfig struct {
 	// shard, and a harness can aim signals at the right incarnation).
 	// Called from the stdout-scanning goroutine; keep it fast.
 	OnAnnounce func(addr string, pid int)
+
+	// timing, when set (in-package tests only), replaces shardTiming.
+	timing *procTiming
 }
 
-func (c *ProcConfig) defaults() {
-	if c.Backoff <= 0 {
-		c.Backoff = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
-	if c.CrashWindow <= 0 {
-		c.CrashWindow = 2 * time.Second
-	}
-	if c.CrashLoops <= 0 {
-		c.CrashLoops = 5
-	}
-	if c.HealthyAfter < c.CrashWindow {
-		c.HealthyAfter = c.CrashWindow
-	}
-}
-
-// ProcExit is the final verdict of a supervision.
-type ProcExit struct {
+// procExit is the final verdict of a supervision.
+type procExit struct {
 	// Code is the exit code to surface (the child's on a clean or
 	// signalled end, 1 on a crash loop or a start failure).
 	Code int
@@ -100,12 +79,12 @@ type ProcExit struct {
 	Restarts int
 }
 
-// Proc supervises one child process: it restarts crashes with exponential
-// backoff, detects crash loops, captures the child's announce line, and
-// exposes kill/hold/terminate controls for chaos harnesses. All methods
-// are safe for concurrent use.
+// Proc supervises one child process: it restarts exits with backoff,
+// detects crash loops, captures the child's announce line, and exposes
+// kill/hold/terminate controls for chaos harnesses. All methods are safe
+// for concurrent use.
 type Proc struct {
-	cfg ProcConfig
+	cfg procConfig
 
 	mu        sync.Mutex
 	cmd       *exec.Cmd
@@ -114,32 +93,28 @@ type Proc struct {
 	restarts  int
 	killed    bool // current child was killed by Kill/Hold, not a crash
 	holding   bool
-	termSig   os.Signal
+	termSig   os.Signal // set by the first Terminate
 
-	release chan struct{} // wakes a held loop
-	termCh  chan struct{} // closed once by Terminate
-	termOne sync.Once
+	termCh  chan struct{} // closed by the first Terminate
 	ready   chan struct{} // closed on the first announce ever
 	readyOn sync.Once
 	done    chan struct{}
-	exit    ProcExit
+	exit    procExit
 }
 
-// StartProc launches the child under supervision.
-func StartProc(cfg ProcConfig) (*Proc, error) {
-	if cfg.Path == "" {
-		return nil, fmt.Errorf("fleet: ProcConfig.Path is required")
+// startProc launches the child under supervision.
+func startProc(cfg procConfig) *Proc {
+	if cfg.timing == nil {
+		cfg.timing = &shardTiming
 	}
-	cfg.defaults()
 	p := &Proc{
-		cfg:     cfg,
-		release: make(chan struct{}, 1),
-		termCh:  make(chan struct{}),
-		ready:   make(chan struct{}),
-		done:    make(chan struct{}),
+		cfg:    cfg,
+		termCh: make(chan struct{}),
+		ready:  make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go p.supervise()
-	return p, nil
+	return p
 }
 
 // Addr returns the last announced address ("" before the first announce).
@@ -159,16 +134,8 @@ func (p *Proc) Pid() int {
 	return p.cmd.Process.Pid
 }
 
-// Restarts returns how many times the child has been restarted so far.
-func (p *Proc) Restarts() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.restarts
-}
-
 // Ready returns nil once the current child incarnation has announced; a
-// child mid-restart (or one that never announces) reports an error. With
-// no AnnouncePrefix a running child is always ready.
+// child mid-restart reports an error.
 func (p *Proc) Ready() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -177,7 +144,7 @@ func (p *Proc) Ready() error {
 		return fmt.Errorf("fleet: supervision ended (exit %d)", p.exit.Code)
 	default:
 	}
-	if p.cfg.AnnouncePrefix != "" && !p.announced {
+	if !p.announced {
 		return fmt.Errorf("fleet: child has not announced readiness")
 	}
 	return nil
@@ -185,9 +152,6 @@ func (p *Proc) Ready() error {
 
 // WaitReady blocks until the first announce or the timeout.
 func (p *Proc) WaitReady(timeout time.Duration) error {
-	if p.cfg.AnnouncePrefix == "" {
-		return nil
-	}
 	select {
 	case <-p.ready:
 		return nil
@@ -214,9 +178,8 @@ func (p *Proc) Kill() {
 	_ = p.cmd.Process.Signal(os.Kill) // a child that died meanwhile is fine
 }
 
-// Hold SIGKILLs the current child and parks the supervisor: no restart
-// until Release (or Terminate). This is the "shard stays down" half of the
-// degraded-fleet contract.
+// Hold SIGKILLs the current child and parks the supervisor until
+// Terminate: the "shard stays down" half of the degraded-fleet contract.
 func (p *Proc) Hold() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -227,42 +190,26 @@ func (p *Proc) Hold() {
 	}
 }
 
-// Release un-parks a held supervisor; the child restarts immediately.
-func (p *Proc) Release() {
-	p.mu.Lock()
-	p.holding = false
-	p.mu.Unlock()
-	select {
-	case p.release <- struct{}{}:
-	default:
-	}
-}
-
 // Terminate forwards sig to the child and ends supervision with the
 // child's own exit code. Safe to call more than once.
 func (p *Proc) Terminate(sig os.Signal) {
 	p.mu.Lock()
-	p.termSig = sig
-	p.mu.Unlock()
-	p.termOne.Do(func() { close(p.termCh) })
-	p.signalChild(sig)
+	defer p.mu.Unlock()
+	if p.termSig == nil {
+		p.termSig = sig
+		close(p.termCh)
+	}
+	if p.cmd != nil {
+		_ = p.cmd.Process.Signal(sig) // already-dead children are fine
+	}
 }
 
 // Wait blocks until supervision ends and returns its verdict.
-func (p *Proc) Wait() ProcExit {
+func (p *Proc) Wait() procExit {
 	<-p.done
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.exit
-}
-
-func (p *Proc) signalChild(sig os.Signal) {
-	p.mu.Lock()
-	cmd := p.cmd
-	p.mu.Unlock()
-	if cmd != nil && cmd.Process != nil {
-		_ = cmd.Process.Signal(sig) // already-dead children are fine
-	}
 }
 
 func (p *Proc) logf(format string, args ...any) {
@@ -271,15 +218,15 @@ func (p *Proc) logf(format string, args ...any) {
 	}
 }
 
-// relistenArgs rewrites the value following cfg.RelistenFlag to the
-// learned address, so a restarted child rebinds the port it announced.
-func relistenArgs(args []string, flag, addr string) []string {
-	if flag == "" || addr == "" {
+// relistenArgs rewrites the value following relistenFlag to the learned
+// address, so a restarted child rebinds the port it announced.
+func relistenArgs(args []string, addr string) []string {
+	if addr == "" {
 		return args
 	}
 	out := append([]string(nil), args...)
 	for i := 0; i < len(out)-1; i++ {
-		if out[i] == flag {
+		if out[i] == relistenFlag {
 			out[i+1] = addr
 		}
 	}
@@ -291,7 +238,7 @@ func relistenArgs(args []string, flag, addr string) []string {
 // only called after the pipe drains, per the os/exec contract.
 func (p *Proc) startChild() (<-chan error, error) {
 	p.mu.Lock()
-	args := relistenArgs(p.cfg.Args, p.cfg.RelistenFlag, p.addr)
+	args := relistenArgs(p.cfg.Args, p.addr)
 	p.mu.Unlock()
 	cmd := exec.Command(p.cfg.Path, args...)
 	cmd.Stderr = p.cfg.Stderr
@@ -307,27 +254,28 @@ func (p *Proc) startChild() (<-chan error, error) {
 	p.mu.Lock()
 	p.cmd = cmd
 	p.announced = false
+	if p.termSig != nil {
+		// Terminate ran while no child was current: this one gets its
+		// signal, or supervision would wait on it forever.
+		_ = cmd.Process.Signal(p.termSig)
+	}
 	p.mu.Unlock()
 	waitCh := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
 		sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 		for sc.Scan() {
-			line := sc.Text()
-			if p.cfg.AnnouncePrefix != "" {
-				if a, ok := strings.CutPrefix(line, p.cfg.AnnouncePrefix); ok {
-					p.mu.Lock()
-					p.addr = a
-					p.announced = true
-					p.mu.Unlock()
-					p.readyOn.Do(func() { close(p.ready) })
-					if p.cfg.OnAnnounce != nil {
-						p.cfg.OnAnnounce(a, cmd.Process.Pid)
-					}
-				}
+			a, ok := strings.CutPrefix(sc.Text(), announcePrefix)
+			if !ok {
+				continue
 			}
-			if p.cfg.Stdout != nil {
-				_, _ = fmt.Fprintln(p.cfg.Stdout, line) // best-effort relay of child output
+			p.mu.Lock()
+			p.addr = a
+			p.announced = true
+			p.mu.Unlock()
+			p.readyOn.Do(func() { close(p.ready) })
+			if p.cfg.OnAnnounce != nil {
+				p.cfg.OnAnnounce(a, cmd.Process.Pid)
 			}
 		}
 		waitCh <- cmd.Wait()
@@ -336,7 +284,7 @@ func (p *Proc) startChild() (<-chan error, error) {
 }
 
 // finish records the verdict and wakes every Wait.
-func (p *Proc) finish(exit ProcExit) {
+func (p *Proc) finish(exit procExit) {
 	p.mu.Lock()
 	exit.Restarts = p.restarts
 	p.exit = exit
@@ -345,20 +293,22 @@ func (p *Proc) finish(exit ProcExit) {
 	close(p.done)
 }
 
-// supervise is the restart loop. It mirrors the contract of the original
-// `vedranalyzerd supervise` subcommand (clean exit ends supervision,
-// crashes restart with backoff, a crash loop gives up) and adds the
-// HealthyAfter distinction plus the kill/hold/terminate controls.
+// supervise is the restart loop, and its one rule: Terminate or a clean
+// exit ends supervision; Hold parks the loop until Terminate; a Kill
+// restarts at once and is not counted; any other exit waits
+// min(backoffMax, backoff·2^max(0, n−1)) and restarts, where n counts
+// consecutive exits within crashWindow of their start (a longer life
+// resets it to 0), and the crashLoops-th such exit ends supervision as a
+// crash loop.
 func (p *Proc) supervise() {
 	crashes := 0
-	delay := p.cfg.Backoff
 	for {
 		//lint:ignore nosystime measuring a real child's uptime for crash-loop classification
 		start := time.Now()
 		waitCh, err := p.startChild()
 		if err != nil {
 			p.logf("starting child: %v", err)
-			p.finish(ProcExit{Code: 1})
+			p.finish(procExit{Code: 1})
 			return
 		}
 
@@ -367,8 +317,7 @@ func (p *Proc) supervise() {
 		case <-p.termCh:
 			// Terminate already signalled the child; pass its verdict
 			// through — supervision ends with the operator's intent.
-			werr = <-waitCh
-			p.finish(ProcExit{Code: exitCode(werr)})
+			p.finish(procExit{Code: exitCode(<-waitCh)})
 			return
 		case werr = <-waitCh:
 		}
@@ -385,70 +334,46 @@ func (p *Proc) supervise() {
 		p.killed = false
 		terminating := p.termSig != nil
 		p.mu.Unlock()
-		if terminating {
-			p.finish(ProcExit{Code: exitCode(werr)})
-			return
-		}
-		if werr == nil {
-			p.finish(ProcExit{Code: 0}) // clean exit: the child is done
+		if werr == nil || terminating {
+			p.finish(procExit{Code: exitCode(werr)})
 			return
 		}
 		if holding {
-			// Parked by Hold: the kill was ours, so it says nothing about
-			// the child's health. Wait for Release or Terminate.
-			select {
-			case <-p.release:
-			case <-p.termCh:
-				p.finish(ProcExit{Code: exitCode(werr)})
-				return
-			}
-			p.bumpRestarts()
-			continue
-		}
-		if killed {
-			// An operator-driven Kill: restart immediately. It says nothing
-			// about the child's health, so it neither feeds nor forgives the
-			// crash-loop counter.
-			p.bumpRestarts()
-			continue
-		}
-		switch {
-		case lived < p.cfg.CrashWindow:
-			crashes++
-			if crashes >= p.cfg.CrashLoops {
-				p.logf("crash loop: %d consecutive exits within %s; giving up",
-					crashes, p.cfg.CrashWindow)
-				p.finish(ProcExit{Code: 1, CrashLoop: true})
-				return
-			}
-		case lived >= p.cfg.HealthyAfter:
-			// Only genuinely healthy uptime forgives earlier crashes; an
-			// exit between CrashWindow and HealthyAfter leaves the counter
-			// where it was.
-			crashes = 0
-			delay = p.cfg.Backoff
-		}
-		p.logf("child exited (%v) after %s; restarting in %s",
-			werr, lived.Round(time.Millisecond), delay)
-		select {
-		case <-p.termCh:
-			p.finish(ProcExit{Code: exitCode(werr)})
+			<-p.termCh
+			p.finish(procExit{Code: exitCode(werr)})
 			return
-		//lint:ignore nosystime restart backoff pacing for a real child process
-		case <-time.After(delay):
 		}
-		delay *= 2
-		if delay > p.cfg.BackoffMax {
-			delay = p.cfg.BackoffMax
+		if !killed {
+			if lived < p.cfg.timing.crashWindow {
+				crashes++
+			} else {
+				crashes = 0
+			}
+			if crashes >= p.cfg.timing.crashLoops {
+				p.logf("crash loop: %d consecutive exits within %s; giving up",
+					crashes, p.cfg.timing.crashWindow)
+				p.finish(procExit{Code: 1, CrashLoop: true})
+				return
+			}
+			delay := p.cfg.timing.backoff
+			for n := 1; n < crashes && delay < p.cfg.timing.backoffMax; n++ {
+				delay *= 2
+			}
+			delay = min(delay, p.cfg.timing.backoffMax)
+			p.logf("child exited (%v) after %s; restarting in %s",
+				werr, lived.Round(time.Millisecond), delay)
+			select {
+			case <-p.termCh:
+				p.finish(procExit{Code: exitCode(werr)})
+				return
+			//lint:ignore nosystime restart backoff pacing for a real child process
+			case <-time.After(delay):
+			}
 		}
-		p.bumpRestarts()
+		p.mu.Lock()
+		p.restarts++
+		p.mu.Unlock()
 	}
-}
-
-func (p *Proc) bumpRestarts() {
-	p.mu.Lock()
-	p.restarts++
-	p.mu.Unlock()
 }
 
 // exitCode maps a cmd.Wait error to the code supervision surfaces.

@@ -45,18 +45,33 @@ func script(t *testing.T, body string) string {
 	return path
 }
 
+// fast is a restart timing short enough for tests: crashes restart after
+// a millisecond.
+func fast() *procTiming {
+	return &procTiming{backoff: time.Millisecond, backoffMax: time.Millisecond,
+		crashWindow: time.Second, crashLoops: 3}
+}
+
+// waitFor polls cond until it holds or 10 s pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second) //lint:ignore nosystime test deadline
+	for !cond() {
+		if time.Now().After(deadline) { //lint:ignore nosystime test deadline
+			t.Fatalf("%s: not within 10s", what)
+		}
+		time.Sleep(5 * time.Millisecond) //lint:ignore nosystime polling a real child restart
+	}
+}
+
 func TestProcCleanExitEndsSupervision(t *testing.T) {
 	var lg procLog
-	p, err := StartProc(ProcConfig{
-		Path:           "/bin/sh",
-		Args:           []string{script(t, `echo "svc listening on 127.0.0.1:9"; exit 0`)},
-		AnnouncePrefix: "svc listening on ",
-		Backoff:        time.Millisecond,
-		Logf:           lg.logf,
+	p := startProc(procConfig{
+		Path:   "/bin/sh",
+		Args:   []string{script(t, `echo "analyzer listening on 127.0.0.1:9"; exit 0`)},
+		Logf:   lg.logf,
+		timing: fast(),
 	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
 	exit := p.Wait()
 	if exit.Code != 0 || exit.CrashLoop || exit.Restarts != 0 {
 		t.Errorf("exit = %+v, want clean 0 with no restarts", exit)
@@ -69,141 +84,66 @@ func TestProcCleanExitEndsSupervision(t *testing.T) {
 	}
 }
 
+// TestProcCrashLoopGivesUp pins the one restart rule for a child that
+// keeps crashing: it waits backoff, then twice that, up to backoffMax, and
+// the crashLoops-th crash ends supervision.
 func TestProcCrashLoopGivesUp(t *testing.T) {
 	var lg procLog
-	p, err := StartProc(ProcConfig{
-		Path:        "/bin/sh",
-		Args:        []string{script(t, `exit 1`)},
-		Backoff:     time.Millisecond,
-		CrashWindow: time.Second,
-		CrashLoops:  3,
-		Logf:        lg.logf,
+	p := startProc(procConfig{
+		Path: "/bin/sh",
+		Args: []string{script(t, `exit 1`)},
+		Logf: lg.logf,
+		timing: &procTiming{backoff: time.Millisecond, backoffMax: 2 * time.Millisecond,
+			crashWindow: time.Minute, crashLoops: 4},
 	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
 	exit := p.Wait()
 	if exit.Code != 1 || !exit.CrashLoop {
 		t.Errorf("exit = %+v, want code 1 with CrashLoop", exit)
 	}
-	if exit.Restarts != 2 {
-		t.Errorf("Restarts = %d, want 2 (third crash gives up)", exit.Restarts)
+	if exit.Restarts != 3 {
+		t.Errorf("Restarts = %d, want 3 (fourth crash gives up)", exit.Restarts)
 	}
-	if n := lg.count("crash loop: 3 consecutive"); n != 1 {
+	if n := lg.count("crash loop: 4 consecutive"); n != 1 {
 		t.Errorf("crash-loop log appeared %d times, want 1", n)
 	}
-	if n := lg.count("restarting in"); n != 2 {
-		t.Errorf("restart log appeared %d times, want 2", n)
+	var delays []string
+	for _, l := range lg.lines {
+		if _, d, ok := strings.Cut(l, "restarting in "); ok {
+			delays = append(delays, d)
+		}
 	}
-}
-
-// healthyScript crashes immediately on every run except the second, which
-// lives for 500ms — longer than the crash window but possibly shorter
-// than HealthyAfter. The run count lands in the state file.
-func healthyScript(t *testing.T) (path, state string) {
-	t.Helper()
-	state = filepath.Join(t.TempDir(), "runs")
-	path = script(t, `
-f="$1"
-n=$(cat "$f" 2>/dev/null || echo 0)
-echo $((n+1)) > "$f"
-if [ "$n" -eq 1 ]; then sleep 0.5; fi
-exit 1
-`)
-	return path, state
-}
-
-func runHealthy(t *testing.T, healthyAfter time.Duration) (runs int, exit ProcExit) {
-	t.Helper()
-	path, state := healthyScript(t)
-	p, err := StartProc(ProcConfig{
-		Path:         "/bin/sh",
-		Args:         []string{path, state},
-		Backoff:      time.Millisecond,
-		BackoffMax:   2 * time.Millisecond,
-		CrashWindow:  300 * time.Millisecond,
-		CrashLoops:   3,
-		HealthyAfter: healthyAfter,
-	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
-	exit = p.Wait()
-	raw, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatalf("read state: %v", err)
-	}
-	if _, err := fmt.Sscanf(string(raw), "%d", &runs); err != nil {
-		t.Fatalf("parse state %q: %v", raw, err)
-	}
-	return runs, exit
-}
-
-// TestProcHealthyAfterAccumulates is the crash-loop-counter fix: a child
-// that outlives the crash window but not HealthyAfter must NOT be
-// forgiven — its earlier crashes still count, so the loop gives up after
-// 3 fast crashes total (runs 1, 3, 4; run 2 is the 500ms limper).
-func TestProcHealthyAfterAccumulates(t *testing.T) {
-	runs, exit := runHealthy(t, time.Hour)
-	if !exit.CrashLoop {
-		t.Fatalf("exit = %+v, want a crash loop", exit)
-	}
-	if runs != 4 {
-		t.Errorf("child ran %d times, want 4 (limping run must not reset the counter)", runs)
-	}
-}
-
-// TestProcHealthyAfterResets is the companion: when the limping run DOES
-// clear HealthyAfter, the counter resets and three more fast crashes are
-// needed before giving up (5 runs total).
-func TestProcHealthyAfterResets(t *testing.T) {
-	runs, exit := runHealthy(t, 400*time.Millisecond)
-	if !exit.CrashLoop {
-		t.Fatalf("exit = %+v, want a crash loop", exit)
-	}
-	if runs != 5 {
-		t.Errorf("child ran %d times, want 5 (healthy run resets the counter)", runs)
+	if got, want := strings.Join(delays, " "), "1ms 2ms 2ms"; got != want {
+		t.Errorf("restart delays = %s, want %s", got, want)
 	}
 }
 
 func TestProcKillRestartsImmediately(t *testing.T) {
 	var lg procLog
-	p, err := StartProc(ProcConfig{
-		Path:           "/bin/sh",
-		Args:           []string{script(t, `echo "svc listening on pid-$$"; exec sleep 60`)},
-		AnnouncePrefix: "svc listening on ",
-		Backoff:        time.Second, // a crash restart would be visibly slow
-		CrashWindow:    time.Millisecond,
-		CrashLoops:     2,
-		Logf:           lg.logf,
+	p := startProc(procConfig{
+		Path: "/bin/sh",
+		Args: []string{script(t, `echo "analyzer listening on pid-$$"; exec sleep 60`)},
+		Logf: lg.logf,
+		// Counted as crashes, the second kill would end supervision.
+		timing: &procTiming{backoff: time.Second, backoffMax: time.Second,
+			crashWindow: time.Minute, crashLoops: 2},
 	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
 	if err := p.WaitReady(10 * time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	first := p.Addr()
 	for i := 0; i < 3; i++ {
+		prev := p.Addr()
 		p.Kill()
-		deadline := time.Now().Add(10 * time.Second) //lint:ignore nosystime test deadline
-		for p.Restarts() != i+1 || p.Ready() != nil {
-			if time.Now().After(deadline) { //lint:ignore nosystime test deadline
-				t.Fatalf("kill %d: child not back after 10s (restarts=%d)", i, p.Restarts())
-			}
-			time.Sleep(5 * time.Millisecond) //lint:ignore nosystime polling a real child restart
-		}
+		waitFor(t, fmt.Sprintf("kill %d: child back", i), func() bool {
+			return p.Ready() == nil && p.Addr() != prev
+		})
 	}
-	// Three kills with CrashLoops=2: operator kills must not have fed the
-	// crash-loop counter or waited out the 1s backoff.
-	if got := p.Addr(); got == first {
-		t.Errorf("Addr unchanged after restarts (announce not re-learned)")
-	}
-	if n := lg.count("crash loop"); n != 0 {
-		t.Errorf("operator kills tripped the crash-loop detector")
+	if n := lg.count("crash loop") + lg.count("restarting in"); n != 0 {
+		t.Errorf("operator kills were handled as crashes (%d log lines)", n)
 	}
 	p.Terminate(syscall.SIGKILL)
-	p.Wait()
+	if exit := p.Wait(); exit.CrashLoop || exit.Restarts != 3 {
+		t.Errorf("exit = %+v, want 3 restarts and no crash loop", exit)
+	}
 }
 
 // TestProcNotReadyDuringBackoff is the dead-incarnation fix: once a child
@@ -223,18 +163,13 @@ func TestProcNotReadyDuringBackoff(t *testing.T) {
 			p.Kill() // no child to kill: must be a no-op
 		}
 	}
-	p, err := StartProc(ProcConfig{
-		Path:           "/bin/sh",
-		Args:           []string{script(t, `echo "svc listening on pid-$$"; exit 1`)},
-		AnnouncePrefix: "svc listening on ",
-		Backoff:        500 * time.Millisecond,
-		CrashWindow:    time.Minute,
-		CrashLoops:     2,
-		Logf:           logf,
+	p := startProc(procConfig{
+		Path: "/bin/sh",
+		Args: []string{script(t, `echo "analyzer listening on pid-$$"; exit 1`)},
+		Logf: logf,
+		timing: &procTiming{backoff: 500 * time.Millisecond, backoffMax: time.Second,
+			crashWindow: time.Minute, crashLoops: 2},
 	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
 	started <- p
 	exit := p.Wait()
 	if len(inBackoff) != 1 {
@@ -250,40 +185,53 @@ func TestProcNotReadyDuringBackoff(t *testing.T) {
 	}
 }
 
-func TestProcHoldParksUntilRelease(t *testing.T) {
-	p, err := StartProc(ProcConfig{
-		Path:           "/bin/sh",
-		Args:           []string{script(t, `echo "svc listening on pid-$$"; exec sleep 60`)},
-		AnnouncePrefix: "svc listening on ",
-		Backoff:        time.Millisecond,
+func TestProcHoldParksUntilTerminate(t *testing.T) {
+	p := startProc(procConfig{
+		Path:   "/bin/sh",
+		Args:   []string{script(t, `echo "analyzer listening on pid-$$"; exec sleep 60`)},
+		timing: fast(),
 	})
-	if err != nil {
-		t.Fatalf("StartProc: %v", err)
-	}
 	if err := p.WaitReady(10 * time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	held := p.Addr()
 	p.Hold()
+	waitFor(t, "held child gone", func() bool { return p.Pid() == 0 })
 	time.Sleep(100 * time.Millisecond) //lint:ignore nosystime giving a buggy restart time to happen
-	if got := p.Restarts(); got != 0 {
-		t.Fatalf("held proc restarted %d times", got)
+	if pid := p.Pid(); pid != 0 || p.Ready() == nil {
+		t.Fatalf("held proc restarted (pid %d)", pid)
 	}
-	p.Release()
-	deadline := time.Now().Add(10 * time.Second) //lint:ignore nosystime test deadline
-	for p.Restarts() != 1 || p.Ready() != nil || p.Addr() == held {
-		if time.Now().After(deadline) { //lint:ignore nosystime test deadline
-			t.Fatalf("released proc not back after 10s")
+	p.Terminate(syscall.SIGTERM)
+	if exit := p.Wait(); exit.Restarts != 0 || exit.CrashLoop {
+		t.Errorf("exit = %+v, want supervision ended with no restart", exit)
+	}
+}
+
+// TestProcTerminateBeforeChildStarts: a Terminate that lands before the
+// supervisor has made its first child current (Fleet.Start's error path
+// closes shards that may still be starting) must still reach that child;
+// otherwise Wait blocks until the child exits on its own.
+func TestProcTerminateBeforeChildStarts(t *testing.T) {
+	p := startProc(procConfig{
+		Path:   "/bin/sh",
+		Args:   []string{script(t, `exec sleep 60`)},
+		timing: fast(),
+	})
+	p.Terminate(syscall.SIGTERM)
+	done := make(chan procExit, 1)
+	go func() { done <- p.Wait() }()
+	select {
+	case exit := <-done:
+		if exit.CrashLoop || exit.Restarts != 0 {
+			t.Errorf("exit = %+v, want supervision ended by the operator", exit)
 		}
-		time.Sleep(5 * time.Millisecond) //lint:ignore nosystime polling a real child restart
+	case <-time.After(10 * time.Second): //lint:ignore nosystime test deadline
+		t.Fatal("Terminate before the first child started did not end supervision")
 	}
-	p.Terminate(syscall.SIGKILL)
-	p.Wait()
 }
 
 func TestRelistenArgs(t *testing.T) {
 	args := []string{"-listen", "127.0.0.1:0", "-v", "-listen", "0.0.0.0:0"}
-	got := relistenArgs(args, "-listen", "127.0.0.1:7391")
+	got := relistenArgs(args, "127.0.0.1:7391")
 	want := []string{"-listen", "127.0.0.1:7391", "-v", "-listen", "127.0.0.1:7391"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -293,7 +241,7 @@ func TestRelistenArgs(t *testing.T) {
 	if args[1] != "127.0.0.1:0" {
 		t.Errorf("relistenArgs mutated its input")
 	}
-	if out := relistenArgs(args, "", "x"); &out[0] != &args[0] {
-		t.Errorf("empty flag should return the input unchanged")
+	if out := relistenArgs(args, ""); &out[0] != &args[0] {
+		t.Errorf("no address yet should return the input unchanged")
 	}
 }

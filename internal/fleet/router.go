@@ -22,11 +22,6 @@ type RouterConfig struct {
 	// ShardConfig of every shard daemon. Required, and fixed for the
 	// router's lifetime.
 	Map wire.ShardMap
-	// Addrs are the shard listen addresses by index; entries may start
-	// empty (a client of a not-yet-announced shard has its connection
-	// ended) and are updated via SetShardAddr as supervisors learn them.
-	// len(Addrs) must equal Map.Shards when non-nil.
-	Addrs []string
 	// OnAcked, when set, observes the cumulative count of acknowledged
 	// submissions after each ack is folded in. Called without router
 	// locks held; keep it fast or hand off to a goroutine.
@@ -145,9 +140,6 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: router: %w", err)
 	}
-	if cfg.Addrs != nil && len(cfg.Addrs) != cfg.Map.Shards {
-		return nil, fmt.Errorf("fleet: router has %d shard addrs for a map of %d", len(cfg.Addrs), cfg.Map.Shards)
-	}
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
@@ -165,7 +157,6 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 		links:     map[*shardConn]bool{},
 		tallies:   map[string]*clientTally{},
 	}
-	copy(r.addrs, cfg.Addrs)
 	r.publishStats()
 	r.wg.Add(1)
 	go r.acceptLoop()
@@ -196,8 +187,10 @@ func (r *Router) publishStats() {
 // Addr returns the router's listen address.
 func (r *Router) Addr() string { return r.ln.Addr().String() }
 
-// SetShardAddr records shard i's address (a supervisor learned a
-// restarted shard's); connections dialed from now on use it.
+// SetShardAddr records shard i's address, the one way the router learns
+// it: every shard starts unknown (a client of a not-yet-announced shard
+// has its connection ended), and a supervisor sets it on each announce.
+// Connections dialed from now on use it.
 func (r *Router) SetShardAddr(i int, addr string) {
 	if i < 0 || i >= r.cfg.Map.Shards {
 		return

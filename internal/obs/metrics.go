@@ -273,28 +273,6 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	return e.hist
 }
 
-// CounterSet returns a fixed-size indexed family of counters — one per
-// member of a known enumeration, such as the shards of a diagnosis fleet.
-// Member i is registered as "<name>_<i>" so the family renders as ordinary
-// flat metrics everywhere (Prometheus, expvar, Flatten). The whole family
-// is registered up front: a member that never fires still exports 0, which
-// keeps fleet dashboards honest about shards that did no work. Like every
-// registration it is get-or-create, and a nil receiver returns a slice of
-// nil counters that no-op.
-func (r *Registry) CounterSet(name, help string, n int) []*Counter {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*Counter, n)
-	if r == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = r.Counter(fmt.Sprintf("%s_%d", name, i), help)
-	}
-	return out
-}
-
 // Snapshot returns every metric's current state, sorted by name.
 func (r *Registry) Snapshot() []Sample {
 	if r == nil {

@@ -250,35 +250,3 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Errorf("last finite bucket %d exceeds total count %d", prev, s.Count)
 	}
 }
-
-func TestCounterSet(t *testing.T) {
-	r := NewRegistry()
-	set := r.CounterSet("shard_acked", "per-shard acked messages", 3)
-	if len(set) != 3 {
-		t.Fatalf("CounterSet returned %d counters, want 3", len(set))
-	}
-	set[1].Add(5)
-	set[2].Inc()
-	flat := r.Flatten()
-	for name, want := range map[string]int64{
-		"shard_acked_0": 0, "shard_acked_1": 5, "shard_acked_2": 1,
-	} {
-		if flat[name] != want {
-			t.Errorf("%s = %d, want %d (idle members must still export 0)", name, flat[name], want)
-		}
-	}
-	// Get-or-create: a second registration returns the same counters.
-	again := r.CounterSet("shard_acked", "per-shard acked messages", 3)
-	if again[1] != set[1] {
-		t.Error("re-registration did not return the same counter")
-	}
-	var nilReg *Registry
-	nilSet := nilReg.CounterSet("x", "", 2)
-	if len(nilSet) != 2 {
-		t.Fatalf("nil registry CounterSet returned %d entries, want 2", len(nilSet))
-	}
-	nilSet[0].Inc() // must not panic
-	if r.CounterSet("y", "", 0) != nil {
-		t.Error("empty family should be nil")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"time"
 
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/simtime"
@@ -20,11 +19,8 @@ type Options struct {
 	// an uninterrupted finish.
 	Journal *Journal
 	// Progress, when set, receives throughput lines (done/total, cases/s,
-	// ETA) while the sweep runs.
+	// ETA) while the sweep runs, one every ~1% of the sweep.
 	Progress io.Writer
-	// ProgressEvery reports progress every N finished jobs (default:
-	// ~1% of the sweep, at least 1).
-	ProgressEvery int
 	// Clock measures wall-clock throughput for progress reporting; nil
 	// means the system stopwatch. Progress is cosmetic — nothing derived
 	// from the clock feeds results.
@@ -35,16 +31,6 @@ type Options struct {
 	// Interrupt, when closed, stops dispatching new jobs; in-flight jobs
 	// finish and are journaled, then Run returns with Interrupted set.
 	Interrupt <-chan struct{}
-	// StopAfter, when > 0, interrupts the sweep after that many jobs have
-	// finished in this run (test hook for kill/resume coverage).
-	StopAfter int
-	// JobTimeout, when > 0, bounds each job's wall-clock execution: a
-	// case that exceeds it is recorded as a per-job Err (like a panic)
-	// and the worker moves on instead of wedging the pool. The abandoned
-	// job's goroutine cannot be killed and may keep consuming CPU until
-	// it finishes on its own; its late result is discarded. A resumed
-	// sweep re-runs timed-out jobs like any other failure.
-	JobTimeout time.Duration
 	// Obs, when enabled, receives sweep-level metrics (updated live from
 	// the merging goroutine, so a /metrics endpoint can watch progress)
 	// and, on completion, a per-case trace laid out in job order on the
@@ -148,7 +134,7 @@ func Run(jobs []Job, exec Exec, opts Options) (*Summary, error) {
 			go func() {
 				defer wg.Done()
 				for idx := range jobCh {
-					resCh <- indexed{idx, runJob(exec, jobs[idx], keys[idx], opts.JobTimeout)}
+					resCh <- indexed{idx, runOne(exec, jobs[idx], keys[idx])}
 				}
 			}()
 		}
@@ -167,12 +153,10 @@ func Run(jobs []Job, exec Exec, opts Options) (*Summary, error) {
 			close(resCh)
 		}()
 
-		finished := 0
 		var jerr error
 		for x := range resCh {
 			sum.Results[x.idx] = x.r
 			ran[x.idx] = true
-			finished++
 			if opts.Journal != nil && jerr == nil {
 				if err := opts.Journal.Append(x.r); err != nil {
 					jerr = err
@@ -184,9 +168,6 @@ func Run(jobs []Job, exec Exec, opts Options) (*Summary, error) {
 			}
 			met.step(x.r)
 			prog.step()
-			if opts.StopAfter > 0 && finished >= opts.StopAfter {
-				interrupt()
-			}
 		}
 		if jerr != nil {
 			return nil, jerr
@@ -215,31 +196,10 @@ func Run(jobs []Job, exec Exec, opts Options) (*Summary, error) {
 	return sum, nil
 }
 
-// runJob executes one job under the optional watchdog: a job that exceeds
-// the timeout is captured as a per-job Err and abandoned (its goroutine
-// keeps running, its eventual result lands in the buffered channel and is
-// dropped), so one hung case cannot wedge the worker pool.
-func runJob(exec Exec, job Job, key string, timeout time.Duration) Result {
-	if timeout <= 0 {
-		return runOne(exec, job, key)
-	}
-	done := make(chan Result, 1)
-	go func() { done <- runOne(exec, job, key) }()
-	//lint:ignore nosystime the watchdog bounds a hung case's real execution time; nothing derived from it feeds results
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r
-	case <-timer.C:
-		return Result{Job: job, Key: key,
-			Err: fmt.Sprintf("timed out after %v (job abandoned)", timeout)}
-	}
-}
-
 // runOne executes one job, converting errors (and panics from deep inside
 // a case's simulation) into per-job capture so the sweep degrades instead
-// of aborting.
+// of aborting. A livelocked case ends that way too: the simulation's event
+// limit panics.
 func runOne(exec Exec, job Job, key string) (out Result) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -271,13 +231,7 @@ func newProgress(opts Options, total, skipped int) *progress {
 	if p.w == nil {
 		return p
 	}
-	p.every = opts.ProgressEvery
-	if p.every <= 0 {
-		p.every = total / 100
-		if p.every < 1 {
-			p.every = 1
-		}
-	}
+	p.every = max(total/100, 1)
 	p.clock = opts.Clock
 	if p.clock == nil {
 		p.clock = simtime.NewSystemStopwatch()

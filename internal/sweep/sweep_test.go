@@ -123,9 +123,10 @@ func TestSweepResume(t *testing.T) {
 	exec := Cases(cfg, scenario.DefaultRunOptions(cfg))
 	// Twelve jobs: when the merge loop sees its second result, the two
 	// workers of the interrupted run can have been handed at most six (two
-	// merged, two in the result buffer, one in each worker's hands) and the
-	// dispatcher one more before it notices the stop, so some are always
-	// left to resume however far a loaded machine lets the merge fall behind.
+	// merged, two in the result buffer, one in each worker's hands) before
+	// the interrupt reaches the dispatcher, which takes microseconds against
+	// a case's milliseconds, so some are left to resume however far a
+	// loaded machine lets the merge fall behind.
 	jobs := gridJobs(6)
 	spec := wire.SweepSpec{Name: "test", ScaleDen: 360}
 	dir := t.TempDir()
@@ -147,19 +148,26 @@ func TestSweepResume(t *testing.T) {
 		t.Fatalf("compacted journal has %d lines, want %d (header + jobs)", n, len(jobs)+1)
 	}
 
-	// Interrupted run: stop after 2 finished jobs.
+	// Interrupted run: interrupt once 2 jobs have finished.
 	part := filepath.Join(dir, "part.jsonl")
 	j2, err := OpenJournal(part, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := Run(jobs, exec, Options{Workers: 2, Journal: j2, StopAfter: 2})
+	stop := make(chan struct{})
+	finished := 0
+	onResult := func(Result) {
+		if finished++; finished == 2 {
+			close(stop)
+		}
+	}
+	sum, err := Run(jobs, exec, Options{Workers: 2, Journal: j2, OnResult: onResult, Interrupt: stop})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
 	if !sum.Interrupted || len(sum.Pending) == 0 {
-		t.Fatalf("StopAfter=2 did not interrupt: interrupted=%v pending=%d",
+		t.Fatalf("interrupt after 2 results did not interrupt: interrupted=%v pending=%d",
 			sum.Interrupted, len(sum.Pending))
 	}
 
@@ -358,7 +366,7 @@ func TestSweepProgressReporting(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	_, err := Run(jobs, func(Job) (Result, error) { return Result{Completed: true}, nil },
-		Options{Workers: 2, Progress: &buf, ProgressEvery: 1, Clock: &fakeClock{}})
+		Options{Workers: 2, Progress: &buf, Clock: &fakeClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,7 @@ func BenchmarkFig14CaseStudy(b *testing.B) {
 	cfg := benchConfig()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		study, err := experiments.Fig14(cfg)
+		study, err := experiments.Fig14Obs(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,8 +30,9 @@
 // listener additionally serves /healthz and /readyz probes.
 //
 // For unattended operation, -cluster 1 -wal-dir DIR runs the daemon as one
-// supervised shard: a crash restarts it with backoff onto DIR/shard-0, and
-// too many consecutive short-lived runs end supervision as a crash loop.
+// supervised shard: a crash restarts it onto DIR/shard-0, at once the
+// first time and with backoff from the second consecutive short-lived run,
+// and too many such runs end supervision as a crash loop.
 //
 // The daemon takes no positional arguments: one on the command line is an
 // error (exit 2), so a stale "vedranalyzerd supervise -- ..." command does

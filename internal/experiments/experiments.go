@@ -117,9 +117,6 @@ type CaseStudy struct {
 	CriticalStr string
 }
 
-// Fig14 runs the case study and renders its graphs.
-func Fig14(cfg scenario.Config) (*CaseStudy, error) { return Fig14Obs(cfg, nil) }
-
 // Fig14Obs runs the case study with an observability scope threaded
 // through the whole pipeline — the contention timeline, monitor
 // detections, PFC events, and analyzer phases all land in the scope's

@@ -150,7 +150,7 @@ func TestFig14CaseStudy(t *testing.T) {
 		t.Skip("case study is slow")
 	}
 	cfg := fastConfig()
-	study, err := Fig14(cfg)
+	study, err := Fig14Obs(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ const relistenFlag = "-listen"
 
 // procTiming is the restart rule's clock.
 type procTiming struct {
-	backoff     time.Duration // delay before the first restart after an exit
+	backoff     time.Duration // delay after the second consecutive crash, doubling after
 	backoffMax  time.Duration // cap on the doubling delay
 	crashWindow time.Duration // an exit sooner than this after start is a crash
 	crashLoops  int           // this many consecutive crashes end supervision
@@ -295,11 +295,12 @@ func (p *Proc) finish(exit procExit) {
 
 // supervise is the restart loop, and its one rule: Terminate or a clean
 // exit ends supervision; Hold parks the loop until Terminate; a Kill
-// restarts at once and is not counted; any other exit waits
-// min(backoffMax, backoff·2^max(0, n−1)) and restarts, where n counts
-// consecutive exits within crashWindow of their start (a longer life
-// resets it to 0), and the crashLoops-th such exit ends supervision as a
-// crash loop.
+// restarts at once and is not counted; any other exit restarts after a
+// delay set by n, the count of consecutive exits within crashWindow of
+// their start (a longer life resets it to 0): no wait for n ≤ 1, so a
+// shard killed from outside is back as fast as one killed through Kill,
+// and min(backoffMax, backoff·2^(n−2)) for n ≥ 2. The crashLoops-th such
+// exit ends supervision as a crash loop.
 func (p *Proc) supervise() {
 	crashes := 0
 	for {
@@ -355,11 +356,14 @@ func (p *Proc) supervise() {
 				p.finish(procExit{Code: 1, CrashLoop: true})
 				return
 			}
-			delay := p.cfg.timing.backoff
-			for n := 1; n < crashes && delay < p.cfg.timing.backoffMax; n++ {
-				delay *= 2
+			var delay time.Duration
+			if crashes > 1 {
+				delay = p.cfg.timing.backoff
+				for n := 2; n < crashes && delay < p.cfg.timing.backoffMax; n++ {
+					delay *= 2
+				}
+				delay = min(delay, p.cfg.timing.backoffMax)
 			}
-			delay = min(delay, p.cfg.timing.backoffMax)
 			p.logf("child exited (%v) after %s; restarting in %s",
 				werr, lived.Round(time.Millisecond), delay)
 			select {

@@ -85,8 +85,9 @@ func TestProcCleanExitEndsSupervision(t *testing.T) {
 }
 
 // TestProcCrashLoopGivesUp pins the one restart rule for a child that
-// keeps crashing: it waits backoff, then twice that, up to backoffMax, and
-// the crashLoops-th crash ends supervision.
+// keeps crashing: the first crash restarts at once, the second waits
+// backoff, each later one twice the last, up to backoffMax, and the
+// crashLoops-th crash ends supervision.
 func TestProcCrashLoopGivesUp(t *testing.T) {
 	var lg procLog
 	p := startProc(procConfig{
@@ -112,8 +113,47 @@ func TestProcCrashLoopGivesUp(t *testing.T) {
 			delays = append(delays, d)
 		}
 	}
-	if got, want := strings.Join(delays, " "), "1ms 2ms 2ms"; got != want {
+	if got, want := strings.Join(delays, " "), "0s 1ms 2ms"; got != want {
 		t.Errorf("restart delays = %s, want %s", got, want)
+	}
+}
+
+// TestProcFirstCrashRestartsAtOnce: a child that crashes once is started
+// again without waiting backoff. The backoff is a minute and waitFor gives
+// up after 10 s, so the old first-crash wait cannot pass unnoticed.
+func TestProcFirstCrashRestartsAtOnce(t *testing.T) {
+	marker := filepath.Join(t.TempDir(), "crashed")
+	var mu sync.Mutex
+	var addrs []string
+	p := startProc(procConfig{
+		Path: "/bin/sh",
+		Args: []string{script(t, fmt.Sprintf(`if [ -e '%[1]s' ]; then
+	echo "analyzer listening on pid-$$"; exec sleep 60
+fi
+touch '%[1]s'; echo "analyzer listening on pid-$$"; exit 1
+`, marker))},
+		OnAnnounce: func(addr string, _ int) {
+			mu.Lock()
+			defer mu.Unlock()
+			addrs = append(addrs, addr)
+		},
+		timing: &procTiming{backoff: time.Minute, backoffMax: time.Minute,
+			crashWindow: time.Minute, crashLoops: 2},
+	})
+	waitFor(t, "second incarnation ready", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(addrs) == 2 && p.Ready() == nil && p.Addr() == addrs[1]
+	})
+	mu.Lock()
+	first, second := addrs[0], addrs[1]
+	mu.Unlock()
+	if first == second {
+		t.Errorf("both incarnations announced %q, want a new address", first)
+	}
+	p.Terminate(syscall.SIGKILL)
+	if exit := p.Wait(); exit.CrashLoop || exit.Restarts != 1 {
+		t.Errorf("exit = %+v, want 1 restart and no crash loop", exit)
 	}
 }
 
@@ -147,8 +187,8 @@ func TestProcKillRestartsImmediately(t *testing.T) {
 }
 
 // TestProcNotReadyDuringBackoff is the dead-incarnation fix: once a child
-// that announced has exited, Ready must fail through the whole crash
-// backoff, and a Kill aimed into that gap must not mark the next
+// that announced has exited, Ready must fail until the next incarnation
+// announces, and a Kill aimed into that gap must not mark the next
 // incarnation as killed. Both are checked from Logf, which the supervisor
 // calls after the wait returns and before it sleeps, so no timing is
 // involved.

@@ -1,13 +1,12 @@
 // Package stats provides the small summary-statistics helpers the
-// experiment harnesses use: percentiles, means, and fixed-bucket histograms
-// over durations (step times, slowdowns, RTTs).
+// experiment harnesses use: percentiles and means over durations (step
+// times, slowdowns, RTTs).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"vedrfolnir/internal/simtime"
 )
@@ -76,64 +75,4 @@ func Percentile(sorted []simtime.Duration, p float64) simtime.Duration {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%v p50=%v p90=%v p99=%v max=%v mean=%v sd=%v",
 		s.N, s.Min, s.P50, s.P90, s.P99, s.Max, s.Mean, s.Stddev)
-}
-
-// Histogram counts samples into equal-width buckets over [min, max].
-type Histogram struct {
-	Lo, Hi  simtime.Duration
-	Buckets []int
-}
-
-// NewHistogram builds a histogram of the sample with n buckets.
-func NewHistogram(sample []simtime.Duration, n int) *Histogram {
-	if n <= 0 {
-		n = 10
-	}
-	h := &Histogram{Buckets: make([]int, n)}
-	if len(sample) == 0 {
-		return h
-	}
-	h.Lo, h.Hi = sample[0], sample[0]
-	for _, v := range sample {
-		if v < h.Lo {
-			h.Lo = v
-		}
-		if v > h.Hi {
-			h.Hi = v
-		}
-	}
-	span := float64(h.Hi - h.Lo)
-	for _, v := range sample {
-		idx := n - 1
-		if span > 0 {
-			idx = int(float64(v-h.Lo) / span * float64(n))
-			if idx >= n {
-				idx = n - 1
-			}
-		}
-		h.Buckets[idx]++
-	}
-	return h
-}
-
-// Render draws the histogram as ASCII rows, one per bucket.
-func (h *Histogram) Render() string {
-	maxCount := 0
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	var b strings.Builder
-	span := h.Hi - h.Lo
-	for i, c := range h.Buckets {
-		lo := h.Lo + span*simtime.Duration(i)/simtime.Duration(len(h.Buckets))
-		hi := h.Lo + span*simtime.Duration(i+1)/simtime.Duration(len(h.Buckets))
-		bar := ""
-		if maxCount > 0 {
-			bar = strings.Repeat("#", c*40/maxCount)
-		}
-		fmt.Fprintf(&b, "%12v – %-12v %5d %s\n", lo, hi, c, bar)
-	}
-	return b.String()
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -58,36 +57,5 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	sample := []simtime.Duration{ms(1), ms(1), ms(2), ms(9), ms(10)}
-	h := NewHistogram(sample, 3)
-	total := 0
-	for _, c := range h.Buckets {
-		total += c
-	}
-	if total != len(sample) {
-		t.Fatalf("histogram lost samples: %d != %d", total, len(sample))
-	}
-	if h.Buckets[0] != 3 {
-		t.Fatalf("low bucket = %d, want 3 (1,1,2ms)", h.Buckets[0])
-	}
-	out := h.Render()
-	if !strings.Contains(out, "#") {
-		t.Fatalf("render produced no bars:\n%s", out)
-	}
-}
-
-func TestHistogramUniformValue(t *testing.T) {
-	sample := []simtime.Duration{ms(5), ms(5), ms(5)}
-	h := NewHistogram(sample, 4)
-	total := 0
-	for _, c := range h.Buckets {
-		total += c
-	}
-	if total != 3 {
-		t.Fatalf("degenerate histogram lost samples")
 	}
 }

@@ -358,11 +358,7 @@ func (p *Proc) supervise() {
 			}
 			var delay time.Duration
 			if crashes > 1 {
-				delay = p.cfg.timing.backoff
-				for n := 2; n < crashes && delay < p.cfg.timing.backoffMax; n++ {
-					delay *= 2
-				}
-				delay = min(delay, p.cfg.timing.backoffMax)
+				delay = min(p.cfg.timing.backoff<<(crashes-2), p.cfg.timing.backoffMax)
 			}
 			p.logf("child exited (%v) after %s; restarting in %s",
 				werr, lived.Round(time.Millisecond), delay)

@@ -93,10 +93,5 @@ func runCluster(o clusterOpts) int {
 	if st.ShardDown != 0 {
 		fmt.Printf("backpressure: %d client connections ended for an unreachable shard\n", st.ShardDown)
 	}
-	if merged.Degraded() {
-		fmt.Fprintf(os.Stderr,
-			"vedranalyzerd: degraded: shards %v unreachable; diagnosis missing >= %d records, %d reports, %d flows\n",
-			merged.Missing, merged.MissedRecords, merged.MissedReports, merged.MissedCFs)
-	}
 	return printDiagnosis(merged.Diagnosis, o.asJSON)
 }

@@ -13,7 +13,7 @@
 //	              [-read-timeout 2m] [-max-line 16777216]
 //	              [-wal-dir DIR] [-fsync always|interval|off]
 //	              [-snapshot-every N] [-queue N]
-//	vedranalyzerd -cluster N [-hold-shard I] [...]
+//	vedranalyzerd -cluster N -wal-dir DIR [-hold-shard I] [...]
 //
 // The service is hardened against misbehaving agents: -read-timeout drops
 // a connection that stops delivering bytes, -max-line caps one protocol
@@ -32,7 +32,9 @@
 // For unattended operation, -cluster 1 -wal-dir DIR runs the daemon as one
 // supervised shard: a crash restarts it onto DIR/shard-0, at once the
 // first time and with backoff from the second consecutive short-lived run,
-// and too many such runs end supervision as a crash loop.
+// and too many such runs end supervision as a crash loop. -cluster needs
+// -wal-dir (exit 2 without it): each shard logs under DIR/shard-<i>, and a
+// drain that cannot dump a shard recovers its state from there.
 //
 // The daemon takes no positional arguments: one on the command line is an
 // error (exit 2), so a stale "vedranalyzerd supervise -- ..." command does
@@ -75,7 +77,7 @@ func run() int {
 	flag.DurationVar(&scfg.AckTTL, "ack-ttl", 0,
 		"evict a disconnected client's ack window after this idle time (0 = default 15m, <0 = never)")
 	walDir := flag.String("wal-dir", "",
-		"write-ahead log + snapshot directory; empty disables durability")
+		"write-ahead log + snapshot directory (required with -cluster); empty disables durability")
 	fsyncMode := flag.String("fsync", "always",
 		"WAL fsync policy with -wal-dir: always|interval|off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond,
@@ -88,7 +90,7 @@ func run() int {
 	cluster := flag.Int("cluster", 0,
 		"run as a fleet: N supervised shard children behind a consistent-hash router")
 	holdShard := flag.Int("hold-shard", -1,
-		"with -cluster: hold this shard down at drain time and report a degraded diagnosis")
+		"with -cluster: hold this shard down at drain time; the drain recovers it from its WAL")
 	shardIndex := flag.Int("shard-index", -1,
 		"run as shard I of a fleet (internal; spawned by -cluster)")
 	shardCount := flag.Int("shard-count", 0,
@@ -101,6 +103,11 @@ func run() int {
 	}
 
 	if *cluster > 0 {
+		if *walDir == "" {
+			// A drain recovers a shard it cannot dump from the shard's WAL.
+			fmt.Fprintln(os.Stderr, "vedranalyzerd: -cluster needs -wal-dir")
+			return 2
+		}
 		return runCluster(clusterOpts{
 			listen:        *listen,
 			after:         *after,

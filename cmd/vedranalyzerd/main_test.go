@@ -267,7 +267,8 @@ func slicesEqual(a, b []string) bool {
 // gone, as is the per-client rate limiter's -rate/-burst and the
 // supervise subcommand (-cluster 1 supervises a lone daemon), and a
 // command line that still carries one fails with exit 2 instead of
-// running a daemon that ignores it.
+// running a daemon that ignores it. So does the memory-only fleet:
+// -cluster without -wal-dir.
 func TestRemovedFlagsRefused(t *testing.T) {
 	daemon := func(flags ...string) []string {
 		return append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, flags...)
@@ -286,6 +287,7 @@ func TestRemovedFlagsRefused(t *testing.T) {
 		{daemon("-rate", "100"), "flag provided but not defined: -rate"},
 		{daemon("-burst", "8"), "flag provided but not defined: -burst"},
 		{[]string{"supervise", "--", "-listen", "127.0.0.1:0"}, `unexpected argument "supervise"`},
+		{daemon("-cluster", "2"), "-cluster needs -wal-dir"},
 	} {
 		out, err := exec.Command(daemonPath, tc.args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)

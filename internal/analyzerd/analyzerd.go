@@ -346,7 +346,7 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 		s.now = time.Now
 	}
 	if cfg.Durability != nil {
-		if err := s.openDurability(*cfg.Durability); err != nil {
+		if err := s.openDurability(*cfg.Durability, shard); err != nil {
 			return nil, err
 		}
 	}
@@ -366,24 +366,27 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 
 // openDurability recovers the state under dur.Dir into memory and opens
 // the WAL for appending.
-func (s *Server) openDurability(dur DurabilityConfig) error {
+func (s *Server) openDurability(dur DurabilityConfig, shard ShardConfig) error {
 	if dur.Dir == "" {
 		return errors.New("analyzerd: DurabilityConfig.Dir is required")
 	}
 	if err := os.MkdirAll(dur.Dir, 0o755); err != nil {
 		return fmt.Errorf("analyzerd: %w", err)
 	}
-	rec, err := Recover(dur.Dir)
+	state, stats, err := RecoverShard(dur.Dir, shard)
 	if err != nil {
 		return err
 	}
-	s.applyRecovered(rec)
-	s.recovery = rec.Stats
-	if rec.Stats.WALTruncatedBytes > 0 {
+	s.applyRecovered(state)
+	s.recovery = stats
+	if stats.WALTruncatedBytes > 0 {
 		s.log.Warn("WAL tail truncated during recovery",
-			"bytes", rec.Stats.WALTruncatedBytes, "torn", rec.Stats.WALTornTail)
+			"bytes", stats.WALTruncatedBytes, "torn", stats.WALTornTail)
 	}
-	w, err := openWAL(dur.Dir, rec.Stats.NextLSN, dur.Fsync, dur.FsyncInterval, s.now)
+	if stats.Unreplayable > 0 {
+		s.log.Warn("recovery skipped snapshot messages without their payload", "messages", stats.Unreplayable)
+	}
+	w, err := openWAL(dur.Dir, stats.NextLSN, dur.Fsync, dur.FsyncInterval, s.now)
 	if err != nil {
 		return err
 	}
@@ -391,51 +394,17 @@ func (s *Server) openDurability(dur DurabilityConfig) error {
 	return nil
 }
 
-// applyRecovered loads a recovered snapshot + WAL tail into memory, in
-// the exact ingest order the original run used, without re-logging. It
+// applyRecovered loads a recovered state into memory, without re-logging:
+// its messages become the stream and its highwaters the ack windows. It
 // runs before the listener opens, but takes s.mu anyway: the lock is
 // uncontended and keeps the guarded-state discipline uniform.
-func (s *Server) applyRecovered(rec *RecoveredState) {
+func (s *Server) applyRecovered(state *wire.ShardState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
-	for _, sm := range rec.Snapshot.Messages {
-		// Clients the current shard map assigns elsewhere are dropped —
-		// a map change between incarnations must not replay records into
-		// the wrong shard.
-		if _, moved := s.disownedBy(sm.Client); moved {
-			rec.Stats.Reassigned++
-			continue
-		}
-		if err := s.ingest(sm); err != nil {
-			s.log.Warn("recovery: skipping unreplayable snapshot message",
-				"client", sm.Client, "seq", sm.Seq, "err", err.Error())
-		}
-	}
-	for _, a := range rec.Snapshot.Acked {
-		if _, moved := s.disownedBy(a.Client); moved {
-			continue // the owning shard holds this client's window now
-		}
+	s.sourced = state.Messages
+	for _, a := range state.Acked {
 		s.clients[a.Client] = &clientState{acked: a.Seq, lastSeen: now}
-	}
-	for _, msg := range rec.Messages {
-		if _, moved := s.disownedBy(msg.Client); moved {
-			rec.Stats.Reassigned++
-			continue
-		}
-		if msg.Seq <= s.clientAcked(msg.Client) {
-			continue // resubmission that was logged twice across a crash
-		}
-		if err := s.ingest(sourcedFromMessage(msg)); err != nil {
-			// Every logged record passed ParseMessage before it was
-			// appended, so an unreplayable one means the WAL was written
-			// by a different (or corrupt) writer: surface it and skip,
-			// leaving the ack window alone so the client resubmits.
-			s.log.Warn("recovery: skipping unreplayable WAL record",
-				"client", msg.Client, "seq", msg.Seq, "err", err.Error())
-			continue
-		}
-		s.markAcked(msg.Client, msg.Seq)
 	}
 }
 
@@ -999,11 +968,19 @@ func (s *Server) evictIdle(now time.Time) {
 	}
 }
 
-// ingest appends one message to the stream. ParseMessage has validated
-// everything that came over a connection or out of the WAL; a snapshot
-// message arrives as a bare DTO, so the payload is checked here too.
-// Callers hold s.mu.
+// ingest appends one message to the stream. Callers hold s.mu.
 func (s *Server) ingest(sm wire.SourcedMessage) error {
+	if err := checkPayload(sm); err != nil {
+		return err
+	}
+	s.sourced = append(s.sourced, sm)
+	return nil
+}
+
+// checkPayload refuses a message without the payload its type names.
+// ParseMessage has validated everything that came over a connection or
+// out of the WAL; a snapshot message arrives as a bare DTO.
+func checkPayload(sm wire.SourcedMessage) error {
 	switch {
 	case sm.Type == TypeStep && sm.Step != nil:
 	case sm.Type == TypeReport && sm.Report != nil:
@@ -1011,7 +988,6 @@ func (s *Server) ingest(sm wire.SourcedMessage) error {
 	default:
 		return fmt.Errorf("%q message without its payload", sm.Type)
 	}
-	s.sourced = append(s.sourced, sm)
 	return nil
 }
 

@@ -295,7 +295,15 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 		return stats, state
 	}
 
+	// The daemon's startup loads what the offline replay rebuilds.
+	offline, offStats, err := RecoverShard(dir, ShardConfig{Map: narrow, Index: 0})
+	if err != nil {
+		t.Fatalf("RecoverShard: %v", err)
+	}
 	stats, state := recoverOnce()
+	if offStats != stats || !reflect.DeepEqual(offline, state) {
+		t.Errorf("offline recovery differs from the daemon's:\n%+v %+v\n%+v %+v", offStats, offline, stats, state)
+	}
 	if stats.Reassigned != perClient {
 		t.Errorf("Reassigned = %d, want %d (all of %s's messages)", stats.Reassigned, perClient, lose)
 	}
@@ -316,6 +324,31 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 	}
 	if !reflect.DeepEqual(state2, state) {
 		t.Errorf("second recovery state differs:\n%+v\n%+v", state2, state)
+	}
+}
+
+// TestRecoverShardDropsPayloadlessSnapshotMessages: a snapshot message
+// without its payload (a different or corrupt writer's) is dropped and
+// counted; the rest of the snapshot replays.
+func TestRecoverShardDropsPayloadlessSnapshotMessages(t *testing.T) {
+	dir := t.TempDir()
+	cf := testFlow(0)
+	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: 1,
+		Messages: []wire.SourcedMessage{
+			{Client: "a", Seq: 1, Type: TypeCF, CF: &cf},
+			{Client: "a", Seq: 2, Type: TypeCF},
+		},
+		Acked: []wire.ClientAck{{Client: "a", Seq: 2}},
+	}
+	if err := writeSnapshot(dir, append(wire.AppendSnapshot(nil, &snap), '\n')); err != nil {
+		t.Fatal(err)
+	}
+	state, stats, err := RecoverShard(dir, ShardConfig{Map: wire.ShardMap{Shards: 1}})
+	if err != nil {
+		t.Fatalf("RecoverShard: %v", err)
+	}
+	if stats.Unreplayable != 1 || len(state.Messages) != 1 || state.Messages[0].Seq != 1 {
+		t.Errorf("Unreplayable = %d, kept %+v; want 1 dropped and seq 1 kept", stats.Unreplayable, state.Messages)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"vedrfolnir/internal/wire"
 )
@@ -102,6 +103,9 @@ type RecoverStats struct {
 	// of the restarted incarnation assigns their client to a different
 	// shard (the owning shard replays them instead).
 	Reassigned int
+	// Unreplayable counts snapshot messages dropped because they carry no
+	// payload for their type: a different or corrupt writer's.
+	Unreplayable int
 	// NextLSN is the first LSN the reopened log will assign.
 	NextLSN uint64
 }
@@ -145,4 +149,61 @@ func Recover(dir string) (*RecoveredState, error) {
 	stats.NextLSN = max(stats.NextLSN, snap.NextLSN)
 	rs.Stats = stats
 	return rs, nil
+}
+
+// RecoverShard rebuilds from dir the state shard holds: Recover, then the
+// one replay rule a restarting daemon and a fleet drain that cannot dump
+// the shard both apply. Messages stay in ingest order, snapshot first. A
+// message of a client shard's map assigns elsewhere is dropped (counted in
+// Reassigned), a snapshot message without its payload is dropped (counted
+// in Unreplayable), and a WAL record at or below its client's highwater is
+// a resubmission logged twice across a crash. Every other WAL record
+// advances its client's highwater. Errors are Recover's.
+func RecoverShard(dir string, shard ShardConfig) (*wire.ShardState, RecoverStats, error) {
+	ring, err := shard.ring()
+	if err != nil {
+		return nil, RecoverStats{}, err
+	}
+	rec, err := Recover(dir)
+	if err != nil {
+		return nil, RecoverStats{}, err
+	}
+	st := rec.Stats
+	owned := func(client string) bool {
+		_, moved := ring.Moved(client, shard.Index)
+		if moved {
+			st.Reassigned++
+		}
+		return !moved
+	}
+	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: shard.Index, Map: shard.Map}
+	for _, sm := range rec.Snapshot.Messages {
+		if !owned(sm.Client) {
+			continue
+		}
+		if checkPayload(sm) != nil {
+			st.Unreplayable++
+			continue
+		}
+		state.Messages = append(state.Messages, sm)
+	}
+	acked := map[string]int64{}
+	for _, a := range rec.Snapshot.Acked {
+		if _, moved := ring.Moved(a.Client, shard.Index); !moved {
+			acked[a.Client] = a.Seq
+		}
+	}
+	// ParseMessage refused every WAL record without its payload but a dump
+	// line, whose seq 0 is at or below any highwater.
+	for _, msg := range rec.Messages {
+		if owned(msg.Client) && msg.Seq > acked[msg.Client] {
+			state.Messages = append(state.Messages, sourcedFromMessage(msg))
+			acked[msg.Client] = msg.Seq
+		}
+	}
+	for client, seq := range acked {
+		state.Acked = append(state.Acked, wire.ClientAck{Client: client, Seq: seq})
+	}
+	sort.Slice(state.Acked, func(i, j int) bool { return state.Acked[i].Client < state.Acked[j].Client })
+	return state, st, nil
 }

@@ -171,38 +171,6 @@ func TestFig14CaseStudy(t *testing.T) {
 	}
 }
 
-func TestTrainingSimLocalizesAnomaly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training stream is slow")
-	}
-	cfg := fastConfig()
-	const iterations, disturbAt = 5, 2
-	results, err := TrainingSim(cfg, iterations, disturbAt, 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != iterations {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		hasContention := r.Diag.HasType(diagnose.FlowContention) || r.Diag.HasType(diagnose.Incast)
-		if r.Index == disturbAt && !hasContention {
-			t.Fatalf("iteration %d: injected anomaly not diagnosed", r.Index)
-		}
-		if r.Index != disturbAt && len(r.Diag.Culprits()) > 0 {
-			t.Fatalf("iteration %d: phantom culprits %v", r.Index, r.Diag.Culprits())
-		}
-		if r.Duration <= 0 {
-			t.Fatalf("iteration %d: no duration", r.Index)
-		}
-	}
-	// The disturbed iteration must be slower than its neighbours.
-	if results[disturbAt].Duration <= results[disturbAt-1].Duration {
-		t.Fatalf("disturbed iteration not slower: %v vs %v",
-			results[disturbAt].Duration, results[disturbAt-1].Duration)
-	}
-}
-
 func TestLargeScaleK8(t *testing.T) {
 	// §V applicability: a K=8 fat-tree (80 switches, 128 hosts) running a
 	// 16-rank collective, monitored end to end. Complexity of the waiting

@@ -270,12 +270,11 @@ func (s *Switch) forward(pkt *Packet, ingress int) {
 		s.net.Drops[s.ID]++
 		return
 	}
-	ports := s.net.Topo.NextHops(s.ID, pkt.To)
-	if len(ports) == 0 {
+	out := s.net.Topo.NextHop(s.ID, pkt.To, s.net.pathHash[pkt.FlowID])
+	if out < 0 {
 		s.net.Drops[s.ID]++
 		return
 	}
-	out := ports[s.net.pathHash[pkt.FlowID]%uint64(len(ports))]
 	s.net.enqueue(s.ID, out, ingress, pkt)
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"vedrfolnir/internal/analyzerd"
 	"vedrfolnir/internal/diagnose"
 	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/wire"
@@ -24,21 +26,21 @@ type Config struct {
 	BinPath string
 	// Shards is the fleet width (required, >= 1): the whole shard map.
 	Shards int
-	// Dir, when set, gives each shard a WAL under Dir/shard-<i> so a
-	// SIGKILLed shard recovers its accepted messages on restart. Empty
-	// disables durability (a killed shard loses its slice of the fleet).
+	// Dir gives each shard a WAL under Dir/shard-<i>: a SIGKILLed shard
+	// recovers its accepted messages from it on restart, and a drain
+	// recovers a shard it cannot dump from it offline. Required.
 	Dir string
 	// Fsync ("always", "interval", "never") and SnapshotEvery are passed
-	// through to each shard's -fsync / -snapshot-every flags when Dir is
-	// set; zero values keep the daemon defaults.
+	// through to each shard's -fsync / -snapshot-every flags; zero values
+	// keep the daemon defaults.
 	Fsync         string
 	SnapshotEvery int
 	// Listen is the router's bind address (default 127.0.0.1:0).
 	Listen string
-	// HoldShard, when >= 0, holds that shard down at Drain time — its dump
-	// is skipped and the merged diagnosis is degraded instead of failed.
-	// The operator-facing stand-in for "one shard is dead and will not
-	// come back before the report is due".
+	// HoldShard, when >= 0, holds that shard down at Drain time, so the
+	// drain recovers it offline from its WAL: the operator-facing drill
+	// for "one shard is dead and will not come back before the report is
+	// due".
 	HoldShard int
 	// OnShard, when set, observes every shard (re)announce: index, listen
 	// address, pid. Called from the supervisor goroutine.
@@ -51,32 +53,19 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// readyTimeout bounds each shard's first announce, and at drain time how
-// long a restarting shard is waited for before its dump is given up on.
+// readyTimeout bounds each shard's first announce.
 const readyTimeout = 30 * time.Second
 
-// Merged is a fleet drain's result: the canonical merged bundle plus the
-// coverage bookkeeping a degraded gather needs to be honest about.
+// Merged is a fleet drain's result: every shard's state merged, and its
+// diagnosis.
 type Merged struct {
 	// Bundle is the merged telemetry in canonical order.
 	Bundle *wire.Bundle
 	// Stats describes the merge.
 	Stats wire.MergeStats
-	// Missing lists the shard indices whose dumps were unavailable.
-	Missing []int
-	// MissedRecords/MissedReports/MissedCFs count what the router saw the
-	// missing shards acknowledge — the lower bound on what the merge lost.
-	MissedRecords int
-	MissedReports int
-	MissedCFs     int
-	// Diagnosis is the analysis of Bundle; when shards are missing it is
-	// computed degraded, with Coverage and Confidence discounted by the
-	// missed counts.
+	// Diagnosis is the analysis of Bundle.
 	Diagnosis *diagnose.Diagnosis
 }
-
-// Degraded reports whether the gather was incomplete.
-func (m *Merged) Degraded() bool { return len(m.Missing) > 0 }
 
 // Fleet is a running sharded analyzer: router + supervised shard
 // processes, as many as Config.Shards, fixed once Start returns. The
@@ -98,6 +87,9 @@ func Start(cfg Config) (*Fleet, error) {
 	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("fleet: Shards = %d, want >= 1", cfg.Shards)
+	}
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("fleet: Dir is required")
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
@@ -131,25 +123,26 @@ func Start(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
+// shardDir is shard i's WAL directory under dir.
+func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d", i)) }
+
 // shardArgs builds shard i's command line.
 func shardArgs(cfg *Config, i int) ([]string, error) {
+	dir := shardDir(cfg.Dir, i)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("fleet: shard %d wal dir: %w", i, err)
+	}
 	args := []string{
 		"-listen", "127.0.0.1:0",
 		"-shard-index", strconv.Itoa(i),
 		"-shard-count", strconv.Itoa(cfg.Shards),
+		"-wal-dir", dir,
 	}
-	if cfg.Dir != "" {
-		dir := filepath.Join(cfg.Dir, fmt.Sprintf("shard-%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("fleet: shard %d wal dir: %w", i, err)
-		}
-		args = append(args, "-wal-dir", dir)
-		if cfg.Fsync != "" {
-			args = append(args, "-fsync", cfg.Fsync)
-		}
-		if cfg.SnapshotEvery > 0 {
-			args = append(args, "-snapshot-every", strconv.Itoa(cfg.SnapshotEvery))
-		}
+	if cfg.Fsync != "" {
+		args = append(args, "-fsync", cfg.Fsync)
+	}
+	if cfg.SnapshotEvery > 0 {
+		args = append(args, "-snapshot-every", strconv.Itoa(cfg.SnapshotEvery))
 	}
 	return args, nil
 }
@@ -222,78 +215,57 @@ func (f *Fleet) KillShard(i int) error {
 	return nil
 }
 
-// Drain finishes the fleet run: stop accepting clients, gather every
-// shard's dump, signal each child to exit once its dump is in, merge and
-// diagnose while they write their final snapshots, and reap them. A shard
-// that cannot be dumped (held down, or dead past its crash-loop budget)
-// degrades the result instead of failing it: the router's acked tallies
-// for that shard become the missed-input counts that discount Coverage
-// and Confidence.
+// Drain finishes the fleet run: stop accepting clients, dump every shard
+// once, signal each child to exit once its dump is in, merge and diagnose
+// while they write their final snapshots, and reap them. A shard that
+// cannot be dumped (held down, mid-restart, dead past its crash-loop
+// budget, or too slow to answer) is reaped first and its state rebuilt
+// offline from its WAL directory by the rule its own restart would apply:
+// a shard acks a message only after the WAL holds it, so the merge is
+// exact either way. A shard whose directory cannot be recovered (an I/O
+// error, a corrupt snapshot) fails the drain.
 func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
-	if p := f.proc(f.cfg.HoldShard); f.cfg.HoldShard >= 0 && p != nil {
-		// Hold the shard down before gathering: the degraded-drain drill.
+	if p := f.proc(f.cfg.HoldShard); p != nil {
+		// Hold the shard down before gathering: the offline-recovery drill.
 		p.Hold()
 	}
 	f.router.Stop() // no new ingest, every forwarded line answered
+	defer f.Close()
 
-	shards := f.cfg.Shards
-	tallies := f.router.Tallies()
-	merged := &Merged{}
-	// Gather every shard's dump at once, each on a fresh connection — most of
-	// a drain is moving shard state as JSON — and assemble in shard-index
-	// order, so the merge input and the degraded accounting do not depend
-	// on which dump finished first. A dump rides out a supervised restart
-	// (a shard killed just before the drain is down for the few
-	// milliseconds its supervisor needs to relaunch it, and one failed
-	// dial must not cost the merge that shard's whole slice); the
-	// deliberately held shard gets one try — its absence is the
-	// degraded-drain drill's entire point. A shard whose dump is in exits
-	// while the other dumps, the merge and the analysis go on.
-	dumps := make([]*wire.ShardState, shards)
-	errs := make([]error, shards)
-	//lint:ignore nosystime bounding a real shard's supervised restart
-	deadline := time.Now().Add(readyTimeout)
+	// Gather every shard at once, each dump on a fresh connection — most
+	// of a drain is moving shard state as JSON — and merge in shard-index
+	// order, so the merge input does not depend on which shard finished
+	// first. A shard whose dump is in exits while the other dumps, the
+	// merge and the analysis go on.
+	states := make([]*wire.ShardState, f.cfg.Shards)
+	errs := make([]error, f.cfg.Shards)
 	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
+	for i, p := range f.procs {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if i == f.cfg.HoldShard {
-				dumps[i], errs[i] = f.router.DumpShard(i)
-			} else {
-				dumps[i], errs[i] = f.router.dumpRetry(i, deadline)
+			states[i], errs[i] = f.router.DumpShard(i)
+			p.Terminate(syscall.SIGTERM)
+			if errs[i] == nil {
+				return
 			}
-			f.procs[i].Terminate(syscall.SIGTERM)
-		}(i)
+			f.cfg.Log.Warn("shard dump unavailable; recovering it from its WAL", "shard", i, "err", errs[i])
+			p.Wait() // the directory is the shard's until its last incarnation exits
+			dir := shardDir(f.cfg.Dir, i)
+			state, _, err := analyzerd.RecoverShard(dir, analyzerd.ShardConfig{Map: wire.ShardMap{Shards: f.cfg.Shards}, Index: i})
+			if err != nil {
+				errs[i] = fmt.Errorf("fleet: shard %d could not be dumped (%v) or recovered from %s: %w", i, errs[i], dir, err)
+				return
+			}
+			states[i], errs[i] = state, nil
+		}()
 	}
 	wg.Wait()
-	states := make([]*wire.ShardState, 0, shards)
-	for i, state := range dumps {
-		if errs[i] != nil {
-			f.cfg.Log.Warn("shard dump unavailable; degrading", "shard", i, "err", errs[i])
-			merged.Missing = append(merged.Missing, i)
-			merged.MissedRecords += tallies[i].Records
-			merged.MissedReports += tallies[i].Reports
-			merged.MissedCFs += tallies[i].CFs
-			continue
-		}
-		states = append(states, state)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	defer f.Close()
-	if len(states) == 0 {
-		return nil, fmt.Errorf("fleet: no shard could be dumped; nothing to diagnose")
-	}
-
 	bundle, stats := wire.MergeShardStates(states)
-	merged.Bundle = bundle
-	merged.Stats = stats
-	if merged.Degraded() {
-		merged.Diagnosis = bundle.AnalyzeDegraded(scope,
-			merged.MissedRecords, merged.MissedReports)
-	} else {
-		merged.Diagnosis = bundle.AnalyzeObs(scope)
-	}
-	return merged, nil
+	return &Merged{Bundle: bundle, Stats: stats, Diagnosis: bundle.AnalyzeObs(scope)}, nil
 }
 
 // Close terminates every shard child and the router. Safe to call more

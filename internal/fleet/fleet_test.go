@@ -219,17 +219,27 @@ func TestFleetKillAnyShardByteIdentity(t *testing.T) {
 	})
 }
 
-// TestFleetDegradedGather: a shard that dies and stays down must degrade
-// the merged diagnosis (counted missing inputs, confidence < 1), not fail
-// the drain. This is the in-process half of the Fleet.Drain contract,
-// exercised at the router layer it is built on.
-func TestFleetDegradedGather(t *testing.T) {
+// TestFleetGatherRecoversAbortedShard is the in-process half of the
+// Fleet.Drain contract, at the router layer it is built on: a shard that
+// dies and stays down is rebuilt offline from its snapshot and WAL tail,
+// and the merge is byte-identical to the one its live dump gave — its
+// shard state included.
+func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 	const shards = 3
 	m := wire.ShardMap{Shards: shards}
 	srvs := make([]*analyzerd.Server, shards)
+	dirs := make([]string, shards)
 	for i := range srvs {
-		srvs[i] = startTestShard(t, m, i, "")
-		defer srvs[i].Close()
+		dirs[i] = t.TempDir()
+		// Snapshots every 4 leave the dead shard's 15 messages a WAL tail.
+		cfg := testShardConfig(m, i, dirs[i])
+		cfg.Durability.SnapshotEvery = 4
+		srv, err := analyzerd.ServeWith("127.0.0.1:0", cfg)
+		if err != nil {
+			t.Fatalf("ServeWith: %v", err)
+		}
+		srvs[i] = srv
+		defer srv.Close()
 	}
 	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
@@ -240,10 +250,6 @@ func TestFleetDegradedGather(t *testing.T) {
 		router.SetShardAddr(i, srv.Addr())
 	}
 
-	ring, err := wire.NewHashRing(m)
-	if err != nil {
-		t.Fatalf("NewHashRing: %v", err)
-	}
 	clients := map[string]*analyzerd.ReliableClient{}
 	for _, sub := range fleetStream() {
 		rc, ok := clients[sub.host]
@@ -266,40 +272,50 @@ func TestFleetDegradedGather(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	}
+	states := make([]*wire.ShardState, shards)
+	for i := range states {
+		if states[i], err = router.DumpShard(i); err != nil {
+			t.Fatalf("DumpShard(%d): %v", i, err)
+		}
+	}
+	merge := func(states []*wire.ShardState) (bundle, diag []byte) {
+		b, _ := wire.MergeShardStates(states)
+		var bb bytes.Buffer
+		if err := b.Write(&bb); err != nil {
+			t.Fatalf("bundle write: %v", err)
+		}
+		dj, err := json.Marshal(wire.FromDiagnosis(b.Analyze()))
+		if err != nil {
+			t.Fatalf("diagnosis marshal: %v", err)
+		}
+		return bb.Bytes(), dj
+	}
+	wantBundle, wantDiag := merge(states)
 
 	// Kill the shard owning h00 and leave it down.
+	ring, err := wire.NewHashRing(m)
+	if err != nil {
+		t.Fatalf("NewHashRing: %v", err)
+	}
 	dead := ring.Owner("h00")
 	srvs[dead].Abort()
-
-	tallies := router.Tallies()
-	if tallies[dead].Total() == 0 {
-		t.Fatalf("router never tallied anything for shard %d, which owns h00", dead)
+	if _, err := router.DumpShard(dead); err == nil {
+		t.Fatalf("DumpShard(%d) succeeded on a dead shard", dead)
 	}
-	var states []*wire.ShardState
-	missedRecords, missedReports := 0, 0
-	for i := 0; i < shards; i++ {
-		state, err := router.DumpShard(i)
-		if err != nil {
-			if i != dead {
-				t.Fatalf("DumpShard(%d): %v", i, err)
-			}
-			missedRecords += tallies[i].Records
-			missedReports += tallies[i].Reports
-			continue
-		}
-		if i == dead {
-			t.Fatalf("DumpShard(%d) succeeded on a dead shard", i)
-		}
-		states = append(states, state)
+	got, st, err := analyzerd.RecoverShard(dirs[dead], analyzerd.ShardConfig{Map: m, Index: dead})
+	if err != nil {
+		t.Fatalf("RecoverShard(%d): %v", dead, err)
 	}
-	b, stats := wire.MergeShardStates(states)
-	if stats.Shards != shards-1 {
-		t.Errorf("merged %d shards, want %d", stats.Shards, shards-1)
+	if !st.SnapshotLoaded || st.WALEntries == 0 {
+		t.Errorf("shard %d recovered from snapshot %v plus %d WAL entries; want both halves checked", dead, st.SnapshotLoaded, st.WALEntries)
 	}
-	diag := b.AnalyzeDegraded(nil, missedRecords, missedReports)
-	if diag.Confidence >= 1 {
-		t.Errorf("Confidence = %v, want < 1 for a degraded gather missing %d records, %d reports",
-			diag.Confidence, missedRecords, missedReports)
+	if g, w := wire.AppendShardState(nil, got), wire.AppendShardState(nil, states[dead]); !bytes.Equal(g, w) {
+		t.Errorf("shard %d recovered offline:\n%s\nits last dump:\n%s", dead, g, w)
+	}
+	states[dead] = got
+	gotBundle, gotDiag := merge(states)
+	if !bytes.Equal(gotBundle, wantBundle) || !bytes.Equal(gotDiag, wantDiag) {
+		t.Errorf("merge with shard %d recovered offline differs from the live merge:\n%s\nvs\n%s", dead, gotDiag, wantDiag)
 	}
 }
 

@@ -179,7 +179,8 @@ func (p *Proc) Kill() {
 }
 
 // Hold SIGKILLs the current child and parks the supervisor until
-// Terminate: the "shard stays down" half of the degraded-fleet contract.
+// Terminate: the "shard stays down" drill, which a fleet drain answers by
+// recovering the shard offline from its WAL.
 func (p *Proc) Hold() {
 	p.mu.Lock()
 	defer p.mu.Unlock()

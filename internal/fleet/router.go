@@ -66,9 +66,9 @@ type RouterStats struct {
 }
 
 // ShardTally is the router's account of what one shard acknowledged, by
-// payload type, with resubmitted duplicates counted once. When a shard is
-// unreachable at drain time, its tally is exactly what the merged
-// diagnosis is missing — the degraded-coverage input.
+// payload type, with resubmitted duplicates counted once. No drain reads
+// it (a shard the drain cannot dump is recovered from its WAL); it feeds
+// only the benchmark's fleet.shard_skew.
 type ShardTally struct {
 	Records int
 	Reports int
@@ -463,8 +463,7 @@ func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
 // dumpLine runs one dump exchange with shard i on a connection dialed
 // for it and returns the single-line reply. The reply is a shard's whole
 // state, megabytes on one line, so it is read in large chunks into a
-// buffer that grows to fit it. A dump is idempotent; a caller riding out
-// a restart (dumpRetry) simply asks again.
+// buffer that grows to fit it.
 func (r *Router) dumpLine(i int) ([]byte, error) {
 	conn, err := r.dial(i)
 	if err != nil {
@@ -484,20 +483,4 @@ func (r *Router) dumpLine(i int) ([]byte, error) {
 		err = lr.fill(conn, math.MaxInt) // a dump is as long as the shard's state
 	}
 	return nil, err
-}
-
-// dumpRetry dumps one shard at drain time, riding out a supervised
-// restart until the deadline: transport failures are a restart in
-// progress, not a verdict.
-func (r *Router) dumpRetry(i int, deadline time.Time) (*wire.ShardState, error) {
-	for {
-		state, err := r.DumpShard(i)
-		//lint:ignore nosystime bounding a real restarting process
-		if err == nil || time.Now().After(deadline) {
-			return state, err
-		}
-		r.cfg.Log.Warn("shard dump retrying", "shard", i, "err", err)
-		//lint:ignore nosystime backoff between retries against a real restarting process
-		time.Sleep(50 * time.Millisecond)
-	}
 }

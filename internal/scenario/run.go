@@ -190,47 +190,36 @@ func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cf
 		}
 	}
 
-	// Instantiate the diagnosis system.
+	// Instantiate the diagnosis system; col is its one telemetry collector.
 	var (
 		sys     *monitor.System
-		hk      *baseline.Hawkeye
 		fp      *baseline.FullPolling
+		col     *telemetry.Collector
 		reports func() []*telemetry.Report
-		totals  func() telemetry.Overhead
 	)
 	switch system {
 	case Vedrfolnir:
 		sys = monitor.NewSystem(k, net, run, hosts, opts.Monitor)
-		reports = sys.Reports
-		totals = func() telemetry.Overhead { return sys.Col.Totals }
+		col, reports = sys.Col, sys.Reports
 	case HawkeyeMaxR, HawkeyeMinR:
 		mode := baseline.MaxR
 		if system == HawkeyeMinR {
 			mode = baseline.MinR
 		}
-		hk = baseline.NewHawkeye(k, net, schedules, mode, opts.Hawkeye)
+		hk := baseline.NewHawkeye(k, net, schedules, mode, opts.Hawkeye)
 		hk.Wire(hosts)
-		reports = func() []*telemetry.Report { return hk.Reports }
-		totals = func() telemetry.Overhead { return hk.Col.Totals }
+		col, reports = hk.Col, func() []*telemetry.Report { return hk.Reports }
 	case FullPolling:
 		fp = baseline.NewFullPolling(k, net, opts.FullPoll)
 		fp.Start()
-		reports = func() []*telemetry.Report { return fp.Reports }
-		totals = func() telemetry.Overhead { return fp.Col.Totals }
+		col, reports = fp.Col, func() []*telemetry.Report { return fp.Reports }
 	}
 
 	if opts.Obs.Enabled() {
 		instrumentRun(opts.Obs, run, sys, ranks)
 	}
-	if opts.Stages != nil {
-		switch {
-		case sys != nil:
-			sys.Col.SetStages(opts.Stages)
-		case hk != nil:
-			hk.Col.SetStages(opts.Stages)
-		case fp != nil:
-			fp.Col.SetStages(opts.Stages)
-		}
+	if opts.Stages != nil && col != nil {
+		col.SetStages(opts.Stages)
 	}
 
 	// Wire the fault-injection layer. Every hook is nil by default, so an
@@ -244,15 +233,6 @@ func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cf
 		}
 		ch = chaos.New(ccfg, cs.Seed)
 		net.Tap = ch.TapControl
-		var col *telemetry.Collector
-		switch {
-		case sys != nil:
-			col = sys.Col
-		case hk != nil:
-			col = hk.Col
-		case fp != nil:
-			col = fp.Col
-		}
 		if col != nil {
 			col.PortFault = ch.PortLost
 		}
@@ -357,7 +337,7 @@ func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cf
 		Stages:          opts.Stages,
 	})
 	if opts.Obs.Enabled() {
-		recordRunObs(opts.Obs, k, net, totals(), ch, doneAt, completed)
+		recordRunObs(opts.Obs, k, net, col.Totals, ch, doneAt, completed)
 	}
 
 	res := Result{
@@ -365,7 +345,7 @@ func runOn(ft *topo.FatTree, net *fabric.Network, cs Case, system SystemKind, cf
 		System:         system,
 		Detected:       diag.Culprits(),
 		RootPorts:      diag.RootPorts(),
-		Overhead:       totals(),
+		Overhead:       col.Totals,
 		ReportCount:    len(reports()),
 		CollectiveTime: simtime.Duration(doneAt),
 		Completed:      completed,

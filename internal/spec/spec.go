@@ -37,7 +37,7 @@ const (
 	// Fleet replays the run through `vedranalyzerd -cluster`: per-host
 	// reliable clients stream to a consistent-hash router over N supervised
 	// shard daemons, optionally SIGKILLing one shard mid-stream (recovered)
-	// or holding one down through the drain (degraded diagnosis).
+	// or holding one down through the drain (recovered from its WAL).
 	Fleet
 )
 
@@ -130,8 +130,9 @@ type FleetSpec struct {
 	// KillAfter is the fleet-wide acked-message count that triggers the
 	// kill (required with KillShard).
 	KillAfter int
-	// HoldShard, when not Unset, holds that shard down at drain time; the
-	// runner asserts a degraded (confidence < 1) diagnosis.
+	// HoldShard, when not Unset, holds that shard down at drain time, so
+	// the drain recovers it from its WAL; the runner asserts the same
+	// byte-identical diagnosis as for any other fleet spec.
 	HoldShard int
 	// SnapshotEvery is each shard's -snapshot-every (default 4); Fsync is
 	// the -fsync policy (default "always").

@@ -203,6 +203,18 @@ func (t *Topology) NextHops(at, dst NodeID) []int {
 	return row[dst]
 }
 
+// NextHop is the one ECMP choice: the egress port at node `at` toward
+// host dst for a flow whose path hash is hash, or -1 when `at` has no
+// route to dst. Path and the fabric's switches both call it, so a path
+// predicted from the topology is the path packets take.
+func (t *Topology) NextHop(at, dst NodeID, hash uint64) int {
+	ports := t.NextHops(at, dst)
+	if len(ports) == 0 {
+		return -1
+	}
+	return ports[hash%uint64(len(ports))]
+}
+
 // OverrideNextHops replaces the next-hop set at node `at` toward dst.
 // Used to inject routing anomalies (loops, load imbalance).
 func (t *Topology) OverrideNextHops(at, dst NodeID, ports []int) {
@@ -239,7 +251,7 @@ func (t *Topology) HopCount(src, dst NodeID) int {
 
 // Path returns one concrete shortest path from src host to dst host as the
 // sequence of egress PortIDs traversed, choosing among ECMP candidates with
-// the supplied hash. It mirrors exactly the choice the fabric's switches
+// the supplied hash. Each hop is NextHop, the choice the fabric's switches
 // make, so monitors can predict a flow's path from the topology alone.
 func (t *Topology) Path(src, dst NodeID, hash uint64) []PortID {
 	if src == dst {
@@ -248,11 +260,10 @@ func (t *Topology) Path(src, dst NodeID, hash uint64) []PortID {
 	var path []PortID
 	cur := src
 	for cur != dst {
-		ports := t.NextHops(cur, dst)
-		if len(ports) == 0 {
+		p := t.NextHop(cur, dst, hash)
+		if p < 0 {
 			return nil
 		}
-		p := ports[hash%uint64(len(ports))]
 		path = append(path, PortID{Node: cur, Port: p})
 		cur = t.Nodes[cur].Ports[p].Node
 		if len(path) > len(t.Nodes) {

@@ -35,7 +35,8 @@ import (
 // hosts across supervised shard daemons, and the reference is a local
 // canonical merge of the same sourced stream — across a mid-stream shard
 // SIGKILL (recovered by the supervisor), or with a shard held down through
-// the drain (asserted degraded instead). Both go through replayDaemon.
+// the drain (recovered offline from its WAL). Both go through
+// replayDaemon.
 //
 // This file necessarily touches the host clock (subprocess startup and
 // drain timeouts, bind-race retry pacing): it orchestrates real processes,
@@ -95,9 +96,7 @@ type replay struct {
 	kill              func(d *daemon) (*daemon, string, error)
 	// reference builds the local bundle whose diagnosis the drained one
 	// must equal byte-for-byte, from the sourced stream the daemon
-	// acknowledged; refWhat and refFrom name it in the parity check. nil
-	// (a shard held down through the drain) asserts a degraded diagnosis
-	// instead.
+	// acknowledged; refWhat and refFrom name it in the parity check.
 	reference        func([]wire.SourcedMessage) *wire.Bundle
 	refWhat, refFrom string
 }
@@ -158,7 +157,7 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 			return d, "", nil
 		},
 		// What the fleet must reconstruct no matter how it was sharded,
-		// killed, or recovered.
+		// killed, held, or recovered.
 		reference: func(sourced []wire.SourcedMessage) *wire.Bundle {
 			local, _ := wire.MergeShardStates([]*wire.ShardState{{
 				Format: wire.ShardStateFormat, Map: wire.ShardMap{Shards: fl.Shards}, Messages: sourced,
@@ -169,7 +168,6 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 	}
 	if fl.HoldShard != spec.Unset {
 		rp.args = append(rp.args, "-hold-shard", strconv.Itoa(fl.HoldShard))
-		rp.reference = nil
 	}
 	return r.replayDaemon(cs, res, rp)
 }
@@ -297,26 +295,6 @@ func (r *Runner) replayDaemon(cs scenario.Case, res scenario.Result, rp replay) 
 		}
 	}
 	gotJSON := strings.Join(jsonLines, "\n") + "\n"
-
-	if rp.reference == nil {
-		// Degraded drill: a full-coverage ingest check would be wrong (the
-		// held shard's slice is gone); assert the diagnosis is honest about
-		// it instead — present, parseable, and confidence < 1.
-		var diag struct {
-			Confidence *float64 `json:"confidence"`
-		}
-		if err := json.Unmarshal([]byte(gotJSON), &diag); err != nil {
-			return append(checks, fail("degraded", "degraded diagnosis JSON parseable", err)...)
-		}
-		got := "confidence absent (full confidence)"
-		if diag.Confidence != nil {
-			got = fmt.Sprintf("confidence %v", *diag.Confidence)
-			if *diag.Confidence > 0 && *diag.Confidence < 1 {
-				got = "confidence in (0, 1)"
-			}
-		}
-		return append(checks, check(rp.name+".degraded", "confidence in (0, 1)", got))
-	}
 
 	// Ingest totals must cover exactly what was submitted, crash or not.
 	local := rp.reference(sourced)

@@ -75,20 +75,6 @@ func (b *Bundle) Analyze() *diagnose.Diagnosis {
 // analyzer: phase instants land on the trace and diagnosis counters on the
 // registry. A nil scope behaves exactly like Analyze.
 func (b *Bundle) AnalyzeObs(scope *obs.Scope) *diagnose.Diagnosis {
-	return b.analyze(scope, 0, 0)
-}
-
-// AnalyzeDegraded is AnalyzeObs for a bundle known to be incomplete —
-// e.g. a fleet merge with a shard missing. missedRecords and
-// missedReports count messages that were acknowledged somewhere but are
-// absent from the bundle; they feed the diagnosis Coverage/Confidence
-// scores so the caller gets a scored partial diagnosis instead of an
-// error. Both zero behaves exactly like AnalyzeObs.
-func (b *Bundle) AnalyzeDegraded(scope *obs.Scope, missedRecords, missedReports int) *diagnose.Diagnosis {
-	return b.analyze(scope, missedRecords, missedReports)
-}
-
-func (b *Bundle) analyze(scope *obs.Scope, missedRecords, missedReports int) *diagnose.Diagnosis {
 	records := make([]collective.StepRecord, 0, len(b.Records))
 	for _, r := range b.Records {
 		records = append(records, r.Record())
@@ -101,16 +87,11 @@ func (b *Bundle) analyze(scope *obs.Scope, missedRecords, missedReports int) *di
 	for _, f := range b.CFs {
 		cfs[f.Key()] = true
 	}
-	in := diagnose.Input{
+	return diagnose.Analyze(diagnose.Input{
 		Records: records,
 		Reports: reports,
 		CFs:     cfs,
 		StepOf:  diagnose.StepOfRecords(records),
 		Obs:     scope,
-	}
-	if missedRecords > 0 {
-		in.RecordsExpected = len(records) + missedRecords
-	}
-	in.PollsLost = missedReports
-	return diagnose.Analyze(in)
+	})
 }

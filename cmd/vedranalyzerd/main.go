@@ -10,24 +10,24 @@
 // Usage:
 //
 //	vedranalyzerd [-listen 127.0.0.1:7391] [-after 30s] [-json]
-//	              [-read-timeout 2m] [-max-line 16777216]
 //	              [-wal-dir DIR] [-fsync always|interval|off]
-//	              [-snapshot-every N] [-queue N]
+//	              [-snapshot-every N] [-obs-listen ADDR] [-v]
 //	vedranalyzerd -cluster N -wal-dir DIR [-hold-shard I] [...]
 //
-// The service is hardened against misbehaving agents: -read-timeout drops
-// a connection that stops delivering bytes, -max-line caps one protocol
-// line, malformed lines are skipped with a counter, and every submission
-// must name its client and carry a sequence number, which is acknowledged
-// for exactly-once resubmission (see internal/analyzerd). Abuse counters
-// print alongside the ingest totals.
+// The service is hardened against misbehaving agents: a connection that
+// delivers no byte for 2 minutes is dropped, one protocol line is capped
+// at 16 MiB, malformed lines are skipped with a counter, and every
+// submission must name its client and carry a sequence number, which is
+// acknowledged for exactly-once resubmission (see internal/analyzerd).
+// Abuse counters print alongside the ingest totals.
 //
 // With -wal-dir every accepted message is write-ahead-logged before it is
-// acknowledged and the daemon snapshots its state there; a restarted
-// daemon recovers a byte-identical diagnosis from the snapshot plus the
-// log tail. -queue bounds the ingest queue; a full queue answers with an
-// explicit retryable NACK that the reliable client backs off on. The obs
-// listener additionally serves /healthz and /readyz probes.
+// acknowledged and the daemon snapshots its state there (-fsync interval
+// syncs at most every 100 ms); a restarted daemon recovers a
+// byte-identical diagnosis from the snapshot plus the log tail. The ingest
+// queue holds 1024 messages; a full queue answers with an explicit
+// retryable NACK that the reliable client backs off on. The obs listener
+// additionally serves /healthz and /readyz probes.
 //
 // For unattended operation, -cluster 1 -wal-dir DIR runs the daemon as one
 // supervised shard: a crash restarts it onto DIR/shard-0, at once the
@@ -67,21 +67,10 @@ func run() int {
 	listen := flag.String("listen", "127.0.0.1:7391", "TCP listen address")
 	after := flag.Duration("after", 0, "diagnose and exit after this duration (0 = wait for SIGINT)")
 	asJSON := flag.Bool("json", false, "emit the diagnosis as JSON")
-	scfg := analyzerd.DefaultServerConfig()
-	flag.DurationVar(&scfg.ReadTimeout, "read-timeout", scfg.ReadTimeout,
-		"drop a connection idle for this long (0 = never)")
-	flag.IntVar(&scfg.MaxLineBytes, "max-line", scfg.MaxLineBytes,
-		"maximum protocol line size in bytes")
-	flag.IntVar(&scfg.MaxQueue, "queue", scfg.MaxQueue,
-		"ingest queue bound; a full queue NACKs with retry")
-	flag.DurationVar(&scfg.AckTTL, "ack-ttl", 0,
-		"evict a disconnected client's ack window after this idle time (0 = default 15m, <0 = never)")
 	walDir := flag.String("wal-dir", "",
 		"write-ahead log + snapshot directory (required with -cluster); empty disables durability")
 	fsyncMode := flag.String("fsync", "always",
 		"WAL fsync policy with -wal-dir: always|interval|off")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond,
-		"sync pacing for -fsync interval")
 	snapshotEvery := flag.Int("snapshot-every", 0,
 		"snapshot state every N accepted messages with -wal-dir (0 = only on drain)")
 	obsListen := flag.String("obs-listen", "",
@@ -121,6 +110,7 @@ func run() int {
 			verbose:       *verbose,
 		})
 	}
+	scfg := analyzerd.DefaultServerConfig()
 	if *verbose {
 		scfg.Log = obs.NewLogger(os.Stderr, slog.LevelDebug, nil)
 	}
@@ -139,7 +129,6 @@ func run() int {
 		scfg.Durability = &analyzerd.DurabilityConfig{
 			Dir:           *walDir,
 			Fsync:         policy,
-			FsyncInterval: *fsyncInterval,
 			SnapshotEvery: *snapshotEvery,
 		}
 	}

@@ -264,11 +264,12 @@ func slicesEqual(a, b []string) bool {
 
 // TestRemovedFlagsRefused: the fleet is sized once, by -cluster, so the
 // live-rebalance, tenant-quota, shard-epoch and vnode-count flags are
-// gone, as is the per-client rate limiter's -rate/-burst and the
-// supervise subcommand (-cluster 1 supervises a lone daemon), and a
-// command line that still carries one fails with exit 2 instead of
-// running a daemon that ignores it. So does the memory-only fleet:
-// -cluster without -wal-dir.
+// gone, as is the per-client rate limiter's -rate/-burst, the supervise
+// subcommand (-cluster 1 supervises a lone daemon) and the five tuning
+// flags that -cluster never passed to its shards, and a command line
+// that still carries one fails with exit 2 instead of running a daemon
+// that ignores it. So does the memory-only fleet: -cluster without
+// -wal-dir.
 func TestRemovedFlagsRefused(t *testing.T) {
 	daemon := func(flags ...string) []string {
 		return append([]string{"-listen", "127.0.0.1:0", "-after", "1ms"}, flags...)
@@ -286,6 +287,11 @@ func TestRemovedFlagsRefused(t *testing.T) {
 		{daemon("-cluster", "2", "-shard-replicas", "16"), "flag provided but not defined: -shard-replicas"},
 		{daemon("-rate", "100"), "flag provided but not defined: -rate"},
 		{daemon("-burst", "8"), "flag provided but not defined: -burst"},
+		{daemon("-read-timeout", "2m"), "flag provided but not defined: -read-timeout"},
+		{daemon("-max-line", "16777216"), "flag provided but not defined: -max-line"},
+		{daemon("-cluster", "2", "-wal-dir", "unused", "-queue", "8"), "flag provided but not defined: -queue"},
+		{daemon("-ack-ttl", "1m"), "flag provided but not defined: -ack-ttl"},
+		{daemon("-fsync", "interval", "-fsync-interval", "10ms"), "flag provided but not defined: -fsync-interval"},
 		{[]string{"supervise", "--", "-listen", "127.0.0.1:0"}, `unexpected argument "supervise"`},
 		{daemon("-cluster", "2"), "-cluster needs -wal-dir"},
 	} {

@@ -884,8 +884,8 @@ func (s *Server) bodyLocked() ([]wire.SourcedMessage, []wire.ClientAck) {
 			acked = append(acked, wire.ClientAck{Client: id, Seq: st.acked})
 		}
 	}
-	// sort.Slice rather than wire.SortClientAcks: the mapiterorder lint
-	// only credits a sort.*/slices.* call with fixing the order above.
+	// The mapiterorder lint credits this sort.Slice with fixing the map
+	// order above.
 	sort.Slice(acked, func(i, j int) bool { return acked[i].Client < acked[j].Client })
 	return s.sourced[:len(s.sourced):len(s.sourced)], acked
 }

@@ -274,6 +274,21 @@ func TestWALFsyncIntervalPacing(t *testing.T) {
 	}
 }
 
+// TestWALFsyncIntervalDefault: a zero interval, the only one the daemon
+// passes, paces syncs at 100 ms.
+func TestWALFsyncIntervalDefault(t *testing.T) {
+	w, err := openWAL(t.TempDir(), 1, FsyncInterval, 0, fixedNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.interval != 100*time.Millisecond {
+		t.Errorf("interval = %v, want 100ms", w.interval)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWALSyncFailureWedges: after a failed flush/fsync the log must stop
 // accepting appends entirely (Linux fsync error semantics: the failed
 // bytes may be gone from the page cache, leaving a torn frame that would

@@ -46,12 +46,12 @@ func (w *WALFaults) FlipBit(size int64) (offset int64, bit uint) {
 	return w.rng.Int63n(size), uint(w.rng.Intn(8))
 }
 
-// ShardKill schedules the SIGKILL of one fleet shard: after the router
-// has seen AfterAcked acknowledged messages in total, shard Shard dies
-// (and its supervisor restarts it).
+// ShardKill schedules the SIGKILL of one fleet shard: once AfterAcked
+// lines have been answered in total, shard Shard dies (and its
+// supervisor restarts it).
 type ShardKill struct {
-	// AfterAcked is the cumulative fleet-wide acked-message count that
-	// triggers the kill.
+	// AfterAcked is the cumulative fleet-wide count of answered lines
+	// that triggers the kill.
 	AfterAcked int
 	// Shard is the shard index to SIGKILL.
 	Shard int
@@ -82,8 +82,8 @@ func (w *WALFaults) ShardKills(shards, msgs int) []ShardKill {
 // one batch after the other: every shard that is sent a batch of at least
 // two messages dies exactly once, strictly inside one of its batches (a
 // seeded choice of batch and offset), so the kill finds the head of the
-// batch acknowledged and the rest still in flight on the shard's link.
-// AfterAcked counts acknowledgements across the whole run; the plan comes
+// batch answered and the rest still in flight on the shard's link.
+// AfterAcked counts answered lines across the whole run; the plan comes
 // back sorted by it.
 func (w *WALFaults) BatchShardKills(sizes, owners []int) []ShardKill {
 	type span struct{ start, size int }

@@ -361,10 +361,3 @@ func (s *Switch) busiestEgressFor(ingress int) int {
 	}
 	return best
 }
-
-// UpstreamPaused reports whether this switch currently holds the upstream
-// of ingress port i paused.
-func (s *Switch) UpstreamPaused(i int) bool { return s.pausedUpstream[i] }
-
-// IngressBytes returns the bytes currently attributed to ingress port i.
-func (s *Switch) IngressBytes(i int) int64 { return s.ingressBytes[i] }

@@ -621,9 +621,10 @@ func pipelinedStream() (hosts []string, batches map[string][]func(rc *analyzerd.
 
 // pipelinedRun flushes pipelinedStream host by host, one batch per Flush,
 // through a router over live in-process shards. A kill fires from the
-// router's OnAcked hook the moment the fleet-wide acked count reaches it —
-// on the shard connection's reader, before that ack is even relayed — so
-// the rest of the batch is still in flight to the dying shard.
+// router's testAnswered hook the moment the fleet-wide answered count
+// reaches it — on the shard connection's reader, after the lines are
+// counted and before they are relayed — so the rest of the batch is still
+// in flight to the dying shard.
 func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag []byte) {
 	t.Helper()
 	m := wire.ShardMap{Shards: shards}
@@ -637,7 +638,7 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 	var kmu sync.Mutex
 	ki := 0
 	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m,
-		OnAcked: func(total int64) {
+		testAnswered: func(total int64) {
 			kmu.Lock()
 			defer kmu.Unlock()
 			for ki < len(kills) && int64(kills[ki].AfterAcked) <= total {

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"vedrfolnir/internal/wire"
 )
 
 // handler is one client connection's relay loop. Gated lines collect in
@@ -78,7 +76,7 @@ func (h *handler) end(shard int, err error) {
 	if !h.ended.CompareAndSwap(false, true) {
 		return
 	}
-	h.r.count(func(s *RouterStats) { s.ShardDown++ })
+	h.r.shardDown.Add(1)
 	h.r.cfg.Log.Warn("shard unreachable; ending its client connection", "shard", shard, "err", err)
 	_ = h.conn.Close() // the handler's read fails and the loop ends
 }
@@ -153,9 +151,9 @@ func (s *shardConn) send() {
 	}
 }
 
-// read is the shard connection's reader goroutine: it relays each pass's
-// complete reply lines to the client connection in one write, tallying
-// the acks first, until the connection ends.
+// read is the shard connection's reader goroutine: it counts each pass's
+// complete reply lines and relays them to the client connection in one
+// write, until the connection ends. It never decodes a reply.
 func (s *shardConn) read() {
 	r := s.h.r
 	defer r.readers.Done()
@@ -163,20 +161,21 @@ func (s *shardConn) read() {
 	stalled := false
 	for {
 		start, n := lr.r, int64(0)
-		for line := lr.next(); line != nil; line = lr.next() {
-			rep, err := wire.DecodeShardReply(line)
-			if err != nil {
-				r.cfg.Log.Warn("undecodable shard reply", "shard", s.shard, "err", err,
-					"reply", string(bytes.TrimSpace(line)))
-			} else if rep.Ack > 0 {
-				r.noteAck(rep.Client, rep.Ack)
-			}
+		for lr.next() != nil {
 			n++
 		}
 		if n > 0 {
-			r.count(func(st *RouterStats) { st.Forwarded += n })
-			r.forwarded[s.shard].Add(n)
-			r.write(s.h.conn, lr.buf[start:lr.r])
+			r.answered[s.shard].Add(n)
+			if r.cfg.testAnswered != nil {
+				r.cfg.testAnswered(r.Stats().Forwarded)
+			}
+			// A pass the client connection could not take still counts
+			// (Stop closed it for a drain) unless a shard failure had
+			// ended that connection: the client resubmits those lines,
+			// and their second answer is the one relayed and counted.
+			if !r.write(s.h.conn, lr.buf[start:lr.r]) && s.h.ended.Load() {
+				r.answered[s.shard].Add(-n)
+			}
 			r.inflight.Add(-n)
 			s.mu.Lock()
 			s.owed -= n

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,15 +21,17 @@ type RouterConfig struct {
 	// ShardConfig of every shard daemon. Required, and fixed for the
 	// router's lifetime.
 	Map wire.ShardMap
-	// OnAcked, when set, observes the cumulative count of acknowledged
-	// submissions after each ack is folded in. Called without router
-	// locks held; keep it fast or hand off to a goroutine.
-	OnAcked func(total int64)
 	// Log receives routing warnings; nil discards. Metrics, when set,
-	// publishes the router counters (including a per-shard counter of
-	// forwarded messages).
+	// publishes the router counters (including each shard's count of
+	// relayed reply lines).
 	Log     *slog.Logger
 	Metrics *obs.Registry
+
+	// testAnswered, when set (in-package tests only), is called on a
+	// shard connection's reader with the fleet-wide answered count once a
+	// pass's lines are counted and before they are relayed, so a test can
+	// kill a shard with the rest of a batch still in flight to it.
+	testAnswered func(total int64)
 }
 
 const (
@@ -46,8 +47,10 @@ const (
 
 // RouterStats counts the router's work. Cheap snapshot via Stats().
 type RouterStats struct {
-	// Forwarded counts shard replies relayed to clients, one per message
-	// a shard answered (resubmitted duplicates included).
+	// Forwarded counts shard replies relayed to clients, one per line a
+	// shard answered (resubmitted duplicates included), and is the sum of
+	// Tallies. Replies that reach a client connection already ended by a
+	// shard failure are not counted: the client resubmits those lines.
 	Forwarded int64
 	// Rejected counts lines the router refused outright: any line
 	// analyzerd.ParseMessage refuses (malformed, unnamed, unsequenced),
@@ -59,39 +62,22 @@ type RouterStats struct {
 	ShardDown int64
 	// TenantLimited and Quiesced are always 0: the per-tenant quota gate
 	// and the rebalance fence that counted here are gone. The fields stay
-	// only because the frozen benchmark/ reads both; ROADMAP item 8 drops
+	// only because the frozen benchmark/ reads both; ROADMAP item 10 drops
 	// them with its other shims.
 	TenantLimited int64
 	Quiesced      int64
 }
 
-// ShardTally is the router's account of what one shard acknowledged, by
-// payload type, with resubmitted duplicates counted once. No drain reads
-// it (a shard the drain cannot dump is recovered from its WAL); it feeds
-// only the benchmark's fleet.shard_skew.
+// ShardTally is the router's account of one shard: the reply lines it
+// relayed from that shard, by the rule Forwarded counts by. No drain
+// reads it (a shard the drain cannot dump is recovered from its WAL); it
+// feeds only the benchmark's fleet.shard_skew.
 type ShardTally struct {
-	Records int
-	Reports int
-	CFs     int
+	Answered int
 }
 
-// Total sums the tally.
-func (t ShardTally) Total() int { return t.Records + t.Reports + t.CFs }
-
-// seqType is one forwarded-but-unacked message identity.
-type seqType struct {
-	seq int64
-	typ string
-}
-
-// clientTally deduplicates ack accounting per client: pending holds
-// forwarded seqs (ascending) awaiting their cumulative ack, counted is
-// the highwater already folded into tally.
-type clientTally struct {
-	counted int64
-	pending []seqType
-	tally   ShardTally
-}
+// Total returns the tally's count.
+func (t ShardTally) Total() int { return t.Answered }
 
 // Router is the fleet's thin ingest tier: it speaks the same seq/ack wire
 // protocol as a shard daemon and consistent-hashes each named client onto
@@ -116,10 +102,14 @@ type Router struct {
 	// readers tracks the shard connections' reader goroutines; Close
 	// waits for them.
 	readers sync.WaitGroup
-	// batchLines is the lines-per-shard-write histogram, forwarded the
-	// per-shard reply counters (nil no-ops without a registry).
+	// batchLines is the lines-per-shard-write histogram (nil no-ops
+	// without a registry).
 	batchLines *obs.Histogram
-	forwarded  []*obs.Counter
+	// answered counts, per shard, the reply lines relayed from it: the
+	// one count behind Stats().Forwarded, Tallies and /metrics.
+	answered  []atomic.Int64
+	rejected  atomic.Int64
+	shardDown atomic.Int64
 
 	mu      sync.Mutex
 	addrs   []string            // guarded by mu
@@ -127,11 +117,6 @@ type Router struct {
 	links   map[*shardConn]bool // guarded by mu
 	stopped bool                // guarded by mu
 	wg      sync.WaitGroup
-
-	tmu     sync.Mutex
-	tallies map[string]*clientTally // guarded by tmu
-	stats   RouterStats             // guarded by tmu
-	acked   int64                   // guarded by tmu: cumulative acked submissions (OnAcked feed)
 }
 
 // StartRouter binds the router and begins accepting clients.
@@ -148,14 +133,13 @@ func StartRouter(addr string, cfg RouterConfig) (*Router, error) {
 		return nil, fmt.Errorf("fleet: router: %w", err)
 	}
 	r := &Router{
-		cfg:       cfg,
-		ring:      ring,
-		ln:        ln,
-		forwarded: make([]*obs.Counter, cfg.Map.Shards),
-		addrs:     make([]string, cfg.Map.Shards),
-		conns:     map[net.Conn]bool{},
-		links:     map[*shardConn]bool{},
-		tallies:   map[string]*clientTally{},
+		cfg:      cfg,
+		ring:     ring,
+		ln:       ln,
+		answered: make([]atomic.Int64, cfg.Map.Shards),
+		addrs:    make([]string, cfg.Map.Shards),
+		conns:    map[net.Conn]bool{},
+		links:    map[*shardConn]bool{},
 	}
 	r.publishStats()
 	r.wg.Add(1)
@@ -178,9 +162,9 @@ func (r *Router) publishStats() {
 		func() int64 { return r.inflight.Load() })
 	r.batchLines = reg.Histogram("vedr_router_batch_lines", "client lines per shard write",
 		[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-	for i := range r.forwarded {
-		r.forwarded[i] = reg.Counter(fmt.Sprintf("vedr_router_shard_forwarded_%d", i),
-			"messages relayed to this shard")
+	for i := range r.answered {
+		reg.GaugeFunc(fmt.Sprintf("vedr_router_shard_forwarded_%d", i), "reply lines relayed from this shard",
+			func() int64 { return r.answered[i].Load() })
 	}
 }
 
@@ -213,22 +197,18 @@ func (r *Router) dial(i int) (net.Conn, error) {
 
 // Stats snapshots the router counters.
 func (r *Router) Stats() RouterStats {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
-	return r.stats
+	st := RouterStats{Rejected: r.rejected.Load(), ShardDown: r.shardDown.Load()}
+	for i := range r.answered {
+		st.Forwarded += r.answered[i].Load()
+	}
+	return st
 }
 
-// Tallies snapshots the per-shard acked accounting: each client's
-// acknowledged payloads are attributed to the shard that owns it.
+// Tallies snapshots each shard's count of relayed reply lines.
 func (r *Router) Tallies() []ShardTally {
-	out := make([]ShardTally, r.cfg.Map.Shards)
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
-	for client, ct := range r.tallies {
-		s := r.ring.Owner(client)
-		out[s].Records += ct.tally.Records
-		out[s].Reports += ct.tally.Reports
-		out[s].CFs += ct.tally.CFs
+	out := make([]ShardTally, len(r.answered))
+	for i := range r.answered {
+		out[i].Answered = int(r.answered[i].Load())
 	}
 	return out
 }
@@ -303,16 +283,11 @@ func (r *Router) forget(conn net.Conn) {
 	_ = conn.Close() // either side may already have closed it
 }
 
-func (r *Router) count(f func(*RouterStats)) {
-	r.tmu.Lock()
-	f(&r.stats)
-	r.tmu.Unlock()
-}
-
-// write sends reply lines to a client connection under a write deadline;
-// a peer that cannot take them (gone, or not reading) is cut off rather
-// than left to stall the shard connection's reader.
-func (r *Router) write(conn net.Conn, b []byte) {
+// write sends reply lines to a client connection under a write deadline
+// and reports whether they went out; a peer that cannot take them (gone,
+// or not reading) is cut off rather than left to stall the shard
+// connection's reader.
+func (r *Router) write(conn net.Conn, b []byte) bool {
 	//lint:ignore nosystime write deadline on a real TCP client connection
 	err := conn.SetWriteDeadline(time.Now().Add(replyTimeout))
 	if err == nil {
@@ -322,11 +297,12 @@ func (r *Router) write(conn net.Conn, b []byte) {
 		r.cfg.Log.Debug("router reply failed", "err", err)
 		_ = conn.Close() // the write error is already reported above
 	}
+	return err == nil
 }
 
 // reject answers a line the router refuses outright.
 func (r *Router) reject(conn net.Conn, reason string) {
-	r.count(func(s *RouterStats) { s.Rejected++ })
+	r.rejected.Add(1)
 	r.write(conn, analyzerd.NakLine(0, "", reason, false))
 }
 
@@ -347,7 +323,7 @@ func (r *Router) handle(conn net.Conn) {
 		// ParseMessage, not a header scan: it is the whole ingest
 		// contract, so the router refuses exactly the lines a shard
 		// would, with the same {"error":…}, and never forwards a line
-		// without the (client, seq) its ack is tallied by.
+		// without the client it is placed by.
 		msg, err := analyzerd.ParseMessage(line)
 		if err != nil {
 			r.reject(conn, err.Error())
@@ -360,75 +336,7 @@ func (r *Router) handle(conn net.Conn) {
 			continue
 		}
 		r.inflight.Add(1)
-		r.noteForward(msg.Client, msg.Seq, msg.Type)
 		h.add(r.ring.Owner(msg.Client), line)
-	}
-}
-
-// tallyLocked returns client's tally, creating it on first sight.
-// Callers hold r.tmu.
-func (r *Router) tallyLocked(client string) *clientTally {
-	ct := r.tallies[client]
-	if ct == nil {
-		ct = &clientTally{}
-		r.tallies[client] = ct
-	}
-	return ct
-}
-
-// noteForward records a gated line as awaiting its ack. An
-// already-counted seq (a resubmission of something acked before a
-// failover) or one already pending is skipped, so the tallies stay
-// exactly-once.
-func (r *Router) noteForward(client string, seq int64, typ string) {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
-	ct := r.tallyLocked(client)
-	if seq <= ct.counted {
-		return
-	}
-	i := sort.Search(len(ct.pending), func(i int) bool { return ct.pending[i].seq >= seq })
-	if i < len(ct.pending) && ct.pending[i].seq == seq {
-		return
-	}
-	ct.pending = append(ct.pending, seqType{})
-	copy(ct.pending[i+1:], ct.pending[i:])
-	ct.pending[i] = seqType{seq: seq, typ: typ}
-}
-
-// noteAck folds a shard's cumulative ack into the client's tally: it
-// settles every pending seq at or below it.
-func (r *Router) noteAck(client string, ack int64) {
-	r.tmu.Lock()
-	ct := r.tallies[client]
-	if ct == nil {
-		r.tmu.Unlock()
-		return
-	}
-	n := 0
-	for _, p := range ct.pending {
-		if p.seq > ack {
-			break
-		}
-		switch p.typ {
-		case analyzerd.TypeStep:
-			ct.tally.Records++
-		case analyzerd.TypeReport:
-			ct.tally.Reports++
-		case analyzerd.TypeCF:
-			ct.tally.CFs++
-		}
-		n++
-	}
-	ct.pending = ct.pending[n:]
-	if ack > ct.counted {
-		ct.counted = ack
-	}
-	r.acked += int64(n)
-	total := r.acked
-	r.tmu.Unlock()
-	if n > 0 && r.cfg.OnAcked != nil {
-		r.cfg.OnAcked(total)
 	}
 }
 

@@ -180,9 +180,6 @@ func NewHost(k *sim.Kernel, net *fabric.Network, id topo.NodeID, cfg Config) (*H
 	return h, nil
 }
 
-// LineRate returns the host uplink bandwidth.
-func (h *Host) LineRate() simtime.Rate { return h.lineRate }
-
 // Send begins transmitting a message of size bytes on the given flow. RDMA
 // has no slow start: the flow begins at line rate. It fails if the flow does
 // not originate here or is already in flight.

@@ -587,12 +587,6 @@ var replyCodec = codec[Reply]{
 	{"moved", func(d *decoder, r *Reply) { d.boolean(&r.Moved) }, func(b []byte, r *Reply) []byte { return strconv.AppendBool(b, r.Moved) }},
 }
 
-var shardReplyCodec = codec[ShardReply]{
-	{"ack", func(d *decoder, r *ShardReply) { signed(d, &r.Ack) }, func(b []byte, r *ShardReply) []byte { return num(b, r.Ack) }},
-	{"nak", func(d *decoder, r *ShardReply) { signed(d, &r.Nak) }, func(b []byte, r *ShardReply) []byte { return num(b, r.Nak) }},
-	{"client", func(d *decoder, r *ShardReply) { d.text(&r.Client) }, func(b []byte, r *ShardReply) []byte { return text(b, r.Client) }},
-}
-
 var replyLineCodec = codec[ReplyLine]{
 	{"ack", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Ack, num) }},
 	{"nak", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Nak, num) }},
@@ -631,9 +625,6 @@ func DecodeMessage(line []byte) (*Message, error) { return decode(line, messageC
 
 // DecodeReply parses one reply line as a ReliableClient reads it.
 func DecodeReply(line []byte) (*Reply, error) { return decode(line, replyCodec, true) }
-
-// DecodeShardReply parses one shard reply line as a fleet router reads it.
-func DecodeShardReply(line []byte) (*ShardReply, error) { return decode(line, shardReplyCodec, true) }
 
 // DecodeSnapshot parses a snapshot file.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return decode(data, snapshotCodec, true) }

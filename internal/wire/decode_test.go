@@ -93,7 +93,6 @@ func differAll(t *testing.T, data []byte) {
 	differ(t, data, messageCodec)
 	differ(t, data, bundleCodec)
 	differ(t, data, replyCodec)
-	differ(t, data, shardReplyCodec)
 	differBundleStream(t, data)
 	differDump(t, data)
 }
@@ -197,7 +196,6 @@ func TestDecodeFieldTablesMatchTags(t *testing.T) {
 	tableMatchesTags(t, messageCodec)
 	tableMatchesTags(t, dumpReplyCodec, "error")
 	tableMatchesTags(t, replyCodec)
-	tableMatchesTags(t, shardReplyCodec)
 	tableMatchesTags(t, replyLineCodec)
 }
 

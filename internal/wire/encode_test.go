@@ -66,7 +66,6 @@ func FuzzEncodeMatchesMarshal(f *testing.F) {
 		encodesAs(t, data, sourcedMessageCodec)
 		encodesAs(t, data, shardMapCodec)
 		encodesAs(t, data, replyCodec)
-		encodesAs(t, data, shardReplyCodec)
 		if m, err := DecodeMessage(data); err == nil {
 			marshalsAs(t, data, AppendMessage(nil, m), m)
 		}

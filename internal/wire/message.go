@@ -26,19 +26,11 @@ type Reply struct {
 	Moved bool   `json:"moved"`
 }
 
-// ShardReply is what a fleet router reads of a shard's reply: enough to
-// tally an ack. Keys it does not name, "error" included, are skipped
-// whatever their value.
-type ShardReply struct {
-	Ack    int64  `json:"ack"`
-	Nak    int64  `json:"nak"`
-	Client string `json:"client"`
-}
-
 // ReplyLine is every reply a daemon or router writes: an ack, a NAK
 // (retryable, or moved to Owner under Map) or an unsequenced error. It
-// names the client, because a router tallies each ack by (client, seq).
-// Only written: Reply and ShardReply are what readers keep of it.
+// names the client, though no reader keeps that field: the router relays
+// reply bytes without decoding them. Only written: Reply is what a reader
+// keeps of it.
 type ReplyLine struct {
 	Ack    int64     `json:"ack,omitempty"`
 	Nak    int64     `json:"nak,omitempty"`

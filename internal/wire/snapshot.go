@@ -30,8 +30,3 @@ type Snapshot struct {
 // SortFlows sorts flows in canonical (src, dst, sport, dport, proto)
 // order, for deterministic serialization of flow sets.
 func SortFlows(s []Flow) { sortSlice(s, flowLess) }
-
-// SortClientAcks sorts ack windows by client ID.
-func SortClientAcks(s []ClientAck) {
-	sortSlice(s, func(a, b ClientAck) bool { return a.Client < b.Client })
-}

@@ -268,8 +268,8 @@ func TestSortSliceMatchesInsertionSort(t *testing.T) {
 	}
 	wantAcks := append([]ClientAck(nil), acks...)
 	insertionSort(wantAcks, func(a, b ClientAck) bool { return a.Client < b.Client })
-	SortClientAcks(acks)
+	sortSlice(acks, func(a, b ClientAck) bool { return a.Client < b.Client })
 	if !reflect.DeepEqual(acks, wantAcks) {
-		t.Fatal("SortClientAcks places equal clients differently from the insertion sort")
+		t.Fatal("sortSlice places equal clients differently from the insertion sort")
 	}
 }

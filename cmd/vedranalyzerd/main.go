@@ -33,8 +33,9 @@
 // supervised shard: a crash restarts it onto DIR/shard-0, at once the
 // first time and with backoff from the second consecutive short-lived run,
 // and too many such runs end supervision as a crash loop. -cluster needs
-// -wal-dir (exit 2 without it): each shard logs under DIR/shard-<i>, and a
-// drain that cannot dump a shard recovers its state from there.
+// -wal-dir (exit 2 without it): each shard logs under DIR/shard-<i>, and
+// the drain rebuilds every shard's state from there once the shard has
+// exited.
 //
 // The daemon takes no positional arguments: one on the command line is an
 // error (exit 2), so a stale "vedranalyzerd supervise -- ..." command does
@@ -93,7 +94,7 @@ func run() int {
 
 	if *cluster > 0 {
 		if *walDir == "" {
-			// A drain recovers a shard it cannot dump from the shard's WAL.
+			// The drain rebuilds every shard's state from its WAL directory.
 			fmt.Fprintln(os.Stderr, "vedranalyzerd: -cluster needs -wal-dir")
 			return 2
 		}
@@ -175,7 +176,8 @@ func run() int {
 	}
 	if scfg.Shard != nil {
 		// A fleet member's slice is not a diagnosis anyone reads: the
-		// parent has its dump and diagnoses the merge.
+		// parent rebuilds it from the snapshot Drain just wrote and
+		// diagnoses the merge.
 		return 0
 	}
 	return printDiagnosis(srv.Diagnose(), *asJSON)

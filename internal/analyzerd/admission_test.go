@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -306,7 +307,16 @@ func TestOverloadBackpressureRetry(t *testing.T) {
 		ID:          "h1",
 		MaxAttempts: 8,
 		AckTimeout:  200 * time.Millisecond,
-		Sleep:       func(time.Duration) { open() },
+		// Every backoff releases the applier and returns once it has
+		// taken the queued line, so no resubmission can find the queue
+		// still full of the first attempt's line: each attempt lands at
+		// least its head however the machine schedules the applier.
+		Sleep: func(time.Duration) {
+			open()
+			for srv.QueueDepth() > 0 {
+				runtime.Gosched()
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +329,7 @@ func TestOverloadBackpressureRetry(t *testing.T) {
 	}
 	// First attempt slams a parked applier with queue capacity 1: at most
 	// two messages can be in flight, the rest must come back as retryable
-	// naks. The Sleep hook then releases the applier and the retry drains.
+	// naks. The Sleep hook then releases the applier and the retries drain.
 	if err := rc.Flush(); err != nil {
 		t.Fatalf("flush never recovered from overload: %v", err)
 	}

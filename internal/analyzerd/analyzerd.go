@@ -47,15 +47,13 @@ import (
 // Message is one line of the monitor→analyzer protocol; see wire.Message.
 type Message = wire.Message
 
-// Protocol message types. The ingest payloads (step/report/cf) mirror
-// wire.MsgStep/MsgReport/MsgCF; "dump" is a connection-level query — a
-// fleet aggregator asks a shard for its full accepted-message state and
-// gets one wire.ShardState JSON line back (never WAL'd, never acked).
+// Protocol message types: the three ingest payloads, mirroring
+// wire.MsgStep/MsgReport/MsgCF. There is no other verb; a fleet drain
+// reads a shard's state from its directory, not over the protocol.
 const (
 	TypeStep   = "step"
 	TypeReport = "report"
 	TypeCF     = "cf"
-	TypeDump   = "dump"
 )
 
 // ParseMessage decodes and validates one protocol line: known type, the
@@ -77,9 +75,9 @@ func ParseMessage(line []byte) (*Message, error) {
 
 // validateMessage is the whole ingest contract: a step, report or cf line
 // carries exactly its payload, a named client and a seq >= 1 (the client's
-// ack window is keyed by the name and advanced by the seq); a dump line
-// carries neither payload nor seq. Whoever accepts a line — a lone
-// daemon, a shard, the router in front of it — accepts it here.
+// ack window is keyed by the name and advanced by the seq); any other type
+// is refused. Whoever accepts a line — a lone daemon, a shard, the router
+// in front of it — accepts it here.
 func validateMessage(msg *Message) error {
 	payloads := 0
 	if msg.Step != nil {
@@ -107,14 +105,6 @@ func validateMessage(msg *Message) error {
 		if msg.CF == nil {
 			return errors.New("cf message without payload")
 		}
-	case TypeDump:
-		if payloads != 0 {
-			return errors.New("dump message carries a payload")
-		}
-		if msg.Seq != 0 {
-			return errors.New("dump message cannot be sequenced")
-		}
-		return nil
 	default:
 		return fmt.Errorf("unknown message type %q", msg.Type)
 	}
@@ -168,11 +158,8 @@ type ServerConfig struct {
 	// Shard places this server in a diagnosis fleet: it only accepts
 	// clients the shard map assigns to it (others get a moved NACK
 	// carrying the owning shard) and recovery re-filters ownership against
-	// the map. Every server is a shard — nil means shard 0 of the
-	// one-shard map, which owns every client — and the only thing a nil
-	// Shard changes is that the dump verb is refused: it exports the
-	// whole state on an outside party's say-so, and only a process
-	// started as a fleet member has a router to trust.
+	// the map. Every server is a shard: nil means shard 0 of the
+	// one-shard map, which owns every client.
 	Shard *ShardConfig
 	// Now injects the clock used for ack-window TTLs and WAL fsync
 	// pacing. Nil uses the wall clock. (These are real-daemon
@@ -262,8 +249,8 @@ type Server struct {
 	// sourced is the server's only retained ingest state: every accepted
 	// message with its (client, seq) provenance, in ingest order. It is
 	// append-only, so a prefix read under mu stays valid after unlocking.
-	// Diagnose and Counts fold it on demand; snapshots and dumps
-	// serialize it as is.
+	// Diagnose and Counts fold it on demand; snapshots serialize it as
+	// is.
 	sourced []wire.SourcedMessage // guarded by mu
 	// clients holds the per-client ack windows and idle state; entries
 	// for disconnected clients are evicted after AckTTL.
@@ -274,14 +261,12 @@ type Server struct {
 	closed   bool                    // guarded by mu
 	stopped  bool                    // guarded by mu
 
-	// index is this server's slot in the shard map and fleetMember
-	// whether it was started as one (the dump gate); ring is the
+	// index is this server's slot in the shard map; ring is the
 	// consistent-hash ownership function and shardMap the map it was
-	// built from. All four are set once in ServeWith.
-	index       int
-	fleetMember bool
-	ring        *wire.HashRing
-	shardMap    wire.ShardMap
+	// built from. All three are set once in ServeWith.
+	index    int
+	ring     *wire.HashRing
+	shardMap wire.ShardMap
 
 	// wal and sinceSnap are owned by the applier goroutine (and by
 	// stop(), which runs strictly after the applier exits).
@@ -289,8 +274,8 @@ type Server struct {
 	sinceSnap int
 	recovery  RecoverStats
 	snapshots atomic.Int64
-	// bodySize estimates the next snapshot's or dump's length: the last
-	// one's, plus each line applied since (its encoding is as long).
+	// bodySize estimates the next snapshot's length: the last one's,
+	// plus each line applied since (its encoding is as long).
 	bodySize atomic.Int64
 
 	queue       chan ingestItem
@@ -332,7 +317,6 @@ func ServeWith(addr string, cfg ServerConfig) (*Server, error) {
 		clients:     make(map[string]*clientState),
 		conns:       make(map[net.Conn]struct{}),
 		index:       shard.Index,
-		fleetMember: cfg.Shard != nil,
 		ring:        ring,
 		shardMap:    shard.Map,
 		queue:       make(chan ingestItem, cfg.MaxQueue),
@@ -657,10 +641,6 @@ func (s *Server) handle(conn net.Conn) {
 			s.replyError(conn, err.Error())
 			continue
 		}
-		if msg.Type == TypeDump {
-			s.replyDump(conn)
-			continue
-		}
 		if owner, ok := s.disownedBy(msg.Client); ok {
 			s.count(func(st *ServerStats) { st.Moved++ })
 			s.log.Warn("client belongs to another shard", "peer", peer,
@@ -859,7 +839,8 @@ func (s *Server) snapshotNow() error {
 	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}
 	snap.Messages, snap.Acked = s.bodyLocked()
 	s.mu.Unlock()
-	b := wire.AppendSnapshot(s.bodyBuf(), &snap)
+	// An eighth over bodySize's estimate, so the buffer rarely regrows.
+	b := wire.AppendSnapshot(make([]byte, 0, s.bodySize.Load()*9/8+512), &snap)
 	s.bodySize.Store(int64(len(b)))
 	if err := writeSnapshot(s.cfg.Durability.Dir, append(b, '\n')); err != nil {
 		return err
@@ -873,9 +854,9 @@ func (s *Server) snapshotNow() error {
 	return nil
 }
 
-// bodyLocked returns the server's whole state in the one form snapshots
-// and dumps share: the messages in ingest order and the
-// per-client ack highwaters sorted by client. Callers hold s.mu; the
+// bodyLocked returns the server's whole state in the form a snapshot
+// persists: the messages in ingest order and the per-client ack
+// highwaters sorted by client. Callers hold s.mu; the
 // messages alias the append-only stream (see Server.sourced).
 func (s *Server) bodyLocked() ([]wire.SourcedMessage, []wire.ClientAck) {
 	var acked []wire.ClientAck

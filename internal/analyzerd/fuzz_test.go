@@ -56,7 +56,7 @@ var messageQuirks = []string{
 // the same lines and return DeepEqual messages. On top of that, arbitrary
 // bytes never panic, and any line that parses satisfies the protocol
 // invariants (known type, the matching payload present and singular, and
-// an ingest line named and sequenced from 1; a dump line unsequenced) —
+// an ingest line named and sequenced from 1) —
 // the properties Server.handle, the router and ingest rely on without
 // re-checking.
 func FuzzParseMessage(f *testing.F) {
@@ -101,10 +101,6 @@ func FuzzParseMessage(f *testing.F) {
 			s := &Server{}
 			if err := s.ingest(sourcedFromMessage(msg)); err != nil {
 				t.Fatalf("validated message rejected by ingest: %v", err)
-			}
-		case TypeDump:
-			if payloads != 0 || msg.Seq != 0 {
-				t.Fatalf("accepted %s message with %d payloads, seq %d", msg.Type, payloads, msg.Seq)
 			}
 		default:
 			t.Fatalf("unknown type %q accepted", msg.Type)

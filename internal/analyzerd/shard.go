@@ -45,30 +45,13 @@ func (s *Server) replyMoved(conn net.Conn, seq int64, client string, owner int) 
 	}))
 }
 
-// replyDump answers the "dump" verb with this shard's full sourced
-// message state as one wire.ShardState JSON line. Only a fleet member
-// answers: a lone daemon has no router whose say-so could justify
-// exporting its whole state.
-func (s *Server) replyDump(conn net.Conn) {
-	if !s.fleetMember {
-		s.replyError(conn, "not a fleet shard")
-		return
-	}
-	b := wire.AppendShardState(s.bodyBuf(), s.ShardState())
-	s.bodySize.Store(int64(len(b)))
-	s.reply(conn, append(b, '\n'))
-}
-
-// bodyBuf returns an empty buffer for a snapshot or a dump, an eighth
-// larger than bodySize expects.
-func (s *Server) bodyBuf() []byte { return make([]byte, 0, s.bodySize.Load()*9/8+512) }
-
 // ShardState returns the shard's accepted messages (ingest order) and
-// per-client ack highwaters, with its position in the fleet.
+// per-client ack highwaters, with its position in the fleet. Only tests
+// call it: it is the live state they hold a rebuilt directory against.
 func (s *Server) ShardState() *wire.ShardState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: s.index, Map: s.shardMap}
+	state := &wire.ShardState{Shard: s.index, Map: s.shardMap}
 	state.Messages, state.Acked = s.bodyLocked()
 	return state
 }

@@ -105,32 +105,14 @@ func TestShardMovedNackAndErrRedirected(t *testing.T) {
 	}
 }
 
-// dumpState drives the dump verb over raw TCP, as the fleet aggregator
-// does.
-func dumpState(t *testing.T, addr string) *wire.ShardState {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := fmt.Fprintf(conn, `{"type":"dump"}`+"\n"); err != nil {
-		t.Fatalf("write dump: %v", err)
-	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatalf("read dump reply: %v", err)
-	}
-	var state wire.ShardState
-	if err := json.Unmarshal(line, &state); err != nil {
-		t.Fatalf("bad dump reply %q: %v", line, err)
-	}
-	return &state
-}
-
-func TestShardDumpReturnsSourcedMessages(t *testing.T) {
+// TestShardDrainRecoversSourcedMessages: what a fleet drain reads of a
+// shard — its directory after a graceful drain, through RecoverShard —
+// holds the shard's accepted messages with their provenance, under the
+// shard's position in the fleet.
+func TestShardDrainRecoversSourcedMessages(t *testing.T) {
 	m := wire.ShardMap{Shards: 2}
-	srv := shardServe(t, m, 1, "")
+	dir := t.TempDir()
+	srv := shardServe(t, m, 1, dir)
 	defer srv.Close()
 	owned, _ := ownedAndDisowned(t, m, 1)
 
@@ -146,18 +128,30 @@ func TestShardDumpReturnsSourcedMessages(t *testing.T) {
 	if err := rc.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
 
-	state := dumpState(t, srv.Addr())
+	state, st, err := RecoverShard(dir, ShardConfig{Map: m, Index: 1})
+	if err != nil {
+		t.Fatalf("RecoverShard: %v", err)
+	}
+	if st.Reassigned != 0 || st.Unreplayable != 0 || st.WALEntries != 0 {
+		t.Errorf("recovery %+v, want the drain snapshot alone and nothing dropped", st)
+	}
 	if state.Shard != 1 || state.Map != m {
-		t.Errorf("dump identifies as shard %d of %+v, want 1 of %+v", state.Shard, state.Map, m)
+		t.Errorf("state identifies as shard %d of %+v, want 1 of %+v", state.Shard, state.Map, m)
 	}
 	if len(state.Messages) != 3 {
-		t.Fatalf("dump has %d messages, want 3", len(state.Messages))
+		t.Fatalf("state has %d messages, want 3", len(state.Messages))
 	}
 	for i, sm := range state.Messages {
 		if sm.Client != owned || sm.Seq != int64(i+1) || sm.Type != TypeCF {
 			t.Errorf("message %d = %+v, want client %q seq %d cf", i, sm, owned, i+1)
 		}
+	}
+	if want := []wire.ClientAck{{Client: owned, Seq: 3}}; !reflect.DeepEqual(state.Acked, want) {
+		t.Errorf("acked = %+v, want %+v", state.Acked, want)
 	}
 }
 
@@ -192,21 +186,16 @@ func wantErrContaining(t *testing.T, reply map[string]any, sub string) {
 	}
 }
 
-// TestAdminVerbsRefusedOutsideFleet: dump is the one admin verb, and only
-// a fleet member answers it. The rebalance verbs older builds spoke —
-// remap, adopt, resize — are unknown types now: ParseMessage refuses
-// them, and a shard answers with that error instead of ignoring them.
+// TestAdminVerbsRefusedOutsideFleet: there is no admin verb, inside a
+// fleet or out. The dump verb (a fleet drain now reads a shard's
+// directory) and the rebalance verbs older builds spoke — remap, adopt,
+// resize — are unknown types: ParseMessage refuses them, and a shard
+// answers with that error instead of ignoring them.
 func TestAdminVerbsRefusedOutsideFleet(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	wantErrContaining(t, adminLine(t, srv.Addr(), `{"type":"dump"}`), "not a fleet shard")
-
 	shard := shardServe(t, wire.ShardMap{Shards: 2}, 0, "")
 	defer shard.Close()
 	for _, tc := range []struct{ line, want string }{
+		{`{"type":"dump"}`, `unknown message type "dump"`},
 		{`{"type":"remap","map":{"shards":3,"epoch":2}}`, `unknown message type "remap"`},
 		{`{"type":"adopt","handoff":{"format":2,"map":{"shards":2},"from":1,"to":0}}`, `unknown message type "adopt"`},
 		{`{"type":"resize","map":{"shards":3}}`, `unknown message type "resize"`},
@@ -216,11 +205,14 @@ func TestAdminVerbsRefusedOutsideFleet(t *testing.T) {
 		}
 		wantErrContaining(t, adminLine(t, shard.Addr(), tc.line), tc.want)
 	}
-	if st := shard.Stats(); st.Malformed != 3 {
-		t.Errorf("Malformed = %d, want 3 (one per refused verb)", st.Malformed)
+	if st := shard.Stats(); st.Malformed != 4 {
+		t.Errorf("Malformed = %d, want 4 (one per refused verb)", st.Malformed)
 	}
 }
 
+// TestDumpOnStandaloneServerErrors: a lone daemon refuses the dump line
+// as the shard does, as an unknown type, on a connection that stays
+// usable.
 func TestDumpOnStandaloneServerErrors(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -242,8 +234,11 @@ func TestDumpOnStandaloneServerErrors(t *testing.T) {
 	var rep struct {
 		Error string `json:"error"`
 	}
-	if err := json.Unmarshal(line, &rep); err != nil || rep.Error == "" {
-		t.Fatalf("want an error reply, got %q (%v)", line, err)
+	if err := json.Unmarshal(line, &rep); err != nil || rep.Error != `unknown message type "dump"` {
+		t.Fatalf("want the unknown-type error reply, got %q (%v)", line, err)
+	}
+	if st := srv.Stats(); st.Malformed != 1 {
+		t.Errorf("Malformed = %d, want 1", st.Malformed)
 	}
 }
 
@@ -410,7 +405,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 // TestRealStreamEncodesAsMarshal: on a real scenario's stream, from two
 // clients (one named with quotes, HTML bytes, U+2028 and non-ASCII text),
 // every byte the hand-written encoders write is json.Marshal's: each
-// client line, the dump reply and the drain snapshot.
+// client line and the drain snapshot.
 func TestRealStreamEncodesAsMarshal(t *testing.T) {
 	items := linearize(runScenario(t))
 	dir := t.TempDir()
@@ -448,22 +443,6 @@ func TestRealStreamEncodesAsMarshal(t *testing.T) {
 		if err := rc.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"type":"dump"}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	dump, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := srv.ShardState()
-	if len(state.Messages) != 2*len(items) || !bytes.Equal(dump, marshalled(state)) {
-		t.Fatalf("dump reply of %d bytes for %d messages differs from json.Marshal's", len(dump), len(state.Messages))
 	}
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)

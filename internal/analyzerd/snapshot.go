@@ -152,8 +152,7 @@ func Recover(dir string) (*RecoveredState, error) {
 }
 
 // RecoverShard rebuilds from dir the state shard holds: Recover, then the
-// one replay rule a restarting daemon and a fleet drain that cannot dump
-// the shard both apply. Messages stay in ingest order, snapshot first. A
+// one replay rule a restarting daemon and a fleet drain both apply. Messages stay in ingest order, snapshot first. A
 // message of a client shard's map assigns elsewhere is dropped (counted in
 // Reassigned), a snapshot message without its payload is dropped (counted
 // in Unreplayable), and a WAL record at or below its client's highwater is
@@ -176,7 +175,7 @@ func RecoverShard(dir string, shard ShardConfig) (*wire.ShardState, RecoverStats
 		}
 		return !moved
 	}
-	state := &wire.ShardState{Format: wire.ShardStateFormat, Shard: shard.Index, Map: shard.Map}
+	state := &wire.ShardState{Shard: shard.Index, Map: shard.Map}
 	for _, sm := range rec.Snapshot.Messages {
 		if !owned(sm.Client) {
 			continue
@@ -193,8 +192,7 @@ func RecoverShard(dir string, shard ShardConfig) (*wire.ShardState, RecoverStats
 			acked[a.Client] = a.Seq
 		}
 	}
-	// ParseMessage refused every WAL record without its payload but a dump
-	// line, whose seq 0 is at or below any highwater.
+	// ParseMessage refused every WAL record without its payload.
 	for _, msg := range rec.Messages {
 		if owned(msg.Client) && msg.Seq > acked[msg.Client] {
 			state.Messages = append(state.Messages, sourcedFromMessage(msg))

@@ -125,9 +125,6 @@ func NewHawkeye(k *sim.Kernel, net *fabric.Network, schedules []*collective.Sche
 	return h
 }
 
-// Threshold returns the fixed threshold in force.
-func (h *Hawkeye) Threshold() simtime.Duration { return h.threshold }
-
 // Wire chains Hawkeye into every host's RTT sample stream.
 func (h *Hawkeye) Wire(hosts map[topo.NodeID]*rdma.Host) {
 	for _, hostDev := range hosts {

@@ -82,8 +82,8 @@ func TestThresholdModes(t *testing.T) {
 	}
 	maxr := NewHawkeye(k, net, schs, MaxR, hkCfg())
 	minr := NewHawkeye(k, net, schs, MinR, hkCfg())
-	if maxr.Threshold() <= minr.Threshold() {
-		t.Fatalf("MaxR threshold %v must exceed MinR %v", maxr.Threshold(), minr.Threshold())
+	if maxr.threshold <= minr.threshold {
+		t.Fatalf("MaxR threshold %v must exceed MinR %v", maxr.threshold, minr.threshold)
 	}
 }
 

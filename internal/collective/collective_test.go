@@ -184,8 +184,8 @@ func TestRingAllGatherExecution(t *testing.T) {
 	// AllGather semantics: every host ends up with every chunk.
 	for _, h := range r.tp.Hosts() {
 		for c := 0; c < 4; c++ {
-			if !run.Chunks(h)[fmt.Sprintf("C%d", c)] {
-				t.Fatalf("host %d missing chunk C%d: %v", h, c, run.Chunks(h))
+			if !run.state[h].chunks[fmt.Sprintf("C%d", c)] {
+				t.Fatalf("host %d missing chunk C%d: %v", h, c, run.state[h].chunks)
 			}
 		}
 	}

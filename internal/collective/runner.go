@@ -139,12 +139,6 @@ func (r *Runner) Start() {
 // the collective cannot complete.
 func (r *Runner) Err() error { return r.err }
 
-// Owns reports whether the flow belongs to this collective.
-func (r *Runner) Owns(flow fabric.FlowKey) bool {
-	_, ok := r.flowIndex[flow]
-	return ok
-}
-
 // StepOf resolves a flow to its (host, step), with ok=false for foreign
 // flows.
 func (r *Runner) StepOf(flow fabric.FlowKey) (host topo.NodeID, step int, ok bool) {
@@ -303,7 +297,3 @@ func (r *Runner) Records() []StepRecord { return r.records }
 
 // Done reports whether every step completed, and when.
 func (r *Runner) Done() (bool, simtime.Time) { return r.finished, r.doneAt }
-
-// Chunks returns the symbolic chunk ledger of a host (test hook for
-// collective semantics).
-func (r *Runner) Chunks(host topo.NodeID) map[string]bool { return r.state[host].chunks }

@@ -119,7 +119,7 @@ func TestBroadcastExecution(t *testing.T) {
 		if h == r.tp.Hosts()[0] {
 			continue
 		}
-		if !run.Chunks(h)["C0"] {
+		if !run.state[h].chunks["C0"] {
 			t.Fatalf("host %d never received the broadcast payload", h)
 		}
 	}
@@ -164,8 +164,8 @@ func TestAllToAllExecution(t *testing.T) {
 				continue
 			}
 			label := fmt.Sprintf("A%d.%d", si, di)
-			if !run.Chunks(dst)[label] {
-				t.Fatalf("host %d missing %s: %v", dst, label, run.Chunks(dst))
+			if !run.state[dst].chunks[label] {
+				t.Fatalf("host %d missing %s: %v", dst, label, run.state[dst].chunks)
 			}
 		}
 	}

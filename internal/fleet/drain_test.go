@@ -10,19 +10,23 @@ import (
 	"vedrfolnir/internal/wire"
 )
 
-// TestFleetDrainReapsShards: Drain signals the shards to exit before it
-// merges, so the reap is the last thing it does — once it returns, every
-// shard's supervision has ended (Proc.Wait has returned), on a clean drain
-// and on one with a shard held down, whose flow the drain recovers from
-// the shard's WAL.
+// TestFleetDrainReapsShards: Drain reaps every shard before it merges —
+// once it returns, every shard's supervision has ended (Proc.Wait has
+// returned) — and rebuilds each from its directory, on a clean drain and
+// on one with a shard held down, which exits without a final snapshot.
+// Router.DumpShard, shard by shard after Stop, takes the same path.
 func TestFleetDrainReapsShards(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "vedranalyzerd")
 	if out, err := exec.Command("go", "build", "-o", bin, "vedrfolnir/cmd/vedranalyzerd").CombinedOutput(); err != nil {
 		t.Fatalf("building the daemon: %v\n%s", err, out)
 	}
-	for name, hold := range map[string]int{"clean": -1, "hold-shard-1": 1} {
-		t.Run(name, func(t *testing.T) {
-			f, err := Start(Config{BinPath: bin, Shards: 2, Dir: t.TempDir(), Fsync: "off", HoldShard: hold})
+	for _, tc := range []struct {
+		name     string
+		hold     int
+		dumpEach bool
+	}{{"clean", -1, false}, {"hold-shard-1", 1, false}, {"dump-shard", -1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Start(Config{BinPath: bin, Shards: 2, Dir: t.TempDir(), Fsync: "off", HoldShard: tc.hold})
 			if err != nil {
 				t.Fatalf("Start: %v", err)
 			}
@@ -49,12 +53,28 @@ func TestFleetDrainReapsShards(t *testing.T) {
 					t.Fatalf("client %s: %v", host, err)
 				}
 			}
-			merged, err := f.Drain(nil)
-			if err != nil {
-				t.Fatalf("Drain: %v", err)
+			var cfs int
+			if tc.dumpEach {
+				f.Router().Stop()
+				var states []*wire.ShardState
+				for i := range f.procs {
+					st, err := f.Router().DumpShard(i)
+					if err != nil {
+						t.Fatalf("DumpShard(%d): %v", i, err)
+					}
+					states = append(states, st)
+				}
+				_, stats := wire.MergeShardStates(states)
+				cfs = stats.CFs
+			} else {
+				merged, err := f.Drain(nil)
+				if err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+				cfs = merged.Stats.CFs
 			}
-			if merged.Stats.CFs != 2 {
-				t.Errorf("drain kept %d flows, want 2, holding %d", merged.Stats.CFs, hold)
+			if cfs != 2 {
+				t.Errorf("drain kept %d flows, want 2, holding %d", cfs, tc.hold)
 			}
 			for i, p := range f.procs {
 				select {

@@ -28,7 +28,8 @@ type Config struct {
 	Shards int
 	// Dir gives each shard a WAL under Dir/shard-<i>: a SIGKILLed shard
 	// recovers its accepted messages from it on restart, and a drain
-	// recovers a shard it cannot dump from it offline. Required.
+	// rebuilds every shard's state from it once the shard has exited.
+	// Required.
 	Dir string
 	// Fsync ("always", "interval", "never") and SnapshotEvery are passed
 	// through to each shard's -fsync / -snapshot-every flags; zero values
@@ -37,10 +38,10 @@ type Config struct {
 	SnapshotEvery int
 	// Listen is the router's bind address (default 127.0.0.1:0).
 	Listen string
-	// HoldShard, when >= 0, holds that shard down at Drain time, so the
-	// drain recovers it offline from its WAL: the operator-facing drill
-	// for "one shard is dead and will not come back before the report is
-	// due".
+	// HoldShard, when >= 0, SIGKILLs that shard at Drain time and keeps
+	// it down, so the drain rebuilds it from a directory with no final
+	// snapshot: the operator-facing drill for "one shard is dead and will
+	// not come back before the report is due".
 	HoldShard int
 	// OnShard, when set, observes every shard (re)announce: index, listen
 	// address, pid. Called from the supervisor goroutine.
@@ -97,15 +98,17 @@ func Start(cfg Config) (*Fleet, error) {
 	if cfg.Log == nil {
 		cfg.Log = obs.NopLogger()
 	}
+	f := &Fleet{cfg: cfg}
 	router, err := StartRouter(cfg.Listen, RouterConfig{
 		Map:     wire.ShardMap{Shards: cfg.Shards},
 		Log:     cfg.Log,
 		Metrics: cfg.Metrics,
+		reap:    f.reap,
 	})
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, router: router}
+	f.router = router
 	for i := 0; i < cfg.Shards; i++ {
 		p, err := f.startShard(i)
 		if err != nil {
@@ -215,49 +218,29 @@ func (f *Fleet) KillShard(i int) error {
 	return nil
 }
 
-// Drain finishes the fleet run: stop accepting clients, dump every shard
-// once, signal each child to exit once its dump is in, merge and diagnose
-// while they write their final snapshots, and reap them. A shard that
-// cannot be dumped (held down, mid-restart, dead past its crash-loop
-// budget, or too slow to answer) is reaped first and its state rebuilt
-// offline from its WAL directory by the rule its own restart would apply:
-// a shard acks a message only after the WAL holds it, so the merge is
-// exact either way. A shard whose directory cannot be recovered (an I/O
-// error, a corrupt snapshot) fails the drain.
+// Drain finishes the fleet run: stop ingest, reap every shard and rebuild
+// its state from its directory, merge in shard order and diagnose. A shard
+// acks only what its WAL holds, so the rebuilt state is exactly what it
+// accepted, with the final snapshot a SIGTERM writes or without it (a
+// shard held down, crash-looped or mid-restart). A directory that cannot
+// be recovered, or that holds another shard's clients, fails the drain.
 func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	if p := f.proc(f.cfg.HoldShard); p != nil {
-		// Hold the shard down before gathering: the offline-recovery drill.
 		p.Hold()
 	}
 	f.router.Stop() // no new ingest, every forwarded line answered
 	defer f.Close()
 
-	// Gather every shard at once, each dump on a fresh connection — most
-	// of a drain is moving shard state as JSON — and merge in shard-index
-	// order, so the merge input does not depend on which shard finished
-	// first. A shard whose dump is in exits while the other dumps, the
-	// merge and the analysis go on.
+	// Shards exit and recover in parallel; the merge input is in shard
+	// order, so it does not depend on which finished first.
 	states := make([]*wire.ShardState, f.cfg.Shards)
 	errs := make([]error, f.cfg.Shards)
 	var wg sync.WaitGroup
-	for i, p := range f.procs {
+	for i := range f.procs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			states[i], errs[i] = f.router.DumpShard(i)
-			p.Terminate(syscall.SIGTERM)
-			if errs[i] == nil {
-				return
-			}
-			f.cfg.Log.Warn("shard dump unavailable; recovering it from its WAL", "shard", i, "err", errs[i])
-			p.Wait() // the directory is the shard's until its last incarnation exits
-			dir := shardDir(f.cfg.Dir, i)
-			state, _, err := analyzerd.RecoverShard(dir, analyzerd.ShardConfig{Map: wire.ShardMap{Shards: f.cfg.Shards}, Index: i})
-			if err != nil {
-				errs[i] = fmt.Errorf("fleet: shard %d could not be dumped (%v) or recovered from %s: %w", i, errs[i], dir, err)
-				return
-			}
-			states[i], errs[i] = state, nil
+			states[i], errs[i] = f.reap(i)
 		}()
 	}
 	wg.Wait()
@@ -266,6 +249,32 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	}
 	bundle, stats := wire.MergeShardStates(states)
 	return &Merged{Bundle: bundle, Stats: stats, Diagnosis: bundle.AnalyzeObs(scope)}, nil
+}
+
+// reap SIGTERMs shard i, waits for its last incarnation to exit (the
+// directory is the shard's until then) and rebuilds it from the directory.
+func (f *Fleet) reap(i int) (*wire.ShardState, error) {
+	f.procs[i].Terminate(syscall.SIGTERM)
+	f.procs[i].Wait()
+	return recoverShard(shardDir(f.cfg.Dir, i), wire.ShardMap{Shards: f.cfg.Shards}, i)
+}
+
+// recoverShard rebuilds shard i of m from dir by the replay rule the
+// shard's own restart applies. A shard checks ownership before it logs a
+// line, so in a correctly assembled fleet nothing is dropped: a message of
+// another shard's client (Reassigned) or one without its payload
+// (Unreplayable) means dir was written under another map or by another
+// writer, and merging what is left would silently lose it.
+func recoverShard(dir string, m wire.ShardMap, i int) (*wire.ShardState, error) {
+	state, st, err := analyzerd.RecoverShard(dir, analyzerd.ShardConfig{Map: m, Index: i})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: shard %d could not be recovered from %s: %w", i, dir, err)
+	}
+	if st.Reassigned != 0 || st.Unreplayable != 0 {
+		return nil, fmt.Errorf("fleet: shard %d's directory %s is not shard %d of %+v's: %d messages of other shards' clients, %d without their payload",
+			i, dir, i, m, st.Reassigned, st.Unreplayable)
+	}
+	return state, nil
 }
 
 // Close terminates every shard child and the router. Safe to call more

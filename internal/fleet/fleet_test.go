@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,25 @@ func fleetStream() []submission {
 	return subs
 }
 
+// drainStates drains every in-process shard, as SIGTERM drains a shard
+// child, and rebuilds each one's state from its directory by the drain's
+// one path (recoverShard).
+func drainStates(t *testing.T, m wire.ShardMap, srvs []*analyzerd.Server, dirs []string) []*wire.ShardState {
+	t.Helper()
+	states := make([]*wire.ShardState, len(srvs))
+	for i, srv := range srvs {
+		if err := srv.Drain(); err != nil {
+			t.Fatalf("Drain shard %d: %v", i, err)
+		}
+		state, err := recoverShard(dirs[i], m, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[i] = state
+	}
+	return states
+}
+
 // fleetRun drives the full stream through a router over live in-process
 // shards, SIGKILL-style aborting and restarting shards per the kill plan,
 // and returns the drained merged bundle bytes and diagnosis JSON.
@@ -162,15 +182,8 @@ func fleetRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag [
 		}
 	}
 
-	states := make([]*wire.ShardState, 0, shards)
-	for i := 0; i < shards; i++ {
-		state, err := router.DumpShard(i)
-		if err != nil {
-			t.Fatalf("DumpShard(%d): %v", i, err)
-		}
-		states = append(states, state)
-	}
-	b, _ := wire.MergeShardStates(states)
+	router.Stop()
+	b, _ := wire.MergeShardStates(drainStates(t, m, srvs, dirs))
 	var bb bytes.Buffer
 	if err := b.Write(&bb); err != nil {
 		t.Fatalf("bundle write: %v", err)
@@ -220,10 +233,10 @@ func TestFleetKillAnyShardByteIdentity(t *testing.T) {
 }
 
 // TestFleetGatherRecoversAbortedShard is the in-process half of the
-// Fleet.Drain contract, at the router layer it is built on: a shard that
-// dies and stays down is rebuilt offline from its snapshot and WAL tail,
-// and the merge is byte-identical to the one its live dump gave — its
-// shard state included.
+// Fleet.Drain contract for a shard that exits without a final snapshot:
+// a shard that dies and stays down is rebuilt from its snapshot and WAL
+// tail to exactly the state it held, and the merge is byte-identical to
+// the merge of every shard's live state.
 func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 	const shards = 3
 	m := wire.ShardMap{Shards: shards}
@@ -272,11 +285,10 @@ func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	}
-	states := make([]*wire.ShardState, shards)
-	for i := range states {
-		if states[i], err = router.DumpShard(i); err != nil {
-			t.Fatalf("DumpShard(%d): %v", i, err)
-		}
+	router.Stop()
+	live := make([]*wire.ShardState, shards)
+	for i, srv := range srvs {
+		live[i] = srv.ShardState()
 	}
 	merge := func(states []*wire.ShardState) (bundle, diag []byte) {
 		b, _ := wire.MergeShardStates(states)
@@ -290,32 +302,73 @@ func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 		}
 		return bb.Bytes(), dj
 	}
-	wantBundle, wantDiag := merge(states)
+	wantBundle, wantDiag := merge(live)
 
-	// Kill the shard owning h00 and leave it down.
+	// Kill the shard owning h00 and leave it down; drain the others.
 	ring, err := wire.NewHashRing(m)
 	if err != nil {
 		t.Fatalf("NewHashRing: %v", err)
 	}
 	dead := ring.Owner("h00")
-	srvs[dead].Abort()
-	if _, err := router.DumpShard(dead); err == nil {
-		t.Fatalf("DumpShard(%d) succeeded on a dead shard", dead)
+	states := make([]*wire.ShardState, shards)
+	for i, srv := range srvs {
+		if i == dead {
+			srv.Abort() // SIGKILL stand-in: no drain snapshot, WAL abandoned
+		} else if err := srv.Drain(); err != nil {
+			t.Fatalf("Drain shard %d: %v", i, err)
+		}
+		if states[i], err = recoverShard(dirs[i], m, i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, st, err := analyzerd.RecoverShard(dirs[dead], analyzerd.ShardConfig{Map: m, Index: dead})
+	_, st, err := analyzerd.RecoverShard(dirs[dead], analyzerd.ShardConfig{Map: m, Index: dead})
 	if err != nil {
 		t.Fatalf("RecoverShard(%d): %v", dead, err)
 	}
 	if !st.SnapshotLoaded || st.WALEntries == 0 {
 		t.Errorf("shard %d recovered from snapshot %v plus %d WAL entries; want both halves checked", dead, st.SnapshotLoaded, st.WALEntries)
 	}
-	if g, w := wire.AppendShardState(nil, got), wire.AppendShardState(nil, states[dead]); !bytes.Equal(g, w) {
-		t.Errorf("shard %d recovered offline:\n%s\nits last dump:\n%s", dead, g, w)
+	for i := range states {
+		if !reflect.DeepEqual(states[i], live[i]) {
+			t.Errorf("shard %d (dead: %v) rebuilt from its directory:\n%+v\nits live state:\n%+v", i, i == dead, states[i], live[i])
+		}
 	}
-	states[dead] = got
 	gotBundle, gotDiag := merge(states)
 	if !bytes.Equal(gotBundle, wantBundle) || !bytes.Equal(gotDiag, wantDiag) {
 		t.Errorf("merge with shard %d recovered offline differs from the live merge:\n%s\nvs\n%s", dead, gotDiag, wantDiag)
+	}
+}
+
+// TestFleetDrainRefusesMisassembledDirectory: a directory written under
+// another shard map holds clients the drain's map gives to other shards,
+// and the drain fails on it rather than merge the rest.
+func TestFleetDrainRefusesMisassembledDirectory(t *testing.T) {
+	dir := t.TempDir()
+	srv := startTestShard(t, wire.ShardMap{Shards: 1}, 0, dir) // owns every client
+	defer srv.Close()
+	for i := 0; i < 4; i++ {
+		rc, err := analyzerd.NewReliableClient(srv.Addr(), analyzerd.ClientConfig{ID: fmt.Sprintf("h%02d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.SendCF(hostFlow(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	m := wire.ShardMap{Shards: 2}
+	for i := 0; i < m.Shards; i++ {
+		if _, err := recoverShard(dir, m, i); err == nil || !strings.Contains(err.Error(), "other shards' clients") {
+			t.Errorf("recoverShard(shard %d of %+v) on a one-shard fleet's directory = %v, want the misassembly refused", i, m, err)
+		}
+	}
+	if _, err := recoverShard(dir, wire.ShardMap{Shards: 1}, 0); err != nil {
+		t.Errorf("recoverShard under the directory's own map: %v", err)
 	}
 }
 
@@ -340,7 +393,7 @@ func TestRouterRejectsUnroutableLines(t *testing.T) {
 		name, line string
 	}{
 		{"malformed", `{not json`},
-		{"dump", `{"type":"dump"}`},
+		{"dump", `{"type":"dump"}`}, // no verb but the ingest types
 		{"unnamed", `{"type":"cf","cf":{"src":1,"dst":2,"src_port":7,"dst_port":8,"proto":17},"seq":1}`},
 		{"unsequenced", `{"type":"cf","cf":{"src":1,"dst":2,"src_port":7,"dst_port":8,"proto":17},"client":"h00"}`},
 	}
@@ -362,9 +415,15 @@ func TestRouterRejectsUnroutableLines(t *testing.T) {
 		if parsed.Nak != 0 {
 			t.Errorf("%s: reply %q is a NACK; rejections must not invite a retry", tc.name, rep)
 		}
+		if tc.name == "dump" && parsed.Error != `unknown message type "dump"` {
+			t.Errorf("dump: reply %q, want the unknown-type error", rep)
+		}
 	}
 	if got := router.Stats().Rejected; got != int64(len(cases)) {
 		t.Errorf("Rejected = %d, want %d", got, len(cases))
+	}
+	if _, err := router.DumpShard(0); err == nil {
+		t.Error("DumpShard succeeded on a router with no fleet to reap shards from")
 	}
 }
 
@@ -699,14 +758,10 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 		t.Errorf("stats = %+v: no kill ended a client connection with lines in flight", st)
 	}
 
-	states := make([]*wire.ShardState, 0, shards)
-	for i := 0; i < shards; i++ {
-		state, err := router.DumpShard(i)
-		if err != nil {
-			t.Fatalf("DumpShard(%d): %v", i, err)
-		}
-		states = append(states, state)
-	}
+	router.Stop()
+	kmu.Lock()
+	states := drainStates(t, m, srvs, dirs)
+	kmu.Unlock()
 	b, _ := wire.MergeShardStates(states)
 	var bb bytes.Buffer
 	if err := b.Write(&bb); err != nil {

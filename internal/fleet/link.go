@@ -189,7 +189,7 @@ func (s *shardConn) read() {
 		//lint:ignore nosystime read deadline on a real TCP connection to a shard daemon
 		err := s.conn.SetReadDeadline(time.Now().Add(replyTimeout))
 		if err == nil {
-			err = lr.fill(s.conn, maxLineBytes)
+			err = lr.fill(s.conn)
 		}
 		var nerr net.Error
 		switch {
@@ -254,16 +254,16 @@ func (lr *lineReader) next() []byte {
 	return line
 }
 
-// fill reads more bytes, compacting and growing the buffer (up to max
-// for one line) as needed.
-func (lr *lineReader) fill(conn net.Conn, max int) error {
+// fill reads more bytes, compacting and growing the buffer (up to
+// maxLineBytes for one line) as needed.
+func (lr *lineReader) fill(conn net.Conn) error {
 	if lr.r > 0 {
 		lr.w = copy(lr.buf, lr.buf[lr.r:lr.w])
 		lr.r = 0
 	}
 	if lr.w == len(lr.buf) {
-		if len(lr.buf) >= max {
-			return fmt.Errorf("shard reply exceeds %d bytes", max)
+		if len(lr.buf) >= maxLineBytes {
+			return fmt.Errorf("shard reply exceeds %d bytes", maxLineBytes)
 		}
 		lr.buf = append(lr.buf, make([]byte, len(lr.buf))...)
 	}

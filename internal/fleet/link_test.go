@@ -425,7 +425,7 @@ func TestLinkDeathFailsEveryInFlightLine(t *testing.T) {
 
 // TestRouterStopWaitsForInflight: Stop returns only once every line past
 // the gate has been answered, so whatever a shard acknowledged late is in
-// the tallies (and in its dump) by the time the drain reads them.
+// the tallies (and in its WAL) by the time the drain reads them.
 func TestRouterStopWaitsForInflight(t *testing.T) {
 	shard := startFakeShard(t)
 	router := startLinkRouter(t, RouterConfig{}, shard)
@@ -457,12 +457,14 @@ func TestRouterStopWaitsForInflight(t *testing.T) {
 // announced before the client resubmits. The client follows
 // ReliableClient's rules (reconnect and resubmit everything unacked in
 // seq order; a cumulative ack settles everything at or below it), and
-// every message must end up in the dump exactly once: a shard with no
+// every message must end up in the drained shard's state exactly once: a
+// shard with no
 // highwater for the client baselines on the first seq it sees, and that
 // is the head.
 func TestRouterFirstContactExactlyOnce(t *testing.T) {
 	m := wire.ShardMap{Shards: 1}
-	srv := startTestShard(t, m, 0, "")
+	dir := t.TempDir()
+	srv := startTestShard(t, m, 0, dir)
 	defer srv.Close()
 	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
@@ -506,17 +508,14 @@ func TestRouterFirstContactExactlyOnce(t *testing.T) {
 		t.Fatalf("%d messages never acknowledged", len(pending))
 	}
 
-	state, err := router.DumpShard(0)
-	if err != nil {
-		t.Fatalf("DumpShard: %v", err)
-	}
+	router.Stop()
 	seen := map[int64]int{}
-	for _, sm := range state.Messages {
+	for _, sm := range drainStates(t, m, []*analyzerd.Server{srv}, []string{dir})[0].Messages {
 		seen[sm.Seq]++
 	}
 	for s := int64(1); s <= n; s++ {
 		if seen[s] != 1 {
-			t.Errorf("seq %d is in the dump %d times, want exactly once", s, seen[s])
+			t.Errorf("seq %d is in the drained state %d times, want exactly once", s, seen[s])
 		}
 	}
 	// The head, written on no shard connection, was never answered and

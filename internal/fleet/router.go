@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,14 +31,16 @@ type RouterConfig struct {
 	// pass's lines are counted and before they are relayed, so a test can
 	// kill a shard with the rest of a batch still in flight to it.
 	testAnswered func(total int64)
+	// reap, set by Start, is Fleet.reap, which DumpShard calls.
+	reap func(i int) (*wire.ShardState, error)
 }
 
 const (
 	// dialTimeout bounds one shard dial.
 	dialTimeout = 2 * time.Second
-	// replyTimeout bounds one write to a shard or a client and one dump
-	// exchange; a shard connection that owes replies and delivers no byte
-	// for that long, twice over, counts as failed.
+	// replyTimeout bounds one write to a shard or a client; a shard
+	// connection that owes replies and delivers no byte for that long,
+	// twice over, counts as failed.
 	replyTimeout = 10 * time.Second
 	// maxLineBytes caps one protocol line, client- or shard-side.
 	maxLineBytes = 16 << 20
@@ -53,8 +54,8 @@ type RouterStats struct {
 	// shard failure are not counted: the client resubmits those lines.
 	Forwarded int64
 	// Rejected counts lines the router refused outright: any line
-	// analyzerd.ParseMessage refuses (malformed, unnamed, unsequenced),
-	// and the dump verb, which must target a shard.
+	// analyzerd.ParseMessage refuses (malformed, unnamed, unsequenced,
+	// of an unknown type).
 	Rejected int64
 	// ShardDown counts client connections ended for an unreachable
 	// shard; the reliable client reconnects and resubmits, so these are
@@ -70,8 +71,8 @@ type RouterStats struct {
 
 // ShardTally is the router's account of one shard: the reply lines it
 // relayed from that shard, by the rule Forwarded counts by. No drain
-// reads it (a shard the drain cannot dump is recovered from its WAL); it
-// feeds only the benchmark's fleet.shard_skew.
+// reads it (a drain rebuilds every shard from its directory); it feeds
+// only the benchmark's fleet.shard_skew.
 type ShardTally struct {
 	Answered int
 }
@@ -96,8 +97,8 @@ type Router struct {
 	// inflight counts routed submissions between passing the gate and the
 	// relay of their reply, or the end of the shard connection they were
 	// written on. Stop waits for it to drain after the handlers are gone,
-	// so a dump taken afterwards cannot miss a message that was already
-	// past the gate.
+	// so a shard reaped afterwards has answered every message that was
+	// already past the gate.
 	inflight atomic.Int64
 	// readers tracks the shard connections' reader goroutines; Close
 	// waits for them.
@@ -215,9 +216,9 @@ func (r *Router) Tallies() []ShardTally {
 
 // Stop closes the listener and every client connection, waits for the
 // handlers to finish and then for every submission still owed a reply on
-// a shard connection to be answered — a dump taken after Stop holds
-// everything a shard was ever sent. DumpShard still works; Close tears
-// the shard connections down too.
+// a shard connection to be answered — a shard reaped after Stop has
+// answered, and so logged, everything it was ever sent. Close tears the
+// shard connections down too.
 func (r *Router) Stop() {
 	r.mu.Lock()
 	if !r.stopped {
@@ -329,66 +330,21 @@ func (r *Router) handle(conn net.Conn) {
 			r.reject(conn, err.Error())
 			continue
 		}
-		if msg.Type == analyzerd.TypeDump {
-			// The drain gathers per-shard dumps itself; a merged dump
-			// through the router would hide which shard is unreachable.
-			r.reject(conn, "dump must target a shard, not the router")
-			continue
-		}
 		r.inflight.Add(1)
 		h.add(r.ring.Owner(msg.Client), line)
 	}
 }
 
-// DumpShard asks one shard for its full accepted-message state over a
-// connection dialed for the dump; a shard-side error line comes back as an
-// error. The state's shard index and map are checked against the
-// router's — a mismatched dump means the fleet is misassembled, and
-// merging it would corrupt the diagnosis.
+// DumpShard reaps shard i and rebuilds its state from its directory, by
+// Fleet.Drain's one path; a router Start did not make returns an error.
+// It exists only because the frozen benchmark/ times a drain shard by
+// shard through it; ROADMAP item 10 deletes it.
 func (r *Router) DumpShard(i int) (*wire.ShardState, error) {
+	if r.cfg.reap == nil {
+		return nil, fmt.Errorf("fleet: DumpShard needs a router made by fleet.Start")
+	}
 	if i < 0 || i >= r.cfg.Map.Shards {
 		return nil, fmt.Errorf("fleet: no shard %d", i)
 	}
-	rep, err := r.dumpLine(i)
-	if err != nil {
-		return nil, err
-	}
-	state, failure, err := wire.DecodeShardState(rep)
-	switch {
-	case err != nil:
-		return nil, fmt.Errorf("fleet: shard %d dump: %w", i, err)
-	case state.Format == 0 && failure != "":
-		return nil, fmt.Errorf("fleet: shard %d dump: %s", i, failure)
-	case state.Format == 0:
-		return nil, fmt.Errorf("fleet: shard %d dump: unrecognized reply", i)
-	case state.Shard != i || state.Map != r.cfg.Map:
-		return nil, fmt.Errorf("fleet: dump from shard %d/%+v where shard %d/%+v was expected",
-			state.Shard, state.Map, i, r.cfg.Map)
-	}
-	return state, nil
-}
-
-// dumpLine runs one dump exchange with shard i on a connection dialed
-// for it and returns the single-line reply. The reply is a shard's whole
-// state, megabytes on one line, so it is read in large chunks into a
-// buffer that grows to fit it.
-func (r *Router) dumpLine(i int) ([]byte, error) {
-	conn, err := r.dial(i)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = conn.Close() }() // the reply is in, or the exchange failed
-	//lint:ignore nosystime bounding a real TCP round trip to a shard daemon
-	err = conn.SetDeadline(time.Now().Add(replyTimeout))
-	if err == nil {
-		_, err = conn.Write([]byte(`{"type":"dump"}` + "\n"))
-	}
-	lr := lineReader{buf: make([]byte, 64<<10)}
-	for err == nil {
-		if rep := lr.next(); rep != nil {
-			return rep, nil
-		}
-		err = lr.fill(conn, math.MaxInt) // a dump is as long as the shard's state
-	}
-	return nil, err
+	return r.cfg.reap(i)
 }

@@ -102,7 +102,7 @@ func TestMonitorKillRestart(t *testing.T) {
 	if victim.Kills != 1 || sys.Kills() != 1 {
 		t.Fatalf("Kills = %d (system %d), want 1", victim.Kills, sys.Kills())
 	}
-	if victim.Dead() {
+	if victim.dead {
 		t.Fatal("monitor still dead after Restart")
 	}
 }
@@ -116,16 +116,16 @@ func TestDeadMonitorIgnoresEvents(t *testing.T) {
 	m := sys.Monitors[r.ranks[0]]
 	m.Kill()
 	m.HandleNotify(&fabric.Packet{Kind: fabric.KindNotify, Payload: NotifyPayload{Count: 5}})
-	if m.Budget() != 0 {
-		t.Fatalf("dead monitor accepted notify budget %d", m.Budget())
+	if m.budget != 0 {
+		t.Fatalf("dead monitor accepted notify budget %d", m.budget)
 	}
 	m.HandleStepStart(0, fabric.FlowKey{})
-	if m.Budget() != 0 {
-		t.Fatalf("dead monitor armed a step (budget %d)", m.Budget())
+	if m.budget != 0 {
+		t.Fatalf("dead monitor armed a step (budget %d)", m.budget)
 	}
 	m.Restart()
 	m.HandleStepStart(0, fabric.FlowKey{})
-	if m.Budget() == 0 {
+	if m.budget == 0 {
 		t.Fatal("restarted monitor did not re-arm at the next step start")
 	}
 	_ = run

@@ -557,12 +557,3 @@ func (m *Monitor) Kill() {
 // start; samples from a step already in flight are ignored because no
 // threshold is known for it.
 func (m *Monitor) Restart() { m.dead = false }
-
-// Dead reports whether the monitor is currently killed (tests).
-func (m *Monitor) Dead() bool { return m.dead }
-
-// Budget exposes the current remaining detection opportunities (tests).
-func (m *Monitor) Budget() int { return m.budget }
-
-// Threshold exposes the active RTT threshold (tests).
-func (m *Monitor) Threshold() simtime.Duration { return m.threshold }

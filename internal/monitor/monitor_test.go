@@ -178,7 +178,7 @@ func TestPerStepThresholdRecomputation(t *testing.T) {
 	run.OnStepStart = func(h topo.NodeID, s int, f fabric.FlowKey, at simtime.Time) {
 		prev(h, s, f, at)
 		if h == ranks[0] {
-			thresholds = append(thresholds, m.Threshold())
+			thresholds = append(thresholds, m.threshold)
 		}
 	}
 	run.Start()
@@ -203,8 +203,8 @@ func TestFixedThresholdOverride(t *testing.T) {
 	run.Start()
 	r.k.Run(simtime.Never)
 	for _, m := range sys.Monitors {
-		if m.Threshold() != 123*time.Microsecond {
-			t.Fatalf("fixed threshold not applied: %v", m.Threshold())
+		if m.threshold != 123*time.Microsecond {
+			t.Fatalf("fixed threshold not applied: %v", m.threshold)
 		}
 	}
 }
@@ -290,8 +290,8 @@ func TestBudgetCap(t *testing.T) {
 	// Simulate hoarding: inject large transfers.
 	m.HandleNotify(&fabric.Packet{Kind: fabric.KindNotify, Payload: NotifyPayload{Count: 1000}})
 	m.HandleStepStart(0, fabric.FlowKey{})
-	if m.Budget() > 4*cfg.MaxDetectPerStep {
-		t.Fatalf("budget %d exceeds hoard cap %d", m.Budget(), 4*cfg.MaxDetectPerStep)
+	if m.budget > 4*cfg.MaxDetectPerStep {
+		t.Fatalf("budget %d exceeds hoard cap %d", m.budget, 4*cfg.MaxDetectPerStep)
 	}
 	_ = run
 }

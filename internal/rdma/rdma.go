@@ -220,9 +220,6 @@ func (h *Host) Send(flow fabric.FlowKey, size int64) error {
 	return nil
 }
 
-// ActiveSends returns the number of in-progress outbound messages.
-func (h *Host) ActiveSends() int { return len(h.sends) }
-
 // pump injects as many cells as the window and pacing rate allow, and arms
 // a timer for the next pacing slot if the window is open but the rate gate
 // is not.
@@ -447,15 +444,4 @@ func (h *Host) armRecovery(st *sendState) {
 			h.armRecovery(st)
 		}
 	})
-}
-
-// CurrentRate reports the pacing rate of an active flow (line rate if the
-// flow is unknown, which also covers completed flows).
-func (h *Host) CurrentRate(flow fabric.FlowKey) simtime.Rate {
-	for _, st := range h.sends {
-		if st.flow == flow {
-			return st.rate
-		}
-	}
-	return h.lineRate
 }

@@ -65,9 +65,6 @@ func (k *Kernel) SetStages(st *obs.Stages) {
 	k.tPush, k.tPop = st.EventPush, st.EventPop
 }
 
-// QueueStats returns the event queue's lifetime traffic counters.
-func (k *Kernel) QueueStats() eventq.Stats { return k.q.Stats() }
-
 // LaneStats returns how many events After scheduled and how many of them
 // took one of the queue's constant-delay lanes instead of its heap.
 func (k *Kernel) LaneStats() eventq.LaneStats { return k.q.LaneStats() }

@@ -168,7 +168,7 @@ func TestAfterMatchesAt(t *testing.T) {
 			schedule(delays[i%int64(len(delays))], spawn(i*1000))
 		}
 		k.Run(simtime.Never)
-		if st := k.QueueStats(); after && k.LaneStats().Laned == 0 || !after && k.LaneStats().After != 0 {
+		if st := k.q.Stats(); after && k.LaneStats().Laned == 0 || !after && k.LaneStats().After != 0 {
 			t.Fatalf("after=%v: lane stats %+v with queue stats %+v", after, k.LaneStats(), st)
 		}
 		return log

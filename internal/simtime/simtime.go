@@ -79,15 +79,6 @@ func (r Rate) Transmit(size int64) Duration {
 	return Duration(sec)*time.Second + Duration(rem*int64(time.Second)/int64(r))
 }
 
-// BytesIn returns how many whole bytes rate r moves in duration d.
-func (r Rate) BytesIn(d Duration) int64 {
-	if d <= 0 || r <= 0 {
-		return 0
-	}
-	// bytes = r/8 * seconds = r * d_ns / (8 * 1e9)
-	return int64(r) / 8 * int64(d) / int64(time.Second)
-}
-
 // Scale returns r scaled by num/den, guarding against zero denominators.
 func (r Rate) Scale(num, den int64) Rate {
 	if den == 0 {

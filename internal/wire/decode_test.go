@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -60,27 +59,6 @@ func differBundleStream(t *testing.T, data []byte) {
 	agree(t, data, *got, gotErr, want, wantErr)
 }
 
-// differDump is differ for DecodeShardState, against what fleet.DumpShard
-// did with two passes: the state as json.Unmarshal reads it, and the text
-// of the "error" key whenever a pass into {"error": string} succeeds.
-func differDump(t *testing.T, data []byte) (ShardState, bool) {
-	t.Helper()
-	var want ShardState
-	wantErr := json.Unmarshal(data, &want)
-	got, failure, gotErr := DecodeShardState(data)
-	if gotErr != nil {
-		got = &ShardState{}
-	}
-	agree(t, data, *got, gotErr, want, wantErr)
-	var reply struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(data, &reply) == nil && failure != reply.Error {
-		t.Fatalf("failure text on %q: decoder %q, encoding/json %q", data, failure, reply.Error)
-	}
-	return *got, gotErr == nil
-}
-
 // differAll runs one input through every decoder the file has. A key that
 // means nothing to a type is an unknown key there, which is a case too.
 func differAll(t *testing.T, data []byte) {
@@ -94,7 +72,6 @@ func differAll(t *testing.T, data []byte) {
 	differ(t, data, bundleCodec)
 	differ(t, data, replyCodec)
 	differBundleStream(t, data)
-	differDump(t, data)
 }
 
 // quirks is the checked-in corpus of the places a hand-written decoder and
@@ -153,7 +130,7 @@ var quirks = []string{
 	// syntax and trailing bytes: Unmarshal wants only whitespace after the value, Decoder.Decode stops reading
 	`{"src"`, `{"src":`, `{"src":}`, `{"src":1`, `{"src":1,}`, `{,}`, `{"src":1 "dst":2}`, `{"src" 1}`, `[`, `]`, `}`, `[]`, `[{}]`, `5`, `-`, `"s"`, `true`, ``, ` `, "\x00",
 	`{"src":1}x`, `{"src":1} x`, `{"src":1}{"src":2}`, "{\"src\":1}\n", `{"records":[]}]`, "\ufeff{}",
-	// the dump reply's error key: text when a string, skipped otherwise
+	// error keys: a reply reads the text of a string and refuses any other value
 	`{"error":"boom"}`, `{"error":5,"format":1}`, `{"ERROR":"x","error":null}`, `{"error":"a","error":"b"}`, `{"error":"a","error":5}`, `{"error":{"x":[1]},"format":1,"shard":1}`,
 	// reply lines: the client's reader refuses a non-string error, the router's skips it
 	`{"ack":7,"client":"h03"}`, `{"nak":3,"client":"h\u00e9","error":"overloaded","retry":true}`, `{"error":"bad line"}`, `{"error":5}`,
@@ -175,8 +152,8 @@ func TestDecodeQuirks(t *testing.T) {
 }
 
 // TestDecodeFieldTablesMatchTags: every table in decode.go names exactly
-// the json tags of its struct, in order (dumpReply: ShardState's, then the
-// error key), so a field added to a DTO cannot be forgotten by the decoder.
+// the json tags of its struct, in order, so a field added to a DTO cannot
+// be forgotten by the decoder.
 func TestDecodeFieldTablesMatchTags(t *testing.T) {
 	tableMatchesTags(t, flowCodec)
 	tableMatchesTags(t, portCodec)
@@ -194,7 +171,6 @@ func TestDecodeFieldTablesMatchTags(t *testing.T) {
 	tableMatchesTags(t, shardMapCodec)
 	tableMatchesTags(t, snapshotCodec)
 	tableMatchesTags(t, messageCodec)
-	tableMatchesTags(t, dumpReplyCodec, "error")
 	tableMatchesTags(t, replyCodec)
 	tableMatchesTags(t, replyLineCodec)
 }
@@ -356,50 +332,6 @@ func TestReadBundleAllocs(t *testing.T) {
 // report decode throughput: go test -run '^$' -bench ReadBundle ./internal/wire
 func BenchmarkReadBundleL(b *testing.B)  { benchmarkReadBundle(b, 4032) }
 func BenchmarkReadBundleXL(b *testing.B) { benchmarkReadBundle(b, 16256) }
-
-// BenchmarkAppendShardState encodes a dump of an ingest-stream shard's
-// shape (2 272 messages over eight clients: 1 760 of fixedBundle's step
-// records and 512 of its reports) through the codec tables into a reused buffer, as a shard
-// answers the dump verb, and through json.Marshal for reference:
-// go test -run '^$' -bench AppendShardState ./internal/wire
-func BenchmarkAppendShardState(b *testing.B) {
-	bundle, err := DecodeBundle(fixedBundle(b, 1760, 512))
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := &ShardState{Format: ShardStateFormat, Map: ShardMap{Shards: 2}}
-	add := func(m SourcedMessage) {
-		n := len(st.Messages)
-		m.Client, m.Seq = fmt.Sprintf("h%02d", n%8), int64(n/8+1)
-		st.Messages = append(st.Messages, m)
-	}
-	for i := range bundle.Records {
-		add(SourcedMessage{Type: MsgStep, Step: &bundle.Records[i]})
-	}
-	for i := range bundle.Reports {
-		add(SourcedMessage{Type: MsgReport, Report: &bundle.Reports[i]})
-	}
-	for i := 0; i < 8; i++ {
-		st.Acked = append(st.Acked, ClientAck{Client: fmt.Sprintf("h%02d", i), Seq: int64(len(st.Messages) / 8)})
-	}
-	buf := AppendShardState(nil, st)
-	b.Run("table", func(b *testing.B) {
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf = AppendShardState(buf[:0], st)
-		}
-	})
-	b.Run("json.Marshal", func(b *testing.B) {
-		b.SetBytes(int64(len(buf)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 func benchmarkReadBundle(b *testing.B, nrec int) {
 	data := fixedBundle(b, nrec, 256)

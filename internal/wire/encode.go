@@ -7,7 +7,7 @@ import (
 
 // The encode half of decode.go's codec tables: each entry's emit appends
 // its field's value, and the bytes are json.Marshal's exactly (snapshots
-// and dumps are compared across builds; FuzzEncodeMatchesMarshal holds
+// are compared across builds; FuzzEncodeMatchesMarshal holds
 // every table to it, DESIGN.md §16). Only the caller's buffer allocates.
 
 // encode appends v as an object, keys in table order. An emit that appends
@@ -98,11 +98,6 @@ func AppendMessage(b []byte, m *Message) []byte { return messageCodec.encode(b, 
 
 // AppendSnapshot appends s as a snapshot file's body, without the newline.
 func AppendSnapshot(b []byte, s *Snapshot) []byte { return snapshotCodec.encode(b, s) }
-
-// AppendShardState appends st as a shard's dump reply, without the newline.
-func AppendShardState(b []byte, st *ShardState) []byte {
-	return dumpReplyCodec.encode(b, &dumpReply{ShardState: *st})
-}
 
 // AppendReply appends r as one reply line, without the newline.
 func AppendReply(b []byte, r *ReplyLine) []byte { return replyLineCodec.encode(b, r) }

@@ -72,9 +72,6 @@ func FuzzEncodeMatchesMarshal(f *testing.F) {
 		if s, err := DecodeSnapshot(data); err == nil {
 			marshalsAs(t, data, AppendSnapshot(nil, s), s)
 		}
-		if st, _, err := DecodeShardState(data); err == nil {
-			marshalsAs(t, data, AppendShardState(nil, st), st)
-		}
 		var r ReplyLine
 		if json.Unmarshal(data, &r) == nil {
 			marshalsAs(t, data, AppendReply(nil, &r), &r)

@@ -67,8 +67,8 @@ func FuzzStepRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// stateBody is the Messages + Acked pair a Snapshot and a ShardState both
-// carry; the fuzzers below check it through both headers.
+// stateBody is the Messages + Acked pair a Snapshot persists and a
+// ShardState holds; the fuzzers below check it under a snapshot's header.
 const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,"dst":1}},` +
 	`{"client":"h1","seq":9,"type":"step","step":{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}},` +
 	`{"type":"report","report":{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}}],` +
@@ -79,7 +79,7 @@ const stateBody = `"messages":[{"client":"h2","seq":3,"type":"cf","cf":{"src":9,
 // acks by client) → marshal cycle stably — the second pass is the
 // identity. Recovery equality depends on this: a snapshot written, read
 // back, and written again must be byte-identical. decode is the
-// artifact's differential decode (differ over its codec, or differDump).
+// artifact's differential decode (differ over its codec).
 func fuzzBodyRoundTrip[T any](t *testing.T, data []byte, decode func(*testing.T, []byte) (T, bool), body func(*T) (*[]SourcedMessage, *[]ClientAck)) {
 	pass := func(in []byte) ([]byte, bool) {
 		v, ok := decode(t, in)
@@ -124,31 +124,53 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHandoffRoundTrip: the state a shard hands to the aggregator in its
-// dump reply. With a static shard map this is the one artifact that
-// carries a shard's Messages + Acked body out of its process, under the
-// shard-map header, and the merge depends on it reading back as written.
+// FuzzHandoffRoundTrip: what a shard hands a fleet drain. The drain
+// rebuilds a shard from the snapshot the shard wrote on its way out, so
+// whatever the snapshot decoder accepts, written back with AppendSnapshot
+// and read again, must merge (MergeShardStates) to the same bundle: a
+// shard that snapshots, restarts and snapshots again changes nothing in
+// the merged diagnosis.
 func FuzzHandoffRoundTrip(f *testing.F) {
 	seed(f,
-		`{"format":1,"shard":2,"map":{"shards":3},`+stateBody+`}`,
-		`{"format":1,"shard":1,"map":{"shards":2}}`)
+		`{"format":2,"next_lsn":3,`+stateBody+`}`,
+		`{"format":2,"next_lsn":1}`)
+	merged := func(t *testing.T, s *Snapshot) []byte {
+		b, _ := MergeShardStates([]*ShardState{{Messages: s.Messages, Acked: s.Acked}})
+		out, err := json.Marshal(b)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return out
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBodyRoundTrip(t, data, differDump, func(s *ShardState) (*[]SourcedMessage, *[]ClientAck) { return &s.Messages, &s.Acked })
+		snap, ok := differ(t, data, snapshotCodec)
+		if !ok {
+			return
+		}
+		written := AppendSnapshot(nil, &snap)
+		again, err := DecodeSnapshot(written)
+		if err != nil {
+			t.Fatalf("decode of own snapshot %s: %v", written, err)
+		}
+		if a, b := merged(t, &snap), merged(t, again); !bytes.Equal(a, b) {
+			t.Fatalf("merge changed across a snapshot rewrite:\n%s\nvs\n%s", a, b)
+		}
 	})
 }
 
-// FuzzShardStateDecode: a shard's reply to the dump verb — a state, an
-// {"error": …} line, or anything a broken shard might send — decodes in
-// one pass to what the two encoding/json passes it replaced produced. The
-// same bytes read as an ingest reply by a client decode as encoding/json
+// FuzzShardStateDecode: the bytes a drain reads a shard's state from — its
+// snapshot file and its WAL records, each a protocol line — decode as
+// encoding/json reads them, whatever a broken shard might have written.
+// The same bytes read as a reply line by a client decode as encoding/json
 // reads them into the client's fields.
 func FuzzShardStateDecode(f *testing.F) {
 	seed(f,
-		`{"format":1,"shard":1,"map":{"shards":2,"epoch":4},`+stateBody+`}`,
-		`{"error":"dump: not a shard"}`,
+		`{"format":2,"next_lsn":9,`+stateBody+`}`,
+		`{"type":"cf","cf":{"src":1,"dst":2},"seq":1,"client":"h1"}`,
 		`{"nak":4,"client":"h2","error":"overloaded","retry":true}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		differDump(t, data)
+		differ(t, data, snapshotCodec)
+		differ(t, data, messageCodec)
 		differ(t, data, replyCodec)
 	})
 }
@@ -169,8 +191,8 @@ func FuzzReadBundle(f *testing.F) {
 // FuzzShardMapDecode: an arbitrary JSON shard map either fails ring
 // construction with an error or yields a ring whose ownership function
 // is total (every key lands in [0, Shards)), and the map's JSON round
-// trip is stable. A dump reply carries a map from another process, so
-// this is an input-validation surface, not just a DTO.
+// trip is stable. A map reaches NewHashRing from a command line
+// (-shard-count), so this is an input-validation surface, not just a DTO.
 func FuzzShardMapDecode(f *testing.F) {
 	seed(f, `{"shards":3}`, `{"shards":4,"epoch":7}`, `{"shards":-1}`, `{"shards":0}`)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -4,11 +4,11 @@ package wire
 // field is set, selected by Type. An ingest line (step, report, cf) names
 // its Client and numbers it with Seq, per client and strictly increasing
 // from 1, and gets an {"ack":seq,"client":…} reply and duplicate
-// suppression on resubmission; a dump line carries neither. The struct
+// suppression on resubmission. The struct
 // lives here so the one decoder covers it; internal/analyzerd, which owns
 // the protocol's rules (ParseMessage), aliases it.
 type Message struct {
-	Type   string      `json:"type"` // "step" | "report" | "cf" | "dump"
+	Type   string      `json:"type"` // "step" | "report" | "cf"
 	Step   *StepRecord `json:"step,omitempty"`
 	Report *Report     `json:"report,omitempty"`
 	CF     *Flow       `json:"cf,omitempty"`

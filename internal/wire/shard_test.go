@@ -117,7 +117,7 @@ func TestMergeShardStatesPartitionInvariant(t *testing.T) {
 
 	// One big shard vs. per-client shards vs. an interleaved split with a
 	// duplicated message — all must merge to the same bundle.
-	whole := []*ShardState{{Format: ShardStateFormat, Messages: msgs}}
+	whole := []*ShardState{{Messages: msgs}}
 	var perClient []*ShardState
 	byClient := map[string][]SourcedMessage{}
 	for _, m := range msgs {
@@ -125,7 +125,7 @@ func TestMergeShardStatesPartitionInvariant(t *testing.T) {
 	}
 	for c := 0; c < 3; c++ {
 		client := fmt.Sprintf("h%02d", c)
-		perClient = append(perClient, &ShardState{Format: ShardStateFormat, Shard: c, Messages: byClient[client]})
+		perClient = append(perClient, &ShardState{Shard: c, Messages: byClient[client]})
 	}
 	split := []*ShardState{
 		{Messages: append(append([]SourcedMessage{}, msgs[6:]...), msgs[3])}, // dup of msgs[3]

@@ -3,7 +3,7 @@ package wire
 import "sort"
 
 // Message type tags shared by the analyzer wire protocol and shard
-// state dumps. internal/analyzerd's TypeStep/TypeReport/TypeCF carry
+// states. internal/analyzerd's TypeStep/TypeReport/TypeCF carry
 // the same values; they live here too so shard-state consumers don't
 // need the daemon package.
 const (
@@ -16,7 +16,7 @@ const (
 // which client submitted it and at which sequence number. The stream of
 // these, in ingest order, is the only ingest state an analyzer daemon
 // retains: it diagnoses by folding the stream (FoldMessages), and a fleet
-// aggregator can merge any subset of shard dumps into one deterministic
+// drain can merge any subset of shard states into one deterministic
 // bundle — (client, seq) is stable across shard crashes and
 // resubmission, which is what makes the merged diagnosis byte-identical
 // to an unbroken run.
@@ -29,26 +29,28 @@ type SourcedMessage struct {
 	CF     *Flow       `json:"cf,omitempty"`
 }
 
-// ShardStateFormat is the supported shard-state dump format version.
+// ShardStateFormat and ShardState.Format version nothing (a shard state is
+// never encoded); the frozen benchmark/ sets them. ROADMAP item 10 drops both.
 const ShardStateFormat = 1
 
-// ShardState is one shard daemon's complete accepted-message set, as
-// returned by the "dump" verb: the same Messages + Acked body a Snapshot
-// persists, under a header (Shard, Map) that echoes the shard's position
-// in the fleet so an aggregator can detect a mis-wired dump.
+// ShardState is one shard daemon's complete accepted-message set, as a
+// fleet drain rebuilds it from the shard's directory
+// (analyzerd.RecoverShard): the same Messages + Acked body a Snapshot
+// persists, with the shard's position in the fleet. It is never sent or
+// written; the snapshot and the WAL are its durable form.
 type ShardState struct {
-	Format int `json:"format"`
+	Format int
 	// Shard is this daemon's index in [0, Map.Shards).
-	Shard int `json:"shard"`
+	Shard int
 	// Map is the shard map the daemon was running under.
-	Map ShardMap `json:"map"`
+	Map ShardMap
 	// Messages holds every accepted message in local ingest order.
-	Messages []SourcedMessage `json:"messages,omitempty"`
+	Messages []SourcedMessage
 	// Acked carries each client's acknowledged-sequence highwater,
 	// sorted by client: the true highwater, not the max retained message
 	// seq, because a permanently rejected submission advances the window
 	// without leaving a message behind. Merging ignores this field.
-	Acked []ClientAck `json:"acked,omitempty"`
+	Acked []ClientAck
 }
 
 // MergeStats describes what MergeShardStates folded together.
@@ -135,10 +137,10 @@ func FoldMessages(msgs []SourcedMessage) (*Bundle, MergeStats) {
 	return bundle, stats
 }
 
-// MergeShardStates merges any number of shard dumps into one bundle in
+// MergeShardStates merges any number of shard states into one bundle in
 // canonical order (SortMessages, then FoldMessages), so the result is
 // byte-identical no matter how the fleet was sharded, how often shards
-// crashed and replayed their WALs, or in which order the dumps were
+// crashed and replayed their WALs, or in which order the states were
 // gathered.
 func MergeShardStates(states []*ShardState) (*Bundle, MergeStats) {
 	var msgs []SourcedMessage

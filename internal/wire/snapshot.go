@@ -13,10 +13,10 @@ type ClientAck struct {
 // file is refused, never read as an empty state.
 const SnapshotFormat = 2
 
-// Snapshot is the analyzer daemon's complete ingest state on disk. Its
-// body is the one a shard dump shares — Messages in ingest order plus
-// the Acked highwaters (see ShardState) — under a header
-// that says which write-ahead-log entries it already covers. A snapshot
+// Snapshot is the analyzer daemon's complete ingest state on disk: the
+// Messages in ingest order plus the Acked highwaters (the body a
+// ShardState holds in memory), under a header that says which
+// write-ahead-log entries it already covers. A snapshot
 // plus the log entries at or after NextLSN reconstructs a byte-identical
 // Diagnose(): ingest order is kept because the analyzer's flow→step index
 // is last-write-wins over it.

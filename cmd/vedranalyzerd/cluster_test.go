@@ -158,8 +158,8 @@ func clusterReference(t *testing.T) []string {
 }
 
 // TestClusterHoldShardExact: with -hold-shard, the held shard is down at
-// drain time, so the drain rebuilds it from a WAL with no final snapshot
-// — even under -fsync off, since an acked message was flushed to the OS,
+// drain time, so the drain rebuilds it from a WAL with no final sync —
+// even under -fsync off, since an acked message was flushed to the OS,
 // which a SIGKILL does not undo — and the output is byte-identical to an
 // unbroken run's.
 func TestClusterHoldShardExact(t *testing.T) {

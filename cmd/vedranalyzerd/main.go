@@ -22,9 +22,10 @@
 // Abuse counters print alongside the ingest totals.
 //
 // With -wal-dir every accepted message is write-ahead-logged before it is
-// acknowledged and the daemon snapshots its state there (-fsync interval
-// syncs at most every 100 ms); a restarted daemon recovers a
-// byte-identical diagnosis from the snapshot plus the log tail. The ingest
+// acknowledged, and -snapshot-every N snapshots the state there every N
+// messages (-fsync interval syncs at most every 100 ms); a stopped or
+// crashed daemon leaves the last snapshot plus the log tail, from which a
+// restart recovers a byte-identical diagnosis. The ingest
 // queue holds 1024 messages; a full queue answers with an explicit
 // retryable NACK that the reliable client backs off on. The obs listener
 // additionally serves /healthz and /readyz probes.
@@ -73,7 +74,7 @@ func run() int {
 	fsyncMode := flag.String("fsync", "always",
 		"WAL fsync policy with -wal-dir: always|interval|off")
 	snapshotEvery := flag.Int("snapshot-every", 0,
-		"snapshot state every N accepted messages with -wal-dir (0 = only on drain)")
+		"snapshot state every N accepted messages with -wal-dir (0 = never)")
 	obsListen := flag.String("obs-listen", "",
 		"serve live /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address")
 	verbose := flag.Bool("v", false, "log connection and ingest events on stderr")
@@ -157,10 +158,10 @@ func run() int {
 
 	<-done
 
-	// Graceful drain: stop accepting, apply everything queued, flush and
-	// sync the WAL, write a final snapshot. Counts and the diagnosis below
-	// then cover every accepted message.
-	if err := srv.Drain(); err != nil {
+	// Graceful drain: stop accepting, apply everything queued, sync and
+	// close the WAL. Counts and the diagnosis below then cover every
+	// accepted message.
+	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "vedranalyzerd:", err)
 	}
 	recs, reps, cfs := srv.Counts()
@@ -176,8 +177,8 @@ func run() int {
 	}
 	if scfg.Shard != nil {
 		// A fleet member's slice is not a diagnosis anyone reads: the
-		// parent rebuilds it from the snapshot Drain just wrote and
-		// diagnoses the merge.
+		// parent rebuilds it from the snapshot and WAL tail in its
+		// directory and diagnoses the merge.
 		return 0
 	}
 	return printDiagnosis(srv.Diagnose(), *asJSON)

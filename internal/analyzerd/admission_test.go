@@ -409,16 +409,177 @@ func TestReadyFlipsOnDrain(t *testing.T) {
 	if err := srv.Ready(); err != nil {
 		t.Fatalf("fresh server not ready: %v", err)
 	}
-	if err := srv.Drain(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Ready(); err == nil {
 		t.Fatal("drained server still ready")
 	}
-	if err := srv.Drain(); err != nil { // idempotent
+	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
+	srv.Abort() // a no-op after Close
+}
+
+// dialRegistered dials n raw connections and returns once the server has
+// registered every one, so no handler's first line can reach the server
+// before the last connection's accept.
+func dialRegistered(t *testing.T, srv *Server, n int) []net.Conn {
+	t.Helper()
+	conns := make([]net.Conn, n)
+	for i := range conns {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conns[i] = conn
+	}
+	for {
+		srv.mu.Lock()
+		registered := len(srv.conns)
+		srv.mu.Unlock()
+		if registered == n {
+			return conns
+		}
+		runtime.Gosched()
+	}
+}
+
+// firstContacts sends one cf line as seq 1 of a client per connection,
+// all at once behind a barrier, and hands each connection's first reply
+// to got. The clients' first contacts (bindClient) and any load-shedding
+// (noteRetryNack) run in concurrent handlers with no lock taken between
+// them, so dropping s.mu around either one's clientLocked is a data race
+// that -race reports.
+func firstContacts(t *testing.T, conns []net.Conn, got chan<- testReply) *sync.WaitGroup {
+	t.Helper()
+	barrier := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, conn := range conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-barrier
+			line := fmt.Sprintf(`{"type":"cf","cf":{"src":%d,"dst":99},"seq":1,"client":"h%02d"}`, i+1, i)
+			if _, err := fmt.Fprintln(conn, line); err != nil {
+				t.Error(err)
+				return
+			}
+			//lint:ignore nosystime reply deadline on a real TCP connection
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reply, err := bufio.NewReader(conn).ReadBytes('\n')
+			if err != nil {
+				t.Errorf("client h%02d: %v", i, err)
+				return
+			}
+			var rep testReply
+			if err := json.Unmarshal(reply, &rep); err != nil {
+				t.Errorf("client h%02d: bad reply %q: %v", i, reply, err)
+				return
+			}
+			got <- rep
+		}()
+	}
+	close(barrier)
+	return &wg
+}
+
+// TestConcurrentFirstContact: 16 clients whose first lines arrive at once
+// are each bound and acked exactly once.
+func TestConcurrentFirstContact(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n = 16
+	got := make(chan testReply, n)
+	firstContacts(t, dialRegistered(t, srv, n), got).Wait()
+	close(got)
+	for rep := range got {
+		if rep.Ack != 1 {
+			t.Errorf("reply %+v, want ack 1", rep)
+		}
+	}
+	if _, _, cfs := srv.Counts(); cfs != n {
+		t.Fatalf("ingested %d cfs, want %d", cfs, n)
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for id, st := range srv.clients {
+		if st.conns != 1 || st.acked != 1 {
+			t.Errorf("client %s: %d connections, acked %d; want 1 and 1", id, st.conns, st.acked)
+		}
+	}
+}
+
+// shedClients counts, under s.mu, the clients with a recorded shed seq 1.
+func shedClients(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	shed := 0
+	for _, st := range srv.clients {
+		if st.retryLow == 1 {
+			shed++
+		}
+	}
+	return shed
+}
+
+// TestConcurrentOverloadNacks: with the applier held and a queue of one,
+// 16 clients' first lines arrive at once; all but at most two are shed
+// with a retryable NACK, each shed seq recorded as its client's retryLow.
+// The gate opens as soon as the sheds are recorded, so nothing waits on
+// an ack timeout.
+func TestConcurrentOverloadNacks(t *testing.T) {
+	gate := make(chan struct{})
+	cfg := DefaultServerConfig()
+	cfg.MaxQueue = 1
+	cfg.testApplyGate = gate
+	srv, err := ServeWith("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	defer func() {
+		open() // never leave the applier parked if the test fails early
+		srv.Close()
+	}()
+	const n = 16
+	got := make(chan testReply, n)
+	wg := firstContacts(t, dialRegistered(t, srv, n), got)
+	// The applier holds one line and the queue one more, so at least n-2
+	// sheds are recorded with the gate shut. Wait for them under s.mu
+	// without reading a reply: the race detector orders socket writes
+	// before later socket reads, so a reply read here would order every
+	// handler's noteRetryNack before this goroutine's reads and hide one
+	// that took no lock.
+	for shedClients(srv) < n-2 {
+		runtime.Gosched()
+	}
+	open()
+	wg.Wait()
+	close(got)
+	var acks, nacks int
+	for rep := range got {
+		switch {
+		case rep.Ack == 1:
+			acks++
+		case rep.Nak == 1 && rep.Retry:
+			nacks++
+		default:
+			t.Errorf("reply %+v, want ack 1 or a retryable nak 1", rep)
+		}
+	}
+	if acks+nacks != n || nacks < n-2 {
+		t.Fatalf("%d acks and %d nacks, want %d replies with at least %d nacks", acks, nacks, n, n-2)
+	}
+	if st := srv.Stats(); st.Overloaded != int64(nacks) {
+		t.Errorf("Overloaded = %d, want %d", st.Overloaded, nacks)
+	}
+	if shed := shedClients(srv); shed != nacks {
+		t.Errorf("%d clients recorded a shed seq, want %d", shed, nacks)
 	}
 }

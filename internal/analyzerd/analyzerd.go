@@ -129,7 +129,7 @@ type DurabilityConfig struct {
 	// FsyncInterval paces FsyncInterval syncs (default 100ms).
 	FsyncInterval time.Duration
 	// SnapshotEvery writes a snapshot (and truncates the WAL) after this
-	// many applied messages. <= 0 snapshots only on Drain.
+	// many applied messages. 0 = never: the WAL is then the whole state.
 	SnapshotEvery int
 }
 
@@ -254,12 +254,10 @@ type Server struct {
 	sourced []wire.SourcedMessage // guarded by mu
 	// clients holds the per-client ack windows and idle state; entries
 	// for disconnected clients are evicted after AckTTL.
-	clients  map[string]*clientState // guarded by mu
-	conns    map[net.Conn]struct{}   // guarded by mu
-	stats    ServerStats             // guarded by mu
-	draining bool                    // guarded by mu
-	closed   bool                    // guarded by mu
-	stopped  bool                    // guarded by mu
+	clients map[string]*clientState // guarded by mu
+	conns   map[net.Conn]struct{}   // guarded by mu
+	stats   ServerStats             // guarded by mu
+	closed  bool                    // guarded by mu
 
 	// index is this server's slot in the shard map; ring is the
 	// consistent-hash ownership function and shardMap the map it was
@@ -434,7 +432,7 @@ func (s *Server) QueueDepth() int { return len(s.queue) }
 func (s *Server) Ready() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining || s.closed {
+	if s.closed {
 		return errors.New("analyzerd: draining")
 	}
 	if s.wal != nil {
@@ -500,45 +498,30 @@ func (s *Server) PublishStats(reg *obs.Registry) {
 	}
 }
 
-// ending is what a teardown does with the write-ahead log last.
-type ending int
-
-const (
-	endClose   ending = iota // flush and close the log; no snapshot
-	endDrain                 // final snapshot, then close
-	endAbandon               // drop the handle unflushed, as a kill would
-)
-
 // Close stops accepting, severs live connections, and waits for handlers
 // and the applier to drain. A stalled client cannot block it: its
 // connection is closed out from under its handler. Queued messages are
-// still applied (and, with durability, logged) before Close returns, but
-// no final snapshot is taken — use Drain for a graceful shutdown.
-func (s *Server) Close() error { return s.stop(endClose) }
+// still applied (and, with durability, logged) before Close returns; then
+// the WAL is synced and closed. It writes no snapshot: the directory holds
+// the last periodic snapshot plus the WAL tail, as after a crash, and a
+// restart (or RecoverShard) replays the tail.
+func (s *Server) Close() error { return s.stop(false) }
 
-// Drain is the graceful shutdown: stop accepting, sever connections,
-// apply everything already queued, flush and sync the WAL, write a final
-// snapshot, and release the log. After Drain a restart recovers from the
-// snapshot alone.
-func (s *Server) Drain() error { return s.stop(endDrain) }
+// Abort is the in-process SIGKILL, the crash seam the analyzerd and fleet
+// tests share: connections die, the listener closes, whatever the fsync
+// policy already made durable stays on disk, and no final sync is
+// written — exactly what a killed process leaves behind.
+func (s *Server) Abort() { _ = s.stop(true) }
 
-// Abort is the in-process stand-in for SIGKILL, for crash tests and the
-// in-process fleet harness: connections die, the listener closes,
-// whatever the fsync policy already made durable stays on disk, and no
-// drain snapshot or final sync is written — exactly what a killed
-// process leaves behind.
-func (s *Server) Abort() { _ = s.stop(endAbandon) }
-
-// stop is the one teardown; the endings differ only in the log's last act.
-func (s *Server) stop(end ending) error {
+// stop is the one teardown; abandon drops the log unsynced, as a kill
+// would.
+func (s *Server) stop(abandon bool) error {
 	s.mu.Lock()
-	if s.stopped {
+	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.stopped = true
 	s.closed = true
-	s.draining = true
 	for conn := range s.conns {
 		_ = conn.Close() // severing peers; their handlers report the close
 	}
@@ -550,14 +533,9 @@ func (s *Server) stop(end ending) error {
 	if s.wal == nil {
 		return err
 	}
-	if end == endAbandon {
+	if abandon {
 		s.wal.abandon()
 		return err
-	}
-	if end == endDrain {
-		if serr := s.snapshotNow(); serr != nil && err == nil {
-			err = serr
-		}
 	}
 	if serr := s.wal.Close(); serr != nil && err == nil {
 		err = serr
@@ -832,8 +810,7 @@ func (s *Server) maybeSnapshot() {
 }
 
 // snapshotNow writes the retained stream and ack windows atomically and
-// truncates the now-redundant WAL. Applier-only (or post-applier, from
-// stop).
+// truncates the now-redundant WAL. Applier-only.
 func (s *Server) snapshotNow() error {
 	s.mu.Lock()
 	snap := wire.Snapshot{Format: wire.SnapshotFormat, NextLSN: s.wal.nextLSN}

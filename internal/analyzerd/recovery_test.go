@@ -79,8 +79,7 @@ func sendRange(t *testing.T, rc *ReliableClient, items []sendFn, from, to int) {
 // same directory, finish the stream through the same reliable client, and
 // the recovered daemon's diagnosis must be byte-identical to a run that
 // never crashed — with zero lost and zero duplicated messages. (The
-// graceful-drain half — restart from the snapshot alone — is
-// TestShardSnapshotRoundTrip.)
+// graceful-stop half is TestCloseWritesNoSnapshot.)
 func TestCrashRecoveryDiagnoseIdentical(t *testing.T) {
 	res := runScenario(t)
 	items := linearize(res)

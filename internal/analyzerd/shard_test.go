@@ -106,7 +106,7 @@ func TestShardMovedNackAndErrRedirected(t *testing.T) {
 }
 
 // TestShardDrainRecoversSourcedMessages: what a fleet drain reads of a
-// shard — its directory after a graceful drain, through RecoverShard —
+// shard — its directory after a graceful stop, through RecoverShard —
 // holds the shard's accepted messages with their provenance, under the
 // shard's position in the fleet.
 func TestShardDrainRecoversSourcedMessages(t *testing.T) {
@@ -128,8 +128,8 @@ func TestShardDrainRecoversSourcedMessages(t *testing.T) {
 	if err := rc.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if err := srv.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
 	state, st, err := RecoverShard(dir, ShardConfig{Map: m, Index: 1})
@@ -137,7 +137,7 @@ func TestShardDrainRecoversSourcedMessages(t *testing.T) {
 		t.Fatalf("RecoverShard: %v", err)
 	}
 	if st.Reassigned != 0 || st.Unreplayable != 0 || st.WALEntries != 0 {
-		t.Errorf("recovery %+v, want the drain snapshot alone and nothing dropped", st)
+		t.Errorf("recovery %+v, want the periodic snapshot at message 3 (SnapshotEvery 3) alone and nothing dropped", st)
 	}
 	if state.Shard != 1 || state.Map != m {
 		t.Errorf("state identifies as shard %d of %+v, want 1 of %+v", state.Shard, state.Map, m)
@@ -272,7 +272,7 @@ func TestShardRecoveryDropsReassignedClients(t *testing.T) {
 			t.Fatalf("Flush(%s): %v", id, err)
 		}
 	}
-	srv.Abort() // SIGKILL stand-in: no drain snapshot, WAL abandoned
+	srv.Abort() // SIGKILL stand-in: no final sync, WAL abandoned
 
 	recoverOnce := func() (RecoverStats, *wire.ShardState) {
 		cfg := DefaultServerConfig()
@@ -348,11 +348,16 @@ func TestRecoverShardDropsPayloadlessSnapshotMessages(t *testing.T) {
 }
 
 // TestShardSnapshotRoundTrip pins the one snapshot form for both ways of
-// starting a server: after a graceful drain the WAL is empty, the
-// snapshot alone carries the stream, and a restart rebuilds the same
-// sourced state and a byte-identical diagnosis.
+// starting a server: when the stream ends on a periodic snapshot
+// (SnapshotEvery 3 divides its length) the WAL a graceful stop leaves is
+// empty, the snapshot alone carries the stream, and a restart rebuilds the
+// same sourced state and a byte-identical diagnosis. A stream that ends
+// between snapshots is TestCloseWritesNoSnapshot's.
 func TestShardSnapshotRoundTrip(t *testing.T) {
 	items := linearize(runScenario(t))
+	if len(items)%3 != 0 {
+		t.Fatalf("%d messages: the stream must end on a periodic snapshot (every 3)", len(items))
+	}
 	m := wire.ShardMap{Shards: 2}
 	owned, _ := ownedAndDisowned(t, m, 0)
 	for name, shard := range map[string]*ShardConfig{
@@ -377,11 +382,11 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			want, wantDiag := srv.ShardState(), diagBytes(t, srv)
-			if err := srv.Drain(); err != nil {
-				t.Fatalf("Drain: %v", err)
+			if err := srv.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
 			if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() != 0 {
-				t.Fatalf("WAL after drain: %v, %v; want an empty log", fi, err)
+				t.Fatalf("WAL after the last periodic snapshot: %v, %v; want an empty log", fi, err)
 			}
 
 			s2, err := ServeWith("127.0.0.1:0", cfg)
@@ -393,7 +398,7 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 				t.Errorf("restarted state differs:\n got %+v\nwant %+v", got, want)
 			}
 			if got := diagBytes(t, s2); !bytes.Equal(got, wantDiag) {
-				t.Errorf("post-drain diagnosis differs:\n%s\nvs\n%s", got, wantDiag)
+				t.Errorf("post-stop diagnosis differs:\n%s\nvs\n%s", got, wantDiag)
 			}
 			if rec := s2.Recovery(); !rec.SnapshotLoaded || rec.SnapshotMessages != len(items) || rec.WALEntries != 0 {
 				t.Errorf("recovery %+v, want all %d messages from the snapshot alone", rec, len(items))
@@ -402,16 +407,88 @@ func TestShardSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCloseWritesNoSnapshot pins what a graceful stop leaves: Close syncs
+// the WAL and writes no snapshot, so the directory is the last periodic
+// snapshot plus the WAL tail — what a crash leaves — once with a stream
+// that ends between snapshots and once with SnapshotEvery 0, where the WAL
+// is the whole state. RecoverShard rebuilds the live state from it, and a
+// restart diagnoses byte-identically.
+func TestCloseWritesNoSnapshot(t *testing.T) {
+	items := linearize(runScenario(t))
+	const periodic = 10
+	if len(items)%periodic == 0 {
+		t.Fatalf("%d messages: the stream must end between snapshots (every %d)", len(items), periodic)
+	}
+	shard := ShardConfig{Map: wire.ShardMap{Shards: 1}}
+	for name, every := range map[string]int{"periodic": periodic, "never": 0} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := DefaultServerConfig()
+			cfg.Shard = &shard
+			cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncOff, SnapshotEvery: every}
+			srv, err := ServeWith("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatalf("ServeWith: %v", err)
+			}
+			defer srv.Close()
+			rc, err := NewReliableClient(srv.Addr(), ClientConfig{ID: "h1", MaxAttempts: 2, Sleep: noSleep})
+			if err != nil {
+				t.Fatalf("NewReliableClient: %v", err)
+			}
+			sendRange(t, rc, items, 0, len(items))
+			if err := rc.Close(); err != nil {
+				t.Fatalf("client Close: %v", err)
+			}
+			want, wantDiag := srv.ShardState(), diagBytes(t, srv)
+			if err := srv.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			snaps := 0
+			if every > 0 {
+				snaps = len(items) / every
+			}
+			snap, ok, err := readSnapshot(dir)
+			if err != nil {
+				t.Fatalf("readSnapshot: %v", err)
+			}
+			if n := srv.snapshots.Load(); n != int64(snaps) || ok != (snaps > 0) || len(snap.Messages) != snaps*every {
+				t.Errorf("%d snapshots written, the last (present: %v) holding %d messages; want only the %d periodic ones, the last holding %d",
+					n, ok, len(snap.Messages), snaps, snaps*every)
+			}
+			got, st, err := RecoverShard(dir, shard)
+			if err != nil {
+				t.Fatalf("RecoverShard: %v", err)
+			}
+			if st.WALEntries != len(items)-snaps*every {
+				t.Errorf("replayed %d WAL entries, want the %d after the last periodic snapshot", st.WALEntries, len(items)-snaps*every)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("RecoverShard differs from the live state:\n got %+v\nwant %+v", got, want)
+			}
+
+			s2, err := ServeWith("127.0.0.1:0", cfg)
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer s2.Close()
+			if got := diagBytes(t, s2); !bytes.Equal(got, wantDiag) {
+				t.Errorf("post-stop diagnosis differs:\n%s\nvs\n%s", got, wantDiag)
+			}
+		})
+	}
+}
+
 // TestRealStreamEncodesAsMarshal: on a real scenario's stream, from two
 // clients (one named with quotes, HTML bytes, U+2028 and non-ASCII text),
 // every byte the hand-written encoders write is json.Marshal's: each
-// client line and the drain snapshot.
+// client line and the periodic snapshot the last message triggers.
 func TestRealStreamEncodesAsMarshal(t *testing.T) {
 	items := linearize(runScenario(t))
 	dir := t.TempDir()
 	cfg := DefaultServerConfig()
 	cfg.Shard = &ShardConfig{Map: wire.ShardMap{Shards: 1}}
-	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncOff}
+	cfg.Durability = &DurabilityConfig{Dir: dir, Fsync: FsyncOff, SnapshotEvery: 2 * len(items)}
 	srv, err := ServeWith("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatalf("ServeWith: %v", err)
@@ -444,7 +521,7 @@ func TestRealStreamEncodesAsMarshal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Drain(); err != nil {
+	if err := srv.Close(); err != nil { // the applier has written the snapshot
 		t.Fatal(err)
 	}
 	file, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
@@ -453,7 +530,7 @@ func TestRealStreamEncodesAsMarshal(t *testing.T) {
 	}
 	snap, ok, err := readSnapshot(dir)
 	if err != nil || !ok || len(snap.Messages) != 2*len(items) || !bytes.Equal(file, marshalled(snap)) {
-		t.Fatalf("drain snapshot of %d bytes differs from json.Marshal's (ok=%v, err=%v)", len(file), ok, err)
+		t.Fatalf("snapshot of %d bytes differs from json.Marshal's (ok=%v, err=%v)", len(file), ok, err)
 	}
 }
 

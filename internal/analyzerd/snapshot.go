@@ -152,11 +152,12 @@ func Recover(dir string) (*RecoveredState, error) {
 }
 
 // RecoverShard rebuilds from dir the state shard holds: Recover, then the
-// one replay rule a restarting daemon and a fleet drain both apply. Messages stay in ingest order, snapshot first. A
-// message of a client shard's map assigns elsewhere is dropped (counted in
-// Reassigned), a snapshot message without its payload is dropped (counted
-// in Unreplayable), and a WAL record at or below its client's highwater is
-// a resubmission logged twice across a crash. Every other WAL record
+// one replay rule a restarting daemon and a fleet drain both apply.
+// Messages stay in ingest order, snapshot first. A message of a client
+// shard's map assigns elsewhere is dropped (counted in Reassigned), a
+// snapshot message without its payload is dropped (counted in
+// Unreplayable), and a WAL record at or below its client's highwater is a
+// resubmission logged twice across a crash. Every other WAL record
 // advances its client's highwater. Errors are Recover's.
 func RecoverShard(dir string, shard ShardConfig) (*wire.ShardState, RecoverStats, error) {
 	ring, err := shard.ring()

@@ -236,7 +236,8 @@ func (q *Queue) take(src int) Event {
 }
 
 // Pop removes and returns the earliest event, or the zero Event when the
-// queue is empty (check Len first where that can happen).
+// queue is empty (check Len first where that can happen). The kernel runs
+// PopUntil; Pop stays for the benchmark's event-queue hold model.
 func (q *Queue) Pop() Event {
 	if q.n == 0 {
 		return Event{}
@@ -317,7 +318,8 @@ func (q *Queue) PopUntil(until simtime.Time) (e Event, ok bool) {
 }
 
 // Peek returns the earliest event without removing it; ok is false when the
-// queue is empty.
+// queue is empty. Only tests call it: it is how the eventq tests and
+// FuzzQueueMatchesReference hold the head to the container/heap reference.
 func (q *Queue) Peek() (e Event, ok bool) {
 	if q.n == 0 {
 		return Event{}, false

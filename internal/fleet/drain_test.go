@@ -13,7 +13,7 @@ import (
 // TestFleetDrainReapsShards: Drain reaps every shard before it merges —
 // once it returns, every shard's supervision has ended (Proc.Wait has
 // returned) — and rebuilds each from its directory, on a clean drain and
-// on one with a shard held down, which exits without a final snapshot.
+// on one with a shard held down, which dies without syncing its WAL.
 // Router.DumpShard, shard by shard after Stop, takes the same path.
 func TestFleetDrainReapsShards(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "vedranalyzerd")

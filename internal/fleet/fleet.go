@@ -39,9 +39,9 @@ type Config struct {
 	// Listen is the router's bind address (default 127.0.0.1:0).
 	Listen string
 	// HoldShard, when >= 0, SIGKILLs that shard at Drain time and keeps
-	// it down, so the drain rebuilds it from a directory with no final
-	// snapshot: the operator-facing drill for "one shard is dead and will
-	// not come back before the report is due".
+	// it down, so the drain rebuilds it from a WAL with no final sync:
+	// the operator-facing drill for "one shard is dead and will not come
+	// back before the report is due".
 	HoldShard int
 	// OnShard, when set, observes every shard (re)announce: index, listen
 	// address, pid. Called from the supervisor goroutine.
@@ -219,11 +219,13 @@ func (f *Fleet) KillShard(i int) error {
 }
 
 // Drain finishes the fleet run: stop ingest, reap every shard and rebuild
-// its state from its directory, merge in shard order and diagnose. A shard
-// acks only what its WAL holds, so the rebuilt state is exactly what it
-// accepted, with the final snapshot a SIGTERM writes or without it (a
-// shard held down, crash-looped or mid-restart). A directory that cannot
-// be recovered, or that holds another shard's clients, fails the drain.
+// its state from its directory, merge in shard order and diagnose. Every
+// shard leaves the same kind of directory, its last periodic snapshot plus
+// the WAL tail, whether SIGTERM stopped it (which syncs the WAL) or it was
+// held down, crash-looped or mid-restart; a shard acks only what its WAL
+// holds, so the rebuilt state is exactly what it accepted. A directory
+// that cannot be recovered, or that holds another shard's clients, fails
+// the drain.
 func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	if p := f.proc(f.cfg.HoldShard); p != nil {
 		p.Hold()

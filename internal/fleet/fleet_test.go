@@ -97,15 +97,15 @@ func fleetStream() []submission {
 	return subs
 }
 
-// drainStates drains every in-process shard, as SIGTERM drains a shard
+// drainStates stops every in-process shard, as SIGTERM stops a shard
 // child, and rebuilds each one's state from its directory by the drain's
 // one path (recoverShard).
 func drainStates(t *testing.T, m wire.ShardMap, srvs []*analyzerd.Server, dirs []string) []*wire.ShardState {
 	t.Helper()
 	states := make([]*wire.ShardState, len(srvs))
 	for i, srv := range srvs {
-		if err := srv.Drain(); err != nil {
-			t.Fatalf("Drain shard %d: %v", i, err)
+		if err := srv.Close(); err != nil {
+			t.Fatalf("Close shard %d: %v", i, err)
 		}
 		state, err := recoverShard(dirs[i], m, i)
 		if err != nil {
@@ -233,8 +233,8 @@ func TestFleetKillAnyShardByteIdentity(t *testing.T) {
 }
 
 // TestFleetGatherRecoversAbortedShard is the in-process half of the
-// Fleet.Drain contract for a shard that exits without a final snapshot:
-// a shard that dies and stays down is rebuilt from its snapshot and WAL
+// Fleet.Drain contract for a shard that dies without a final WAL sync: a
+// shard that dies and stays down is rebuilt from its snapshot and WAL
 // tail to exactly the state it held, and the merge is byte-identical to
 // the merge of every shard's live state.
 func TestFleetGatherRecoversAbortedShard(t *testing.T) {
@@ -313,9 +313,9 @@ func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 	states := make([]*wire.ShardState, shards)
 	for i, srv := range srvs {
 		if i == dead {
-			srv.Abort() // SIGKILL stand-in: no drain snapshot, WAL abandoned
-		} else if err := srv.Drain(); err != nil {
-			t.Fatalf("Drain shard %d: %v", i, err)
+			srv.Abort() // SIGKILL stand-in: no final sync, WAL abandoned
+		} else if err := srv.Close(); err != nil {
+			t.Fatalf("Close shard %d: %v", i, err)
 		}
 		if states[i], err = recoverShard(dirs[i], m, i); err != nil {
 			t.Fatal(err)
@@ -358,7 +358,7 @@ func TestFleetDrainRefusesMisassembledDirectory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Drain(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	m := wire.ShardMap{Shards: 2}

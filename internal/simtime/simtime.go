@@ -26,9 +26,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t is earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // After reports whether t is later than u.
 func (t Time) After(u Time) bool { return t > u }
 

@@ -12,11 +12,8 @@ func TestTimeArithmetic(t *testing.T) {
 	if got := t1.Sub(t0); got != 3*time.Microsecond {
 		t.Fatalf("Sub = %v, want 3µs", got)
 	}
-	if !t0.Before(t1) || t1.Before(t0) {
-		t.Fatalf("Before ordering wrong: t0=%v t1=%v", t0, t1)
-	}
-	if !t1.After(t0) {
-		t.Fatalf("After ordering wrong")
+	if !t1.After(t0) || t0.After(t1) {
+		t.Fatalf("After ordering wrong: t0=%v t1=%v", t0, t1)
 	}
 }
 

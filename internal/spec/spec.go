@@ -131,7 +131,7 @@ type FleetSpec struct {
 	// kill (required with KillShard).
 	KillAfter int
 	// HoldShard, when not Unset, holds that shard down at drain time, so
-	// the drain rebuilds it from a WAL with no final snapshot; the runner
+	// the drain rebuilds it from a WAL with no final sync; the runner
 	// asserts the same byte-identical diagnosis as for any other fleet
 	// spec.
 	HoldShard int

@@ -35,7 +35,7 @@ import (
 // hosts across supervised shard daemons, and the reference is a local
 // canonical merge of the same sourced stream — across a mid-stream shard
 // SIGKILL (recovered by the supervisor), or with a shard held down through
-// the drain (rebuilt from a WAL with no final snapshot). Both go through
+// the drain (rebuilt from a WAL with no final sync). Both go through
 // replayDaemon.
 //
 // This file necessarily touches the host clock (subprocess startup and

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
+	"slices"
 
 	"vedrfolnir/internal/collective"
 	"vedrfolnir/internal/diagnose"
@@ -42,11 +42,73 @@ func NewBundle(records []collective.StepRecord, reports []*telemetry.Report, cfs
 	return b
 }
 
-// Write serializes the bundle as JSON.
+// spillAt is how full Write lets its buffer get before handing it to w.
+const spillAt = 64 << 10
+
+// Write writes the bundle on one line: json.Marshal's bytes, then a
+// newline. It walks bundleCodec's keys in table order and encodes each
+// record, report and CF with its codec table into one buffer, which goes
+// to w whenever it passes spillAt: the writer holds a buffer, never the
+// document. ReadBundle reads it, and the indented bundles of older builds.
 func (b *Bundle) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(b)
+	s := spill{w: w, buf: make([]byte, 0, 2*spillAt)}
+	spillList(&s, 0, b.Records, stepRecordCodec)
+	spillList(&s, 1, b.Reports, reportCodec)
+	spillList(&s, 2, b.CFs, flowCodec)
+	if len(b.Metrics) > 0 { // omitempty; json.Marshal sorts a map's keys
+		keys := make([]string, 0, len(b.Metrics))
+		for k := range b.Metrics {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		s.key(3)
+		for i, k := range keys {
+			s.buf = num(append(text(append(s.buf, "{,"[min(i, 1)]), k), ':'), b.Metrics[k])
+		}
+		s.buf = append(s.buf, '}')
+	}
+	s.buf = append(s.buf, "}\n"...)
+	s.flush()
+	return s.err
+}
+
+// spill is Write's buffer and where it goes; the first write error sticks.
+type spill struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// flush hands the buffer to w, unless a write has failed, and empties it.
+func (s *spill) flush() {
+	if s.err == nil {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// key appends bundleCodec's i-th key, the first one after the '{'.
+func (s *spill) key(i int) {
+	s.buf = append(append(append(s.buf, "{,"[min(i, 1)], '"'), bundleCodec[i].key...), '"', ':')
+}
+
+// spillList appends bundleCodec's i-th key and list as its value, nil as
+// null (no bundle list is omitempty), spilling between elements.
+func spillList[T any](s *spill, i int, list []T, elem codec[T]) {
+	if s.key(i); list == nil {
+		s.buf = append(s.buf, "null"...)
+		return
+	}
+	s.buf = append(s.buf, '[')
+	for j := range list {
+		if j > 0 {
+			s.buf = append(s.buf, ',')
+		}
+		if s.buf = elem.encode(s.buf, &list[j]); len(s.buf) >= spillAt {
+			s.flush()
+		}
+	}
+	s.buf = append(s.buf, ']')
 }
 
 // ReadBundle parses the first JSON value r yields as a bundle and ignores

@@ -513,8 +513,8 @@ var reportCodec = codec[Report]{
 	{"ports_missed", func(d *decoder, r *Report) { signed(d, &r.PortsMissed) }, func(b []byte, r *Report) []byte { return opt(b, r.PortsMissed, num) }},
 }
 
-// bundleCodec has no emit column: a bundle's one writer is Bundle.Write,
-// whose indented bytes are vedrsim -dump's.
+// bundleCodec has no emit column: Bundle.Write walks its keys itself, to
+// hand its buffer on between elements rather than hold the whole document.
 var bundleCodec = codec[Bundle]{
 	{"records", func(d *decoder, b *Bundle) { slice(d, &b.Records, stepRecordCodec) }, nil},
 	{"reports", func(d *decoder, b *Bundle) { slice(d, &b.Reports, reportCodec) }, nil},
@@ -536,8 +536,9 @@ var clientAckCodec = codec[ClientAck]{
 	{"seq", func(d *decoder, a *ClientAck) { signed(d, &a.Seq) }, func(b []byte, a *ClientAck) []byte { return num(b, a.Seq) }},
 }
 
+// shardMapCodec has no store column: a map is only written, in a moved NAK.
 var shardMapCodec = codec[ShardMap]{
-	{"shards", func(d *decoder, m *ShardMap) { signed(d, &m.Shards) }, func(b []byte, m *ShardMap) []byte { return num(b, m.Shards) }},
+	{"shards", nil, func(b []byte, m *ShardMap) []byte { return num(b, m.Shards) }},
 }
 
 var snapshotCodec = codec[Snapshot]{

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
@@ -66,7 +67,6 @@ func differAll(t *testing.T, data []byte) {
 	differ(t, data, flowCodec)
 	differ(t, data, stepRecordCodec)
 	differ(t, data, reportCodec)
-	differ(t, data, shardMapCodec)
 	differ(t, data, snapshotCodec)
 	differ(t, data, messageCodec)
 	differ(t, data, bundleCodec)
@@ -201,10 +201,12 @@ func tableMatchesTags[T any](t *testing.T, c codec[T], extra ...string) {
 			t.Errorf("%T: key %q is repeated or not plain ASCII", *new(T), f.key)
 		}
 		got = append(got, f.key)
-		// Every table both decodes and encodes but the two one-way ones:
-		// a bundle is only read here, a reply line only written.
+		// Every table both decodes and encodes but the three one-way ones:
+		// a bundle is written by Bundle.Write, and a reply line and a shard
+		// map are only written.
 		typ := reflect.TypeOf(*new(T))
-		if (f.store == nil) != (typ == reflect.TypeOf(ReplyLine{})) || (f.emit == nil) != (typ == reflect.TypeOf(Bundle{})) {
+		writeOnly := typ == reflect.TypeOf(ReplyLine{}) || typ == reflect.TypeOf(ShardMap{})
+		if (f.store == nil) != writeOnly || (f.emit == nil) != (typ == reflect.TypeOf(Bundle{})) {
 			t.Errorf("%T: key %q has store %t, emit %t", *new(T), f.key, f.store != nil, f.emit != nil)
 		}
 	}
@@ -259,7 +261,8 @@ func TestDecodeDeepNestingBoundedStack(t *testing.T) {
 }
 
 // fixedBundle serializes a deterministic bundle the way vedrsim -dump
-// does: nrec step records, nrep fully populated reports, their flows.
+// does (Bundle.Write's one compact line): nrec step records, nrep fully
+// populated reports, their flows.
 func fixedBundle(t testing.TB, nrec, nrep int) []byte {
 	rng := rand.New(rand.NewSource(17))
 	var records []collective.StepRecord
@@ -284,8 +287,8 @@ func fixedBundle(t testing.TB, nrec, nrep int) []byte {
 	return buf.Bytes()
 }
 
-// TestReadBundleMatchesReference: on a real bundle (indented, every DTO
-// populated) both entry points decode what encoding/json does, and
+// TestReadBundleMatchesReference: on a real bundle (every DTO populated)
+// both entry points decode what encoding/json does, and
 // ReadBundle does not care how its reader is typed or chunked.
 func TestReadBundleMatchesReference(t *testing.T) {
 	data := fixedBundle(t, 64, 16)
@@ -344,6 +347,25 @@ func benchmarkReadBundle(b *testing.B, nrec int) {
 			b.Fatal(err)
 		}
 		benchBundle = bundle
+	}
+}
+
+// BenchmarkWriteBundleXL writes the XL bundle as vedrsim -dump does, into
+// a writer that discards it, and reports write throughput over the bytes
+// written: go test -run '^$' -bench WriteBundle ./internal/wire
+func BenchmarkWriteBundleXL(b *testing.B) {
+	data := fixedBundle(b, 16256, 256)
+	bundle, err := DecodeBundle(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bundle.Write(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

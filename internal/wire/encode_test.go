@@ -30,6 +30,21 @@ func encodesAs[T any](t *testing.T, data []byte, c codec[T]) {
 	}
 }
 
+// writesAs fails the test unless Bundle.Write writes json.Marshal(b) and
+// a newline.
+func writesAs(t *testing.T, data []byte, b *Bundle) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := b.Write(&buf); err != nil {
+		t.Fatalf("Bundle.Write from %q: %v", data, err)
+	}
+	out, ok := bytes.CutSuffix(buf.Bytes(), []byte("\n"))
+	if !ok {
+		t.Fatalf("Bundle.Write from %q does not end in a newline: %q", data, buf.Bytes())
+	}
+	marshalsAs(t, data, out, b)
+}
+
 // encodeSeeds are the places an encoder and encoding/json could part
 // ways: HTML and quote escaping, control bytes by name and by number,
 // U+2028/2029, invalid UTF-8 (which the decoder turns into U+FFFD and the
@@ -50,13 +65,16 @@ var encodeSeeds = []string{
 	`{"ack":7,"client":"h03"}`, `{"nak":7,"client":"hé","error":"queue \"full\"","retry":true}`, `{"error":"bad"}`,
 	`{"nak":2,"client":"h1","moved":true,"owner":0,"map":{"shards":3},"error":"client \"h1\" belongs to shard 0","retry":true}`,
 	`{"ack":0,"nak":0,"client":"","moved":false,"owner":null,"map":null,"error":"","retry":false}`,
+	`{"records":[{"host":1,"flow":{"src":1}}],"reports":[{"flows":[]}],"cfs":[],"metrics":{"b":1,"a\"<&>":-2,"\u2028":0}}`,
+	`{"records":null,"reports":[],"metrics":{}}`,
 }
 
 // FuzzEncodeMatchesMarshal is the encoder's parity oracle: whatever the
 // decoder accepts as a DTO, that DTO's table encodes exactly as
-// json.Marshal does; a reply line, which nothing decodes whole, is read by
-// encoding/json instead; and the input itself, as a string, is quoted as
-// json.Marshal quotes it.
+// json.Marshal does, and a bundle writes as json.Marshal does; a reply
+// line and a shard map, which nothing decodes, are read by encoding/json
+// instead; and the input itself, as a string, is quoted as json.Marshal
+// quotes it.
 func FuzzEncodeMatchesMarshal(f *testing.F) {
 	seed(f, encodeSeeds...)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,7 +82,6 @@ func FuzzEncodeMatchesMarshal(f *testing.F) {
 		encodesAs(t, data, stepRecordCodec)
 		encodesAs(t, data, reportCodec)
 		encodesAs(t, data, sourcedMessageCodec)
-		encodesAs(t, data, shardMapCodec)
 		encodesAs(t, data, replyCodec)
 		if m, err := DecodeMessage(data); err == nil {
 			marshalsAs(t, data, AppendMessage(nil, m), m)
@@ -72,9 +89,16 @@ func FuzzEncodeMatchesMarshal(f *testing.F) {
 		if s, err := DecodeSnapshot(data); err == nil {
 			marshalsAs(t, data, AppendSnapshot(nil, s), s)
 		}
+		if b, err := DecodeBundle(data); err == nil {
+			writesAs(t, data, b)
+		}
 		var r ReplyLine
 		if json.Unmarshal(data, &r) == nil {
 			marshalsAs(t, data, AppendReply(nil, &r), &r)
+		}
+		var m ShardMap
+		if json.Unmarshal(data, &m) == nil {
+			marshalsAs(t, data, shardMapCodec.encode(nil, &m), &m)
 		}
 		marshalsAs(t, data, text(nil, string(data)), string(data))
 	})

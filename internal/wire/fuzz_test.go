@@ -188,24 +188,17 @@ func FuzzReadBundle(f *testing.F) {
 	})
 }
 
-// FuzzShardMapDecode: an arbitrary JSON shard map either fails ring
-// construction with an error or yields a ring whose ownership function
-// is total (every key lands in [0, Shards)), and the map's JSON round
-// trip is stable. A map reaches NewHashRing from a command line
+// FuzzShardMapDecode: an arbitrary JSON shard map, read by encoding/json
+// (no wire table decodes a map), either fails ring construction with an
+// error or yields a ring whose ownership function is total (every key
+// lands in [0, Shards)). A map reaches NewHashRing from a command line
 // (-shard-count), so this is an input-validation surface, not just a DTO.
 func FuzzShardMapDecode(f *testing.F) {
 	seed(f, `{"shards":3}`, `{"shards":4,"epoch":7}`, `{"shards":-1}`, `{"shards":0}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, ok := differ(t, data, shardMapCodec)
-		if !ok {
+		var m ShardMap
+		if json.Unmarshal(data, &m) != nil {
 			return
-		}
-		a, err := json.Marshal(m)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		if m2, ok := differ(t, a, shardMapCodec); !ok || m2 != m {
-			t.Fatalf("shard map round trip lost data: %+v vs %+v", m2, m)
 		}
 		ring, err := NewHashRing(m)
 		if err != nil {

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -228,6 +231,55 @@ func TestBundleRoundTripAndAnalyze(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("offline analysis missed the contention: %+v", diag.Findings)
+	}
+}
+
+// TestBundleWriteMemoryFlat: Write allocates about the same into a writer
+// that discards it whatever the bundle's size: the XL fixture (16 256
+// records, four times the L one's bytes) within 1.5x of the L one.
+func TestBundleWriteMemoryFlat(t *testing.T) {
+	allocated := func(nrec int) uint64 {
+		b, err := DecodeBundle(fixedBundle(t, nrec, 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = b.Write(io.Discard)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	l, xl := allocated(4032), allocated(16256)
+	if 2*xl > 3*l {
+		t.Errorf("Write allocated %d bytes for the XL bundle, %d for the L one: more than 1.5x", xl, l)
+	}
+	t.Logf("Write allocated %d bytes for L, %d for XL", l, xl)
+}
+
+// failingWriter takes its first write and refuses every later one.
+type failingWriter struct{ writes int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if f.writes++; f.writes > 1 {
+		return 0, io.ErrShortWrite
+	}
+	return len(p), nil
+}
+
+// TestBundleWriteReportsWriteError: a bundle that reaches its writer in
+// pieces stops at the first piece the writer refuses and returns that
+// error.
+func TestBundleWriteReportsWriteError(t *testing.T) {
+	b, err := DecodeBundle(fixedBundle(t, 4032, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &failingWriter{}
+	if err := b.Write(w); !errors.Is(err, io.ErrShortWrite) || w.writes != 2 {
+		t.Errorf("Write = %v after %d writes, want %v after 2", err, w.writes, io.ErrShortWrite)
 	}
 }
 

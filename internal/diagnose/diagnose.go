@@ -222,20 +222,23 @@ func Analyze(in Input) *Diagnosis {
 	tAll := in.Stages.DiagnoseTimer()
 	tDiag0 := tAll.Begin()
 
-	// 1. Waiting graph → bottleneck and critical flows.
-	tWait0 := tWait.Begin()
-	d.WaitGraph = waitgraph.Build(in.Records)
-	path, _ := d.WaitGraph.CriticalPath()
-	tWait.End(tWait0)
-	d.CriticalPath = path
-	for _, ref := range path {
-		if rec, ok := d.WaitGraph.Record(ref); ok {
-			d.CriticalFlows = append(d.CriticalFlows, rec.Flow)
+	// 1. Waiting graph → bottleneck and critical flows, on a goroutine: it
+	// reads only the records, and step 2 only the reports and CFs, so the
+	// two run at once and join before step 3, which reads both (DESIGN §8).
+	// A panic there is raised again here, where it always surfaced.
+	waited := make(chan any, 1)
+	go func() {
+		defer func() { waited <- recover() }()
+		tWait0 := tWait.Begin()
+		d.WaitGraph = waitgraph.Build(in.Records)
+		d.CriticalPath, _ = d.WaitGraph.CriticalPath()
+		tWait.End(tWait0)
+		for _, ref := range d.CriticalPath {
+			if rec, ok := d.WaitGraph.Record(ref); ok {
+				d.CriticalFlows = append(d.CriticalFlows, rec.Flow)
+			}
 		}
-	}
-	tr.Instant(obs.PidAnalyzer, 0, "phase", "waitgraph", in.ObsAt,
-		obs.I("records", int64(len(in.Records))),
-		obs.I("critical_steps", int64(len(d.CriticalPath))))
+	}()
 
 	// 2. Provenance graph → signature findings. The aggregate graph is one
 	// build over every report; the per-step graphs of §III-D1 are built in
@@ -243,6 +246,15 @@ func Analyze(in Input) *Diagnosis {
 	tRate0 := tRate.Begin()
 	d.Graph = provenance.Build(in.Reports, in.CFs)
 	d.Findings = findAnomalies(d.Graph, in)
+	tJoin0 := tRate.Begin()
+	if p := <-waited; p != nil {
+		//lint:ignore nopanic re-raises the waiting graph's panic on the caller's goroutine, as before it had one
+		panic(p)
+	}
+	tRate0 += tRate.Begin() - tJoin0 // the wait for step 1 is step 1's time
+	tr.Instant(obs.PidAnalyzer, 0, "phase", "waitgraph", in.ObsAt,
+		obs.I("records", int64(len(in.Records))),
+		obs.I("critical_steps", int64(len(d.CriticalPath))))
 	var provEdges, provPorts int64
 	if in.Obs.Enabled() {
 		provEdges = provenanceEdges(d.Graph)

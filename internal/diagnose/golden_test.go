@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
+	"vedrfolnir/internal/obs"
 	"vedrfolnir/internal/scenario"
 	"vedrfolnir/internal/viz"
 	"vedrfolnir/internal/wire"
@@ -92,6 +95,56 @@ func TestAnalyzerGolden(t *testing.T) {
 						"if the change is intentional, regenerate with -update", golden, len(got), len(want))
 				}
 			})
+		}
+	}
+}
+
+// TestAnalyzerOneCoreOrTwo: Analyze runs its waiting graph on a goroutine
+// beside the provenance graph, and Bundle.AnalyzeObs converts the records
+// on one beside the reports. At GOMAXPROCS 1 the halves take turns, at 2
+// they run at once; nothing printed may tell which. On every golden case,
+// the analyzer's output is its golden file's at both settings, and the
+// trace and metrics of the bundle's AnalyzeObs (the phase instants, their
+// order and their arguments) are byte-identical between the two.
+func TestAnalyzerOneCoreOrTwo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range []scenario.AnomalyKind{
+		scenario.Contention, scenario.Incast, scenario.PFCStorm, scenario.PFCBackpressure,
+	} {
+		for _, seed := range []int64{1, 2} {
+			name := fmt.Sprintf("%s-seed%d", kind, seed)
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, opts := goldenConfig()
+			cs, err := scenario.GenerateCase(kind, seed, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := scenario.Run(cs, scenario.Vedrfolnir, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bundle := wire.NewBundle(res.Records, res.Reports, res.CFs)
+			var traces [2]string
+			for i, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				if got := analyzerOutput(t, kind, seed); !bytes.Equal(got, want) {
+					t.Errorf("%s at GOMAXPROCS %d: analyzer output differs from its golden file", name, procs)
+				}
+				scope := &obs.Scope{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
+				bundle.AnalyzeObs(scope)
+				var b bytes.Buffer
+				if err := scope.Trace.WriteJSON(&b); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprint(&b, scope.Metrics.Flatten())
+				traces[i] = b.String()
+			}
+			if !strings.Contains(traces[0], `"waitgraph"`) || traces[0] != traces[1] {
+				t.Errorf("%s: AnalyzeObs trace and metrics at GOMAXPROCS 1 and 2 differ or are empty:\n%s\n%s", name, traces[0], traces[1])
+			}
 		}
 	}
 }

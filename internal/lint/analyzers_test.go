@@ -1,7 +1,9 @@
 package lint_test
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vedrfolnir/internal/lint"
@@ -76,5 +78,31 @@ func TestRunSuiteOnTree(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("finding: %s", d)
+	}
+}
+
+// TestLoadTestOnlyImports: a package whose in-package tests import a
+// package whose own tests import it back loads clean, as go test builds
+// it (imports resolve to packages without their tests), and its external
+// test package still sees its in-package test code; a cycle between two
+// packages' non-test files is still refused.
+func TestLoadTestOnlyImports(t *testing.T) {
+	l, err := lint.NewLoader(td("loadcycle"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.LoadPatterns("./a", "./b")
+	if err != nil {
+		t.Fatalf("test-only imports reported as a cycle: %v", err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if want := "[loadcycle/a loadcycle/a.test loadcycle/b]"; fmt.Sprint(paths) != want {
+		t.Errorf("loaded %v, want %s", paths, want)
+	}
+	if _, err := l.LoadPatterns("./c"); err == nil || !strings.Contains(err.Error(), "import cycle") {
+		t.Errorf("a non-test import cycle loaded with error %v", err)
 	}
 }

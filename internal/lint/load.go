@@ -170,8 +170,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.modulePath + "/" + filepath.ToSlash(rel), nil
 }
 
-// loadDir loads the package in dir and its external test package, if
-// any.
+// loadDir loads the package in dir with its in-package tests, and its
+// external test package, if any. As under go test, every import resolves
+// to a package without its tests, except that the external test package
+// imports the package it tests with them.
 func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	path, err := l.importPathFor(dir)
 	if err != nil {
@@ -181,11 +183,15 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	ext, err := l.loadExternalTests(dir, path)
-	if err != nil || ext == nil {
+	_, inTest, ext, err := l.parseDir(dir)
+	if err == nil && len(inTest) > 0 {
+		pkg, err = l.check(path, dir, append(inTest, pkg.Files...), nil)
+	}
+	if err != nil || len(ext) == 0 {
 		return []*Package{pkg}, err
 	}
-	return []*Package{pkg, ext}, nil
+	xpkg, err := l.check(path+".test", dir, ext, pkg)
+	return []*Package{pkg, xpkg}, err
 }
 
 // load parses and type-checks the package with the given module import
@@ -208,14 +214,14 @@ func (l *Loader) load(path string) (*Package, error) {
 		}
 		dir = filepath.Join(l.moduleDir, filepath.FromSlash(rel))
 	}
-	files, _, err := l.parseDir(dir)
+	files, _, _, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	pkg, err := l.check(path, dir, files)
+	pkg, err := l.check(path, dir, files, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,47 +229,36 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses a directory's Go files, returning the package's own
-// files (in-package tests included) and any external test-package files
-// separately.
-func (l *Loader) parseDir(dir string) (own, extTest []*ast.File, err error) {
+// parseDir parses a directory's Go files into the package's own files,
+// its in-package test files and its external test-package files.
+func (l *Loader) parseDir(dir string) (own, inTest, extTest []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		isTest := strings.HasSuffix(name, "_test.go")
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
-		if isTest && strings.HasSuffix(f.Name.Name, "_test") {
+		switch {
+		case err != nil:
+			return nil, nil, nil, err
+		case !strings.HasSuffix(name, "_test.go"):
+			own = append(own, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
 			extTest = append(extTest, f)
-			continue
+		default:
+			inTest = append(inTest, f)
 		}
-		own = append(own, f)
 	}
-	return own, extTest, nil
+	return own, inTest, extTest, nil
 }
 
-// loadExternalTests builds the "package foo_test" companion package of dir.
-func (l *Loader) loadExternalTests(dir, basePath string) (*Package, error) {
-	_, ext, err := l.parseDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(ext) == 0 {
-		return nil, nil
-	}
-	return l.check(basePath+".test", dir, ext)
-}
-
-// check type-checks one file set as a package.
-func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
+// check type-checks one file set as a package; an import of tested's path
+// resolves to tested.
+func (l *Loader) check(path, dir string, files []*ast.File, tested *Package) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -272,7 +267,7 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: &chainImporter{loader: l},
+		Importer: &chainImporter{loader: l, tested: tested},
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
@@ -286,10 +281,14 @@ func (l *Loader) check(path, dir string, files []*ast.File) (*Package, error) {
 // everything else through the stdlib source importer.
 type chainImporter struct {
 	loader *Loader
+	tested *Package
 }
 
 func (c *chainImporter) Import(path string) (*types.Package, error) {
 	l := c.loader
+	if c.tested != nil && path == c.tested.Path {
+		return c.tested.Types, nil
+	}
 	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
 		pkg, err := l.load(path)
 		if err != nil {

@@ -149,7 +149,9 @@ func (s *Stages) timer(stage string) *Timer {
 
 // NewStages registers the canonical stage histograms in r and returns
 // their timers, all reading the injected nanosecond source. A nil
-// registry or clock returns nil — the uninstrumented default.
+// registry or clock returns nil — the uninstrumented default. The
+// analyzer times two stages at once on two goroutines, so now must be
+// safe to call concurrently (simtime.Stopwatch's Elapsed only reads).
 func NewStages(r *Registry, now func() int64) *Stages {
 	if r == nil || now == nil {
 		return nil

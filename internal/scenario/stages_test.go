@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 
 	"vedrfolnir/internal/obs"
@@ -51,10 +52,12 @@ func TestStagesByteIdentity(t *testing.T) {
 	plain := render(nil)
 
 	// A deterministic strictly-increasing fake clock: the timers observe
-	// real nonzero durations without the test reading wall time.
-	var tick int64
+	// real nonzero durations without the test reading wall time. Analyze
+	// times its waiting-graph half on a goroutine of its own, so the clock
+	// is read from two goroutines at once, as NewStages allows.
+	var tick atomic.Int64
 	reg := obs.NewRegistry()
-	st := obs.NewStages(reg, func() int64 { tick += 13; return tick })
+	st := obs.NewStages(reg, func() int64 { return tick.Add(13) })
 	timed := render(st)
 
 	if !bytes.Equal(plain, timed) {

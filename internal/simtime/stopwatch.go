@@ -12,6 +12,8 @@ type Stopwatch interface {
 	// Start resets the stopwatch to the current instant.
 	Start()
 	// Elapsed returns the time since the last Start (or construction).
+	// The system stopwatch's Elapsed only reads, so goroutines may share
+	// one between Starts (vedrsim's stage clock does).
 	Elapsed() Duration
 }
 

@@ -120,7 +120,7 @@ func ReadBundle(r io.Reader) (*Bundle, error) {
 		buf.Grow(sized.Len() + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
 	_, readErr := buf.ReadFrom(r)
-	b, err := decode(buf.Bytes(), bundleCodec, false)
+	b, err := decodeBundle(buf.Bytes(), false)
 	if err != nil && readErr != nil {
 		return nil, readErr
 	}
@@ -137,23 +137,24 @@ func (b *Bundle) Analyze() *diagnose.Diagnosis {
 // analyzer: phase instants land on the trace and diagnosis counters on the
 // registry. A nil scope behaves exactly like Analyze.
 func (b *Bundle) AnalyzeObs(scope *obs.Scope) *diagnose.Diagnosis {
-	records := make([]collective.StepRecord, 0, len(b.Records))
-	for _, r := range b.Records {
-		records = append(records, r.Record())
-	}
-	reports := make([]*telemetry.Report, 0, len(b.Reports))
+	in := diagnose.Input{Obs: scope}
+	converted := make(chan struct{}) // the records and their step index, on a goroutine
+	go func() {
+		defer close(converted)
+		in.Records = make([]collective.StepRecord, 0, len(b.Records))
+		for _, r := range b.Records {
+			in.Records = append(in.Records, r.Record())
+		}
+		in.StepOf = diagnose.StepOfRecords(in.Records)
+	}()
+	in.Reports = make([]*telemetry.Report, 0, len(b.Reports))
 	for _, r := range b.Reports {
-		reports = append(reports, r.Telemetry())
+		in.Reports = append(in.Reports, r.Telemetry())
 	}
-	cfs := make(map[fabric.FlowKey]bool, len(b.CFs))
+	in.CFs = make(map[fabric.FlowKey]bool, len(b.CFs))
 	for _, f := range b.CFs {
-		cfs[f.Key()] = true
+		in.CFs[f.Key()] = true
 	}
-	return diagnose.Analyze(diagnose.Input{
-		Records: records,
-		Reports: reports,
-		CFs:     cfs,
-		StepOf:  diagnose.StepOfRecords(records),
-		Obs:     scope,
-	})
+	<-converted
+	return diagnose.Analyze(in)
 }

@@ -11,8 +11,8 @@ import (
 	"vedrfolnir/internal/wire"
 )
 
-// These tests run a real scenario, so they live outside package wire:
-// scenario's own tests import wire.
+// These tests run a real scenario through wire's exported API only, so
+// they live outside package wire.
 
 // scenarioBundle is what vedrsim -anomaly contention -seed 14 -trace
 // dumps: a real run's records, reports and CFs, and its scope's metrics.

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -31,6 +33,11 @@ type decoder struct {
 	depth int  // containers open at i
 	first bool // the innermost open container has yielded nothing yet
 	err   error
+	// A split bundle decode (decodeBundle) sets these. key is one more than
+	// the index of the last bundleCodec key stored, -1 for good once a key
+	// comes out of table order or twice; cut is where the calling half
+	// halts, at the start of an element of bundleCodec's cutKey-1'th list.
+	key, cut, cutKey int
 }
 
 func (d *decoder) fail(what string) {
@@ -318,11 +325,21 @@ func slice[T any](d *decoder, s *[]T, elem codec[T]) {
 		*s = nil
 		return
 	}
-	if !d.open('[') {
-		return
+	if d.open('[') {
+		elems(d, s, elem)
 	}
+}
+
+// elems is slice past the '[': the elements, the ']', and the cut. A
+// split decode's calling half halts at its cut (halted), with the elements
+// before it in place.
+func elems[T any](d *decoder, s *[]T, elem codec[T]) {
 	n := 0
 	for ; d.more(']'); n++ {
+		if d.i == d.cut && d.depth == 2 && d.key == d.cutKey {
+			d.err, d.i = halted{}, len(d.data)
+			break
+		}
 		if n == len(*s) {
 			if n == cap(*s) {
 				var zeros [4]T // append's growth, never below 4; fresh elements are zero
@@ -387,10 +404,13 @@ type codec[T any] []struct {
 // unique, so input reading exactly "key": is the key str would return and
 // the exact match lookup would find. Anything else takes the lookup.
 func (c codec[T]) decode(d *decoder, v *T) {
-	if !d.open('{') {
-		return
+	if d.open('{') {
+		c.fields(d, v, 0)
 	}
-	next := 0
+}
+
+// fields is decode past the '{', next the entry to try first.
+func (c codec[T]) fields(d *decoder, v *T, next int) {
 	for d.more('}') {
 		i := next
 		if i >= len(c) || !d.predicted(c[i].key) {
@@ -516,10 +536,19 @@ var reportCodec = codec[Report]{
 // bundleCodec has no emit column: Bundle.Write walks its keys itself, to
 // hand its buffer on between elements rather than hold the whole document.
 var bundleCodec = codec[Bundle]{
-	{"records", func(d *decoder, b *Bundle) { slice(d, &b.Records, stepRecordCodec) }, nil},
-	{"reports", func(d *decoder, b *Bundle) { slice(d, &b.Reports, reportCodec) }, nil},
-	{"cfs", func(d *decoder, b *Bundle) { slice(d, &b.CFs, flowCodec) }, nil},
-	{"metrics", func(d *decoder, b *Bundle) { d.metrics(&b.Metrics) }, nil},
+	{"records", func(d *decoder, b *Bundle) { d.order(0); slice(d, &b.Records, stepRecordCodec) }, nil},
+	{"reports", func(d *decoder, b *Bundle) { d.order(1); slice(d, &b.Reports, reportCodec) }, nil},
+	{"cfs", func(d *decoder, b *Bundle) { d.order(2); slice(d, &b.CFs, flowCodec) }, nil},
+	{"metrics", func(d *decoder, b *Bundle) { d.order(3); d.metrics(&b.Metrics) }, nil},
+}
+
+// order notes that bundleCodec's i-th key is stored (decoder.key).
+func (d *decoder) order(i int) {
+	if d.key >= 0 && i >= d.key {
+		d.key = i + 1
+	} else {
+		d.key = -1
+	}
 }
 
 var sourcedMessageCodec = codec[SourcedMessage]{
@@ -585,17 +614,116 @@ func decode[T any](data []byte, c codec[T], whole bool) (*T, error) {
 	d, v := decoder{data: data}, new(T)
 	d.ws()
 	c.decode(&d, v)
-	if d.ws(); whole && d.err == nil && d.i < len(data) {
-		d.fail("data after top-level value")
-	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.end(whole); err != nil {
+		return nil, err
 	}
 	return v, nil
 }
 
+// end finishes the top-level value; with whole set only whitespace follows.
+func (d *decoder) end(whole bool) error {
+	if d.ws(); whole && d.err == nil && d.i < len(d.data) {
+		d.fail("data after top-level value")
+	}
+	return d.err
+}
+
+// halted is the error that stops a split decode's calling half at its cut;
+// it never leaves decodeBundle.
+type halted struct{}
+
+func (halted) Error() string { return "wire: halted at the cut" }
+
+// decodeBundle is decode for a bundle, on both cores when there are two:
+// it splits data at its first resync point past the middle (decodeFrom).
+func decodeBundle(data []byte, whole bool) (*Bundle, error) {
+	from := len(data)
+	if runtime.GOMAXPROCS(0) > 1 {
+		from = len(data) / 2
+	}
+	return decodeFrom(data, whole, from)
+}
+
+// decodeFrom decodes data split at its first resync point at or after from,
+// and sequentially if it has none. A resync point is the '{' of a "},{"
+// that goes on as an element of one of bundleCodec's lists does when
+// Bundle.Write writes it: its table's first key, a number, its second key.
+func decodeFrom(data []byte, whole bool, from int) (*Bundle, error) {
+	for p := from; p < len(data); p++ {
+		j := bytes.Index(data[p:], []byte("},{"))
+		if j < 0 {
+			break
+		}
+		switch p += j; {
+		case leads(data, p+2, stepRecordCodec):
+			return split(data, whole, p+2, 0, func(b *Bundle) *[]StepRecord { return &b.Records }, stepRecordCodec)
+		case leads(data, p+2, reportCodec):
+			return split(data, whole, p+2, 1, func(b *Bundle) *[]Report { return &b.Reports }, reportCodec)
+		case leads(data, p+2, flowCodec):
+			return split(data, whole, p+2, 2, func(b *Bundle) *[]Flow { return &b.CFs }, flowCodec)
+		}
+	}
+	return decode(data, bundleCodec, whole)
+}
+
+// leads reports whether data at r is '{', c's first key, a number, ',' and
+// c's second key.
+func leads[T any](data []byte, r int, c codec[T]) bool {
+	d := decoder{data: data, i: r + 1}
+	if data[r] != '{' || !d.predicted(c[0].key) {
+		return false
+	}
+	if d.number(); d.err != nil || d.peek() != ',' {
+		return false
+	}
+	d.i++
+	return d.predicted(c[1].key)
+}
+
+// split decodes data in two halves that meet at resync point r, taken to
+// start an element of bundleCodec's k-th list, *list(b). The tail, on a
+// goroutine, decodes from r: the rest of that list over fresh elements, its
+// ']', and the bundle's keys after it, in table order and once each or it
+// gives up. The caller decodes from the start and halts at r only where the
+// list's next element starts, all keys so far once each and in order
+// (elems): from there a sequential decode is the tail's, offsets and all.
+// A caller that never halts (an error before r, say) keeps its own decode;
+// a tail that gave up costs a sequential one (DESIGN.md §16).
+func split[T any](data []byte, whole bool, r, k int, list func(*Bundle) *[]T, elem codec[T]) (*Bundle, error) {
+	tail, done := new(Bundle), make(chan decoder, 1)
+	go func() {
+		d := decoder{data: data, i: r, depth: 2, first: true, key: k + 1}
+		elems(&d, list(tail), elem)
+		bundleCodec.fields(&d, tail, k+1)
+		_ = d.end(whole) // kept in d.err
+		done <- d
+	}()
+	d, b := decoder{data: data, cut: r, cutKey: k + 1}, new(Bundle)
+	d.ws()
+	bundleCodec.decode(&d, b)
+	switch t := <-done; {
+	case d.err != halted{}:
+		if err := d.end(whole); err != nil {
+			return nil, err
+		}
+		return b, nil
+	case t.key < 0:
+		return decode(data, bundleCodec, whole)
+	case t.err != nil:
+		return nil, t.err
+	}
+	*list(tail) = append(*list(b), *list(tail)...) // the keys before k are the caller's
+	if k > 0 {
+		tail.Records = b.Records
+	}
+	if k > 1 {
+		tail.Reports = b.Reports
+	}
+	return tail, nil
+}
+
 // DecodeBundle parses a bundle that is the whole of data.
-func DecodeBundle(data []byte) (*Bundle, error) { return decode(data, bundleCodec, true) }
+func DecodeBundle(data []byte) (*Bundle, error) { return decodeBundle(data, true) }
 
 // DecodeMessage parses one protocol line: its syntax and field types only;
 // analyzerd.ParseMessage adds the protocol's rules.

@@ -350,6 +350,24 @@ func benchmarkReadBundle(b *testing.B, nrec int) {
 	}
 }
 
+// BenchmarkBundleAnalyzeXL is one diagnose-large iteration on the XL
+// shape without the harness: ReadBundle, Analyze and Summary. Run it and
+// BenchmarkReadBundleXL at -cpu 1,2 to see what each half's second core
+// buys: go test -run '^$' -bench 'XL$' -cpu 1,2 ./internal/wire
+func BenchmarkBundleAnalyzeXL(b *testing.B) {
+	data := fixedBundle(b, 16256, 256)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bundle, err := ReadBundle(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSummary = bundle.Analyze().Summary()
+	}
+}
+
 // BenchmarkWriteBundleXL writes the XL bundle as vedrsim -dump does, into
 // a writer that discards it, and reports write throughput over the bytes
 // written: go test -run '^$' -bench WriteBundle ./internal/wire
@@ -369,5 +387,8 @@ func BenchmarkWriteBundleXL(b *testing.B) {
 	}
 }
 
-// benchBundle keeps the benchmark's result live.
-var benchBundle *Bundle
+// benchBundle and benchSummary keep the benchmarks' results live.
+var (
+	benchBundle  *Bundle
+	benchSummary string
+)

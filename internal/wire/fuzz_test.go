@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -177,14 +179,27 @@ func FuzzShardStateDecode(f *testing.F) {
 
 // FuzzReadBundle: both bundle entry points against their references —
 // ReadBundle against json.Decoder.Decode (first value, the rest ignored),
-// DecodeBundle against json.Unmarshal (one value, then only whitespace).
+// DecodeBundle against json.Unmarshal (one value, then only whitespace) —
+// and the decode split at the first resync point against the sequential
+// one, whatever GOMAXPROCS is. The last seeds have resync points past their
+// middle, in each of the three lists, so ReadBundle splits them on two cores.
 func FuzzReadBundle(f *testing.F) {
 	seed(f,
 		`{"records":[{"host":3,"step":1,"flow":{"src":3,"dst":4,"sport":1,"dport":2,"proto":17},"bytes":1048576,"start_ns":100,"end_ns":900}],"reports":[{"at_ns":5,"triggered_by":{"src":1,"dst":2},"hops_polled":3}],"cfs":[{"src":3,"dst":4}],"metrics":{"sim.events":12}}`,
-		`{"records":null,"reports":[],"cfs":[]} {"records":[{}]}`)
+		`{"records":null,"reports":[],"cfs":[]} {"records":[{}]}`,
+		`{"records":[{"host":1,"step":0},{"host":2,"step":1},{"host":3,"step":1},{"host":4,"step":2}],"cfs":[{"src":1,"dst":2}]}`,
+		`{"reports":[{"at_ns":1,"triggered_by":{"src":1}},{"at_ns":2,"triggered_by":{"src":2}},{"at_ns":3,"triggered_by":{}}],"metrics":{"a":1}}`,
+		`{"cfs":[{"src":1,"dst":2},{"src":2,"dst":3},{"src":3,"dst":1},{"src":4,"dst":1}]}`)
+	f.Add(fixedBundle(f, 8, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		differBundleStream(t, data)
 		differ(t, data, bundleCodec)
+		for _, whole := range []bool{true, false} {
+			want, wantErr := decode(data, bundleCodec, whole)
+			if got, err := decodeFrom(data, whole, 0); fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("split decode of %q (whole %v): %v, sequential %v", data, whole, err, wantErr)
+			}
+		}
 	})
 }
 

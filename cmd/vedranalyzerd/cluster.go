@@ -26,10 +26,12 @@ type clusterOpts struct {
 }
 
 // runCluster is the -cluster entrypoint: it spawns this same binary as N
-// supervised shard children, fronts them with the consistent-hash router,
-// and on drain gathers every shard's state into one merged diagnosis —
-// printed in exactly the format of a standalone run, so harnesses that
-// diff daemon output need not know a fleet produced it. Per-shard
+// supervised shard children, fronts them with the router that places each
+// client on its shard, and on drain gathers every shard's state into one
+// merged diagnosis — printed in exactly the format of a standalone run,
+// so harnesses that diff daemon output need not know a fleet produced
+// it. Each shard listens on the router's host, at the port in its
+// announce line, and placed clients talk to it there. Per-shard
 // announce lines go to stdout with a "shard " prefix so those same
 // harnesses can filter them (and chaos drivers can read the pids).
 func runCluster(o clusterOpts) int {

@@ -79,7 +79,7 @@ func run() int {
 		"serve live /metrics, /healthz, /readyz, /debug/vars and /debug/pprof on this address")
 	verbose := flag.Bool("v", false, "log connection and ingest events on stderr")
 	cluster := flag.Int("cluster", 0,
-		"run as a fleet: N supervised shard children behind a consistent-hash router")
+		"run as a fleet: N supervised shard children and a router that places each client on its shard")
 	holdShard := flag.Int("hold-shard", -1,
 		"with -cluster: hold this shard down at drain time; the drain recovers it from its WAL")
 	shardIndex := flag.Int("shard-index", -1,

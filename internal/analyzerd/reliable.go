@@ -43,14 +43,16 @@ type ClientConfig struct {
 // shed load) before buffering more.
 var ErrQueueFull = errors.New("analyzerd: client pending buffer full")
 
-// ErrRedirected marks a Flush failure caused by shard-moved NACKs: the
-// shard (or router) answering this address says another shard owns this
-// client. The pending buffer is retained — the caller should redial the
-// fleet router (or the owning shard) and Flush again; nothing was lost.
-// Test with errors.Is.
+// ErrRedirected marks a Flush failure caused by shard-moved NACKs that are
+// not a placement: a shard says another shard owns this client (a moved
+// NAK with no address), or a connection the client was placed on places
+// it again. Either means a misassembled fleet. The pending buffer is
+// retained — nothing was lost — and the next Flush starts from the home
+// address again. Test with errors.Is.
 var ErrRedirected = errors.New("analyzerd: client's shard moved")
 
-// ClientStats counts the reliability machinery's work.
+// ClientStats counts the reliability machinery's work. A placement is not
+// counted as a retry: Placed counts it, and no other field does.
 type ClientStats struct {
 	// Reconnects counts re-dials after a connection failure.
 	Reconnects int
@@ -64,11 +66,16 @@ type ClientStats struct {
 	// WAL append failed); the nacked messages stay pending and are
 	// resubmitted after backoff.
 	Backpressure int
-	// Redirected counts shard-moved naks: a fleet shard refused the
-	// message because the shard map assigns this client elsewhere. The
-	// messages stay pending; Flush surfaces ErrRedirected so the caller
-	// can re-point the client at the router or the owning shard.
+	// Redirected counts shard-moved naks that are not a placement: a
+	// fleet shard refused the message because the shard map assigns this
+	// client elsewhere, or a placed connection placed it again. The
+	// messages stay pending; Flush surfaces ErrRedirected.
 	Redirected int
+	// Placed counts placements: the home address (a fleet router)
+	// answered with moved NAKs naming the owning shard's address, and the
+	// client dialed it and resubmitted everything pending there, with no
+	// backoff and no attempt spent.
+	Placed int
 }
 
 type pendingMsg struct {
@@ -83,9 +90,15 @@ type pendingMsg struct {
 // resubmission of everything unacked. Combined with the server's dedup
 // highwater this yields exactly-once ingestion across arbitrary connection
 // failures. Not safe for concurrent use.
+//
+// The address a client is built with is its home. A fleet router at home
+// answers with placement NAKs, and the client then talks to the owning
+// shard directly until that connection fails; the next attempt goes home.
 type ReliableClient struct {
-	addr string
-	cfg  ClientConfig
+	home   string // the address the client was built with
+	addr   string // where conn goes: home, or the shard home placed it on
+	placed bool   // addr is a placement, not home
+	cfg    ClientConfig
 
 	conn    net.Conn
 	br      *bufio.Reader
@@ -123,7 +136,7 @@ func NewReliableClient(addr string, cfg ClientConfig) (*ReliableClient, error) {
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = 4096
 	}
-	return &ReliableClient{addr: addr, cfg: cfg}, nil
+	return &ReliableClient{home: addr, addr: addr, cfg: cfg}, nil
 }
 
 // Pending returns how many submitted messages await acknowledgement.
@@ -164,9 +177,15 @@ func (rc *ReliableClient) SendCF(flow fabric.FlowKey) error {
 // once nothing is pending; after MaxAttempts failed attempts the pending
 // buffer is retained so a later Flush (or Close) can try again. A
 // connection kept from an earlier Flush may have been closed by the
-// server meanwhile (a fleet router ends a client's connection when its
-// shard goes down); if the first attempt on it fails before reading any
-// reply, the next attempt redials at once, without backing off.
+// server meanwhile (a shard restarted, or idled it out); if the first
+// attempt on it fails before reading any reply, the next attempt redials
+// at once, without backing off.
+//
+// A placement read on the home connection is followed within the same
+// attempt: the client dials the placed address and resubmits there. Any
+// failure of a placed connection, ErrRedirected included, sends the next
+// attempt home, so a home that keeps placing the client on a dead address
+// spends one attempt per placement, with backoff, and never loops.
 func (rc *ReliableClient) Flush() error {
 	if len(rc.pending) == 0 {
 		return nil
@@ -183,16 +202,30 @@ func (rc *ReliableClient) Flush() error {
 			}
 		}
 		replied, err := rc.attempt(attempt > 0)
+		var p placement
+		if errors.As(err, &p) {
+			rc.Stats.Placed++
+			_ = rc.dropConn() // home has said all it will; the shard is next
+			rc.addr, rc.placed = string(p), true
+			replied, err = rc.attempt(false)
+		}
 		if err == nil {
 			return nil
 		}
 		lastErr = err
 		stale = stale && attempt == 0 && !replied
 		_ = rc.dropConn() // the attempt error is what matters; the conn is already broken
+		rc.addr, rc.placed = rc.home, false
 	}
 	return fmt.Errorf("analyzerd: flush failed after %d attempts: %w",
 		rc.cfg.MaxAttempts, lastErr)
 }
+
+// placement is the error with which an attempt on the home connection
+// reports the address a router placed the client on.
+type placement string
+
+func (p placement) Error() string { return "placed on " + string(p) }
 
 // attempt writes all pending messages on a (re)established connection and
 // consumes ack/nak replies until the pending set drains or the connection
@@ -224,7 +257,7 @@ func (rc *ReliableClient) attempt(isRetry bool) (replied bool, err error) {
 	// reply per written message — a retryable nak leaves its message
 	// pending, and the server's contiguity check guarantees no later ack
 	// can leapfrog it.
-	busy, moved := 0, 0
+	busy, moved, placedAt := 0, 0, ""
 	for i := 0; i < written && len(rc.pending) > 0; i++ {
 		//lint:ignore nosystime ack-read deadline on a real TCP connection; wall clock never reaches simulation state
 		if err := rc.conn.SetReadDeadline(time.Now().Add(rc.cfg.AckTimeout)); err != nil {
@@ -241,13 +274,17 @@ func (rc *ReliableClient) attempt(isRetry bool) (replied bool, err error) {
 		switch {
 		case rep.Ack > 0:
 			rc.dropThrough(rep.Ack, false)
+		case rep.Moved && rep.Addr != "" && !rc.placed:
+			// The router at home names the shard that owns this
+			// client (moved replies are also retryable, so the moved
+			// cases must precede Retry). The message stays pending
+			// for the placed connection.
+			placedAt = rep.Addr
 		case rep.Moved:
-			// Another shard owns this client (moved replies are also
-			// retryable, so this case must precede Retry). The message
-			// stays pending; the attempt ends in ErrRedirected so the
-			// caller learns to re-point the client. A fleet's router
-			// relays the shard's moved NAK as it is: only a misassembled
-			// fleet sends one.
+			// Another shard owns this client, or a placed connection
+			// placed it again: only a misassembled fleet sends either.
+			// The message stays pending; the attempt ends in
+			// ErrRedirected, so the misconfiguration is loud.
 			moved++
 			rc.Stats.Redirected++
 		case rep.Retry:
@@ -267,6 +304,9 @@ func (rc *ReliableClient) attempt(isRetry bool) (replied bool, err error) {
 		}
 	}
 	if len(rc.pending) > 0 {
+		if placedAt != "" && moved == 0 {
+			return true, placement(placedAt)
+		}
 		if moved > 0 {
 			return true, fmt.Errorf("%w: %d shard-moved naks, %d still pending",
 				ErrRedirected, moved, len(rc.pending))

@@ -55,10 +55,10 @@ func cfFrom(t *testing.T, client string, seq int64) string {
 // from a named client — applier ack, handler-side duplicate ack, retryable
 // NAK, permanent NAK, moved NAK — names the client next to the seq, as
 // JSON (not Go) string syntax, for ids with a quote, a backslash, a
-// control byte or non-ASCII text. No reader keeps the field now (the
-// fleet router relays replies without decoding them), but the bytes stay
-// as they were. A reply that names no client (the router's own NAK)
-// keeps the bare form.
+// control byte or non-ASCII text. No reader keeps the field now (a
+// client reads its own shard's replies), but the bytes stay as they were.
+// A reply that names no client (a refusal of an unparsable line) keeps
+// the bare form.
 func TestSequencedRepliesEchoClient(t *testing.T) {
 	ids := []string{"h03", `ho"st`, `back\slash`, "tab\there", "héllo-主机", "bad\xffbyte"}
 

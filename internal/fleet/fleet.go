@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -19,8 +20,9 @@ import (
 )
 
 // Config assembles a diagnosis fleet: N shard daemons (each a supervised
-// child process of the analyzer binary with its own WAL directory) behind
-// one Router.
+// child process of the analyzer binary with its own WAL directory) and one
+// Router, the address clients are given, which places each of them on
+// its shard.
 type Config struct {
 	// BinPath is the vedranalyzerd binary the shard children run. Required.
 	BinPath string
@@ -36,7 +38,9 @@ type Config struct {
 	// keep the daemon defaults.
 	Fsync         string
 	SnapshotEvery int
-	// Listen is the router's bind address (default 127.0.0.1:0).
+	// Listen is the router's bind address (default 127.0.0.1:0). Every
+	// shard binds an ephemeral port on the same host, and clients reach
+	// their shards there.
 	Listen string
 	// HoldShard, when >= 0, SIGKILLs that shard at Drain time and keeps
 	// it down, so the drain rebuilds it from a WAL with no final sync:
@@ -129,14 +133,20 @@ func Start(cfg Config) (*Fleet, error) {
 // shardDir is shard i's WAL directory under dir.
 func shardDir(dir string, i int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d", i)) }
 
-// shardArgs builds shard i's command line.
+// shardArgs builds shard i's command line. The shard binds on the
+// router's listen host: a placement names the host a client reached the
+// router on, so a client that reached the router can reach its shard.
 func shardArgs(cfg *Config, i int) ([]string, error) {
 	dir := shardDir(cfg.Dir, i)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: shard %d wal dir: %w", i, err)
 	}
+	host, _, err := net.SplitHostPort(cfg.Listen)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: listen address: %w", err)
+	}
 	args := []string{
-		"-listen", "127.0.0.1:0",
+		"-listen", net.JoinHostPort(host, "0"),
 		"-shard-index", strconv.Itoa(i),
 		"-shard-count", strconv.Itoa(cfg.Shards),
 		"-wal-dir", dir,
@@ -177,7 +187,7 @@ func (f *Fleet) startShard(i int) (*Proc, error) {
 // Addr returns the router's client-facing listen address.
 func (f *Fleet) Addr() string { return f.router.Addr() }
 
-// Router exposes the ingest tier (tests and the obs registry peek at it).
+// Router exposes the placement tier (tests and the obs registry peek at it).
 func (f *Fleet) Router() *Router { return f.router }
 
 // proc returns shard i's supervisor (nil when i is out of range).
@@ -230,7 +240,7 @@ func (f *Fleet) Drain(scope *obs.Scope) (*Merged, error) {
 	if p := f.proc(f.cfg.HoldShard); p != nil {
 		p.Hold()
 	}
-	f.router.Stop() // no new ingest, every forwarded line answered
+	f.router.Stop() // no new placements; a shard's SIGTERM applies and syncs what it was sent
 	defer f.Close()
 
 	// Shards exit and recover in parallel; the merge input is in shard
@@ -289,6 +299,6 @@ func (f *Fleet) Close() {
 		p.Wait()
 	}
 	if f.router != nil {
-		f.router.Close()
+		f.router.Stop()
 	}
 }

@@ -136,7 +136,7 @@ func fleetRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag [
 		router.SetShardAddr(i, srv.Addr())
 	}
 	defer func() {
-		router.Close()
+		router.Stop()
 		for _, s := range srvs {
 			_ = s.Close()
 		}
@@ -258,7 +258,7 @@ func TestFleetGatherRecoversAbortedShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
-	defer router.Close()
+	defer router.Stop()
 	for i, srv := range srvs {
 		router.SetShardAddr(i, srv.Addr())
 	}
@@ -381,7 +381,7 @@ func TestRouterRejectsUnroutableLines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
-	defer router.Close()
+	defer router.Stop()
 	conn, err := net.Dial("tcp", router.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -452,7 +452,8 @@ func exchange(t *testing.T, addr, line string) string {
 // TestRouterShardAdmissionParity: a router in front of a shard and a lone
 // daemon accept the same lines and refuse the same lines with the same
 // permanent {"error":…}, because both run analyzerd.ParseMessage and
-// nothing else decides.
+// nothing else decides. The router answers the line it accepts with a
+// placement on the shard, and the shard acks it as the lone daemon does.
 func TestRouterShardAdmissionParity(t *testing.T) {
 	const cf = `"cf":{"src":1,"dst":2,"sport":7,"dport":8,"proto":17}`
 	lines := []struct {
@@ -481,21 +482,29 @@ func TestRouterShardAdmissionParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
-	defer router.Close()
+	defer router.Stop()
 	router.SetShardAddr(0, shard.Addr())
 
 	refused := 0
 	for _, tc := range lines {
 		want := exchange(t, lone.Addr(), tc.line)
 		got := exchange(t, router.Addr(), tc.line)
-		if got != want {
-			t.Errorf("%s: router replied %s, lone daemon %s", tc.name, got, want)
-		}
 		if tc.accept {
 			if want != `{"ack":1,"client":"h1"}` {
 				t.Errorf("%s: lone daemon replied %s, want the ack", tc.name, want)
 			}
+			placement := `{"nak":1,"client":"h1","moved":true,"owner":0,"map":{"shards":1},"addr":"` + shard.Addr() +
+				`","error":"client \"h1\" is placed on shard 0 at ` + shard.Addr() + `","retry":true}`
+			if got != placement {
+				t.Errorf("%s: router replied %s, want the placement %s", tc.name, got, placement)
+			}
+			if got := exchange(t, shard.Addr(), tc.line); got != want {
+				t.Errorf("%s: the placed shard replied %s, lone daemon %s", tc.name, got, want)
+			}
 			continue
+		}
+		if got != want {
+			t.Errorf("%s: router replied %s, lone daemon %s", tc.name, got, want)
 		}
 		refused++
 		if !strings.HasPrefix(want, `{"error":`) || strings.Contains(want, `"retry"`) {
@@ -505,8 +514,11 @@ func TestRouterShardAdmissionParity(t *testing.T) {
 	if got := router.Stats().Rejected; got != int64(refused) {
 		t.Errorf("router Rejected = %d, want %d", got, refused)
 	}
+	if got := router.Tallies()[0].Total(); got != 1 {
+		t.Errorf("tally = %d, want the one placed line", got)
+	}
 	if st := shard.Stats(); st.Malformed != 0 {
-		t.Errorf("the shard saw %d refused lines: the router forwarded what it should refuse", st.Malformed)
+		t.Errorf("the shard saw %d refused lines", st.Malformed)
 	}
 }
 
@@ -520,7 +532,7 @@ func TestRouterShardDownEndsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
-	defer router.Close()
+	defer router.Stop()
 
 	conn, err := net.Dial("tcp", router.Addr())
 	if err != nil {
@@ -562,9 +574,12 @@ func TestRouterShardDownEndsConnection(t *testing.T) {
 }
 
 // TestRouterRelaysMovedNack: a misassembled fleet moved-NACKs disowned
-// clients; the router relays that verbatim, never re-forwards it, and the
+// clients. The router places the client on the shard its own map names,
+// that shard's moved NAK (which has no address) reaches the client on the
+// placed connection, nothing re-sends the line to another shard, and the
 // reliable client surfaces ErrRedirected — the misconfiguration is loud,
-// not lost. Two ways to misassemble a two-shard fleet:
+// not lost. (The name predates placement, when the router relayed the
+// shard's NAK.) Two ways to misassemble a two-shard fleet:
 //   - both daemons claim index 0, so shard 1's clients are disowned by
 //     the daemon they land on, which names shard 1, its own link;
 //   - both daemons run a three-shard map, so a client the router sends
@@ -599,7 +614,7 @@ func TestRouterRelaysMovedNack(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StartRouter: %v", err)
 			}
-			defer router.Close()
+			defer router.Stop()
 			router.SetShardAddr(0, s0.Addr())
 			router.SetShardAddr(1, s1.Addr())
 
@@ -628,16 +643,20 @@ func TestRouterRelaysMovedNack(t *testing.T) {
 				t.Fatalf("SendCF: %v", err)
 			}
 			if err := rc.Flush(); !errors.Is(err, analyzerd.ErrRedirected) {
-				t.Fatalf("Flush = %v, want ErrRedirected relayed through the router", err)
+				t.Fatalf("Flush = %v, want ErrRedirected from the placed shard", err)
 			}
 			if st := s0.Stats(); st.Moved != 0 || st.Duplicates != 0 {
-				t.Errorf("link 0's shard saw the line (%+v): the router re-forwarded a moved NAK", st)
+				t.Errorf("shard 0 saw the line (%+v): a moved NAK was followed", st)
 			}
 			if r, p, c := s0.Counts(); r+p+c != 0 {
-				t.Errorf("link 0's shard ingested %d/%d/%d: the router re-forwarded a moved NAK", r, p, c)
+				t.Errorf("shard 0 ingested %d/%d/%d: a moved NAK was followed", r, p, c)
 			}
-			if st := router.Stats(); st.Forwarded != 2 {
-				t.Errorf("Forwarded = %d, want 2 (one relayed moved NAK per attempt)", st.Forwarded)
+			if st := s1.Stats(); st.Moved != 2 {
+				t.Errorf("shard 1 moved-NACKed %d lines, want 2 (one per attempt)", st.Moved)
+			}
+			if rc.Stats.Placed != 2 || rc.Stats.Redirected != 2 || router.Tallies()[1].Total() != 2 {
+				t.Errorf("client stats %+v, tallies %v: want each attempt placed on shard 1 and redirected there",
+					rc.Stats, router.Tallies())
 			}
 		})
 	}
@@ -679,11 +698,11 @@ func pipelinedStream() (hosts []string, batches map[string][]func(rc *analyzerd.
 }
 
 // pipelinedRun flushes pipelinedStream host by host, one batch per Flush,
-// through a router over live in-process shards. A kill fires from the
-// router's testAnswered hook the moment the fleet-wide answered count
-// reaches it — on the shard connection's reader, after the lines are
-// counted and before they are relayed — so the rest of the batch is still
-// in flight to the dying shard.
+// through a router over live in-process shards, each behind a shardProxy
+// the router places clients on. A kill fires from a proxy the moment the
+// fleet-wide count of shard reply lines reaches it — after a chunk's
+// lines are counted and before they are relayed — so the rest of the
+// batch is still in flight to the dying shard.
 func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, diag []byte) {
 	t.Helper()
 	m := wire.ShardMap{Shards: shards}
@@ -693,36 +712,43 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 		dirs[i] = t.TempDir()
 		srvs[i] = startTestShard(t, m, i, dirs[i])
 	}
-	var router *Router
 	var kmu sync.Mutex
-	ki := 0
-	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m,
-		testAnswered: func(total int64) {
-			kmu.Lock()
-			defer kmu.Unlock()
-			for ki < len(kills) && int64(kills[ki].AfterAcked) <= total {
-				i := kills[ki].Shard
-				ki++
-				srvs[i].Abort() // SIGKILL stand-in: no drain, WAL abandoned
-				// Not startTestShard: this is a router goroutine, and
-				// only the test's own may call t.Fatal.
-				srv, err := analyzerd.ServeWith("127.0.0.1:0", testShardConfig(m, i, dirs[i]))
-				if err != nil {
-					t.Errorf("restarting shard %d: %v", i, err)
-					return
-				}
-				srvs[i] = srv
-				router.SetShardAddr(i, srv.Addr())
+	ki, answered := 0, 0
+	proxies := make([]*shardProxy, shards)
+	onChunk := func(toShard bool, chunk []byte) {
+		if toShard {
+			return
+		}
+		kmu.Lock()
+		defer kmu.Unlock()
+		answered += bytes.Count(chunk, []byte{'\n'})
+		for ki < len(kills) && kills[ki].AfterAcked <= answered {
+			i := kills[ki].Shard
+			ki++
+			srvs[i].Abort() // SIGKILL stand-in: no drain, WAL abandoned
+			// Not startTestShard: this is a relay goroutine, and only
+			// the test's own may call t.Fatal.
+			srv, err := analyzerd.ServeWith("127.0.0.1:0", testShardConfig(m, i, dirs[i]))
+			if err != nil {
+				t.Errorf("restarting shard %d: %v", i, err)
+				return
 			}
-		}})
+			srvs[i] = srv
+			proxies[i].retarget(srv.Addr())
+		}
+	}
+	for i, srv := range srvs {
+		proxies[i] = startShardProxy(t, srv.Addr(), onChunk)
+	}
+	router, err := StartRouter("127.0.0.1:0", RouterConfig{Map: m})
 	if err != nil {
 		t.Fatalf("StartRouter: %v", err)
 	}
-	for i, srv := range srvs {
-		router.SetShardAddr(i, srv.Addr())
+	for i, p := range proxies {
+		router.SetShardAddr(i, p.addr())
 	}
 	defer func() {
-		router.Close()
+		router.Stop()
 		kmu.Lock()
 		defer kmu.Unlock()
 		for _, s := range srvs {
@@ -731,6 +757,7 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 	}()
 
 	hosts, batches := pipelinedStream()
+	resubmitted := 0
 	for _, host := range hosts {
 		rc, err := analyzerd.NewReliableClient(router.Addr(), analyzerd.ClientConfig{
 			ID: host, MaxAttempts: 20,
@@ -747,6 +774,7 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 		if err := rc.Close(); err != nil {
 			t.Fatalf("flush from %s: %v", host, err)
 		}
+		resubmitted += rc.Stats.Resubmitted
 	}
 	kmu.Lock()
 	fired := ki
@@ -754,8 +782,8 @@ func pipelinedRun(t *testing.T, shards int, kills []chaos.ShardKill) (bundle, di
 	if fired != len(kills) {
 		t.Fatalf("%d of %d kills fired", fired, len(kills))
 	}
-	if st := router.Stats(); len(kills) > 0 && st.ShardDown == 0 {
-		t.Errorf("stats = %+v: no kill ended a client connection with lines in flight", st)
+	if len(kills) > 0 && resubmitted == 0 {
+		t.Errorf("no client resubmitted anything: no kill ended a placed connection with lines in flight")
 	}
 
 	router.Stop()

@@ -1,7 +1,8 @@
 // Package fleet runs the sharded diagnosis tier: a supervisor that keeps
 // shard daemons alive through crashes (Proc), a consistent-hash router
-// that fans the seq/ack ingest protocol out across them (Router), and the
-// scatter-gather drain that merges per-shard state into one diagnosis
+// that places each client on the shard that owns it, after which the
+// client speaks the seq/ack ingest protocol to that shard directly
+// (Router), and the drain that merges per-shard state into one diagnosis
 // (Fleet). The design target is the kill-any-shard contract: SIGKILL any
 // single shard mid-ingest, let the supervisor restart it onto its own WAL,
 // and the merged diagnosis is byte-identical to a run that never crashed.

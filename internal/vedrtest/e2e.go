@@ -31,8 +31,8 @@ import (
 // with kill-after set the daemon is SIGKILLed mid-stream and restarted on
 // the same WAL directory and address, and the client resubmits through the
 // reconnect. Fleet mode drives `vedranalyzerd -cluster`: every source host
-// streams through its own named client, the router consistent-hashes the
-// hosts across supervised shard daemons, and the reference is a local
+// streams through its own named client, the router places each host on
+// the supervised shard daemon that owns it, and the reference is a local
 // canonical merge of the same sourced stream — across a mid-stream shard
 // SIGKILL (recovered by the supervisor), or with a shard held down through
 // the drain (rebuilt from a WAL with no final sync). Both go through

@@ -592,6 +592,7 @@ var replyCodec = codec[Reply]{
 	{"error", func(d *decoder, r *Reply) { d.text(&r.Error) }, func(b []byte, r *Reply) []byte { return text(b, r.Error) }},
 	{"retry", func(d *decoder, r *Reply) { d.boolean(&r.Retry) }, func(b []byte, r *Reply) []byte { return strconv.AppendBool(b, r.Retry) }},
 	{"moved", func(d *decoder, r *Reply) { d.boolean(&r.Moved) }, func(b []byte, r *Reply) []byte { return strconv.AppendBool(b, r.Moved) }},
+	{"addr", func(d *decoder, r *Reply) { d.text(&r.Addr) }, func(b []byte, r *Reply) []byte { return text(b, r.Addr) }},
 }
 
 var replyLineCodec = codec[ReplyLine]{
@@ -603,6 +604,7 @@ var replyLineCodec = codec[ReplyLine]{
 		return opt(b, r.Owner, func(b []byte, o *int) []byte { return num(b, *o) })
 	}},
 	{"map", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Map, shardMapCodec.encode) }},
+	{"addr", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Addr, text) }},
 	{"error", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Error, text) }},
 	{"retry", nil, func(b []byte, r *ReplyLine) []byte { return opt(b, r.Retry, strconv.AppendBool) }},
 }

@@ -151,6 +151,26 @@ func TestDecodeQuirks(t *testing.T) {
 	}
 }
 
+// TestDecodeReplyPlacement: a router's placement NAK hands the client the
+// owning shard's address, and a shard's moved NAK, which has no addr key
+// (nor did any build's before placement), still decodes, with Addr empty.
+func TestDecodeReplyPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want Reply
+	}{
+		{`{"nak":3,"client":"h1","moved":true,"owner":1,"map":{"shards":2},"addr":"[::1]:7000","error":"placed","retry":true}`,
+			Reply{Nak: 3, Error: "placed", Retry: true, Moved: true, Addr: "[::1]:7000"}},
+		{`{"nak":2,"client":"h1","moved":true,"owner":0,"map":{"shards":3},"error":"client \"h1\" belongs to shard 0","retry":true}`,
+			Reply{Nak: 2, Error: `client "h1" belongs to shard 0`, Retry: true, Moved: true}},
+	} {
+		got, err := DecodeReply([]byte(tc.line))
+		if err != nil || *got != tc.want {
+			t.Errorf("DecodeReply(%s) = %+v, %v; want %+v", tc.line, got, err, tc.want)
+		}
+	}
+}
+
 // TestDecodeFieldTablesMatchTags: every table in decode.go names exactly
 // the json tags of its struct, in order, so a field added to a DTO cannot
 // be forgotten by the decoder.

@@ -65,6 +65,10 @@ var encodeSeeds = []string{
 	`{"ack":7,"client":"h03"}`, `{"nak":7,"client":"hé","error":"queue \"full\"","retry":true}`, `{"error":"bad"}`,
 	`{"nak":2,"client":"h1","moved":true,"owner":0,"map":{"shards":3},"error":"client \"h1\" belongs to shard 0","retry":true}`,
 	`{"ack":0,"nak":0,"client":"","moved":false,"owner":null,"map":null,"error":"","retry":false}`,
+	// placement NAKs: a router's moved NAK names the owning shard's address
+	`{"nak":1,"client":"h1","moved":true,"owner":1,"map":{"shards":2},"addr":"[::1]:7000","error":"client \"h1\" is placed on shard 1","retry":true}`,
+	`{"nak":9,"client":"h\"q<&>","moved":true,"owner":0,"map":{"shards":1},"addr":"127.0.0.2:41234","error":"client \"h\\\"q\u003c\u0026\u003e\" is placed on shard 0","retry":true}`,
+	`{"ack":0,"nak":0,"error":"","retry":false,"moved":false,"addr":""}`,
 	`{"records":[{"host":1,"flow":{"src":1}}],"reports":[{"flows":[]}],"cfs":[],"metrics":{"b":1,"a\"<&>":-2,"\u2028":0}}`,
 	`{"records":null,"reports":[],"metrics":{}}`,
 }

@@ -17,20 +17,22 @@ type Message struct {
 }
 
 // Reply is what a ReliableClient reads of a reply line: an ack, a NAK
-// (retryable, or moved to another shard) or an unsequenced error.
+// (retryable, or moved to another shard, at Addr when the router placed
+// the client) or an unsequenced error.
 type Reply struct {
 	Ack   int64  `json:"ack"`
 	Nak   int64  `json:"nak"`
 	Error string `json:"error"`
 	Retry bool   `json:"retry"`
 	Moved bool   `json:"moved"`
+	Addr  string `json:"addr"`
 }
 
 // ReplyLine is every reply a daemon or router writes: an ack, a NAK
-// (retryable, or moved to Owner under Map) or an unsequenced error. It
-// names the client, though no reader keeps that field: the router relays
-// reply bytes without decoding them. Only written: Reply is what a reader
-// keeps of it.
+// (retryable, or moved to Owner under Map) or an unsequenced error. A
+// router's moved NAK is a placement: Addr is where the owning shard
+// listens. A reply names the client, though no reader keeps that field.
+// Only written: Reply is what a reader keeps of it.
 type ReplyLine struct {
 	Ack    int64     `json:"ack,omitempty"`
 	Nak    int64     `json:"nak,omitempty"`
@@ -38,6 +40,7 @@ type ReplyLine struct {
 	Moved  bool      `json:"moved,omitempty"`
 	Owner  *int      `json:"owner,omitempty"`
 	Map    *ShardMap `json:"map,omitempty"`
+	Addr   string    `json:"addr,omitempty"`
 	Error  string    `json:"error,omitempty"`
 	Retry  bool      `json:"retry,omitempty"`
 }
